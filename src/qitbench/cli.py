@@ -3,13 +3,14 @@
 Subcommands: check, elaborate, enum, eq, fold, elim, construct,
 examples.  SET parameters are instantiated per run with dynamic flags
 (``--X a,b``); declarations stay carrier-generic.  Exit status: 0 on
-accept/equal/success, 1 on reject/violation/mismatch, 2 on usage
-errors.
+accept/equal/success, 1 on reject/violation/mismatch or when the
+reader of stdout goes away, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -407,14 +408,16 @@ def _cmd_construct(cfg: RunConfig) -> int:
     flat = _flat(sig)
     u = SizeUniverse(SizeSig.minimal(), cfg.size_height)
     appx = build_fixed_point(flat, sys_, u, cfg.depth)
+    qw = None
     if cfg.fmt == "structured":
         print(appx.export(), end="")
     else:
         print(appx.dump(), end="")
-        print(f"colimit: {len(qw_from_colimit(appx).colimit.classes)} classes")
+        qw = qw_from_colimit(appx)
+        print(f"colimit: {len(qw.colimit.classes)} classes")
     if cfg.compare_oracle:
         q = close_congruence(build_universe(flat, sys_, cfg.depth))
-        cmp = compare_with_oracle(appx, q)
+        cmp = compare_with_oracle(qw if qw is not None else qw_from_colimit(appx), q)
         print(f"oracle: bijection over {len(cmp.class_pairs)} classes"
               f" (intro checked {cmp.intro_checked})")
     return 0
@@ -465,7 +468,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     carriers = _carrier_flags(extra, parser)
     cfg = _config(args, carriers, parser)
     try:
-        return run(cfg)
+        status = run(cfg)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader went away (``| head``); send the unflushed rest
+        # nowhere so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -232,9 +232,7 @@ class Approximation:
         checked = 0
         seen: set[tuple[int, int]] = set()
         for i in u.members:
-            for j in u.members:
-                if not u.lt(i, j):
-                    continue
+            for j in u.above[i]:
                 si, sj = self.stage_of[i], self.stage_of[j]
                 if (si, sj) in seen:
                     continue
@@ -262,12 +260,8 @@ class Approximation:
         for i in u.members:
             pos = u.position(i)
             below = u.below[i]
-            fire = {
-                (u.position(k), u.position(j))
-                for k in below
-                for j in below
-                if u.lt(k, j)
-            }
+            # k < j < i puts k below i: the order is transitive
+            fire = {(u.position(k), u.position(j)) for j in below for k in u.below[j]}
             lit = diamond(
                 self.sig,
                 self.sys,
@@ -303,14 +297,19 @@ class Approximation:
         return checked
 
     def to_diagram(self) -> Diagram:
+        """The stage diagram.  A transition depends only on the two
+        members' stages, so member pairs over one stage pair share a map."""
         u = self.universe
         family = {i: tuple(range(len(self.stage_at(i)))) for i in u.members}
-        maps = {
-            (i, j): {c: self.delta(i, j, c) for c in family[i]}
-            for i in u.members
-            for j in u.members
-            if u.lt(i, j)
-        }
+        by_stages: dict[tuple[int, int], dict[int, int]] = {}
+        maps = {}
+        for i in u.members:
+            for j in u.above[i]:
+                key = (self.stage_of[i], self.stage_of[j])
+                step = by_stages.get(key)
+                if step is None:
+                    step = by_stages[key] = {c: self.delta(i, j, c) for c in family[i]}
+                maps[(i, j)] = step
         return Diagram(u, family, maps)
 
     def dump(self) -> str:
@@ -353,12 +352,8 @@ def build_fixed_point(
         sid = by_key.get(key)
         if sid is None:
             slice_sids = sorted({stage_of[j] for j in u.below[i]})
-            fire = {
-                (stage_of[k], stage_of[j])
-                for k in u.below[i]
-                for j in u.below[i]
-                if u.lt(k, j)
-            }
+            # k < j < i puts k below i: the order is transitive
+            fire = {(stage_of[k], stage_of[j]) for j in u.below[i] for k in u.below[j]}
             sid = len(stages)
             stages.append(
                 diamond(sig, sys, depth_bound, [stages[s] for s in slice_sids], fire, sid=sid)
@@ -635,9 +630,7 @@ class QwInterface:
         confirmed = skipped = failed = 0
         seen: set[tuple[int, int]] = set()
         for i in u.members:
-            for j in u.members:
-                if not u.lt(i, j):
-                    continue
+            for j in u.above[i]:
                 si, sj = appx.stage_of[i], appx.stage_of[j]
                 if (si, sj) in seen:
                     continue
@@ -646,7 +639,7 @@ class QwInterface:
                     _token(si, c): _token(sj, appx.delta(i, j, c))
                     for c in range(len(appx.stages[si].classes))
                 }
-                uppers = [k for k in u.members if u.lt(j, k)]
+                uppers = u.above[j]
                 terms_over_i = [
                     pair[1] for pair in appx.stages[sj].class_of_pair if pair[0] == si
                 ]
@@ -678,16 +671,12 @@ class OracleComparison:
     per_sort: Mapping[Optional[str], int]
     intro_checked: int
 
-    @property
-    def ok(self) -> bool:
-        return True
 
-
-def compare_with_oracle(appx: Approximation, q: CongruenceQuotient) -> OracleComparison:
+def compare_with_oracle(qw: QwInterface, q: CongruenceQuotient) -> OracleComparison:
     """Certify that colimit classes and congruence classes agree on the
     depth-bounded fragment: flattening is a bijection commuting with the
     constructor."""
-    qw = qw_from_colimit(appx)
+    appx = qw.appx
     mapping: dict[int, int] = {}
     for cid, grp in enumerate(qw.colimit.classes):
         oids = set()

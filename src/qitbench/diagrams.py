@@ -29,9 +29,7 @@ class Diagram:
             if i not in self.family:
                 raise FunctorialityViolation(f"no carrier at {show_size(i)}")
         for i in u.members:
-            for j in u.members:
-                if not u.lt(i, j):
-                    continue
+            for j in u.above[i]:
                 step = self.maps.get((i, j))
                 if step is None:
                     raise FunctorialityViolation(
@@ -47,12 +45,8 @@ class Diagram:
                             f"map {show_size(i)} -> {show_size(j)} escapes the carrier at {x!r}"
                         )
         for i in u.members:
-            for j in u.members:
-                if not u.lt(i, j):
-                    continue
-                for k in u.members:
-                    if not u.lt(j, k):
-                        continue
+            for j in u.above[i]:
+                for k in u.above[j]:
                     lo, mid, hi = self.maps[(i, j)], self.maps[(j, k)], self.maps.get((i, k))
                     if hi is None:
                         raise FunctorialityViolation(
@@ -166,7 +160,7 @@ def check_power_cocontinuity(diagram: Diagram, points: Sequence[Hashable]) -> Co
     confirmed = skipped = failed = 0
     for grp in power.classes:
         for (i, f), (j, g) in itertools.combinations(grp, 2):
-            uppers = [k for k in u.members if u.lt(i, k) and u.lt(j, k)]
+            uppers = [k for k in u.above[i] if u.lt(j, k)]
             if not uppers:
                 skipped += 1
                 continue
@@ -198,8 +192,7 @@ def constant_diagram(u: SizeUniverse, carrier: Sequence[Hashable]) -> Diagram:
     maps = {
         (i, j): {x: x for x in elems}
         for i in u.members
-        for j in u.members
-        if u.lt(i, j)
+        for j in u.above[i]
     }
     return Diagram(u, family, maps)
 
@@ -211,7 +204,6 @@ def growing_chain(u: SizeUniverse) -> Diagram:
     maps = {
         (i, j): {x: x for x in family[i]}
         for i in u.members
-        for j in u.members
-        if u.lt(i, j)
+        for j in u.above[i]
     }
     return Diagram(u, family, maps)

@@ -8,6 +8,15 @@ one binary operator).  The order is the mutual structural recursion
 
 which is transitive, has joins as strict upper bounds, and admits
 height as a ranking function; totality is deliberately not assumed.
+
+A SizeUniverse decides the order on its members with bitsets: member
+positions are bits of Python ints.  Visiting members in height order,
+lt_bits[p] is the OR of le_bits[c] over the children c of p, and
+le_bits[p] holds every q whose child mask lies inside lt_bits[p].  The
+strict down-sets (below) and up-sets (above) are read off those bits, so
+loops over ordered pairs or chains walk only the pairs that exist.  The
+memoized PlumpOrder decides the order on sizes outside the universe,
+such as the successor of a top member or an upper bound of a family.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from .errors import ArityMismatch, CycleDetected, InfinitaryArity, ParseError
+from .errors import ArityMismatch, CycleDetected, InfinitaryArity, ParseError, QitError
 from .terms import Equation, Signature, SystemOfEquations
 
 
@@ -152,17 +161,6 @@ class PlumpOrder:
         return hit
 
 
-_shared = PlumpOrder()
-
-
-def le(i: SizeVal, j: SizeVal) -> bool:
-    return _shared.le(i, j)
-
-
-def lt(i: SizeVal, j: SizeVal) -> bool:
-    return _shared.lt(i, j)
-
-
 def size_signature_for(sig: Signature, sys: SystemOfEquations) -> SizeSig:
     """Nullary and binary structural operators, plus one operator per
     signature operator (arity of its child family) and one per equation
@@ -181,8 +179,9 @@ def size_signature_for(sig: Signature, sys: SystemOfEquations) -> SizeSig:
 
 
 class SizeUniverse:
-    """All sizes of height <= h over a signature, with the order and the
-    strict down-segments precomputed.  Immutable once built."""
+    """All sizes of height <= h over a signature, with the order as
+    bitsets and the strict down- and up-sets precomputed.  Members must
+    include their children.  Immutable once built."""
 
     def __init__(self, sig: SizeSig, height_bound: int, members: Optional[Sequence[SizeVal]] = None):
         if height_bound < 1:
@@ -210,9 +209,35 @@ class SizeUniverse:
             members = [m for lvl in exact for m in lvl]
         self.members: tuple[SizeVal, ...] = tuple(members)
         self._position = {m: p for p, m in enumerate(self.members)}
+
+        # bit q of _lt_bits[p] / _le_bits[p]: members[q] is < / <= members[p]
+        children_of: dict[int, int] = {}  # child mask -> members with those children
+        for p, m in enumerate(self.members):
+            mask = 0
+            for c in m.children:
+                if c not in self._position:
+                    raise QitError(f"child {show_size(c)} of {show_size(m)} is not a universe member")
+                mask |= 1 << self._position[c]
+            children_of[mask] = children_of.get(mask, 0) | 1 << p
+        self._lt_bits = [0] * len(self.members)
+        self._le_bits = [0] * len(self.members)
+        for p in sorted(range(len(self.members)), key=lambda p: height(self.members[p])):
+            strict = 0
+            for c in self.members[p].children:
+                strict |= self._le_bits[self._position[c]]
+            self._lt_bits[p] = strict
+            for mask, qs in children_of.items():
+                if not mask & ~strict:
+                    self._le_bits[p] |= qs
+
         self.below: dict[SizeVal, tuple[SizeVal, ...]] = {
-            i: tuple(j for j in self.members if self.order.lt(j, i)) for i in self.members
+            m: self._members_at(self._lt_bits[p]) for p, m in enumerate(self.members)
         }
+        above: dict[SizeVal, list[SizeVal]] = {m: [] for m in self.members}
+        for k, lower in self.below.items():
+            for j in lower:
+                above[j].append(k)
+        self.above: dict[SizeVal, tuple[SizeVal, ...]] = {m: tuple(ks) for m, ks in above.items()}
 
     @classmethod
     def chain(cls, sig: SizeSig, height_bound: int) -> "SizeUniverse":
@@ -230,11 +255,25 @@ class SizeUniverse:
     def position(self, i: SizeVal) -> int:
         return self._position[i]
 
+    def _members_at(self, bits: int) -> tuple[SizeVal, ...]:
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(self.members[low.bit_length() - 1])
+            bits ^= low
+        return tuple(out)
+
     def lt(self, i: SizeVal, j: SizeVal) -> bool:
-        return self.order.lt(i, j)
+        p, q = self._position.get(i), self._position.get(j)
+        if p is None or q is None:
+            return self.order.lt(i, j)
+        return self._lt_bits[q] >> p & 1 == 1
 
     def le(self, i: SizeVal, j: SizeVal) -> bool:
-        return self.order.le(i, j)
+        p, q = self._position.get(i), self._position.get(j)
+        if p is None or q is None:
+            return self.order.le(i, j)
+        return self._le_bits[q] >> p & 1 == 1
 
 
 def wf_rec(

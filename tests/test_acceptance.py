@@ -167,7 +167,7 @@ def test_criterion_09_construction_vs_oracle():
     t0 = time.perf_counter()
     appx = build_fixed_point(SIG, SYS, SizeUniverse(MIN, 3), 3)
     q = close_congruence(build_universe(SIG, SYS, 3))
-    cmp = compare_with_oracle(appx, q)
+    cmp = compare_with_oracle(qw_from_colimit(appx), q)
     assert len(cmp.class_pairs) == 6
     assert len({c for c, _ in cmp.class_pairs}) == 6
     assert len({o for _, o in cmp.class_pairs}) == 6
@@ -177,7 +177,7 @@ def test_criterion_09_construction_vs_oracle():
     vsys = commvec_system()
     vappx = build_fixed_point(flat, vsys, SizeUniverse(MIN, 3), 3)
     vq = close_congruence(build_universe(flat, vsys, 3))
-    vcmp = compare_with_oracle(vappx, vq)
+    vcmp = compare_with_oracle(qw_from_colimit(vappx), vq)
     assert len(vcmp.class_pairs) == len(vq)
     assert set(vcmp.per_sort) >= {"0", "1", "2"}
     _verdict(9, "colimit classes certified against congruence classes (Bag, CommVec)", 60.0, t0)
@@ -192,7 +192,7 @@ def test_criterion_10_qwrec_agreement_and_uniqueness():
     q = close_congruence(build_universe(SIG, SYS, 3))
     oracle = qwrec(q, alg)
     assert oracle.hom_ok
-    for cid, oid in compare_with_oracle(appx, q).class_pairs:
+    for cid, oid in compare_with_oracle(qw, q).class_pairs:
         assert rec.by_class[cid] == oracle.values[oid]
 
     h = dict(rec.by_class)

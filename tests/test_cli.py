@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from qitbench.cli import main
 from qitbench.serialize import signature_from_obj, system_from_obj
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 BAG = str(FIXTURES / "bag.qit")
 BAGPRIME = str(FIXTURES / "bagprime.qit")
@@ -242,3 +246,20 @@ def test_missing_carrier_is_reported(capsys):
     code, _, err = run(capsys, "enum", BAG)
     assert code == 1
     assert "X" in err
+
+
+def test_closed_stdout_exits_without_traceback():
+    # `qitbench enum ... | head -1`: the reader is gone before the first write
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qitbench.cli", "enum", BAG, "--X", "a,b,c", "-d", "5"],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

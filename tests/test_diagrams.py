@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from qitbench.diagrams import (
@@ -14,7 +16,7 @@ from qitbench.diagrams import (
     power_diagram,
 )
 from qitbench.errors import FunctorialityViolation, QitError
-from qitbench.sizes import SizeSig, SizeUniverse, height
+from qitbench.sizes import PlumpOrder, SizeSig, SizeUniverse, height
 
 from oracles import naive_components
 
@@ -35,6 +37,38 @@ def test_chain_universe_is_linear():
     for n, i in enumerate(u.members):
         assert height(i) == n + 1
         assert u.below[i] == u.members[:n]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: SizeUniverse(MIN, 4), lambda: SizeUniverse.chain(MIN, 5)],
+    ids=["tree-h4", "chain-h5"],
+)
+def test_bitset_order_agrees_with_plump_order(build):
+    u = build()
+    order = PlumpOrder()
+    for i, j in itertools.product(u.members, repeat=2):
+        assert u.lt(i, j) == order.lt(i, j)
+        assert u.le(i, j) == order.le(i, j)
+    for i in u.members:
+        assert u.below[i] == tuple(j for j in u.members if order.lt(j, i))
+        assert u.above[i] == tuple(k for k in u.members if order.lt(i, k))
+
+
+def test_check_walks_chains_up_to_the_top_height():
+    u = SizeUniverse(MIN, 4)
+    one = MIN.suc(MIN.zero())
+    top = MIN.suc(MIN.suc(one))
+    assert height(top) == 4
+    # everything strictly between one and top has height 3
+    middles = [j for j in u.above[one] if u.lt(j, top)]
+    assert middles and all(height(j) == 3 for j in middles)
+    d = constant_diagram(u, (0, 1))
+    d.check()
+    corrupted = dict(d.maps)
+    corrupted[(one, top)] = {0: 1, 1: 0}
+    with pytest.raises(FunctorialityViolation, match="composition mismatch"):
+        Diagram(u, d.family, corrupted).check()
 
 
 def test_constant_diagram_colimit():
