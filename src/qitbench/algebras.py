@@ -108,11 +108,6 @@ def bind(t: Term, env: Env, alg: Algebra, *, maps: Mapping[str, IndexMap] | None
     raise TypeError(f"not a term: {t!r}")
 
 
-def substitute_into(t: Term, env: Env, alg: Algebra) -> Value:
-    """bind with the roles spelled out: env gives the replacement behaviour."""
-    return bind(t, env, alg)
-
-
 @dataclass(frozen=True)
 class SatReport:
     status: str  # SATISFIED | VIOLATED | SAMPLED

@@ -18,9 +18,8 @@ congruence-closure quotient on the shared depth-d fragment.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .algebras import Algebra, Value, bind, satisfies
 from .diagrams import Colimit, Diagram, colim
@@ -37,6 +36,7 @@ from .quotient import CongruenceQuotient, UnionFind
 from .sexpr import show_term
 from .sizes import SizeUniverse, SizeVal, show_size, wf_rec
 from .terms import (
+    InstanceShape,
     Node,
     OpSym,
     Signature,
@@ -72,10 +72,19 @@ class Stage:
     slices: tuple[int, ...]
     classes: tuple[StageClass, ...]
     class_of_pair: Mapping[tuple[int, Term], int]
-    skipped_instances: int
 
     def __len__(self) -> int:
         return len(self.classes)
+
+
+def _stage_envs(shape: InstanceShape, st: Stage, bound: int) -> tuple[Iterable[tuple], int]:
+    """The class tuples of st that instantiate shape's equation within
+    bound, a class weighing its flattened depth fd; and the overflow."""
+    pools = [
+        [c for c, cls in enumerate(st.classes) if want is None or cls.sort == want]
+        for want in shape.sorts
+    ]
+    return shape.envs(pools, lambda c: st.classes[c].fd, bound)
 
 
 def diamond(
@@ -88,56 +97,44 @@ def diamond(
 ) -> Stage:
     """One quotient stage over the given slice stages.  fire lists the
     (lower, higher) slice pairs that are strictly ordered in the member
-    set this stage summarizes; only those pairs admit collapse clauses."""
+    set this stage summarizes; only those pairs admit collapse clauses.
+
+    Equation instances are drawn per slice under the budget rule of
+    InstanceShape.envs, a token weighing its class's fd: an instance is
+    made exactly when both sides fit the bound with variables at depth 1
+    and every variable v, at deepest position p_v (root = 1), gets a
+    class with fd <= depth_bound + 1 - p_v.  Overflowing instances are
+    never built."""
     for decl in sig.ops:
         if not decl.arity.finite:
             raise InfinitaryArity(f"cannot materialize stages under {decl.op.show()}")
 
     by_sid = {st.sid: st for st in slices}
-    weights: dict[str, int] = {}
-    sorts_of: dict[str, Optional[str]] = {}
-    for st in slices:
-        for c, cls in enumerate(st.classes):
-            weights[_token(st.sid, c)] = cls.fd
-            sorts_of[_token(st.sid, c)] = cls.sort
-
+    ordered = sorted(slices, key=lambda s: s.sid)
     pool: list[tuple[int, Term]] = []
-    for st in sorted(slices, key=lambda s: s.sid):
+    by_slice: dict[int, list[Term]] = {}
+    for st in ordered:
         vars_map = {_token(st.sid, c): cls.sort for c, cls in enumerate(st.classes)}
-        local = {name: weights[name] for name in vars_map}
-        for t in enumerate_terms(sig, vars_map, depth_bound, var_depths=local):
-            pool.append((st.sid, t))
+        local = {_token(st.sid, c): cls.fd for c, cls in enumerate(st.classes)}
+        terms = enumerate_terms(sig, vars_map, depth_bound, var_depths=local)
+        by_slice[st.sid] = terms
+        pool.extend((st.sid, t) for t in terms)
     index = {p: n for n, p in enumerate(pool)}
     uf = UnionFind(len(pool))
-    skipped = 0
 
     # equation instances within one slice
-    for st in sorted(slices, key=lambda s: s.sid):
-        for eq in sys.equations:
-            names = eq.var_names()
-            if names is None:
-                raise InfinitaryArity(f"equation {eq.name} has a countable variable family")
-            pools = []
-            for v in names:
-                want = eq.sort_of(v)
-                pools.append(
-                    [c for c, cls in enumerate(st.classes) if want is None or cls.sort == want]
-                )
-            for combo in itertools.product(*pools):
-                env = {v: Var(_token(st.sid, c)) for v, c in zip(names, combo)}
-                lhs = substitute(eq.lhs, env)
-                rhs = substitute(eq.rhs, env)
-                if max(weighted_depth(lhs, weights), weighted_depth(rhs, weights)) > depth_bound:
-                    skipped += 1
-                    continue
+    for st in ordered:
+        for shape in sys.instance_shapes:
+            for combo in _stage_envs(shape, st, depth_bound)[0]:
+                env = {v: Var(_token(st.sid, c)) for v, c in zip(shape.names, combo)}
+                lhs = substitute(shape.eq.lhs, env)
+                rhs = substitute(shape.eq.rhs, env)
                 uf.union(index[(st.sid, lhs)], index[(st.sid, rhs)])
 
     # collapse clauses along strictly ordered slice pairs
     for low, high in sorted(fire):
         target = by_sid[high]
-        for s, t in pool:
-            if s != low:
-                continue
+        for t in by_slice[low]:
             cls = target.class_of_pair[(low, t)]
             uf.union(index[(high, Var(_token(high, cls)))], index[(low, t)])
             if isinstance(t, Node):
@@ -202,7 +199,6 @@ def diamond(
         slices=tuple(sorted(by_sid)),
         classes=tuple(classes),
         class_of_pair=class_of_pair,
-        skipped_instances=skipped,
     )
 
 
@@ -490,26 +486,17 @@ class QwInterface:
             si = appx.stage_of[i]
             st = appx.stages[si]
             high = appx.stage_at(sup)
-            weights = {_token(si, c): cls.fd for c, cls in enumerate(st.classes)}
-            for eq in appx.sys.equations:
-                names = eq.var_names()
-                pools = []
-                for v in names:
-                    want = eq.sort_of(v)
-                    pools.append(
-                        [c for c, cls in enumerate(st.classes) if want is None or cls.sort == want]
-                    )
-                for combo in itertools.product(*pools):
-                    env = {v: Var(_token(si, c)) for v, c in zip(names, combo)}
-                    lhs, rhs = substitute(eq.lhs, env), substitute(eq.rhs, env)
-                    if max(weighted_depth(lhs, weights), weighted_depth(rhs, weights)) > appx.depth:
-                        depth_skipped += 1
-                        continue
+            for shape in appx.sys.instance_shapes:
+                envs, overflow = _stage_envs(shape, st, appx.depth)
+                depth_skipped += overflow
+                for combo in envs:
+                    env = {v: Var(_token(si, c)) for v, c in zip(shape.names, combo)}
+                    lhs, rhs = substitute(shape.eq.lhs, env), substitute(shape.eq.rhs, env)
                     cl = high.class_of_pair[(si, lhs)]
                     cr = high.class_of_pair[(si, rhs)]
                     if cl != cr:
                         raise CoherenceFailure(
-                            f"instance of {eq.name} splits at stage above {show_size(i)}",
+                            f"instance of {shape.eq.name} splits at stage above {show_size(i)}",
                             witness=(show_term(lhs), show_term(rhs)),
                         )
                     checked += 1
@@ -521,7 +508,7 @@ class QwInterface:
                         continue
                     if not (vl == vr == self.inject(sup, cl)):
                         raise CoherenceFailure(
-                            f"fold of {eq.name} disagrees with the successor reading",
+                            f"fold of {shape.eq.name} disagrees with the successor reading",
                             witness=(show_term(lhs), show_term(rhs)),
                         )
                     intro_checked += 1

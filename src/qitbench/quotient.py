@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .algebras import Algebra, Value, bind, satisfies
-from .errors import CoherenceFailure, InfinitaryArity, NotSatisfying, QitError
+from .errors import CoherenceFailure, NotSatisfying, QitError
 from .sexpr import show_term
 from .terms import (
     Node,
@@ -89,6 +89,12 @@ def build_universe(sig: Signature, sys: SystemOfEquations, depth_bound: int) -> 
     substituted sides stay within it.  Environments draw from the
     universe itself (respecting variable indices) in enumeration order;
     instances that would overflow the bound are counted as skipped.
+
+    The budget rule of InstanceShape.envs decides which instances fit
+    without building the others: with p_v the deepest position of v in
+    the equation (root = 1), an instance fits exactly when both sides fit
+    with variables at depth 1 and every v gets a term of depth at most
+    depth_bound + 1 - p_v.
     """
     sorts = sig.sorts
     if sorts is None:
@@ -98,26 +104,26 @@ def build_universe(sig: Signature, sys: SystemOfEquations, depth_bound: int) -> 
         for s in sorts:
             terms.extend(enumerate_terms(sig, (), depth_bound, sort=s))
     index = {t: i for i, t in enumerate(terms)}
+    depths = [depth(t) for t in terms]
+    shapes = sys.instance_shapes
+    by_sort = {
+        want: [p for p, t in enumerate(terms) if want is None or _root_sort(sig, t) == want]
+        for want in {s for shape in shapes for s in shape.sorts}
+    }
 
     pairs: list[InstancePair] = []
     skipped = 0
-    for eq in sys.equations:
-        names = eq.var_names()
-        if names is None:
-            raise InfinitaryArity(f"equation {eq.name} has a countable variable family")
-        pools = []
-        for v in names:
-            want = eq.sort_of(v)
-            pools.append([t for t in terms if want is None or _root_sort(sig, t) == want])
-        for combo in itertools.product(*pools):
-            env = dict(zip(names, combo))
-            lhs = substitute(eq.lhs, env)
-            rhs = substitute(eq.rhs, env)
-            if depth(lhs) > depth_bound or depth(rhs) > depth_bound:
-                skipped += 1
-                continue
-            assert lhs in index and rhs in index, "instance escaped the universe"
-            pairs.append(InstancePair(eq.name, tuple(env.items()), lhs, rhs))
+    for shape in shapes:
+        pools = [by_sort[s] for s in shape.sorts]
+        envs, overflow = shape.envs(pools, depths.__getitem__, depth_bound)
+        skipped += overflow
+        for combo in envs:
+            env = {v: terms[p] for v, p in zip(shape.names, combo)}
+            lhs = substitute(shape.eq.lhs, env)
+            rhs = substitute(shape.eq.rhs, env)
+            if lhs not in index or rhs not in index:
+                raise QitError(f"an instance of {shape.eq.name} escaped the universe")
+            pairs.append(InstancePair(shape.eq.name, tuple(env.items()), lhs, rhs))
     return TermUniverse(sig, sys, depth_bound, tuple(terms), tuple(pairs), skipped)
 
 

@@ -15,7 +15,9 @@ for variables.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -504,6 +506,69 @@ class Equation:
 
 
 @dataclass(frozen=True)
+class InstanceShape:
+    """What an equation's instances ask of a depth bound.
+
+    skeleton is max(depth(lhs), depth(rhs)) with variables at depth 1;
+    deepest[k] is the deepest position (root = 1) of variable names[k]
+    on either side, 0 when it occurs on neither.
+    """
+
+    eq: Equation
+    names: tuple[str, ...]
+    sorts: tuple[Optional[str], ...]
+    skeleton: int
+    deepest: tuple[int, ...]
+
+    def envs(
+        self, pools: Sequence[Sequence], weight: Callable[[object], int], bound: int
+    ) -> tuple[Iterable[tuple], int]:
+        """The candidate tuples (one per variable, drawn from pools) whose
+        instance stays within bound, in the product's order, and how many
+        tuples of the full product overflow.
+
+        A candidate of weight w >= 1 at a variable of deepest position p
+        puts a leaf at depth p - 1 + w, so an instance fits exactly when
+        the skeleton fits and every variable's candidate weighs at most
+        bound + 1 - p.  Filtering each pool keeps the product's order.
+        """
+        total = math.prod(len(pool) for pool in pools)
+        if self.skeleton > bound:
+            return (), total
+        kept = [
+            [c for c in pool if weight(c) <= bound + 1 - p] if p else pool
+            for pool, p in zip(pools, self.deepest)
+        ]
+        return itertools.product(*kept), total - math.prod(len(pool) for pool in kept)
+
+
+def instance_shape(eq: Equation) -> InstanceShape:
+    names = eq.var_names()
+    if names is None:
+        raise InfinitaryArity(f"equation {eq.name} has a countable variable family")
+    deepest = dict.fromkeys(names, 0)
+
+    def walk(t: Term, pos: int) -> int:
+        match t:
+            case Var(name):
+                if deepest.get(name, pos) < pos:
+                    deepest[name] = pos
+                return pos
+            case IxVar(_):
+                return pos
+            case Node(_, Tab(entries)):
+                return max((walk(c, pos + 1) for c in entries), default=pos)
+            case Node(op, Comp(_, _)):
+                raise InfinitaryArity(f"depth undefined under countable operator {op.show()}")
+        raise TypeError(f"not a term: {t!r}")
+
+    skeleton = max(walk(eq.lhs, 1), walk(eq.rhs, 1))
+    return InstanceShape(
+        eq, names, tuple(eq.sort_of(v) for v in names), skeleton, tuple(deepest.values())
+    )
+
+
+@dataclass(frozen=True)
 class SystemOfEquations:
     equations: tuple[Equation, ...]
 
@@ -511,6 +576,11 @@ class SystemOfEquations:
         names = [e.name for e in self.equations]
         if len(set(names)) != len(names):
             raise NameClash("duplicate equation name")
+
+    @cached_property
+    def instance_shapes(self) -> tuple[InstanceShape, ...]:
+        """One InstanceShape per equation, in order; computed once."""
+        return tuple(instance_shape(eq) for eq in self.equations)
 
 
 def validate_system(sig: Signature, sys: SystemOfEquations) -> None:

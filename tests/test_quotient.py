@@ -15,7 +15,8 @@ from helpers import (
     length_algebra,
 )
 from oracles import bag_multiset, naive_congruence
-from qitbench.errors import CoherenceFailure, NotSatisfying
+import qitbench.quotient
+from qitbench.errors import CoherenceFailure, NotSatisfying, QitError
 from qitbench.quotient import (
     EliminatorInput,
     build_universe,
@@ -45,6 +46,14 @@ def test_universe_contents_and_skips():
     swap_ab = [p for p in u.instance_pairs if p.eq_name == "swap a b"]
     sides = {(show_term(p.lhs), show_term(p.rhs)) for p in swap_ab}
     assert ("(op cons a (op cons b (op nil)))", "(op cons b (op cons a (op nil)))") in sides
+
+
+def test_instance_outside_the_universe_raises(monkeypatch):
+    real = qitbench.quotient.enumerate_terms
+    # drop (op cons b (op cons b (op nil))), a side of swap b b at zs = nil
+    monkeypatch.setattr(qitbench.quotient, "enumerate_terms", lambda *a, **k: real(*a, **k)[:-1])
+    with pytest.raises(QitError, match="swap b b escaped the universe"):
+        build_universe(SIG, SYS, 3)
 
 
 def test_bag_quotient_matches_multiset_oracle():
