@@ -19,10 +19,10 @@ congruence-closure quotient on the shared depth-d fragment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .algebras import Algebra, Value, bind, satisfies
-from .diagrams import Colimit, Diagram, colim
+from .diagrams import Diagram, colim
 from .errors import (
     CoherenceFailure,
     InfinitaryArity,
@@ -32,7 +32,7 @@ from .errors import (
     QitError,
     StageOverflow,
 )
-from .quotient import CongruenceQuotient, UnionFind
+from .quotient import CongruenceQuotient, congruence_roots
 from .sexpr import show_term
 from .sizes import SizeUniverse, SizeVal, show_size, wf_rec
 from .terms import (
@@ -104,7 +104,8 @@ def diamond(
     made exactly when both sides fit the bound with variables at depth 1
     and every variable v, at deepest position p_v (root = 1), gets a
     class with fd <= depth_bound + 1 - p_v.  Overflowing instances are
-    never built."""
+    never built.  The stage is the least congruence on the pool that
+    contains these clauses (congruence_roots)."""
     for decl in sig.ops:
         if not decl.arity.finite:
             raise InfinitaryArity(f"cannot materialize stages under {decl.op.show()}")
@@ -120,57 +121,42 @@ def diamond(
         by_slice[st.sid] = terms
         pool.extend((st.sid, t) for t in terms)
     index = {p: n for n, p in enumerate(pool)}
-    uf = UnionFind(len(pool))
 
-    # equation instances within one slice
-    for st in ordered:
-        for shape in sys.instance_shapes:
-            for combo in _stage_envs(shape, st, depth_bound)[0]:
-                env = {v: Var(_token(st.sid, c)) for v, c in zip(shape.names, combo)}
-                lhs = substitute(shape.eq.lhs, env)
-                rhs = substitute(shape.eq.rhs, env)
-                uf.union(index[(st.sid, lhs)], index[(st.sid, rhs)])
+    def seeds() -> Iterable[tuple[int, int]]:
+        # equation instances within one slice
+        for st in ordered:
+            for shape in sys.instance_shapes:
+                for combo in _stage_envs(shape, st, depth_bound)[0]:
+                    env = {v: Var(_token(st.sid, c)) for v, c in zip(shape.names, combo)}
+                    lhs = substitute(shape.eq.lhs, env)
+                    rhs = substitute(shape.eq.rhs, env)
+                    yield index[(st.sid, lhs)], index[(st.sid, rhs)]
 
-    # collapse clauses along strictly ordered slice pairs
-    for low, high in sorted(fire):
-        target = by_sid[high]
-        for t in by_slice[low]:
-            cls = target.class_of_pair[(low, t)]
-            uf.union(index[(high, Var(_token(high, cls)))], index[(low, t)])
-            if isinstance(t, Node):
-                lifted = Node(
-                    t.op,
-                    Tab(
-                        tuple(
-                            Var(_token(high, target.class_of_pair[(low, ch)]))
-                            for ch in t.children.entries
-                        )
-                    ),
-                )
-                uf.union(index[(high, lifted)], index[(low, t)])
+        # collapse clauses along strictly ordered slice pairs
+        for low, high in sorted(fire):
+            target = by_sid[high]
+            for t in by_slice[low]:
+                cls = target.class_of_pair[(low, t)]
+                yield index[(high, Var(_token(high, cls)))], index[(low, t)]
+                if isinstance(t, Node):
+                    kids = (target.class_of_pair[(low, ch)] for ch in t.children.entries)
+                    lifted = Node(t.op, Tab(tuple(Var(_token(high, c)) for c in kids)))
+                    yield index[(high, lifted)], index[(low, t)]
 
     # congruence through node structure, across slices
-    child_pos = {
-        n: tuple(index[(s, ch)] for ch in t.children.entries)
+    nodes = {
+        n: (t.op, tuple(index[(s, ch)] for ch in t.children.entries))
         for n, (s, t) in enumerate(pool)
         if isinstance(t, Node) and t.children.entries
     }
-    changed = True
-    while changed:
-        changed = False
-        sigtab: dict[tuple, int] = {}
-        for n, kids in child_pos.items():
-            key = (pool[n][1].op, tuple(uf.find(k) for k in kids))
-            other = sigtab.setdefault(key, n)
-            if other != n and uf.union(n, other):
-                changed = True
+    roots = congruence_roots(len(pool), nodes, seeds())
 
     flat_env = {
         _token(st.sid, c): cls.flat for st in slices for c, cls in enumerate(st.classes)
     }
     groups: dict[int, list[int]] = {}
-    for n in range(len(pool)):
-        groups.setdefault(uf.find(n), []).append(n)
+    for n, root in enumerate(roots):
+        groups.setdefault(root, []).append(n)
 
     ranked = []
     for members in groups.values():
@@ -221,28 +207,34 @@ class Approximation:
         si = self.stage_of[i]
         return self.stages[self.stage_of[j]].class_of_pair[(si, Var(_token(si, cls)))]
 
-    def check_fixed_diag(self) -> int:
-        """Reading a pair off at a higher stage agrees with pushing its
-        class up, for every ordered member pair and every pair."""
+    def stage_pairs(self) -> Iterator[tuple[SizeVal, SizeVal]]:
+        """The first member pair i < j, in member order then up-set
+        order, for each distinct pair of their stages."""
         u = self.universe
-        checked = 0
         seen: set[tuple[int, int]] = set()
         for i in u.members:
             for j in u.above[i]:
-                si, sj = self.stage_of[i], self.stage_of[j]
-                if (si, sj) in seen:
-                    continue
-                seen.add((si, sj))
-                high = self.stages[sj]
-                for pair, ci in self.stages[si].class_of_pair.items():
-                    direct = high.class_of_pair[pair]
-                    via = high.class_of_pair[(si, Var(_token(si, ci)))]
-                    if direct != via:
-                        raise QitError(
-                            f"stage diagram broken at {show_term(pair[1])} between "
-                            f"{show_size(i)} and {show_size(j)}"
-                        )
-                    checked += 1
+                key = (self.stage_of[i], self.stage_of[j])
+                if key not in seen:
+                    seen.add(key)
+                    yield i, j
+
+    def check_fixed_diag(self) -> int:
+        """Reading a pair off at a higher stage agrees with pushing its
+        class up, for every ordered member pair and every pair."""
+        checked = 0
+        for i, j in self.stage_pairs():
+            si = self.stage_of[i]
+            high = self.stage_at(j)
+            for pair, ci in self.stages[si].class_of_pair.items():
+                direct = high.class_of_pair[pair]
+                via = high.class_of_pair[(si, Var(_token(si, ci)))]
+                if direct != via:
+                    raise QitError(
+                        f"stage diagram broken at {show_term(pair[1])} between "
+                        f"{show_size(i)} and {show_size(j)}"
+                    )
+                checked += 1
         return checked
 
     def check_restriction(self) -> int:
@@ -550,20 +542,15 @@ class QwInterface:
         wf_rec(u, step)
 
         coherence = 0
-        seen: set[tuple[int, int]] = set()
-        for i in u.members:
-            for j in u.below[i]:
-                sj, si = appx.stage_of[j], appx.stage_of[i]
-                if (sj, si) in seen:
-                    continue
-                seen.add((sj, si))
-                for c in range(len(appx.stages[sj].classes)):
-                    if tables[sj][c] != tables[si][appx.delta(j, i, c)]:
-                        raise CoherenceFailure(
-                            f"recursion not constant along {show_size(j)} -> {show_size(i)}",
-                            witness=show_term(appx.stages[sj].classes[c].flat),
-                        )
-                    coherence += 1
+        for j, i in appx.stage_pairs():
+            sj, si = appx.stage_of[j], appx.stage_of[i]
+            for c in range(len(appx.stages[sj].classes)):
+                if tables[sj][c] != tables[si][appx.delta(j, i, c)]:
+                    raise CoherenceFailure(
+                        f"recursion not constant along {show_size(j)} -> {show_size(i)}",
+                        witness=show_term(appx.stages[sj].classes[c].flat),
+                    )
+                coherence += 1
 
         by_class: dict[int, Value] = {}
         for cid, grp in enumerate(self.colimit.classes):
@@ -615,36 +602,31 @@ class QwInterface:
         appx = self.appx
         u = appx.universe
         confirmed = skipped = failed = 0
-        seen: set[tuple[int, int]] = set()
-        for i in u.members:
-            for j in u.above[i]:
-                si, sj = appx.stage_of[i], appx.stage_of[j]
-                if (si, sj) in seen:
+        for i, j in appx.stage_pairs():
+            si, sj = appx.stage_of[i], appx.stage_of[j]
+            rename = {
+                _token(si, c): _token(sj, appx.delta(i, j, c))
+                for c in range(len(appx.stages[si].classes))
+            }
+            uppers = u.above[j]
+            terms_over_i = [
+                pair[1] for pair in appx.stages[sj].class_of_pair if pair[0] == si
+            ]
+            for t in terms_over_i:
+                if not uppers:
+                    skipped += 1
                     continue
-                seen.add((si, sj))
-                rename = {
-                    _token(si, c): _token(sj, appx.delta(i, j, c))
-                    for c in range(len(appx.stages[si].classes))
-                }
-                uppers = u.above[j]
-                terms_over_i = [
-                    pair[1] for pair in appx.stages[sj].class_of_pair if pair[0] == si
-                ]
-                for t in terms_over_i:
-                    if not uppers:
-                        skipped += 1
-                        continue
-                    mapped = map_term(t, lambda n: rename.get(n, n))
-                    hit = False
-                    for k in uppers:
-                        top = appx.stage_at(k)
-                        if top.class_of_pair[(sj, mapped)] == top.class_of_pair[(si, t)]:
-                            hit = True
-                            break
-                    if hit:
-                        confirmed += 1
-                    else:
-                        failed += 1
+                mapped = map_term(t, lambda n: rename.get(n, n))
+                hit = False
+                for k in uppers:
+                    top = appx.stage_at(k)
+                    if top.class_of_pair[(sj, mapped)] == top.class_of_pair[(si, t)]:
+                        hit = True
+                        break
+                if hit:
+                    confirmed += 1
+                else:
+                    failed += 1
         return StabilityReport(confirmed, skipped, failed)
 
 

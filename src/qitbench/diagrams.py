@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 from .errors import FunctorialityViolation, QitError
-from .quotient import UnionFind
+from .quotient import congruence_roots
 from .sizes import SizeUniverse, SizeVal, show_size
 
 
@@ -72,13 +72,14 @@ class Colimit:
             for x in diagram.family[i]:
                 index[(i, x)] = len(nodes)
                 nodes.append((i, x))
-        uf = UnionFind(len(nodes))
-        for (i, j), step in diagram.maps.items():
-            for x in diagram.family[i]:
-                uf.union(index[(i, x)], index[(j, step[x])])
+        glued = (
+            (index[(i, x)], index[(j, step[x])])
+            for (i, j), step in diagram.maps.items()
+            for x in diagram.family[i]
+        )
         roots: dict[int, list[tuple[SizeVal, Hashable]]] = {}
-        for n, node in enumerate(nodes):
-            roots.setdefault(uf.find(n), []).append(node)
+        for node, root in zip(nodes, congruence_roots(len(nodes), {}, glued)):
+            roots.setdefault(root, []).append(node)
         ordered = sorted(roots.values(), key=lambda grp: index[grp[0]])
         self.classes: tuple[tuple[tuple[SizeVal, Hashable], ...], ...] = tuple(
             tuple(grp) for grp in ordered

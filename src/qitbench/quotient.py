@@ -2,10 +2,13 @@
 
 The universe holds every closed term up to a depth bound together with
 the equation instances whose sides stay inside the bound.  The quotient
-is the least congruence containing those instances, computed by
-union-find with upward congruence propagation.  Folds (qwrec) and
-eliminations (qwelim) are executed per class with their side conditions
-checked exhaustively over the universe.
+is the least congruence containing those instances.  congruence_roots
+computes it by union-find with upward congruence propagation, and is the
+one closure in the package: close_congruence, each construction stage
+(construction.diamond) and the colimit's gluing (diagrams.Colimit, with
+no nodes) all call it.  Folds (qwrec) and eliminations (qwelim) are
+executed per class with their side conditions checked exhaustively over
+the universe.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algebras import Algebra, Value, bind, satisfies
 from .errors import CoherenceFailure, NotSatisfying, QitError
@@ -23,37 +26,12 @@ from .terms import (
     OpSym,
     Signature,
     SystemOfEquations,
-    Tab,
     Term,
     depth,
     enumerate_terms,
     substitute,
     term_key,
 )
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> Optional[tuple[int, int]]:
-        """Returns (kept root, absorbed root) on change, None otherwise."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return None
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra, rb
 
 
 @dataclass(frozen=True)
@@ -170,45 +148,68 @@ class CongruenceQuotient:
         return _root_sort(self.universe.sig, self.canon[cls])
 
 
-def close_congruence(universe: TermUniverse) -> CongruenceQuotient:
-    terms = universe.terms
-    n = len(terms)
-    uf = UnionFind(n)
-
-    children_ix: dict[int, tuple[int, ...]] = {}
+def congruence_roots(
+    n: int,
+    nodes: Mapping[int, tuple[object, Sequence[int]]],
+    seeds: Iterable[tuple[int, int]],
+) -> list[int]:
+    """The least congruence on ids 0..n-1 containing the seed pairs, as
+    each id's root.  nodes maps every id with at least one child to
+    (op, child ids); two such ids whose ops agree and whose children are
+    pairwise related are related.  A worklist closure in the style of
+    Downey-Sethi-Tarjan: a union re-keys only the parents of the absorbed
+    class against a signature table.  Roots are representatives, not a
+    canonical order."""
+    parent = list(range(n))
+    size = [1] * n
     parents: dict[int, set[int]] = defaultdict(set)
-    for pos, t in enumerate(terms):
-        if isinstance(t, Node):
-            ch = tuple(universe.position(c) for c in t.children.entries)
-            children_ix[pos] = ch
-            for c in ch:
-                parents[c].add(pos)
+    for pos, (_, kids) in nodes.items():
+        for c in kids:
+            parents[c].add(pos)
+    pending: deque[int] = deque(nodes)
 
-    pending: deque[int] = deque(children_ix)
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
     def union(a: int, b: int) -> None:
-        moved = uf.union(a, b)
-        if moved is None:
+        kept, gone = find(a), find(b)
+        if kept == gone:
             return
-        kept, gone = moved
-        ps = parents.pop(gone, set())
-        pending.extend(ps)
-        parents[kept] |= ps
+        if size[kept] < size[gone]:
+            kept, gone = gone, kept
+        parent[gone] = kept
+        size[kept] += size[gone]
+        ps = parents.pop(gone, None)
+        if ps:
+            pending.extend(ps)
+            parents[kept] |= ps
 
-    for pair in universe.instance_pairs:
-        union(universe.position(pair.lhs), universe.position(pair.rhs))
+    for a, b in seeds:
+        union(a, b)
 
     sigtab: dict[tuple, int] = {}
     while pending:
         pos = pending.popleft()
-        key = (terms[pos].op, tuple(uf.find(c) for c in children_ix[pos]))
-        other = sigtab.get(key)
-        if other is None:
-            sigtab[key] = pos
-        elif uf.find(other) != uf.find(pos):
+        op, kids = nodes[pos]
+        key = (op, tuple(find(c) for c in kids))
+        other = sigtab.setdefault(key, pos)
+        if other != pos:
             union(other, pos)
+    return [find(i) for i in range(n)]
 
-    return CongruenceQuotient(universe, [uf.find(i) for i in range(n)])
+
+def close_congruence(universe: TermUniverse) -> CongruenceQuotient:
+    pos = universe.position
+    nodes = {
+        n: (t.op, tuple(pos(c) for c in t.children.entries))
+        for n, t in enumerate(universe.terms)
+        if isinstance(t, Node) and t.children.entries
+    }
+    seeds = ((pos(p.lhs), pos(p.rhs)) for p in universe.instance_pairs)
+    return CongruenceQuotient(universe, congruence_roots(len(universe.terms), nodes, seeds))
 
 
 def decide_eq(q: CongruenceQuotient, a: Term, b: Term) -> str:

@@ -10,9 +10,9 @@
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
-from .errors import ParseError, UnknownOp
+from .errors import ParseError
 from .terms import (
     Comp,
     IndexExpr,
@@ -178,10 +178,7 @@ def parse_term(text: str, sig: Optional[Signature] = None) -> Term:
     r = _Reader(text)
     item = _form(r)
     r.done()
-    try:
-        return _as_term(item, sig)
-    except UnknownOp:
-        raise
+    return _as_term(item, sig)
 
 
 def show_ix(e: IndexExpr) -> str:

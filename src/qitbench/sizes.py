@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import ArityMismatch, CycleDetected, InfinitaryArity, ParseError, QitError
-from .terms import Equation, Signature, SystemOfEquations
+from .terms import Signature, SystemOfEquations
 
 
 @dataclass(frozen=True)

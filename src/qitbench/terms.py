@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -100,19 +100,27 @@ class Signature:
             raise NameClash("duplicate operator in signature")
         object.__setattr__(self, "_decls", {d.op: (i, d) for i, d in enumerate(self.ops)})
 
-    def decl(self, op: Union[OpSym, str]) -> OpDecl:
+    def _entry(self, op: Union[OpSym, str]) -> tuple[int, OpDecl]:
+        """(position, declaration) of op.  A miss names the indexed forms
+        of op (its instances at a target index, "nil @0"), if any."""
         op = _op(op)
         entry = self._decls.get(op)
         if entry is None:
-            raise UnknownOp(f"unknown operator {op.show()!r}")
-        return entry[1]
+            forms = [
+                repr(d.op.show())
+                for d in self.ops
+                if (d.op.name, d.op.params[:-1]) == (op.name, op.params)
+                and "".join(d.op.params[-1:]).startswith("@")
+            ]
+            hint = f"; indexed forms: {', '.join(forms)}" if forms else ""
+            raise UnknownOp(f"unknown operator {op.show()!r}{hint}")
+        return entry
+
+    def decl(self, op: Union[OpSym, str]) -> OpDecl:
+        return self._entry(op)[1]
 
     def op_index(self, op: Union[OpSym, str]) -> int:
-        op = _op(op)
-        entry = self._decls.get(op)
-        if entry is None:
-            raise UnknownOp(f"unknown operator {op.show()!r}")
-        return entry[0]
+        return self._entry(op)[0]
 
     def has_op(self, op: Union[OpSym, str]) -> bool:
         return _op(op) in self._decls

@@ -96,6 +96,18 @@ def test_eq_outside_universe_is_unknown(capsys):
     assert out.strip() == "UNKNOWN"
 
 
+def test_eq_bare_indexed_operator_names_its_indexed_forms(capsys):
+    vec = ("--X", "a", "--prefix", "2")
+    code, out, err = run(capsys, "eq", COMMVEC, "(op nil)", "(op nil)", *vec)
+    assert code == 1
+    assert out == ""
+    assert "unknown operator 'nil'; indexed forms: 'nil @0'" in err
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, "eq", COMMVEC, "(op nil @0)", "(op nil @0)", *vec)
+    assert code == 0
+    assert out.strip() == "EQUAL"
+
+
 # --- elaborate / enum ---
 
 

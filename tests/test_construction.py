@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from qitbench.errors import (
     StageOverflow,
 )
 from qitbench.quotient import build_universe, close_congruence, qwrec
+from qitbench.schema import elaborate, parse_decl
 from qitbench.sexpr import show_term
 from qitbench.sizes import SizeSig, SizeUniverse
 from qitbench.terms import NAT, OpDecl, OpSym, Signature, SystemOfEquations
@@ -34,6 +36,7 @@ from helpers import (
 from oracles import bag_multiset
 
 MIN = SizeSig.minimal()
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 def bag_fixture(depth=3, height=3, atoms=("a", "b")):
@@ -141,6 +144,20 @@ def test_commvec_classes_per_index():
     q = close_congruence(build_universe(sig, sys, 3))
     cmp = compare_with_oracle(qw_from_colimit(appx), q)
     assert cmp.per_sort == {"0": 1, "1": 2, "2": 3}
+
+
+def test_commtree_colimit_matches_oracle_bijectively():
+    """Commutativity under a nested node: subtrees made equal by comm
+    make their parents equal, and that congruence has to reach across
+    the slices of a stage."""
+    decl = parse_decl((FIXTURES / "commtree.qit").read_text())
+    sig, sys = elaborate(decl, {"X": ("a", "b")})
+    appx = build_fixed_point(sig, sys, SizeUniverse(MIN, 3), 3)
+    q = close_congruence(build_universe(sig, sys, 3))
+    cmp = compare_with_oracle(qw_from_colimit(appx), q)
+    assert len(cmp.class_pairs) == len(q) == 17
+    assert sorted(oid for _, oid in cmp.class_pairs) == list(range(17))
+    assert cmp.intro_checked == 38
 
 
 def test_empty_system_gives_discrete_classes():

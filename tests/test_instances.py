@@ -23,30 +23,7 @@ from qitbench.terms import (
     weighted_depth,
 )
 
-from helpers import bag_system
-
-
-@st.composite
-def term_over(draw, ops, names, max_depth):
-    """A term of depth <= max_depth over ops (name, arity) and variables."""
-    leaves = [Node(OpSym(op), Tab(())) for op, k in ops if k == 0] + [Var(v) for v in names]
-    inner = [(op, k) for op, k in ops if k > 0]
-    if max_depth == 1 or not inner or draw(st.booleans()):
-        return draw(st.sampled_from(leaves))
-    op, k = draw(st.sampled_from(inner))
-    return Node(OpSym(op), Tab(tuple(draw(term_over(ops, names, max_depth - 1)) for _ in range(k))))
-
-
-@st.composite
-def equations(draw):
-    """A signature of arity 0-2 operators (the first nullary) and one
-    equation over up to three variables, some possibly unused."""
-    arities = [0] + draw(st.lists(st.integers(0, 2), max_size=2))
-    ops = [(f"f{n}", k) for n, k in enumerate(arities)]
-    names = ("x", "y", "z")[: draw(st.integers(0, 3))]
-    lhs = draw(term_over(ops, names, 3))
-    rhs = draw(term_over(ops, names, 3))
-    return signature(ops), Equation("e", names, lhs, rhs)
+from helpers import bag_system, equations
 
 
 def brute_force(eq, pools, weighted, bound):

@@ -5,12 +5,15 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import (
     bag_sig,
     bag_system,
     commvec_indexed,
     commvec_system,
+    equations,
     first_label_algebra,
     length_algebra,
 )
@@ -21,6 +24,7 @@ from qitbench.quotient import (
     EliminatorInput,
     build_universe,
     close_congruence,
+    congruence_roots,
     decide_eq,
     dump_quotient,
     qwelim,
@@ -28,7 +32,7 @@ from qitbench.quotient import (
     qwuniq_check,
 )
 from qitbench.sexpr import parse_term, show_term
-from qitbench.terms import term_key
+from qitbench.terms import Node, OpSym, SystemOfEquations, Tab, term_key
 
 SIG = bag_sig()
 SYS = bag_system()
@@ -74,6 +78,52 @@ def test_partition_equals_naive_oracle():
             sorted(u.position(t) for t in members) for members in q.members
         )
         assert got == sorted(sorted(cls) for cls in oracle)
+
+
+@given(equations(), st.integers(1, 3))
+def test_generated_partitions_equal_naive_oracle(case, bound):
+    sig, eq = case
+    u = build_universe(sig, SystemOfEquations((eq,)), bound)
+    q = close_congruence(u)
+    oracle = naive_congruence(list(u.terms), [(p.lhs, p.rhs) for p in u.instance_pairs])
+    got = sorted(sorted(u.position(t) for t in members) for members in q.members)
+    assert got == sorted(sorted(cls) for cls in oracle)
+
+
+@st.composite
+def id_graphs(draw):
+    """ids 0..n-1: leaves first, then unary f and binary g nodes over
+    earlier ids (an id that would repeat a node stays a leaf), listed in
+    a drawn order; and seed pairs."""
+    n = draw(st.integers(2, 10))
+    arity = {"f": 1, "g": 2}
+    nodes = {}
+    for i in range(draw(st.integers(1, n - 1)), n):
+        op = draw(st.sampled_from("fg"))
+        kids = tuple(draw(st.integers(0, i - 1)) for _ in range(arity[op]))
+        if (op, kids) not in nodes.values():
+            nodes[i] = (op, kids)
+    order = draw(st.permutations(sorted(nodes)))
+    seeds = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    return n, {i: nodes[i] for i in order}, seeds
+
+
+# Listed before the merge that changes a child's class, a parent must be
+# re-keyed; and after a second merge, so must the absorbed class's parents.
+@example((4, {3: ("g", (1, 2)), 2: ("g", (0, 1)), 1: ("g", (0, 0))}, [(1, 0)]))
+@example((6, {2: ("f", (0,)), 5: ("f", (3,)), 3: ("f", (2,)), 1: ("g", (0, 0)), 4: ("f", (1,))},
+          [(5, 1), (0, 2)]))
+@given(id_graphs())
+def test_congruence_roots_equal_naive_oracle(graph):
+    n, nodes, seeds = graph
+    terms = []
+    for i in range(n):
+        op, kids = nodes.get(i, (f"c{i}", ()))
+        terms.append(Node(OpSym(op), Tab(tuple(terms[k] for k in kids))))
+    roots = congruence_roots(n, nodes, seeds)
+    got = sorted(sorted(i for i in range(n) if roots[i] == r) for r in set(roots))
+    oracle = naive_congruence(terms, [(terms[a], terms[b]) for a, b in seeds])
+    assert got == sorted(sorted(cls) for cls in oracle)
 
 
 def test_canonical_representatives_are_least_and_stable():
