@@ -9,6 +9,16 @@ down-segments provably share a stage, so stages are memoized on the
 down-segment; the restriction check recomputes the literal per-member
 reading independently and compares.
 
+A stage read as a slice is read through its slice view (SliceView),
+built once on the first read and kept: the terms over its class tokens,
+their nodes and equation instances by local id (position in the
+enumeration), and each term's flattened order key.  diamond lays the
+slice views side by side at integer offsets and works on ids only.  A
+stage stores, per slice, the class of each local id; its class_of_pair
+mapping from (slice, term) is built from that on first use.  The flat
+order keys are shared through one table per build, so equal keys are
+one tuple.
+
 The colimit of the stages carries the constructor map (children pushed
 to a common stage, wrapped in a node, read off at the successor stage)
 and the recursor (stage tables computed by well-founded recursion).
@@ -18,8 +28,10 @@ congruence-closure quotient on the shared depth-d fragment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebras import Algebra, Value, bind, satisfies
 from .diagrams import Diagram, colim
@@ -32,7 +44,7 @@ from .errors import (
     QitError,
     StageOverflow,
 )
-from .quotient import CongruenceQuotient, congruence_roots
+from .quotient import CongruenceQuotient, congruence_roots, root_groups
 from .sexpr import show_term
 from .sizes import SizeUniverse, SizeVal, show_size, wf_rec
 from .terms import (
@@ -50,7 +62,6 @@ from .terms import (
     substitute,
     term_key,
     validate_system,
-    weighted_depth,
 )
 
 
@@ -63,7 +74,38 @@ class StageClass:
     flat: Term
     sort: Optional[str]
     fd: int
-    pairs: tuple[tuple[int, Term], ...]
+
+
+# The two records below are NamedTuples: a class of either kind is built
+# on every import, and a NamedTuple builds about ten times faster.
+
+
+class _Build(NamedTuple):
+    """What the stages of one build share: the declaration, the depth
+    bound, and the table that makes equal flat order keys one tuple."""
+
+    sig: Signature
+    sys: SystemOfEquations
+    depth: int
+    keys: dict[tuple, tuple]
+
+
+class SliceView(NamedTuple):
+    """A stage read as a slice.  A term's local id is its position in
+    terms, the depth-bounded enumeration over the stage's class tokens;
+    a term's children always come before it."""
+
+    terms: list[Term]
+    # class -> local id of the class's token
+    tokens: tuple[int, ...]
+    # local id -> (operator position, child local ids); None for a token
+    nodes: tuple[Optional[tuple[int, tuple[int, ...]]], ...]
+    # (operator position, child local ids) -> local id, nullary nodes too
+    lookup: Mapping[tuple[int, tuple[int, ...]], int]
+    # the equation instances within the bound, as local id pairs
+    instances: tuple[tuple[int, int], ...]
+    # local id -> term_key of the term with every token flattened
+    keys: tuple[tuple, ...]
 
 
 @dataclass(frozen=True)
@@ -71,10 +113,25 @@ class Stage:
     sid: int
     slices: tuple[int, ...]
     classes: tuple[StageClass, ...]
-    class_of_pair: Mapping[tuple[int, Term], int]
+    # slice -> that slice view's terms, and the class of each local id
+    slice_terms: Mapping[int, Sequence[Term]] = field(repr=False)
+    slice_classes: Mapping[int, tuple[int, ...]] = field(repr=False)
+    build: _Build = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.classes)
+
+    @cached_property
+    def view(self) -> SliceView:
+        return _slice_view(self)
+
+    @cached_property
+    def class_of_pair(self) -> Mapping[tuple[int, Term], int]:
+        return {
+            (s, t): c
+            for s in self.slices
+            for t, c in zip(self.slice_terms[s], self.slice_classes[s])
+        }
 
 
 def _stage_envs(shape: InstanceShape, st: Stage, bound: int) -> tuple[Iterable[tuple], int]:
@@ -87,6 +144,54 @@ def _stage_envs(shape: InstanceShape, st: Stage, bound: int) -> tuple[Iterable[t
     return shape.envs(pools, lambda c: st.classes[c].fd, bound)
 
 
+def _slice_view(st: Stage) -> SliceView:
+    """Enumerate the terms over st's class tokens once and index them."""
+    sig, sys, bound, table = st.build
+    names = [_token(st.sid, c) for c in range(len(st.classes))]
+    terms = enumerate_terms(
+        sig,
+        {n: cls.sort for n, cls in zip(names, st.classes)},
+        bound,
+        var_depths={n: cls.fd for n, cls in zip(names, st.classes)},
+    )
+    local = {t: n for n, t in enumerate(terms)}
+    class_of_name = {n: c for c, n in enumerate(names)}
+    nodes: list[Optional[tuple[int, tuple[int, ...]]]] = []
+    keys: list[tuple] = []
+    for t in terms:
+        if isinstance(t, Var):
+            nodes.append(None)
+            key = term_key(sig, st.classes[class_of_name[t.name]].flat)
+        else:
+            kids = tuple(local[ch] for ch in t.children.entries)
+            op = sig.op_index(t.op)
+            nodes.append((op, kids))
+            depth = 1 + max((keys[k][0] for k in kids), default=0)
+            key = (depth, 1, op, tuple(keys[k] for k in kids))
+        keys.append(table.setdefault(key, key))
+    instances = []
+    for shape in sys.instance_shapes:
+        for combo in _stage_envs(shape, st, bound)[0]:
+            env = {v: Var(names[c]) for v, c in zip(shape.names, combo)}
+            lhs = substitute(shape.eq.lhs, env)
+            rhs = substitute(shape.eq.rhs, env)
+            instances.append((local[lhs], local[rhs]))
+    return SliceView(
+        terms=terms,
+        tokens=tuple(local[Var(n)] for n in names),
+        nodes=tuple(nodes),
+        lookup={node: n for n, node in enumerate(nodes) if node is not None},
+        instances=tuple(instances),
+        keys=tuple(keys),
+    )
+
+
+def _flat_of_key(sig: Signature, key: tuple) -> Term:
+    """The closed term whose term_key is key."""
+    _, _, op, kids = key
+    return Node(sig.ops[op].op, Tab(tuple(_flat_of_key(sig, k) for k in kids)))
+
+
 def diamond(
     sig: Signature,
     sys: SystemOfEquations,
@@ -94,6 +199,8 @@ def diamond(
     slices: Sequence[Stage],
     fire: set[tuple[int, int]],
     sid: int,
+    *,
+    keys: dict[tuple, tuple],
 ) -> Stage:
     """One quotient stage over the given slice stages.  fire lists the
     (lower, higher) slice pairs that are strictly ordered in the member
@@ -105,86 +212,75 @@ def diamond(
     and every variable v, at deepest position p_v (root = 1), gets a
     class with fd <= depth_bound + 1 - p_v.  Overflowing instances are
     never built.  The stage is the least congruence on the pool that
-    contains these clauses (congruence_roots)."""
+    contains these clauses (congruence_roots).
+
+    The pool is the slices' views laid end to end, slice s from offset
+    base[s], so a pair (s, t) is the id base[s] + t's local id.  A
+    collapse clause of a fire pair (low, high) reads high's class of each
+    of low's local ids; a node is lifted to high by renaming its children
+    to their classes' tokens there.  A class ranks by its least flat
+    order key, then its first id, and only its least member is
+    flattened.  keys is the build's table of shared order keys; the
+    slices must come from the same declaration and depth bound."""
     for decl in sig.ops:
         if not decl.arity.finite:
             raise InfinitaryArity(f"cannot materialize stages under {decl.op.show()}")
 
-    by_sid = {st.sid: st for st in slices}
     ordered = sorted(slices, key=lambda s: s.sid)
-    pool: list[tuple[int, Term]] = []
-    by_slice: dict[int, list[Term]] = {}
+    by_sid = {st.sid: st for st in ordered}
+    base: dict[int, int] = {}
+    pool_keys: list[tuple] = []
+    nodes: dict[int, tuple[int, tuple[int, ...]]] = {}
     for st in ordered:
-        vars_map = {_token(st.sid, c): cls.sort for c, cls in enumerate(st.classes)}
-        local = {_token(st.sid, c): cls.fd for c, cls in enumerate(st.classes)}
-        terms = enumerate_terms(sig, vars_map, depth_bound, var_depths=local)
-        by_slice[st.sid] = terms
-        pool.extend((st.sid, t) for t in terms)
-    index = {p: n for n, p in enumerate(pool)}
+        view = st.view
+        b = base[st.sid] = len(pool_keys)
+        pool_keys.extend(view.keys)
+        for n, node in enumerate(view.nodes):
+            if node is not None and node[1]:
+                nodes[b + n] = (node[0], tuple(b + k for k in node[1]))
 
     def seeds() -> Iterable[tuple[int, int]]:
         # equation instances within one slice
         for st in ordered:
-            for shape in sys.instance_shapes:
-                for combo in _stage_envs(shape, st, depth_bound)[0]:
-                    env = {v: Var(_token(st.sid, c)) for v, c in zip(shape.names, combo)}
-                    lhs = substitute(shape.eq.lhs, env)
-                    rhs = substitute(shape.eq.rhs, env)
-                    yield index[(st.sid, lhs)], index[(st.sid, rhs)]
+            b = base[st.sid]
+            for lhs, rhs in st.view.instances:
+                yield b + lhs, b + rhs
 
         # collapse clauses along strictly ordered slice pairs
         for low, high in sorted(fire):
-            target = by_sid[high]
-            for t in by_slice[low]:
-                cls = target.class_of_pair[(low, t)]
-                yield index[(high, Var(_token(high, cls)))], index[(low, t)]
-                if isinstance(t, Node):
-                    kids = (target.class_of_pair[(low, ch)] for ch in t.children.entries)
-                    lifted = Node(t.op, Tab(tuple(Var(_token(high, c)) for c in kids)))
-                    yield index[(high, lifted)], index[(low, t)]
+            lv, target = by_sid[low].view, by_sid[high]
+            hv = target.view
+            bl, bh = base[low], base[high]
+            # high's token for the class of each of low's local ids
+            up = [hv.tokens[c] for c in target.slice_classes[low]]
+            for n, node in enumerate(lv.nodes):
+                yield bh + up[n], bl + n
+                if node is not None:
+                    op, kids = node
+                    yield bh + hv.lookup[(op, tuple(up[k] for k in kids))], bl + n
 
-    # congruence through node structure, across slices
-    nodes = {
-        n: (t.op, tuple(index[(s, ch)] for ch in t.children.entries))
-        for n, (s, t) in enumerate(pool)
-        if isinstance(t, Node) and t.children.entries
-    }
-    roots = congruence_roots(len(pool), nodes, seeds())
-
-    flat_env = {
-        _token(st.sid, c): cls.flat for st in slices for c, cls in enumerate(st.classes)
-    }
-    groups: dict[int, list[int]] = {}
-    for n, root in enumerate(roots):
-        groups.setdefault(root, []).append(n)
-
-    ranked = []
-    for members in groups.values():
-        flats = [substitute(pool[n][1], flat_env) for n in members]
-        flat = min(flats, key=lambda t: term_key(sig, t))
-        ranked.append((term_key(sig, flat), min(members), flat, members))
-    ranked.sort(key=lambda row: (row[0], row[1]))
+    groups = root_groups(congruence_roots(len(pool_keys), nodes, seeds()))
+    ranked = sorted(
+        ((min(pool_keys[n] for n in members), members) for members in groups),
+        key=lambda row: (row[0], row[1][0]),
+    )
 
     classes = []
-    class_of_pair: dict[tuple[int, Term], int] = {}
-    for cid, (_, _, flat, members) in enumerate(ranked):
-        pairs = tuple(pool[n] for n in sorted(members))
-        classes.append(
-            StageClass(
-                flat=flat,
-                sort=sig.decl(flat.op).sort,
-                fd=weighted_depth(flat),
-                pairs=pairs,
-            )
-        )
+    class_of = [0] * len(pool_keys)
+    for cid, (key, members) in enumerate(ranked):
+        classes.append(StageClass(flat=_flat_of_key(sig, key), sort=sig.ops[key[2]].sort, fd=key[0]))
         for n in members:
-            class_of_pair[pool[n]] = cid
+            class_of[n] = cid
 
     return Stage(
         sid=sid,
-        slices=tuple(sorted(by_sid)),
+        slices=tuple(by_sid),
         classes=tuple(classes),
-        class_of_pair=class_of_pair,
+        slice_terms={s: st.view.terms for s, st in by_sid.items()},
+        slice_classes={
+            s: tuple(class_of[base[s] : base[s] + len(st.view.terms)]) for s, st in by_sid.items()
+        },
+        build=_Build(sig, sys, depth_bound, keys),
     )
 
 
@@ -196,6 +292,8 @@ class Approximation:
     depth: int
     stages: tuple[Stage, ...]
     stage_of: Mapping[SizeVal, int]
+    # the build's table of shared flat order keys (see diamond)
+    keys: dict[tuple, tuple] = field(repr=False)
 
     def stage_at(self, i: SizeVal) -> Stage:
         return self.stages[self.stage_of[i]]
@@ -205,7 +303,7 @@ class Approximation:
         if not self.universe.lt(i, j):
             raise QitError(f"{show_size(i)} is not strictly below {show_size(j)}")
         si = self.stage_of[i]
-        return self.stages[self.stage_of[j]].class_of_pair[(si, Var(_token(si, cls)))]
+        return self.stage_at(j).slice_classes[si][self.stages[si].view.tokens[cls]]
 
     def stage_pairs(self) -> Iterator[tuple[SizeVal, SizeVal]]:
         """The first member pair i < j, in member order then up-set
@@ -225,25 +323,33 @@ class Approximation:
         checked = 0
         for i, j in self.stage_pairs():
             si = self.stage_of[i]
-            high = self.stage_at(j)
-            for pair, ci in self.stages[si].class_of_pair.items():
-                direct = high.class_of_pair[pair]
-                via = high.class_of_pair[(si, Var(_token(si, ci)))]
-                if direct != via:
-                    raise QitError(
-                        f"stage diagram broken at {show_term(pair[1])} between "
-                        f"{show_size(i)} and {show_size(j)}"
-                    )
-                checked += 1
+            low, high = self.stages[si], self.stage_at(j)
+            # high's class of the token of each class of low
+            via = [high.slice_classes[si][n] for n in low.view.tokens]
+            for s in low.slices:
+                for n, (ci, direct) in enumerate(zip(low.slice_classes[s], high.slice_classes[s])):
+                    if direct != via[ci]:
+                        raise QitError(
+                            f"stage diagram broken at {show_term(low.slice_terms[s][n])} between "
+                            f"{show_size(i)} and {show_size(j)}"
+                        )
+                    checked += 1
         return checked
 
     def check_restriction(self) -> int:
         """Recompute every member's stage from the literal per-member sum
         (one slice per smaller member, no sharing) and demand the same
-        partition.  This is the uniqueness of the shared fixed point."""
+        partition.  This is the uniqueness of the shared fixed point.
+
+        Partitions are compared as sets of (shared slice, local id): a
+        literal slice's local ids are translated once into its shared
+        stage's view, renaming its tokens through the class bijection
+        found when that slice itself was checked."""
         u = self.universe
         literal: dict[int, Stage] = {}
         bij: dict[int, dict[int, int]] = {}
+        into: dict[int, list[int]] = {}
+        partitions: dict[int, dict[frozenset, int]] = {}
         checked = 0
         for i in u.members:
             pos = u.position(i)
@@ -257,26 +363,26 @@ class Approximation:
                 [literal[u.position(j)] for j in below],
                 fire,
                 sid=pos,
+                keys=self.keys,
             )
             literal[pos] = lit
-            shared = self.stage_at(i)
+            sid = self.stage_of[i]
+            shared = self.stages[sid]
             if len(lit) != len(shared):
                 raise QitError(f"restriction mismatch at {show_size(i)}: class counts differ")
-            rename = {}
+            if sid not in partitions:
+                partitions[sid] = _partition(shared)
+            groups: list[set[tuple[int, int]]] = [set() for _ in lit.classes]
             for j in below:
                 pj = u.position(j)
                 sj = self.stage_of[j]
-                for c, sc in bij[pj].items():
-                    rename[_token(pj, c)] = _token(sj, sc)
-            # rewrite literal pairs into the shared token and slice space
-            shared_lookup = {frozenset(cls.pairs): n for n, cls in enumerate(shared.classes)}
+                if pj not in into:
+                    into[pj] = _translate(literal[pj].view, self.stages[sj].view, bij[pj])
+                for n, c in zip(into[pj], lit.slice_classes[pj]):
+                    groups[c].add((sj, n))
             matched: dict[int, int] = {}
-            for c, cls in enumerate(lit.classes):
-                grp = frozenset(
-                    (self.stage_of[u.members[s]], map_term(t, lambda n: rename.get(n, n)))
-                    for s, t in cls.pairs
-                )
-                n = shared_lookup.get(grp)
+            for c, grp in enumerate(groups):
+                n = partitions[sid].get(frozenset(grp))
                 if n is None:
                     raise QitError(f"restriction mismatch at {show_size(i)}: partitions differ")
                 matched[c] = n
@@ -315,9 +421,33 @@ class Approximation:
         for st in self.stages:
             slices = " ".join(str(s) for s in st.slices)
             lines.append(f"stage {st.sid}: slices ({slices}) classes {len(st)}")
+            sizes = Counter(c for s in st.slices for c in st.slice_classes[s])
             for c, cls in enumerate(st.classes):
-                lines.append(f"  class {c} {show_term(cls.flat)} | pairs {len(cls.pairs)}")
+                lines.append(f"  class {c} {show_term(cls.flat)} | pairs {sizes[c]}")
         return "\n".join(lines) + "\n"
+
+
+def _partition(st: Stage) -> dict[frozenset, int]:
+    """Each class of st as the set of its (slice, local id) pairs."""
+    groups: list[set[tuple[int, int]]] = [set() for _ in st.classes]
+    for s in st.slices:
+        for n, c in enumerate(st.slice_classes[s]):
+            groups[c].add((s, n))
+    return {frozenset(grp): c for c, grp in enumerate(groups)}
+
+
+def _translate(src: SliceView, dst: SliceView, rename: Mapping[int, int]) -> list[int]:
+    """The local id in dst of each term of src with its tokens renamed
+    through the class map rename; -1 for a term dst does not hold.
+    Children come before their parents, so one pass suffices."""
+    out = [-1] * len(src.terms)
+    for c, n in enumerate(src.tokens):
+        out[n] = dst.tokens[rename[c]]
+    for n, node in enumerate(src.nodes):
+        if node is not None:
+            op, kids = node
+            out[n] = dst.lookup.get((op, tuple(out[k] for k in kids)), -1)
+    return out
 
 
 def _member_at(u: SizeUniverse, stage_of, sid: int) -> SizeVal:
@@ -334,6 +464,7 @@ def build_fixed_point(
     stages: list[Stage] = []
     by_key: dict[frozenset[int], int] = {}
     stage_of: dict[SizeVal, int] = {}
+    keys: dict[tuple, tuple] = {}
 
     def step(i: SizeVal, below_vals: Mapping[SizeVal, object]) -> int:
         key = frozenset(u.position(j) for j in u.below[i])
@@ -344,7 +475,9 @@ def build_fixed_point(
             fire = {(stage_of[k], stage_of[j]) for j in u.below[i] for k in u.below[j]}
             sid = len(stages)
             stages.append(
-                diamond(sig, sys, depth_bound, [stages[s] for s in slice_sids], fire, sid=sid)
+                diamond(
+                    sig, sys, depth_bound, [stages[s] for s in slice_sids], fire, sid=sid, keys=keys
+                )
             )
             by_key[key] = sid
         stage_of[i] = sid
@@ -358,6 +491,7 @@ def build_fixed_point(
         depth=depth_bound,
         stages=tuple(stages),
         stage_of=dict(stage_of),
+        keys=keys,
     )
     appx.check_fixed_diag()
     appx.check_restriction()
@@ -424,13 +558,11 @@ class QwInterface:
 
     def _push(self, i: SizeVal, cid: int) -> Optional[int]:
         appx = self.appx
-        st = appx.stage_at(i)
         for m, c in self.colimit.classes[cid]:
             if m == i:
                 return c
             if appx.universe.lt(m, i):
-                sm = appx.stage_of[m]
-                return st.class_of_pair[(sm, Var(_token(sm, c)))]
+                return appx.delta(m, i, c)
         return None
 
     def qwintro(self, op: Union[OpSym, str], children: Sequence[int]) -> int:
@@ -609,10 +741,7 @@ class QwInterface:
                 for c in range(len(appx.stages[si].classes))
             }
             uppers = u.above[j]
-            terms_over_i = [
-                pair[1] for pair in appx.stages[sj].class_of_pair if pair[0] == si
-            ]
-            for t in terms_over_i:
+            for t in appx.stages[sj].slice_terms[si]:
                 if not uppers:
                     skipped += 1
                     continue

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 from .errors import FunctorialityViolation, QitError
-from .quotient import congruence_roots
+from .quotient import congruence_roots, root_groups
 from .sizes import SizeUniverse, SizeVal, show_size
 
 
@@ -77,12 +77,9 @@ class Colimit:
             for (i, j), step in diagram.maps.items()
             for x in diagram.family[i]
         )
-        roots: dict[int, list[tuple[SizeVal, Hashable]]] = {}
-        for node, root in zip(nodes, congruence_roots(len(nodes), {}, glued)):
-            roots.setdefault(root, []).append(node)
-        ordered = sorted(roots.values(), key=lambda grp: index[grp[0]])
         self.classes: tuple[tuple[tuple[SizeVal, Hashable], ...], ...] = tuple(
-            tuple(grp) for grp in ordered
+            tuple(nodes[n] for n in grp)
+            for grp in root_groups(congruence_roots(len(nodes), {}, glued))
         )
         self._class_of: dict[tuple[SizeVal, Hashable], int] = {}
         for cid, grp in enumerate(self.classes):

@@ -115,11 +115,8 @@ class CongruenceQuotient:
     def __init__(self, universe: TermUniverse, roots: Sequence[int]):
         self.universe = universe
         sig = universe.sig
-        by_root: dict[int, list[int]] = defaultdict(list)
-        for pos, root in enumerate(roots):
-            by_root[root].append(pos)
         keyed = []
-        for members in by_root.values():
+        for members in root_groups(roots):
             members.sort(key=lambda p: term_key(sig, universe.terms[p]))
             keyed.append((term_key(sig, universe.terms[members[0]]), members))
         keyed.sort(key=lambda kv: kv[0])
@@ -199,6 +196,15 @@ def congruence_roots(
         if other != pos:
             union(other, pos)
     return [find(i) for i in range(n)]
+
+
+def root_groups(roots: Sequence[int]) -> list[list[int]]:
+    """The ids grouped by root, each group ascending, the groups in the
+    order of their first id."""
+    groups: dict[int, list[int]] = {}
+    for n, root in enumerate(roots):
+        groups.setdefault(root, []).append(n)
+    return list(groups.values())
 
 
 def close_congruence(universe: TermUniverse) -> CongruenceQuotient:

@@ -7,7 +7,23 @@ structural reads, and counts by the arithmetic recurrence.
 
 from __future__ import annotations
 
-from qitbench.terms import Node, Signature, Tab, Term, Var
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+
+from qitbench.errors import InfinitaryArity
+from qitbench.quotient import congruence_roots
+from qitbench.terms import (
+    InstanceShape,
+    Node,
+    Signature,
+    SystemOfEquations,
+    Tab,
+    Term,
+    Var,
+    enumerate_terms,
+    substitute,
+    term_key,
+    weighted_depth,
+)
 
 
 def bag_multiset(t: Term) -> tuple[str, ...]:
@@ -121,3 +137,136 @@ def naive_components(nodes: list, pairs: list[tuple]) -> list[set[int]]:
         seen |= comp
         components.append(comp)
     return components
+
+
+# --- the stage diamond over term trees, as it was before slice views ---
+
+
+def _token(sid: int, cls: int) -> str:
+    return f"~{sid}.{cls}"
+
+
+class NaiveClass(NamedTuple):
+    flat: Term
+    sort: Optional[str]
+    fd: int
+    pairs: tuple[tuple[int, Term], ...]
+
+
+class NaiveStage(NamedTuple):
+    sid: int
+    slices: tuple[int, ...]
+    classes: tuple[NaiveClass, ...]
+    class_of_pair: Mapping[tuple[int, Term], int]
+
+
+def _stage_envs(shape: InstanceShape, st, bound: int) -> tuple[Iterable[tuple], int]:
+    """The class tuples of st that instantiate shape's equation within
+    bound, a class weighing its flattened depth fd; and the overflow."""
+    pools = [
+        [c for c, cls in enumerate(st.classes) if want is None or cls.sort == want]
+        for want in shape.sorts
+    ]
+    return shape.envs(pools, lambda c: st.classes[c].fd, bound)
+
+
+def naive_diamond(
+    sig: Signature,
+    sys: SystemOfEquations,
+    depth_bound: int,
+    slices: Sequence,
+    fire: set[tuple[int, int]],
+    sid: int,
+) -> NaiveStage:
+    """One quotient stage over the given slice stages.  fire lists the
+    (lower, higher) slice pairs that are strictly ordered in the member
+    set this stage summarizes; only those pairs admit collapse clauses.
+
+    Equation instances are drawn per slice under the budget rule of
+    InstanceShape.envs, a token weighing its class's fd: an instance is
+    made exactly when both sides fit the bound with variables at depth 1
+    and every variable v, at deepest position p_v (root = 1), gets a
+    class with fd <= depth_bound + 1 - p_v.  Overflowing instances are
+    never built.  The stage is the least congruence on the pool that
+    contains these clauses (congruence_roots)."""
+    for decl in sig.ops:
+        if not decl.arity.finite:
+            raise InfinitaryArity(f"cannot materialize stages under {decl.op.show()}")
+
+    by_sid = {st.sid: st for st in slices}
+    ordered = sorted(slices, key=lambda s: s.sid)
+    pool: list[tuple[int, Term]] = []
+    by_slice: dict[int, list[Term]] = {}
+    for st in ordered:
+        vars_map = {_token(st.sid, c): cls.sort for c, cls in enumerate(st.classes)}
+        local = {_token(st.sid, c): cls.fd for c, cls in enumerate(st.classes)}
+        terms = enumerate_terms(sig, vars_map, depth_bound, var_depths=local)
+        by_slice[st.sid] = terms
+        pool.extend((st.sid, t) for t in terms)
+    index = {p: n for n, p in enumerate(pool)}
+
+    def seeds() -> Iterable[tuple[int, int]]:
+        # equation instances within one slice
+        for st in ordered:
+            for shape in sys.instance_shapes:
+                for combo in _stage_envs(shape, st, depth_bound)[0]:
+                    env = {v: Var(_token(st.sid, c)) for v, c in zip(shape.names, combo)}
+                    lhs = substitute(shape.eq.lhs, env)
+                    rhs = substitute(shape.eq.rhs, env)
+                    yield index[(st.sid, lhs)], index[(st.sid, rhs)]
+
+        # collapse clauses along strictly ordered slice pairs
+        for low, high in sorted(fire):
+            target = by_sid[high]
+            for t in by_slice[low]:
+                cls = target.class_of_pair[(low, t)]
+                yield index[(high, Var(_token(high, cls)))], index[(low, t)]
+                if isinstance(t, Node):
+                    kids = (target.class_of_pair[(low, ch)] for ch in t.children.entries)
+                    lifted = Node(t.op, Tab(tuple(Var(_token(high, c)) for c in kids)))
+                    yield index[(high, lifted)], index[(low, t)]
+
+    # congruence through node structure, across slices
+    nodes = {
+        n: (t.op, tuple(index[(s, ch)] for ch in t.children.entries))
+        for n, (s, t) in enumerate(pool)
+        if isinstance(t, Node) and t.children.entries
+    }
+    roots = congruence_roots(len(pool), nodes, seeds())
+
+    flat_env = {
+        _token(st.sid, c): cls.flat for st in slices for c, cls in enumerate(st.classes)
+    }
+    groups: dict[int, list[int]] = {}
+    for n, root in enumerate(roots):
+        groups.setdefault(root, []).append(n)
+
+    ranked = []
+    for members in groups.values():
+        flats = [substitute(pool[n][1], flat_env) for n in members]
+        flat = min(flats, key=lambda t: term_key(sig, t))
+        ranked.append((term_key(sig, flat), min(members), flat, members))
+    ranked.sort(key=lambda row: (row[0], row[1]))
+
+    classes = []
+    class_of_pair: dict[tuple[int, Term], int] = {}
+    for cid, (_, _, flat, members) in enumerate(ranked):
+        pairs = tuple(pool[n] for n in sorted(members))
+        classes.append(
+            NaiveClass(
+                flat=flat,
+                sort=sig.decl(flat.op).sort,
+                fd=weighted_depth(flat),
+                pairs=pairs,
+            )
+        )
+        for n in members:
+            class_of_pair[pool[n]] = cid
+
+    return NaiveStage(
+        sid=sid,
+        slices=tuple(sorted(by_sid)),
+        classes=tuple(classes),
+        class_of_pair=class_of_pair,
+    )
+

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from qitbench import construction
 from qitbench.construction import (
     build_fixed_point,
     compare_with_oracle,
@@ -17,23 +21,36 @@ from qitbench.errors import (
     InfinitaryArity,
     NotSatisfying,
     NotStabilized,
+    QitError,
     StageOverflow,
 )
 from qitbench.quotient import build_universe, close_congruence, qwrec
 from qitbench.schema import elaborate, parse_decl
 from qitbench.sexpr import show_term
 from qitbench.sizes import SizeSig, SizeUniverse
-from qitbench.terms import NAT, OpDecl, OpSym, Signature, SystemOfEquations
+from qitbench.terms import (
+    NAT,
+    Equation,
+    Node,
+    OpDecl,
+    OpSym,
+    Signature,
+    SystemOfEquations,
+    Tab,
+    Var,
+    signature,
+)
 
 from helpers import (
     bag_sig,
     bag_system,
     commvec_indexed,
     commvec_system,
+    equations,
     first_label_algebra,
     length_algebra,
 )
-from oracles import bag_multiset
+from oracles import bag_multiset, naive_diamond
 
 MIN = SizeSig.minimal()
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -98,7 +115,7 @@ def test_stage_sharing_by_down_segment():
 def test_diamond_rebuilds_the_successor_stage():
     sig, sys, u, appx = bag_fixture()
     s0 = appx.stage_at(u.sig.zero())
-    again = diamond(sig, sys, 3, [s0], set(), sid=99)
+    again = diamond(sig, sys, 3, [s0], set(), sid=99, keys=appx.keys)
     want = appx.stage_at(u.sig.suc(u.sig.zero()))
     assert [c.flat for c in again.classes] == [c.flat for c in want.classes]
 
@@ -286,3 +303,135 @@ def test_diagram_from_stages_has_a_valid_cocone():
             continue
         for c in range(len(appx.stage_at(one))):
             assert qw.inject(one, c) == qw.inject(j, appx.delta(one, j, c))
+
+
+# --- the id-space diamond against the tree-based one ---
+
+
+def stage_rows(stage) -> list[tuple]:
+    """Each class as (flat, sort, fd, pairs), its pairs in slice order
+    then enumeration order."""
+    pairs: dict[int, list] = {c: [] for c in range(len(stage.classes))}
+    for pair, c in stage.class_of_pair.items():
+        pairs[c].append(pair)
+    return [(c.flat, c.sort, c.fd, tuple(pairs[n])) for n, c in enumerate(stage.classes)]
+
+
+def assert_stages_match_naive(appx) -> int:
+    """Rebuild every shared stage with naive_diamond, over the same slice
+    stages and the fire set of a member that realizes it, and demand the
+    same classes and the same class_of_pair.  Returns the stage count."""
+    u = appx.universe
+    done: set[int] = set()
+    for i in u.members:
+        sid = appx.stage_of[i]
+        if sid in done:
+            continue
+        done.add(sid)
+        fire = {(appx.stage_of[k], appx.stage_of[j]) for j in u.below[i] for k in u.below[j]}
+        stage = appx.stages[sid]
+        slices = [appx.stages[s] for s in stage.slices]
+        naive = naive_diamond(appx.sig, appx.sys, appx.depth, slices, fire, sid)
+        assert stage.slices == naive.slices
+        assert stage_rows(stage) == [tuple(c) for c in naive.classes]
+        assert dict(stage.class_of_pair) == naive.class_of_pair
+    return len(done)
+
+
+def test_bag_stages_equal_naive_diamond():
+    _, _, _, appx = bag_fixture(depth=3, height=4)
+    assert assert_stages_match_naive(appx) == len(appx.stages)
+
+
+def test_commvec_stages_equal_naive_diamond():
+    sig = commvec_indexed().flatten()
+    appx = build_fixed_point(sig, commvec_system(), SizeUniverse(MIN, 3), 3)
+    assert assert_stages_match_naive(appx) == len(appx.stages)
+
+
+def test_commtree_stages_equal_naive_diamond():
+    decl = parse_decl((FIXTURES / "commtree.qit").read_text())
+    sig, sys = elaborate(decl, {"X": ("a", "b")})
+    appx = build_fixed_point(sig, sys, SizeUniverse(MIN, 3), 3)
+    assert assert_stages_match_naive(appx) == len(appx.stages)
+
+
+F0 = Node(OpSym("f0"), Tab(()))
+
+
+def f1(t):
+    return Node(OpSym("f1"), Tab((t,)))
+
+
+@given(equations(), st.integers(1, 3), st.integers(2, 3))
+# nullary nodes get lifted collapse clauses too: without them, f0 over
+# two slices stays split from f0 one stage up
+@example((signature([("f0", 0)]), Equation("e", (), F0, F0)), 3, 2)
+@example(
+    (signature([("f0", 0), ("f1", 1)]), Equation("e", ("x",), f1(f1(Var("x"))), f1(Var("x")))),
+    3,
+    3,
+)
+def test_generated_stages_equal_naive_diamond(case, height, depth):
+    sig, eq = case
+    appx = build_fixed_point(sig, SystemOfEquations((eq,)), SizeUniverse(MIN, height), depth)
+    assert_stages_match_naive(appx)
+
+
+# --- the restriction certificate stays live; slice views are shared ---
+
+
+def test_restriction_catches_a_moved_local_id():
+    _, _, u, appx = bag_fixture()
+    sid = max(appx.stage_of.values())
+    stage = appx.stages[sid]
+    s = stage.slices[-1]
+    moved = list(stage.slice_classes[s])
+    moved[0] = (moved[0] + 1) % len(stage.classes)
+    bad = dataclasses.replace(stage, slice_classes={**stage.slice_classes, s: tuple(moved)})
+    appx.stages = appx.stages[:sid] + (bad,) + appx.stages[sid + 1 :]
+    with pytest.raises(QitError, match="restriction mismatch .*: partitions differ"):
+        appx.check_restriction()
+
+
+def test_fixed_diag_catches_a_moved_local_id():
+    _, _, _, appx = bag_fixture()
+    sid = max(appx.stage_of.values())
+    stage = appx.stages[sid]
+    s = stage.slices[0]
+    moved = list(stage.slice_classes[s])
+    moved[0] = (moved[0] + 1) % len(stage.classes)
+    bad = dataclasses.replace(stage, slice_classes={**stage.slice_classes, s: tuple(moved)})
+    appx.stages = appx.stages[:sid] + (bad,) + appx.stages[sid + 1 :]
+    with pytest.raises(QitError, match="stage diagram broken"):
+        appx.check_fixed_diag()
+
+
+def test_restriction_catches_a_term_missing_from_the_shared_view():
+    # a class claiming a deeper flattening drops terms from its view
+    _, _, u, appx = bag_fixture()
+    sid = appx.stage_of[u.sig.suc(u.sig.zero())]
+    stage = appx.stages[sid]
+    deeper = tuple(dataclasses.replace(c, fd=c.fd + 1) if c.fd < 3 else c for c in stage.classes)
+    bad = dataclasses.replace(stage, classes=deeper)
+    assert len(bad.view.terms) < len(stage.view.terms)
+    appx.stages = appx.stages[:sid] + (bad,) + appx.stages[sid + 1 :]
+    with pytest.raises(QitError, match="restriction mismatch .*: partitions differ"):
+        appx.check_restriction()
+
+
+def test_each_slice_stage_is_enumerated_once(monkeypatch):
+    calls = []
+    enumerate_terms = construction.enumerate_terms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_terms(*args, **kwargs)
+
+    monkeypatch.setattr(construction, "enumerate_terms", counted)
+    sig, sys = bag_sig(), bag_system()
+    u = SizeUniverse(MIN, 4)
+    appx = build_fixed_point(sig, sys, u, 3)
+    shared = {s for stage in appx.stages for s in stage.slices}
+    literal = {u.position(j) for i in u.members for j in u.below[i]}
+    assert 0 < len(calls) <= len(shared) + len(literal)
