@@ -3,13 +3,16 @@
 Subcommands: check, elaborate, enum, eq, fold, elim, construct,
 examples.  SET parameters are instantiated per run with dynamic flags
 (``--X a,b``); declarations stay carrier-generic.  Exit status: 0 on
-accept/equal/success, 1 on reject/violation/mismatch or when the
-reader of stdout goes away, 2 on usage errors.
+accept/equal/success, 1 on reject/violation/mismatch, on an input file
+that cannot be read or decoded, or when the reader of stdout goes away,
+2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -19,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 from . import serialize
 from .algebras import Algebra, satisfies
 from .construction import build_fixed_point, compare_with_oracle, qw_from_colimit
-from .errors import QitError, ParseError, UnknownOp
+from .errors import ParseError, QitError, UnknownOp
 from .quotient import (
     EliminatorInput,
     build_universe,
@@ -29,6 +32,7 @@ from .quotient import (
     qwrec,
 )
 from .schema import (
+    EXAMPLE_NAMES,
     Accept,
     Derivation,
     QitDecl,
@@ -109,11 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     examples = sub.add_parser("examples", help="list the built-in declaration library")
     examples.add_argument("example", nargs="?", default=None,
-                          choices=[e.name for e in builtin_examples()] + [None],
+                          choices=list(EXAMPLE_NAMES) + [None],
                           help="print one entry's table")
     examples.add_argument("--format", choices=("text", "structured"), default="text", dest="fmt")
 
     return p
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser as it was, so one serves every main call
+    return build_parser()
 
 
 def _carrier_flags(extra: Sequence[str], parser: argparse.ArgumentParser) -> dict[str, tuple[str, ...]]:
@@ -178,7 +188,10 @@ def _load_decl(cfg: RunConfig) -> QitDecl:
         text = cfg.path.read_text()
     except OSError as e:
         raise QitError(str(e))
-    return parse_decl(text)
+    try:
+        return parse_decl(text)
+    except ParseError as e:
+        raise QitError(f"{cfg.path}:{e}")
 
 
 def _elaborated(cfg: RunConfig):
@@ -289,10 +302,17 @@ def _cmd_enum(cfg: RunConfig) -> int:
     return 0
 
 
+def _term_arg(name: str, text: str, sig: Signature):
+    try:
+        return parse_term(text, sig)
+    except ParseError as e:
+        raise QitError(f"{name} {e}")
+
+
 def _cmd_eq(cfg: RunConfig) -> int:
     decl, flat, sys_, q = _quotient(cfg)
-    a = parse_term(cfg.terms[0], flat)
-    b = parse_term(cfg.terms[1], flat)
+    a = _term_arg("lhs", cfg.terms[0], flat)
+    b = _term_arg("rhs", cfg.terms[1], flat)
     verdict = decide_eq(q, a, b)
     if cfg.fmt == "structured":
         print(serialize.dumps({"lhs": show_term(a), "rhs": show_term(b), "verdict": verdict}),
@@ -302,15 +322,30 @@ def _cmd_eq(cfg: RunConfig) -> int:
     return 0 if verdict == "EQUAL" else 1
 
 
+@contextlib.contextmanager
+def _table_file(path: Path):
+    """Report a failure to read, decode or take apart the JSON tables in
+    ``path`` as a QitError that names the file."""
+    try:
+        yield
+    except OSError as e:
+        raise QitError(str(e))
+    except KeyError as e:
+        raise QitError(f"{path}: missing key {e}")
+    except (AttributeError, TypeError, ValueError) as e:
+        raise QitError(f"{path}: {e}")
+
+
 def _algebra_from_file(path: Path, sig: Signature) -> Algebra:
-    obj = serialize.loads(path.read_text())
-    carrier = tuple(obj["carrier"])
-    tables = {}
-    for opname, entries in obj.get("ops", {}).items():
-        op = OpSym.parse(opname)
-        if not sig.has_op(op):
-            raise UnknownOp(f"algebra file interprets unknown operator {opname}")
-        tables[op] = {tuple(args): value for args, value in entries}
+    with _table_file(path):
+        obj = serialize.loads(path.read_text())
+        carrier = tuple(obj["carrier"])
+        tables = {}
+        for opname, entries in obj.get("ops", {}).items():
+            op = OpSym.parse(opname)
+            if not sig.has_op(op):
+                raise UnknownOp(f"algebra file interprets unknown operator {opname}")
+            tables[op] = {tuple(args): value for args, value in entries}
     return Algebra(sig, carrier, tables)
 
 
@@ -354,23 +389,23 @@ def _parity_input() -> EliminatorInput:
 
 
 def _input_from_file(path: Path) -> EliminatorInput:
-    obj = serialize.loads(path.read_text())
-    motive_obj = obj.get("motive", {})
-    default = tuple(motive_obj.get("default", ()))
-    per_class = {int(k): tuple(v) for k, v in motive_obj.items() if k != "default"}
+    with _table_file(path):
+        obj = serialize.loads(path.read_text())
+        motive_obj = obj.get("motive", {})
+        default = tuple(motive_obj.get("default", ()))
+        per_class = {int(k): tuple(v) for k, v in motive_obj.items() if k != "default"}
+        exact = {}
+        by_tags = {}
+        for entry in obj["steps"]:
+            op = OpSym.parse(entry["op"])
+            tags = tuple(entry["tags"])
+            if "children" in entry:
+                exact[(op, tuple(entry["children"]), tags)] = entry["value"]
+            else:
+                by_tags[(op, tags)] = entry["value"]
 
     def motive(cls: int) -> tuple:
         return per_class.get(cls, default)
-
-    exact = {}
-    by_tags = {}
-    for entry in obj["steps"]:
-        op = OpSym.parse(entry["op"])
-        tags = tuple(entry["tags"])
-        if "children" in entry:
-            exact[(op, tuple(entry["children"]), tags)] = entry["value"]
-        else:
-            by_tags[(op, tags)] = entry["value"]
 
     def steps(op, child_cls, child_tags):
         key = (op, tuple(child_cls), tuple(child_tags))
@@ -463,7 +498,7 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args, extra = parser.parse_known_args(argv)
     carriers = _carrier_flags(extra, parser)
     cfg = _config(args, carriers, parser)
@@ -479,9 +514,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except ParseError as e:
-        print(f"error: {cfg.path}:{e}", file=sys.stderr)
-        return 1
     except QitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

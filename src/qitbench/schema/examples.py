@@ -104,6 +104,11 @@ def _blass() -> SymbolicQW:
     ))
 
 
+# The entries' names in library order, for callers that need the names
+# without building the tables (the CLI's ``examples`` choices).
+EXAMPLE_NAMES = ("bag", "commvec", "inftree", "wsusp", "wred", "blass")
+
+
 def builtin_examples() -> tuple[ExampleEntry, ...]:
     return (
         ExampleEntry("bag", "finite multisets", BAG_SOURCE,

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import qitbench.schema.examples
 from helpers import bag_sig, bag_system
+from qitbench import cli
 from qitbench.cli import main
 from qitbench.serialize import signature_from_obj, system_from_obj
 
@@ -27,6 +29,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def outcome(capsys, *argv):
+    """run, with argparse's exit on a usage error read as the exit code"""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as e:
+        out = capsys.readouterr()
+        return e.code, out.out, out.err
+
+
+@pytest.fixture
+def fresh_parser():
+    """main's cached parser, dropped so the test sees it built again"""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
 
 
 # --- check ---
@@ -94,6 +113,16 @@ def test_eq_outside_universe_is_unknown(capsys):
     code, out, _ = run(capsys, "eq", BAG, deep, "(op nil)", "--X", "a,b")
     assert code == 1
     assert out.strip() == "UNKNOWN"
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_eq_malformed_term_names_the_argument(side, capsys):
+    terms = {"lhs": "(op nil)", "rhs": "(op nil)"}
+    terms[side] = "(op cons a (op nil)"
+    code, out, err = run(capsys, "eq", BAG, terms["lhs"], terms["rhs"], "--X", "a,b")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {side} 1:1: unclosed form\n"
 
 
 def test_eq_bare_indexed_operator_names_its_indexed_forms(capsys):
@@ -168,6 +197,22 @@ def test_elim_parity_is_coherent(capsys):
     assert "(op nil) -> even" in out
     assert "(op cons a (op nil)) -> odd" in out
     assert "qwcomp: ok (4 instances, 8 environments)" in out
+
+
+@pytest.mark.parametrize("flag, path", [
+    ("--algebra", str(FIXTURES / "no_such_table.json")),
+    ("--algebra", BAG),
+    ("--algebra", str(FIXTURES / "bag_parity_steps.json")),
+    ("--steps", str(FIXTURES / "bag_length.json")),
+], ids=["missing", "not-json", "no-carrier", "no-steps"])
+def test_bad_table_file_is_an_error_line(flag, path, capsys):
+    command = "fold" if flag == "--algebra" else "elim"
+    code, out, err = run(capsys, command, BAG, "--X", "a,b", flag, path)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path in err
 
 
 def test_elim_steps_file_matches_builtin(capsys):
@@ -275,3 +320,55 @@ def test_closed_stdout_exits_without_traceback():
         os.close(w)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+# --- one parser per process ---
+
+
+def test_parsing_builds_no_example_tables(monkeypatch, fresh_parser, capsys):
+    def refuse():
+        raise AssertionError("builtin_examples called while parsing")
+
+    monkeypatch.setattr(qitbench.schema.examples, "builtin_examples", refuse)
+    monkeypatch.setattr(cli, "builtin_examples", refuse)
+    code, out, _ = run(capsys, "check", BAG)
+    assert code == 0 and "Bag: ACCEPT" in out
+    code, out, _ = run(capsys, "enum", BAG, "--X", "a,b")
+    assert code == 0 and len(out.splitlines()) == 7
+    code, out, _ = run(capsys, "eq", BAG, "(op nil)", "(op nil)", "--X", "a,b")
+    assert code == 0 and out == "EQUAL\n"
+    code, out, err = outcome(capsys, "check")
+    assert code == 2 and out == ""
+    assert "the following arguments are required: path" in err
+
+
+def test_main_builds_the_parser_once(monkeypatch, fresh_parser, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    run(capsys, "check", BAG)
+    run(capsys, "examples")
+    outcome(capsys, "enum", BAG, "-d", "-1")
+    run(capsys, "enum", BAG, "--X", "a,b")
+    assert len(built) == 1
+
+
+def test_reused_parser_answers_as_a_fresh_one(fresh_parser, capsys):
+    commands = [
+        ("enum", BAG, "-d", "-1"),
+        ("eq", BAG, "(op cons a (op nil))", "(op nil)", "--X", "a,b"),
+        ("examples", "nosuch"),
+    ]
+    first = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        first.append(outcome(capsys, *argv))
+    assert [code for code, _, _ in first] == [2, 1, 2]
+    assert "invalid choice: 'nosuch' (choose from 'bag', 'commvec'" in first[2][2]
+    cli._parser.cache_clear()
+    assert [outcome(capsys, *argv) for argv in commands] == first

@@ -16,6 +16,7 @@ from qitbench.errors import (
 )
 from qitbench.quotient import build_universe, close_congruence
 from qitbench.schema import (
+    EXAMPLE_NAMES,
     Accept,
     ConstT,
     Ctor,
@@ -362,6 +363,7 @@ def test_library_covers_expected_names():
         "wred",
         "blass",
     ]
+    assert EXAMPLE_NAMES == tuple(e.name for e in builtin_examples())
 
 
 # --- eliminators ---
