@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -37,6 +38,7 @@ from .schema import (
     Derivation,
     QitDecl,
     SetParam,
+    builtin_example,
     builtin_examples,
     check_decl,
     elaborate,
@@ -336,16 +338,30 @@ def _table_file(path: Path):
         raise QitError(f"{path}: {e}")
 
 
+def _scalar(what: str, v):
+    """v, or a ValueError if it is a JSON list or object: carrier values
+    and tags are looked up as keys, and those would be unhashable."""
+    if isinstance(v, (list, dict)):
+        raise ValueError(f"{what} {json.dumps(v)} is not a JSON scalar")
+    return v
+
+
+def _scalars(what: str, values) -> tuple:
+    return tuple(_scalar(what, v) for v in values)
+
+
 def _algebra_from_file(path: Path, sig: Signature) -> Algebra:
     with _table_file(path):
         obj = serialize.loads(path.read_text())
-        carrier = tuple(obj["carrier"])
+        carrier = _scalars("carrier element", obj["carrier"])
         tables = {}
         for opname, entries in obj.get("ops", {}).items():
             op = OpSym.parse(opname)
             if not sig.has_op(op):
                 raise UnknownOp(f"algebra file interprets unknown operator {opname}")
-            tables[op] = {tuple(args): value for args, value in entries}
+            tables[op] = {
+                tuple(args): _scalar("table value", value) for args, value in entries
+            }
     return Algebra(sig, carrier, tables)
 
 
@@ -392,17 +408,20 @@ def _input_from_file(path: Path) -> EliminatorInput:
     with _table_file(path):
         obj = serialize.loads(path.read_text())
         motive_obj = obj.get("motive", {})
-        default = tuple(motive_obj.get("default", ()))
-        per_class = {int(k): tuple(v) for k, v in motive_obj.items() if k != "default"}
+        default = _scalars("motive tag", motive_obj.get("default", ()))
+        per_class = {
+            int(k): _scalars("motive tag", v) for k, v in motive_obj.items() if k != "default"
+        }
         exact = {}
         by_tags = {}
         for entry in obj["steps"]:
             op = OpSym.parse(entry["op"])
-            tags = tuple(entry["tags"])
+            tags = _scalars("step tag", entry["tags"])
+            value = _scalar("step value", entry["value"])
             if "children" in entry:
-                exact[(op, tuple(entry["children"]), tags)] = entry["value"]
+                exact[(op, tuple(entry["children"]), tags)] = value
             else:
-                by_tags[(op, tags)] = entry["value"]
+                by_tags[(op, tags)] = value
 
     def motive(cls: int) -> tuple:
         return per_class.get(cls, default)
@@ -459,9 +478,8 @@ def _cmd_construct(cfg: RunConfig) -> int:
 
 
 def _cmd_examples(cfg: RunConfig) -> int:
-    entries = builtin_examples()
     if cfg.example is not None:
-        entry = next(e for e in entries if e.name == cfg.example)
+        entry = builtin_example(cfg.example)
         if cfg.fmt == "structured":
             obj = {"name": entry.name, "title": entry.title, "source": entry.source,
                    "table": list(entry.table.lines)}
@@ -469,6 +487,7 @@ def _cmd_examples(cfg: RunConfig) -> int:
         else:
             print(entry.table.render(), end="")
         return 0
+    entries = builtin_examples()
     if cfg.fmt == "structured":
         obj = {"examples": [{"name": e.name, "title": e.title, "source": e.source,
                              "table": list(e.table.lines)} for e in entries]}

@@ -9,15 +9,15 @@ down-segments provably share a stage, so stages are memoized on the
 down-segment; the restriction check recomputes the literal per-member
 reading independently and compares.
 
-A stage read as a slice is read through its slice view (SliceView),
-built once on the first read and kept: the terms over its class tokens,
-their nodes and equation instances by local id (position in the
-enumeration), and each term's flattened order key.  diamond lays the
-slice views side by side at integer offsets and works on ids only.  A
-stage stores, per slice, the class of each local id; its class_of_pair
-mapping from (slice, term) is built from that on first use.  The flat
-order keys are shared through one table per build, so equal keys are
-one tuple.
+Terms are integer ids from enumeration to colimit.  A stage read as a
+slice is read through its slice view (SliceView), built once: a
+TermTable over its class tokens, whose ids are the local ids, with the
+equation instances and flat order keys by local id.  diamond lays the
+views side by side at integer offsets, a stage stores the class of each
+local id per slice, and the interface reads only those arrays.  Trees
+are built to print, to export and to hold each class's flat; the
+(slice, term) mapping class_of_pair is kept for readers outside the
+package.  The flat order keys are shared through one table per build.
 
 The colimit of the stages carries the constructor map (children pushed
 to a common stage, wrapped in a node, read off at the successor stage)
@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .algebras import Algebra, Value, bind, satisfies
+from .algebras import Algebra, Value, satisfies
 from .diagrams import Diagram, colim
 from .errors import (
+    ArityMismatch,
     CoherenceFailure,
     InfinitaryArity,
     NotSatisfying,
@@ -48,25 +49,15 @@ from .quotient import CongruenceQuotient, congruence_roots, root_groups
 from .sexpr import show_term
 from .sizes import SizeUniverse, SizeVal, show_size, wf_rec
 from .terms import (
-    InstanceShape,
     Node,
     OpSym,
     Signature,
     SystemOfEquations,
     Tab,
     Term,
-    Var,
-    enumerate_terms,
-    map_term,
-    mk_node,
-    substitute,
-    term_key,
+    TermTable,
     validate_system,
 )
-
-
-def _token(sid: int, cls: int) -> str:
-    return f"~{sid}.{cls}"
 
 
 @dataclass(frozen=True)
@@ -74,6 +65,8 @@ class StageClass:
     flat: Term
     sort: Optional[str]
     fd: int
+    # term_key of flat, the key the class ranks by
+    key: tuple = field(repr=False)
 
 
 # The two records below are NamedTuples: a class of either kind is built
@@ -91,21 +84,24 @@ class _Build(NamedTuple):
 
 
 class SliceView(NamedTuple):
-    """A stage read as a slice.  A term's local id is its position in
-    terms, the depth-bounded enumeration over the stage's class tokens;
-    a term's children always come before it."""
+    """A stage read as a slice.  table holds the depth-bounded terms over
+    the stage's class tokens, leaf c being class c's token; a term's
+    local id is its table id, which is its position in the enumeration,
+    so a term's children always come before it."""
 
-    terms: list[Term]
+    table: TermTable
     # class -> local id of the class's token
     tokens: tuple[int, ...]
-    # local id -> (operator position, child local ids); None for a token
-    nodes: tuple[Optional[tuple[int, tuple[int, ...]]], ...]
-    # (operator position, child local ids) -> local id, nullary nodes too
-    lookup: Mapping[tuple[int, tuple[int, ...]], int]
-    # the equation instances within the bound, as local id pairs
-    instances: tuple[tuple[int, int], ...]
+    # per equation, in the system's order: its instances within the
+    # bound as local id pairs, and how many overflow the bound
+    instances: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
     # local id -> term_key of the term with every token flattened
     keys: tuple[tuple, ...]
+
+    @property
+    def terms(self) -> list[Term]:
+        """The materialised term of each local id."""
+        return self.table.terms
 
 
 @dataclass(frozen=True)
@@ -113,8 +109,8 @@ class Stage:
     sid: int
     slices: tuple[int, ...]
     classes: tuple[StageClass, ...]
-    # slice -> that slice view's terms, and the class of each local id
-    slice_terms: Mapping[int, Sequence[Term]] = field(repr=False)
+    # slice -> that slice's view, and the class of each of its local ids
+    slice_views: Mapping[int, SliceView] = field(repr=False)
     slice_classes: Mapping[int, tuple[int, ...]] = field(repr=False)
     build: _Build = field(repr=False, compare=False)
 
@@ -127,63 +123,48 @@ class Stage:
 
     @cached_property
     def class_of_pair(self) -> Mapping[tuple[int, Term], int]:
+        """Kept for readers outside the package (tests/oracles.py,
+        perfbench/tracing.py); the package reads slice_classes."""
         return {
             (s, t): c
             for s in self.slices
-            for t, c in zip(self.slice_terms[s], self.slice_classes[s])
+            for t, c in zip(self.slice_views[s].terms, self.slice_classes[s])
         }
-
-
-def _stage_envs(shape: InstanceShape, st: Stage, bound: int) -> tuple[Iterable[tuple], int]:
-    """The class tuples of st that instantiate shape's equation within
-    bound, a class weighing its flattened depth fd; and the overflow."""
-    pools = [
-        [c for c, cls in enumerate(st.classes) if want is None or cls.sort == want]
-        for want in shape.sorts
-    ]
-    return shape.envs(pools, lambda c: st.classes[c].fd, bound)
 
 
 def _slice_view(st: Stage) -> SliceView:
     """Enumerate the terms over st's class tokens once and index them."""
-    sig, sys, bound, table = st.build
-    names = [_token(st.sid, c) for c in range(len(st.classes))]
-    terms = enumerate_terms(
-        sig,
-        {n: cls.sort for n, cls in zip(names, st.classes)},
-        bound,
-        var_depths={n: cls.fd for n, cls in zip(names, st.classes)},
-    )
-    local = {t: n for n, t in enumerate(terms)}
-    class_of_name = {n: c for c, n in enumerate(names)}
-    nodes: list[Optional[tuple[int, tuple[int, ...]]]] = []
+    sig, sys, bound, shared_keys = st.build
+    leaves = [(f"~{st.sid}.{c}", cls.sort, cls.fd) for c, cls in enumerate(st.classes)]
+    table = TermTable(sig, leaves)
+    table.upto(bound)
     keys: list[tuple] = []
-    for t in terms:
-        if isinstance(t, Var):
-            nodes.append(None)
-            key = term_key(sig, st.classes[class_of_name[t.name]].flat)
+    for node in table.nodes:
+        if isinstance(node, int):
+            key = st.classes[node].key
         else:
-            kids = tuple(local[ch] for ch in t.children.entries)
-            op = sig.op_index(t.op)
-            nodes.append((op, kids))
+            op, kids = node
             depth = 1 + max((keys[k][0] for k in kids), default=0)
             key = (depth, 1, op, tuple(keys[k] for k in kids))
-        keys.append(table.setdefault(key, key))
+        keys.append(shared_keys.setdefault(key, key))
+    tokens = tuple(table.lookup[c] for c in range(len(st.classes)))
     instances = []
     for shape in sys.instance_shapes:
-        for combo in _stage_envs(shape, st, bound)[0]:
-            env = {v: Var(names[c]) for v, c in zip(shape.names, combo)}
-            lhs = substitute(shape.eq.lhs, env)
-            rhs = substitute(shape.eq.rhs, env)
-            instances.append((local[lhs], local[rhs]))
-    return SliceView(
-        terms=terms,
-        tokens=tuple(local[Var(n)] for n in names),
-        nodes=tuple(nodes),
-        lookup={node: n for n, node in enumerate(nodes) if node is not None},
-        instances=tuple(instances),
-        keys=tuple(keys),
-    )
+        # the class tuples under the budget rule, a class weighing its fd
+        pools = [
+            [c for c, cls in enumerate(st.classes) if want in (None, cls.sort)]
+            for want in shape.sorts
+        ]
+        envs, overflow = shape.envs(pools, lambda c: st.classes[c].fd, bound)
+        pairs = []
+        for combo in envs:
+            env = {v: tokens[c] for v, c in zip(shape.names, combo)}
+            lhs, rhs = table.find(shape.eq.lhs, env), table.find(shape.eq.rhs, env)
+            if lhs is None or rhs is None:
+                raise QitError(f"an instance of {shape.eq.name} escaped the slice view")
+            pairs.append((lhs, rhs))
+        instances.append((tuple(pairs), overflow))
+    return SliceView(table, tokens, tuple(instances), tuple(keys))
 
 
 def _flat_of_key(sig: Signature, key: tuple) -> Term:
@@ -235,16 +216,17 @@ def diamond(
         view = st.view
         b = base[st.sid] = len(pool_keys)
         pool_keys.extend(view.keys)
-        for n, node in enumerate(view.nodes):
-            if node is not None and node[1]:
+        for n, node in enumerate(view.table.nodes):
+            if not isinstance(node, int) and node[1]:
                 nodes[b + n] = (node[0], tuple(b + k for k in node[1]))
 
     def seeds() -> Iterable[tuple[int, int]]:
         # equation instances within one slice
         for st in ordered:
             b = base[st.sid]
-            for lhs, rhs in st.view.instances:
-                yield b + lhs, b + rhs
+            for pairs, _ in st.view.instances:
+                for lhs, rhs in pairs:
+                    yield b + lhs, b + rhs
 
         # collapse clauses along strictly ordered slice pairs
         for low, high in sorted(fire):
@@ -253,11 +235,11 @@ def diamond(
             bl, bh = base[low], base[high]
             # high's token for the class of each of low's local ids
             up = [hv.tokens[c] for c in target.slice_classes[low]]
-            for n, node in enumerate(lv.nodes):
+            for n, node in enumerate(lv.table.nodes):
                 yield bh + up[n], bl + n
-                if node is not None:
+                if not isinstance(node, int):
                     op, kids = node
-                    yield bh + hv.lookup[(op, tuple(up[k] for k in kids))], bl + n
+                    yield bh + hv.table.lookup[(op, tuple(up[k] for k in kids))], bl + n
 
     groups = root_groups(congruence_roots(len(pool_keys), nodes, seeds()))
     ranked = sorted(
@@ -268,7 +250,9 @@ def diamond(
     classes = []
     class_of = [0] * len(pool_keys)
     for cid, (key, members) in enumerate(ranked):
-        classes.append(StageClass(flat=_flat_of_key(sig, key), sort=sig.ops[key[2]].sort, fd=key[0]))
+        classes.append(
+            StageClass(flat=_flat_of_key(sig, key), sort=sig.ops[key[2]].sort, fd=key[0], key=key)
+        )
         for n in members:
             class_of[n] = cid
 
@@ -276,9 +260,9 @@ def diamond(
         sid=sid,
         slices=tuple(by_sid),
         classes=tuple(classes),
-        slice_terms={s: st.view.terms for s, st in by_sid.items()},
+        slice_views={s: st.view for s, st in by_sid.items()},
         slice_classes={
-            s: tuple(class_of[base[s] : base[s] + len(st.view.terms)]) for s, st in by_sid.items()
+            s: tuple(class_of[base[s] : base[s] + len(st.view.keys)]) for s, st in by_sid.items()
         },
         build=_Build(sig, sys, depth_bound, keys),
     )
@@ -329,8 +313,9 @@ class Approximation:
             for s in low.slices:
                 for n, (ci, direct) in enumerate(zip(low.slice_classes[s], high.slice_classes[s])):
                     if direct != via[ci]:
+                        term = low.slice_views[s].terms[n]
                         raise QitError(
-                            f"stage diagram broken at {show_term(low.slice_terms[s][n])} between "
+                            f"stage diagram broken at {show_term(term)} between "
                             f"{show_size(i)} and {show_size(j)}"
                         )
                     checked += 1
@@ -347,7 +332,7 @@ class Approximation:
         found when that slice itself was checked."""
         u = self.universe
         literal: dict[int, Stage] = {}
-        bij: dict[int, dict[int, int]] = {}
+        bij: dict[int, list[int]] = {}
         into: dict[int, list[int]] = {}
         partitions: dict[int, dict[frozenset, int]] = {}
         checked = 0
@@ -380,12 +365,12 @@ class Approximation:
                     into[pj] = _translate(literal[pj].view, self.stages[sj].view, bij[pj])
                 for n, c in zip(into[pj], lit.slice_classes[pj]):
                     groups[c].add((sj, n))
-            matched: dict[int, int] = {}
-            for c, grp in enumerate(groups):
+            matched: list[int] = []
+            for grp in groups:
                 n = partitions[sid].get(frozenset(grp))
                 if n is None:
                     raise QitError(f"restriction mismatch at {show_size(i)}: partitions differ")
-                matched[c] = n
+                matched.append(n)
             bij[pos] = matched
             checked += len(shared.classes)
         return checked
@@ -436,17 +421,17 @@ def _partition(st: Stage) -> dict[frozenset, int]:
     return {frozenset(grp): c for c, grp in enumerate(groups)}
 
 
-def _translate(src: SliceView, dst: SliceView, rename: Mapping[int, int]) -> list[int]:
+def _translate(src: SliceView, dst: SliceView, rename: Sequence[int]) -> list[int]:
     """The local id in dst of each term of src with its tokens renamed
     through the class map rename; -1 for a term dst does not hold.
     Children come before their parents, so one pass suffices."""
-    out = [-1] * len(src.terms)
+    out = [-1] * len(src.keys)
     for c, n in enumerate(src.tokens):
         out[n] = dst.tokens[rename[c]]
-    for n, node in enumerate(src.nodes):
-        if node is not None:
+    for n, node in enumerate(src.table.nodes):
+        if not isinstance(node, int):
             op, kids = node
-            out[n] = dst.lookup.get((op, tuple(out[k] for k in kids)), -1)
+            out[n] = dst.table.lookup.get((op, tuple(out[k] for k in kids)), -1)
     return out
 
 
@@ -553,8 +538,8 @@ class QwInterface:
 
     def class_flat(self, cid: int) -> Term:
         appx = self.appx
-        flats = [appx.stage_at(m).classes[c].flat for m, c in self.colimit.classes[cid]]
-        return min(flats, key=lambda t: term_key(appx.sig, t))
+        classes = [appx.stage_at(m).classes[c] for m, c in self.colimit.classes[cid]]
+        return min(classes, key=lambda cls: cls.key).flat
 
     def _push(self, i: SizeVal, cid: int) -> Optional[int]:
         appx = self.appx
@@ -577,24 +562,33 @@ class QwInterface:
                 pushed.append(c)
             if len(pushed) != len(children):
                 continue
-            si = appx.stage_of[i]
-            t = mk_node(appx.sig, op, [Var(_token(si, c)) for c in pushed])
+            opi = appx.sig.op_index(op)
+            decl = appx.sig.ops[opi]
+            if len(pushed) != decl.arity.count:
+                raise ArityMismatch(
+                    f"{decl.op.show()} takes {decl.arity.count} children, got {len(pushed)}"
+                )
             sup = u.sig.suc(i)
             if sup not in u:
                 raise StageOverflow(
                     f"no stage above {show_size(i)} in a height-{u.height} universe"
                 )
-            cls = appx.stage_at(sup).class_of_pair.get((si, t))
-            if cls is None:
+            si = appx.stage_of[i]
+            view = appx.stages[si].view
+            n = view.table.lookup.get((opi, tuple(view.tokens[c] for c in pushed)))
+            if n is None:
                 raise StageOverflow(f"intro exceeds depth {appx.depth} at {show_size(i)}")
-            return self.inject(sup, cls)
+            return self.inject(sup, appx.stage_at(sup).slice_classes[si][n])
         raise StageOverflow("children have no common stage in the universe")
 
-    def _fold_at(self, i: SizeVal, t: Term) -> int:
-        if isinstance(t, Var):
-            cls = int(t.name.split(".")[1])
-            return self.inject(i, cls)
-        return self.qwintro(t.op, [self._fold_at(i, c) for c in t.children.entries])
+    def _fold_at(self, i: SizeVal, n: int) -> int:
+        """Fold the local id n of i's stage view through the constructor."""
+        appx = self.appx
+        node = appx.stages[appx.stage_of[i]].view.table.nodes[n]
+        if isinstance(node, int):
+            return self.inject(i, node)
+        op, kids = node
+        return self.qwintro(appx.sig.ops[op].op, [self._fold_at(i, k) for k in kids])
 
     def check_qwequate(self) -> QwequateReport:
         """Every materialized equation instance lands in one class at the
@@ -608,20 +602,16 @@ class QwInterface:
             if sup not in u:
                 continue
             si = appx.stage_of[i]
-            st = appx.stages[si]
-            high = appx.stage_at(sup)
-            for shape in appx.sys.instance_shapes:
-                envs, overflow = _stage_envs(shape, st, appx.depth)
+            view = appx.stages[si].view
+            high = appx.stage_at(sup).slice_classes[si]
+            for shape, (pairs, overflow) in zip(appx.sys.instance_shapes, view.instances):
                 depth_skipped += overflow
-                for combo in envs:
-                    env = {v: Var(_token(si, c)) for v, c in zip(shape.names, combo)}
-                    lhs, rhs = substitute(shape.eq.lhs, env), substitute(shape.eq.rhs, env)
-                    cl = high.class_of_pair[(si, lhs)]
-                    cr = high.class_of_pair[(si, rhs)]
-                    if cl != cr:
+                for lhs, rhs in pairs:
+                    cl = high[lhs]
+                    if cl != high[rhs]:
                         raise CoherenceFailure(
                             f"instance of {shape.eq.name} splits at stage above {show_size(i)}",
-                            witness=(show_term(lhs), show_term(rhs)),
+                            witness=(show_term(view.terms[lhs]), show_term(view.terms[rhs])),
                         )
                     checked += 1
                     try:
@@ -633,7 +623,7 @@ class QwInterface:
                     if not (vl == vr == self.inject(sup, cl)):
                         raise CoherenceFailure(
                             f"fold of {shape.eq.name} disagrees with the successor reading",
-                            witness=(show_term(lhs), show_term(rhs)),
+                            witness=(show_term(view.terms[lhs]), show_term(view.terms[rhs])),
                         )
                     intro_checked += 1
         return QwequateReport(checked, depth_skipped, intro_checked, intro_overflow)
@@ -654,20 +644,23 @@ class QwInterface:
             if sid in tables:
                 return sid
             st = appx.stages[sid]
-            env = {
-                _token(s, c): tables[s][c]
-                for s in st.slices
-                for c in range(len(appx.stages[s].classes))
-            }
             vals: dict[int, Value] = {}
-            for pair, cls in st.class_of_pair.items():
-                v = bind(pair[1], env, alg)
-                if cls in vals and vals[cls] != v:
-                    raise CoherenceFailure(
-                        f"recursion incompatible at stage {sid}",
-                        witness=show_term(st.classes[cls].flat),
-                    )
-                vals[cls] = v
+            for s in st.slices:
+                # each term of the slice once, its children before it
+                got: list[Value] = []
+                for node, cls in zip(st.slice_views[s].table.nodes, st.slice_classes[s]):
+                    if isinstance(node, int):
+                        v = tables[s][node]
+                    else:
+                        op, kids = node
+                        v = alg.interp(appx.sig.ops[op].op, tuple(got[k] for k in kids))
+                    got.append(v)
+                    if cls in vals and vals[cls] != v:
+                        raise CoherenceFailure(
+                            f"recursion incompatible at stage {sid}",
+                            witness=show_term(st.classes[cls].flat),
+                        )
+                    vals[cls] = v
             tables[sid] = vals
             return sid
 
@@ -699,21 +692,22 @@ class QwInterface:
         failures: list[str] = []
         for sid, st in enumerate(appx.stages):
             m = _member_at(appx.universe, appx.stage_of, sid)
-            for pair, cls in st.class_of_pair.items():
-                s, t = pair
-                if not isinstance(t, Node):
-                    continue
-                node_cid = self.inject(m, cls)
-                child_cids = [
-                    self.inject(m, st.class_of_pair[(s, ch)]) for ch in t.children.entries
-                ]
-                try:
-                    expected = alg.interp(t.op, [h[c] for c in child_cids])
-                except PartialAlgebra:
-                    failures.append(show_term(st.classes[cls].flat))
-                    continue
-                if expected != h[node_cid]:
-                    failures.append(show_term(st.classes[cls].flat))
+            for s in st.slices:
+                classes = st.slice_classes[s]
+                for n, node in enumerate(st.slice_views[s].table.nodes):
+                    if isinstance(node, int):
+                        continue
+                    op, kids = node
+                    cls = classes[n]
+                    node_cid = self.inject(m, cls)
+                    child_cids = [self.inject(m, classes[k]) for k in kids]
+                    try:
+                        expected = alg.interp(appx.sig.ops[op].op, [h[c] for c in child_cids])
+                    except PartialAlgebra:
+                        failures.append(show_term(st.classes[cls].flat))
+                        continue
+                    if expected != h[node_cid]:
+                        failures.append(show_term(st.classes[cls].flat))
         rec = self.qwrec(alg)
         discrepancy = None
         for cid, v in rec.by_class.items():
@@ -736,23 +730,20 @@ class QwInterface:
         confirmed = skipped = failed = 0
         for i, j in appx.stage_pairs():
             si, sj = appx.stage_of[i], appx.stage_of[j]
-            rename = {
-                _token(si, c): _token(sj, appx.delta(i, j, c))
-                for c in range(len(appx.stages[si].classes))
-            }
+            src = appx.stages[si].view
             uppers = u.above[j]
-            for t in appx.stages[sj].slice_terms[si]:
-                if not uppers:
-                    skipped += 1
-                    continue
-                mapped = map_term(t, lambda n: rename.get(n, n))
-                hit = False
-                for k in uppers:
-                    top = appx.stage_at(k)
-                    if top.class_of_pair[(sj, mapped)] == top.class_of_pair[(si, t)]:
-                        hit = True
-                        break
-                if hit:
+            if not uppers:
+                skipped += len(src.keys)
+                continue
+            rename = [appx.delta(i, j, c) for c in range(len(appx.stages[si].classes))]
+            tops = [appx.stage_at(k).slice_classes for k in uppers]
+            for n, mapped in enumerate(_translate(src, appx.stages[sj].view, rename)):
+                if mapped < 0:
+                    raise QitError(
+                        f"{show_term(src.terms[n])} pushed from {show_size(i)} to "
+                        f"{show_size(j)} leaves the depth bound"
+                    )
+                if any(top[sj][mapped] == top[si][n] for top in tops):
                     confirmed += 1
                 else:
                     failed += 1
@@ -780,9 +771,10 @@ def compare_with_oracle(qw: QwInterface, q: CongruenceQuotient) -> OracleCompari
         oids = set()
         for m, c in grp:
             flat = appx.stage_at(m).classes[c].flat
-            if q.universe.position(flat) is None:
+            oid = q.class_id(flat)
+            if oid is None:
                 raise QitError(f"flattening {show_term(flat)} escaped the oracle universe")
-            oids.add(q.class_id(flat))
+            oids.add(oid)
         if len(oids) != 1:
             raise QitError("a colimit class straddles congruence classes")
         mapping[cid] = oids.pop()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algebras import Algebra, Value, bind, satisfies
@@ -50,12 +50,11 @@ class TermUniverse:
     terms: tuple[Term, ...]
     instance_pairs: tuple[InstancePair, ...]
     skipped: int
+    # term -> its position in terms
+    index: Mapping[Term, int] = field(repr=False, compare=False)
 
     def position(self, t: Term) -> Optional[int]:
-        return self._index.get(t)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.terms)})
+        return self.index.get(t)
 
 
 def _root_sort(sig: Signature, t: Term) -> Optional[str]:
@@ -102,7 +101,7 @@ def build_universe(sig: Signature, sys: SystemOfEquations, depth_bound: int) -> 
             if lhs not in index or rhs not in index:
                 raise QitError(f"an instance of {shape.eq.name} escaped the universe")
             pairs.append(InstancePair(shape.eq.name, tuple(env.items()), lhs, rhs))
-    return TermUniverse(sig, sys, depth_bound, tuple(terms), tuple(pairs), skipped)
+    return TermUniverse(sig, sys, depth_bound, tuple(terms), tuple(pairs), skipped, index)
 
 
 class CongruenceQuotient:

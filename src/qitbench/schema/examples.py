@@ -9,7 +9,7 @@ tables only; `source` is None for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .elaborate import SymbolicQW, symbolic_table
 from .parser import parse_decl
@@ -104,20 +104,31 @@ def _blass() -> SymbolicQW:
     ))
 
 
-# The entries' names in library order, for callers that need the names
-# without building the tables (the CLI's ``examples`` choices).
-EXAMPLE_NAMES = ("bag", "commvec", "inftree", "wsusp", "wred", "blass")
+def _declared(title: str, source: str) -> Callable[[str], ExampleEntry]:
+    return lambda name: ExampleEntry(name, title, source, symbolic_table(parse_decl(source)))
+
+
+def _library(title: str, table: Callable[[], SymbolicQW]) -> Callable[[str], ExampleEntry]:
+    return lambda name: ExampleEntry(name, title, None, table())
+
+
+# The library in order: each entry's name and the builder of that entry
+# alone, so that one name costs one table.
+EXAMPLES: dict[str, Callable[[str], ExampleEntry]] = {
+    "bag": _declared("finite multisets", BAG_SOURCE),
+    "commvec": _declared("length-indexed multisets", COMMVEC_SOURCE),
+    "inftree": _declared("unordered countably-branching trees", INFTREE_SOURCE),
+    "wsusp": _library("W-suspensions", _wsusp),
+    "wred": _library("W-types with reductions", _wred),
+    "blass": _library("countable ordinal notations", _blass),
+}
+
+EXAMPLE_NAMES = tuple(EXAMPLES)
+
+
+def builtin_example(name: str) -> ExampleEntry:
+    return EXAMPLES[name](name)
 
 
 def builtin_examples() -> tuple[ExampleEntry, ...]:
-    return (
-        ExampleEntry("bag", "finite multisets", BAG_SOURCE,
-                     symbolic_table(parse_decl(BAG_SOURCE))),
-        ExampleEntry("commvec", "length-indexed multisets", COMMVEC_SOURCE,
-                     symbolic_table(parse_decl(COMMVEC_SOURCE))),
-        ExampleEntry("inftree", "unordered countably-branching trees", INFTREE_SOURCE,
-                     symbolic_table(parse_decl(INFTREE_SOURCE))),
-        ExampleEntry("wsusp", "W-suspensions", None, _wsusp()),
-        ExampleEntry("wred", "W-types with reductions", None, _wred()),
-        ExampleEntry("blass", "countable ordinal notations", None, _blass()),
-    )
+    return tuple(builtin_example(name) for name in EXAMPLES)

@@ -283,21 +283,6 @@ def depth(t: Term) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
-def weighted_depth(t: Term, weights: Optional[Mapping[str, int]] = None) -> int:
-    """Depth with variables counting at assigned leaf weights (default 1)."""
-    weights = weights or {}
-    match t:
-        case Var(name):
-            return weights.get(name, 1)
-        case IxVar(_):
-            return 1
-        case Node(_, Tab(entries)):
-            return 1 + max((weighted_depth(c, weights) for c in entries), default=0)
-        case Node(op, Comp(_, _)):
-            raise InfinitaryArity(f"depth undefined under countable operator {op.show()}")
-    raise TypeError(f"not a term: {t!r}")
-
-
 def free_vars(t: Term) -> set[str]:
     match t:
         case Var(name):
@@ -330,20 +315,6 @@ def substitute(t: Term, env: Mapping[str, Term], *, partial: bool = False) -> Te
             return Node(op, Tab(tuple(substitute(c, env, partial=partial) for c in entries)))
         case Node(op, Comp(ivar, body)):
             return Node(op, Comp(ivar, substitute(body, env, partial=partial)))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def map_term(t: Term, rename: Callable[[str], str]) -> Term:
-    """Functorial action on variable names."""
-    match t:
-        case Var(name):
-            return Var(rename(name))
-        case IxVar(_):
-            return t
-        case Node(op, Tab(entries)):
-            return Node(op, Tab(tuple(map_term(c, rename) for c in entries)))
-        case Node(op, Comp(ivar, body)):
-            return Node(op, Comp(ivar, map_term(body, rename)))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -416,6 +387,79 @@ def term_key(sig: Signature, t: Term):
     raise TypeError(f"not a term: {t!r}")
 
 
+class TermTable:
+    """Hash-consed terms over a signature and leaves (name, sort, weight):
+    variables at target index sort (None: any) that count at depth
+    weight.  Each term has an integer id, and per id the table keeps its
+    node -- the leaf's position, or (operator position, child ids) -- and
+    its weighted depth; lookup maps every node back to its id.  Ids are
+    handed out children first, as terms are reached, so a first
+    upto(bound) with want None lists them in id order.  The Term of an
+    id is built only when terms is read."""
+
+    def __init__(self, sig: Signature, leaves: Sequence[tuple[str, Optional[str], int]] = ()):
+        for d in sig.ops:
+            if not d.arity.finite:
+                raise InfinitaryArity(f"cannot enumerate under countable operator {d.op.show()}")
+        self.sig, self.leaves = sig, tuple(leaves)
+        self.nodes: list[Union[int, tuple[int, tuple[int, ...]]]] = []
+        self.lookup: dict[Union[int, tuple[int, tuple[int, ...]]], int] = {}
+        self.depths: list[int] = []
+        self._exact: dict[tuple[int, Optional[str]], list[int]] = {}
+        self._terms: list[Term] = []
+
+    def upto(self, bound: int, want: Optional[str] = None) -> list[int]:
+        """The ids of the terms of weighted depth <= bound at target index
+        want (None: every term), in enumerate_terms' order."""
+        return [n for d in range(1, bound + 1) for n in self._exactly(d, want)]
+
+    def _exactly(self, d: int, want: Optional[str]) -> list[int]:
+        if (d, want) in self._exact:
+            return self._exact[(d, want)]
+
+        def fits(sort: Optional[str]) -> bool:
+            return want is None or sort is None or sort == want
+
+        depth = self.depths.__getitem__
+        found = [k for k, (_, sort, w) in enumerate(self.leaves) if w == d and fits(sort)]
+        for op, decl in enumerate(self.sig.ops):
+            if fits(decl.sort):
+                # a nullary operator has one child tuple, (), of depth 0
+                kid_sorts = decl.child_sorts or (None,) * decl.arity.count
+                pools = [self.upto(d - 1, s) for s in kid_sorts]
+                found += [
+                    (op, kids)
+                    for kids in itertools.product(*pools)
+                    if max(map(depth, kids), default=0) == d - 1
+                ]
+        for node in found:
+            if node not in self.lookup:
+                self.lookup[node] = len(self.nodes)
+                self.nodes.append(node)
+                self.depths.append(d)
+        out = self._exact[(d, want)] = [self.lookup[node] for node in found]
+        return out
+
+    def find(self, t: Term, env: Mapping[str, int]) -> Optional[int]:
+        """The id of t with each variable read as the id env gives it;
+        None if the table does not hold it."""
+        if isinstance(t, Var):
+            return env[t.name]
+        kids = tuple(self.find(c, env) for c in t.children.entries)
+        return self.lookup.get((self.sig.op_index(t.op), kids))
+
+    @property
+    def terms(self) -> list[Term]:
+        """The Term of each id, materialised on first read."""
+        terms, ops = self._terms, self.sig.ops
+        for node in self.nodes[len(terms) :]:
+            if isinstance(node, int):
+                terms.append(Var(self.leaves[node][0]))
+            else:
+                terms.append(Node(ops[node[0]].op, Tab(tuple(terms[k] for k in node[1]))))
+        return terms
+
+
 def enumerate_terms(
     sig: Signature,
     vars: Union[Sequence[str], Mapping[str, Optional[str]]],
@@ -424,7 +468,8 @@ def enumerate_terms(
     sort: Optional[str] = None,
     var_depths: Optional[Mapping[str, int]] = None,
 ) -> list[Term]:
-    """All terms of depth <= depth_bound, deterministically ordered.
+    """All terms of depth <= depth_bound, deterministically ordered: the
+    terms of a TermTable over vars, materialised.
 
     Depth d terms list variables first (declaration order), then for each
     operator in declaration order every child tuple whose maximum depth is
@@ -432,50 +477,12 @@ def enumerate_terms(
     (mapping name -> sort) for indexed signatures; var_depths assigns leaf
     weights other than 1.
     """
-    for d in sig.ops:
-        if not d.arity.finite:
-            raise InfinitaryArity(f"cannot enumerate under countable operator {d.op.show()}")
-    if isinstance(vars, Mapping):
-        var_rows = list(vars.items())
-    else:
-        var_rows = [(v, None) for v in vars]
-    var_depths = var_depths or {}
-
-    exact: dict[tuple[int, Optional[str]], list[Term]] = {}
-
-    def exactly(d: int, want: Optional[str]) -> list[Term]:
-        key = (d, want)
-        if key in exact:
-            return exact[key]
-        out: list[Term] = []
-        for name, vsort in var_rows:
-            if var_depths.get(name, 1) == d and (want is None or vsort is None or vsort == want):
-                out.append(Var(name))
-        for decl in sig.ops:
-            if want is not None and decl.sort is not None and decl.sort != want:
-                continue
-            n = decl.arity.count
-            if n == 0:
-                if d == 1:
-                    out.append(Node(decl.op, Tab(())))
-                continue
-            if d < 2:
-                continue
-            child_sorts = decl.child_sorts or (None,) * n
-            pools = [upto(d - 1, s) for s in child_sorts]
-            for combo in itertools.product(*pools):
-                if max(weighted_depth(c, var_depths) for c in combo) == d - 1:
-                    out.append(Node(decl.op, Tab(combo)))
-        exact[key] = out
-        return out
-
-    def upto(d: int, want: Optional[str]) -> list[Term]:
-        out: list[Term] = []
-        for k in range(1, d + 1):
-            out.extend(exactly(k, want))
-        return out
-
-    return upto(depth_bound, sort)
+    rows = vars.items() if isinstance(vars, Mapping) else [(v, None) for v in vars]
+    weight = (var_depths or {}).get
+    table = TermTable(sig, [(name, vsort, weight(name, 1)) for name, vsort in rows])
+    ids = table.upto(depth_bound, sort)
+    terms = table.terms
+    return [terms[n] for n in ids]
 
 
 # --- equations ---

@@ -7,22 +7,23 @@ structural reads, and counts by the arithmetic recurrence.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+import itertools
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from qitbench.errors import InfinitaryArity
 from qitbench.quotient import congruence_roots
 from qitbench.terms import (
+    Comp,
     InstanceShape,
+    IxVar,
     Node,
     Signature,
     SystemOfEquations,
     Tab,
     Term,
     Var,
-    enumerate_terms,
     substitute,
     term_key,
-    weighted_depth,
 )
 
 
@@ -59,6 +60,85 @@ def count_terms(arities: list[int], nvars: int, depth: int) -> int:
         elif depth >= 2:
             total += below**a
     return total
+
+
+def weighted_depth(t: Term, weights: Optional[Mapping[str, int]] = None) -> int:
+    """Depth with variables counting at assigned leaf weights (default 1)."""
+    weights = weights or {}
+    match t:
+        case Var(name):
+            return weights.get(name, 1)
+        case IxVar(_):
+            return 1
+        case Node(_, Tab(entries)):
+            return 1 + max((weighted_depth(c, weights) for c in entries), default=0)
+        case Node(op, Comp(_, _)):
+            raise InfinitaryArity(f"depth undefined under countable operator {op.show()}")
+    raise TypeError(f"not a term: {t!r}")
+
+
+def naive_enumerate_terms(
+    sig: Signature,
+    vars: Union[Sequence[str], Mapping[str, Optional[str]]],
+    depth_bound: int,
+    *,
+    sort: Optional[str] = None,
+    var_depths: Optional[Mapping[str, int]] = None,
+) -> list[Term]:
+    """All terms of depth <= depth_bound, deterministically ordered, built
+    as trees and measured with weighted_depth: the reference for
+    TermTable.
+
+    Depth d terms list variables first (declaration order), then for each
+    operator in declaration order every child tuple whose maximum depth is
+    exactly d-1, in lexicographic order.  vars may carry target indices
+    (mapping name -> sort) for indexed signatures; var_depths assigns leaf
+    weights other than 1.
+    """
+    for d in sig.ops:
+        if not d.arity.finite:
+            raise InfinitaryArity(f"cannot enumerate under countable operator {d.op.show()}")
+    if isinstance(vars, Mapping):
+        var_rows = list(vars.items())
+    else:
+        var_rows = [(v, None) for v in vars]
+    var_depths = var_depths or {}
+
+    exact: dict[tuple[int, Optional[str]], list[Term]] = {}
+
+    def exactly(d: int, want: Optional[str]) -> list[Term]:
+        key = (d, want)
+        if key in exact:
+            return exact[key]
+        out: list[Term] = []
+        for name, vsort in var_rows:
+            if var_depths.get(name, 1) == d and (want is None or vsort is None or vsort == want):
+                out.append(Var(name))
+        for decl in sig.ops:
+            if want is not None and decl.sort is not None and decl.sort != want:
+                continue
+            n = decl.arity.count
+            if n == 0:
+                if d == 1:
+                    out.append(Node(decl.op, Tab(())))
+                continue
+            if d < 2:
+                continue
+            child_sorts = decl.child_sorts or (None,) * n
+            pools = [upto(d - 1, s) for s in child_sorts]
+            for combo in itertools.product(*pools):
+                if max(weighted_depth(c, var_depths) for c in combo) == d - 1:
+                    out.append(Node(decl.op, Tab(combo)))
+        exact[key] = out
+        return out
+
+    def upto(d: int, want: Optional[str]) -> list[Term]:
+        out: list[Term] = []
+        for k in range(1, d + 1):
+            out.extend(exactly(k, want))
+        return out
+
+    return upto(depth_bound, sort)
 
 
 def naive_congruence(terms: list[Term], pairs: list[tuple[Term, Term]]) -> list[set[int]]:
@@ -200,7 +280,7 @@ def naive_diamond(
     for st in ordered:
         vars_map = {_token(st.sid, c): cls.sort for c, cls in enumerate(st.classes)}
         local = {_token(st.sid, c): cls.fd for c, cls in enumerate(st.classes)}
-        terms = enumerate_terms(sig, vars_map, depth_bound, var_depths=local)
+        terms = naive_enumerate_terms(sig, vars_map, depth_bound, var_depths=local)
         by_slice[st.sid] = terms
         pool.extend((st.sid, t) for t in terms)
     index = {p: n for n, p in enumerate(pool)}

@@ -204,7 +204,9 @@ def test_elim_parity_is_coherent(capsys):
     ("--algebra", BAG),
     ("--algebra", str(FIXTURES / "bag_parity_steps.json")),
     ("--steps", str(FIXTURES / "bag_length.json")),
-], ids=["missing", "not-json", "no-carrier", "no-steps"])
+    ("--algebra", str(FIXTURES / "bag_length_list_value.json")),
+    ("--steps", str(FIXTURES / "bag_parity_list_steps.json")),
+], ids=["missing", "not-json", "no-carrier", "no-steps", "list-value", "list-step"])
 def test_bad_table_file_is_an_error_line(flag, path, capsys):
     command = "fold" if flag == "--algebra" else "elim"
     code, out, err = run(capsys, command, BAG, "--X", "a,b", flag, path)
@@ -257,6 +259,20 @@ def test_examples_prints_table_bytes(capsys):
     code, out, _ = run(capsys, "examples", "blass")
     assert code == 0
     assert out == (FIXTURES / "tables" / "blass.txt").read_text()
+
+
+def test_examples_one_name_builds_only_its_entry(monkeypatch, capsys):
+    built = []
+    for name, build in list(qitbench.schema.examples.EXAMPLES.items()):
+        def counted(n, build=build):
+            built.append(n)
+            return build(n)
+
+        monkeypatch.setitem(qitbench.schema.examples.EXAMPLES, name, counted)
+    code, out, _ = run(capsys, "examples", "wred")
+    assert code == 0
+    assert out == (FIXTURES / "tables" / "wred.txt").read_text()
+    assert built == ["wred"]
 
 
 def test_examples_structured_carries_sources(capsys):

@@ -11,6 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qitbench import construction
+from qitbench.algebras import Algebra
+from qitbench.cli import main
 from qitbench.construction import (
     build_fixed_point,
     compare_with_oracle,
@@ -422,16 +424,51 @@ def test_restriction_catches_a_term_missing_from_the_shared_view():
 
 def test_each_slice_stage_is_enumerated_once(monkeypatch):
     calls = []
-    enumerate_terms = construction.enumerate_terms
+    table = construction.TermTable
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return enumerate_terms(*args, **kwargs)
+        return table(*args, **kwargs)
 
-    monkeypatch.setattr(construction, "enumerate_terms", counted)
+    monkeypatch.setattr(construction, "TermTable", counted)
     sig, sys = bag_sig(), bag_system()
     u = SizeUniverse(MIN, 4)
     appx = build_fixed_point(sig, sys, u, 3)
     shared = {s for stage in appx.stages for s in stage.slices}
     literal = {u.position(j) for i in u.members for j in u.below[i]}
     assert 0 < len(calls) <= len(shared) + len(literal)
+
+
+# --- the interface reads id arrays, never (slice, term) pairs ---
+
+
+def leaf_count_algebra(sig):
+    return Algebra.from_fn(
+        sig, tuple(range(5)), lambda op, args: 1 if op.name == "leaf" else min(sum(args), 4)
+    )
+
+
+@pytest.mark.parametrize("path, carrier, depth, height, algebra", [
+    ("bag.qit", "a,b", 3, 4, length_algebra),
+    ("commtree.qit", "a,b", 3, 3, leaf_count_algebra),
+], ids=["bag-d3-h4", "commtree-ab-d3-h3"])
+def test_interface_never_reads_class_of_pair(monkeypatch, capsys, path, carrier, depth, height,
+                                             algebra):
+    def refuse(self):
+        raise AssertionError("class_of_pair read inside the package")
+
+    monkeypatch.setattr(construction.Stage, "class_of_pair", property(refuse))
+    argv = ["construct", str(FIXTURES / path), "--X", carrier, "-d", str(depth),
+            "--size-height", str(height), "--compare-oracle"]
+    assert main(argv) == 0
+    assert "oracle: bijection over" in capsys.readouterr().out
+
+    decl = parse_decl((FIXTURES / path).read_text())
+    sig, sys = elaborate(decl, {"X": tuple(carrier.split(","))})
+    qw = qw_from_colimit(build_fixed_point(sig, sys, SizeUniverse(MIN, height), depth))
+    assert qw.check_qwequate().checked > 0
+    assert qw.check_intro_stability().ok
+    alg = algebra(sig)
+    rec = qw.qwrec(alg)
+    assert rec.coherence_checked > 0
+    assert qw.check_uniqueness(alg, rec.by_class).ok

@@ -20,10 +20,10 @@ from qitbench.terms import (
     instance_shape,
     signature,
     substitute,
-    weighted_depth,
 )
 
 from helpers import bag_system, equations
+from oracles import weighted_depth
 
 
 def brute_force(eq, pools, weighted, bound):

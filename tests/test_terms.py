@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import bag_sig, bag_system, length_algebra
-from oracles import count_terms
+from helpers import bag_sig, bag_system, equations, length_algebra
+from oracles import count_terms, naive_enumerate_terms
 from qitbench.algebras import bind, term_algebra
 from qitbench.errors import (
     ArityMismatch,
@@ -28,12 +30,12 @@ from qitbench.terms import (
     Node,
     OpSym,
     Tab,
+    TermTable,
     Var,
     enumerate_terms,
     eval_ix,
     free_algebra_signature,
     free_vars,
-    map_term,
     mk_node,
     signature,
     substitute,
@@ -130,16 +132,6 @@ def test_bind_substitute_associativity():
         assert bind(substitute(t, s), env, alg) == bind(t, composed, alg)
 
 
-def test_functor_laws():
-    ren1 = {"x": "y", "y": "z"}.get
-    ren2 = {"y": "x", "z": "x"}.get
-    for t in enumerate_terms(SIG, ("x", "y"), 3):
-        assert map_term(t, lambda v: v) == t
-        assert map_term(map_term(t, lambda v: ren1(v, v)), lambda v: ren2(v, v)) == map_term(
-            t, lambda v: ren2(ren1(v, v), ren1(v, v))
-        )
-
-
 def test_substitute_and_free_vars():
     t = parse_term("(op cons a (var x))", SIG)
     assert free_vars(t) == {"x"}
@@ -194,3 +186,60 @@ def test_sorted_enumeration_per_index():
     flat = commvec_indexed().flatten()
     per_index = [len(enumerate_terms(flat, (), 3, sort=s)) for s in flat.sorts]
     assert per_index == [1, 2, 4]
+
+
+# --- the hash-consed table against the tree enumeration ---
+
+SORTS = st.sampled_from([None, "0", "1"])
+
+
+@st.composite
+def sorted_signatures(draw):
+    """Arity 0-2 operators (the first nullary), each at a target index or
+    none, with child indices or none."""
+    rows = []
+    for n, k in enumerate([0] + draw(st.lists(st.integers(0, 2), max_size=3))):
+        kids = draw(st.none() | st.tuples(*[st.sampled_from(["0", "1"])] * k))
+        rows.append((f"f{n}", k, draw(SORTS), kids))
+    return signature(rows)
+
+
+def assert_table_matches_naive(sig, leaves, bound, want):
+    table = TermTable(sig, leaves)
+    ids = table.upto(bound, want)
+    if want is None:
+        # a first listing with want None hands ids out in its own order
+        assert ids == list(range(len(table.nodes)))
+    assert all(table.lookup[node] == n for n, node in enumerate(table.nodes))
+    got = [table.terms[n] for n in ids]
+    vars = {name: sort for name, sort, _ in leaves}
+    weights = {name: w for name, _, w in leaves}
+    assert got == naive_enumerate_terms(sig, vars, bound, sort=want, var_depths=weights)
+    assert got == enumerate_terms(sig, vars, bound, sort=want, var_depths=weights)
+
+
+@given(equations(), st.integers(0, 3), st.booleans(), st.data())
+def test_table_order_equals_naive_enumeration(case, bound, weighted, data):
+    sig, eq = case
+    leaves = [
+        (v, None, data.draw(st.integers(1, 3)) if weighted else 1) for v in eq.var_names()
+    ]
+    assert_table_matches_naive(sig, leaves, bound, None)
+
+
+@given(sorted_signatures(), st.integers(0, 3), SORTS, st.data())
+def test_sorted_table_order_equals_naive_enumeration(sig, bound, want, data):
+    names = ("x", "y", "z")[: data.draw(st.integers(0, 3))]
+    leaves = [(v, data.draw(SORTS), data.draw(st.integers(1, 3))) for v in names]
+    assert_table_matches_naive(sig, leaves, bound, want)
+
+
+def test_table_finds_instances_through_its_lookup():
+    table = TermTable(SIG, [("zs", None, 1)])
+    table.upto(3)
+    zs = table.lookup[0]
+    swap = SYS.equations[1]
+    lhs = table.find(swap.lhs, {"zs": zs})
+    assert table.terms[lhs] == substitute(swap.lhs, {"zs": Var("zs")})
+    deeper = table.find(parse_term("(op cons a (op nil))", SIG), {})
+    assert table.find(swap.lhs, {"zs": deeper}) is None
