@@ -148,6 +148,9 @@ def _carrier_flags(extra: Sequence[str], parser: argparse.ArgumentParser) -> dic
         values = tuple(v for v in val.split(",") if v)
         if not values:
             parser.error(f"--{name} expects a comma-separated carrier")
+        for v in values:
+            if values.count(v) > 1:
+                parser.error(f"--{name} lists {v!r} twice")
         out[name] = values
     return out
 

@@ -4,17 +4,22 @@ Every universe member i gets a stage: equivalence classes of pairs
 (j, t) with j a strictly smaller member and t a depth-bounded term over
 j's stage, closed under three clause families (equation instances,
 collapse of a class to its name one stage up, node-wise collapse) and
-congruence through term structure.  Members with identical strict
-down-segments provably share a stage, so stages are memoized on the
-down-segment; the restriction check recomputes the literal per-member
-reading independently and compares.
+congruence through term structure.  Collapse clauses are emitted only
+along covering pairs k < j (SizeUniverse.covered, nothing strictly
+between): those of any other k < j follow through a chain of covering
+pairs, so the stage is the same (see diamond).  Members with identical
+strict down-segments provably share a stage, so stages are memoized on
+the down-segment; the restriction check recomputes the literal
+per-member reading independently and compares.
 
 Terms are integer ids from enumeration to colimit.  A stage read as a
 slice is read through its slice view (SliceView), built once: a
 TermTable over its class tokens, whose ids are the local ids, with the
 equation instances and flat order keys by local id.  diamond lays the
 views side by side at integer offsets, a stage stores the class of each
-local id per slice, and the interface reads only those arrays.  Trees
+local id per slice, and the interface reads only those arrays.  The
+collapse clauses of a slice into a higher stage are local id arrays
+built once per pair and kept on the higher stage (Stage.collapse).  Trees
 are built to print, to export and to hold each class's flat; the
 (slice, term) mapping class_of_pair is kept for readers outside the
 package.  The flat order keys are shared through one table per build.
@@ -31,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebras import Algebra, Value, satisfies
@@ -113,6 +119,10 @@ class Stage:
     slice_views: Mapping[int, SliceView] = field(repr=False)
     slice_classes: Mapping[int, tuple[int, ...]] = field(repr=False)
     build: _Build = field(repr=False, compare=False)
+    # slice -> its collapse clauses into this stage (see collapse)
+    _collapses: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -120,6 +130,31 @@ class Stage:
     @cached_property
     def view(self) -> SliceView:
         return _slice_view(self)
+
+    def collapse(self, low: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The collapse clauses of slice low into this stage read as a
+        slice, as two parallel arrays: local ids in this stage's view and
+        local ids in low's view.  Each of low's local ids meets this
+        stage's token of its class; each of low's nodes also meets its
+        lift, the node with every child renamed to that token.  Built on
+        first use, from this stage alone, and kept."""
+        hit = self._collapses.get(low)
+        if hit is None:
+            view = self.view
+            up = [view.tokens[c] for c in self.slice_classes[low]]
+            his, los = list(up), list(range(len(up)))
+            for n, node in enumerate(self.slice_views[low].table.nodes):
+                if not isinstance(node, int):
+                    op, kids = node
+                    lifted = view.table.lookup.get((op, tuple(up[k] for k in kids)))
+                    if lifted is None:
+                        raise QitError(
+                            f"slice {low} lifts a term outside the view of slice {self.sid}"
+                        )
+                    his.append(lifted)
+                    los.append(n)
+            hit = self._collapses[low] = (tuple(his), tuple(los))
+        return hit
 
     @cached_property
     def class_of_pair(self) -> Mapping[tuple[int, Term], int]:
@@ -184,8 +219,22 @@ def diamond(
     keys: dict[tuple, tuple],
 ) -> Stage:
     """One quotient stage over the given slice stages.  fire lists the
-    (lower, higher) slice pairs that are strictly ordered in the member
-    set this stage summarizes; only those pairs admit collapse clauses.
+    (lower, higher) slice pairs whose collapse clauses are emitted.
+
+    Both callers fire only the covering pairs: (k, j) with j below the
+    member this stage summarizes and k in covered[j].  The partition is
+    still the one the full set of strictly ordered pairs gives.  Write
+    d_kj t for the token of stage j's class of (k, t).  Take k < j with
+    a member strictly between, and such an l with k covered by l.  The
+    clause (k, t) ~ (l, d_kl t) is emitted.  By induction on the number
+    of members strictly between, (l, d_kl t) ~ (j, d_lj d_kl t) is
+    implied.  Stage j fires (k, l) itself, so (k, t) and (l, d_kl t)
+    share a class there and d_lj d_kl t = d_kj t: the clause
+    (k, t) ~ (j, d_kj t) is already implied.  A node's lifted clause
+    follows in the same way, child by child.  So the least congruence
+    does not change.  For shared stages a slice stands for every member
+    with its down-segment; the argument carries over because same stage
+    <=> same down-segment, which is the memo key.
 
     Equation instances are drawn per slice under the budget rule of
     InstanceShape.envs, a token weighing its class's fd: an instance is
@@ -196,10 +245,10 @@ def diamond(
     contains these clauses (congruence_roots).
 
     The pool is the slices' views laid end to end, slice s from offset
-    base[s], so a pair (s, t) is the id base[s] + t's local id.  A
-    collapse clause of a fire pair (low, high) reads high's class of each
-    of low's local ids; a node is lifted to high by renaming its children
-    to their classes' tokens there.  A class ranks by its least flat
+    base[s], so a pair (s, t) is the id base[s] + t's local id.  The
+    collapse clauses of a fire pair (low, high) are high.collapse(low),
+    local id arrays built on the pair's first use; each later diamond
+    only adds the two offsets.  A class ranks by its least flat
     order key, then its first id, and only its least member is
     flattened.  keys is the build's table of shared order keys; the
     slices must come from the same declaration and depth bound."""
@@ -218,9 +267,9 @@ def diamond(
         pool_keys.extend(view.keys)
         for n, node in enumerate(view.table.nodes):
             if not isinstance(node, int) and node[1]:
-                nodes[b + n] = (node[0], tuple(b + k for k in node[1]))
+                nodes[b + n] = (node[0], tuple(map(b.__add__, node[1])))
 
-    def seeds() -> Iterable[tuple[int, int]]:
+    def instances() -> Iterable[tuple[int, int]]:
         # equation instances within one slice
         for st in ordered:
             b = base[st.sid]
@@ -228,22 +277,15 @@ def diamond(
                 for lhs, rhs in pairs:
                     yield b + lhs, b + rhs
 
-        # collapse clauses along strictly ordered slice pairs
-        for low, high in sorted(fire):
-            lv, target = by_sid[low].view, by_sid[high]
-            hv = target.view
-            bl, bh = base[low], base[high]
-            # high's token for the class of each of low's local ids
-            up = [hv.tokens[c] for c in target.slice_classes[low]]
-            for n, node in enumerate(lv.table.nodes):
-                yield bh + up[n], bl + n
-                if not isinstance(node, int):
-                    op, kids = node
-                    yield bh + hv.table.lookup[(op, tuple(up[k] for k in kids))], bl + n
+    # collapse clauses along the fire pairs, offset without a Python call
+    seeds = [instances()]
+    for low, high in sorted(fire):
+        his, los = by_sid[high].collapse(low)
+        seeds.append(zip(map(base[high].__add__, his), map(base[low].__add__, los)))
 
-    groups = root_groups(congruence_roots(len(pool_keys), nodes, seeds()))
+    groups = root_groups(congruence_roots(len(pool_keys), nodes, chain.from_iterable(seeds)))
     ranked = sorted(
-        ((min(pool_keys[n] for n in members), members) for members in groups),
+        ((min(map(pool_keys.__getitem__, members)), members) for members in groups),
         key=lambda row: (row[0], row[1][0]),
     )
 
@@ -325,6 +367,9 @@ class Approximation:
         """Recompute every member's stage from the literal per-member sum
         (one slice per smaller member, no sharing) and demand the same
         partition.  This is the uniqueness of the shared fixed point.
+        Every member gets its literal diamond; like the shared stages,
+        each fires the covering pairs below the member only (see diamond
+        for why that leaves the partition as the full fire set makes it).
 
         Partitions are compared as sets of (shared slice, local id): a
         literal slice's local ids are translated once into its shared
@@ -336,31 +381,35 @@ class Approximation:
         into: dict[int, list[int]] = {}
         partitions: dict[int, dict[frozenset, int]] = {}
         checked = 0
-        for i in u.members:
-            pos = u.position(i)
-            below = u.below[i]
-            # k < j < i puts k below i: the order is transitive
-            fire = {(u.position(k), u.position(j)) for j in below for k in u.below[j]}
+        # by member position: the shared stage, and the covering pairs below
+        # a member that has a member above it
+        stage_of = [self.stage_of[m] for m in u.members]
+        covering = {
+            u.position(j): [u.position(k) for k in u.covered[j]] for j in u.members if u.above[j]
+        }
+        for pos, i in enumerate(u.members):
+            below = [u.position(j) for j in u.below[i]]
+            # k < j < i puts k below i; covering pairs suffice (see diamond)
+            fire = {(k, j) for j in below for k in covering[j]}
             lit = diamond(
                 self.sig,
                 self.sys,
                 self.depth,
-                [literal[u.position(j)] for j in below],
+                [literal[j] for j in below],
                 fire,
                 sid=pos,
                 keys=self.keys,
             )
             literal[pos] = lit
-            sid = self.stage_of[i]
+            sid = stage_of[pos]
             shared = self.stages[sid]
             if len(lit) != len(shared):
                 raise QitError(f"restriction mismatch at {show_size(i)}: class counts differ")
             if sid not in partitions:
                 partitions[sid] = _partition(shared)
             groups: list[set[tuple[int, int]]] = [set() for _ in lit.classes]
-            for j in below:
-                pj = u.position(j)
-                sj = self.stage_of[j]
+            for pj in below:
+                sj = stage_of[pj]
                 if pj not in into:
                     into[pj] = _translate(literal[pj].view, self.stages[sj].view, bij[pj])
                 for n, c in zip(into[pj], lit.slice_classes[pj]):
@@ -456,8 +505,8 @@ def build_fixed_point(
         sid = by_key.get(key)
         if sid is None:
             slice_sids = sorted({stage_of[j] for j in u.below[i]})
-            # k < j < i puts k below i: the order is transitive
-            fire = {(stage_of[k], stage_of[j]) for j in u.below[i] for k in u.below[j]}
+            # k < j < i puts k below i; covering pairs suffice (see diamond)
+            fire = {(stage_of[k], stage_of[j]) for j in u.below[i] for k in u.covered[j]}
             sid = len(stages)
             stages.append(
                 diamond(

@@ -14,7 +14,7 @@ the universe.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -155,46 +155,77 @@ def congruence_roots(
     pairwise related are related.  A worklist closure in the style of
     Downey-Sethi-Tarjan: a union re-keys only the parents of the absorbed
     class against a signature table.  Roots are representatives, not a
-    canonical order."""
+    canonical order.
+
+    The seeds are joined first, before any node is keyed, so their
+    unions need no parent bookkeeping; the parents of each class are then
+    indexed by root.  Finds are inlined with path halving and unions go
+    by size, so the loops over seeds and children make no Python call
+    per item."""
     parent = list(range(n))
     size = [1] * n
-    parents: dict[int, set[int]] = defaultdict(set)
+    for a, b in seeds:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
+
+    # root -> the nodes with a child in its class
+    parents: dict[int, set[int]] = {}
     for pos, (_, kids) in nodes.items():
         for c in kids:
-            parents[c].add(pos)
+            while parent[c] != c:
+                parent[c] = c = parent[parent[c]]
+            ps = parents.get(c)
+            if ps is None:
+                parents[c] = {pos}
+            else:
+                ps.add(pos)
+
     pending: deque[int] = deque(nodes)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        kept, gone = find(a), find(b)
-        if kept == gone:
-            return
-        if size[kept] < size[gone]:
-            kept, gone = gone, kept
-        parent[gone] = kept
-        size[kept] += size[gone]
-        ps = parents.pop(gone, None)
-        if ps:
-            pending.extend(ps)
-            parents[kept] |= ps
-
-    for a, b in seeds:
-        union(a, b)
-
     sigtab: dict[tuple, int] = {}
     while pending:
         pos = pending.popleft()
         op, kids = nodes[pos]
-        key = (op, tuple(find(c) for c in kids))
-        other = sigtab.setdefault(key, pos)
-        if other != pos:
-            union(other, pos)
-    return [find(i) for i in range(n)]
+        roots = []
+        for c in kids:
+            while parent[c] != c:
+                parent[c] = c = parent[parent[c]]
+            roots.append(c)
+        a = sigtab.setdefault((op, *roots), pos)
+        if a == pos:
+            continue
+        b = pos
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            continue
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+        gone = parents.pop(b, None)
+        if gone:
+            pending.extend(gone)
+            kept = parents.get(a)
+            if kept is None:
+                parents[a] = gone
+            else:
+                kept |= gone
+
+    for x in range(n):
+        r = parent[x]
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        parent[x] = r
+    return parent
 
 
 def root_groups(roots: Sequence[int]) -> list[list[int]]:

@@ -15,8 +15,10 @@ lt_bits[p] is the OR of le_bits[c] over the children c of p, and
 le_bits[p] holds every q whose child mask lies inside lt_bits[p].  The
 strict down-sets (below) and up-sets (above) are read off those bits, so
 loops over ordered pairs or chains walk only the pairs that exist.  The
-memoized PlumpOrder decides the order on sizes outside the universe,
-such as the successor of a top member or an upper bound of a family.
+covering pairs (covered: the members strictly below j with no member
+strictly between) come from the same bits.  The memoized PlumpOrder
+decides the order on sizes outside the universe, such as the successor
+of a top member or an upper bound of a family.
 """
 
 from __future__ import annotations
@@ -181,7 +183,14 @@ def size_signature_for(sig: Signature, sys: SystemOfEquations) -> SizeSig:
 class SizeUniverse:
     """All sizes of height <= h over a signature, with the order as
     bitsets and the strict down- and up-sets precomputed.  Members must
-    include their children.  Immutable once built."""
+    include their children.  Immutable once built.
+
+    covered[j] is the transitive reduction of below[j]: the k < j with no
+    member strictly between k and j.  It is read off j's children.  Every
+    child c of j lies below j, and every l < j has l <= c for some child
+    c; since k < l <= c gives k < c, the k with a member strictly between
+    them and j are exactly those below some child.  So covered[j] is
+    lt_bits[j] without the lt_bits of j's children."""
 
     def __init__(self, sig: SizeSig, height_bound: int, members: Optional[Sequence[SizeVal]] = None):
         if height_bound < 1:
@@ -221,17 +230,26 @@ class SizeUniverse:
             children_of[mask] = children_of.get(mask, 0) | 1 << p
         self._lt_bits = [0] * len(self.members)
         self._le_bits = [0] * len(self.members)
+        covered_bits = [0] * len(self.members)
         for p in sorted(range(len(self.members)), key=lambda p: height(self.members[p])):
-            strict = 0
+            strict = between = 0
             for c in self.members[p].children:
                 strict |= self._le_bits[self._position[c]]
+                between |= self._lt_bits[self._position[c]]
             self._lt_bits[p] = strict
+            covered_bits[p] = strict & ~between
             for mask, qs in children_of.items():
                 if not mask & ~strict:
                     self._le_bits[p] |= qs
 
+        # members with equal bits share one tuple: the 677 members of height
+        # <= 5 have only 5 distinct down-sets and 5 distinct covering sets
+        segments = {bits: self._members_at(bits) for bits in {*self._lt_bits, *covered_bits}}
         self.below: dict[SizeVal, tuple[SizeVal, ...]] = {
-            m: self._members_at(self._lt_bits[p]) for p, m in enumerate(self.members)
+            m: segments[self._lt_bits[p]] for p, m in enumerate(self.members)
+        }
+        self.covered: dict[SizeVal, tuple[SizeVal, ...]] = {
+            m: segments[covered_bits[p]] for p, m in enumerate(self.members)
         }
         above: dict[SizeVal, list[SizeVal]] = {m: [] for m in self.members}
         for k, lower in self.below.items():

@@ -315,6 +315,12 @@ def test_unknown_carrier_flag_exits_2(capsys):
     assert "no SET parameter" in err
 
 
+def test_repeated_carrier_element_exits_2(capsys):
+    code, out, err = outcome(capsys, "construct", BAG, "--X", "a,a")
+    assert code == 2 and out == ""
+    assert "--X lists 'a' twice" in err
+
+
 def test_missing_carrier_is_reported(capsys):
     code, _, err = run(capsys, "enum", BAG)
     assert code == 1

@@ -380,6 +380,65 @@ def test_generated_stages_equal_naive_diamond(case, height, depth):
     assert_stages_match_naive(appx)
 
 
+# --- collapse clauses along covering pairs give the full-fire stages ---
+
+
+def assert_covering_fire_suffices(appx) -> int:
+    """Rebuild every shared stage and every member's literal stage twice
+    over the same slices, once with the full strict fire set and once
+    with the covering pairs only, and demand the same classes and
+    slice_classes.  Returns the number of stages rebuilt."""
+    u = appx.universe
+
+    def both(slices, slice_of, i, sid):
+        full = {(slice_of(k), slice_of(j)) for j in u.below[i] for k in u.below[j]}
+        covering = {(slice_of(k), slice_of(j)) for j in u.below[i] for k in u.covered[j]}
+        a, b = (
+            diamond(appx.sig, appx.sys, appx.depth, slices, fire, sid, keys=appx.keys)
+            for fire in (full, covering)
+        )
+        assert a.classes == b.classes
+        assert a.slice_classes == b.slice_classes
+        return b
+
+    shared: set[int] = set()
+    literal = {}
+    for i in u.members:
+        sid = appx.stage_of[i]
+        if sid not in shared:
+            shared.add(sid)
+            slices = [appx.stages[s] for s in appx.stages[sid].slices]
+            both(slices, appx.stage_of.__getitem__, i, sid)
+        pos = u.position(i)
+        literal[pos] = both([literal[u.position(j)] for j in u.below[i]], u.position, i, pos)
+    return len(shared) + len(literal)
+
+
+# below height 4 every fire set is the same under both rules
+@given(equations(), st.sampled_from([(h, d) for h in (1, 2, 3) for d in (2, 3)] + [(4, 2)]))
+def test_covering_fire_equals_full_fire_on_generated_stages(case, height_depth):
+    sig, eq = case
+    height, depth = height_depth
+    appx = build_fixed_point(sig, SystemOfEquations((eq,)), SizeUniverse(MIN, height), depth)
+    assert assert_covering_fire_suffices(appx) >= len(appx.stages)
+
+
+def test_covering_fire_equals_full_fire_on_bag_h4():
+    _, _, u, appx = bag_fixture(depth=3, height=4)
+    assert assert_covering_fire_suffices(appx) == len(appx.stages) + len(u.members)
+
+
+def test_diamond_names_both_slices_when_a_lift_leaves_the_view():
+    # a class claiming a deeper flattening drops the lift of a node
+    sig, sys, u, appx = bag_fixture()
+    s0 = appx.stage_at(u.sig.zero())
+    stage = appx.stage_at(u.sig.suc(u.sig.zero()))
+    deeper = tuple(dataclasses.replace(c, fd=c.fd + 1) if c.fd < 3 else c for c in stage.classes)
+    bad = dataclasses.replace(stage, classes=deeper)
+    with pytest.raises(QitError, match=f"slice {s0.sid} .* slice {bad.sid}"):
+        diamond(sig, sys, 3, [s0, bad], {(s0.sid, bad.sid)}, sid=99, keys=appx.keys)
+
+
 # --- the restriction certificate stays live; slice views are shared ---
 
 

@@ -87,6 +87,36 @@ def test_below_segments_frozen():
     assert u.below[two] == (zero, one)
 
 
+def brute_covered(u):
+    """below[j] without every k that lies below some other l in below[j]."""
+    below = {j: set(u.below[j]) for j in u.members}
+    return {
+        j: tuple(k for k in u.below[j] if not any(k in below[l] for l in u.below[j]))
+        for j in u.members
+    }
+
+
+MID = MIN.join(ZERO, ONE)
+TWO = MIN.suc(ONE)
+
+
+UNIVERSES = {
+    **{f"h{h}": (lambda h=h: SizeUniverse(MIN, h)) for h in range(1, 6)},
+    "chain": lambda: SizeUniverse.chain(MIN, 5),
+    # MID and TWO are <= each other, so both cover ONE and both are
+    # covered by the sizes above them
+    "members": lambda: SizeUniverse(
+        MIN, 4, members=[ZERO, ONE, MID, TWO, MIN.join(MID, TWO), MIN.join(ZERO, TWO), MIN.suc(MID)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(UNIVERSES))
+def test_covered_is_the_transitive_reduction_of_below(name):
+    u = UNIVERSES[name]()
+    assert u.covered == brute_covered(u)
+
+
 @pytest.mark.parametrize("bound", [3, 4])
 def test_plump_laws_exhaustive(bound):
     u = SizeUniverse(MIN, bound)
