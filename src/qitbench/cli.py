@@ -128,21 +128,46 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _carrier_flags(extra: Sequence[str], parser: argparse.ArgumentParser) -> dict[str, tuple[str, ...]]:
-    out: dict[str, tuple[str, ...]] = {}
-    i = 0
-    while i < len(extra):
-        tok = extra[i]
-        if not tok.startswith("--"):
-            parser.error(f"unexpected argument {tok!r}")
-        name, sep, val = tok[2:].partition("=")
-        if not sep:
-            if i + 1 >= len(extra):
-                parser.error(f"--{name} expects a comma-separated carrier")
-            val = extra[i + 1]
-            i += 2
+def _split_carriers(
+    argv: Sequence[str], parser: argparse.ArgumentParser
+) -> tuple[list[str], list[tuple[str, Optional[str]]]]:
+    """argv without its carrier flags, and each as (name, value or None).
+    argparse does not know that they take a value, which would take a
+    positional's place.  After the command, a --name that is none of its
+    options is a carrier flag; the value follows '=' or is the next
+    argument, unless that is an option."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    at = next((n for n, tok in enumerate(argv) if tok in sub.choices), len(argv))
+    rest, tail, flags = list(argv[: at + 1]), list(argv[at + 1 :]), []
+    options = [o for a in sub.choices[argv[at]]._actions for o in a.option_strings] if tail else []
+
+    def known(tok: str) -> bool:
+        # as argparse reads it: a long option may be abbreviated, and a
+        # short one may hold its value
+        if tok.startswith("--"):
+            return any(o.startswith(tok.partition("=")[0]) for o in options)
+        return tok[:2] in options
+
+    while tail:
+        tok = tail.pop(0)
+        if not tok.startswith("--") or known(tok):
+            rest.append(tok)
+        elif "=" in tok:
+            flags.append(tuple(tok[2:].split("=", 1)))
         else:
-            i += 1
+            flags.append((tok[2:], tail.pop(0) if tail and not known(tail[0]) else None))
+    return rest, flags
+
+
+def _carrier_flags(
+    flags: Sequence[tuple[str, Optional[str]]], extra: Sequence[str], parser: argparse.ArgumentParser
+) -> dict[str, tuple[str, ...]]:
+    if extra:
+        parser.error(f"unexpected argument {extra[0]!r}")
+    out: dict[str, tuple[str, ...]] = {}
+    for name, val in flags:
+        if val is None:
+            parser.error(f"--{name} expects a comma-separated carrier")
         if not name.isidentifier():
             parser.error(f"bad carrier flag --{name}")
         values = tuple(v for v in val.split(",") if v)
@@ -156,33 +181,18 @@ def _carrier_flags(extra: Sequence[str], parser: argparse.ArgumentParser) -> dic
 
 
 def _config(args: argparse.Namespace, carriers: dict, parser: argparse.ArgumentParser) -> RunConfig:
-    depth = getattr(args, "depth", 3)
-    size_height = getattr(args, "size_height", 3)
-    samples = getattr(args, "samples", 5)
-    if depth < 0:
-        parser.error("depth must be >= 0")
-    if size_height < 1:
-        parser.error("size height must be >= 1")
-    if samples < 1:
-        parser.error("samples must be >= 1")
+    # every parsed option is the RunConfig field of its name; a command
+    # without it gets the field's default
+    given = {k: v for k, v in vars(args).items() if k not in ("lhs", "rhs")}
+    terms = (args.lhs, args.rhs) if args.command == "eq" else None
+    cfg = RunConfig(**given, carriers=carriers, terms=terms)
+    for what, value, least in [("depth", cfg.depth, 0), ("size height", cfg.size_height, 1),
+                               ("samples", cfg.samples, 1), ("prefix", cfg.prefix, 0)]:
+        if value is not None and value < least:
+            parser.error(f"{what} must be >= {least}")
     if carriers and args.command == "examples":
         parser.error("examples takes no carrier flags")
-    terms = (args.lhs, args.rhs) if args.command == "eq" else None
-    return RunConfig(
-        command=args.command,
-        path=getattr(args, "path", None),
-        depth=depth,
-        size_height=size_height,
-        samples=samples,
-        carriers=carriers,
-        fmt=args.fmt,
-        prefix=getattr(args, "prefix", None),
-        terms=terms,
-        algebra=getattr(args, "algebra", None),
-        steps=getattr(args, "steps", None),
-        compare_oracle=getattr(args, "compare_oracle", False),
-        example=getattr(args, "example", None),
-    )
+    return cfg
 
 
 # --- shared loading ---
@@ -521,8 +531,9 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
-    args, extra = parser.parse_known_args(argv)
-    carriers = _carrier_flags(extra, parser)
+    rest, flags = _split_carriers(sys.argv[1:] if argv is None else list(argv), parser)
+    args, extra = parser.parse_known_args(rest)
+    carriers = _carrier_flags(flags, extra, parser)
     cfg = _config(args, carriers, parser)
     try:
         status = run(cfg)

@@ -12,17 +12,19 @@ strict down-segments provably share a stage, so stages are memoized on
 the down-segment; the restriction check recomputes the literal
 per-member reading independently and compares.
 
-Terms are integer ids from enumeration to colimit.  A stage read as a
-slice is read through its slice view (SliceView), built once: a
-TermTable over its class tokens, whose ids are the local ids, with the
-equation instances and flat order keys by local id.  diamond lays the
-views side by side at integer offsets, a stage stores the class of each
-local id per slice, and the interface reads only those arrays.  The
-collapse clauses of a slice into a higher stage are local id arrays
-built once per pair and kept on the higher stage (Stage.collapse).  Trees
-are built to print, to export and to hold each class's flat; the
-(slice, term) mapping class_of_pair is kept for readers outside the
-package.  The flat order keys are shared through one table per build.
+Terms are integer ids from enumeration to colimit.  Each build holds
+one closed TermTable: every closed term within the depth bound, its ids
+in term_key order (see build_fixed_point).  A stage read as a slice is
+read through its slice view (SliceView), built once: a TermTable over
+its class tokens, whose ids are the local ids, with the equation
+instances and, per local id, the closed id of its flattening.  diamond
+lays the views side by side at integer offsets and ranks classes by
+closed id, a stage stores the class of each local id per slice, and the
+interface reads only those arrays.  The collapse clauses of a slice
+into a higher stage are local id arrays built once per pair and kept on
+the higher stage (Stage.collapse).  Trees are read off the closed table
+to print, to export and to hold each class's flat; the (slice, term)
+mapping class_of_pair is kept for readers outside the package.
 
 The colimit of the stages carries the constructor map (children pushed
 to a common stage, wrapped in a node, read off at the successor stage)
@@ -55,11 +57,9 @@ from .quotient import CongruenceQuotient, congruence_roots, root_groups
 from .sexpr import show_term
 from .sizes import SizeUniverse, SizeVal, show_size, wf_rec
 from .terms import (
-    Node,
     OpSym,
     Signature,
     SystemOfEquations,
-    Tab,
     Term,
     TermTable,
     validate_system,
@@ -71,8 +71,8 @@ class StageClass:
     flat: Term
     sort: Optional[str]
     fd: int
-    # term_key of flat, the key the class ranks by
-    key: tuple = field(repr=False)
+    # flat's id in the build's closed table, which the class ranks by
+    flat_id: int = field(repr=False)
 
 
 # The two records below are NamedTuples: a class of either kind is built
@@ -81,12 +81,13 @@ class StageClass:
 
 class _Build(NamedTuple):
     """What the stages of one build share: the declaration, the depth
-    bound, and the table that makes equal flat order keys one tuple."""
+    bound, and the closed table of every closed term within the bound,
+    whose ids run in term_key order (see build_fixed_point)."""
 
     sig: Signature
     sys: SystemOfEquations
     depth: int
-    keys: dict[tuple, tuple]
+    closed: TermTable
 
 
 class SliceView(NamedTuple):
@@ -101,8 +102,8 @@ class SliceView(NamedTuple):
     # per equation, in the system's order: its instances within the
     # bound as local id pairs, and how many overflow the bound
     instances: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
-    # local id -> term_key of the term with every token flattened
-    keys: tuple[tuple, ...]
+    # local id -> closed id of the term with every token flattened
+    flats: tuple[int, ...]
 
     @property
     def terms(self) -> list[Term]:
@@ -169,19 +170,22 @@ class Stage:
 
 def _slice_view(st: Stage) -> SliceView:
     """Enumerate the terms over st's class tokens once and index them."""
-    sig, sys, bound, shared_keys = st.build
+    sig, sys, bound, closed = st.build
     leaves = [(f"~{st.sid}.{c}", cls.sort, cls.fd) for c, cls in enumerate(st.classes)]
     table = TermTable(sig, leaves)
     table.upto(bound)
-    keys: list[tuple] = []
-    for node in table.nodes:
-        if isinstance(node, int):
-            key = st.classes[node].key
-        else:
-            op, kids = node
-            depth = 1 + max((keys[k][0] for k in kids), default=0)
-            key = (depth, 1, op, tuple(keys[k] for k in kids))
-        keys.append(shared_keys.setdefault(key, key))
+    flats: list[int] = []
+    try:
+        for node in table.nodes:
+            if isinstance(node, int):
+                flats.append(st.classes[node].flat_id)
+            else:
+                flats.append(closed.lookup[(node[0], tuple(map(flats.__getitem__, node[1])))])
+    except KeyError:
+        term = show_term(table.terms[len(flats)])
+        raise QitError(
+            f"stage {st.sid} views {term}, whose flattening is deeper than {bound}"
+        ) from None
     tokens = tuple(table.lookup[c] for c in range(len(st.classes)))
     instances = []
     for shape in sys.instance_shapes:
@@ -199,25 +203,10 @@ def _slice_view(st: Stage) -> SliceView:
                 raise QitError(f"an instance of {shape.eq.name} escaped the slice view")
             pairs.append((lhs, rhs))
         instances.append((tuple(pairs), overflow))
-    return SliceView(table, tokens, tuple(instances), tuple(keys))
+    return SliceView(table, tokens, tuple(instances), tuple(flats))
 
 
-def _flat_of_key(sig: Signature, key: tuple) -> Term:
-    """The closed term whose term_key is key."""
-    _, _, op, kids = key
-    return Node(sig.ops[op].op, Tab(tuple(_flat_of_key(sig, k) for k in kids)))
-
-
-def diamond(
-    sig: Signature,
-    sys: SystemOfEquations,
-    depth_bound: int,
-    slices: Sequence[Stage],
-    fire: set[tuple[int, int]],
-    sid: int,
-    *,
-    keys: dict[tuple, tuple],
-) -> Stage:
+def diamond(build: _Build, slices: Sequence[Stage], fire: set[tuple[int, int]], sid: int) -> Stage:
     """One quotient stage over the given slice stages.  fire lists the
     (lower, higher) slice pairs whose collapse clauses are emitted.
 
@@ -234,13 +223,14 @@ def diamond(
     follows in the same way, child by child.  So the least congruence
     does not change.  For shared stages a slice stands for every member
     with its down-segment; the argument carries over because same stage
-    <=> same down-segment, which is the memo key.
+    <=> same down-segment, which is the memo key.  The slices must come
+    from build.
 
     Equation instances are drawn per slice under the budget rule of
     InstanceShape.envs, a token weighing its class's fd: an instance is
     made exactly when both sides fit the bound with variables at depth 1
     and every variable v, at deepest position p_v (root = 1), gets a
-    class with fd <= depth_bound + 1 - p_v.  Overflowing instances are
+    class with fd <= build.depth + 1 - p_v.  Overflowing instances are
     never built.  The stage is the least congruence on the pool that
     contains these clauses (congruence_roots).
 
@@ -248,23 +238,20 @@ def diamond(
     base[s], so a pair (s, t) is the id base[s] + t's local id.  The
     collapse clauses of a fire pair (low, high) are high.collapse(low),
     local id arrays built on the pair's first use; each later diamond
-    only adds the two offsets.  A class ranks by its least flat
-    order key, then its first id, and only its least member is
-    flattened.  keys is the build's table of shared order keys; the
-    slices must come from the same declaration and depth bound."""
-    for decl in sig.ops:
-        if not decl.arity.finite:
-            raise InfinitaryArity(f"cannot materialize stages under {decl.op.show()}")
-
+    only adds the two offsets.  Each pool id carries the closed id of its
+    flattening (SliceView.flats), and closed ids run in term_key order,
+    so a class ranks by its least closed id, then its first pool id; its
+    flat, sort and fd are read off the closed table at that id."""
+    closed = build.closed
     ordered = sorted(slices, key=lambda s: s.sid)
     by_sid = {st.sid: st for st in ordered}
     base: dict[int, int] = {}
-    pool_keys: list[tuple] = []
+    pool_flats: list[int] = []
     nodes: dict[int, tuple[int, tuple[int, ...]]] = {}
     for st in ordered:
         view = st.view
-        b = base[st.sid] = len(pool_keys)
-        pool_keys.extend(view.keys)
+        b = base[st.sid] = len(pool_flats)
+        pool_flats.extend(view.flats)
         for n, node in enumerate(view.table.nodes):
             if not isinstance(node, int) and node[1]:
                 nodes[b + n] = (node[0], tuple(map(b.__add__, node[1])))
@@ -283,18 +270,18 @@ def diamond(
         his, los = by_sid[high].collapse(low)
         seeds.append(zip(map(base[high].__add__, his), map(base[low].__add__, los)))
 
-    groups = root_groups(congruence_roots(len(pool_keys), nodes, chain.from_iterable(seeds)))
+    groups = root_groups(congruence_roots(len(pool_flats), nodes, chain.from_iterable(seeds)))
     ranked = sorted(
-        ((min(map(pool_keys.__getitem__, members)), members) for members in groups),
+        ((min(map(pool_flats.__getitem__, members)), members) for members in groups),
         key=lambda row: (row[0], row[1][0]),
     )
 
     classes = []
-    class_of = [0] * len(pool_keys)
-    for cid, (key, members) in enumerate(ranked):
-        classes.append(
-            StageClass(flat=_flat_of_key(sig, key), sort=sig.ops[key[2]].sort, fd=key[0], key=key)
-        )
+    class_of = [0] * len(pool_flats)
+    terms, ops = closed.terms, build.sig.ops
+    for cid, (flat, members) in enumerate(ranked):
+        sort = ops[closed.nodes[flat][0]].sort
+        classes.append(StageClass(terms[flat], sort, closed.depths[flat], flat))
         for n in members:
             class_of[n] = cid
 
@@ -304,9 +291,9 @@ def diamond(
         classes=tuple(classes),
         slice_views={s: st.view for s, st in by_sid.items()},
         slice_classes={
-            s: tuple(class_of[base[s] : base[s] + len(st.view.keys)]) for s, st in by_sid.items()
+            s: tuple(class_of[base[s] : base[s] + len(st.view.flats)]) for s, st in by_sid.items()
         },
-        build=_Build(sig, sys, depth_bound, keys),
+        build=build,
     )
 
 
@@ -318,8 +305,7 @@ class Approximation:
     depth: int
     stages: tuple[Stage, ...]
     stage_of: Mapping[SizeVal, int]
-    # the build's table of shared flat order keys (see diamond)
-    keys: dict[tuple, tuple] = field(repr=False)
+    build: _Build = field(repr=False)
 
     def stage_at(self, i: SizeVal) -> Stage:
         return self.stages[self.stage_of[i]]
@@ -391,15 +377,7 @@ class Approximation:
             below = [u.position(j) for j in u.below[i]]
             # k < j < i puts k below i; covering pairs suffice (see diamond)
             fire = {(k, j) for j in below for k in covering[j]}
-            lit = diamond(
-                self.sig,
-                self.sys,
-                self.depth,
-                [literal[j] for j in below],
-                fire,
-                sid=pos,
-                keys=self.keys,
-            )
+            lit = diamond(self.build, [literal[j] for j in below], fire, sid=pos)
             literal[pos] = lit
             sid = stage_of[pos]
             shared = self.stages[sid]
@@ -474,7 +452,7 @@ def _translate(src: SliceView, dst: SliceView, rename: Sequence[int]) -> list[in
     """The local id in dst of each term of src with its tokens renamed
     through the class map rename; -1 for a term dst does not hold.
     Children come before their parents, so one pass suffices."""
-    out = [-1] * len(src.keys)
+    out = [-1] * len(src.flats)
     for c, n in enumerate(src.tokens):
         out[n] = dst.tokens[rename[c]]
     for n, node in enumerate(src.table.nodes):
@@ -494,11 +472,19 @@ def _member_at(u: SizeUniverse, stage_of, sid: int) -> SizeVal:
 def build_fixed_point(
     sig: Signature, sys: SystemOfEquations, u: SizeUniverse, depth_bound: int
 ) -> Approximation:
+    """The stages of every member of u, certified.  The build's closed
+    table gets its first listing with want None, so its ids are handed
+    out by depth, then by operator position, then children
+    lexicographically by id: by induction on depth, term_key order."""
     validate_system(sig, sys)
+    for decl in sig.ops:
+        if not decl.arity.finite:
+            raise InfinitaryArity(f"cannot materialize stages under {decl.op.show()}")
+    build = _Build(sig, sys, depth_bound, TermTable(sig))
+    build.closed.upto(depth_bound)
     stages: list[Stage] = []
     by_key: dict[frozenset[int], int] = {}
     stage_of: dict[SizeVal, int] = {}
-    keys: dict[tuple, tuple] = {}
 
     def step(i: SizeVal, below_vals: Mapping[SizeVal, object]) -> int:
         key = frozenset(u.position(j) for j in u.below[i])
@@ -508,11 +494,7 @@ def build_fixed_point(
             # k < j < i puts k below i; covering pairs suffice (see diamond)
             fire = {(stage_of[k], stage_of[j]) for j in u.below[i] for k in u.covered[j]}
             sid = len(stages)
-            stages.append(
-                diamond(
-                    sig, sys, depth_bound, [stages[s] for s in slice_sids], fire, sid=sid, keys=keys
-                )
-            )
+            stages.append(diamond(build, [stages[s] for s in slice_sids], fire, sid=sid))
             by_key[key] = sid
         stage_of[i] = sid
         return sid
@@ -525,7 +507,7 @@ def build_fixed_point(
         depth=depth_bound,
         stages=tuple(stages),
         stage_of=dict(stage_of),
-        keys=keys,
+        build=build,
     )
     appx.check_fixed_diag()
     appx.check_restriction()
@@ -588,7 +570,7 @@ class QwInterface:
     def class_flat(self, cid: int) -> Term:
         appx = self.appx
         classes = [appx.stage_at(m).classes[c] for m, c in self.colimit.classes[cid]]
-        return min(classes, key=lambda cls: cls.key).flat
+        return min(classes, key=lambda cls: cls.flat_id).flat
 
     def _push(self, i: SizeVal, cid: int) -> Optional[int]:
         appx = self.appx
@@ -782,7 +764,7 @@ class QwInterface:
             src = appx.stages[si].view
             uppers = u.above[j]
             if not uppers:
-                skipped += len(src.keys)
+                skipped += len(src.flats)
                 continue
             rename = [appx.delta(i, j, c) for c in range(len(appx.stages[si].classes))]
             tops = [appx.stage_at(k).slice_classes for k in uppers]

@@ -309,6 +309,26 @@ def test_bad_samples_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_negative_prefix_exits_2(capsys):
+    code, out, err = outcome(capsys, "enum", COMMVEC, "--X", "a", "--prefix", "-1")
+    assert code == 2 and out == ""
+    assert "prefix must be >= 0" in err
+
+
+@pytest.mark.parametrize("positionals", [
+    ("enum", BAG),
+    ("eq", BAG, "(op cons a (op cons b (op nil)))", "(op cons b (op cons a (op nil)))"),
+    ("eq", BAG, "(op cons a (op nil))", "(op nil)"),
+    ("construct", BAG, "-d", "2"),
+], ids=["enum", "eq-equal", "eq-distinct", "construct"])
+def test_carrier_flag_may_come_before_the_positionals(positionals, capsys):
+    command, *rest = positionals
+    after = outcome(capsys, command, *rest, "--X", "a,b")
+    assert after[0] in (0, 1) and after[1]
+    assert outcome(capsys, command, "--X", "a,b", *rest)[:2] == after[:2]
+    assert outcome(capsys, command, "--X=a,b", *rest)[:2] == after[:2]
+
+
 def test_unknown_carrier_flag_exits_2(capsys):
     code, _, err = run(capsys, "eq", BAG, "(op nil)", "(op nil)", "--Y", "a,b")
     assert code == 2

@@ -115,9 +115,9 @@ def test_stage_sharing_by_down_segment():
 
 
 def test_diamond_rebuilds_the_successor_stage():
-    sig, sys, u, appx = bag_fixture()
+    _, _, u, appx = bag_fixture()
     s0 = appx.stage_at(u.sig.zero())
-    again = diamond(sig, sys, 3, [s0], set(), sid=99, keys=appx.keys)
+    again = diamond(appx.build, [s0], set(), sid=99)
     want = appx.stage_at(u.sig.suc(u.sig.zero()))
     assert [c.flat for c in again.classes] == [c.flat for c in want.classes]
 
@@ -394,7 +394,7 @@ def assert_covering_fire_suffices(appx) -> int:
         full = {(slice_of(k), slice_of(j)) for j in u.below[i] for k in u.below[j]}
         covering = {(slice_of(k), slice_of(j)) for j in u.below[i] for k in u.covered[j]}
         a, b = (
-            diamond(appx.sig, appx.sys, appx.depth, slices, fire, sid, keys=appx.keys)
+            diamond(appx.build, slices, fire, sid)
             for fire in (full, covering)
         )
         assert a.classes == b.classes
@@ -430,13 +430,13 @@ def test_covering_fire_equals_full_fire_on_bag_h4():
 
 def test_diamond_names_both_slices_when_a_lift_leaves_the_view():
     # a class claiming a deeper flattening drops the lift of a node
-    sig, sys, u, appx = bag_fixture()
+    _, _, u, appx = bag_fixture()
     s0 = appx.stage_at(u.sig.zero())
     stage = appx.stage_at(u.sig.suc(u.sig.zero()))
     deeper = tuple(dataclasses.replace(c, fd=c.fd + 1) if c.fd < 3 else c for c in stage.classes)
     bad = dataclasses.replace(stage, classes=deeper)
     with pytest.raises(QitError, match=f"slice {s0.sid} .* slice {bad.sid}"):
-        diamond(sig, sys, 3, [s0, bad], {(s0.sid, bad.sid)}, sid=99, keys=appx.keys)
+        diamond(appx.build, [s0, bad], {(s0.sid, bad.sid)}, sid=99)
 
 
 # --- the restriction certificate stays live; slice views are shared ---
@@ -481,6 +481,20 @@ def test_restriction_catches_a_term_missing_from_the_shared_view():
         appx.check_restriction()
 
 
+def test_a_view_term_outside_the_closed_table_names_its_stage():
+    # a class claiming a shallower flattening lets the view hold a term
+    # whose flattening is deeper than the bound
+    _, _, u, appx = bag_fixture()
+    sid = appx.stage_of[u.sig.suc(u.sig.zero())]
+    stage = appx.stages[sid]
+    last = stage.classes[-1]
+    shallower = stage.classes[:-1] + (dataclasses.replace(last, fd=last.fd - 1),)
+    bad = dataclasses.replace(stage, classes=shallower)
+    appx.stages = appx.stages[:sid] + (bad,) + appx.stages[sid + 1 :]
+    with pytest.raises(QitError, match=f"stage {sid} views .*, whose flattening is deeper than 3"):
+        appx.check_restriction()
+
+
 def test_each_slice_stage_is_enumerated_once(monkeypatch):
     calls = []
     table = construction.TermTable
@@ -495,7 +509,10 @@ def test_each_slice_stage_is_enumerated_once(monkeypatch):
     appx = build_fixed_point(sig, sys, u, 3)
     shared = {s for stage in appx.stages for s in stage.slices}
     literal = {u.position(j) for i in u.members for j in u.below[i]}
-    assert 0 < len(calls) <= len(shared) + len(literal)
+    # one leafless table per build: the closed table the classes rank by
+    closed = [args for args in calls if len(args) == 1]
+    assert len(closed) == 1
+    assert 0 < len(calls) - len(closed) <= len(shared) + len(literal)
 
 
 # --- the interface reads id arrays, never (slice, term) pairs ---

@@ -1,8 +1,10 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module,
+and no module has an assert statement.
 
 No linter ships with the project, so this parses src/qitbench with ast.
 __future__ imports and the package __init__ modules, whose imports are
-re-exports, are left out.
+re-exports, are left out of the import check.  Invariants raise QitError
+subclasses: an assert vanishes under python -O and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qitbench"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +41,17 @@ def test_no_unused_imports(path):
 def test_the_scan_sees_an_unused_import():
     source = "from typing import Mapping, Optional\nimport os.path\nx: Optional[int] = os.sep\n"
     assert unused_imports(source) == ["line 1: Mapping"]
+
+
+def assert_lines(source: str) -> list[int]:
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_assert_statements(path):
+    assert assert_lines(path.read_text()) == []
+
+
+def test_the_scan_sees_an_assert():
+    source = "def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return 'assert'\n"
+    assert assert_lines(source) == [3]

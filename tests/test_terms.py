@@ -234,6 +234,24 @@ def test_sorted_table_order_equals_naive_enumeration(sig, bound, want, data):
     assert_table_matches_naive(sig, leaves, bound, want)
 
 
+def assert_closed_ids_in_term_key_order(sig, bound):
+    table = TermTable(sig)
+    table.upto(bound)
+    keys = [term_key(sig, t) for t in table.terms]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+# the stages rank their classes by closed id on this order
+@given(equations(), st.integers(0, 3))
+def test_closed_table_ids_follow_term_key(case, bound):
+    assert_closed_ids_in_term_key_order(case[0], bound)
+
+
+@given(sorted_signatures(), st.integers(0, 3))
+def test_sorted_closed_table_ids_follow_term_key(sig, bound):
+    assert_closed_ids_in_term_key_order(sig, bound)
+
+
 def test_table_finds_instances_through_its_lookup():
     table = TermTable(SIG, [("zs", None, 1)])
     table.upto(3)
