@@ -8,9 +8,11 @@ congruence through term structure.  Collapse clauses are emitted only
 along covering pairs k < j (SizeUniverse.covered, nothing strictly
 between): those of any other k < j follow through a chain of covering
 pairs, so the stage is the same (see diamond).  Members with identical
-strict down-segments provably share a stage, so stages are memoized on
-the down-segment; the restriction check recomputes the literal
-per-member reading independently and compares.
+strict down-segments provably share a stage, so the build walks the
+members once, below-first, and makes one stage per distinct
+down-segment; the restriction check recomputes the literal per-member
+reading independently and compares it through one label array per
+member.
 
 Terms are integer ids from enumeration to colimit.  Each build holds
 one closed TermTable: every closed term within the depth bound, its ids
@@ -28,7 +30,7 @@ mapping class_of_pair is kept for readers outside the package.
 
 The colimit of the stages carries the constructor map (children pushed
 to a common stage, wrapped in a node, read off at the successor stage)
-and the recursor (stage tables computed by well-founded recursion).
+and the recursor (stage tables filled in sid order, slices first).
 compareWithOracle certifies the whole construction against the
 congruence-closure quotient on the shared depth-d fragment.
 """
@@ -55,7 +57,7 @@ from .errors import (
 )
 from .quotient import CongruenceQuotient, congruence_roots, root_groups
 from .sexpr import show_term
-from .sizes import SizeUniverse, SizeVal, show_size, wf_rec
+from .sizes import SizeUniverse, SizeVal, show_size
 from .terms import (
     OpSym,
     Signature,
@@ -357,15 +359,19 @@ class Approximation:
         each fires the covering pairs below the member only (see diamond
         for why that leaves the partition as the full fire set makes it).
 
-        Partitions are compared as sets of (shared slice, local id): a
-        literal slice's local ids are translated once into its shared
+        A literal slice's local ids are translated once into its shared
         stage's view, renaming its tokens through the class bijection
-        found when that slice itself was checked."""
+        found when that slice itself was checked; the translation must
+        hold no -1 and cover the shared view, and the shared stage's
+        slices must be the literal slices' stages.  Each member's label
+        array maps literal class -> shared class through the translated
+        ids: the labels must be well defined and the map a bijection.
+        Together these make each literal class, translated, exactly one
+        shared class."""
         u = self.universe
         literal: dict[int, Stage] = {}
         bij: dict[int, list[int]] = {}
         into: dict[int, list[int]] = {}
-        partitions: dict[int, dict[frozenset, int]] = {}
         checked = 0
         # by member position: the shared stage, and the covering pairs below
         # a member that has a member above it
@@ -379,26 +385,28 @@ class Approximation:
             fire = {(k, j) for j in below for k in covering[j]}
             lit = diamond(self.build, [literal[j] for j in below], fire, sid=pos)
             literal[pos] = lit
-            sid = stage_of[pos]
-            shared = self.stages[sid]
-            if len(lit) != len(shared):
-                raise QitError(f"restriction mismatch at {show_size(i)}: class counts differ")
-            if sid not in partitions:
-                partitions[sid] = _partition(shared)
-            groups: list[set[tuple[int, int]]] = [set() for _ in lit.classes]
+            shared = self.stages[stage_of[pos]]
+            if shared.slices != tuple(sorted({stage_of[pj] for pj in below})):
+                raise QitError(f"restriction mismatch at {show_size(i)}: slices differ")
+            # (literal class, shared class) of every translated local id
+            pairs: set[tuple[int, int]] = set()
             for pj in below:
                 sj = stage_of[pj]
                 if pj not in into:
-                    into[pj] = _translate(literal[pj].view, self.stages[sj].view, bij[pj])
-                for n, c in zip(into[pj], lit.slice_classes[pj]):
-                    groups[c].add((sj, n))
-            matched: list[int] = []
-            for grp in groups:
-                n = partitions[sid].get(frozenset(grp))
-                if n is None:
+                    view = self.stages[sj].view
+                    into[pj] = _translate(literal[pj].view, view, bij[pj])
+                    if -1 in into[pj] or len(set(into[pj])) != len(view.flats):
+                        raise QitError(f"restriction mismatch at {show_size(i)}: views differ")
+                shared_of = shared.slice_classes[sj]
+                pairs.update(zip(lit.slice_classes[pj], map(shared_of.__getitem__, into[pj])))
+            label = [-1] * len(lit)
+            for c, n in pairs:
+                if label[c] != -1:
                     raise QitError(f"restriction mismatch at {show_size(i)}: partitions differ")
-                matched.append(n)
-            bij[pos] = matched
+                label[c] = n
+            if sorted(label) != list(range(len(shared))):
+                raise QitError(f"restriction mismatch at {show_size(i)}: classes differ")
+            bij[pos] = label
             checked += len(shared.classes)
         return checked
 
@@ -439,15 +447,6 @@ class Approximation:
         return "\n".join(lines) + "\n"
 
 
-def _partition(st: Stage) -> dict[frozenset, int]:
-    """Each class of st as the set of its (slice, local id) pairs."""
-    groups: list[set[tuple[int, int]]] = [set() for _ in st.classes]
-    for s in st.slices:
-        for n, c in enumerate(st.slice_classes[s]):
-            groups[c].add((s, n))
-    return {frozenset(grp): c for c, grp in enumerate(groups)}
-
-
 def _translate(src: SliceView, dst: SliceView, rename: Sequence[int]) -> list[int]:
     """The local id in dst of each term of src with its tokens renamed
     through the class map rename; -1 for a term dst does not hold.
@@ -462,20 +461,15 @@ def _translate(src: SliceView, dst: SliceView, rename: Sequence[int]) -> list[in
     return out
 
 
-def _member_at(u: SizeUniverse, stage_of, sid: int) -> SizeVal:
-    for m in u.members:
-        if stage_of[m] == sid:
-            return m
-    raise QitError(f"no member realizes stage {sid}")
-
-
 def build_fixed_point(
     sig: Signature, sys: SystemOfEquations, u: SizeUniverse, depth_bound: int
 ) -> Approximation:
-    """The stages of every member of u, certified.  The build's closed
-    table gets its first listing with want None, so its ids are handed
-    out by depth, then by operator position, then children
-    lexicographically by id: by induction on depth, term_key order."""
+    """The stages of every member of u, certified: one stage per distinct
+    strict down-segment, built in one below-first pass over the members.
+    The build's closed table gets its first listing with want None, so
+    its ids are handed out by depth, then by operator position, then
+    children lexicographically by id: by induction on depth, term_key
+    order."""
     validate_system(sig, sys)
     for decl in sig.ops:
         if not decl.arity.finite:
@@ -483,30 +477,26 @@ def build_fixed_point(
     build = _Build(sig, sys, depth_bound, TermTable(sig))
     build.closed.upto(depth_bound)
     stages: list[Stage] = []
-    by_key: dict[frozenset[int], int] = {}
     stage_of: dict[SizeVal, int] = {}
-
-    def step(i: SizeVal, below_vals: Mapping[SizeVal, object]) -> int:
-        key = frozenset(u.position(j) for j in u.below[i])
-        sid = by_key.get(key)
+    by_segment: dict[tuple[SizeVal, ...], int] = {}
+    # members come below-first, so every member below i already has its stage
+    for i in u.members:
+        below = u.below[i]
+        sid = by_segment.get(below)
         if sid is None:
-            slice_sids = sorted({stage_of[j] for j in u.below[i]})
+            slice_sids = sorted({stage_of[j] for j in below})
             # k < j < i puts k below i; covering pairs suffice (see diamond)
-            fire = {(stage_of[k], stage_of[j]) for j in u.below[i] for k in u.covered[j]}
-            sid = len(stages)
+            fire = {(stage_of[k], stage_of[j]) for j in below for k in u.covered[j]}
+            sid = by_segment[below] = len(stages)
             stages.append(diamond(build, [stages[s] for s in slice_sids], fire, sid=sid))
-            by_key[key] = sid
         stage_of[i] = sid
-        return sid
-
-    wf_rec(u, step)
     appx = Approximation(
         sig=sig,
         sys=sys,
         universe=u,
         depth=depth_bound,
         stages=tuple(stages),
-        stage_of=dict(stage_of),
+        stage_of=stage_of,
         build=build,
     )
     appx.check_fixed_diag()
@@ -661,20 +651,15 @@ class QwInterface:
 
     def qwrec(self, alg: Algebra) -> ConstructionRec:
         appx = self.appx
-        u = appx.universe
         report = satisfies(alg, appx.sys, "exhaustive")
         if report.status != "SATISFIED":
             raise NotSatisfying(
                 f"algebra violates {report.witness_eq}" if report.witness_eq else "algebra violates the system"
             )
 
+        # each stage comes after its slices, so one pass in sid order
         tables: dict[int, dict[int, Value]] = {}
-
-        def step(i: SizeVal, below_vals):
-            sid = appx.stage_of[i]
-            if sid in tables:
-                return sid
-            st = appx.stages[sid]
+        for sid, st in enumerate(appx.stages):
             vals: dict[int, Value] = {}
             for s in st.slices:
                 # each term of the slice once, its children before it
@@ -693,9 +678,6 @@ class QwInterface:
                         )
                     vals[cls] = v
             tables[sid] = vals
-            return sid
-
-        wf_rec(u, step)
 
         coherence = 0
         for j, i in appx.stage_pairs():
@@ -721,8 +703,10 @@ class QwInterface:
         commutes with every materialized node application."""
         appx = self.appx
         failures: list[str] = []
+        # the first member with each stage
+        first = {appx.stage_of[m]: m for m in reversed(appx.universe.members)}
         for sid, st in enumerate(appx.stages):
-            m = _member_at(appx.universe, appx.stage_of, sid)
+            m = first[sid]
             for s in st.slices:
                 classes = st.slice_classes[s]
                 for n, node in enumerate(st.slice_views[s].table.nodes):

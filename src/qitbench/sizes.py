@@ -9,21 +9,24 @@ one binary operator).  The order is the mutual structural recursion
 which is transitive, has joins as strict upper bounds, and admits
 height as a ranking function; totality is deliberately not assumed.
 
-A SizeUniverse decides the order on its members with bitsets: member
-positions are bits of Python ints.  Visiting members in height order,
-lt_bits[p] is the OR of le_bits[c] over the children c of p, and
-le_bits[p] holds every q whose child mask lies inside lt_bits[p].  The
-strict down-sets (below) and up-sets (above) are read off those bits, so
-loops over ordered pairs or chains walk only the pairs that exist.  The
-covering pairs (covered: the members strictly below j with no member
-strictly between) come from the same bits.  The memoized PlumpOrder
-decides the order on sizes outside the universe, such as the successor
-of a top member or an upper bound of a family.
+Sizes are hash-consed, so equal trees are one object and a size hashes
+and compares by identity.  A SizeUniverse lists its members below-first
+(stably sorted by height) and decides the order on them with bitsets:
+member positions are bits of Python ints.  In one pass over the members,
+lt_bits[p] is the OR of the <=-sets of p's children, and q <= p iff q's
+child mask lies inside lt_bits[p].  The strict down-sets (below) and
+up-sets (above) are read off those bits, so loops over ordered pairs or
+chains walk only the pairs that exist.  The covering pairs (covered: the
+members strictly below j with no member strictly between) come from the
+same bits.  The memoized PlumpOrder decides the order on sizes outside
+the universe, such as the successor of a top member or an upper bound
+of a family.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -78,28 +81,25 @@ class SizeSig:
 
 
 class SizeVal:
-    """Immutable size tree with a precomputed hash (the order procedures
-    memoize on node pairs, so hashing must not re-walk the tree)."""
+    """Immutable size tree, hash-consed through a weak intern table:
+    equal trees are one object, so the order procedures and the diagrams,
+    which key on sizes, hash and compare them by identity."""
 
-    __slots__ = ("op", "children", "_hash")
+    __slots__ = ("op", "children", "__weakref__")
+    _interned: "weakref.WeakValueDictionary[tuple, SizeVal]" = weakref.WeakValueDictionary()
 
-    def __init__(self, op: str, children: tuple["SizeVal", ...] = ()):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "_hash", hash((op, children)))
+    def __new__(cls, op: str, children: tuple["SizeVal", ...] = ()):
+        key = (op, children)
+        node = cls._interned.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            object.__setattr__(node, "op", op)
+            object.__setattr__(node, "children", children)
+            cls._interned[key] = node
+        return node
 
     def __setattr__(self, *_):
         raise AttributeError("SizeVal is immutable")
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, SizeVal):
-            return NotImplemented
-        return self._hash == other._hash and self.op == other.op and self.children == other.children
 
     def __repr__(self):
         return show_size(self)
@@ -183,7 +183,11 @@ def size_signature_for(sig: Signature, sys: SystemOfEquations) -> SizeSig:
 class SizeUniverse:
     """All sizes of height <= h over a signature, with the order as
     bitsets and the strict down- and up-sets precomputed.  Members must
-    include their children.  Immutable once built.
+    include their children and be listed once; they are kept in height
+    order, stable, so everything below a member comes before it.  q <= p
+    iff every child of q is < p, so le reads child masks against lt_bits,
+    and <=-sets are built only for members that are someone's child.
+    Immutable once built.
 
     covered[j] is the transitive reduction of below[j]: the k < j with no
     member strictly between k and j.  It is read off j's children.  Every
@@ -216,31 +220,37 @@ class SizeUniverse:
                             level.append(SizeVal(name, combo))
                 exact.append(level)
             members = [m for lvl in exact for m in lvl]
-        self.members: tuple[SizeVal, ...] = tuple(members)
+        # below-first: whatever lies below a member has a smaller height
+        self.members: tuple[SizeVal, ...] = tuple(sorted(members, key=height))
         self._position = {m: p for p, m in enumerate(self.members)}
 
-        # bit q of _lt_bits[p] / _le_bits[p]: members[q] is < / <= members[p]
+        # bit q of _masks[p] / _lt_bits[p]: members[q] is a child of / < members[p]
+        self._masks: list[int] = []
+        self._lt_bits: list[int] = []
+        covered_bits: list[int] = []
         children_of: dict[int, int] = {}  # child mask -> members with those children
+        le_bits: dict[int, int] = {}  # child q -> members <= members[q]
         for p, m in enumerate(self.members):
-            mask = 0
+            if self._position[m] != p:
+                raise QitError(f"{show_size(m)} is listed twice as a universe member")
+            mask = strict = between = 0
             for c in m.children:
-                if c not in self._position:
+                q = self._position.get(c)
+                if q is None:
                     raise QitError(f"child {show_size(c)} of {show_size(m)} is not a universe member")
-                mask |= 1 << self._position[c]
+                if q not in le_bits:
+                    # a member <= c is no higher than c, so it is listed before m
+                    le_bits[q] = 0
+                    for kids, qs in children_of.items():
+                        if not kids & ~self._lt_bits[q]:
+                            le_bits[q] |= qs
+                mask |= 1 << q
+                strict |= le_bits[q]
+                between |= self._lt_bits[q]
+            self._masks.append(mask)
+            self._lt_bits.append(strict)
+            covered_bits.append(strict & ~between)
             children_of[mask] = children_of.get(mask, 0) | 1 << p
-        self._lt_bits = [0] * len(self.members)
-        self._le_bits = [0] * len(self.members)
-        covered_bits = [0] * len(self.members)
-        for p in sorted(range(len(self.members)), key=lambda p: height(self.members[p])):
-            strict = between = 0
-            for c in self.members[p].children:
-                strict |= self._le_bits[self._position[c]]
-                between |= self._lt_bits[self._position[c]]
-            self._lt_bits[p] = strict
-            covered_bits[p] = strict & ~between
-            for mask, qs in children_of.items():
-                if not mask & ~strict:
-                    self._le_bits[p] |= qs
 
         # members with equal bits share one tuple: the 677 members of height
         # <= 5 have only 5 distinct down-sets and 5 distinct covering sets
@@ -291,7 +301,7 @@ class SizeUniverse:
         p, q = self._position.get(i), self._position.get(j)
         if p is None or q is None:
             return self.order.le(i, j)
-        return self._le_bits[q] >> p & 1 == 1
+        return not self._masks[p] & ~self._lt_bits[q]
 
 
 def wf_rec(

@@ -11,6 +11,7 @@ import itertools
 from hypothesis import strategies as st
 
 from qitbench.algebras import Algebra
+from qitbench.sizes import SizeSig, SizeUniverse
 from qitbench.terms import (
     Equation,
     IndexedOpDecl,
@@ -116,3 +117,15 @@ def equations(draw):
     lhs = draw(term_over(ops, names, 3))
     rhs = draw(term_over(ops, names, 3))
     return signature(ops), Equation("e", names, lhs, rhs)
+
+
+def mutual_le_universe() -> SizeUniverse:
+    """An explicit height-4 universe in which join(zero, one) and
+    suc(one) are <= each other, so <= is not antisymmetric on it: both
+    cover one and both are covered by the sizes above them."""
+    sig = SizeSig.minimal()
+    zero = sig.zero()
+    one = sig.suc(zero)
+    mid, two = sig.join(zero, one), sig.suc(one)
+    members = [zero, one, mid, two, sig.join(mid, two), sig.join(zero, two), sig.suc(mid)]
+    return SizeUniverse(sig, 4, members=members)

@@ -455,6 +455,20 @@ def test_restriction_catches_a_moved_local_id():
         appx.check_restriction()
 
 
+def test_restriction_catches_two_shared_classes_merged():
+    # labels stay well defined and the views still match, but two literal
+    # classes land on one shared class: the class map is not a bijection
+    _, _, u, appx = bag_fixture()
+    sid = max(appx.stage_of.values())
+    stage = appx.stages[sid]
+    assert len(stage.classes) > 1
+    merged = {s: tuple(0 if c == 1 else c for c in cs) for s, cs in stage.slice_classes.items()}
+    bad = dataclasses.replace(stage, slice_classes=merged)
+    appx.stages = appx.stages[:sid] + (bad,) + appx.stages[sid + 1 :]
+    with pytest.raises(QitError, match="restriction mismatch .*: classes differ"):
+        appx.check_restriction()
+
+
 def test_fixed_diag_catches_a_moved_local_id():
     _, _, _, appx = bag_fixture()
     sid = max(appx.stage_of.values())
@@ -477,7 +491,7 @@ def test_restriction_catches_a_term_missing_from_the_shared_view():
     bad = dataclasses.replace(stage, classes=deeper)
     assert len(bad.view.terms) < len(stage.view.terms)
     appx.stages = appx.stages[:sid] + (bad,) + appx.stages[sid + 1 :]
-    with pytest.raises(QitError, match="restriction mismatch .*: partitions differ"):
+    with pytest.raises(QitError, match="restriction mismatch .*: views differ"):
         appx.check_restriction()
 
 

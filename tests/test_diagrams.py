@@ -18,6 +18,7 @@ from qitbench.diagrams import (
 from qitbench.errors import FunctorialityViolation, QitError
 from qitbench.sizes import PlumpOrder, SizeSig, SizeUniverse, height
 
+from helpers import mutual_le_universe
 from oracles import naive_components
 
 MIN = SizeSig.minimal()
@@ -41,8 +42,8 @@ def test_chain_universe_is_linear():
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: SizeUniverse(MIN, 4), lambda: SizeUniverse.chain(MIN, 5)],
-    ids=["tree-h4", "chain-h5"],
+    [lambda: SizeUniverse(MIN, 4), lambda: SizeUniverse.chain(MIN, 5), mutual_le_universe],
+    ids=["tree-h4", "chain-h5", "mutual-le"],
 )
 def test_bitset_order_agrees_with_plump_order(build):
     u = build()

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import random
+import re
 from types import SimpleNamespace
 
 import pytest
 
+from qitbench.construction import build_fixed_point
 from qitbench.errors import ArityMismatch, CycleDetected, InfinitaryArity, ParseError, QitError
 from qitbench.sizes import (
     PlumpOrder,
@@ -21,7 +24,7 @@ from qitbench.sizes import (
 )
 from qitbench.terms import NAT, Arity, signature
 
-from helpers import bag_sig, bag_system, commvec_indexed, commvec_system
+from helpers import bag_sig, bag_system, commvec_indexed, commvec_system, mutual_le_universe
 from oracles import size_height
 
 MIN = SizeSig.minimal()
@@ -33,8 +36,8 @@ def test_size_literal_round_trip():
     i = MIN.join(ZERO, ONE)
     text = show_size(i)
     assert text == "(sz join (sz zero) (sz join (sz zero) (sz zero)))"
-    assert parse_size(text) == i
-    assert parse_size(text, MIN) == i
+    assert parse_size(text) is i
+    assert parse_size(text, MIN) is i
 
 
 def test_parse_size_rejects_bad_forms():
@@ -77,6 +80,35 @@ def test_universe_members_must_include_their_children():
         SizeUniverse(MIN, 2, members=[ONE])
 
 
+@pytest.mark.parametrize("members, twice", [
+    ([ZERO, ZERO, ONE], ZERO),
+    ([ZERO, ONE, MIN.suc(ONE), MIN.suc(ONE)], MIN.suc(ONE)),
+])
+def test_universe_members_must_be_listed_once(members, twice):
+    with pytest.raises(QitError, match=f"{re.escape(show_size(twice))} is listed twice"):
+        SizeUniverse(MIN, 3, members=members)
+
+
+def test_explicit_members_shuffled_across_heights_give_the_generated_universe():
+    # the sort by height is stable, so members of one height keep the
+    # order they are given in; the shuffles below keep it too
+    generated = SizeUniverse(MIN, 3)
+    sig, sys = bag_sig(), bag_system()
+    export = build_fixed_point(sig, sys, generated, 2).export()
+    heights = [height(m) for m in generated.members]
+    orders = [sorted(generated.members, key=height, reverse=True)]
+    for seed in range(2):
+        slots = random.Random(seed).sample(heights, len(heights))
+        levels = {h: [m for m in generated.members if height(m) == h] for h in set(heights)}
+        orders.append([levels[h].pop(0) for h in slots])
+    for members in orders:
+        u = SizeUniverse(MIN, 3, members=members)
+        assert u.members == generated.members
+        assert u.below == generated.below
+        assert u.covered == generated.covered
+        assert build_fixed_point(sig, sys, u, 2).export() == export
+
+
 def test_below_segments_frozen():
     u = SizeUniverse(MIN, 3)
     zero, one, mid, mid2, two = u.members
@@ -96,18 +128,10 @@ def brute_covered(u):
     }
 
 
-MID = MIN.join(ZERO, ONE)
-TWO = MIN.suc(ONE)
-
-
 UNIVERSES = {
     **{f"h{h}": (lambda h=h: SizeUniverse(MIN, h)) for h in range(1, 6)},
     "chain": lambda: SizeUniverse.chain(MIN, 5),
-    # MID and TWO are <= each other, so both cover ONE and both are
-    # covered by the sizes above them
-    "members": lambda: SizeUniverse(
-        MIN, 4, members=[ZERO, ONE, MID, TWO, MIN.join(MID, TWO), MIN.join(ZERO, TWO), MIN.suc(MID)]
-    ),
+    "members": mutual_le_universe,
 }
 
 
@@ -245,5 +269,5 @@ def test_wf_rec_cycle_detection():
 def test_arity_helper():
     assert Arity(2).finite and not NAT.finite
     assert MIN.arity("join") == 2
-    assert MIN.zero() == SizeVal("zero")
-    assert MIN.suc(ZERO) == SizeVal("join", (ZERO, ZERO))
+    assert MIN.zero() is SizeVal("zero")
+    assert MIN.suc(ZERO) is SizeVal("join", (ZERO, ZERO))
