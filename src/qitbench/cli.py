@@ -200,9 +200,11 @@ def _config(args: argparse.Namespace, carriers: dict, parser: argparse.ArgumentP
 
 def _load_decl(cfg: RunConfig) -> QitDecl:
     try:
-        text = cfg.path.read_text()
+        text = cfg.path.read_text(encoding="utf-8")
     except OSError as e:
         raise QitError(str(e))
+    except UnicodeDecodeError as e:
+        raise QitError(f"{cfg.path}: {e}")
     try:
         return parse_decl(text)
     except ParseError as e:
@@ -365,16 +367,21 @@ def _scalars(what: str, values) -> tuple:
 
 def _algebra_from_file(path: Path, sig: Signature) -> Algebra:
     with _table_file(path):
-        obj = serialize.loads(path.read_text())
+        obj = serialize.loads(path.read_text(encoding="utf-8"))
         carrier = _scalars("carrier element", obj["carrier"])
+        members = set(carrier)
         tables = {}
         for opname, entries in obj.get("ops", {}).items():
             op = OpSym.parse(opname)
             if not sig.has_op(op):
                 raise UnknownOp(f"algebra file interprets unknown operator {opname}")
-            tables[op] = {
-                tuple(args): _scalar("table value", value) for args, value in entries
-            }
+            table = tables[op] = {}
+            for args, value in entries:
+                key, value = tuple(args), _scalar("table value", value)
+                for v in (*key, value):
+                    if v not in members:
+                        raise ValueError(f"{json.dumps(v)} in the {opname} table is not in the carrier")
+                table[key] = value
     return Algebra(sig, carrier, tables)
 
 
@@ -419,7 +426,7 @@ def _parity_input() -> EliminatorInput:
 
 def _input_from_file(path: Path) -> EliminatorInput:
     with _table_file(path):
-        obj = serialize.loads(path.read_text())
+        obj = serialize.loads(path.read_text(encoding="utf-8"))
         motive_obj = obj.get("motive", {})
         default = _scalars("motive tag", motive_obj.get("default", ()))
         per_class = {

@@ -2,10 +2,11 @@
 
 Every universe member i gets a stage: equivalence classes of pairs
 (j, t) with j a strictly smaller member and t a depth-bounded term over
-j's stage, closed under three clause families (equation instances,
-collapse of a class to its name one stage up, node-wise collapse) and
-congruence through term structure.  Collapse clauses are emitted only
-along covering pairs k < j (SizeUniverse.covered, nothing strictly
+j's stage, closed under two clause families (equation instances, and
+collapse of a class to its name one stage up) and congruence through
+term structure, which keys every node, nullary ones included, and so
+implies node-wise collapse (see diamond).  Collapse clauses are emitted
+only along covering pairs k < j (SizeUniverse.covered, nothing strictly
 between): those of any other k < j follow through a chain of covering
 pairs, so the stage is the same (see diamond).  Members with identical
 strict down-segments provably share a stage, so the build walks the
@@ -23,9 +24,9 @@ instances and, per local id, the closed id of its flattening.  diamond
 lays the views side by side at integer offsets and ranks classes by
 closed id, a stage stores the class of each local id per slice, and the
 interface reads only those arrays.  The collapse clauses of a slice
-into a higher stage are local id arrays built once per pair and kept on
-the higher stage (Stage.collapse).  Trees are read off the closed table
-to print, to export and to hold each class's flat; the (slice, term)
+into a higher stage are read off the higher stage's class array for
+that slice and its tokens.  Trees are read off the closed table to
+print, to export and to hold each class's flat; the (slice, term)
 mapping class_of_pair is kept for readers outside the package.
 
 The colimit of the stages carries the constructor map (children pushed
@@ -40,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebras import Algebra, Value, satisfies
@@ -122,10 +123,6 @@ class Stage:
     slice_views: Mapping[int, SliceView] = field(repr=False)
     slice_classes: Mapping[int, tuple[int, ...]] = field(repr=False)
     build: _Build = field(repr=False, compare=False)
-    # slice -> its collapse clauses into this stage (see collapse)
-    _collapses: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = field(
-        init=False, default_factory=dict, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -133,31 +130,6 @@ class Stage:
     @cached_property
     def view(self) -> SliceView:
         return _slice_view(self)
-
-    def collapse(self, low: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The collapse clauses of slice low into this stage read as a
-        slice, as two parallel arrays: local ids in this stage's view and
-        local ids in low's view.  Each of low's local ids meets this
-        stage's token of its class; each of low's nodes also meets its
-        lift, the node with every child renamed to that token.  Built on
-        first use, from this stage alone, and kept."""
-        hit = self._collapses.get(low)
-        if hit is None:
-            view = self.view
-            up = [view.tokens[c] for c in self.slice_classes[low]]
-            his, los = list(up), list(range(len(up)))
-            for n, node in enumerate(self.slice_views[low].table.nodes):
-                if not isinstance(node, int):
-                    op, kids = node
-                    lifted = view.table.lookup.get((op, tuple(up[k] for k in kids)))
-                    if lifted is None:
-                        raise QitError(
-                            f"slice {low} lifts a term outside the view of slice {self.sid}"
-                        )
-                    his.append(lifted)
-                    los.append(n)
-            hit = self._collapses[low] = (tuple(his), tuple(los))
-        return hit
 
     @cached_property
     def class_of_pair(self) -> Mapping[tuple[int, Term], int]:
@@ -221,12 +193,22 @@ def diamond(build: _Build, slices: Sequence[Stage], fire: set[tuple[int, int]], 
     of members strictly between, (l, d_kl t) ~ (j, d_lj d_kl t) is
     implied.  Stage j fires (k, l) itself, so (k, t) and (l, d_kl t)
     share a class there and d_lj d_kl t = d_kj t: the clause
-    (k, t) ~ (j, d_kj t) is already implied.  A node's lifted clause
-    follows in the same way, child by child.  So the least congruence
+    (k, t) ~ (j, d_kj t) is already implied.  So the least congruence
     does not change.  For shared stages a slice stands for every member
     with its down-segment; the argument carries over because same stage
     <=> same down-segment, which is the memo key.  The slices must come
     from build.
+
+    No node-wise ("lifted") collapse clause is emitted either: (k, n) ~
+    (j, op(d_kj k1 ... d_kj km)) for a node n = op(k1 ... km) of slice k.
+    Every node is keyed in the closure, nullary ones included, so op()
+    is one class across slices.  Each (k, ki) meets (j, d_kj ki), so by
+    congruence (k, n) meets the lift, provided the lift lies in j's
+    view.  It does: a class's fd is the depth of its least closed
+    flattening, so it is at most the weighted depth of each of its
+    members, and the lift weighs at most what n weighs, which fits the
+    bound.  So the pool, its flats, the partition and every class rank
+    are those the lifted clauses give.
 
     Equation instances are drawn per slice under the budget rule of
     InstanceShape.envs, a token weighing its class's fd: an instance is
@@ -238,9 +220,9 @@ def diamond(build: _Build, slices: Sequence[Stage], fire: set[tuple[int, int]], 
 
     The pool is the slices' views laid end to end, slice s from offset
     base[s], so a pair (s, t) is the id base[s] + t's local id.  The
-    collapse clauses of a fire pair (low, high) are high.collapse(low),
-    local id arrays built on the pair's first use; each later diamond
-    only adds the two offsets.  Each pool id carries the closed id of its
+    collapse clauses of a fire pair (low, high) pair each of low's local
+    ids with high's token of its class, read off high.slice_classes[low]
+    and offset by the two bases.  Each pool id carries the closed id of its
     flattening (SliceView.flats), and closed ids run in term_key order,
     so a class ranks by its least closed id, then its first pool id; its
     flat, sort and fd are read off the closed table at that id."""
@@ -255,7 +237,7 @@ def diamond(build: _Build, slices: Sequence[Stage], fire: set[tuple[int, int]], 
         b = base[st.sid] = len(pool_flats)
         pool_flats.extend(view.flats)
         for n, node in enumerate(view.table.nodes):
-            if not isinstance(node, int) and node[1]:
+            if not isinstance(node, int):
                 nodes[b + n] = (node[0], tuple(map(b.__add__, node[1])))
 
     def instances() -> Iterable[tuple[int, int]]:
@@ -266,11 +248,13 @@ def diamond(build: _Build, slices: Sequence[Stage], fire: set[tuple[int, int]], 
                 for lhs, rhs in pairs:
                     yield b + lhs, b + rhs
 
-    # collapse clauses along the fire pairs, offset without a Python call
+    # each local id of low meets high's token of its class, offset
+    # without a Python call
     seeds = [instances()]
     for low, high in sorted(fire):
-        his, los = by_sid[high].collapse(low)
-        seeds.append(zip(map(base[high].__add__, his), map(base[low].__add__, los)))
+        up = by_sid[high]
+        tokens = map(up.view.tokens.__getitem__, up.slice_classes[low])
+        seeds.append(zip(map(base[high].__add__, tokens), count(base[low])))
 
     groups = root_groups(congruence_roots(len(pool_flats), nodes, chain.from_iterable(seeds)))
     ranked = sorted(

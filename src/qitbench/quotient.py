@@ -150,9 +150,10 @@ def congruence_roots(
     seeds: Iterable[tuple[int, int]],
 ) -> list[int]:
     """The least congruence on ids 0..n-1 containing the seed pairs, as
-    each id's root.  nodes maps every id with at least one child to
-    (op, child ids); two such ids whose ops agree and whose children are
-    pairwise related are related.  A worklist closure in the style of
+    each id's root.  nodes maps every non-leaf id to (op, child ids),
+    nullary nodes included; two such ids whose ops agree and whose
+    children are pairwise related are related, so two nullary nodes of
+    one op always are.  A worklist closure in the style of
     Downey-Sethi-Tarjan: a union re-keys only the parents of the absorbed
     class against a signature table.  Roots are representatives, not a
     canonical order.
@@ -238,11 +239,14 @@ def root_groups(roots: Sequence[int]) -> list[list[int]]:
 
 
 def close_congruence(universe: TermUniverse) -> CongruenceQuotient:
+    """The least congruence on the universe containing its equation
+    instances.  Every node is keyed, nullary ones included, by the rule
+    the construction's stages use."""
     pos = universe.position
     nodes = {
         n: (t.op, tuple(pos(c) for c in t.children.entries))
         for n, t in enumerate(universe.terms)
-        if isinstance(t, Node) and t.children.entries
+        if isinstance(t, Node)
     }
     seeds = ((pos(p.lhs), pos(p.rhs)) for p in universe.instance_pairs)
     return CongruenceQuotient(universe, congruence_roots(len(universe.terms), nodes, seeds))

@@ -206,7 +206,12 @@ def test_elim_parity_is_coherent(capsys):
     ("--steps", str(FIXTURES / "bag_length.json")),
     ("--algebra", str(FIXTURES / "bag_length_list_value.json")),
     ("--steps", str(FIXTURES / "bag_parity_list_steps.json")),
-], ids=["missing", "not-json", "no-carrier", "no-steps", "list-value", "list-step"])
+    ("--algebra", str(FIXTURES / "bag_length_outside_carrier.json")),
+    ("--algebra", str(FIXTURES / "bag_length_argument_outside_carrier.json")),
+], ids=[
+    "missing", "not-json", "no-carrier", "no-steps", "list-value", "list-step",
+    "value-outside-carrier", "argument-outside-carrier",
+])
 def test_bad_table_file_is_an_error_line(flag, path, capsys):
     command = "fold" if flag == "--algebra" else "elim"
     code, out, err = run(capsys, command, BAG, "--X", "a,b", flag, path)
@@ -215,6 +220,18 @@ def test_bad_table_file_is_an_error_line(flag, path, capsys):
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert path in err
+
+
+@pytest.mark.parametrize("command", ["check", "construct"])
+def test_a_declaration_that_is_not_utf8_is_an_error_line(command, tmp_path, capsys):
+    p = tmp_path / "bad.qit"
+    p.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, command, str(p))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(p) in err
 
 
 def test_elim_steps_file_matches_builtin(capsys):
