@@ -59,11 +59,9 @@ class Algebra:
         return rule(args)
 
     @classmethod
-    def from_fn(cls, sig: Signature, carrier: Sequence[Value], fn: Callable[[OpSym, tuple], Value], *, tabulate: bool = True) -> "Algebra":
+    def from_fn(cls, sig: Signature, carrier: Sequence[Value], fn: Callable[[OpSym, tuple], Value]) -> "Algebra":
         """Tabulate fn over the carrier for every finitary operator."""
         carrier = tuple(carrier)
-        if not tabulate:
-            return cls(sig, carrier, {}, {}, fn)
         import itertools
 
         tables = {}

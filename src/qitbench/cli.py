@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
@@ -235,14 +236,6 @@ def _quotient(cfg: RunConfig):
     return decl, flat, sys_, close_congruence(build_universe(flat, sys_, cfg.depth))
 
 
-def _jsonable(v):
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, (str, int, bool)) or v is None:
-        return v
-    return show_term(v)
-
-
 # --- commands ---
 
 
@@ -354,10 +347,13 @@ def _table_file(path: Path):
 
 
 def _scalar(what: str, v):
-    """v, or a ValueError if it is a JSON list or object: carrier values
-    and tags are looked up as keys, and those would be unhashable."""
+    """v, or a ValueError if it is a JSON list or object or a boolean:
+    carrier values and tags are looked up as keys, lists and objects
+    would be unhashable, and true and false would pass for 1 and 0."""
     if isinstance(v, (list, dict)):
         raise ValueError(f"{what} {json.dumps(v)} is not a JSON scalar")
+    if isinstance(v, bool):
+        raise ValueError(f"{what} {json.dumps(v)} is a JSON boolean, not a string or number")
     return v
 
 
@@ -377,11 +373,17 @@ def _algebra_from_file(path: Path, sig: Signature) -> Algebra:
                 raise UnknownOp(f"algebra file interprets unknown operator {opname}")
             table = tables[op] = {}
             for args, value in entries:
-                key, value = tuple(args), _scalar("table value", value)
+                key, value = _scalars("table argument", args), _scalar("table value", value)
                 for v in (*key, value):
                     if v not in members:
                         raise ValueError(f"{json.dumps(v)} in the {opname} table is not in the carrier")
                 table[key] = value
+        for decl in sig.ops:
+            if decl.arity.finite:
+                table = tables.get(decl.op, {})
+                for key in itertools.product(carrier, repeat=decl.arity.count):
+                    if key not in table:
+                        raise ValueError(f"the {decl.op.show()} table has no entry for {json.dumps(list(key))}")
     return Algebra(sig, carrier, tables)
 
 
@@ -403,7 +405,7 @@ def _cmd_fold(cfg: RunConfig) -> int:
         return 0
     res = qwrec(q, alg)
     if cfg.fmt == "structured":
-        obj = {"values": [{"canon": show_term(c), "value": _jsonable(v)}
+        obj = {"values": [{"canon": show_term(c), "value": v}
                           for c, v in zip(q.canon, res.values)],
                "hom_ok": res.hom_ok}
         print(serialize.dumps(obj), end="")
@@ -463,7 +465,7 @@ def _cmd_elim(cfg: RunConfig) -> int:
     inp = _input_from_file(cfg.steps) if cfg.steps else _parity_input()
     res = qwelim(q, inp)
     if cfg.fmt == "structured":
-        obj = {"values": [{"canon": show_term(c), "value": _jsonable(v)}
+        obj = {"values": [{"canon": show_term(c), "value": v}
                           for c, v in zip(q.canon, res.values)],
                "comp_ok": res.comp_ok,
                "instances_checked": res.instances_checked,

@@ -17,7 +17,8 @@ member.
 
 Terms are integer ids from enumeration to colimit.  Each build holds
 one closed TermTable: every closed term within the depth bound, its ids
-in term_key order (see build_fixed_point).  A stage read as a slice is
+in the term order (see build_fixed_point; its reference is in
+tests/oracles.py).  A stage read as a slice is
 read through its slice view (SliceView), built once: a TermTable over
 its class tokens, whose ids are the local ids, with the equation
 instances and, per local id, the closed id of its flattening.  diamond
@@ -85,7 +86,7 @@ class StageClass:
 class _Build(NamedTuple):
     """What the stages of one build share: the declaration, the depth
     bound, and the closed table of every closed term within the bound,
-    whose ids run in term_key order (see build_fixed_point)."""
+    whose ids run in the term order (see build_fixed_point)."""
 
     sig: Signature
     sys: SystemOfEquations
@@ -223,7 +224,7 @@ def diamond(build: _Build, slices: Sequence[Stage], fire: set[tuple[int, int]], 
     collapse clauses of a fire pair (low, high) pair each of low's local
     ids with high's token of its class, read off high.slice_classes[low]
     and offset by the two bases.  Each pool id carries the closed id of its
-    flattening (SliceView.flats), and closed ids run in term_key order,
+    flattening (SliceView.flats), and closed ids run in the term order,
     so a class ranks by its least closed id, then its first pool id; its
     flat, sort and fd are read off the closed table at that id."""
     closed = build.closed
@@ -452,8 +453,8 @@ def build_fixed_point(
     strict down-segment, built in one below-first pass over the members.
     The build's closed table gets its first listing with want None, so
     its ids are handed out by depth, then by operator position, then
-    children lexicographically by id: by induction on depth, term_key
-    order."""
+    children lexicographically by id: by induction on depth, the term
+    order, whose reference is in tests/oracles.py."""
     validate_system(sig, sys)
     for decl in sig.ops:
         if not decl.arity.finite:

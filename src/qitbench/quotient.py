@@ -30,7 +30,6 @@ from .terms import (
     depth,
     enumerate_terms,
     substitute,
-    term_key,
 )
 
 
@@ -107,38 +106,50 @@ def build_universe(sig: Signature, sys: SystemOfEquations, depth_bound: int) -> 
 class CongruenceQuotient:
     """Partition of the universe into congruence classes.
 
-    classes are ordered by their canonical representative (least term in
-    the deterministic term order), members within a class likewise.
+    Members within a class are ordered by universe position, and classes
+    by the (depth, operator position, position) of their least member.
+    Both orders are the term order, whose reference is in
+    tests/oracles.py (depth, then the root operator's declaration
+    position, then the children lexicographically):
+    - the universe lists each sort's terms in the term order, since
+      enumerate_terms lists them so (TermTable's layered listing);
+    - the members of a class share one sort, since an equation's two
+      sides stand at its one index and a congruence step relates two
+      nodes of one operator;
+    - the term order compares depth, then the root operator, then the
+      children; two terms of equal depth and operator share a sort, so
+      between them it is their position that decides.
+    So a class's least position is its least term, and no Term-keyed
+    table is built: class_id reads the universe's own index.
     """
 
     def __init__(self, universe: TermUniverse, roots: Sequence[int]):
         self.universe = universe
-        sig = universe.sig
-        keyed = []
-        for members in root_groups(roots):
-            members.sort(key=lambda p: term_key(sig, universe.terms[p]))
-            keyed.append((term_key(sig, universe.terms[members[0]]), members))
-        keyed.sort(key=lambda kv: kv[0])
+        terms, op_index = universe.terms, universe.sig.op_index
+        groups = root_groups(roots)
+        groups.sort(key=lambda g: (depth(terms[g[0]]), op_index(terms[g[0]].op), g[0]))
         self.members: tuple[tuple[Term, ...], ...] = tuple(
-            tuple(universe.terms[p] for p in members) for _, members in keyed
+            tuple(terms[p] for p in members) for members in groups
         )
         self.canon: tuple[Term, ...] = tuple(m[0] for m in self.members)
-        self._class_of: dict[Term, int] = {}
-        for cls, members in enumerate(self.members):
-            for t in members:
-                self._class_of[t] = cls
+        # universe position -> its class
+        self._class_at = [0] * len(terms)
+        for cls, members in enumerate(groups):
+            for p in members:
+                self._class_at[p] = cls
 
     def __len__(self) -> int:
         return len(self.members)
 
     def class_id(self, t: Term) -> Optional[int]:
-        return self._class_of.get(t)
+        p = self.universe.index.get(t)
+        return None if p is None else self._class_at[p]
 
     def class_of(self, t: Term) -> int:
-        cls = self._class_of.get(t)
-        if cls is None:
+        p = self.universe.index.get(t)
+        if p is None:
             raise QitError(f"term outside the universe: {show_term(t)}")
-        return cls
+        return self._class_at[p]
 
     def sort_of_class(self, cls: int) -> Optional[str]:
         return _root_sort(self.universe.sig, self.canon[cls])

@@ -62,7 +62,7 @@ from .ast import (
     show_term_ast,
     show_type,
 )
-from .checker import _term_mentions, _uses_var, check_decl
+from .checker import _fin_owner, _subst_term, _term_mentions, _uses_var, check_decl
 
 DEFAULT_BIJECTIONS = (IndexMap("id"), IndexMap("tr01", ((0, 1), (1, 0))))
 
@@ -373,7 +373,7 @@ class _Translator:
             v = self.env.get(g.name)
             if isinstance(v, str):
                 return v
-            if _fin_value(self.decl, g.name):
+            if _fin_owner(self.decl, g.name) is not None:
                 return g.name
         raise QitError(f"cannot resolve constant argument {g!r}")
 
@@ -394,10 +394,6 @@ class _Translator:
                 if a.binder == lhs.name:
                     return str(_ixval(a.dom.index, ienv))
         raise QitError("cannot determine the index of an equation endpoint")
-
-
-def _fin_value(decl: QitDecl, name: str) -> bool:
-    return any(isinstance(p.kind, FinParam) and name in p.kind.values for p in decl.params)
 
 
 # --- symbolic tables ---
@@ -550,7 +546,7 @@ def _e_v_lines(decl: QitDecl, indexed: bool) -> list[str]:
         parts = []
         for a in data:
             pos = args.index(a)
-            referenced = any(_uses_binder(b.dom, a.binder) for b in args[pos + 1 :])
+            referenced = any(_uses_var(b.dom, a.binder) for b in args[pos + 1 :])
             parts.append(f"({a.binder} : {show_type(a.dom)})" if referenced else _e_atom(a.dom))
         label = ",".join(a.binder for a in data)
         if indexed:
@@ -575,10 +571,6 @@ def _e_atom(dom: TypeAst) -> str:
     return f"({s})" if isinstance(dom, (Pi, EqT)) else s
 
 
-def _uses_binder(dom: TypeAst, binder: str) -> bool:
-    return _uses_var(dom, binder)
-
-
 def _zero_lines(head: str, tpat: str) -> list[str]:
     if "+" not in tpat:
         return []
@@ -600,18 +592,9 @@ def _endpoint_index(target: EqT, decl: QitDecl, args) -> TermAst:
                 sub[a.binder] = g
         out = ctarget.index
         for name, g in sub.items():
-            out = _subst_ix(out, name, g)
+            out = _subst_term(out, name, g)
         return out
     raise QitError("cannot determine the endpoint index")
-
-
-def _subst_ix(t: TermAst, name: str, value: TermAst) -> TermAst:
-    match t:
-        case TVar(n):
-            return value if n == name else t
-        case TApp(head, args):
-            return TApp(head, tuple(_subst_ix(a, name, value) for a in args))
-    return t
 
 
 def _sym_endpoint(t: TermAst, decl: QitDecl, args, ienv, indexed: bool) -> str:
@@ -661,7 +644,7 @@ def _sym_endpoint(t: TermAst, decl: QitDecl, args, ienv, indexed: bool) -> str:
         if indexed:
             tix = ctarget.index
             for name, g in local.items():
-                tix = _subst_ix(tix, name, g)
+                tix = _subst_term(tix, name, g)
             head = f"sigma[{_sym_ixval(tix, ienv).show()}]"
             avals = " ".join(consts) or "0"
         else:

@@ -10,28 +10,29 @@ which is transitive, has joins as strict upper bounds, and admits
 height as a ranking function; totality is deliberately not assumed.
 
 Sizes are hash-consed, so equal trees are one object and a size hashes
-and compares by identity.  A SizeUniverse lists its members below-first
-(stably sorted by height) and decides the order on them with bitsets:
-member positions are bits of Python ints.  In one pass over the members,
-lt_bits[p] is the OR of the <=-sets of p's children, and q <= p iff q's
-child mask lies inside lt_bits[p].  The strict down-sets (below) and
-up-sets (above) are read off those bits, so loops over ordered pairs or
-chains walk only the pairs that exist.  The covering pairs (covered: the
-members strictly below j with no member strictly between) come from the
-same bits.  The memoized PlumpOrder decides the order on sizes outside
-the universe, such as the successor of a top member or an upper bound
-of a family.
+and compares by identity.  A SizeUniverse generates its members as the
+first listing of a TermTable over the size signature, the enumeration
+the term universes use, so they come by height, then operator, then
+children.  It lists them below-first (stably sorted by height) and
+decides the order on them with bitsets: member positions are bits of
+Python ints.  In one pass over the members, lt_bits[p] is the OR of
+the <=-sets of p's children, and q <= p iff q's child mask lies inside
+lt_bits[p].  The strict down-sets (below) and up-sets (above) are read
+off those bits, so loops over ordered pairs or chains walk only the
+pairs that exist.  The covering pairs (covered: the members strictly
+below j with no member strictly between) come from the same bits.  The
+memoized PlumpOrder decides the order on sizes outside the universe,
+such as the successor of a top member or an upper bound of a family.
 """
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import ArityMismatch, CycleDetected, InfinitaryArity, ParseError, QitError
-from .terms import Signature, SystemOfEquations
+from .terms import Signature, SystemOfEquations, TermTable, signature
 
 
 @dataclass(frozen=True)
@@ -204,22 +205,12 @@ class SizeUniverse:
         self.order = PlumpOrder()
 
         if members is None:
-            exact: list[list[SizeVal]] = []
-            for h in range(1, height_bound + 1):
-                level: list[SizeVal] = []
-                pool = [m for lvl in exact for m in lvl]
-                for name, arity in sig.ops:
-                    if arity == 0:
-                        if h == 1:
-                            level.append(SizeVal(name))
-                        continue
-                    if h == 1:
-                        continue
-                    for combo in itertools.product(pool, repeat=arity):
-                        if max(height(c) for c in combo) == h - 1:
-                            level.append(SizeVal(name, combo))
-                exact.append(level)
-            members = [m for lvl in exact for m in lvl]
+            # a first listing hands out ids in listing order, children first
+            table = TermTable(signature(sig.ops))
+            table.upto(height_bound)
+            members = []
+            for op, kids in table.nodes:
+                members.append(SizeVal(sig.ops[op][0], tuple(members[k] for k in kids)))
         # below-first: whatever lies below a member has a smaller height
         self.members: tuple[SizeVal, ...] = tuple(sorted(members, key=height))
         self._position = {m: p for p, m in enumerate(self.members)}

@@ -372,21 +372,6 @@ def terms_equal(
     return False
 
 
-def term_key(sig: Signature, t: Term):
-    """Total deterministic order: by depth, variables first, then operator
-    declaration order, then children lexicographically."""
-    match t:
-        case Var(name):
-            return (1, 0, name)
-        case Node(_, Tab(entries)):
-            return (depth(t), 1, sig.op_index(t.op), tuple(term_key(sig, c) for c in entries))
-        case Node(_, Comp(_, _)):
-            raise InfinitaryArity("no term order under countable operators")
-        case IxVar(_):
-            raise InfinitaryArity("no term order for index variables")
-    raise TypeError(f"not a term: {t!r}")
-
-
 class TermTable:
     """Hash-consed terms over a signature and leaves (name, sort, weight):
     variables at target index sort (None: any) that count at depth

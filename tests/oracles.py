@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own machinery: partitions are
 computed by naive inference to a fixpoint, canonical forms by direct
-structural reads, and counts by the arithmetic recurrence.
+structural reads, and counts by the arithmetic recurrence.  term_key is
+the reference for the term order, which the library's enumeration
+(TermTable) produces without computing it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from qitbench.errors import InfinitaryArity
 from qitbench.quotient import congruence_roots
+from qitbench.sizes import SizeVal
 from qitbench.terms import (
     Comp,
     InstanceShape,
@@ -22,9 +25,24 @@ from qitbench.terms import (
     Tab,
     Term,
     Var,
+    depth,
     substitute,
-    term_key,
 )
+
+
+def term_key(sig: Signature, t: Term):
+    """Total deterministic order: by depth, variables first, then operator
+    declaration order, then children lexicographically."""
+    match t:
+        case Var(name):
+            return (1, 0, name)
+        case Node(_, Tab(entries)):
+            return (depth(t), 1, sig.op_index(t.op), tuple(term_key(sig, c) for c in entries))
+        case Node(_, Comp(_, _)):
+            raise InfinitaryArity("no term order under countable operators")
+        case IxVar(_):
+            raise InfinitaryArity("no term order for index variables")
+    raise TypeError(f"not a term: {t!r}")
 
 
 def bag_multiset(t: Term) -> tuple[str, ...]:
@@ -193,6 +211,29 @@ def naive_congruence(terms: list[Term], pairs: list[tuple[Term, Term]]) -> list[
 def size_height(t) -> int:
     """Height of a size tree; leaf height 0."""
     return 1 + max((size_height(c) for c in t.children), default=-1)
+
+
+def naive_size_members(sig, bound: int) -> list:
+    """Every size of height <= bound (leaf height 1) over the size
+    signature, by the product-by-height loop: per height, each operator
+    in declaration order over every child tuple drawn from the lower
+    heights whose highest child sits one height below."""
+    exact: list[list] = []
+    for h in range(1, bound + 1):
+        level = []
+        pool = [m for lvl in exact for m in lvl]
+        for name, arity in sig.ops:
+            if arity == 0:
+                if h == 1:
+                    level.append(SizeVal(name))
+                continue
+            if h == 1:
+                continue
+            for combo in itertools.product(pool, repeat=arity):
+                if max(size_height(c) for c in combo) == h - 2:
+                    level.append(SizeVal(name, combo))
+        exact.append(level)
+    return [m for lvl in exact for m in lvl]
 
 
 def naive_components(nodes: list, pairs: list[tuple]) -> list[set[int]]:

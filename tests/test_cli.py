@@ -18,6 +18,7 @@ from qitbench.serialize import signature_from_obj, system_from_obj
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
+GOLDEN = Path(__file__).parent / "golden" / "cli"
 
 BAG = str(FIXTURES / "bag.qit")
 BAGPRIME = str(FIXTURES / "bagprime.qit")
@@ -191,6 +192,23 @@ def test_fold_rejects_unsatisfying_algebra(tmp_path, capsys):
     assert "VIOLATED" in out
 
 
+def test_fold_structured_prints_number_values_as_json(tmp_path, capsys):
+    alg = {
+        "carrier": [0.5, 1.5],
+        "ops": {
+            "nil": [[[], 0.5]],
+            "cons a": [[[0.5], 1.5], [[1.5], 1.5]],
+            "cons b": [[[0.5], 1.5], [[1.5], 1.5]],
+        },
+    }
+    p = tmp_path / "half.json"
+    p.write_text(json.dumps(alg))
+    code, out, err = run(capsys, "fold", BAG, "--X", "a,b", "--algebra", str(p),
+                         "--format", "structured")
+    assert (code, err) == (0, "")
+    assert [v["value"] for v in json.loads(out)["values"]] == [0.5, 1.5, 1.5, 1.5, 1.5, 1.5]
+
+
 def test_elim_parity_is_coherent(capsys):
     code, out, _ = run(capsys, "elim", BAG, "--X", "a,b")
     assert code == 0
@@ -208,9 +226,14 @@ def test_elim_parity_is_coherent(capsys):
     ("--steps", str(FIXTURES / "bag_parity_list_steps.json")),
     ("--algebra", str(FIXTURES / "bag_length_outside_carrier.json")),
     ("--algebra", str(FIXTURES / "bag_length_argument_outside_carrier.json")),
+    ("--algebra", str(FIXTURES / "bag_length_boolean_value.json")),
+    ("--algebra", str(FIXTURES / "bag_length_boolean_argument.json")),
+    ("--steps", str(FIXTURES / "bag_parity_boolean_motive.json")),
+    ("--algebra", str(FIXTURES / "bag_length_partial.json")),
 ], ids=[
     "missing", "not-json", "no-carrier", "no-steps", "list-value", "list-step",
     "value-outside-carrier", "argument-outside-carrier",
+    "boolean-value", "boolean-argument", "boolean-motive-tag", "partial-table",
 ])
 def test_bad_table_file_is_an_error_line(flag, path, capsys):
     command = "fold" if flag == "--algebra" else "elim"
@@ -220,6 +243,13 @@ def test_bad_table_file_is_an_error_line(flag, path, capsys):
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert path in err
+
+
+def test_partial_table_error_names_the_operator_and_tuple(capsys):
+    path = str(FIXTURES / "bag_length_partial.json")
+    code, _, err = run(capsys, "fold", BAG, "--X", "a,b", "--algebra", path)
+    assert code == 1
+    assert err == f"error: {path}: the cons a table has no entry for [3]\n"
 
 
 @pytest.mark.parametrize("command", ["check", "construct"])
@@ -300,6 +330,31 @@ def test_examples_structured_carries_sources(capsys):
     assert by_name["bag"]["source"].startswith("--")
     assert by_name["wred"]["source"] is None
     assert by_name["wred"]["table"][0] == "I = Z"
+
+
+# --- output paths pinned to golden bytes ---
+
+
+PARITY_STEPS = str(FIXTURES / "bag_parity_steps.json")
+BAG_SWAPPED = ("(op cons a (op cons b (op nil)))", "(op cons b (op cons a (op nil)))")
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("elaborate_bag.txt", ["elaborate", BAG, "--X", "a,b"]),
+    ("elaborate_commvec_prefix2.txt", ["elaborate", COMMVEC, "--X", "a,b", "--prefix", "2"]),
+    ("enum_bag_structured.json", ["enum", BAG, "--X", "a,b", "--format", "structured"]),
+    ("eq_bag_structured.json", ["eq", BAG, *BAG_SWAPPED, "--X", "a,b", "--format", "structured"]),
+    ("fold_bag_length_structured.json",
+     ["fold", BAG, "--X", "a,b", "--algebra", str(FIXTURES / "bag_length.json"),
+      "--format", "structured"]),
+    ("elim_bag_parity_structured.json",
+     ["elim", BAG, "--X", "a,b", "--steps", PARITY_STEPS, "--format", "structured"]),
+    ("examples_bag_structured.json", ["examples", "bag", "--format", "structured"]),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_output_matches_golden(golden, argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 # --- usage errors ---

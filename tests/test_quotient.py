@@ -17,7 +17,7 @@ from helpers import (
     first_label_algebra,
     length_algebra,
 )
-from oracles import bag_multiset, naive_congruence
+from oracles import bag_multiset, naive_congruence, term_key
 import qitbench.quotient
 from qitbench.errors import CoherenceFailure, NotSatisfying, QitError
 from qitbench.quotient import (
@@ -32,7 +32,7 @@ from qitbench.quotient import (
     qwuniq_check,
 )
 from qitbench.sexpr import parse_term, show_term
-from qitbench.terms import Node, OpSym, SystemOfEquations, Tab, term_key
+from qitbench.terms import Node, OpSym, SystemOfEquations, Tab, signature
 
 SIG = bag_sig()
 SYS = bag_system()
@@ -133,6 +133,51 @@ def test_canonical_representatives_are_least_and_stable():
         best = min(members, key=lambda t: term_key(SIG, t))
         assert canon == best
         assert q.canon[q.class_of(canon)] == canon
+
+
+def assert_ranked_by_term_key(q):
+    """Members ascend in the reference term order, and so do the classes'
+    least members."""
+    sig = q.universe.sig
+    for members in q.members:
+        keys = [term_key(sig, t) for t in members]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+    keys = [term_key(sig, c) for c in q.canon]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@given(equations(), st.integers(1, 3))
+def test_classes_rank_by_term_key(case, bound):
+    sig, eq = case
+    assert_ranked_by_term_key(close_congruence(build_universe(sig, SystemOfEquations((eq,)), bound)))
+
+
+@st.composite
+def indexed_signatures(draw):
+    """Arity 0-2 operators (the first nullary), each at target index 0 or
+    1 with every child at an index, as elaboration gives them."""
+    rows = []
+    for n, k in enumerate([0] + draw(st.lists(st.integers(0, 2), max_size=3))):
+        kids = draw(st.tuples(*[st.sampled_from(["0", "1"])] * k))
+        rows.append((f"f{n}", k, draw(st.sampled_from(["0", "1"])), kids))
+    return signature(rows)
+
+
+# index 0 is listed first but holds the deeper term, so the classes of
+# index 1 rank between its terms
+@example(signature([("f0", 0, "0", ()), ("f1", 1, "0", ("0",)), ("f2", 0, "1", ())]), 2)
+@given(indexed_signatures(), st.integers(1, 3))
+def test_classes_rank_by_term_key_across_indices(sig, bound):
+    q = close_congruence(build_universe(sig, SystemOfEquations(()), bound))
+    assert_ranked_by_term_key(q)
+
+
+@pytest.mark.parametrize("prefix", range(4))
+@pytest.mark.parametrize("bound", range(1, 5))
+def test_commvec_classes_rank_by_term_key(prefix, bound):
+    flat = commvec_indexed(prefix=prefix).flatten()
+    q = close_congruence(build_universe(flat, commvec_system(prefix=prefix), bound))
+    assert_ranked_by_term_key(q)
 
 
 def test_decide_eq():

@@ -25,7 +25,7 @@ from qitbench.sizes import (
 from qitbench.terms import NAT, Arity, signature
 
 from helpers import bag_sig, bag_system, commvec_indexed, commvec_system, mutual_le_universe
-from oracles import size_height
+from oracles import naive_size_members, size_height
 
 MIN = SizeSig.minimal()
 ZERO = MIN.zero()
@@ -271,3 +271,13 @@ def test_arity_helper():
     assert MIN.arity("join") == 2
     assert MIN.zero() is SizeVal("zero")
     assert MIN.suc(ZERO) is SizeVal("join", (ZERO, ZERO))
+
+
+# the generated members are the first listing of a TermTable over the
+# size signature; the product-by-height loop is the reference
+@pytest.mark.parametrize("sig, bound", [
+    *[(MIN, h) for h in range(1, 6)],
+    *[(size_signature_for(bag_sig(), bag_system()), h) for h in range(1, 4)],
+], ids=lambda v: f"h{v}" if isinstance(v, int) else f"{len(v.ops)}ops")
+def test_generated_members_equal_the_reference_loop(sig, bound):
+    assert list(SizeUniverse(sig, bound).members) == naive_size_members(sig, bound)

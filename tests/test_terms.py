@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import bag_sig, bag_system, equations, length_algebra
-from oracles import count_terms, naive_enumerate_terms
+from oracles import count_terms, naive_enumerate_terms, term_key
 from qitbench.algebras import bind, term_algebra
 from qitbench.errors import (
     ArityMismatch,
@@ -39,7 +39,6 @@ from qitbench.terms import (
     mk_node,
     signature,
     substitute,
-    term_key,
     terms_equal,
 )
 
