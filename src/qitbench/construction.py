@@ -18,17 +18,18 @@ member.
 Terms are integer ids from enumeration to colimit.  Each build holds
 one closed TermTable: every closed term within the depth bound, its ids
 in the term order (see build_fixed_point; its reference is in
-tests/oracles.py).  A stage read as a slice is
-read through its slice view (SliceView), built once: a TermTable over
-its class tokens, whose ids are the local ids, with the equation
-instances and, per local id, the closed id of its flattening.  diamond
-lays the views side by side at integer offsets and ranks classes by
-closed id, a stage stores the class of each local id per slice, and the
-interface reads only those arrays.  The collapse clauses of a slice
-into a higher stage are read off the higher stage's class array for
-that slice and its tokens.  Trees are read off the closed table to
-print, to export and to hold each class's flat; the (slice, term)
-mapping class_of_pair is kept for readers outside the package.
+tests/oracles.py).  A stage read as a slice is read through its slice
+view (SliceView), built once: a TermTable over its class tokens, whose
+ids are the local ids, with the equation instances and, per local id,
+the closed id of its flattening.  diamond lays the views side by side
+at integer offsets, and the closure reads each view's node table in
+place at its offset; classes rank by closed id, a stage stores the
+class of each local id per slice, and the interface reads only those
+arrays.  The collapse clauses of a slice into a higher stage are read
+off the higher stage's class array for that slice and its tokens.
+Trees are read off the closed table to print, to export and to hold
+each class's flat; the (slice, term) mapping class_of_pair is kept for
+readers outside the package.
 
 The colimit of the stages carries the constructor map (children pushed
 to a common stage, wrapped in a node, read off at the successor stage)
@@ -221,25 +222,23 @@ def diamond(build: _Build, slices: Sequence[Stage], fire: set[tuple[int, int]], 
 
     The pool is the slices' views laid end to end, slice s from offset
     base[s], so a pair (s, t) is the id base[s] + t's local id.  The
-    collapse clauses of a fire pair (low, high) pair each of low's local
-    ids with high's token of its class, read off high.slice_classes[low]
-    and offset by the two bases.  Each pool id carries the closed id of its
-    flattening (SliceView.flats), and closed ids run in the term order,
-    so a class ranks by its least closed id, then its first pool id; its
-    flat, sort and fd are read off the closed table at that id."""
+    closure reads each view's node table in place, as the block
+    (base[s], view.table.nodes) whose child ids are local to the view;
+    no node is copied to pool ids.  The collapse clauses of a fire pair
+    (low, high) pair each of low's local ids with high's token of its
+    class, read off high.slice_classes[low] and offset by the two bases.
+    Each pool id carries the closed id of its flattening
+    (SliceView.flats), and closed ids run in the term order, so a class
+    ranks by its least closed id, then its first pool id; its flat, sort
+    and fd are read off the closed table at that id."""
     closed = build.closed
     ordered = sorted(slices, key=lambda s: s.sid)
     by_sid = {st.sid: st for st in ordered}
     base: dict[int, int] = {}
     pool_flats: list[int] = []
-    nodes: dict[int, tuple[int, tuple[int, ...]]] = {}
     for st in ordered:
-        view = st.view
-        b = base[st.sid] = len(pool_flats)
-        pool_flats.extend(view.flats)
-        for n, node in enumerate(view.table.nodes):
-            if not isinstance(node, int):
-                nodes[b + n] = (node[0], tuple(map(b.__add__, node[1])))
+        base[st.sid] = len(pool_flats)
+        pool_flats.extend(st.view.flats)
 
     def instances() -> Iterable[tuple[int, int]]:
         # equation instances within one slice
@@ -257,7 +256,8 @@ def diamond(build: _Build, slices: Sequence[Stage], fire: set[tuple[int, int]], 
         tokens = map(up.view.tokens.__getitem__, up.slice_classes[low])
         seeds.append(zip(map(base[high].__add__, tokens), count(base[low])))
 
-    groups = root_groups(congruence_roots(len(pool_flats), nodes, chain.from_iterable(seeds)))
+    blocks = [(base[st.sid], st.view.table.nodes) for st in ordered]
+    groups = root_groups(congruence_roots(len(pool_flats), blocks, chain.from_iterable(seeds)))
     ranked = sorted(
         ((min(map(pool_flats.__getitem__, members)), members) for members in groups),
         key=lambda row: (row[0], row[1][0]),

@@ -3,18 +3,19 @@
 The universe holds every closed term up to a depth bound together with
 the equation instances whose sides stay inside the bound.  The quotient
 is the least congruence containing those instances.  congruence_roots
-computes it by union-find with upward congruence propagation, and is the
-one closure in the package: close_congruence, each construction stage
-(construction.diamond) and the colimit's gluing (diagrams.Colimit, with
-no nodes) all call it.  Folds (qwrec) and eliminations (qwelim) are
-executed per class with their side conditions checked exhaustively over
-the universe.
+computes it by union-find with upward congruence propagation, keying
+each node once and re-keying it only when a child's class is merged.
+It reads node tables in place, each laid at an id offset as a block, and
+is the one closure in the package: close_congruence (one block at 0),
+each construction stage (construction.diamond, one block per slice
+view) and the colimit's gluing (diagrams.Colimit, no blocks) all call
+it.  Folds (qwrec) and eliminations (qwelim) are executed per class with
+their side conditions checked exhaustively over the universe.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -71,11 +72,20 @@ def build_universe(sig: Signature, sys: SystemOfEquations, depth_bound: int) -> 
     the equation (root = 1), an instance fits exactly when both sides fit
     with variables at depth 1 and every v gets a term of depth at most
     depth_bound + 1 - p_v.
+
+    In an indexed signature every operator needs a target index: the
+    terms are listed sort by sort, and an operator without one would be
+    listed once per sort.
     """
     sorts = sig.sorts
     if sorts is None:
         terms = enumerate_terms(sig, (), depth_bound)
     else:
+        for d in sig.ops:
+            if d.sort is None:
+                raise QitError(
+                    f"operator {d.op.show()} has no target index in an indexed signature"
+                )
         terms = []
         for s in sorts:
             terms.extend(enumerate_terms(sig, (), depth_bound, sort=s))
@@ -157,23 +167,45 @@ class CongruenceQuotient:
 
 def congruence_roots(
     n: int,
-    nodes: Mapping[int, tuple[object, Sequence[int]]],
+    blocks: Iterable[tuple[int, Sequence[Union[int, tuple[object, Sequence[int]]]]]],
     seeds: Iterable[tuple[int, int]],
 ) -> list[int]:
     """The least congruence on ids 0..n-1 containing the seed pairs, as
-    each id's root.  nodes maps every non-leaf id to (op, child ids),
-    nullary nodes included; two such ids whose ops agree and whose
-    children are pairwise related are related, so two nullary nodes of
-    one op always are.  A worklist closure in the style of
-    Downey-Sethi-Tarjan: a union re-keys only the parents of the absorbed
-    class against a signature table.  Roots are representatives, not a
+    each id's root.  A block (base, nodes) lays a node table at an
+    offset, read in place: nodes[k] is the node of id base + k, either
+    an int (a leaf) or (op, kids), nullary nodes included, each child c
+    in kids standing for id base + c.  The blocks must not overlap; an
+    id no block covers is a leaf.  Two non-leaf ids whose ops agree and
+    whose children are pairwise related are related, so two nullary
+    nodes of one op always are.  Roots are representatives, not a
     canonical order.
 
-    The seeds are joined first, before any node is keyed, so their
-    unions need no parent bookkeeping; the parents of each class are then
-    indexed by root.  Finds are inlined with path halving and unions go
-    by size, so the loops over seeds and children make no Python call
-    per item."""
+    A worklist closure in the style of Downey-Sethi-Tarjan that keys
+    each node once, in one pass over the blocks in order and each block
+    in id order, and re-keys a node only when a union changes a child's
+    root.  The seeds are joined first, before any node is keyed.  When
+    the pass keys a node it adds the node to parents[r] for the current
+    root r of each child, and looks its key (op, child roots) up in a
+    signature table.  Two keys that meet join their nodes' classes; a
+    union goes by class size and moves the absorbed root's parent set
+    into the kept root's, queueing each node in it for a re-key.  The
+    queue is drained before the pass moves on; a node is re-keyed from
+    its last key, whose roots lie in its children's classes.
+
+    Why the result is the least congruence:
+    - every union is justified: two seeds, or two nodes of one op whose
+      children were related when the keys met; so the result lies in
+      the least congruence;
+    - a node not yet keyed reads current roots when it is keyed;
+    - a keyed node stays in parents[find(c)] for each child c, since a
+      parent set moves with its root, so a union that changes its key
+      queues it for a re-key;
+    - so at the end every node's last key is current, and two nodes
+      with one current key met the same signature table entry (a stale
+      entry holds a non-root, so no current key meets it), which joined
+      them; so the result is a congruence.
+    Finds are inlined with path halving, so the loops over seeds and
+    children make no Python call per item."""
     parent = list(range(n))
     size = [1] * n
     for a, b in seeds:
@@ -187,50 +219,70 @@ def congruence_roots(
             parent[b] = a
             size[a] += size[b]
 
-    # root -> the nodes with a child in its class
+    # root -> the keyed nodes with a child in its class
     parents: dict[int, set[int]] = {}
-    for pos, (_, kids) in nodes.items():
-        for c in kids:
-            while parent[c] != c:
-                parent[c] = c = parent[parent[c]]
-            ps = parents.get(c)
-            if ps is None:
-                parents[c] = {pos}
-            else:
-                ps.add(pos)
-
-    pending: deque[int] = deque(nodes)
+    # keyed id -> its last key, (op, child roots)
+    keys: list[Optional[tuple]] = [None] * n
     sigtab: dict[tuple, int] = {}
-    while pending:
-        pos = pending.popleft()
-        op, kids = nodes[pos]
-        roots = []
-        for c in kids:
-            while parent[c] != c:
-                parent[c] = c = parent[parent[c]]
-            roots.append(c)
-        a = sigtab.setdefault((op, *roots), pos)
-        if a == pos:
-            continue
-        b = pos
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a == b:
-            continue
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b] = a
-        size[a] += size[b]
-        gone = parents.pop(b, None)
-        if gone:
-            pending.extend(gone)
-            kept = parents.get(a)
-            if kept is None:
-                parents[a] = gone
-            else:
-                kept |= gone
+    pending: list[int] = []
+
+    for base, nodes in blocks:
+        for pos, node in enumerate(nodes, base):
+            if node.__class__ is int:
+                continue
+            op, kids = node
+            key = [op]
+            for c in kids:
+                c += base
+                while parent[c] != c:
+                    parent[c] = c = parent[parent[c]]
+                key.append(c)
+                ps = parents.get(c)
+                if ps is None:
+                    parents[c] = {pos}
+                else:
+                    ps.add(pos)
+            # look the key up, then re-key queued nodes until none is left
+            x = pos
+            while True:
+                key = tuple(key)
+                a = sigtab.setdefault(key, x)
+                if a == x:
+                    keys[x] = key
+                else:
+                    # a's last key is this one: share it
+                    keys[x] = keys[a]
+                    b = x
+                    while parent[a] != a:
+                        parent[a] = a = parent[parent[a]]
+                    while parent[b] != b:
+                        parent[b] = b = parent[parent[b]]
+                    if a != b:
+                        if size[a] < size[b]:
+                            a, b = b, a
+                        parent[b] = a
+                        size[a] += size[b]
+                        gone = parents.pop(b, None)
+                        if gone:
+                            pending.extend(gone)
+                            kept = parents.get(a)
+                            if kept is None:
+                                parents[a] = gone
+                            elif len(kept) < len(gone):
+                                gone |= kept
+                                parents[a] = gone
+                            else:
+                                kept |= gone
+                if not pending:
+                    break
+                x = pending.pop()
+                # the roots of x's last key lie in its children's classes
+                key = [*keys[x]]
+                for i in range(1, len(key)):
+                    c = key[i]
+                    while parent[c] != c:
+                        parent[c] = c = parent[parent[c]]
+                    key[i] = c
 
     for x in range(n):
         r = parent[x]
@@ -254,13 +306,9 @@ def close_congruence(universe: TermUniverse) -> CongruenceQuotient:
     instances.  Every node is keyed, nullary ones included, by the rule
     the construction's stages use."""
     pos = universe.position
-    nodes = {
-        n: (t.op, tuple(pos(c) for c in t.children.entries))
-        for n, t in enumerate(universe.terms)
-        if isinstance(t, Node)
-    }
+    nodes = [(t.op, tuple(pos(c) for c in t.children.entries)) for t in universe.terms]
     seeds = ((pos(p.lhs), pos(p.rhs)) for p in universe.instance_pairs)
-    return CongruenceQuotient(universe, congruence_roots(len(universe.terms), nodes, seeds))
+    return CongruenceQuotient(universe, congruence_roots(len(nodes), [(0, nodes)], seeds))
 
 
 def decide_eq(q: CongruenceQuotient, a: Term, b: Term) -> str:

@@ -348,12 +348,13 @@ def naive_diamond(
                     yield index[(high, lifted)], index[(low, t)]
 
     # congruence through node structure, across slices
-    nodes = {
-        n: (t.op, tuple(index[(s, ch)] for ch in t.children.entries))
-        for n, (s, t) in enumerate(pool)
+    nodes = [
+        (t.op, tuple(index[(s, ch)] for ch in t.children.entries))
         if isinstance(t, Node) and t.children.entries
-    }
-    roots = congruence_roots(len(pool), nodes, seeds())
+        else n
+        for n, (s, t) in enumerate(pool)
+    ]
+    roots = congruence_roots(len(pool), [(0, nodes)], seeds())
 
     flat_env = {
         _token(st.sid, c): cls.flat for st in slices for c, cls in enumerate(st.classes)
