@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import serialize
 from .algebras import Algebra, satisfies
@@ -48,24 +48,46 @@ from .schema import (
 )
 from .sexpr import parse_term, show_term
 from .sizes import SizeSig, SizeUniverse
-from .terms import Arity, IndexedSignature, OpSym, Signature, SystemOfEquations
+from .terms import Arity, IndexedSignature, OpSym, Signature
 
 
 class UsageError(QitError):
     pass
 
 
+class Option(NamedTuple):
+    flags: tuple[str, ...]
+    type: Optional[type]
+    choices: Optional[tuple[str, ...]]
+    default: object
+    least: Optional[int]  # the smallest value accepted
+    help: Optional[str]
+
+
+# the options that more than one command takes, each under its dest
+OPTIONS = {
+    "depth": Option(("-d", "--depth"), int, None, 3, 0, "term depth bound (default %(default)s)"),
+    "size_height": Option(("--size-height",), int, None, 3, 1,
+                          "size universe height (default %(default)s)"),
+    "prefix": Option(("--prefix",), int, None, None, 0,
+                     "largest index materialized for indexed declarations"),
+    "fmt": Option(("--format",), None, ("text", "structured"), "text", None, None),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """One parsed command line.  An option the command does not take is None."""
+
     command: str
+    fmt: str
     path: Optional[Path] = None
-    depth: int = 3
-    size_height: int = 3
-    samples: int = 5
-    carriers: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    fmt: str = "text"
+    depth: Optional[int] = None
+    size_height: Optional[int] = None
     prefix: Optional[int] = None
-    terms: Optional[tuple[str, str]] = None
+    carriers: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    lhs: Optional[str] = None
+    rhs: Optional[str] = None
     algebra: Optional[Path] = None
     steps: Optional[Path] = None
     compare_oracle: bool = False
@@ -73,53 +95,34 @@ class RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: --d must stay free to be the carrier flag of a
+    # parameter d rather than read as --depth
     p = argparse.ArgumentParser(
         prog="qitbench",
         description="declare, check, and execute quotient inductive types at desk scale",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser, *, takes_decl: bool = True) -> None:
-        if takes_decl:
+    sps = {}
+    for command, (_, help_, options) in COMMANDS.items():
+        sp = sps[command] = sub.add_parser(command, help=help_, allow_abbrev=False)
+        if command != "examples":
             sp.add_argument("path", type=Path, help="declaration file")
-        sp.add_argument("-d", "--depth", type=int, default=3, help="term depth bound (default 3)")
-        sp.add_argument("--size-height", type=int, default=3, dest="size_height",
-                        help="size universe height (default 3)")
-        sp.add_argument("--samples", type=int, default=5,
-                        help="environments sampled per countable variable family")
-        sp.add_argument("--prefix", type=int, default=None,
-                        help="largest index materialized for indexed declarations")
-        sp.add_argument("--format", choices=("text", "structured"), default="text", dest="fmt")
+        for name in options:
+            o = OPTIONS[name]
+            sp.add_argument(*o.flags, dest=name, type=o.type, choices=o.choices,
+                            default=o.default, help=o.help)
 
-    common(sub.add_parser("check", help="judge a declaration, printing the derivation"))
-    common(sub.add_parser("elaborate", help="export the signature and equation system"))
-    common(sub.add_parser("enum", help="list the depth-bounded term universe"))
-
-    eq = sub.add_parser("eq", help="decide equality of two terms in the quotient")
-    common(eq)
-    eq.add_argument("lhs", help="first term, s-expression syntax")
-    eq.add_argument("rhs", help="second term, s-expression syntax")
-
-    fold = sub.add_parser("fold", help="fold the quotient through an algebra")
-    common(fold)
-    fold.add_argument("--algebra", type=Path, required=True, help="algebra tables, JSON")
-
-    elim = sub.add_parser("elim", help="dependent elimination with coherence report")
-    common(elim)
-    elim.add_argument("--steps", type=Path, default=None,
-                      help="step tables, JSON (default: built-in parity eliminator)")
-
-    construct = sub.add_parser("construct", help="build the staged fixed point")
-    common(construct)
-    construct.add_argument("--compare-oracle", action="store_true", dest="compare_oracle",
-                           help="certify the colimit against the congruence quotient")
-
-    examples = sub.add_parser("examples", help="list the built-in declaration library")
-    examples.add_argument("example", nargs="?", default=None,
-                          choices=list(EXAMPLE_NAMES) + [None],
-                          help="print one entry's table")
-    examples.add_argument("--format", choices=("text", "structured"), default="text", dest="fmt")
-
+    sps["eq"].add_argument("lhs", help="first term, s-expression syntax")
+    sps["eq"].add_argument("rhs", help="second term, s-expression syntax")
+    sps["fold"].add_argument("--algebra", type=Path, required=True, help="algebra tables, JSON")
+    sps["elim"].add_argument("--steps", type=Path, default=None,
+                             help="step tables, JSON (default: built-in parity eliminator)")
+    sps["construct"].add_argument("--compare-oracle", action="store_true", dest="compare_oracle",
+                                  help="certify the colimit against the congruence quotient")
+    sps["examples"].add_argument("example", nargs="?", default=None,
+                                 choices=list(EXAMPLE_NAMES) + [None],
+                                 help="print one entry's table")
     return p
 
 
@@ -136,27 +139,37 @@ def _split_carriers(
     argparse does not know that they take a value, which would take a
     positional's place.  After the command, a --name that is none of its
     options is a carrier flag; the value follows '=' or is the next
-    argument, unless that is an option."""
+    argument, unless that is an option.  An option of another command is
+    a usage error, and so is a carrier flag to a command that does not
+    elaborate."""
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     at = next((n for n, tok in enumerate(argv) if tok in sub.choices), len(argv))
     rest, tail, flags = list(argv[: at + 1]), list(argv[at + 1 :]), []
-    options = [o for a in sub.choices[argv[at]]._actions for o in a.option_strings] if tail else []
+    if not tail:
+        return rest, flags
+    command = argv[at]
+    options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+    known = {o for sp in sub.choices.values() for a in sp._actions for o in a.option_strings}
+    foreign = known - options
 
-    def known(tok: str) -> bool:
-        # as argparse reads it: a long option may be abbreviated, and a
-        # short one may hold its value
-        if tok.startswith("--"):
-            return any(o.startswith(tok.partition("=")[0]) for o in options)
-        return tok[:2] in options
+    def option(tok: str) -> str:
+        # the option tok names, as argparse reads it: a long one may
+        # carry its value after '=', and a short one right after the flag
+        return tok.partition("=")[0] if tok.startswith("--") else tok[:2]
 
     while tail:
         tok = tail.pop(0)
-        if not tok.startswith("--") or known(tok):
+        if option(tok) in foreign:
+            parser.error(f"{command} takes no {option(tok)}")
+        if not tok.startswith("--") or option(tok) in options:
             rest.append(tok)
-        elif "=" in tok:
-            flags.append(tuple(tok[2:].split("=", 1)))
-        else:
-            flags.append((tok[2:], tail.pop(0) if tail and not known(tail[0]) else None))
+            continue
+        name, eq, val = tok[2:].partition("=")
+        if "--prefix" not in options:
+            parser.error(f"{command} takes no carrier flag --{name}")
+        if not eq:
+            val = tail.pop(0) if tail and option(tail[0]) not in known else None
+        flags.append((name, val))
     return rest, flags
 
 
@@ -167,6 +180,8 @@ def _carrier_flags(
         parser.error(f"unexpected argument {extra[0]!r}")
     out: dict[str, tuple[str, ...]] = {}
     for name, val in flags:
+        if name in out:
+            parser.error(f"--{name} given twice")
         if val is None:
             parser.error(f"--{name} expects a comma-separated carrier")
         if not name.isidentifier():
@@ -182,18 +197,12 @@ def _carrier_flags(
 
 
 def _config(args: argparse.Namespace, carriers: dict, parser: argparse.ArgumentParser) -> RunConfig:
-    # every parsed option is the RunConfig field of its name; a command
-    # without it gets the field's default
-    given = {k: v for k, v in vars(args).items() if k not in ("lhs", "rhs")}
-    terms = (args.lhs, args.rhs) if args.command == "eq" else None
-    cfg = RunConfig(**given, carriers=carriers, terms=terms)
-    for what, value, least in [("depth", cfg.depth, 0), ("size height", cfg.size_height, 1),
-                               ("samples", cfg.samples, 1), ("prefix", cfg.prefix, 0)]:
-        if value is not None and value < least:
-            parser.error(f"{what} must be >= {least}")
-    if carriers and args.command == "examples":
-        parser.error("examples takes no carrier flags")
-    return cfg
+    # every parsed argument is the RunConfig field of its name
+    for name in COMMANDS[args.command][2]:
+        least, value = OPTIONS[name].least, getattr(args, name)
+        if least is not None and value is not None and value < least:
+            parser.error(f"{name.replace('_', ' ')} must be >= {least}")
+    return RunConfig(**vars(args), carriers=carriers)
 
 
 # --- shared loading ---
@@ -218,6 +227,8 @@ def _elaborated(cfg: RunConfig):
     unknown = set(cfg.carriers) - setparams
     if unknown:
         raise UsageError(f"{decl.name} has no SET parameter named {sorted(unknown)[0]}")
+    if cfg.prefix is not None and decl.index_sort is None:
+        raise UsageError(f"{cfg.command} --prefix: {decl.name} is not indexed")
     sig, sys_ = elaborate(decl, cfg.carriers, prefix=cfg.prefix)
     return decl, sig, sys_
 
@@ -321,8 +332,8 @@ def _term_arg(name: str, text: str, sig: Signature):
 
 def _cmd_eq(cfg: RunConfig) -> int:
     decl, flat, sys_, q = _quotient(cfg)
-    a = _term_arg("lhs", cfg.terms[0], flat)
-    b = _term_arg("rhs", cfg.terms[1], flat)
+    a = _term_arg("lhs", cfg.lhs, flat)
+    b = _term_arg("rhs", cfg.rhs, flat)
     verdict = decide_eq(q, a, b)
     if cfg.fmt == "structured":
         print(serialize.dumps({"lhs": show_term(a), "rhs": show_term(b), "verdict": verdict}),
@@ -387,22 +398,14 @@ def _algebra_from_file(path: Path, sig: Signature) -> Algebra:
     return Algebra(sig, carrier, tables)
 
 
-def _countable(sys_: SystemOfEquations) -> bool:
-    return any(isinstance(e.vars, Arity) and not e.vars.finite for e in sys_.equations)
-
-
 def _cmd_fold(cfg: RunConfig) -> int:
     decl, flat, sys_, q = _quotient(cfg)
     alg = _algebra_from_file(cfg.algebra, flat)
-    mode = cfg.samples if _countable(sys_) else "exhaustive"
-    rep = satisfies(alg, sys_, mode)
+    rep = satisfies(alg, sys_)
     if not rep.ok:
         env = dict(rep.witness_env or ())
         print(f"VIOLATED {rep.witness_eq} at {env}")
         return 1
-    if _countable(sys_):
-        print(f"satisfied (sampled, {cfg.samples} environments per family); fold skipped")
-        return 0
     res = qwrec(q, alg)
     if cfg.fmt == "structured":
         obj = {"values": [{"canon": show_term(c), "value": v}
@@ -522,20 +525,25 @@ def _cmd_examples(cfg: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "elaborate": _cmd_elaborate,
-    "enum": _cmd_enum,
-    "eq": _cmd_eq,
-    "fold": _cmd_fold,
-    "elim": _cmd_elim,
-    "construct": _cmd_construct,
-    "examples": _cmd_examples,
+# each command: the function that runs it, its help line, and the
+# options of OPTIONS that it reads.  The commands that take --prefix
+# elaborate a declaration, and only they take carrier flags.
+COMMANDS = {
+    "check": (_cmd_check, "judge a declaration, printing the derivation", ("fmt",)),
+    "elaborate": (_cmd_elaborate, "export the signature and equation system", ("prefix", "fmt")),
+    "enum": (_cmd_enum, "list the depth-bounded term universe", ("depth", "prefix", "fmt")),
+    "eq": (_cmd_eq, "decide equality of two terms in the quotient", ("depth", "prefix", "fmt")),
+    "fold": (_cmd_fold, "fold the quotient through an algebra", ("depth", "prefix", "fmt")),
+    "elim": (_cmd_elim, "dependent elimination with coherence report",
+             ("depth", "prefix", "fmt")),
+    "construct": (_cmd_construct, "build the staged fixed point",
+                  ("depth", "size_height", "prefix", "fmt")),
+    "examples": (_cmd_examples, "list the built-in declaration library", ("fmt",)),
 }
 
 
 def run(cfg: RunConfig) -> int:
-    return _COMMANDS[cfg.command](cfg)
+    return COMMANDS[cfg.command][0](cfg)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

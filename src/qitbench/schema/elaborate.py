@@ -144,7 +144,6 @@ def elaborate(
     carriers: Optional[Mapping[str, Sequence[str]]] = None,
     *,
     prefix: Optional[int] = None,
-    bijections: Optional[Sequence[IndexMap]] = None,
 ) -> tuple[Union[Signature, IndexedSignature], SystemOfEquations]:
     report = check_decl(decl)
     if not report.ok:
@@ -157,7 +156,6 @@ def elaborate(
     pfx = (2 if prefix is None else prefix) if indexed else 0
     if indexed and pfx < 0:
         raise QitError("index prefix must be at least 0")
-    maps = tuple(bijections) if bijections is not None else DEFAULT_BIJECTIONS
 
     ops: list = []
     for ctor in decl.element_ctors:
@@ -170,7 +168,7 @@ def elaborate(
 
     eqs: list[Equation] = []
     for ctor in decl.equality_ctors:
-        eqs.extend(_materialize_eqs(ctor, decl, carrier_map, pfx, maps))
+        eqs.extend(_materialize_eqs(ctor, decl, carrier_map, pfx))
     sys = SystemOfEquations(tuple(eqs))
 
     flat = sig.flatten() if isinstance(sig, IndexedSignature) else sig
@@ -246,7 +244,7 @@ def _flat_arity(ctor, arities) -> Arity:
     return fin(len(arities))
 
 
-def _materialize_eqs(ctor, decl, carriers, pfx, maps):
+def _materialize_eqs(ctor, decl, carriers, pfx):
     raw, target = _spine(ctor.type)
     if not isinstance(target, EqT):
         raise QitError(f"{ctor.name} is not an equality constructor")
@@ -267,7 +265,7 @@ def _materialize_eqs(ctor, decl, carriers, pfx, maps):
         elif a.kind == "index":
             ivars.append(a.binder)
         elif a.kind == "map":
-            named.append((a, tuple(maps)))
+            named.append((a, DEFAULT_BIJECTIONS))
         else:
             values = _carrier_values(a.dom, decl, carriers)
             if values is not None:

@@ -14,6 +14,7 @@ import qitbench.schema.examples
 from helpers import bag_sig, bag_system
 from qitbench import cli
 from qitbench.cli import main
+from qitbench.schema import elaborate, parse_decl
 from qitbench.serialize import signature_from_obj, system_from_obj
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -375,10 +376,96 @@ def test_negative_depth_exits_2(capsys):
 
 
 def test_bad_samples_exits_2(capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["fold", BAG, "--algebra", str(FIXTURES / "bag_length.json"), "--samples", "0"])
-    assert e.value.code == 2
-    capsys.readouterr()
+    # no command takes --samples, so it reads as a carrier flag that
+    # names no SET parameter of Bag
+    code, out, err = outcome(capsys, "fold", BAG, "--algebra", str(FIXTURES / "bag_length.json"),
+                             "--samples", "0")
+    assert (code, out) == (2, "")
+    assert err == "usage error: Bag has no SET parameter named samples\n"
+
+
+def test_prefix_on_a_declaration_that_is_not_indexed_exits_2(capsys):
+    code, out, err = outcome(capsys, "enum", BAG, "--X", "a,b", "--prefix", "2")
+    assert (code, out) == (2, "")
+    assert err == "usage error: enum --prefix: Bag is not indexed\n"
+
+
+def test_repeated_carrier_flag_exits_2(capsys):
+    code, out, err = outcome(capsys, "enum", BAG, "--X", "a", "--X", "b", "-d", "2")
+    assert (code, out) == (2, "")
+    assert err.endswith("qitbench: error: --X given twice\n")
+
+
+@pytest.mark.parametrize("param", ["d", "h"])
+def test_a_set_parameter_may_share_the_start_of_an_option_name(param, tmp_path, capsys):
+    # --d is not --depth, nor --h --help: options are never abbreviated
+    p = tmp_path / f"bag{param}.qit"
+    p.write_text((FIXTURES / "bag.qit").read_text().replace("X", param))
+    code, out, err = run(capsys, "enum", str(p), f"--{param}", "a,b", "-d", "2")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "enum", BAG, "--X", "a,b", "-d", "2")[1]
+    assert len(out.splitlines()) == 3
+
+
+# the options each command takes, besides -h; the carrier flag --X goes
+# to the commands that elaborate a declaration
+TAKES = {
+    "check": {"--format"},
+    "elaborate": {"--prefix", "--format"},
+    "enum": {"-d", "--depth", "--prefix", "--format"},
+    "eq": {"-d", "--depth", "--prefix", "--format"},
+    "fold": {"-d", "--depth", "--prefix", "--format", "--algebra"},
+    "elim": {"-d", "--depth", "--prefix", "--format", "--steps"},
+    "construct": {"-d", "--depth", "--size-height", "--prefix", "--format", "--compare-oracle"},
+    "examples": {"--format"},
+}
+ELABORATES = {"elaborate", "enum", "eq", "fold", "elim", "construct"}
+
+
+def test_each_command_has_only_its_own_options():
+    sub = next(a for a in cli.build_parser()._actions if a.option_strings == [] and a.choices)
+    slots = 0
+    for command, sp in sub.choices.items():
+        actions = [a for a in sp._actions if a.option_strings and "-h" not in a.option_strings]
+        assert {o for a in actions for o in a.option_strings} == TAKES[command], command
+        slots += len(actions)
+    assert set(sub.choices) == set(TAKES)
+    assert slots == 23
+
+
+@pytest.fixture(scope="module")
+def commvec_tables(tmp_path_factory):
+    """an algebra and a step table with one element for CommVec on --X a"""
+    sig, _ = elaborate(parse_decl(Path(COMMVEC).read_text()), {"X": ("a",)})
+    ops = [(d.op.show(), d.arity.count) for d in sig.flatten().ops]
+    d = tmp_path_factory.mktemp("commvec")
+    alg, steps = d / "one.json", d / "one_steps.json"
+    alg.write_text(json.dumps({"carrier": ["*"], "ops": {n: [[["*"] * k, "*"]] for n, k in ops}}))
+    steps.write_text(json.dumps({"motive": {"default": ["*"]}, "steps": [
+        {"op": n, "tags": ["*"] * k, "value": "*"} for n, k in ops]}))
+    return str(alg), str(steps)
+
+
+MATRIX_FLAGS = ["-d", "--depth", "--size-height", "--prefix", "--format", "--algebra", "--steps",
+                "--compare-oracle", "--X"]
+
+
+@pytest.mark.parametrize("flag", MATRIX_FLAGS)
+@pytest.mark.parametrize("command", list(TAKES))
+def test_an_option_the_command_does_not_take_exits_2(command, flag, commvec_tables, capsys):
+    alg, steps = commvec_tables
+    value = {"-d": ["2"], "--depth": ["2"], "--size-height": ["2"], "--prefix": ["2"],
+             "--format": ["structured"], "--algebra": [alg], "--steps": [steps],
+             "--compare-oracle": [], "--X": ["a"]}[flag]
+    base = {"eq": [COMMVEC, "(op nil @0)", "(op nil @0)"], "fold": [COMMVEC, "--algebra", alg],
+            "examples": []}.get(command, [COMMVEC])
+    carrier = ["--X", "a"] if command in ELABORATES and flag != "--X" else []
+    code, out, err = outcome(capsys, command, *base, *carrier, flag, *value)
+    if flag in TAKES[command] or (flag == "--X" and command in ELABORATES):
+        assert (code, err) == (0, "") and out
+    else:
+        assert (code, out) == (2, "")
+        assert len([line for line in err.splitlines() if command in line and flag in line]) == 1
 
 
 def test_negative_prefix_exits_2(capsys):
