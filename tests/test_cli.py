@@ -358,6 +358,17 @@ def test_output_matches_golden(golden, argv, capsys):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("name, code", [
+    ("bag", 0), ("bagprime", 1), ("commvec", 0), ("commtree", 0),
+    ("inftree", 0), ("qleft", 1), ("qparam", 1), ("qsigma", 1),
+])
+def test_check_matches_golden(name, code, fmt, capsys):
+    golden = f"check_{name}.txt" if fmt == "text" else f"check_{name}_structured.json"
+    got = run(capsys, "check", str(FIXTURES / f"{name}.qit"), "--format", fmt)
+    assert got == (code, (GOLDEN / golden).read_text(encoding="utf-8"), "")
+
+
 # --- usage errors ---
 
 
