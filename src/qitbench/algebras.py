@@ -8,7 +8,7 @@ named rules that receive the child family as a callable.
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -108,7 +108,7 @@ def bind(t: Term, env: Env, alg: Algebra, *, maps: Mapping[str, IndexMap] | None
 
 @dataclass(frozen=True)
 class SatReport:
-    status: str  # SATISFIED | VIOLATED | SAMPLED
+    status: str  # SATISFIED | VIOLATED
     checked: int
     witness_eq: Optional[str] = None
     witness_env: Optional[tuple[tuple[str, Value], ...]] = None
@@ -121,45 +121,24 @@ class SatReport:
 def satisfies(
     alg: Algebra,
     sys: SystemOfEquations,
-    mode: Union[str, int] = "exhaustive",
     *,
     maps: Mapping[str, IndexMap] | None = None,
-    seed: int = 0,
 ) -> SatReport:
-    """Check every equation under every (or sampled) environment.
+    """Check every equation under every environment.
 
-    mode "exhaustive" requires a finite carrier and finite variable
-    families; an int asks for that many sampled environments per
-    countable family (finite families are still checked exhaustively,
-    and the report downgrades to SAMPLED).
+    This requires a finite carrier and finite variable families.
     """
-    import itertools
-
-    exhaustive = mode == "exhaustive"
-    if not exhaustive and not isinstance(mode, int):
-        raise ValueError(f"bad mode {mode!r}")
     if alg.carrier is None:
         raise InfeasibleExhaustive("satisfaction needs an enumerated carrier")
     carrier = alg.carrier
     checked = 0
-    sampled = False
     for eq in sys.equations:
         names = eq.var_names()
-        if names is not None:
-            for combo in itertools.product(carrier, repeat=len(names)):
-                env = dict(zip(names, combo))
-                checked += 1
-                if bind(eq.lhs, env, alg, maps=maps) != bind(eq.rhs, env, alg, maps=maps):
-                    return SatReport("VIOLATED", checked, eq.name, tuple(env.items()))
-        else:
-            if exhaustive:
-                raise InfeasibleExhaustive(f"equation {eq.name} has a countable variable family")
-            sampled = True
-            for s in range(mode):
-                rnd = random.Random(f"{seed}:{eq.name}:{s}")
-                table = [rnd.choice(carrier) for _ in range(16)]
-                env = lambda name: table[int(name) % len(table)]
-                checked += 1
-                if bind(eq.lhs, env, alg, maps=maps) != bind(eq.rhs, env, alg, maps=maps):
-                    return SatReport("VIOLATED", checked, eq.name, (("sample", s),))
-    return SatReport("SAMPLED" if sampled else "SATISFIED", checked)
+        if names is None:
+            raise InfeasibleExhaustive(f"equation {eq.name} has a countable variable family")
+        for combo in itertools.product(carrier, repeat=len(names)):
+            env = dict(zip(names, combo))
+            checked += 1
+            if bind(eq.lhs, env, alg, maps=maps) != bind(eq.rhs, env, alg, maps=maps):
+                return SatReport("VIOLATED", checked, eq.name, tuple(env.items()))
+    return SatReport("SATISFIED", checked)

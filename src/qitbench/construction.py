@@ -636,11 +636,9 @@ class QwInterface:
 
     def qwrec(self, alg: Algebra) -> ConstructionRec:
         appx = self.appx
-        report = satisfies(alg, appx.sys, "exhaustive")
-        if report.status != "SATISFIED":
-            raise NotSatisfying(
-                f"algebra violates {report.witness_eq}" if report.witness_eq else "algebra violates the system"
-            )
+        report = satisfies(alg, appx.sys)
+        if not report.ok:
+            raise NotSatisfying(f"algebra violates {report.witness_eq}")
 
         # each stage comes after its slices, so one pass in sid order
         tables: dict[int, dict[int, Value]] = {}

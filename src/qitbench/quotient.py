@@ -332,7 +332,7 @@ def qwrec(q: CongruenceQuotient, alg: Algebra) -> QwrecResult:
     at every class member (well-definedness) and the induced map is
     checked to be a homomorphism at every universe node.
     """
-    report = satisfies(alg, q.universe.sys, "exhaustive")
+    report = satisfies(alg, q.universe.sys)
     if not report.ok:
         raise NotSatisfying(
             f"algebra violates {report.witness_eq} at {dict(report.witness_env or ())!r}"

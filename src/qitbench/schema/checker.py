@@ -44,12 +44,22 @@ Env = Mapping[str, TypeAst]
 
 @dataclass(frozen=True)
 class Derivation:
-    """One rule application; ``displayed`` controls rule_sequence only."""
+    """One rule application; ``displayed`` controls rule_sequence only.
+
+    ``about`` is the type the rule judged, or the constructor for the
+    ElCon and EqCon roots; ``subject`` renders it only when read.
+    """
 
     rule: str
-    subject: str
+    about: Union[TypeAst, Ctor]
     premises: tuple["Derivation", ...] = ()
     displayed: bool = True
+
+    @property
+    def subject(self) -> str:
+        if isinstance(self.about, Ctor):
+            return f"{self.about.name} : {show_type(self.about.type)}"
+        return show_type(self.about)
 
 
 @dataclass(frozen=True)
@@ -212,7 +222,7 @@ def _norm_type(t: TypeAst) -> TypeAst:
 
 
 def _type_eq(a: TypeAst, b: TypeAst) -> bool:
-    return _norm_type(a) == _norm_type(b)
+    return a == b or _norm_type(a) == _norm_type(b)
 
 
 def _subst_term(t: TermAst, name: str, value: TermAst) -> TermAst:
@@ -305,7 +315,7 @@ def _strpstv(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
     match t:
         case QRef(_):
             _check_qref(t, decl, env, "InductiveArgument")
-            return Derivation("InductiveArgument", show_type(t))
+            return Derivation("InductiveArgument", t)
         case EqT(_, _):
             raise _Fail("ConditionalEquation", f"equation type {show_type(t)} cannot be an argument")
         case Pi(b, dom, cod):
@@ -316,7 +326,7 @@ def _strpstv(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
                 )
             _scope_check(dom, env, decl, "StrictlyPositiveFunction")
             inner = _strpstv(cod, decl, env if b == "_" else {**env, b: dom})
-            return Derivation("StrictlyPositiveFunction", show_type(t), (inner,))
+            return Derivation("StrictlyPositiveFunction", t, (inner,))
         case Sigma(b, left, right):
             first = _strpstv(left, decl, env)
             if b != "_" and _mentions_q(left, decl.name) and _uses_var(right, b):
@@ -326,7 +336,7 @@ def _strpstv(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
                 )
             env2 = env if b == "_" else {**env, b: erase_q(left)}
             second = _strpstv(right, decl, env2)
-            return Derivation("StrictlyPositiveProduct", show_type(t), (first, second))
+            return Derivation("StrictlyPositiveProduct", t, (first, second))
         case _:
             if _mentions_q(t, decl.name):
                 raise _Fail(
@@ -334,7 +344,7 @@ def _strpstv(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
                     f"{decl.name} occurs in the parameter type {show_type(t)}",
                 )
             _scope_check(t, env, decl, "ConstantParameter")
-            return Derivation("ConstantParameter", show_type(t))
+            return Derivation("ConstantParameter", t)
 
 
 def check_strictly_positive(
@@ -350,11 +360,11 @@ def _element_spine(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
     match t:
         case QRef(_):
             _check_qref(t, decl, env, "Target")
-            return Derivation("Target", show_type(t))
+            return Derivation("Target", t)
         case Pi(b, dom, cod):
             arg = _strpstv(dom, decl, env)
             rest = _element_spine(cod, decl, env if b == "_" else {**env, b: dom})
-            return Derivation("ElArgument", show_type(t), (arg, rest))
+            return Derivation("ElArgument", t, (arg, rest))
         case _:
             raise _Fail("Target", f"constructor must target {decl.name}, found {show_type(t)}")
 
@@ -364,11 +374,11 @@ def check_element_ctor(ctor: Ctor, decl: QitDecl) -> Judgement:
         spine = _element_spine(ctor.type, decl, {})
     except _Fail as f:
         return Reject(f.rule, (ctor.line, ctor.col), f.message)
-    return Accept(Derivation("ElCon", f"{ctor.name} : {show_type(ctor.type)}", (spine,)))
+    return Accept(Derivation("ElCon", ctor, (spine,)))
 
 
 def _hide(d: Derivation) -> Derivation:
-    return Derivation(d.rule, d.subject, tuple(_hide(p) for p in d.premises), displayed=False)
+    return Derivation(d.rule, d.about, tuple(_hide(p) for p in d.premises), displayed=False)
 
 
 def _equality_spine(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
@@ -381,13 +391,13 @@ def _equality_spine(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
                     raise _Fail("EqTarget", f"the {side} endpoint has type {show_type(ty)}, not {decl.name}")
             if not _type_eq(lt, rt):
                 raise _Fail("EqTarget", f"endpoint types disagree: {show_type(lt)} vs {show_type(rt)}")
-            return Derivation("EqTarget", show_type(t))
+            return Derivation("EqTarget", t)
         case Pi(b, dom, cod):
             if isinstance(dom, EqT):
                 raise _Fail("ConditionalEquation", f"argument {show_type(dom)} makes the equation conditional")
             arg = _hide(_strpstv(dom, decl, env))
             rest = _equality_spine(cod, decl, env if b == "_" else {**env, b: dom})
-            return Derivation("EqArg", show_type(t), (arg, rest))
+            return Derivation("EqArg", t, (arg, rest))
         case _:
             raise _Fail("EqTarget", f"an equality constructor must end in an equation, found {show_type(t)}")
 
@@ -397,7 +407,7 @@ def check_equality_ctor(ctor: Ctor, decl: QitDecl) -> Judgement:
         spine = _equality_spine(ctor.type, decl, {})
     except _Fail as f:
         return Reject(f.rule, (ctor.line, ctor.col), f.message)
-    return Accept(Derivation("EqCon", f"{ctor.name} : {show_type(ctor.type)}", (spine,)))
+    return Accept(Derivation("EqCon", ctor, (spine,)))
 
 
 @dataclass(frozen=True)

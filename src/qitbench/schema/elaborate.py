@@ -115,15 +115,16 @@ def _classify(binder: str, dom: TypeAst, decl: QitDecl) -> _Arg:
 
 
 def _ixval(t: TermAst, ienv: Mapping[str, int]) -> int:
-    match t:
-        case TNum(n):
-            return n
-        case TVar(name):
-            if name in ienv:
-                return ienv[name]
-            raise UnsupportedParameterType(f"index expression uses unknown name {name}")
-        case TApp("suc", (arg,)):
-            return 1 + _ixval(arg, ienv)
+    # isinstance tests: a class pattern costs several times as much, and
+    # this runs at every index of every constructor application
+    if isinstance(t, TVar):
+        if t.name in ienv:
+            return ienv[t.name]
+        raise UnsupportedParameterType(f"index expression uses unknown name {t.name}")
+    if isinstance(t, TNum):
+        return t.value
+    if isinstance(t, TApp) and t.head == "suc" and len(t.args) == 1:
+        return 1 + _ixval(t.args[0], ienv)
     raise UnsupportedParameterType(f"cannot evaluate index expression {t!r}")
 
 
@@ -157,9 +158,13 @@ def elaborate(
     if indexed and pfx < 0:
         raise QitError("index prefix must be at least 0")
 
+    # each element constructor's classified spine, read by the ops and
+    # by every constructor application in an equation endpoint
+    spines: dict[str, tuple[tuple[_Arg, ...], QRef]] = {}
     ops: list = []
     for ctor in decl.element_ctors:
-        ops.extend(_materialize_ops(ctor, decl, carrier_map, pfx))
+        spines[ctor.name] = _element_args(ctor, decl)
+        ops.extend(_materialize_ops(ctor, spines[ctor.name], decl, carrier_map, pfx))
     sig: Union[Signature, IndexedSignature]
     if indexed:
         sig = IndexedSignature(tuple(str(i) for i in range(pfx + 1)), tuple(ops))
@@ -168,7 +173,7 @@ def elaborate(
 
     eqs: list[Equation] = []
     for ctor in decl.equality_ctors:
-        eqs.extend(_materialize_eqs(ctor, decl, carrier_map, pfx))
+        eqs.extend(_materialize_eqs(ctor, spines, decl, carrier_map, pfx))
     sys = SystemOfEquations(tuple(eqs))
 
     flat = sig.flatten() if isinstance(sig, IndexedSignature) else sig
@@ -185,8 +190,8 @@ def _element_args(ctor: Ctor, decl: QitDecl) -> tuple[tuple[_Arg, ...], QRef]:
     return args, target
 
 
-def _materialize_ops(ctor, decl, carriers, pfx):
-    args, target = _element_args(ctor, decl)
+def _materialize_ops(ctor, spine, decl, carriers, pfx):
+    args, target = spine
     indexed = decl.index_sort is not None
 
     consts = [a for a in args if a.kind == "const"]
@@ -244,7 +249,7 @@ def _flat_arity(ctor, arities) -> Arity:
     return fin(len(arities))
 
 
-def _materialize_eqs(ctor, decl, carriers, pfx):
+def _materialize_eqs(ctor, spines, decl, carriers, pfx):
     raw, target = _spine(ctor.type)
     if not isinstance(target, EqT):
         raise QitError(f"{ctor.name} is not an equality constructor")
@@ -296,7 +301,7 @@ def _materialize_eqs(ctor, decl, carriers, pfx):
                 env[a.binder] = Var(a.binder)
             for a in natfams:
                 env[a.binder] = a
-            tr = _Translator(decl, carriers, env, ienv, pfx, natfams[0].binder if natfams else None)
+            tr = _Translator(decl, spines, env, ienv, pfx, natfams[0].binder if natfams else None)
             try:
                 lhs = tr.term(target.lhs)
                 rhs = tr.term(target.rhs)
@@ -315,9 +320,9 @@ def _materialize_eqs(ctor, decl, carriers, pfx):
 class _Translator:
     """Endpoint terms to free-monad terms under one assignment."""
 
-    def __init__(self, decl, carriers, env, ienv, pfx, fam_binder):
+    def __init__(self, decl, spines, env, ienv, pfx, fam_binder):
         self.decl = decl
-        self.carriers = carriers
+        self.spines = spines
         self.env = env
         self.ienv = ienv
         self.pfx = pfx
@@ -325,23 +330,21 @@ class _Translator:
         self.indexed = decl.index_sort is not None
 
     def term(self, t: TermAst) -> Term:
-        match t:
-            case TVar(name):
-                v = self.env.get(name)
-                if isinstance(v, Var):
-                    return v
-                if self.decl.element(name) is not None:
-                    return self.apply(name, ())
-                raise QitError(f"cannot translate endpoint variable {name}")
-            case TApp(head, args):
-                if self.decl.element(head) is not None:
-                    return self.apply(head, args)
-                raise QitError(f"cannot translate application of {head}")
+        if isinstance(t, TVar):
+            v = self.env.get(t.name)
+            if isinstance(v, Var):
+                return v
+            if t.name in self.spines:
+                return self.apply(t.name, ())
+            raise QitError(f"cannot translate endpoint variable {t.name}")
+        if isinstance(t, TApp):
+            if t.head in self.spines:
+                return self.apply(t.head, t.args)
+            raise QitError(f"cannot translate application of {t.head}")
         raise QitError(f"cannot translate endpoint {t!r}")
 
     def apply(self, cname: str, given: tuple[TermAst, ...]) -> Node:
-        ctor = self.decl.element(cname)
-        cargs, ctarget = _element_args(ctor, self.decl)
+        cargs, ctarget = self.spines[cname]
         if len(given) != len(cargs):
             raise QitError(f"{cname} expects {len(cargs)} arguments, got {len(given)}")
         params: list[str] = []

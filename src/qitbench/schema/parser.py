@@ -12,8 +12,8 @@ Equality constructors are the ones whose final codomain is ``t = t``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import re
+from typing import NamedTuple, Optional
 
 from ..errors import ParseError
 from .ast import (
@@ -35,12 +35,15 @@ from .ast import (
     TypeAst,
 )
 
-_SYMBOLS = ("->", "(", ")", "{", "}", ":", "=", "*", ",")
+# One token per match: its leading whitespace, then a symbol, an ASCII
+# numeral, an identifier, or any other character (an error).  `[^\W\d]`
+# also admits non-decimal numerics such as '²' and 'Ⅻ', so the tokenizer
+# checks that an identifier starts with a letter or '_'.
+_TOKEN = re.compile(r"(\s*)(?:(->|[(){}:=*,])|([0-9]+)|([^\W\d][\w']*)|(\S))")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # ident | num | one of _SYMBOLS | end
+class _Tok(NamedTuple):
+    kind: str  # ident | num | a symbol | end
     text: str
     line: int
     col: int
@@ -53,50 +56,30 @@ def _strip_comment(line: str) -> str:
 
 def _tokenize(text: str, line_no: int) -> list[_Tok]:
     toks: list[_Tok] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("->", i):
-            toks.append(_Tok("->", "->", line_no, i + 1))
-            i += 2
-            continue
-        if ch in "(){}:=*,":
-            toks.append(_Tok(ch, ch, line_no, i + 1))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("num", text[i:j], line_no, i + 1))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], line_no, i + 1))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line_no, i + 1)
+    col = 1
+    for space, sym, num, ident, other in _TOKEN.findall(text):
+        col += len(space)
+        if other or (ident and not (ident[0].isalpha() or ident[0] == "_")):
+            raise ParseError(f"unexpected character {(other or ident)[0]!r}", line_no, col)
+        s = sym or num or ident
+        # tuple.__new__ skips the Python-level __new__ of a NamedTuple
+        toks.append(tuple.__new__(_Tok, (sym or ("num" if num else "ident"), s, line_no, col)))
+        col += len(s)
     return toks
 
 
 class _TypeParser:
     def __init__(self, toks: list[_Tok], qname: str):
-        self.toks = toks
+        # every read past the last token finds the one "end" token after it
+        last = toks[-1] if toks else _Tok("end", "", 0, 0)
+        self.toks = toks + [_Tok("end", "", last.line, last.col + len(last.text))]
+        self.end = len(toks)
         self.pos = 0
         self.qname = qname
 
     def _peek(self, ahead: int = 0) -> _Tok:
         k = self.pos + ahead
-        if k < len(self.toks):
-            return self.toks[k]
-        last = self.toks[-1] if self.toks else _Tok("end", "", 0, 0)
-        return _Tok("end", "", last.line, last.col + len(last.text))
+        return self.toks[k if k < self.end else self.end]
 
     def _next(self) -> _Tok:
         t = self._peek()

@@ -103,10 +103,15 @@ def _form(r: _Reader) -> tuple[list, int, int]:
             items.append(r.next())
 
 
+def _is_numeral(text) -> bool:
+    """An atom of ASCII digits: str.isdigit alone also admits '²' and '٣'."""
+    return isinstance(text, str) and text.isascii() and text.isdigit()
+
+
 def _as_ix(item) -> IndexExpr:
     if isinstance(item, tuple) and isinstance(item[0], str):
         text, line, col = item
-        if text.isdigit():
+        if _is_numeral(text):
             return IxC(int(text))
         return IxV(text)
     items, line, col = item
@@ -224,7 +229,7 @@ def parse_index_map(text: str) -> IndexMap:
         if isinstance(entry, tuple) and isinstance(entry[0], str):
             raise ParseError("expected a (src dst) pair", entry[1], entry[2])
         pair, pl, pc = entry
-        if len(pair) != 2 or not all(isinstance(p, tuple) and p[0].isdigit() for p in pair):
+        if len(pair) != 2 or not all(_is_numeral(p[0]) for p in pair):
             raise ParseError("expected a (src dst) pair of naturals", pl, pc)
         table.append((int(pair[0][0]), int(pair[1][0])))
         k += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from qitbench.errors import InfinitaryArity
+from qitbench.errors import InfinitaryArity, ParseError
 from qitbench.quotient import congruence_roots
 from qitbench.sizes import SizeVal
 from qitbench.terms import (
@@ -28,6 +28,42 @@ from qitbench.terms import (
     depth,
     substitute,
 )
+
+
+def naive_tokenize(text: str, line_no: int) -> list[tuple[str, str, int, int]]:
+    """The declaration tokenizer as a character loop: (kind, text, line, col)
+    per token, or ParseError at the first character no token starts with."""
+    toks = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text.startswith("->", i):
+            toks.append(("->", "->", line_no, i + 1))
+            i += 2
+            continue
+        if ch in "(){}:=*,":
+            toks.append((ch, ch, line_no, i + 1))
+            i += 1
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < len(text) and "0" <= text[j] <= "9":
+                j += 1
+            toks.append(("num", text[i:j], line_no, i + 1))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            toks.append(("ident", text[i:j], line_no, i + 1))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line_no, i + 1)
+    return toks
 
 
 def term_key(sig: Signature, t: Term):

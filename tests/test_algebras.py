@@ -48,20 +48,6 @@ def test_exhaustive_needs_enumerable_data():
         satisfies(Algebra(countable, ("*",)), SystemOfEquations((eq,)))
 
 
-def test_sampled_mode_reports_sampled():
-    countable = signature([("leaf", 0), ("node x", NAT)])
-    lhs = mk_node(countable, "node x", Comp("i", IxVar(IxV("i"))))
-    eq = Equation("stutter", NAT, lhs, lhs)
-    alg = Algebra(
-        countable,
-        carrier=(0, 1),
-        rules={countable.decl("node x").op: lambda child: tuple(child(k) for k in range(4))},
-    )
-    report = satisfies(alg, SystemOfEquations((eq,)), 5)
-    assert report.status == "SAMPLED"
-    assert report.checked == 5
-
-
 def test_partial_algebra_is_reported():
     alg = Algebra(SIG, carrier=(0,), tables={SIG.decl("nil").op: {(): 0}})
     with pytest.raises(PartialAlgebra):

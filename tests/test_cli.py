@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -83,6 +84,24 @@ def test_check_parse_error_is_positioned(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(p))
     assert code == 1
     assert "broken.qit:1:" in err
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"])
+@pytest.mark.parametrize("command", ["check", "enum"])
+def test_a_non_ascii_digit_is_an_error_line(command, digit, tmp_path, capsys):
+    p = tmp_path / "vec.qit"
+    p.write_text(f"qit Vec (X : Set) : Nat -> Set where\n  nil : Vec {digit}\n", encoding="utf-8")
+    argv = [command, str(p)] + (["--X", "a"] if command == "enum" else [])
+    got = run(capsys, *argv)
+    assert got == (1, "", f"error: {p}:2:13: unexpected character {digit!r}\n")
+
+
+def test_identifiers_keep_unicode_digits(tmp_path, capsys):
+    p = tmp_path / "tagged.qit"
+    p.write_text("qit T (X : Set) where\n  mk : (tag² : X) -> (n٣ : X) -> T\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, err) == (0, "")
+    assert "ElCon  mk : (tag² : X) -> (n٣ : X) -> Q" in out
 
 
 # --- eq ---
@@ -367,6 +386,27 @@ def test_check_matches_golden(name, code, fmt, capsys):
     golden = f"check_{name}.txt" if fmt == "text" else f"check_{name}_structured.json"
     got = run(capsys, "check", str(FIXTURES / f"{name}.qit"), "--format", fmt)
     assert got == (code, (GOLDEN / golden).read_text(encoding="utf-8"), "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bag.qit", "--X", "a,b"],
+    ["commvec.qit", "--X", "a,b", "--prefix", "2"],
+    ["inftree.qit", "--X", "a"],
+    ["commtree.qit", "--X", "a,b"],
+], ids=lambda argv: argv[0])
+def test_accepted_declarations_render_no_text(argv, monkeypatch, capsys):
+    """Derivations keep their types; only the text form of check renders them."""
+    def rendered(*_):
+        raise AssertionError("a type or term was rendered")
+
+    for name in ("qitbench.schema.checker", "qitbench.schema.elaborate"):
+        module = importlib.import_module(name)
+        monkeypatch.setattr(module, "show_type", rendered)
+        monkeypatch.setattr(module, "show_term_ast", rendered)
+    path = str(FIXTURES / argv[0])
+    assert run(capsys, "elaborate", path, *argv[1:])[0] == 0
+    assert run(capsys, "elaborate", path, *argv[1:], "--format", "structured")[0] == 0
+    assert run(capsys, "check", path, "--format", "structured")[0] == 0
 
 
 # --- usage errors ---

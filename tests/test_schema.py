@@ -5,9 +5,11 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import bag_sig, bag_system, commvec_indexed, commvec_system
-from oracles import bag_multiset
+from oracles import bag_multiset, naive_tokenize
 from qitbench.errors import (
     NameClash,
     ParseError,
@@ -38,6 +40,8 @@ from qitbench.schema import (
     rule_sequence,
     symbolic_table,
 )
+from qitbench.schema.parser import _tokenize
+from qitbench.sexpr import show_term
 from qitbench.terms import NAT, Comp, Node, fin
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -111,6 +115,36 @@ def test_fin_param_parses():
     decl = parse_decl("qit Pair (a : {l, r}) where\n  mk : Pair\n")
     kind = decl.params[0].kind
     assert kind.values == ("l", "r")
+
+
+# Pieces of generated lines: symbols, ASCII and Unicode letters, ASCII
+# digits, a decimal digit of another script ('٣'), non-decimal numerics
+# ('²', 'Ⅻ', '½'), spaces, and characters no token starts with.
+_LINE_PIECES = ("->", "-", ">", "(", ")", "{", "}", ":", "=", "*", ",", "@", "'", "_",
+                "a", "Z", "é", "x1", "0", "42", "²", "٣", "Ⅻ", "½", " ", "\xa0", "\t")
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_LINE_PIECES) | st.characters(), max_size=12).map("".join))
+@example("  nil : Vec ²")
+@example("n٣ : Vec ٣")
+@example("mk : Ⅻ")
+@example("1½")
+@example("é' : X")
+@example("X\xa0-> Q")
+@example("f' x'' ")
+@example("_ _x_1")
+@example("a @ b")
+@example("a - > b")
+def test_tokenizer_equals_naive_loop(line):
+    try:
+        want = naive_tokenize(line, 3)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            _tokenize(line, 3)
+        assert (str(got.value), got.value.line, got.value.col) == (str(e), e.line, e.col)
+        return
+    assert [tuple(t) for t in _tokenize(line, 3)] == want
 
 
 # --- checking: golden rule sequences ---
@@ -331,6 +365,13 @@ def test_fin_params_need_no_carrier():
     names = sorted(d.op.show() for d in sig.ops)
     assert names == ["put l", "put r", "stop"]
     assert sys.equations == ()
+
+
+def test_each_endpoint_application_reads_its_own_constructor():
+    src = "qit T (X : Set) where\n  b : X -> T -> T\n  a : T\n  e : (x : X) -> b x a = a\n"
+    _, sys = elaborate(parse_decl(src), {"X": ("p", "q")})
+    got = [(e.name, show_term(e.lhs), show_term(e.rhs)) for e in sys.equations]
+    assert got == [("e p", "(op b p (op a))", "(op a)"), ("e q", "(op b q (op a))", "(op a)")]
 
 
 def test_equality_over_erasable_hypothesis():

@@ -7,7 +7,7 @@ import pytest
 from helpers import bag_sig
 from qitbench.errors import ArityMismatch, ParseError, UnknownOp
 from qitbench.sexpr import parse_index_map, parse_term, show_index_map, show_term
-from qitbench.terms import IndexMap, IxApp, IxV, IxVar, Node, OpSym, Var
+from qitbench.terms import IndexMap, IxApp, IxC, IxV, IxVar, Node, OpSym, Var
 
 SIG = bag_sig()
 
@@ -71,3 +71,16 @@ def test_index_map_surface():
         parse_index_map("(bij b (0 1 2) default i)")
     with pytest.raises(ParseError):
         parse_index_map("(op nil)")
+
+
+@pytest.mark.parametrize("entry", ["(1 ²)", "(٣ 1)", "((0) 1)"])
+def test_index_map_pairs_are_ascii_naturals(entry):
+    with pytest.raises(ParseError) as e:
+        parse_index_map(f"(bij m {entry} default i)")
+    assert (str(e.value), e.value.col) == ("1:8: expected a (src dst) pair of naturals", 8)
+
+
+def test_only_ascii_digits_make_an_index_constant():
+    assert parse_term("(var (ix 3))") == IxVar(IxC(3))
+    assert parse_term("(var (ix ٣))") == IxVar(IxV("٣"))
+    assert parse_term("(var (ix (b ²)))") == IxVar(IxApp("b", IxV("²")))
