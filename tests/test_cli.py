@@ -377,6 +377,38 @@ def test_output_matches_golden(golden, argv, capsys):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+PERF_INPUTS = Path(__file__).parent.parent / "perfbench" / "inputs"
+VEC2 = ("--X", "a,b", "--prefix", "2")
+
+
+# the oracle paths: CommVec is indexed, so its universe lists sort by sort
+@pytest.mark.parametrize("golden, code, argv", [
+    ("enum_commvec_prefix2.txt", 0, ["enum", COMMVEC, *VEC2]),
+    ("eq_commvec_prefix2_equal.txt", 0,
+     ["eq", COMMVEC, "(op cons a @2 (op cons b @1 (op nil @0)))",
+      "(op cons b @2 (op cons a @1 (op nil @0)))", *VEC2]),
+    ("eq_commvec_prefix2_distinct.txt", 1,
+     ["eq", COMMVEC, "(op cons a @2 (op cons a @1 (op nil @0)))",
+      "(op cons a @2 (op cons b @1 (op nil @0)))", *VEC2]),
+    ("elim_commvec_prefix2_steps.txt", 0,
+     ["elim", COMMVEC, *VEC2, "--steps", str(FIXTURES / "commvec_parity_steps.json")]),
+    ("fold_commtree_abc_d3.txt", 0,
+     ["fold", str(PERF_INPUTS / "commtree.qit"), "--X", "a,b,c", "-d", "3",
+      "--algebra", str(PERF_INPUTS / "commtree_leaves.json")]),
+    ("fold_cmon_a_d3.txt", 0,
+     ["fold", str(PERF_INPUTS / "cmon.qit"), "--X", "a", "-d", "3",
+      "--algebra", str(PERF_INPUTS / "cmon_size.json")]),
+    ("fold_bag_head_violated.txt", 1,
+     ["fold", BAG, "--X", "a,b", "--algebra", str(FIXTURES / "bag_head.json")]),
+    ("construct_bag_compare_oracle.txt", 0, ["construct", BAG, "--X", "a,b", "--compare-oracle"]),
+    ("construct_commvec_prefix2_compare_oracle.txt", 0,
+     ["construct", COMMVEC, *VEC2, "--compare-oracle"]),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_oracle_output_matches_golden(golden, code, argv, capsys):
+    got = run(capsys, *argv)
+    assert got == (code, (GOLDEN / golden).read_text(encoding="utf-8"), "")
+
+
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 @pytest.mark.parametrize("name, code", [
     ("bag", 0), ("bagprime", 1), ("commvec", 0), ("commtree", 0),
