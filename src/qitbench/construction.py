@@ -638,7 +638,7 @@ class QwInterface:
         appx = self.appx
         report = satisfies(alg, appx.sys)
         if not report.ok:
-            raise NotSatisfying(f"algebra violates {report.witness_eq}")
+            raise NotSatisfying(f"algebra violates {report.witness_eq}", report)
 
         # each stage comes after its slices, so one pass in sid order
         tables: dict[int, dict[int, Value]] = {}
@@ -762,17 +762,29 @@ class OracleComparison:
 def compare_with_oracle(qw: QwInterface, q: CongruenceQuotient) -> OracleComparison:
     """Certify that colimit classes and congruence classes agree on the
     depth-bounded fragment: flattening is a bijection commuting with the
-    constructor."""
+    constructor.  The oracle keeps its own table and ranking: each closed
+    id is read into the oracle's table through its own lookup, operators
+    by symbol, so no two ids are assumed to coincide."""
     appx = qw.appx
+    u = q.universe
+    oracle_op = [u.sig.op_index(d.op) if u.sig.has_op(d.op) else -1 for d in appx.sig.ops]
+    # closed id -> the oracle's id of the same term, -1 if it lacks it;
+    # children come before their parents
+    oracle_id: list[int] = []
+    for op, kids in appx.build.closed.nodes:
+        key = (oracle_op[op], tuple(map(oracle_id.__getitem__, kids)))
+        oracle_id.append(u.table.lookup.get(key, -1))
+    class_at = q.class_at
+
     mapping: dict[int, int] = {}
     for cid, grp in enumerate(qw.colimit.classes):
         oids = set()
         for m, c in grp:
-            flat = appx.stage_at(m).classes[c].flat
-            oid = q.class_id(flat)
-            if oid is None:
-                raise QitError(f"flattening {show_term(flat)} escaped the oracle universe")
-            oids.add(oid)
+            cls = appx.stage_at(m).classes[c]
+            n = oracle_id[cls.flat_id]
+            if n < 0:
+                raise QitError(f"flattening {show_term(cls.flat)} escaped the oracle universe")
+            oids.add(class_at[n])
         if len(oids) != 1:
             raise QitError("a colimit class straddles congruence classes")
         mapping[cid] = oids.pop()
@@ -794,11 +806,12 @@ def compare_with_oracle(qw: QwInterface, q: CongruenceQuotient) -> OracleCompari
         )
 
     intro_checked = 0
-    for t in q.universe.terms:
-        child_cids = [reverse[q.class_id(c)] for c in t.children.entries]
-        cid = qw.qwintro(t.op, child_cids)
-        if mapping[cid] != q.class_id(t):
-            raise QitError(f"constructor mismatch at {show_term(t)}")
+    nodes, ops = u.table.nodes, u.sig.ops
+    for n in u.ids:
+        op, kids = nodes[n]
+        cid = qw.qwintro(ops[op].op, [reverse[class_at[k]] for k in kids])
+        if mapping[cid] != class_at[n]:
+            raise QitError(f"constructor mismatch at {show_term(u.table.terms[n])}")
         intro_checked += 1
 
     per_sort: dict[Optional[str], int] = {}

@@ -40,7 +40,11 @@ class NameClash(QitError):
 
 
 class NotSatisfying(QitError):
-    pass
+    """An algebra violates an equation; carries the satisfaction report."""
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class CoherenceFailure(QitError):

@@ -1,41 +1,54 @@
 """Depth-bounded term universes and their congruence quotients.
 
-The universe holds every closed term up to a depth bound together with
-the equation instances whose sides stay inside the bound.  The quotient
-is the least congruence containing those instances.  congruence_roots
-computes it by union-find with upward congruence propagation, keying
-each node once and re-keying it only when a child's class is merged.
-It reads node tables in place, each laid at an id offset as a block, and
-is the one closure in the package: close_congruence (one block at 0),
-each construction stage (construction.diamond, one block per slice
-view) and the colimit's gluing (diagrams.Colimit, no blocks) all call
-it.  Folds (qwrec) and eliminations (qwelim) are executed per class with
-their side conditions checked exhaustively over the universe.
+The universe holds every closed term up to a depth bound, as the ids of
+one TermTable, together with the equation instances whose sides stay
+inside the bound, as id pairs.  The table gets its first listing with
+want None, so its ids run in the term order (depth, then the root
+operator's declaration position, then the children lexicographically;
+its reference is in tests/oracles.py), as the construction's closed
+table does.  The quotient is the least congruence containing those
+instances.  congruence_roots computes it by union-find with upward
+congruence propagation, keying each node once and re-keying it only
+when a child's class is merged.  It reads node tables in place, each
+laid at an id offset as a block, and is the one closure in the package:
+close_congruence (the universe's node table, one block at 0), each
+construction stage (construction.diamond, one block per slice view) and
+the colimit's gluing (diagrams.Colimit, no blocks) all call it.  Folds
+(qwrec) and eliminations (qwelim) run over the ids, one step per id,
+with their side conditions checked exhaustively over the universe.
+Terms are built from the ids only to print them and for readers that
+ask for them (TermUniverse.terms and instance_pairs,
+CongruenceQuotient.members and canon).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .algebras import Algebra, Value, bind, satisfies
+from .algebras import Algebra, Value, satisfies
 from .errors import CoherenceFailure, NotSatisfying, QitError
 from .sexpr import show_term
 from .terms import (
+    InstanceShape,
     Node,
     OpSym,
     Signature,
     SystemOfEquations,
     Term,
-    depth,
+    TermTable,
     enumerate_terms,
-    substitute,
 )
 
+# perfbench/tracing.py wraps quotient.enumerate_terms by name and
+# tests/test_tracing_targets.py checks that it exists; the universe does
+# not call it, so that span reads 0 until the trace moves into src/.
+_TRACED_NAMES = (enumerate_terms,)
 
-@dataclass(frozen=True)
-class InstancePair:
+
+class InstancePair(NamedTuple):
     eq_name: str
     env: tuple[tuple[str, Term], ...]
     lhs: Term
@@ -44,28 +57,54 @@ class InstancePair:
 
 @dataclass(frozen=True)
 class TermUniverse:
+    """The closed terms within a depth bound, as the ids of table, and
+    the equation instances whose sides stay within it.
+
+    ids lists the terms: in id order, or sort by sort in an indexed
+    signature (each sort in id order), which is not id order.  instances
+    holds one (shape, the id of each variable, lhs id, rhs id) per
+    instance, in the order they are drawn.  The Terms are built only
+    when terms or instance_pairs is read."""
+
     sig: Signature
     sys: SystemOfEquations
     depth: int
-    terms: tuple[Term, ...]
-    instance_pairs: tuple[InstancePair, ...]
-    skipped: int
-    # term -> its position in terms
-    index: Mapping[Term, int] = field(repr=False, compare=False)
+    table: TermTable = field(repr=False)
+    ids: tuple[int, ...] = field(repr=False)
+    instances: tuple[tuple[InstanceShape, tuple[int, ...], int, int], ...] = field(repr=False)
+    skipped: int = 0
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        terms = self.table.terms
+        return tuple(terms[n] for n in self.ids)
+
+    @cached_property
+    def instance_pairs(self) -> tuple[InstancePair, ...]:
+        terms = self.table.terms
+        return tuple(
+            InstancePair(shape.eq.name, tuple(zip(shape.names, map(terms.__getitem__, combo))),
+                         terms[lhs], terms[rhs])
+            for shape, combo, lhs, rhs in self.instances
+        )
+
+    def id_of(self, t: Term) -> Optional[int]:
+        """The id of the closed term t; None if the universe lacks it."""
+        return self.table.find(t, {})
 
     def position(self, t: Term) -> Optional[int]:
-        return self.index.get(t)
-
-
-def _root_sort(sig: Signature, t: Term) -> Optional[str]:
-    return sig.decl(t.op).sort if isinstance(t, Node) else None
+        """The position of t in the listing; None if the universe lacks it."""
+        n = self.id_of(t)
+        return None if n is None else self.ids.index(n)
 
 
 def build_universe(sig: Signature, sys: SystemOfEquations, depth_bound: int) -> TermUniverse:
     """Closed terms to the bound, plus every equation instance whose
     substituted sides stay within it.  Environments draw from the
-    universe itself (respecting variable indices) in enumeration order;
+    universe itself (respecting variable indices) in listing order;
     instances that would overflow the bound are counted as skipped.
+    Each side is read off the table with the variables bound to ids;
+    a side the table lacks raises.
 
     The budget rule of InstanceShape.envs decides which instances fit
     without building the others: with p_v the deepest position of v in
@@ -75,94 +114,100 @@ def build_universe(sig: Signature, sys: SystemOfEquations, depth_bound: int) -> 
 
     In an indexed signature every operator needs a target index: the
     terms are listed sort by sort, and an operator without one would be
-    listed once per sort.
+    listed once per sort.  Each sort's terms keep the id order, which is
+    the term order, so the listing is the one enumerate_terms gives sort
+    by sort.
     """
     sorts = sig.sorts
-    if sorts is None:
-        terms = enumerate_terms(sig, (), depth_bound)
-    else:
+    if sorts is not None:
         for d in sig.ops:
             if d.sort is None:
                 raise QitError(
                     f"operator {d.op.show()} has no target index in an indexed signature"
                 )
-        terms = []
-        for s in sorts:
-            terms.extend(enumerate_terms(sig, (), depth_bound, sort=s))
-    index = {t: i for i, t in enumerate(terms)}
-    depths = [depth(t) for t in terms]
-    shapes = sys.instance_shapes
-    by_sort = {
-        want: [p for p, t in enumerate(terms) if want is None or _root_sort(sig, t) == want]
-        for want in {s for shape in shapes for s in shape.sorts}
-    }
+    table = TermTable(sig)
+    ids = table.upto(depth_bound)
+    by_sort: dict[Optional[str], list[int]] = {}
+    if sorts is not None:
+        by_sort = {s: [] for s in sorts}
+        ops, nodes = sig.ops, table.nodes
+        for n in ids:
+            by_sort[ops[nodes[n][0]].sort].append(n)
+        ids = [n for s in sorts for n in by_sort[s]]
+    by_sort[None] = ids
 
-    pairs: list[InstancePair] = []
+    instances = []
     skipped = 0
-    for shape in shapes:
-        pools = [by_sort[s] for s in shape.sorts]
-        envs, overflow = shape.envs(pools, depths.__getitem__, depth_bound)
+    find = table.find
+    for shape in sys.instance_shapes:
+        pools = [by_sort.get(s, ()) for s in shape.sorts]
+        envs, overflow = shape.envs(pools, table.depths.__getitem__, depth_bound)
         skipped += overflow
         for combo in envs:
-            env = {v: terms[p] for v, p in zip(shape.names, combo)}
-            lhs = substitute(shape.eq.lhs, env)
-            rhs = substitute(shape.eq.rhs, env)
-            if lhs not in index or rhs not in index:
+            env = dict(zip(shape.names, combo))
+            lhs, rhs = find(shape.eq.lhs, env), find(shape.eq.rhs, env)
+            if lhs is None or rhs is None:
                 raise QitError(f"an instance of {shape.eq.name} escaped the universe")
-            pairs.append(InstancePair(shape.eq.name, tuple(env.items()), lhs, rhs))
-    return TermUniverse(sig, sys, depth_bound, tuple(terms), tuple(pairs), skipped, index)
+            instances.append((shape, combo, lhs, rhs))
+    return TermUniverse(sig, sys, depth_bound, table, tuple(ids), tuple(instances), skipped)
 
 
 class CongruenceQuotient:
-    """Partition of the universe into congruence classes.
+    """Partition of the universe's ids into congruence classes.
 
-    Members within a class are ordered by universe position, and classes
-    by the (depth, operator position, position) of their least member.
-    Both orders are the term order, whose reference is in
-    tests/oracles.py (depth, then the root operator's declaration
-    position, then the children lexicographically):
-    - the universe lists each sort's terms in the term order, since
-      enumerate_terms lists them so (TermTable's layered listing);
-    - the members of a class share one sort, since an equation's two
-      sides stand at its one index and a congruence step relates two
-      nodes of one operator;
-    - the term order compares depth, then the root operator, then the
-      children; two terms of equal depth and operator share a sort, so
-      between them it is their position that decides.
-    So a class's least position is its least term, and no Term-keyed
-    table is built: class_id reads the universe's own index.
+    classes lists each class's ids, ascending, and the classes by their
+    least id; class_at gives the class of each id.  Both orders are the
+    term order, whose reference is in tests/oracles.py (depth, then the
+    root operator's declaration position, then the children
+    lexicographically): the universe's table got its first listing with
+    want None, so its ids were handed out by depth, then by operator
+    position, then children lexicographically by id, which by induction
+    on depth is the term order.  So a class's least id is its least
+    term, and ranking the classes by it ranks them by their least terms,
+    across sorts too.  In an indexed signature the members of a class
+    share one sort (an equation's two sides stand at its one index, and
+    a congruence step relates two nodes of one operator), and a sort's
+    ids ascend in its listing order, so members also come in the
+    universe's listing order.
+
+    members and canon are the Terms, built when first read; class_id
+    and class_of read a Term's id off the universe's table.
     """
 
     def __init__(self, universe: TermUniverse, roots: Sequence[int]):
         self.universe = universe
-        terms, op_index = universe.terms, universe.sig.op_index
-        groups = root_groups(roots)
-        groups.sort(key=lambda g: (depth(terms[g[0]]), op_index(terms[g[0]].op), g[0]))
-        self.members: tuple[tuple[Term, ...], ...] = tuple(
-            tuple(terms[p] for p in members) for members in groups
-        )
-        self.canon: tuple[Term, ...] = tuple(m[0] for m in self.members)
-        # universe position -> its class
-        self._class_at = [0] * len(terms)
-        for cls, members in enumerate(groups):
-            for p in members:
-                self._class_at[p] = cls
+        self.classes: list[list[int]] = root_groups(roots)
+        self.class_at = [0] * len(roots)
+        for cls, members in enumerate(self.classes):
+            for n in members:
+                self.class_at[n] = cls
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.classes)
+
+    @cached_property
+    def members(self) -> tuple[tuple[Term, ...], ...]:
+        terms = self.universe.table.terms
+        return tuple(tuple(map(terms.__getitem__, members)) for members in self.classes)
+
+    @cached_property
+    def canon(self) -> tuple[Term, ...]:
+        terms = self.universe.table.terms
+        return tuple(terms[members[0]] for members in self.classes)
 
     def class_id(self, t: Term) -> Optional[int]:
-        p = self.universe.index.get(t)
-        return None if p is None else self._class_at[p]
+        n = self.universe.id_of(t)
+        return None if n is None else self.class_at[n]
 
     def class_of(self, t: Term) -> int:
-        p = self.universe.index.get(t)
-        if p is None:
+        n = self.universe.id_of(t)
+        if n is None:
             raise QitError(f"term outside the universe: {show_term(t)}")
-        return self._class_at[p]
+        return self.class_at[n]
 
     def sort_of_class(self, cls: int) -> Optional[str]:
-        return _root_sort(self.universe.sig, self.canon[cls])
+        u = self.universe
+        return u.sig.ops[u.table.nodes[self.classes[cls][0]][0]].sort
 
 
 def congruence_roots(
@@ -303,11 +348,11 @@ def root_groups(roots: Sequence[int]) -> list[list[int]]:
 
 def close_congruence(universe: TermUniverse) -> CongruenceQuotient:
     """The least congruence on the universe containing its equation
-    instances.  Every node is keyed, nullary ones included, by the rule
-    the construction's stages use."""
-    pos = universe.position
-    nodes = [(t.op, tuple(pos(c) for c in t.children.entries)) for t in universe.terms]
-    seeds = ((pos(p.lhs), pos(p.rhs)) for p in universe.instance_pairs)
+    instances.  The universe's node table is read in place as one block;
+    every node is keyed, nullary ones included, by the rule the
+    construction's stages use."""
+    nodes = universe.table.nodes
+    seeds = ((lhs, rhs) for _, _, lhs, rhs in universe.instances)
     return CongruenceQuotient(universe, congruence_roots(len(nodes), [(0, nodes)], seeds))
 
 
@@ -328,27 +373,38 @@ class QwrecResult:
 def qwrec(q: CongruenceQuotient, alg: Algebra) -> QwrecResult:
     """Fold every class through a satisfying algebra.
 
-    Requires an exhaustively satisfying algebra; the result is evaluated
-    at every class member (well-definedness) and the induced map is
+    Requires an exhaustively satisfying algebra: otherwise NotSatisfying
+    carries the report.  The fold makes one interp per id, children
+    first, so it is evaluated at every class member (well-definedness:
+    the fold must be constant on each class), and the induced map is
     checked to be a homomorphism at every universe node.
     """
     report = satisfies(alg, q.universe.sys)
     if not report.ok:
         raise NotSatisfying(
-            f"algebra violates {report.witness_eq} at {dict(report.witness_env or ())!r}"
+            f"algebra violates {report.witness_eq} at {dict(report.witness_env or ())!r}", report
         )
+    u = q.universe
+    nodes, interp = u.table.nodes, alg.interp
+    ops = [d.op for d in u.sig.ops]
+    # ids run children first
+    folded: list[Value] = []
+    for op, kids in nodes:
+        folded.append(interp(ops[op], tuple(map(folded.__getitem__, kids))))
     values: list[Value] = []
-    for members in q.members:
-        vals = [bind(t, {}, alg) for t in members]
-        if any(v != vals[0] for v in vals[1:]):
-            raise QitError(f"fold not constant on the class of {show_term(members[0])}")
-        values.append(vals[0])
+    for cls, members in enumerate(q.classes):
+        value = folded[members[0]]
+        if any(folded[n] != value for n in members[1:]):
+            raise QitError(f"fold not constant on the class of {show_term(q.canon[cls])}")
+        values.append(value)
+    class_at = q.class_at
     failures = []
-    for t in q.universe.terms:
-        got = alg.interp(t.op, tuple(values[q.class_of(c)] for c in t.children.entries))
-        want = values[q.class_of(t)]
+    for n in u.ids:
+        op, kids = nodes[n]
+        got = interp(ops[op], tuple(values[class_at[k]] for k in kids))
+        want = values[class_at[n]]
         if got != want:
-            failures.append((t, got, want))
+            failures.append((u.table.terms[n], got, want))
     return QwrecResult(tuple(values), not failures, tuple(failures))
 
 
@@ -374,24 +430,23 @@ def qwelim(q: CongruenceQuotient, inp: EliminatorInput) -> QwelimResult:
     """Dependent elimination over the quotient.
 
     Coherence is checked for every equation instance under every
-    assignment of admissible tags to its variables; the computed values
-    are verified at every class member and replayed as computation rules
-    at every universe node.
+    assignment of admissible tags to its variables, each node of a side
+    reading its children's classes off the universe's table under the
+    instance's ids; the computed values are verified at every class
+    member and replayed as computation rules at every universe node.
     """
     motive = inp.motive if callable(inp.motive) else (lambda cls: inp.motive[cls])
     steps = inp.steps
-
-    def node_classes(t: Term, env: Mapping[str, Term]) -> tuple[int, ...]:
-        return tuple(q.class_of(substitute(c, dict(env))) for c in t.children.entries)
+    u = q.universe
+    class_at, find = q.class_at, u.table.find
 
     instances = 0
     envs = 0
-    for pair in q.universe.instance_pairs:
+    for shape, combo, _, _ in u.instances:
         instances += 1
-        names = [v for v, _ in pair.env]
-        env_terms = dict(pair.env)
-        choices = [motive(q.class_of(env_terms[v])) for v in names]
-        eq = next(e for e in q.universe.sys.equations if e.name == pair.eq_name)
+        names = shape.names
+        env = dict(zip(names, combo))
+        choices = [motive(class_at[n]) for n in combo]
         for tags in itertools.product(*choices):
             envs += 1
             assignment = dict(zip(names, tags))
@@ -399,40 +454,49 @@ def qwelim(q: CongruenceQuotient, inp: EliminatorInput) -> QwelimResult:
             def lift(t: Term) -> Value:
                 if not isinstance(t, Node):
                     return assignment[t.name]
-                return steps(t.op, node_classes(t, env_terms), tuple(lift(c) for c in t.children.entries))
+                kids = t.children.entries
+                return steps(t.op, tuple(class_at[find(c, env)] for c in kids),
+                             tuple(lift(c) for c in kids))
 
-            left, right = lift(eq.lhs), lift(eq.rhs)
+            left, right = lift(shape.eq.lhs), lift(shape.eq.rhs)
             if left != right:
-                witness = (pair.eq_name, tuple((v, env_terms[v], assignment[v]) for v in names), left, right)
+                terms = u.table.terms
+                witness = (shape.eq.name,
+                           tuple((v, terms[n], assignment[v]) for v, n in zip(names, combo)),
+                           left, right)
                 raise CoherenceFailure(
-                    f"steps disagree on {pair.eq_name}: {left!r} vs {right!r}", witness
+                    f"steps disagree on {shape.eq.name}: {left!r} vs {right!r}", witness
                 )
 
-    memo: dict[Term, Value] = {}
+    nodes = u.table.nodes
+    ops = [d.op for d in u.sig.ops]
+    memo: dict[int, Value] = {}
 
-    def eval_closed(t: Term) -> Value:
-        if t in memo:
-            return memo[t]
-        val = steps(t.op, tuple(q.class_of(c) for c in t.children.entries), tuple(eval_closed(c) for c in t.children.entries))
-        memo[t] = val
+    def eval_closed(n: int) -> Value:
+        if n in memo:
+            return memo[n]
+        op, kids = nodes[n]
+        val = steps(ops[op], tuple(class_at[k] for k in kids), tuple(eval_closed(k) for k in kids))
+        memo[n] = val
         return val
 
     values: list[Value] = []
-    for cls, members in enumerate(q.members):
-        vals = [eval_closed(t) for t in members]
+    for cls, members in enumerate(q.classes):
+        vals = [eval_closed(n) for n in members]
         if any(v != vals[0] for v in vals[1:]):
-            raise QitError(f"elimination not constant on the class of {show_term(members[0])}")
+            raise QitError(f"elimination not constant on the class of {show_term(q.canon[cls])}")
         if vals[0] not in motive(cls):
             raise QitError(f"step value {vals[0]!r} outside the motive of class {cls}")
         values.append(vals[0])
 
     failures = []
-    for t in q.universe.terms:
-        child_cls = tuple(q.class_of(c) for c in t.children.entries)
-        got = steps(t.op, child_cls, tuple(values[c] for c in child_cls))
-        want = values[q.class_of(t)]
+    for n in u.ids:
+        op, kids = nodes[n]
+        child_cls = tuple(class_at[k] for k in kids)
+        got = steps(ops[op], child_cls, tuple(values[c] for c in child_cls))
+        want = values[class_at[n]]
         if got != want:
-            failures.append((t, got, want))
+            failures.append((u.table.terms[n], got, want))
     return QwelimResult(tuple(values), not failures, tuple(failures), instances, envs)
 
 
@@ -451,19 +515,22 @@ class UniqReport:
 def qwuniq_check(q: CongruenceQuotient, alg: Algebra, h: Union[Mapping[int, Value], Sequence[Value]]) -> UniqReport:
     """A candidate map out of the quotient either fails to be a
     homomorphism or agrees with the fold everywhere."""
-    hv = (lambda cls: h[cls])
-    for t in q.universe.terms:
-        got = alg.interp(t.op, tuple(hv(q.class_of(c)) for c in t.children.entries))
-        want = hv(q.class_of(t))
+    u = q.universe
+    nodes, class_at = u.table.nodes, q.class_at
+    ops = [d.op for d in u.sig.ops]
+    for n in u.ids:
+        op, kids = nodes[n]
+        got = alg.interp(ops[op], tuple(h[class_at[k]] for k in kids))
+        want = h[class_at[n]]
         if got != want:
-            return UniqReport(False, (t, got, want), None, None)
+            return UniqReport(False, (u.table.terms[n], got, want), None, None)
     rec = qwrec(q, alg)
     for cls in range(len(q)):
-        if hv(cls) != rec.values[cls]:
-            return UniqReport(True, None, False, (cls, hv(cls), rec.values[cls]))
+        if h[cls] != rec.values[cls]:
+            return UniqReport(True, None, False, (cls, h[cls], rec.values[cls]))
     return UniqReport(True, None, True, None)
 
 
 def dump_quotient(q: CongruenceQuotient) -> str:
-    lines = [f"canon {show_term(c)} | members {len(m)}" for c, m in zip(q.canon, q.members)]
+    lines = [f"canon {show_term(c)} | members {len(m)}" for c, m in zip(q.canon, q.classes)]
     return "\n".join(lines) + "\n"

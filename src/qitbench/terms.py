@@ -387,6 +387,7 @@ class TermTable:
             if not d.arity.finite:
                 raise InfinitaryArity(f"cannot enumerate under countable operator {d.op.show()}")
         self.sig, self.leaves = sig, tuple(leaves)
+        self._op_pos = {d.op: n for n, d in enumerate(sig.ops)}
         self.nodes: list[Union[int, tuple[int, tuple[int, ...]]]] = []
         self.lookup: dict[Union[int, tuple[int, tuple[int, ...]]], int] = {}
         self.depths: list[int] = []
@@ -427,11 +428,15 @@ class TermTable:
 
     def find(self, t: Term, env: Mapping[str, int]) -> Optional[int]:
         """The id of t with each variable read as the id env gives it;
-        None if the table does not hold it."""
+        None if the table does not hold it: a variable env does not bind,
+        an operator outside the signature, an index variable or a
+        comprehension is never held."""
         if isinstance(t, Var):
-            return env[t.name]
-        kids = tuple(self.find(c, env) for c in t.children.entries)
-        return self.lookup.get((self.sig.op_index(t.op), kids))
+            return env.get(t.name)
+        if not isinstance(t, Node) or not isinstance(t.children, Tab):
+            return None
+        kids = tuple([self.find(c, env) for c in t.children.entries])
+        return self.lookup.get((self._op_pos.get(t.op), kids))
 
     @property
     def terms(self) -> list[Term]:
@@ -584,34 +589,38 @@ class SystemOfEquations:
 
 
 def validate_system(sig: Signature, sys: SystemOfEquations) -> None:
-    """Both sides well-formed over sig with free variables from the family."""
+    """Both sides well-formed over sig with free variables from the
+    family.  One walk per side, in preorder, checks each node's operator
+    and arity and gathers the side's variables; they are checked once
+    the side has passed, and lhs is checked before rhs."""
+    decl = sig.decl
     for eq in sys.equations:
         names = eq.var_names()
         for side in (eq.lhs, eq.rhs):
-            _check_term(sig, side)
+            seen: set[str] = set()
+            todo = [side]
+            while todo:
+                t = todo.pop()
+                if isinstance(t, Node):
+                    arity, children = decl(t.op).arity, t.children
+                    if isinstance(children, Tab):
+                        if arity.count != len(children.entries):
+                            raise ArityMismatch(f"{t.op.show()} applied to {len(children.entries)} children")
+                        todo.extend(reversed(children.entries))
+                    elif isinstance(children, Comp):
+                        if arity.finite:
+                            raise ArityMismatch(f"{t.op.show()} is finitary but given a comprehension")
+                        todo.append(children.body)
+                    else:
+                        raise TypeError(f"not a term: {t!r}")
+                elif isinstance(t, Var):
+                    seen.add(t.name)
+                elif not isinstance(t, IxVar):
+                    raise TypeError(f"not a term: {t!r}")
             if names is not None:
-                loose = free_vars(side) - set(names)
+                loose = seen.difference(names)
                 if loose:
                     raise UnboundVariable(f"equation {eq.name}: undeclared variables {sorted(loose)}")
-
-
-def _check_term(sig: Signature, t: Term) -> None:
-    match t:
-        case Var(_) | IxVar(_):
-            return
-        case Node(op, Tab(entries)):
-            decl = sig.decl(op)
-            if not decl.arity.finite or decl.arity.count != len(entries):
-                raise ArityMismatch(f"{op.show()} applied to {len(entries)} children")
-            for c in entries:
-                _check_term(sig, c)
-        case Node(op, Comp(_, body)):
-            decl = sig.decl(op)
-            if decl.arity.finite:
-                raise ArityMismatch(f"{op.show()} is finitary but given a comprehension")
-            _check_term(sig, body)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
 
 
 def free_algebra_signature(

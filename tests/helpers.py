@@ -96,6 +96,21 @@ def commvec_system(atoms=("a", "b"), prefix: int = 2) -> SystemOfEquations:
     return SystemOfEquations(tuple(eqs))
 
 
+def ab_sig() -> Signature:
+    """Two sorts, A and B.  A universe lists each sort's terms in turn,
+    and B's depth-1 term b has a lower id than A's depth-2 f a, so its
+    listing order is not its id order."""
+    return signature([("a", 0, "A", ()), ("b", 0, "B", ()), ("f", 1, "A", ("A",)), ("g", 1, "B", ("A",))])
+
+
+def ab_system() -> SystemOfEquations:
+    """f (f x) = f x at A."""
+    fx = Node(OpSym("f"), Tab((Var("x"),)))
+    return SystemOfEquations(
+        (Equation("ff", ("x",), Node(OpSym("f"), Tab((fx,))), fx, var_sorts=("A",), sort="A"),)
+    )
+
+
 @st.composite
 def term_over(draw, ops, names, max_depth):
     """A term of depth <= max_depth over ops (name, arity) and variables."""

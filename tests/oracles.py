@@ -12,8 +12,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from qitbench.errors import InfinitaryArity, ParseError
+from qitbench.algebras import Algebra, bind, satisfies
+from qitbench.errors import CoherenceFailure, InfinitaryArity, NotSatisfying, ParseError, QitError
 from qitbench.quotient import congruence_roots
+from qitbench.sexpr import show_term
 from qitbench.sizes import SizeVal
 from qitbench.terms import (
     Comp,
@@ -428,3 +430,177 @@ def naive_diamond(
         class_of_pair=class_of_pair,
     )
 
+
+
+# --- the oracle over term trees, as it was before it ran on TermTable ids ---
+
+
+class NaiveUniverse(NamedTuple):
+    sig: Signature
+    sys: SystemOfEquations
+    terms: list[Term]
+    # (equation name, (variable, term) per variable, lhs, rhs)
+    instance_pairs: list[tuple[str, tuple[tuple[str, Term], ...], Term, Term]]
+    skipped: int
+    # term -> its position in terms
+    index: dict[Term, int]
+
+
+def naive_build_universe(sig: Signature, sys: SystemOfEquations, depth_bound: int) -> NaiveUniverse:
+    """Closed terms to the bound as trees (naive_enumerate_terms, sort by
+    sort in an indexed signature), and every equation instance whose
+    substituted sides stay within it: environments drawn from the
+    universe in listing order under InstanceShape.envs' budget rule, each
+    side built with substitute and looked up by Term."""
+    sorts = sig.sorts
+    if sorts is None:
+        terms = naive_enumerate_terms(sig, (), depth_bound)
+    else:
+        for d in sig.ops:
+            if d.sort is None:
+                raise QitError(
+                    f"operator {d.op.show()} has no target index in an indexed signature"
+                )
+        terms = []
+        for s in sorts:
+            terms.extend(naive_enumerate_terms(sig, (), depth_bound, sort=s))
+    index = {t: i for i, t in enumerate(terms)}
+    depths = [depth(t) for t in terms]
+    shapes = sys.instance_shapes
+
+    def root_sort(t: Term) -> Optional[str]:
+        return sig.decl(t.op).sort if isinstance(t, Node) else None
+
+    by_sort = {
+        want: [p for p, t in enumerate(terms) if want is None or root_sort(t) == want]
+        for want in {s for shape in shapes for s in shape.sorts}
+    }
+    pairs = []
+    skipped = 0
+    for shape in shapes:
+        pools = [by_sort[s] for s in shape.sorts]
+        envs, overflow = shape.envs(pools, depths.__getitem__, depth_bound)
+        skipped += overflow
+        for combo in envs:
+            env = {v: terms[p] for v, p in zip(shape.names, combo)}
+            lhs = substitute(shape.eq.lhs, env)
+            rhs = substitute(shape.eq.rhs, env)
+            if lhs not in index or rhs not in index:
+                raise QitError(f"an instance of {shape.eq.name} escaped the universe")
+            pairs.append((shape.eq.name, tuple(env.items()), lhs, rhs))
+    return NaiveUniverse(sig, sys, terms, pairs, skipped, index)
+
+
+class NaiveQuotient(NamedTuple):
+    universe: NaiveUniverse
+    # the classes, each as its members in universe order
+    members: tuple[tuple[Term, ...], ...]
+    canon: tuple[Term, ...]
+    # universe position -> its class
+    class_at: list[int]
+
+    def class_of(self, t: Term) -> int:
+        return self.class_at[self.universe.index[t]]
+
+
+def naive_close_congruence(u: NaiveUniverse) -> NaiveQuotient:
+    """The least congruence containing the instances, on Terms hashed back
+    to universe positions; classes ranked by the (depth, operator
+    position, position) of their least member."""
+    pos = u.index.__getitem__
+    nodes = [(t.op, tuple(pos(c) for c in t.children.entries)) for t in u.terms]
+    seeds = ((pos(lhs), pos(rhs)) for _, _, lhs, rhs in u.instance_pairs)
+    roots = congruence_roots(len(nodes), [(0, nodes)], seeds)
+    groups: dict[int, list[int]] = {}
+    for p, root in enumerate(roots):
+        groups.setdefault(root, []).append(p)
+    terms, op_index = u.terms, u.sig.op_index
+    ranked = sorted(
+        groups.values(), key=lambda g: (depth(terms[g[0]]), op_index(terms[g[0]].op), g[0])
+    )
+    members = tuple(tuple(terms[p] for p in g) for g in ranked)
+    class_at = [0] * len(terms)
+    for cls, g in enumerate(ranked):
+        for p in g:
+            class_at[p] = cls
+    return NaiveQuotient(u, members, tuple(m[0] for m in members), class_at)
+
+
+def naive_qwrec(q: NaiveQuotient, alg: Algebra):
+    """(values, hom failures): every member folded with bind, the fold
+    constant on each class, the induced map checked at every node."""
+    report = satisfies(alg, q.universe.sys)
+    if not report.ok:
+        raise NotSatisfying(
+            f"algebra violates {report.witness_eq} at {dict(report.witness_env or ())!r}"
+        )
+    values = []
+    for members in q.members:
+        vals = [bind(t, {}, alg) for t in members]
+        if any(v != vals[0] for v in vals[1:]):
+            raise QitError(f"fold not constant on the class of {show_term(members[0])}")
+        values.append(vals[0])
+    failures = []
+    for t in q.universe.terms:
+        got = alg.interp(t.op, tuple(values[q.class_of(c)] for c in t.children.entries))
+        want = values[q.class_of(t)]
+        if got != want:
+            failures.append((t, got, want))
+    return tuple(values), tuple(failures)
+
+
+def naive_qwelim(q: NaiveQuotient, motive, steps):
+    """(values, computation failures, instances, environments): coherence
+    under every tag assignment with each node's child classes read off
+    the substituted instance, values by memoised recursion over Terms,
+    computation rules at every node."""
+    eqs = {e.name: e for e in q.universe.sys.equations}
+    instances = envs = 0
+    for eq_name, env, _, _ in q.universe.instance_pairs:
+        instances += 1
+        names = [v for v, _ in env]
+        env_terms = dict(env)
+        choices = [motive(q.class_of(env_terms[v])) for v in names]
+        for tags in itertools.product(*choices):
+            envs += 1
+            assignment = dict(zip(names, tags))
+
+            def lift(t: Term):
+                if not isinstance(t, Node):
+                    return assignment[t.name]
+                kids = t.children.entries
+                return steps(
+                    t.op,
+                    tuple(q.class_of(substitute(c, env_terms)) for c in kids),
+                    tuple(lift(c) for c in kids),
+                )
+
+            left, right = lift(eqs[eq_name].lhs), lift(eqs[eq_name].rhs)
+            if left != right:
+                witness = (eq_name, tuple((v, env_terms[v], assignment[v]) for v in names), left, right)
+                raise CoherenceFailure(f"steps disagree on {eq_name}: {left!r} vs {right!r}", witness)
+
+    memo: dict[Term, object] = {}
+
+    def eval_closed(t: Term):
+        if t not in memo:
+            kids = t.children.entries
+            memo[t] = steps(t.op, tuple(q.class_of(c) for c in kids), tuple(eval_closed(c) for c in kids))
+        return memo[t]
+
+    values = []
+    for cls, members in enumerate(q.members):
+        vals = [eval_closed(t) for t in members]
+        if any(v != vals[0] for v in vals[1:]):
+            raise QitError(f"elimination not constant on the class of {show_term(members[0])}")
+        if vals[0] not in motive(cls):
+            raise QitError(f"step value {vals[0]!r} outside the motive of class {cls}")
+        values.append(vals[0])
+    failures = []
+    for t in q.universe.terms:
+        child_cls = tuple(q.class_of(c) for c in t.children.entries)
+        got = steps(t.op, child_cls, tuple(values[c] for c in child_cls))
+        want = values[q.class_of(t)]
+        if got != want:
+            failures.append((t, got, want))
+    return tuple(values), tuple(failures), instances, envs

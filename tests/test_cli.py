@@ -13,7 +13,7 @@ import pytest
 
 import qitbench.schema.examples
 from helpers import bag_sig, bag_system
-from qitbench import cli
+from qitbench import algebras, cli, construction, quotient
 from qitbench.cli import main
 from qitbench.schema import elaborate, parse_decl
 from qitbench.serialize import signature_from_obj, system_from_obj
@@ -407,6 +407,23 @@ VEC2 = ("--X", "a,b", "--prefix", "2")
 def test_oracle_output_matches_golden(golden, code, argv, capsys):
     got = run(capsys, *argv)
     assert got == (code, (GOLDEN / golden).read_text(encoding="utf-8"), "")
+
+
+@pytest.mark.parametrize("algebra, code", [("bag_length.json", 0), ("bag_head.json", 1)])
+def test_fold_checks_satisfaction_once(algebra, code, monkeypatch, capsys):
+    """qwrec's check is the only one; a violation still prints the
+    VIOLATED line pinned in fold_bag_head_violated.txt."""
+    calls = []
+    real = algebras.satisfies
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (cli, quotient, construction):
+        monkeypatch.setattr(module, "satisfies", counted)
+    got = run(capsys, "fold", BAG, "--X", "a,b", "--algebra", str(FIXTURES / algebra))
+    assert (got[0], len(calls)) == (code, 1)
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qitbench import construction
+from qitbench import construction, quotient
 from qitbench.algebras import Algebra
 from qitbench.cli import main
 from qitbench.construction import (
@@ -39,11 +39,14 @@ from qitbench.terms import (
     Signature,
     SystemOfEquations,
     Tab,
+    TermTable,
     Var,
     signature,
 )
 
 from helpers import (
+    ab_sig,
+    ab_system,
     bag_sig,
     bag_system,
     commvec_indexed,
@@ -140,6 +143,28 @@ def test_colimit_matches_oracle_bijectively():
     # classes are exactly the sorted letter multisets
     seen = {bag_multiset(qw.class_flat(cid)) for cid, _ in cmp.class_pairs}
     assert seen == {(), ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "b")}
+
+
+def test_oracle_comparison_reads_ids_through_the_oracle_table(monkeypatch):
+    """An oracle whose ids are handed out in another order (B's sort
+    first) gives the same bijection, read through its own lookup."""
+    sig, sys = ab_sig(), ab_system()
+    qw = qw_from_colimit(build_fixed_point(sig, sys, SizeUniverse(MIN, 3), 3))
+    plain = compare_with_oracle(qw, close_congruence(build_universe(sig, sys, 3)))
+
+    class BFirst(TermTable):
+        def upto(self, bound, want=None):
+            if not self.nodes:
+                super().upto(bound, "B")
+            return super().upto(bound, want)
+
+    monkeypatch.setattr(quotient, "TermTable", BFirst)
+    q = close_congruence(build_universe(sig, sys, 3))
+    assert q.universe.table.nodes != qw.appx.build.closed.nodes
+    cmp = compare_with_oracle(qw, q)
+    assert (len(cmp.class_pairs), cmp.intro_checked) == (len(plain.class_pairs), plain.intro_checked) == (5, 6)
+    for cid, oid in cmp.class_pairs:
+        assert q.class_of(qw.class_flat(cid)) == oid
 
 
 def test_height_two_does_not_stabilize():

@@ -5,10 +5,12 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ab_sig,
+    ab_system,
     bag_sig,
     bag_system,
     commvec_indexed,
@@ -17,8 +19,16 @@ from helpers import (
     first_label_algebra,
     length_algebra,
 )
-from oracles import bag_multiset, naive_congruence, term_key
-import qitbench.quotient
+from oracles import (
+    bag_multiset,
+    naive_build_universe,
+    naive_close_congruence,
+    naive_congruence,
+    naive_qwelim,
+    naive_qwrec,
+    term_key,
+)
+from qitbench.algebras import Algebra
 from qitbench.errors import CoherenceFailure, NotSatisfying, QitError
 from qitbench.quotient import (
     EliminatorInput,
@@ -32,7 +42,7 @@ from qitbench.quotient import (
     qwuniq_check,
 )
 from qitbench.sexpr import parse_term, show_term
-from qitbench.terms import Node, OpSym, SystemOfEquations, Tab, signature
+from qitbench.terms import Node, OpSym, SystemOfEquations, Tab, TermTable, signature
 
 SIG = bag_sig()
 SYS = bag_system()
@@ -53,9 +63,15 @@ def test_universe_contents_and_skips():
 
 
 def test_instance_outside_the_universe_raises(monkeypatch):
-    real = qitbench.quotient.enumerate_terms
-    # drop (op cons b (op cons b (op nil))), a side of swap b b at zs = nil
-    monkeypatch.setattr(qitbench.quotient, "enumerate_terms", lambda *a, **k: real(*a, **k)[:-1])
+    real = TermTable.find
+    dropped = "(op cons b (op cons b (op nil)))"
+
+    def find(table, t, env):
+        # read dropped, a side of swap b b at zs = nil, as a miss
+        n = real(table, t, env)
+        return None if n is not None and show_term(table.terms[n]) == dropped else n
+
+    monkeypatch.setattr(TermTable, "find", find)
     with pytest.raises(QitError, match="swap b b escaped the universe"):
         build_universe(SIG, SYS, 3)
 
@@ -316,3 +332,119 @@ def test_dump_format():
     assert lines[0] == "canon (op nil) | members 1"
     assert "canon (op cons a (op cons b (op nil))) | members 2" in lines
     assert len(lines) == 6
+
+
+# --- the id-based oracle against the tree reference in tests/oracles.py ---
+
+
+def outcome(run):
+    """What a call returns, or its error's type, message and witness."""
+    try:
+        return run()
+    except QitError as e:
+        return type(e).__name__, str(e), getattr(e, "witness", None)
+
+
+def class_steps(nq):
+    """Steps that send a node to its class, with the class as its only
+    tag: coherent, and constant on each class."""
+    table = {}
+    for t in nq.universe.terms:
+        table[(t.op, tuple(nq.class_of(c) for c in t.children.entries))] = nq.class_of(t)
+
+    def steps(op, child_cls, child_tags):
+        try:
+            return table[(op, tuple(child_cls))]
+        except KeyError:
+            raise QitError(f"no node {op.show()} over {list(child_cls)}")
+
+    return (lambda cls: (cls,)), steps
+
+
+def parity_steps(k):
+    """Steps that need not be coherent: a parity of the operator's
+    position times k, the child classes and the child tags."""
+    def steps(op, child_cls, child_tags):
+        return (k * len(op.name) + sum(child_cls) + sum(child_tags)) % 2
+
+    return (lambda cls: (0, 1)), steps
+
+
+def assert_matches_tree_oracle(sig, sys, bound, alg, motive_steps):
+    """Listing, skipped count, instances, partition, canon order, fold
+    and elimination equal the tree reference's, errors included."""
+    u, nu = build_universe(sig, sys, bound), naive_build_universe(sig, sys, bound)
+    assert list(u.terms) == nu.terms
+    assert u.skipped == nu.skipped
+    assert len(u.instances) == len(nu.instance_pairs)
+    assert [tuple(p) for p in u.instance_pairs] == nu.instance_pairs
+    assert [u.position(t) for t in nu.terms] == list(range(len(nu.terms)))
+    q, nq = close_congruence(u), naive_close_congruence(nu)
+    assert q.members == nq.members
+    assert q.canon == nq.canon
+    assert [q.class_of(t) for t in nu.terms] == [nq.class_of(t) for t in nu.terms]
+
+    def fold():
+        rec = qwrec(q, alg)
+        return rec.values, rec.hom_failures
+
+    assert outcome(fold) == outcome(lambda: naive_qwrec(nq, alg))
+    motive, steps = motive_steps(nq) if callable(motive_steps) else motive_steps
+
+    def elim():
+        res = qwelim(q, EliminatorInput(motive, steps))
+        return res.values, res.comp_failures, res.instances_checked, res.envs_checked
+
+    assert outcome(elim) == outcome(lambda: naive_qwelim(nq, motive, steps))
+    return q
+
+
+@st.composite
+def table_algebras(draw, sig):
+    """An algebra on {0, 1} with drawn tables; it may or may not satisfy."""
+    tables = {
+        d.op: {args: draw(st.sampled_from((0, 1))) for args in itertools.product((0, 1), repeat=d.arity.count)}
+        for d in sig.ops
+    }
+    return Algebra(sig, (0, 1), tables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), equations(), st.integers(1, 3))
+def test_generated_oracle_matches_tree_reference(data, case, bound):
+    sig, eq = case
+    alg = data.draw(table_algebras(sig))
+    motive_steps = class_steps if data.draw(st.booleans()) else parity_steps(data.draw(st.integers(0, 1)))
+    assert_matches_tree_oracle(sig, SystemOfEquations((eq,)), bound, alg, motive_steps)
+
+
+def capped_length_algebra(sig, cap):
+    return Algebra.from_fn(sig, range(cap + 1), lambda op, args: 0 if not args else min(args[0] + 1, cap))
+
+
+AB_SIG, AB_SYS = ab_sig(), ab_system()
+
+
+# each with a length capped where it satisfies the equations
+@pytest.mark.parametrize("sig, sys, bound, cap", [
+    (SIG, SYS, 2, 3), (SIG, SYS, 3, 3), (SIG, SYS, 4, 3),
+    (commvec_indexed().flatten(), commvec_system(), 3, 3),
+    (commvec_indexed().flatten(), commvec_system(), 4, 3),
+    (AB_SIG, AB_SYS, 4, 1),
+], ids=["bag-d2", "bag-d3", "bag-d4", "commvec-d3", "commvec-d4", "ab-d4"])
+@pytest.mark.parametrize("kind", ["class", "parity"])
+def test_fixture_oracles_match_tree_reference(sig, sys, bound, cap, kind):
+    motive_steps = class_steps if kind == "class" else parity_steps(1)
+    alg = capped_length_algebra(sig, cap)
+    q = assert_matches_tree_oracle(sig, sys, bound, alg, motive_steps)
+    if kind == "class":
+        # the success paths ran: a fold and an elimination with no failures
+        assert qwrec(q, alg).hom_ok
+        motive, steps = class_steps(naive_close_congruence(naive_build_universe(sig, sys, bound)))
+        assert qwelim(q, EliminatorInput(motive, steps)).comp_ok
+
+
+def test_ab_listing_is_not_id_order():
+    u = build_universe(AB_SIG, AB_SYS, 3)
+    assert list(u.ids) != sorted(u.ids)
+    assert [show_term(t) for t in u.terms[:3]] == ["(op a)", "(op f (op a))", "(op f (op f (op a)))"]

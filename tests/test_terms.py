@@ -21,6 +21,7 @@ from qitbench.errors import (
 from qitbench.sexpr import parse_term, show_term
 from qitbench.terms import (
     Comp,
+    Equation,
     IndexMap,
     IxApp,
     IxC,
@@ -29,6 +30,7 @@ from qitbench.terms import (
     NAT,
     Node,
     OpSym,
+    SystemOfEquations,
     Tab,
     TermTable,
     Var,
@@ -40,6 +42,7 @@ from qitbench.terms import (
     signature,
     substitute,
     terms_equal,
+    validate_system,
 )
 
 SIG = bag_sig()
@@ -260,3 +263,47 @@ def test_table_finds_instances_through_its_lookup():
     assert table.terms[lhs] == substitute(swap.lhs, {"zs": Var("zs")})
     deeper = table.find(parse_term("(op cons a (op nil))", SIG), {})
     assert table.find(swap.lhs, {"zs": deeper}) is None
+
+
+# --- validate_system's messages ---
+
+
+def _node(op, *kids):
+    return Node(OpSym.parse(op), Tab(kids))
+
+
+def _system(lhs, rhs, names=("x",)):
+    return SystemOfEquations((Equation("e", names, lhs, rhs),))
+
+
+VSIG = signature([("nil @0", 0), ("cons a @1", 1), ("pair", 2), ("lim", NAT)])
+X, Y, Z = Var("x"), Var("y"), Var("z")
+
+
+@pytest.mark.parametrize("lhs, rhs, names, error, message", [
+    (_node("nil"), X, ("x",), UnknownOp, "unknown operator 'nil'; indexed forms: 'nil @0'"),
+    (X, _node("pair", X, _node("snd", X)), ("x",), UnknownOp, "unknown operator 'snd'"),
+    (_node("pair", X), X, ("x",), ArityMismatch, "pair applied to 1 children"),
+    (X, _node("lim", X), ("x",), ArityMismatch, "lim applied to 1 children"),
+    (Node(OpSym("pair"), Comp("k", X)), X, ("x",), ArityMismatch,
+     "pair is finitary but given a comprehension"),
+    (_node("pair", Y, Z), X, ("x",), UnboundVariable, "equation e: undeclared variables ['y', 'z']"),
+    (Node(OpSym("lim"), Comp("k", _node("cons a @1", Y))), X, ("x",), UnboundVariable,
+     "equation e: undeclared variables ['y']"),
+    # a side is checked whole before its variables, and lhs before rhs
+    (_node("pair", Y, _node("pair", X)), X, ("x",), ArityMismatch, "pair applied to 1 children"),
+    (_node("cons a @1", Y), _node("snd"), ("x",), UnboundVariable,
+     "equation e: undeclared variables ['y']"),
+    (_node("snd"), _node("cons a @1", Y), ("x",), UnknownOp, "unknown operator 'snd'"),
+])
+def test_validate_system_messages(lhs, rhs, names, error, message):
+    with pytest.raises(error) as e:
+        validate_system(VSIG, _system(lhs, rhs, names))
+    assert str(e.value) == message
+
+
+def test_validate_system_accepts_declared_variables_and_index_variables():
+    body = _node("cons a @1", IxVar(IxV("k")))
+    validate_system(VSIG, _system(_node("pair", X, Node(OpSym("lim"), Comp("k", body))), X))
+    # a countable family declares every name
+    validate_system(VSIG, SystemOfEquations((Equation("e", NAT, _node("pair", Y, Z), Y),)))
