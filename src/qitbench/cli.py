@@ -410,8 +410,7 @@ def _cmd_fold(cfg: RunConfig) -> int:
     try:
         res = qwrec(q, alg)
     except NotSatisfying as e:
-        rep = e.report
-        print(f"VIOLATED {rep.witness_eq} at {dict(rep.witness_env or ())}")
+        print(f"VIOLATED {e.report.witness_eq} at {dict(e.report.witness_env or ())}")
         return 1
     if cfg.fmt == "structured":
         obj = {"values": [{"canon": show_term(c), "value": v}
