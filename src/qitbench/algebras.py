@@ -15,15 +15,16 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 from .errors import InfeasibleExhaustive, PartialAlgebra, UnboundVariable
 from .terms import (
     Comp,
-    IndexMap,
     IxVar,
     Node,
     OpSym,
+    Side,
     Signature,
     SystemOfEquations,
     Tab,
     Term,
     Var,
+    compile_side,
     instantiate_comp,
 )
 
@@ -77,32 +78,56 @@ def term_algebra(sig: Signature) -> Algebra:
     return Algebra(sig, None, {}, {}, lambda op, args: Node(op, Tab(args)))
 
 
-Env = Union[Mapping[str, Value], Callable[[str], Value]]
+def _evaluator(alg: Algebra, side: Side) -> Callable[[Sequence[Value]], Value]:
+    """Evaluate side under the values of its variables, as one
+    post-order pass over its compiled steps.  A node over a table of
+    children applies its operator's table when the algebra tabulates it
+    (a missing entry raises interp's PartialAlgebra) and calls interp
+    otherwise; a node over a comprehension hands interp the child
+    family, the k-th child being the comprehension instantiated at k and
+    evaluated under the same variables."""
+    interp, nvars = alg.interp, len(side.names)
+    prog = []
+    for op, kids, t in side.steps:
+        if op is None:
+            prog.append((t, None, None))
+        else:
+            # interp reads a table only for a declared finitary operator
+            tabulated = alg.sig.has_op(op) and alg.sig.decl(op).arity.finite
+            prog.append((op, alg.tables.get(op) if tabulated else None, kids))
+
+    def run(values: Sequence[Value]) -> Value:
+        regs = list(values)
+        for op, table, kids in prog:
+            if kids is None:
+                regs.append(_special(alg, op, side.names, regs[:nvars]))
+                continue
+            args = tuple([regs[k] for k in kids])
+            if table is None:
+                regs.append(interp(op, args))
+                continue
+            try:
+                regs.append(table[args])
+            except KeyError:
+                regs.append(interp(op, args))
+        return regs[side.out]
+
+    return run
 
 
-def _lookup(env: Env, name: str) -> Value:
-    if callable(env):
-        return env(name)
-    if name not in env:
-        raise UnboundVariable(f"unbound variable {name!r}")
-    return env[name]
-
-
-def bind(t: Term, env: Env, alg: Algebra, *, maps: Mapping[str, IndexMap] | None = None) -> Value:
-    """Evaluate a term under a variable environment.
-
-    Children of countable operators are passed to the operator's rule as
-    the callable k -> value of the k-th instantiated child.
-    """
+def _special(alg: Algebra, t: Term, names: tuple[str, ...], values: list[Value]) -> Value:
+    """The value of a step that no register holds: an unbound variable
+    or an index variable raises, and a node over a comprehension passes
+    interp the family of its instantiated children."""
     match t:
         case Var(name):
-            return _lookup(env, name)
+            raise UnboundVariable(f"unbound variable {name!r}")
         case IxVar(_):
             raise UnboundVariable("index variable outside a comprehension")
-        case Node(op, Tab(entries)):
-            return alg.interp(op, tuple(bind(c, env, alg, maps=maps) for c in entries))
         case Node(op, Comp(_, _) as comp):
-            return alg.interp(op, lambda k: bind(instantiate_comp(comp, k, maps), env, alg, maps=maps))
+            return alg.interp(
+                op, lambda k: _evaluator(alg, compile_side(instantiate_comp(comp, k), names))(values)
+            )
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -118,13 +143,9 @@ class SatReport:
         return self.status != "VIOLATED"
 
 
-def satisfies(
-    alg: Algebra,
-    sys: SystemOfEquations,
-    *,
-    maps: Mapping[str, IndexMap] | None = None,
-) -> SatReport:
-    """Check every equation under every environment.
+def satisfies(alg: Algebra, sys: SystemOfEquations) -> SatReport:
+    """Check every equation under every environment, each side compiled
+    once (terms.compile_side) and evaluated per environment.
 
     This requires a finite carrier and finite variable families.
     """
@@ -136,9 +157,10 @@ def satisfies(
         names = eq.var_names()
         if names is None:
             raise InfeasibleExhaustive(f"equation {eq.name} has a countable variable family")
+        lhs = _evaluator(alg, compile_side(eq.lhs, names))
+        rhs = _evaluator(alg, compile_side(eq.rhs, names))
         for combo in itertools.product(carrier, repeat=len(names)):
-            env = dict(zip(names, combo))
             checked += 1
-            if bind(eq.lhs, env, alg, maps=maps) != bind(eq.rhs, env, alg, maps=maps):
-                return SatReport("VIOLATED", checked, eq.name, tuple(env.items()))
+            if lhs(combo) != rhs(combo):
+                return SatReport("VIOLATED", checked, eq.name, tuple(dict(zip(names, combo)).items()))
     return SatReport("SATISFIED", checked)

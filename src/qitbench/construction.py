@@ -151,12 +151,13 @@ def _slice_view(st: Stage) -> SliceView:
     table = TermTable(sig, leaves)
     table.upto(bound)
     flats: list[int] = []
+    flat, lookup, classes = flats.__getitem__, closed.lookup, st.classes
     try:
         for node in table.nodes:
-            if isinstance(node, int):
-                flats.append(st.classes[node].flat_id)
+            if node.__class__ is int:
+                flats.append(classes[node].flat_id)
             else:
-                flats.append(closed.lookup[(node[0], tuple(map(flats.__getitem__, node[1])))])
+                flats.append(lookup[(node[0], tuple(map(flat, node[1])))])
     except KeyError:
         term = show_term(table.terms[len(flats)])
         raise QitError(
@@ -171,10 +172,12 @@ def _slice_view(st: Stage) -> SliceView:
             for want in shape.sorts
         ]
         envs, overflow = shape.envs(pools, lambda c: st.classes[c].fd, bound)
+        left, right = shape.sides
+        read_left, read_right = table.reader(left), table.reader(right)
         pairs = []
         for combo in envs:
-            env = {v: tokens[c] for v, c in zip(shape.names, combo)}
-            lhs, rhs = table.find(shape.eq.lhs, env), table.find(shape.eq.rhs, env)
+            ids = [tokens[c] for c in combo]
+            lhs, rhs = read_left(ids)[left.out], read_right(ids)[right.out]
             if lhs is None or rhs is None:
                 raise QitError(f"an instance of {shape.eq.name} escaped the slice view")
             pairs.append((lhs, rhs))
@@ -240,17 +243,17 @@ def diamond(build: _Build, slices: Sequence[Stage], fire: set[tuple[int, int]], 
         base[st.sid] = len(pool_flats)
         pool_flats.extend(st.view.flats)
 
-    def instances() -> Iterable[tuple[int, int]]:
-        # equation instances within one slice
-        for st in ordered:
-            b = base[st.sid]
-            for pairs, _ in st.view.instances:
-                for lhs, rhs in pairs:
-                    yield b + lhs, b + rhs
-
+    # equation instances within one slice, as one list
+    seeds: list[Iterable[tuple[int, int]]] = [[
+        (b + lhs, b + rhs)
+        for st in ordered
+        for b in (base[st.sid],)
+        for pairs, _ in st.view.instances
+        for lhs, rhs in pairs
+    ]]
     # each local id of low meets high's token of its class, offset
-    # without a Python call
-    seeds = [instances()]
+    # without a Python call; left lazy, as zip reuses its pair once the
+    # closure has unpacked it, where a list would build one per pool id
     for low, high in sorted(fire):
         up = by_sid[high]
         tokens = map(up.view.tokens.__getitem__, up.slice_classes[low])
@@ -439,10 +442,11 @@ def _translate(src: SliceView, dst: SliceView, rename: Sequence[int]) -> list[in
     out = [-1] * len(src.flats)
     for c, n in enumerate(src.tokens):
         out[n] = dst.tokens[rename[c]]
+    get = dst.table.lookup.get
     for n, node in enumerate(src.table.nodes):
-        if not isinstance(node, int):
+        if node.__class__ is not int:
             op, kids = node
-            out[n] = dst.table.lookup.get((op, tuple(out[k] for k in kids)), -1)
+            out[n] = get((op, tuple(map(out.__getitem__, kids))), -1)
     return out
 
 

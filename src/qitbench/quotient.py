@@ -103,8 +103,9 @@ def build_universe(sig: Signature, sys: SystemOfEquations, depth_bound: int) -> 
     substituted sides stay within it.  Environments draw from the
     universe itself (respecting variable indices) in listing order;
     instances that would overflow the bound are counted as skipped.
-    Each side is read off the table with the variables bound to ids;
-    a side the table lacks raises.
+    Each side is read off the table by its compiled form
+    (InstanceShape.sides), the variables' registers holding the ids; a
+    side the table lacks raises.
 
     The budget rule of InstanceShape.envs decides which instances fit
     without building the others: with p_v the deepest position of v in
@@ -138,14 +139,14 @@ def build_universe(sig: Signature, sys: SystemOfEquations, depth_bound: int) -> 
 
     instances = []
     skipped = 0
-    find = table.find
     for shape in sys.instance_shapes:
         pools = [by_sort.get(s, ()) for s in shape.sorts]
         envs, overflow = shape.envs(pools, table.depths.__getitem__, depth_bound)
         skipped += overflow
+        left, right = shape.sides
+        read_left, read_right = table.reader(left), table.reader(right)
         for combo in envs:
-            env = dict(zip(shape.names, combo))
-            lhs, rhs = find(shape.eq.lhs, env), find(shape.eq.rhs, env)
+            lhs, rhs = read_left(combo)[left.out], read_right(combo)[right.out]
             if lhs is None or rhs is None:
                 raise QitError(f"an instance of {shape.eq.name} escaped the universe")
             instances.append((shape, combo, lhs, rhs))
@@ -231,11 +232,16 @@ def congruence_roots(
     root.  The seeds are joined first, before any node is keyed.  When
     the pass keys a node it adds the node to parents[r] for the current
     root r of each child, and looks its key (op, child roots) up in a
-    signature table.  Two keys that meet join their nodes' classes; a
-    union goes by class size and moves the absorbed root's parent set
-    into the kept root's, queueing each node in it for a re-key.  The
-    queue is drained before the pass moves on; a node is re-keyed from
-    its last key, whose roots lie in its children's classes.
+    signature table.  parents is a list indexed by root, each entry a
+    list of nodes; a node with two children in one class is listed there
+    twice.  Two keys that meet join their nodes' classes; a union goes
+    by class size and moves the absorbed root's parent list onto the
+    kept root's, queueing each node in it for a re-key.  The queue is
+    drained before the pass moves on; a node is re-keyed from its last
+    key, whose roots lie in its children's classes.  A node listed or
+    queued twice is re-keyed twice; the second re-key reads the same
+    roots, meets its own or an already joined entry, and changes
+    nothing.
 
     Why the result is the least congruence:
     - every union is justified: two seeds, or two nodes of one op whose
@@ -243,8 +249,8 @@ def congruence_roots(
       the least congruence;
     - a node not yet keyed reads current roots when it is keyed;
     - a keyed node stays in parents[find(c)] for each child c, since a
-      parent set moves with its root, so a union that changes its key
-      queues it for a re-key;
+      parent list moves with its root, so a union that changes its key
+      queues it for a re-key (a repeated entry only re-keys it again);
     - so at the end every node's last key is current, and two nodes
       with one current key met the same signature table entry (a stale
       entry holds a non-root, so no current key meets it), which joined
@@ -264,8 +270,8 @@ def congruence_roots(
             parent[b] = a
             size[a] += size[b]
 
-    # root -> the keyed nodes with a child in its class
-    parents: dict[int, set[int]] = {}
+    # root -> the keyed nodes with a child in its class, None for none
+    parents: list[Optional[list[int]]] = [None] * n
     # keyed id -> its last key, (op, child roots)
     keys: list[Optional[tuple]] = [None] * n
     sigtab: dict[tuple, int] = {}
@@ -282,11 +288,11 @@ def congruence_roots(
                 while parent[c] != c:
                     parent[c] = c = parent[parent[c]]
                 key.append(c)
-                ps = parents.get(c)
+                ps = parents[c]
                 if ps is None:
-                    parents[c] = {pos}
+                    parents[c] = [pos]
                 else:
-                    ps.add(pos)
+                    ps.append(pos)
             # look the key up, then re-key queued nodes until none is left
             x = pos
             while True:
@@ -307,17 +313,18 @@ def congruence_roots(
                             a, b = b, a
                         parent[b] = a
                         size[a] += size[b]
-                        gone = parents.pop(b, None)
-                        if gone:
+                        # b is a root no more, so parents[b] is never read again
+                        gone = parents[b]
+                        if gone is not None:
                             pending.extend(gone)
-                            kept = parents.get(a)
+                            kept = parents[a]
                             if kept is None:
                                 parents[a] = gone
                             elif len(kept) < len(gone):
-                                gone |= kept
+                                gone += kept
                                 parents[a] = gone
                             else:
-                                kept |= gone
+                                kept += gone
                 if not pending:
                     break
                 x = pending.pop()
@@ -340,10 +347,15 @@ def congruence_roots(
 def root_groups(roots: Sequence[int]) -> list[list[int]]:
     """The ids grouped by root, each group ascending, the groups in the
     order of their first id."""
-    groups: dict[int, list[int]] = {}
+    by_root: list[Optional[list[int]]] = [None] * len(roots)
+    groups = []
     for n, root in enumerate(roots):
-        groups.setdefault(root, []).append(n)
-    return list(groups.values())
+        group = by_root[root]
+        if group is None:
+            group = by_root[root] = []
+            groups.append(group)
+        group.append(n)
+    return groups
 
 
 def close_congruence(universe: TermUniverse) -> CongruenceQuotient:

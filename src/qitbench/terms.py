@@ -7,9 +7,12 @@ instantiated at carrier elements a, b yields the distinct operators
 countable child families are kept symbolic as comprehensions over an
 index variable rather than materialized.
 
-Terms form the free monad over the signature: variables are the unit,
-operator nodes the free layer, and bind is substitution of behaviours
-for variables.
+Terms form the free monad over the signature: variables are the unit
+and operator nodes the free layer.  An equation side is read by
+compiling it once (compile_side) into a post-order program over
+variable registers, which one pass evaluates per environment: into a
+TermTable's ids (TermTable.reader) or into an algebra
+(algebras.satisfies).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     ArityMismatch,
@@ -271,53 +274,6 @@ def mk_node(sig: Signature, op: Union[OpSym, str], children) -> Node:
     return Node(decl.op, children)
 
 
-def depth(t: Term) -> int:
-    """Var depth 1, nullary node depth 1, node depth 1 + max child."""
-    match t:
-        case Var(_) | IxVar(_):
-            return 1
-        case Node(_, Tab(entries)):
-            return 1 + max((depth(c) for c in entries), default=0)
-        case Node(op, Comp(_, _)):
-            raise InfinitaryArity(f"depth undefined under countable operator {op.show()}")
-    raise TypeError(f"not a term: {t!r}")
-
-
-def free_vars(t: Term) -> set[str]:
-    match t:
-        case Var(name):
-            return {name}
-        case IxVar(_):
-            return set()
-        case Node(_, Tab(entries)):
-            out: set[str] = set()
-            for c in entries:
-                out |= free_vars(c)
-            return out
-        case Node(_, Comp(_, body)):
-            return free_vars(body)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def substitute(t: Term, env: Mapping[str, Term], *, partial: bool = False) -> Term:
-    """Replace named variables by terms.  Index variables live in their own
-    namespace, so comprehension binders cannot capture."""
-    match t:
-        case Var(name):
-            if name in env:
-                return env[name]
-            if partial:
-                return t
-            raise UnboundVariable(f"unbound variable {name!r}")
-        case IxVar(_):
-            return t
-        case Node(op, Tab(entries)):
-            return Node(op, Tab(tuple(substitute(c, env, partial=partial) for c in entries)))
-        case Node(op, Comp(ivar, body)):
-            return Node(op, Comp(ivar, substitute(body, env, partial=partial)))
-    raise TypeError(f"not a term: {t!r}")
-
-
 def instantiate_comp(comp: Comp, k: int, maps: Mapping[str, IndexMap] | None = None) -> Term:
     """The k-th child of a comprehension: index variables under the binder
     evaluate to decimal variable names."""
@@ -336,6 +292,53 @@ def instantiate_comp(comp: Comp, k: int, maps: Mapping[str, IndexMap] | None = N
         raise TypeError(f"not a term: {t!r}")
 
     return go(comp.body, {comp.ivar: k})
+
+
+class Side(NamedTuple):
+    """A term compiled once into a post-order program over registers.
+    Register k < len(names) holds variable names[k] (a repeated name is
+    read from its last register), and step s writes register
+    len(names) + s.  A step is (op, registers of its children, subterm):
+    a node over a table of children gives its operator, and a subterm
+    no register can hold -- a variable outside names, an index
+    variable, a node over a comprehension -- gives op None and no
+    children.  Steps come children first, left to right; out is the
+    whole term's register.  depth is the term's depth with every
+    variable and held-out subterm at depth 1, and deepest[k] the deepest
+    position (root = 1) of register k's variable, 0 if it does not
+    occur."""
+
+    names: tuple[str, ...]
+    steps: tuple[tuple[Optional[OpSym], tuple[int, ...], Term], ...]
+    out: int
+    depth: int
+    deepest: tuple[int, ...]
+
+
+def compile_side(t: Term, names: Sequence[str]) -> Side:
+    steps: list[tuple[Optional[OpSym], tuple[int, ...], Term]] = []
+    depth, deepest = [1] * len(names), [0] * len(names)
+    slot = {name: k for k, name in enumerate(names)}
+    out = _compile(t, 1, slot, steps, depth, deepest)
+    return Side(tuple(names), tuple(steps), out, depth[out], tuple(deepest))
+
+
+def _compile(t: Term, pos: int, slot: dict, steps: list, depth: list, deepest: list) -> int:
+    """Add t's steps at position pos and return its register.  A module
+    function, not a closure: a recursive closure is a reference cycle,
+    which would keep every compile's lists alive until a collection."""
+    if isinstance(t, Var) and t.name in slot:
+        k = slot[t.name]
+        deepest[k] = max(deepest[k], pos)
+        return k
+    if isinstance(t, Node) and isinstance(t.children, Tab):
+        kids = tuple([_compile(c, pos + 1, slot, steps, depth, deepest) for c in t.children.entries])
+        steps.append((t.op, kids, t))
+        depth.append(1 + max(map(depth.__getitem__, kids), default=0))
+    else:
+        steps.append((None, (), t))
+        depth.append(1)
+    return len(depth) - 1
 
 
 DEFAULT_SAMPLE_POINTS = tuple(range(9))
@@ -400,37 +403,78 @@ class TermTable:
         return [n for d in range(1, bound + 1) for n in self._exactly(d, want)]
 
     def _exactly(self, d: int, want: Optional[str]) -> list[int]:
+        """The ids of depth exactly d at want: the leaves of weight d,
+        then per operator its child tuples whose deepest child is at
+        depth d - 1, in lexicographic order.  Only those tuples are
+        walked: a pool upto(d - 1) is its shallower part upto(d - 2)
+        followed by its tail at exactly d - 1, so in lexicographic order
+        a child from the shallower part leaves a deep child to a later
+        position, and the last position must then take one from its
+        tail; a child from the tail frees every later position.  The
+        tuples are built from the last position back, each position's
+        deep tuples being those with a shallow child there and deep
+        tuples after it, then those with a deep child there."""
         if (d, want) in self._exact:
             return self._exact[(d, want)]
-
-        def fits(sort: Optional[str]) -> bool:
-            return want is None or sort is None or sort == want
-
-        depth = self.depths.__getitem__
-        found = [k for k, (_, sort, w) in enumerate(self.leaves) if w == d and fits(sort)]
+        found = [
+            k for k, (_, sort, w) in enumerate(self.leaves)
+            if w == d and (want is None or sort is None or sort == want)
+        ]
+        # per child sort: (upto(d - 2), exactly(d - 1), upto(d - 1))
+        split: dict[Optional[str], tuple[list[int], list[int], list[int]]] = {}
         for op, decl in enumerate(self.sig.ops):
-            if fits(decl.sort):
-                # a nullary operator has one child tuple, (), of depth 0
-                kid_sorts = decl.child_sorts or (None,) * decl.arity.count
-                pools = [self.upto(d - 1, s) for s in kid_sorts]
-                found += [
-                    (op, kids)
-                    for kids in itertools.product(*pools)
-                    if max(map(depth, kids), default=0) == d - 1
-                ]
-        for node in found:
-            if node not in self.lookup:
-                self.lookup[node] = len(self.nodes)
-                self.nodes.append(node)
-                self.depths.append(d)
-        out = self._exact[(d, want)] = [self.lookup[node] for node in found]
+            if want is not None and decl.sort is not None and decl.sort != want:
+                continue
+            kid_sorts = decl.child_sorts or (None,) * decl.arity.count
+            if not kid_sorts:
+                # the one child tuple, (), is of depth 0
+                if d == 1:
+                    found.append((op, ()))
+                continue
+            if d == 1:
+                continue
+            for s in kid_sorts:
+                if s not in split:
+                    low, tail = self.upto(d - 2, s), self._exactly(d - 1, s)
+                    split[s] = (low, tail, low + tail)
+            deep = [(b,) for b in split[kid_sorts[-1]][1]]
+            for i in range(len(kid_sorts) - 2, -1, -1):
+                low, tail, _ = split[kid_sorts[i]]
+                rest = [split[s][2] for s in kid_sorts[i + 1 :]]
+                deep = [(a, *kids) for a in low for kids in deep]
+                deep += itertools.product(tail, *rest)
+            found += [(op, kids) for kids in deep]
+        # found holds no node twice; the new ones get ids in its order
+        lookup, start = self.lookup, len(self.nodes)
+        new = [node for node in found if node not in lookup]
+        self.nodes += new
+        self.depths += [d] * len(new)
+        lookup.update(zip(new, range(start, start + len(new))))
+        out = self._exact[(d, want)] = list(map(lookup.__getitem__, found))
         return out
+
+    def reader(self, side: Side) -> Callable[[Iterable[int]], list[Optional[int]]]:
+        """Read side's registers off the table, the variables' given as
+        ids: each step looks its node up, and a term the table does not
+        hold reads None -- so does every term above it.  A variable the
+        side's names lack, an operator outside the signature, an index
+        variable and a comprehension are never held."""
+        get, op_pos = self.lookup.get, self._op_pos.get
+        prog = [(op_pos(op), kids) for op, kids, _ in side.steps]
+
+        def read(ids: Iterable[int]) -> list[Optional[int]]:
+            regs = list(ids)
+            for op, kids in prog:
+                regs.append(get((op, tuple([regs[k] for k in kids]))))
+            return regs
+
+        return read
 
     def find(self, t: Term, env: Mapping[str, int]) -> Optional[int]:
         """The id of t with each variable read as the id env gives it;
-        None if the table does not hold it: a variable env does not bind,
-        an operator outside the signature, an index variable or a
-        comprehension is never held."""
+        None if the table does not hold it, as reader reads it.  One
+        recursive walk: for one term this is cheaper than compiling it,
+        and sides read under many environments go through reader."""
         if isinstance(t, Var):
             return env.get(t.name)
         if not isinstance(t, Node) or not isinstance(t.children, Tab):
@@ -514,9 +558,10 @@ class Equation:
 class InstanceShape:
     """What an equation's instances ask of a depth bound.
 
-    skeleton is max(depth(lhs), depth(rhs)) with variables at depth 1;
-    deepest[k] is the deepest position (root = 1) of variable names[k]
-    on either side, 0 when it occurs on neither.
+    sides holds lhs and rhs compiled over names; skeleton is the greater
+    of their depths with variables at depth 1, and deepest[k] the
+    deepest position (root = 1) of variable names[k] on either side, 0
+    when it occurs on neither.
     """
 
     eq: Equation
@@ -524,6 +569,7 @@ class InstanceShape:
     sorts: tuple[Optional[str], ...]
     skeleton: int
     deepest: tuple[int, ...]
+    sides: tuple[Side, Side]
 
     def envs(
         self, pools: Sequence[Sequence], weight: Callable[[object], int], bound: int
@@ -551,25 +597,21 @@ def instance_shape(eq: Equation) -> InstanceShape:
     names = eq.var_names()
     if names is None:
         raise InfinitaryArity(f"equation {eq.name} has a countable variable family")
-    deepest = dict.fromkeys(names, 0)
-
-    def walk(t: Term, pos: int) -> int:
-        match t:
-            case Var(name):
-                if deepest.get(name, pos) < pos:
-                    deepest[name] = pos
-                return pos
-            case IxVar(_):
-                return pos
-            case Node(_, Tab(entries)):
-                return max((walk(c, pos + 1) for c in entries), default=pos)
-            case Node(op, Comp(_, _)):
-                raise InfinitaryArity(f"depth undefined under countable operator {op.show()}")
-        raise TypeError(f"not a term: {t!r}")
-
-    skeleton = max(walk(eq.lhs, 1), walk(eq.rhs, 1))
+    sides = (compile_side(eq.lhs, names), compile_side(eq.rhs, names))
+    for side in sides:
+        for op, _, t in side.steps:
+            if op is not None or isinstance(t, (Var, IxVar)):
+                continue
+            if isinstance(t, Node) and isinstance(t.children, Comp):
+                raise InfinitaryArity(f"depth undefined under countable operator {t.op.show()}")
+            raise TypeError(f"not a term: {t!r}")
     return InstanceShape(
-        eq, names, tuple(eq.sort_of(v) for v in names), skeleton, tuple(deepest.values())
+        eq,
+        names,
+        tuple(eq.sort_of(v) for v in names),
+        max(side.depth for side in sides),
+        tuple(map(max, *(side.deepest for side in sides))),
+        sides,
     )
 
 

@@ -10,10 +10,18 @@ the reference for the term order, which the library's enumeration
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from qitbench.algebras import Algebra, bind, satisfies
-from qitbench.errors import CoherenceFailure, InfinitaryArity, NotSatisfying, ParseError, QitError
+from qitbench.algebras import Algebra, SatReport, Value, satisfies
+from qitbench.errors import (
+    CoherenceFailure,
+    InfeasibleExhaustive,
+    InfinitaryArity,
+    NotSatisfying,
+    ParseError,
+    QitError,
+    UnboundVariable,
+)
 from qitbench.quotient import congruence_roots
 from qitbench.sexpr import show_term
 from qitbench.sizes import SizeVal
@@ -26,10 +34,107 @@ from qitbench.terms import (
     SystemOfEquations,
     Tab,
     Term,
+    TermTable,
     Var,
-    depth,
-    substitute,
+    instantiate_comp,
 )
+
+
+# --- tree-walking references: depth, variables, substitution, evaluation ---
+
+
+def depth(t: Term) -> int:
+    """Var depth 1, nullary node depth 1, node depth 1 + max child."""
+    match t:
+        case Var(_) | IxVar(_):
+            return 1
+        case Node(_, Tab(entries)):
+            return 1 + max((depth(c) for c in entries), default=0)
+        case Node(op, Comp(_, _)):
+            raise InfinitaryArity(f"depth undefined under countable operator {op.show()}")
+    raise TypeError(f"not a term: {t!r}")
+
+
+def free_vars(t: Term) -> set[str]:
+    match t:
+        case Var(name):
+            return {name}
+        case IxVar(_):
+            return set()
+        case Node(_, Tab(entries)):
+            out: set[str] = set()
+            for c in entries:
+                out |= free_vars(c)
+            return out
+        case Node(_, Comp(_, body)):
+            return free_vars(body)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def substitute(t: Term, env: Mapping[str, Term], *, partial: bool = False) -> Term:
+    """Replace named variables by terms.  Index variables live in their own
+    namespace, so comprehension binders cannot capture."""
+    match t:
+        case Var(name):
+            if name in env:
+                return env[name]
+            if partial:
+                return t
+            raise UnboundVariable(f"unbound variable {name!r}")
+        case IxVar(_):
+            return t
+        case Node(op, Tab(entries)):
+            return Node(op, Tab(tuple(substitute(c, env, partial=partial) for c in entries)))
+        case Node(op, Comp(ivar, body)):
+            return Node(op, Comp(ivar, substitute(body, env, partial=partial)))
+    raise TypeError(f"not a term: {t!r}")
+
+
+Env = Union[Mapping[str, Value], Callable[[str], Value]]
+
+
+def _lookup(env: Env, name: str) -> Value:
+    if callable(env):
+        return env(name)
+    if name not in env:
+        raise UnboundVariable(f"unbound variable {name!r}")
+    return env[name]
+
+
+def bind(t: Term, env: Env, alg: Algebra) -> Value:
+    """Evaluate a term under a variable environment by recursion.
+
+    Children of countable operators are passed to the operator's rule as
+    the callable k -> value of the k-th instantiated child.
+    """
+    match t:
+        case Var(name):
+            return _lookup(env, name)
+        case IxVar(_):
+            raise UnboundVariable("index variable outside a comprehension")
+        case Node(op, Tab(entries)):
+            return alg.interp(op, tuple(bind(c, env, alg) for c in entries))
+        case Node(op, Comp(_, _) as comp):
+            return alg.interp(op, lambda k: bind(instantiate_comp(comp, k), env, alg))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def naive_satisfies(alg: Algebra, sys: SystemOfEquations) -> SatReport:
+    """satisfies with both sides evaluated by bind under a dict per
+    environment: the reference for the compiled evaluator."""
+    if alg.carrier is None:
+        raise InfeasibleExhaustive("satisfaction needs an enumerated carrier")
+    checked = 0
+    for eq in sys.equations:
+        names = eq.var_names()
+        if names is None:
+            raise InfeasibleExhaustive(f"equation {eq.name} has a countable variable family")
+        for combo in itertools.product(alg.carrier, repeat=len(names)):
+            env = dict(zip(names, combo))
+            checked += 1
+            if bind(eq.lhs, env, alg) != bind(eq.rhs, env, alg):
+                return SatReport("VIOLATED", checked, eq.name, tuple(env.items()))
+    return SatReport("SATISFIED", checked)
 
 
 def naive_tokenize(text: str, line_no: int) -> list[tuple[str, str, int, int]]:
@@ -131,6 +236,40 @@ def weighted_depth(t: Term, weights: Optional[Mapping[str, int]] = None) -> int:
         case Node(op, Comp(_, _)):
             raise InfinitaryArity(f"depth undefined under countable operator {op.show()}")
     raise TypeError(f"not a term: {t!r}")
+
+
+class ProductTermTable(TermTable):
+    """TermTable with depth d built as the full product of the pools
+    upto(d - 1), filtered to the tuples whose deepest child is at depth
+    d - 1: the reference for the ids, depths and listings of
+    TermTable's exact-depth walk."""
+
+    def _exactly(self, d: int, want: Optional[str]) -> list[int]:
+        if (d, want) in self._exact:
+            return self._exact[(d, want)]
+
+        def fits(sort: Optional[str]) -> bool:
+            return want is None or sort is None or sort == want
+
+        depth = self.depths.__getitem__
+        found = [k for k, (_, sort, w) in enumerate(self.leaves) if w == d and fits(sort)]
+        for op, decl in enumerate(self.sig.ops):
+            if fits(decl.sort):
+                # a nullary operator has one child tuple, (), of depth 0
+                kid_sorts = decl.child_sorts or (None,) * decl.arity.count
+                pools = [self.upto(d - 1, s) for s in kid_sorts]
+                found += [
+                    (op, kids)
+                    for kids in itertools.product(*pools)
+                    if max(map(depth, kids), default=0) == d - 1
+                ]
+        for node in found:
+            if node not in self.lookup:
+                self.lookup[node] = len(self.nodes)
+                self.nodes.append(node)
+                self.depths.append(d)
+        out = self._exact[(d, want)] = [self.lookup[node] for node in found]
+        return out
 
 
 def naive_enumerate_terms(

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
 
-from helpers import bag_sig, bag_system, first_label_algebra, length_algebra
-from qitbench.algebras import Algebra, SatReport, bind, satisfies, term_algebra
-from qitbench.errors import InfeasibleExhaustive, PartialAlgebra
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import bag_sig, bag_system, equations, first_label_algebra, length_algebra, term_over
+from oracles import bind, naive_satisfies
+from qitbench.algebras import Algebra, SatReport, satisfies, term_algebra
+from qitbench.errors import InfeasibleExhaustive, PartialAlgebra, QitError, UnboundVariable
 from qitbench.sexpr import parse_term
 from qitbench.terms import (
     Comp,
@@ -14,6 +19,7 @@ from qitbench.terms import (
     IxV,
     IxVar,
     NAT,
+    OpSym,
     SystemOfEquations,
     Var,
     mk_node,
@@ -62,3 +68,62 @@ def test_from_fn_tabulates_every_operator():
     alg = length_algebra(SIG)
     assert set(alg.tables) == {d.op for d in SIG.ops}
     assert alg.interp(SIG.decl("cons b").op, (3,)) == 3
+
+
+def test_comprehension_sides_of_a_finite_family():
+    """A finite variable family whose side holds a comprehension: the
+    countable operator's rule gets the child family as a callable, whose
+    k-th child reads index variables as the variable named k."""
+    sig = signature([("leaf", 0), ("node", NAT)])
+    leaf = {OpSym("leaf"): {(): 0}}
+    first = Algebra(sig, (0, 1), leaf, {OpSym("node"): lambda f: f(0)})
+    flip = Algebra(sig, (0, 1), leaf, {OpSym("node"): lambda f: 1 - f(0)})
+    second = Algebra(sig, (0, 1), leaf, {OpSym("node"): lambda f: f(1)})
+    const = SystemOfEquations((Equation("e", ("x",), mk_node(sig, "node", Comp("i", Var("x"))), Var("x")),))
+    indexed = SystemOfEquations(
+        (Equation("e3", ("0", "x"), mk_node(sig, "node", Comp("i", IxVar(IxV("i")))), Var("0")),)
+    )
+    assert satisfies(first, const) == SatReport("SATISFIED", 2)
+    assert satisfies(flip, const) == SatReport("VIOLATED", 1, "e", (("x", 0),))
+    assert satisfies(first, indexed) == SatReport("SATISFIED", 4)
+    with pytest.raises(UnboundVariable, match="^unbound variable '1'$"):
+        satisfies(second, indexed)
+    with pytest.raises(PartialAlgebra, match="^no rule for countable operator node$"):
+        satisfies(Algebra(sig, (0, 1), leaf), const)
+
+
+@st.composite
+def table_algebras(draw, sig):
+    """A carrier of 1-3 values and a table per operator; a table may
+    lack entries, and an operator its table."""
+    carrier = tuple(range(draw(st.integers(1, 3))))
+    tables = {}
+    for d in sig.ops:
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        tables[d.op] = {
+            args: draw(st.sampled_from(carrier))
+            for args in itertools.product(carrier, repeat=d.arity.count)
+            if draw(st.integers(0, 9)) > 0
+        }
+    return Algebra(sig, carrier, tables)
+
+
+def outcome(check, alg, sys):
+    try:
+        return check(alg, sys)
+    except QitError as e:
+        return type(e), str(e)
+
+
+@given(equations(), st.data())
+def test_compiled_satisfies_equals_naive_satisfies(case, data):
+    sig, eq = case
+    ops = [(d.op.name, d.arity.count) for d in sig.ops]
+    eqs = [eq]
+    if data.draw(st.booleans()):
+        sides = [data.draw(term_over(ops, eq.vars, 3)) for _ in range(2)]
+        eqs.append(Equation("e2", eq.vars, *sides))
+    sys = SystemOfEquations(tuple(eqs))
+    alg = data.draw(table_algebras(sig))
+    assert outcome(satisfies, alg, sys) == outcome(naive_satisfies, alg, sys)

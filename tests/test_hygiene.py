@@ -1,6 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
-no module has an assert statement, and every file a module reads or
-writes as text names its encoding.
+no module has an assert statement, every file a module reads or writes
+as text names its encoding, and every module-level function and class
+is used somewhere in src/qitbench, unless listed with the ROADMAP item
+that decides it.
 
 No linter ships with the project, so this parses src/qitbench with ast.
 __future__ imports and the package __init__ modules, whose imports are
@@ -13,6 +15,7 @@ decode on one machine and not on another.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -94,3 +97,70 @@ def test_the_scan_sees_text_io_without_an_encoding():
         "    pass\n"
     )
     assert unencoded_text_io(source) == [2, 4, 5]
+
+
+def unused_definitions(sources: dict[str, str]) -> list[str]:
+    """module.name of each module-level function and class that no name
+    or attribute read in any of the sources refers to, apart from the
+    reads in its own body; an import alone is not a use."""
+
+    def reads(tree: ast.AST) -> Counter:
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((reads(tree) for tree in trees.values()), Counter())
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and everywhere[node.name] == reads(node)[node.name]
+    )
+
+
+# Used only by tests today.  ROADMAP item 5 decides each: a product path
+# (say construct --certify) or a move to tests/oracles.py.
+NOT_YET_USED = {
+    # the paper's theorem checks
+    "diagrams.check_power_cocontinuity": "item 5",
+    "diagrams.constant_diagram": "item 5",
+    "diagrams.growing_chain": "item 5",
+    # second implementations kept as references
+    "quotient.qwuniq_check": "item 5",
+    "sizes.wf_rec": "item 5",
+    "terms.terms_equal": "item 5",
+    # surface features that no command reads
+    "algebras.term_algebra": "item 5",
+    "quotient.dump_quotient": "item 5",
+    "schema.checker.check_strictly_positive": "item 5",
+    "schema.checker.replay": "item 5",
+    "schema.eliminator.derive_eliminator": "item 5",
+    "serialize.indexed_signature_from_obj": "item 5",
+    "serialize.signature_from_obj": "item 5",
+    "serialize.system_from_obj": "item 5",
+    "sexpr.parse_index_map": "item 5",
+    "sexpr.show_index_map": "item 5",
+    "sizes.parse_size": "item 5",
+    "sizes.size_signature_for": "items 5 and 9",
+    "terms.free_algebra_signature": "item 5",
+}
+
+
+def test_every_definition_is_used_in_src():
+    sources = {
+        ".".join(p.relative_to(SRC).with_suffix("").parts): p.read_text(encoding="utf-8")
+        for p in ALL_MODULES
+    }
+    assert unused_definitions(sources) == sorted(NOT_YET_USED)
+
+
+def test_the_scan_sees_an_unused_definition():
+    sources = {
+        "a": "def f():\n    return f()\n\n\nclass C:\n    pass\n\n\ndef g(x):\n    return x.h\n",
+        "b": "from a import C, f\n\n\ndef h():\n    return C\n",
+    }
+    assert unused_definitions(sources) == ["a.f", "a.g"]

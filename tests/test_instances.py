@@ -15,15 +15,13 @@ from qitbench.terms import (
     SystemOfEquations,
     Tab,
     Var,
-    depth,
     enumerate_terms,
     instance_shape,
     signature,
-    substitute,
 )
 
 from helpers import bag_system, equations
-from oracles import weighted_depth
+from oracles import depth, substitute, weighted_depth
 
 
 def brute_force(eq, pools, weighted, bound):
@@ -71,6 +69,18 @@ def test_universe_instances_match_brute_force(case, bound):
 def test_shape_of_swap():
     shape = instance_shape(bag_system().equations[0])
     assert (shape.names, shape.skeleton, shape.deepest) == (("zs",), 3, (3,))
+
+
+def test_shape_takes_each_variables_deepest_occurrence():
+    # in post-order the shallower x of f(g(x), g(h(x))) comes last
+    def node(op, *kids):
+        return Node(OpSym(op), Tab(kids))
+
+    x, y = Var("x"), Var("y")
+    eq = Equation("e", ("x", "y", "z"), node("f", node("g", x), node("g", node("h", x))), node("g", y))
+    shape = instance_shape(eq)
+    assert (shape.skeleton, shape.deepest) == (4, (4, 2, 0))
+    assert depth(eq.lhs) == shape.skeleton
 
 
 def test_commtree_d4_closed_form():

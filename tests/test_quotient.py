@@ -42,7 +42,7 @@ from qitbench.quotient import (
     qwuniq_check,
 )
 from qitbench.sexpr import parse_term, show_term
-from qitbench.terms import Node, OpSym, SystemOfEquations, Tab, TermTable, signature
+from qitbench.terms import Equation, Node, OpSym, SystemOfEquations, Tab, TermTable, Var, signature
 
 SIG = bag_sig()
 SYS = bag_system()
@@ -63,15 +63,20 @@ def test_universe_contents_and_skips():
 
 
 def test_instance_outside_the_universe_raises(monkeypatch):
-    real = TermTable.find
+    real = TermTable.reader
     dropped = "(op cons b (op cons b (op nil)))"
 
-    def find(table, t, env):
+    def reader(table, side):
         # read dropped, a side of swap b b at zs = nil, as a miss
-        n = real(table, t, env)
-        return None if n is not None and show_term(table.terms[n]) == dropped else n
+        read = real(table, side)
 
-    monkeypatch.setattr(TermTable, "find", find)
+        def missing(ids):
+            return [None if n is not None and show_term(table.terms[n]) == dropped else n
+                    for n in read(ids)]
+
+        return missing
+
+    monkeypatch.setattr(TermTable, "reader", reader)
     with pytest.raises(QitError, match="swap b b escaped the universe"):
         build_universe(SIG, SYS, 3)
 
@@ -161,6 +166,14 @@ def id_graphs(draw):
 @example((10, [(0, [0, 1, 2, ("f", (0,)), ("f", (1,)), ("g", (4, 4)), ("f", (2,)), 7, 8,
                     ("g", (7, 7))])],
           [(0, 1), (0, 2), (6, 7), (6, 8)]))
+# 2 = g(1, 0) has both children in the class {0, 1}, so it is filed
+# twice under one root, and re-keyed twice when 3 = h(1) meets 1 = h(0)
+# and the larger class {3, 4, 5} absorbs {0, 1}.
+@example((6, [(0, [0, ("h", (0,)), ("g", (1, 0)), ("h", (1,)), 4, 5])], [(4, 5), (3, 5), (0, 1)]))
+# A union made while the queue is drained re-queues a node that is
+# still queued.
+@example((6, [(0, [0, ("f", (0,)), ("g", (1, 1)), ("g", (2, 1)), ("f", (3,)), 5])],
+          [(0, 5), (4, 2), (3, 0)]))
 @given(id_graphs())
 def test_congruence_roots_equal_naive_oracle(graph):
     n, blocks, seeds = graph
@@ -442,6 +455,19 @@ def test_fixture_oracles_match_tree_reference(sig, sys, bound, cap, kind):
         assert qwrec(q, alg).hom_ok
         motive, steps = class_steps(naive_close_congruence(naive_build_universe(sig, sys, bound)))
         assert qwelim(q, EliminatorInput(motive, steps)).comp_ok
+
+
+def test_elimination_reads_child_classes_in_order():
+    # p(x, a) = x is not commutative, so steps that read p's child
+    # classes in the wrong order split an instance
+    sig = signature([("a", 0), ("b", 0), ("p", 2)])
+    x = Var("x")
+    unit = Equation("unit", ("x",), Node(OpSym("p"), Tab((x, Node(OpSym("a"), Tab(()))))), x)
+    sys = SystemOfEquations((unit,))
+    alg = Algebra.from_fn(sig, (0, 1), lambda op, args: args[0] if args else int(op.name == "b"))
+    q = assert_matches_tree_oracle(sig, sys, 2, alg, class_steps)
+    motive, steps = class_steps(naive_close_congruence(naive_build_universe(sig, sys, 2)))
+    assert qwelim(q, EliminatorInput(motive, steps)).comp_ok
 
 
 def test_ab_listing_is_not_id_order():

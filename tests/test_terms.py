@@ -9,8 +9,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import bag_sig, bag_system, equations, length_algebra
-from oracles import count_terms, naive_enumerate_terms, term_key
-from qitbench.algebras import bind, term_algebra
+from oracles import (
+    ProductTermTable,
+    bind,
+    count_terms,
+    free_vars,
+    naive_enumerate_terms,
+    substitute,
+    term_key,
+    weighted_depth,
+)
+from qitbench.algebras import term_algebra
 from qitbench.errors import (
     ArityMismatch,
     InfinitaryArity,
@@ -34,13 +43,12 @@ from qitbench.terms import (
     Tab,
     TermTable,
     Var,
+    compile_side,
     enumerate_terms,
     eval_ix,
     free_algebra_signature,
-    free_vars,
     mk_node,
     signature,
-    substitute,
     terms_equal,
     validate_system,
 )
@@ -236,6 +244,50 @@ def test_sorted_table_order_equals_naive_enumeration(sig, bound, want, data):
     assert_table_matches_naive(sig, leaves, bound, want)
 
 
+@st.composite
+def wide_signatures(draw):
+    """Arity 0-3 operators (the first nullary), each at a target index or
+    none, with child indices or none."""
+    rows = []
+    for n, k in enumerate([0] + draw(st.lists(st.integers(0, 3), max_size=3))):
+        kids = draw(st.none() | st.tuples(*[st.sampled_from(["0", "1"])] * k))
+        rows.append((f"f{n}", k, draw(SORTS), kids))
+    return signature(rows)
+
+
+# the exact-depth walk against the full product: the same ids, depths
+# and listings, whatever sort is listed first
+def assert_walk_equals_product(sig, leaves, bound, firsts):
+    table, product = TermTable(sig, leaves), ProductTermTable(sig, leaves)
+    vars = {name: sort for name, sort, _ in leaves}
+    weights = {name: w for name, _, w in leaves}
+    for want in firsts:
+        for d in range(bound + 1):
+            ids = table.upto(d, want)
+            assert ids == product.upto(d, want)
+            assert [table.terms[n] for n in ids] == naive_enumerate_terms(
+                sig, vars, d, sort=want, var_depths=weights
+            )
+    assert table.nodes == product.nodes
+    assert table.lookup == product.lookup
+    assert table.depths == product.depths == [weighted_depth(t, weights) for t in table.terms]
+
+
+@given(wide_signatures(), st.integers(0, 3), st.data())
+def test_exact_depth_walk_equals_the_full_product(sig, bound, data):
+    names = ("x", "y", "z")[: data.draw(st.integers(0, 3))]
+    leaves = [(v, data.draw(SORTS), data.draw(st.integers(1, 3))) for v in names]
+    firsts = data.draw(st.permutations([None, "0", "1"]))
+    assert_walk_equals_product(sig, leaves, bound, firsts)
+
+
+def test_exact_depth_walk_on_a_ternary_operator_over_weighted_leaves():
+    sig = signature([("c", 0, "0", ()), ("t", 3, "1", ("0", "1", "0")), ("u", 1, None, None)])
+    leaves = [("x", "0", 2), ("y", "1", 1), ("z", None, 3)]
+    assert_walk_equals_product(sig, leaves, 3, ["1", None, "0"])
+    assert_walk_equals_product(sig, leaves, 3, [None, "0", "1"])
+
+
 def assert_closed_ids_in_term_key_order(sig, bound):
     table = TermTable(sig)
     table.upto(bound)
@@ -252,6 +304,20 @@ def test_closed_table_ids_follow_term_key(case, bound):
 @given(sorted_signatures(), st.integers(0, 3))
 def test_sorted_closed_table_ids_follow_term_key(sig, bound):
     assert_closed_ids_in_term_key_order(sig, bound)
+
+
+# reader, for sides read under many environments, and find, for one
+# term, read the same ids, misses included
+@given(equations(), st.integers(1, 3), st.data())
+def test_reader_reads_what_find_finds(case, bound, data):
+    sig, eq = case
+    names = eq.var_names()
+    table = TermTable(sig, [(v, None, 1) for v in names[:1]])
+    pool = table.upto(bound)
+    ids = [data.draw(st.sampled_from(pool)) if pool else 0 for _ in names]
+    for t in (eq.lhs, eq.rhs):
+        side = compile_side(t, names)
+        assert table.reader(side)(ids)[side.out] == table.find(t, dict(zip(names, ids)))
 
 
 def test_table_finds_instances_through_its_lookup():
