@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import InfeasibleExhaustive, PartialAlgebra, UnboundVariable
@@ -41,18 +42,27 @@ class Algebra:
     rules: Mapping[OpSym, Callable[[Callable[[int], Value]], Value]] = field(default_factory=dict)
     fn: Optional[Callable[[OpSym, tuple], Value]] = None
 
+    @cached_property
+    def _tabulated(self) -> dict[OpSym, Mapping[tuple, Value]]:
+        return {d.op: self.tables[d.op] for d in self.sig.ops if d.arity.finite and d.op in self.tables}
+
+    def table_for(self, op: OpSym) -> Optional[Mapping[tuple, Value]]:
+        """The table interp applies to op: its entry in tables when op is
+        a declared finitary operator, None when interp turns to fn or a
+        rule, or rejects op."""
+        return self._tabulated.get(op)
+
     def interp(self, op: OpSym, args) -> Value:
-        decl = self.sig.decl(op)
-        if decl.arity.finite:
+        table = self.table_for(op)
+        if table is not None:
             args = tuple(args)
-            table = self.tables.get(op)
-            if table is not None:
-                try:
-                    return table[args]
-                except KeyError:
-                    raise PartialAlgebra(f"{op.show()} has no table entry for {args!r}")
+            try:
+                return table[args]
+            except KeyError:
+                raise PartialAlgebra(f"{op.show()} has no table entry for {args!r}")
+        if self.sig.decl(op).arity.finite:
             if self.fn is not None:
-                return self.fn(op, args)
+                return self.fn(op, tuple(args))
             raise PartialAlgebra(f"no interpretation for {op.show()}")
         rule = self.rules.get(op)
         if rule is None:
@@ -81,20 +91,14 @@ def term_algebra(sig: Signature) -> Algebra:
 def _evaluator(alg: Algebra, side: Side) -> Callable[[Sequence[Value]], Value]:
     """Evaluate side under the values of its variables, as one
     post-order pass over its compiled steps.  A node over a table of
-    children applies its operator's table when the algebra tabulates it
-    (a missing entry raises interp's PartialAlgebra) and calls interp
-    otherwise; a node over a comprehension hands interp the child
+    children applies the table interp would (Algebra.table_for), a
+    missing entry raising through interp, and calls interp when there is
+    none; a node over a comprehension hands interp the child
     family, the k-th child being the comprehension instantiated at k and
     evaluated under the same variables."""
     interp, nvars = alg.interp, len(side.names)
-    prog = []
-    for op, kids, t in side.steps:
-        if op is None:
-            prog.append((t, None, None))
-        else:
-            # interp reads a table only for a declared finitary operator
-            tabulated = alg.sig.has_op(op) and alg.sig.decl(op).arity.finite
-            prog.append((op, alg.tables.get(op) if tabulated else None, kids))
+    prog = [(t, None, None) if op is None else (op, alg.table_for(op), kids)
+            for op, kids, t in side.steps]
 
     def run(values: Sequence[Value]) -> Value:
         regs = list(values)

@@ -33,12 +33,13 @@ from .errors import CoherenceFailure, NotSatisfying, QitError
 from .sexpr import show_term
 from .terms import (
     InstanceShape,
-    Node,
     OpSym,
+    Side,
     Signature,
     SystemOfEquations,
     Term,
     TermTable,
+    compile_side,
     enumerate_terms,
 )
 
@@ -90,7 +91,8 @@ class TermUniverse:
 
     def id_of(self, t: Term) -> Optional[int]:
         """The id of the closed term t; None if the universe lacks it."""
-        return self.table.find(t, {})
+        side = compile_side(t, ())
+        return self.table.reader(side)(())[side.out]
 
     def position(self, t: Term) -> Optional[int]:
         """The position of t in the listing; None if the universe lacks it."""
@@ -442,37 +444,36 @@ def qwelim(q: CongruenceQuotient, inp: EliminatorInput) -> QwelimResult:
     """Dependent elimination over the quotient.
 
     Coherence is checked for every equation instance under every
-    assignment of admissible tags to its variables, each node of a side
-    reading its children's classes off the universe's table under the
-    instance's ids; the computed values are verified at every class
-    member and replayed as computation rules at every universe node.
+    assignment of admissible tags to its variables.  Each side runs as
+    its compiled program (InstanceShape.sides): the instance's ids are
+    read into its registers once, giving each step its children's
+    classes, and per assignment the steps run over the tags.  The
+    computed values are verified at every class member and replayed as
+    computation rules at every universe node.
     """
     motive = inp.motive if callable(inp.motive) else (lambda cls: inp.motive[cls])
     steps = inp.steps
     u = q.universe
-    class_at, find = q.class_at, u.table.find
+    class_at, table = q.class_at, u.table
+    readers: dict[str, tuple] = {}
 
     instances = 0
     envs = 0
     for shape, combo, _, _ in u.instances:
         instances += 1
         names = shape.names
-        env = dict(zip(names, combo))
+        if shape.eq.name not in readers:
+            readers[shape.eq.name] = tuple(map(table.reader, shape.sides))
+        # the class of every register of each side
+        left_cls, right_cls = ([class_at[n] for n in read(combo)] for read in readers[shape.eq.name])
+        left_side, right_side = shape.sides
         choices = [motive(class_at[n]) for n in combo]
         for tags in itertools.product(*choices):
             envs += 1
-            assignment = dict(zip(names, tags))
-
-            def lift(t: Term) -> Value:
-                if not isinstance(t, Node):
-                    return assignment[t.name]
-                kids = t.children.entries
-                return steps(t.op, tuple(class_at[find(c, env)] for c in kids),
-                             tuple(lift(c) for c in kids))
-
-            left, right = lift(shape.eq.lhs), lift(shape.eq.rhs)
+            left = _lift(steps, left_side, left_cls, tags)
+            right = _lift(steps, right_side, right_cls, tags)
             if left != right:
-                terms = u.table.terms
+                terms, assignment = u.table.terms, dict(zip(names, tags))
                 witness = (shape.eq.name,
                            tuple((v, terms[n], assignment[v]) for v, n in zip(names, combo)),
                            left, right)
@@ -510,6 +511,15 @@ def qwelim(q: CongruenceQuotient, inp: EliminatorInput) -> QwelimResult:
         if got != want:
             failures.append((u.table.terms[n], got, want))
     return QwelimResult(tuple(values), not failures, tuple(failures), instances, envs)
+
+
+def _lift(steps: Callable, side: Side, classes: list[int], tags: tuple) -> Value:
+    """Run side's steps over the variables' tags, children first, each
+    step given its children's classes."""
+    vals = list(tags)
+    for op, kids, _ in side.steps:
+        vals.append(steps(op, tuple([classes[k] for k in kids]), tuple([vals[k] for k in kids])))
+    return vals[side.out]
 
 
 @dataclass(frozen=True)

@@ -302,43 +302,55 @@ class Side(NamedTuple):
     a node over a table of children gives its operator, and a subterm
     no register can hold -- a variable outside names, an index
     variable, a node over a comprehension -- gives op None and no
-    children.  Steps come children first, left to right; out is the
-    whole term's register.  depth is the term's depth with every
-    variable and held-out subterm at depth 1, and deepest[k] the deepest
-    position (root = 1) of register k's variable, 0 if it does not
-    occur."""
+    children.  Steps come children first, left to right, and each
+    step's register is read by one later step at most; out is the
+    whole term's register."""
 
     names: tuple[str, ...]
     steps: tuple[tuple[Optional[OpSym], tuple[int, ...], Term], ...]
     out: int
-    depth: int
-    deepest: tuple[int, ...]
+
+    def depth(self) -> int:
+        """The term's depth, every variable and held-out subterm at depth 1."""
+        depths = [1] * len(self.names)
+        for _, kids, _ in self.steps:
+            depths.append(1 + max([depths[k] for k in kids], default=0))
+        return depths[self.out]
+
+    def deepest(self) -> tuple[int, ...]:
+        """Per register k < len(names), the deepest position (root = 1)
+        of its variable, 0 if it does not occur.  Positions run from the
+        root down: steps come after their children, so in reverse each
+        step's position is known before its children's."""
+        nvars = len(self.names)
+        pos = [0] * (nvars + len(self.steps))
+        pos[self.out] = 1
+        for s in range(len(self.steps) - 1, -1, -1):
+            below = pos[nvars + s] + 1
+            for k in self.steps[s][1]:
+                pos[k] = max(pos[k], below)
+        return tuple(pos[:nvars])
 
 
 def compile_side(t: Term, names: Sequence[str]) -> Side:
     steps: list[tuple[Optional[OpSym], tuple[int, ...], Term]] = []
-    depth, deepest = [1] * len(names), [0] * len(names)
     slot = {name: k for k, name in enumerate(names)}
-    out = _compile(t, 1, slot, steps, depth, deepest)
-    return Side(tuple(names), tuple(steps), out, depth[out], tuple(deepest))
+    out = _compile(t, slot, len(names), steps)
+    return Side(tuple(names), tuple(steps), out)
 
 
-def _compile(t: Term, pos: int, slot: dict, steps: list, depth: list, deepest: list) -> int:
-    """Add t's steps at position pos and return its register.  A module
-    function, not a closure: a recursive closure is a reference cycle,
-    which would keep every compile's lists alive until a collection."""
+def _compile(t: Term, slot: dict, nvars: int, steps: list) -> int:
+    """Add t's steps and return its register.  A module function, not a
+    closure: a recursive closure is a reference cycle, which would keep
+    every compile's lists alive until a collection."""
     if isinstance(t, Var) and t.name in slot:
-        k = slot[t.name]
-        deepest[k] = max(deepest[k], pos)
-        return k
+        return slot[t.name]
     if isinstance(t, Node) and isinstance(t.children, Tab):
-        kids = tuple([_compile(c, pos + 1, slot, steps, depth, deepest) for c in t.children.entries])
+        kids = tuple([_compile(c, slot, nvars, steps) for c in t.children.entries])
         steps.append((t.op, kids, t))
-        depth.append(1 + max(map(depth.__getitem__, kids), default=0))
     else:
         steps.append((None, (), t))
-        depth.append(1)
-    return len(depth) - 1
+    return nvars + len(steps) - 1
 
 
 DEFAULT_SAMPLE_POINTS = tuple(range(9))
@@ -470,18 +482,6 @@ class TermTable:
 
         return read
 
-    def find(self, t: Term, env: Mapping[str, int]) -> Optional[int]:
-        """The id of t with each variable read as the id env gives it;
-        None if the table does not hold it, as reader reads it.  One
-        recursive walk: for one term this is cheaper than compiling it,
-        and sides read under many environments go through reader."""
-        if isinstance(t, Var):
-            return env.get(t.name)
-        if not isinstance(t, Node) or not isinstance(t.children, Tab):
-            return None
-        kids = tuple([self.find(c, env) for c in t.children.entries])
-        return self.lookup.get((self._op_pos.get(t.op), kids))
-
     @property
     def terms(self) -> list[Term]:
         """The Term of each id, materialised on first read."""
@@ -558,18 +558,25 @@ class Equation:
 class InstanceShape:
     """What an equation's instances ask of a depth bound.
 
-    sides holds lhs and rhs compiled over names; skeleton is the greater
-    of their depths with variables at depth 1, and deepest[k] the
-    deepest position (root = 1) of variable names[k] on either side, 0
-    when it occurs on neither.
+    sides holds lhs and rhs compiled over names.
     """
 
     eq: Equation
     names: tuple[str, ...]
     sorts: tuple[Optional[str], ...]
-    skeleton: int
-    deepest: tuple[int, ...]
     sides: tuple[Side, Side]
+
+    @cached_property
+    def skeleton(self) -> int:
+        """The greater of the sides' depths, variables at depth 1."""
+        return max(side.depth() for side in self.sides)
+
+    @cached_property
+    def deepest(self) -> tuple[int, ...]:
+        """Per variable names[k], its deepest position (root = 1) on
+        either side, 0 when it occurs on neither."""
+        left, right = self.sides
+        return tuple(map(max, left.deepest(), right.deepest()))
 
     def envs(
         self, pools: Sequence[Sequence], weight: Callable[[object], int], bound: int
@@ -605,14 +612,7 @@ def instance_shape(eq: Equation) -> InstanceShape:
             if isinstance(t, Node) and isinstance(t.children, Comp):
                 raise InfinitaryArity(f"depth undefined under countable operator {t.op.show()}")
             raise TypeError(f"not a term: {t!r}")
-    return InstanceShape(
-        eq,
-        names,
-        tuple(eq.sort_of(v) for v in names),
-        max(side.depth for side in sides),
-        tuple(map(max, *(side.deepest for side in sides))),
-        sides,
-    )
+    return InstanceShape(eq, names, tuple(eq.sort_of(v) for v in names), sides)
 
 
 @dataclass(frozen=True)

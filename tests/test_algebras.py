@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import bag_sig, bag_system, equations, first_label_algebra, length_algebra, term_over
-from oracles import bind, naive_satisfies
+from oracles import naive_satisfies
 from qitbench.algebras import Algebra, SatReport, satisfies, term_algebra
 from qitbench.errors import InfeasibleExhaustive, PartialAlgebra, QitError, UnboundVariable
 from qitbench.sexpr import parse_term
@@ -55,13 +55,25 @@ def test_exhaustive_needs_enumerable_data():
 
 
 def test_partial_algebra_is_reported():
-    alg = Algebra(SIG, carrier=(0,), tables={SIG.decl("nil").op: {(): 0}})
-    with pytest.raises(PartialAlgebra):
-        bind(parse_term("(op cons a (op nil))", SIG), {}, alg)
+    """satisfies raises interp's messages: a table miss, a finitary
+    operator with neither table nor fn, a countable operator with no
+    rule, and an index variable standing as a side."""
+    nil, cons = SIG.decl("nil").op, SIG.decl("cons a").op
+    zs = Var("zs")
+    consed = SystemOfEquations((Equation("e", ("zs",), mk_node(SIG, cons, [zs]), zs),))
+    miss = Algebra(SIG, carrier=(0,), tables={nil: {(): 0}, cons: {}})
+    with pytest.raises(PartialAlgebra, match=r"^cons a has no table entry for \(0,\)$"):
+        satisfies(miss, consed)
+    with pytest.raises(PartialAlgebra, match="^no interpretation for cons a$"):
+        satisfies(Algebra(SIG, carrier=(0,), tables={nil: {(): 0}}), consed)
     countable = signature([("node x", NAT)])
     comp = mk_node(countable, "node x", Comp("i", IxVar(IxV("i"))))
-    with pytest.raises(PartialAlgebra):
-        bind(comp, {}, Algebra(countable, carrier=(0,)))
+    u = Var("u")
+    with pytest.raises(PartialAlgebra, match="^no rule for countable operator node x$"):
+        satisfies(Algebra(countable, carrier=(0,)), SystemOfEquations((Equation("e", ("u",), comp, u),)))
+    bare = SystemOfEquations((Equation("e", ("u",), IxVar(IxV("i")), u),))
+    with pytest.raises(UnboundVariable, match="^index variable outside a comprehension$"):
+        satisfies(Algebra(countable, carrier=(0,)), bare)
 
 
 def test_from_fn_tabulates_every_operator():
@@ -84,6 +96,9 @@ def test_comprehension_sides_of_a_finite_family():
         (Equation("e3", ("0", "x"), mk_node(sig, "node", Comp("i", IxVar(IxV("i")))), Var("0")),)
     )
     assert satisfies(first, const) == SatReport("SATISFIED", 2)
+    # a table for a countable operator is never read: its rule is
+    tabled = Algebra(sig, (0, 1), {**leaf, OpSym("node"): {}}, {OpSym("node"): lambda f: f(0)})
+    assert satisfies(tabled, const) == SatReport("SATISFIED", 2)
     assert satisfies(flip, const) == SatReport("VIOLATED", 1, "e", (("x", 0),))
     assert satisfies(first, indexed) == SatReport("SATISFIED", 4)
     with pytest.raises(UnboundVariable, match="^unbound variable '1'$"):
