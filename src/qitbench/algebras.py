@@ -22,7 +22,6 @@ from .terms import (
     Side,
     Signature,
     SystemOfEquations,
-    Tab,
     Term,
     Var,
     compile_side,
@@ -69,24 +68,6 @@ class Algebra:
             raise PartialAlgebra(f"no rule for countable operator {op.show()}")
         return rule(args)
 
-    @classmethod
-    def from_fn(cls, sig: Signature, carrier: Sequence[Value], fn: Callable[[OpSym, tuple], Value]) -> "Algebra":
-        """Tabulate fn over the carrier for every finitary operator."""
-        carrier = tuple(carrier)
-        import itertools
-
-        tables = {}
-        for decl in sig.ops:
-            if not decl.arity.finite:
-                continue
-            pools = [carrier] * decl.arity.count
-            tables[decl.op] = {args: fn(decl.op, args) for args in itertools.product(*pools)}
-        return cls(sig, carrier, tables, {})
-
-
-def term_algebra(sig: Signature) -> Algebra:
-    return Algebra(sig, None, {}, {}, lambda op, args: Node(op, Tab(args)))
-
 
 def _evaluator(alg: Algebra, side: Side) -> Callable[[Sequence[Value]], Value]:
     """Evaluate side under the values of its variables, as one
@@ -122,7 +103,10 @@ def _evaluator(alg: Algebra, side: Side) -> Callable[[Sequence[Value]], Value]:
 def _special(alg: Algebra, t: Term, names: tuple[str, ...], values: list[Value]) -> Value:
     """The value of a step that no register holds: an unbound variable
     or an index variable raises, and a node over a comprehension passes
-    interp the family of its instantiated children."""
+    interp the family of its instantiated children.  No command reaches
+    it yet: elaboration makes such sides only for countable operators,
+    which every command but check and elaborate refuses; ROADMAP item 9,
+    which runs them, needs it."""
     match t:
         case Var(name):
             raise UnboundVariable(f"unbound variable {name!r}")

@@ -498,7 +498,7 @@ def _cmd_construct(cfg: RunConfig) -> int:
     else:
         print(appx.dump(), end="")
         qw = qw_from_colimit(appx)
-        print(f"colimit: {len(qw.colimit.classes)} classes")
+        print(f"colimit: {len(qw)} classes")
     if cfg.compare_oracle:
         q = close_congruence(build_universe(flat, sys_, cfg.depth))
         cmp = compare_with_oracle(qw if qw is not None else qw_from_colimit(appx), q)

@@ -29,13 +29,14 @@ arrays.  The collapse clauses of a slice into a higher stage are read
 off the higher stage's class array for that slice and its tokens.
 Trees are read off the closed table to print, to export and to hold
 each class's flat; the (slice, term) mapping class_of_pair is kept for
-readers outside the package.
+perfbench/tracing.py and the tests.
 
 The colimit of the stages carries the constructor map (children pushed
-to a common stage, wrapped in a node, read off at the successor stage)
-and the recursor (stage tables filled in sid order, slices first).
-compareWithOracle certifies the whole construction against the
-congruence-closure quotient on the shared depth-d fragment.
+to a common stage, wrapped in a node, read off at the successor stage).
+compare_with_oracle certifies the whole construction against the
+congruence-closure quotient on the shared depth-d fragment.  The
+paper's other checks on the colimit (equations, recursion, uniqueness,
+intro stability) are in tests/theorems.py.
 """
 
 from __future__ import annotations
@@ -46,18 +47,8 @@ from functools import cached_property
 from itertools import chain, count
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .algebras import Algebra, Value, satisfies
 from .diagrams import Diagram, colim
-from .errors import (
-    ArityMismatch,
-    CoherenceFailure,
-    InfinitaryArity,
-    NotSatisfying,
-    NotStabilized,
-    PartialAlgebra,
-    QitError,
-    StageOverflow,
-)
+from .errors import ArityMismatch, InfinitaryArity, NotStabilized, QitError, StageOverflow
 from .quotient import CongruenceQuotient, congruence_roots, root_groups
 from .sexpr import show_term
 from .sizes import SizeUniverse, SizeVal, show_size
@@ -110,11 +101,6 @@ class SliceView(NamedTuple):
     # local id -> closed id of the term with every token flattened
     flats: tuple[int, ...]
 
-    @property
-    def terms(self) -> list[Term]:
-        """The materialised term of each local id."""
-        return self.table.terms
-
 
 @dataclass(frozen=True)
 class Stage:
@@ -135,12 +121,14 @@ class Stage:
 
     @cached_property
     def class_of_pair(self) -> Mapping[tuple[int, Term], int]:
-        """Kept for readers outside the package (tests/oracles.py,
-        perfbench/tracing.py); the package reads slice_classes."""
+        """Kept for perfbench/tracing.py, which counts a traced build's
+        stage pairs with it, and for the tests that compare a stage with
+        tests/oracles.py's naive_diamond; the package reads
+        slice_classes."""
         return {
             (s, t): c
             for s in self.slices
-            for t, c in zip(self.slice_views[s].terms, self.slice_classes[s])
+            for t, c in zip(self.slice_views[s].table.terms, self.slice_classes[s])
         }
 
 
@@ -331,7 +319,7 @@ class Approximation:
             for s in low.slices:
                 for n, (ci, direct) in enumerate(zip(low.slice_classes[s], high.slice_classes[s])):
                     if direct != via[ci]:
-                        term = low.slice_views[s].terms[n]
+                        term = low.slice_views[s].table.terms[n]
                         raise QitError(
                             f"stage diagram broken at {show_term(term)} between "
                             f"{show_size(i)} and {show_size(j)}"
@@ -493,46 +481,8 @@ def build_fixed_point(
     return appx
 
 
-@dataclass(frozen=True)
-class QwequateReport:
-    checked: int
-    depth_skipped: int
-    intro_checked: int
-    intro_overflow: int
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    confirmed: int
-    skipped: int
-    failed: int
-
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
-
-
-@dataclass
-class ConstructionRec:
-    by_class: dict[int, Value]
-    stage_tables: Mapping[int, Mapping[int, Value]]
-    coherence_checked: int
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    is_hom: bool
-    hom_failures: tuple[str, ...]
-    agrees: bool
-    first_discrepancy: Optional[tuple[int, Value, Value]]
-
-    @property
-    def ok(self) -> bool:
-        return self.is_hom and self.agrees
-
-
 class QwInterface:
-    """Constructor, recursor, and checks on the stage colimit."""
+    """The constructor on the stage colimit."""
 
     def __init__(self, appx: Approximation):
         self.appx = appx
@@ -590,166 +540,6 @@ class QwInterface:
                 raise StageOverflow(f"intro exceeds depth {appx.depth} at {show_size(i)}")
             return self.inject(sup, appx.stage_at(sup).slice_classes[si][n])
         raise StageOverflow("children have no common stage in the universe")
-
-    def _fold_at(self, i: SizeVal, n: int) -> int:
-        """Fold the local id n of i's stage view through the constructor."""
-        appx = self.appx
-        node = appx.stages[appx.stage_of[i]].view.table.nodes[n]
-        if isinstance(node, int):
-            return self.inject(i, node)
-        op, kids = node
-        return self.qwintro(appx.sig.ops[op].op, [self._fold_at(i, k) for k in kids])
-
-    def check_qwequate(self) -> QwequateReport:
-        """Every materialized equation instance lands in one class at the
-        successor stage, and folding either side through the constructor
-        gives that same colimit class."""
-        appx = self.appx
-        u = appx.universe
-        checked = depth_skipped = intro_checked = intro_overflow = 0
-        for i in u.members:
-            sup = u.sig.suc(i)
-            if sup not in u:
-                continue
-            si = appx.stage_of[i]
-            view = appx.stages[si].view
-            high = appx.stage_at(sup).slice_classes[si]
-            for shape, (pairs, overflow) in zip(appx.sys.instance_shapes, view.instances):
-                depth_skipped += overflow
-                for lhs, rhs in pairs:
-                    cl = high[lhs]
-                    if cl != high[rhs]:
-                        raise CoherenceFailure(
-                            f"instance of {shape.eq.name} splits at stage above {show_size(i)}",
-                            witness=(show_term(view.terms[lhs]), show_term(view.terms[rhs])),
-                        )
-                    checked += 1
-                    try:
-                        vl = self._fold_at(i, lhs)
-                        vr = self._fold_at(i, rhs)
-                    except StageOverflow:
-                        intro_overflow += 1
-                        continue
-                    if not (vl == vr == self.inject(sup, cl)):
-                        raise CoherenceFailure(
-                            f"fold of {shape.eq.name} disagrees with the successor reading",
-                            witness=(show_term(view.terms[lhs]), show_term(view.terms[rhs])),
-                        )
-                    intro_checked += 1
-        return QwequateReport(checked, depth_skipped, intro_checked, intro_overflow)
-
-    def qwrec(self, alg: Algebra) -> ConstructionRec:
-        appx = self.appx
-        report = satisfies(alg, appx.sys)
-        if not report.ok:
-            raise NotSatisfying(f"algebra violates {report.witness_eq}", report)
-
-        # each stage comes after its slices, so one pass in sid order
-        tables: dict[int, dict[int, Value]] = {}
-        for sid, st in enumerate(appx.stages):
-            vals: dict[int, Value] = {}
-            for s in st.slices:
-                # each term of the slice once, its children before it
-                got: list[Value] = []
-                for node, cls in zip(st.slice_views[s].table.nodes, st.slice_classes[s]):
-                    if isinstance(node, int):
-                        v = tables[s][node]
-                    else:
-                        op, kids = node
-                        v = alg.interp(appx.sig.ops[op].op, tuple(got[k] for k in kids))
-                    got.append(v)
-                    if cls in vals and vals[cls] != v:
-                        raise CoherenceFailure(
-                            f"recursion incompatible at stage {sid}",
-                            witness=show_term(st.classes[cls].flat),
-                        )
-                    vals[cls] = v
-            tables[sid] = vals
-
-        coherence = 0
-        for j, i in appx.stage_pairs():
-            sj, si = appx.stage_of[j], appx.stage_of[i]
-            for c in range(len(appx.stages[sj].classes)):
-                if tables[sj][c] != tables[si][appx.delta(j, i, c)]:
-                    raise CoherenceFailure(
-                        f"recursion not constant along {show_size(j)} -> {show_size(i)}",
-                        witness=show_term(appx.stages[sj].classes[c].flat),
-                    )
-                coherence += 1
-
-        by_class: dict[int, Value] = {}
-        for cid, grp in enumerate(self.colimit.classes):
-            values = {tables[appx.stage_of[m]][c] for m, c in grp}
-            if len(values) != 1:
-                raise QitError("recursion values disagree across a colimit class")
-            by_class[cid] = values.pop()
-        return ConstructionRec(by_class, tables, coherence)
-
-    def check_uniqueness(self, alg: Algebra, h: Mapping[int, Value]) -> UniquenessReport:
-        """A candidate map out of the colimit is the recursor iff it
-        commutes with every materialized node application."""
-        appx = self.appx
-        failures: list[str] = []
-        # the first member with each stage
-        first = {appx.stage_of[m]: m for m in reversed(appx.universe.members)}
-        for sid, st in enumerate(appx.stages):
-            m = first[sid]
-            for s in st.slices:
-                classes = st.slice_classes[s]
-                for n, node in enumerate(st.slice_views[s].table.nodes):
-                    if isinstance(node, int):
-                        continue
-                    op, kids = node
-                    cls = classes[n]
-                    node_cid = self.inject(m, cls)
-                    child_cids = [self.inject(m, classes[k]) for k in kids]
-                    try:
-                        expected = alg.interp(appx.sig.ops[op].op, [h[c] for c in child_cids])
-                    except PartialAlgebra:
-                        failures.append(show_term(st.classes[cls].flat))
-                        continue
-                    if expected != h[node_cid]:
-                        failures.append(show_term(st.classes[cls].flat))
-        rec = self.qwrec(alg)
-        discrepancy = None
-        for cid, v in rec.by_class.items():
-            if h.get(cid) != v:
-                discrepancy = (cid, h.get(cid), v)
-                break
-        return UniquenessReport(
-            is_hom=not failures,
-            hom_failures=tuple(failures),
-            agrees=discrepancy is None,
-            first_discrepancy=discrepancy,
-        )
-
-    def check_intro_stability(self) -> StabilityReport:
-        """Pushing a materialized term up before reading it off agrees,
-        at some higher stage, with reading it off directly; pairs with
-        nothing above them in the universe are counted as skipped."""
-        appx = self.appx
-        u = appx.universe
-        confirmed = skipped = failed = 0
-        for i, j in appx.stage_pairs():
-            si, sj = appx.stage_of[i], appx.stage_of[j]
-            src = appx.stages[si].view
-            uppers = u.above[j]
-            if not uppers:
-                skipped += len(src.flats)
-                continue
-            rename = [appx.delta(i, j, c) for c in range(len(appx.stages[si].classes))]
-            tops = [appx.stage_at(k).slice_classes for k in uppers]
-            for n, mapped in enumerate(_translate(src, appx.stages[sj].view, rename)):
-                if mapped < 0:
-                    raise QitError(
-                        f"{show_term(src.terms[n])} pushed from {show_size(i)} to "
-                        f"{show_size(j)} leaves the depth bound"
-                    )
-                if any(top[sj][mapped] == top[si][n] for top in tops):
-                    confirmed += 1
-                else:
-                    failed += 1
-        return StabilityReport(confirmed, skipped, failed)
 
 
 def qw_from_colimit(appx: Approximation) -> QwInterface:

@@ -1,16 +1,15 @@
-"""Size-indexed diagrams, their colimits, and the power-diagram check.
+"""Size-indexed diagrams and their colimits.
 
 A diagram assigns a finite carrier to every universe member and a
 transition map to every strictly ordered pair.  The colimit glues
-carriers along transitions; cocontinuity of powers is decided exactly,
-by testing whether the canonical comparison map is a bijection.
+carriers along transitions.  The check that finite powers commute with
+the colimit is in tests/theorems.py.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping
 
 from .errors import FunctorialityViolation, QitError
 from .quotient import congruence_roots, root_groups
@@ -105,103 +104,3 @@ class Colimit:
 
 def colim(diagram: Diagram) -> Colimit:
     return Colimit(diagram)
-
-
-def power_diagram(diagram: Diagram, points: Sequence[Hashable]) -> Diagram:
-    """The pointwise diagram of functions from a fixed finite set,
-    with functions represented as tuples over the point order."""
-    pts = tuple(points)
-    family = {
-        i: tuple(itertools.product(carrier, repeat=len(pts)))
-        for i, carrier in diagram.family.items()
-    }
-    maps = {
-        pair: {f: tuple(step[v] for v in f) for f in family[pair[0]]}
-        for pair, step in diagram.maps.items()
-    }
-    return Diagram(diagram.universe, family, maps)
-
-
-@dataclass(frozen=True)
-class CocontinuityReport:
-    ok: bool
-    power_classes: int
-    product_size: int
-    injective: bool
-    surjective: bool
-    witness_confirmed: int
-    witness_skipped: int
-    witness_failed: int
-
-
-def check_power_cocontinuity(diagram: Diagram, points: Sequence[Hashable]) -> CocontinuityReport:
-    """Decide whether taking functions from a fixed finite set commutes
-    with the colimit, by testing the comparison map for bijectivity.
-    Stage-level witness searches are reported alongside; pairs with no
-    common upper bound in the universe are counted as skipped."""
-    pts = tuple(points)
-    u = diagram.universe
-    base = colim(diagram)
-    power = colim(power_diagram(diagram, pts))
-
-    targets: list[tuple[int, ...]] = []
-    for grp in power.classes:
-        images = {tuple(base.inject(i, f[n]) for n in range(len(pts))) for i, f in grp}
-        if len(images) != 1:
-            raise QitError("comparison map not constant on a class")
-        targets.append(next(iter(images)))
-
-    product = set(itertools.product(range(len(base)), repeat=len(pts)))
-    injective = len(set(targets)) == len(targets)
-    surjective = set(targets) == product
-
-    confirmed = skipped = failed = 0
-    for grp in power.classes:
-        for (i, f), (j, g) in itertools.combinations(grp, 2):
-            uppers = [k for k in u.above[i] if u.lt(j, k)]
-            if not uppers:
-                skipped += 1
-                continue
-            pushed = any(
-                tuple(diagram.maps[(i, k)][v] for v in f)
-                == tuple(diagram.maps[(j, k)][v] for v in g)
-                for k in uppers
-            )
-            if pushed:
-                confirmed += 1
-            else:
-                failed += 1
-
-    return CocontinuityReport(
-        ok=injective and surjective,
-        power_classes=len(power),
-        product_size=len(product),
-        injective=injective,
-        surjective=surjective,
-        witness_confirmed=confirmed,
-        witness_skipped=skipped,
-        witness_failed=failed,
-    )
-
-
-def constant_diagram(u: SizeUniverse, carrier: Sequence[Hashable]) -> Diagram:
-    elems = tuple(carrier)
-    family = {i: elems for i in u.members}
-    maps = {
-        (i, j): {x: x for x in elems}
-        for i in u.members
-        for j in u.above[i]
-    }
-    return Diagram(u, family, maps)
-
-
-def growing_chain(u: SizeUniverse) -> Diagram:
-    from .sizes import height
-
-    family = {i: tuple(range(height(i))) for i in u.members}
-    maps = {
-        (i, j): {x: x for x in family[i]}
-        for i in u.members
-        for j in u.above[i]
-    }
-    return Diagram(u, family, maps)

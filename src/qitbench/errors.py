@@ -55,10 +55,6 @@ class CoherenceFailure(QitError):
         self.witness = witness
 
 
-class CycleDetected(QitError):
-    pass
-
-
 class FunctorialityViolation(QitError):
     pass
 

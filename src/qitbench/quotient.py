@@ -18,7 +18,7 @@ the colimit's gluing (diagrams.Colimit, no blocks) all call it.  Folds
 with their side conditions checked exhaustively over the universe.
 Terms are built from the ids only to print them and for readers that
 ask for them (TermUniverse.terms and instance_pairs,
-CongruenceQuotient.members and canon).
+CongruenceQuotient.canon).
 """
 
 from __future__ import annotations
@@ -65,7 +65,9 @@ class TermUniverse:
     signature (each sort in id order), which is not id order.  instances
     holds one (shape, the id of each variable, lhs id, rhs id) per
     instance, in the order they are drawn.  The Terms are built only
-    when terms or instance_pairs is read."""
+    when terms or instance_pairs is read; instance_pairs is kept for
+    perfbench/tracing.py, which counts a traced universe's instances
+    with it, and for the tests."""
 
     sig: Signature
     sys: SystemOfEquations
@@ -93,11 +95,6 @@ class TermUniverse:
         """The id of the closed term t; None if the universe lacks it."""
         side = compile_side(t, ())
         return self.table.reader(side)(())[side.out]
-
-    def position(self, t: Term) -> Optional[int]:
-        """The position of t in the listing; None if the universe lacks it."""
-        n = self.id_of(t)
-        return None if n is None else self.ids.index(n)
 
 
 def build_universe(sig: Signature, sys: SystemOfEquations, depth_bound: int) -> TermUniverse:
@@ -173,8 +170,8 @@ class CongruenceQuotient:
     ids ascend in its listing order, so members also come in the
     universe's listing order.
 
-    members and canon are the Terms, built when first read; class_id
-    and class_of read a Term's id off the universe's table.
+    canon holds each class's least Term, built when first read;
+    class_id reads a Term's id off the universe's table.
     """
 
     def __init__(self, universe: TermUniverse, roots: Sequence[int]):
@@ -189,11 +186,6 @@ class CongruenceQuotient:
         return len(self.classes)
 
     @cached_property
-    def members(self) -> tuple[tuple[Term, ...], ...]:
-        terms = self.universe.table.terms
-        return tuple(tuple(map(terms.__getitem__, members)) for members in self.classes)
-
-    @cached_property
     def canon(self) -> tuple[Term, ...]:
         terms = self.universe.table.terms
         return tuple(terms[members[0]] for members in self.classes)
@@ -201,16 +193,6 @@ class CongruenceQuotient:
     def class_id(self, t: Term) -> Optional[int]:
         n = self.universe.id_of(t)
         return None if n is None else self.class_at[n]
-
-    def class_of(self, t: Term) -> int:
-        n = self.universe.id_of(t)
-        if n is None:
-            raise QitError(f"term outside the universe: {show_term(t)}")
-        return self.class_at[n]
-
-    def sort_of_class(self, cls: int) -> Optional[str]:
-        u = self.universe
-        return u.sig.ops[u.table.nodes[self.classes[cls][0]][0]].sort
 
 
 def congruence_roots(
@@ -484,18 +466,9 @@ def qwelim(q: CongruenceQuotient, inp: EliminatorInput) -> QwelimResult:
     nodes = u.table.nodes
     ops = [d.op for d in u.sig.ops]
     memo: dict[int, Value] = {}
-
-    def eval_closed(n: int) -> Value:
-        if n in memo:
-            return memo[n]
-        op, kids = nodes[n]
-        val = steps(ops[op], tuple(class_at[k] for k in kids), tuple(eval_closed(k) for k in kids))
-        memo[n] = val
-        return val
-
     values: list[Value] = []
     for cls, members in enumerate(q.classes):
-        vals = [eval_closed(n) for n in members]
+        vals = [_eval_closed(n, nodes, ops, class_at, steps, memo) for n in members]
         if any(v != vals[0] for v in vals[1:]):
             raise QitError(f"elimination not constant on the class of {show_term(q.canon[cls])}")
         if vals[0] not in motive(cls):
@@ -513,6 +486,21 @@ def qwelim(q: CongruenceQuotient, inp: EliminatorInput) -> QwelimResult:
     return QwelimResult(tuple(values), not failures, tuple(failures), instances, envs)
 
 
+def _eval_closed(n: int, nodes: list, ops: list, class_at: list[int], steps: Callable,
+                 memo: dict[int, Value]) -> Value:
+    """The step value of id n, its children's first, each id's once.  A
+    module function, not a closure: a recursive closure is a reference
+    cycle, which would keep the steps and the memo alive until a
+    collection."""
+    if n in memo:
+        return memo[n]
+    op, kids = nodes[n]
+    val = steps(ops[op], tuple(class_at[k] for k in kids),
+                tuple(_eval_closed(k, nodes, ops, class_at, steps, memo) for k in kids))
+    memo[n] = val
+    return val
+
+
 def _lift(steps: Callable, side: Side, classes: list[int], tags: tuple) -> Value:
     """Run side's steps over the variables' tags, children first, each
     step given its children's classes."""
@@ -520,39 +508,3 @@ def _lift(steps: Callable, side: Side, classes: list[int], tags: tuple) -> Value
     for op, kids, _ in side.steps:
         vals.append(steps(op, tuple([classes[k] for k in kids]), tuple([vals[k] for k in kids])))
     return vals[side.out]
-
-
-@dataclass(frozen=True)
-class UniqReport:
-    is_hom: bool
-    hom_failure: Optional[tuple[Term, Value, Value]]
-    agrees: Optional[bool]
-    first_discrepancy: Optional[tuple[int, Value, Value]]
-
-    @property
-    def ok(self) -> bool:
-        return self.is_hom and bool(self.agrees)
-
-
-def qwuniq_check(q: CongruenceQuotient, alg: Algebra, h: Union[Mapping[int, Value], Sequence[Value]]) -> UniqReport:
-    """A candidate map out of the quotient either fails to be a
-    homomorphism or agrees with the fold everywhere."""
-    u = q.universe
-    nodes, class_at = u.table.nodes, q.class_at
-    ops = [d.op for d in u.sig.ops]
-    for n in u.ids:
-        op, kids = nodes[n]
-        got = alg.interp(ops[op], tuple(h[class_at[k]] for k in kids))
-        want = h[class_at[n]]
-        if got != want:
-            return UniqReport(False, (u.table.terms[n], got, want), None, None)
-    rec = qwrec(q, alg)
-    for cls in range(len(q)):
-        if h[cls] != rec.values[cls]:
-            return UniqReport(True, None, False, (cls, h[cls], rec.values[cls]))
-    return UniqReport(True, None, True, None)
-
-
-def dump_quotient(q: CongruenceQuotient) -> str:
-    lines = [f"canon {show_term(c)} | members {len(m)}" for c, m in zip(q.canon, q.classes)]
-    return "\n".join(lines) + "\n"

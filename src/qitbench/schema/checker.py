@@ -11,9 +11,9 @@ Argument types are admitted by exactly four strict-positivity rules:
 Element constructors chain ``ElArgument`` steps down to a ``Target``;
 equality constructors chain ``EqArg`` steps down to an ``EqTarget``
 whose two endpoints must be well-typed terms of Q at the same index.
-Each acceptance carries a Derivation tree that can be replayed; each
-rejection names the violated rule, the source position, and the
-offending subterm.
+Each acceptance carries a Derivation tree (tests/oracles.py replays it
+against the rule grammar); each rejection names the violated rule, the
+source position, and the offending subterm.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from ..errors import NameClash, QitError
+from ..errors import NameClash
 from .ast import (
     ConstT,
     Ctor,
@@ -66,20 +66,12 @@ class Derivation:
 class Accept:
     derivation: Derivation
 
-    @property
-    def accepted(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class Reject:
     rule: str
     position: tuple[int, int]
     message: str
-
-    @property
-    def accepted(self) -> bool:
-        return False
 
 
 Judgement = Union[Accept, Reject]
@@ -151,33 +143,37 @@ def _uses_var(t: TypeAst, name: str) -> bool:
 
 
 def _scope_check(t: TypeAst, env: Env, decl: QitDecl, rule: str) -> None:
-    # every term variable inside a type must be bound by an earlier argument
-    def chk_term(u: TermAst, bound: frozenset[str]) -> None:
-        match u:
-            case TVar(n):
-                if n not in bound and decl.element(n) is None and _fin_owner(decl, n) is None:
-                    raise _Fail(rule, f"unknown name {n} in {show_type(t)}")
-            case TApp(_, args):
-                for a in args:
-                    chk_term(a, bound)
+    """Every term variable inside t must be bound by an earlier argument.
+    The walks are module functions, not closures: a recursive closure is
+    a reference cycle, left to the cyclic collector on every check."""
+    _scope_type(t, frozenset(env), t, decl, rule)
 
-    def walk(u: TypeAst, bound: frozenset[str]) -> None:
-        match u:
-            case QRef(None):
-                pass
-            case QRef(ix):
-                chk_term(ix, bound)
-            case ConstT(_, args):
-                for a in args:
-                    chk_term(a, bound)
-            case Pi(b, dom, cod) | Sigma(b, dom, cod):
-                walk(dom, bound)
-                walk(cod, bound if b == "_" else bound | {b})
-            case EqT(lhs, rhs):
-                chk_term(lhs, bound)
-                chk_term(rhs, bound)
 
-    walk(t, frozenset(env))
+def _scope_term(u: TermAst, bound: frozenset[str], t: TypeAst, decl: QitDecl, rule: str) -> None:
+    match u:
+        case TVar(n):
+            if n not in bound and decl.element(n) is None and _fin_owner(decl, n) is None:
+                raise _Fail(rule, f"unknown name {n} in {show_type(t)}")
+        case TApp(_, args):
+            for a in args:
+                _scope_term(a, bound, t, decl, rule)
+
+
+def _scope_type(u: TypeAst, bound: frozenset[str], t: TypeAst, decl: QitDecl, rule: str) -> None:
+    match u:
+        case QRef(None):
+            pass
+        case QRef(ix):
+            _scope_term(ix, bound, t, decl, rule)
+        case ConstT(_, args):
+            for a in args:
+                _scope_term(a, bound, t, decl, rule)
+        case Pi(b, dom, cod) | Sigma(b, dom, cod):
+            _scope_type(dom, bound, t, decl, rule)
+            _scope_type(cod, bound if b == "_" else bound | {b}, t, decl, rule)
+        case EqT(lhs, rhs):
+            _scope_term(lhs, bound, t, decl, rule)
+            _scope_term(rhs, bound, t, decl, rule)
 
 
 def _fin_owner(decl: QitDecl, name: str):
@@ -347,15 +343,6 @@ def _strpstv(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
             return Derivation("ConstantParameter", t)
 
 
-def check_strictly_positive(
-    t: TypeAst, decl: QitDecl, env: Optional[Env] = None, position: tuple[int, int] = (0, 0)
-) -> Judgement:
-    try:
-        return Accept(_strpstv(t, decl, dict(env or {})))
-    except _Fail as f:
-        return Reject(f.rule, position, f.message)
-
-
 def _element_spine(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
     match t:
         case QRef(_):
@@ -426,12 +413,6 @@ class DeclReport:
                 return name, j
         return None
 
-    def judgement(self, name: str) -> Judgement:
-        for n, j in self.element + self.equality:
-            if n == name:
-                return j
-        raise KeyError(name)
-
 
 def check_decl(decl: QitDecl) -> DeclReport:
     pnames = [p.name for p in decl.params]
@@ -442,74 +423,18 @@ def check_decl(decl: QitDecl) -> DeclReport:
     return DeclReport(decl, element, equality)
 
 
-# --- derivation replay ---
+# --- derivation display ---
 
 
 def rule_sequence(d: Derivation) -> tuple[str, ...]:
     """Rule names of the displayed nodes, premises first."""
     out: list[str] = []
-
-    def walk(n: Derivation) -> None:
-        for p in n.premises:
-            walk(p)
-        if n.displayed:
-            out.append(n.rule)
-
-    walk(d)
+    _displayed_rules(d, out)
     return tuple(out)
 
 
-_STR = "S"
-_ELT = "E"
-_EQN = "Q"
-
-_RULE_CLASS = {
-    "ConstantParameter": _STR,
-    "InductiveArgument": _STR,
-    "StrictlyPositiveFunction": _STR,
-    "StrictlyPositiveProduct": _STR,
-    "Target": _ELT,
-    "ElArgument": _ELT,
-    "ElCon": _ELT,
-    "EqTarget": _EQN,
-    "EqArg": _EQN,
-    "EqCon": _EQN,
-}
-
-_PREMISE_SHAPE = {
-    "ConstantParameter": (),
-    "InductiveArgument": (),
-    "StrictlyPositiveFunction": (_STR,),
-    "StrictlyPositiveProduct": (_STR, _STR),
-    "Target": (),
-    "ElArgument": (_STR, _ELT),
-    "ElCon": (_ELT,),
-    "EqTarget": (),
-    "EqArg": (_STR, _EQN),
-    "EqCon": (_EQN,),
-}
-
-
-def _validate_tree(d: Derivation) -> None:
-    if d.rule not in _RULE_CLASS:
-        raise QitError(f"unknown rule {d.rule}")
-    shape = _PREMISE_SHAPE[d.rule]
-    if len(d.premises) != len(shape):
-        raise QitError(f"{d.rule} expects {len(shape)} premises, found {len(d.premises)}")
-    for want, p in zip(shape, d.premises):
-        if _RULE_CLASS[p.rule] != want:
-            raise QitError(f"{d.rule} premise {p.rule} is in the wrong rule family")
-        _validate_tree(p)
-
-
-def replay(decl: QitDecl, report: DeclReport) -> bool:
-    """Re-run the checker and confirm the recorded derivations survive.
-
-    Every recorded Accept must be a well-formed tree under the rule
-    grammar (malformed trees raise), and re-checking the declaration
-    must reproduce the report exactly.
-    """
-    for _, j in report.element + report.equality:
-        if isinstance(j, Accept):
-            _validate_tree(j.derivation)
-    return check_decl(decl) == report
+def _displayed_rules(n: Derivation, out: list[str]) -> None:
+    for p in n.premises:
+        _displayed_rules(p, out)
+    if n.displayed:
+        out.append(n.rule)

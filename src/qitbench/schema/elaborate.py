@@ -599,32 +599,44 @@ def _endpoint_index(target: EqT, decl: QitDecl, args) -> TermAst:
 
 
 def _sym_endpoint(t: TermAst, decl: QitDecl, args, ienv, indexed: bool) -> str:
-    qpos = {a.binder: k for k, a in enumerate(a for a in args if a.kind == "q")}
-    fams = {a.binder for a in args if a.kind == "natfam"}
-    mapargs = {a.binder for a in args if a.kind == "map"}
+    return _SymEndpoint(decl, args, ienv, indexed).go(t)
 
-    def fam_chain(u: TermAst) -> str:
+
+class _SymEndpoint:
+    """Renders an endpoint as a sigma/eta term.  Methods, not nested
+    functions: recursive closures are reference cycles, which every
+    examples command would leave to the cyclic collector."""
+
+    def __init__(self, decl: QitDecl, args, ienv, indexed: bool):
+        self.decl, self.args, self.ienv, self.indexed = decl, args, ienv, indexed
+        self.qpos = {a.binder: k for k, a in enumerate(a for a in args if a.kind == "q")}
+        self.fams = {a.binder for a in args if a.kind == "natfam"}
+        self.mapargs = {a.binder for a in args if a.kind == "map"}
+
+    def fam_chain(self, u: TermAst) -> str:
         match u:
-            case TVar(name) if name in fams:
+            case TVar(name) if name in self.fams:
                 return "eta"
-            case TApp("comp", (f, TVar(m))) if m in mapargs:
-                return f"{fam_chain(f)} . {m}"
+            case TApp("comp", (f, TVar(m))) if m in self.mapargs:
+                return f"{self.fam_chain(f)} . {m}"
         raise QitError(f"cannot render child family {u!r}")
 
-    def go(u: TermAst) -> str:
+    def go(self, u: TermAst) -> str:
+        decl = self.decl
         match u:
-            case TVar(name) if name in qpos:
-                if indexed:
-                    ix = next(a for a in args if a.binder == name)
-                    return f"eta[{_sym_ixval(ix.dom.index, ienv).show()}] refl"
-                return f"eta {qpos[name]}"
+            case TVar(name) if name in self.qpos:
+                if self.indexed:
+                    ix = next(a for a in self.args if a.binder == name)
+                    return f"eta[{_sym_ixval(ix.dom.index, self.ienv).show()}] refl"
+                return f"eta {self.qpos[name]}"
             case TVar(name) if decl.element(name) is not None:
-                return apply(name, ())
+                return self.apply(name, ())
             case TApp(head, sub) if decl.element(head) is not None:
-                return apply(head, sub)
+                return self.apply(head, sub)
         raise QitError(f"cannot render endpoint {u!r}")
 
-    def apply(cname: str, given: tuple[TermAst, ...]) -> str:
+    def apply(self, cname: str, given: tuple[TermAst, ...]) -> str:
+        decl, indexed = self.decl, self.indexed
         ctor = decl.element(cname)
         cargs, ctarget = _element_args(ctor, decl)
         many = len(decl.element_ctors) > 1
@@ -638,20 +650,18 @@ def _sym_endpoint(t: TermAst, decl: QitDecl, args, ienv, indexed: bool) -> str:
             elif a.kind == "index":
                 local[a.binder] = g
             elif a.kind == "q":
-                child = go(g)
+                child = self.go(g)
                 children.append(f"\\_. \\refl. {child}" if indexed else f"\\_. {child}")
             else:
-                children.append(fam_chain(g))
+                children.append(self.fam_chain(g))
         if indexed:
             tix = ctarget.index
             for name, g in local.items():
                 tix = _subst_term(tix, name, g)
-            head = f"sigma[{_sym_ixval(tix, ienv).show()}]"
+            head = f"sigma[{_sym_ixval(tix, self.ienv).show()}]"
             avals = " ".join(consts) or "0"
         else:
             head = "sigma"
             avals = (f"i{pos} " if many else "") + (" ".join(consts) or "0")
         table = children[0] if len(children) == 1 else "!" if not children else "[" + ", ".join(children) + "]"
         return f"{head}({avals}, {table})"
-
-    return go(t)

@@ -55,6 +55,10 @@ class EliminatorSignature:
 
 
 def derive_eliminator(decl: QitDecl) -> EliminatorSignature:
+    # No command prints the eliminator yet: printing it needs an output
+    # flag (say elaborate --eliminator, with fixtures/tables/bagelim.txt
+    # as its golden), which is a feature of its own.  Until then
+    # tests/test_schema.py is its reader.
     indexed = decl.index_sort is not None
     q = decl.name
     motive = f"P : (i : Nat) -> {q} i -> Set" if indexed else f"P : {q} -> Set"

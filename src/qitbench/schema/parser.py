@@ -205,7 +205,8 @@ class _TypeParser:
             self._next()
             inner = self.parse_term()
             self._expect(")")
-            return self._maybe_apply(inner)
+            # parenthesized terms are atoms; application binds at the head
+            return inner
         if t.kind == "num":
             self._next()
             return TNum(int(t.text))
@@ -214,9 +215,6 @@ class _TypeParser:
         while self._at_term_atom():
             args.append(self._parse_term_atom())
         return TApp(head, tuple(args)) if args else TVar(head)
-
-    def _maybe_apply(self, head: TermAst) -> TermAst:
-        return head  # parenthesized terms are atoms; application binds at the head
 
     def _at_term_atom(self) -> bool:
         t = self._peek()

@@ -1,7 +1,10 @@
-"""JSON forms for signatures and equation systems.
+"""JSON forms for signatures and equation systems, as elaborate
+--format structured prints them.
 
 Field order is fixed by construction order so equal inputs always dump
-byte-identically.  Terms embed as their s-expression strings.
+byte-identically.  Terms embed as their s-expression strings.  The
+readers that take these forms back are in tests/oracles.py, where the
+round trip is checked.
 """
 
 from __future__ import annotations
@@ -9,32 +12,12 @@ from __future__ import annotations
 import json
 from typing import Union
 
-from .errors import ParseError
-from .sexpr import parse_term, show_term
-from .terms import (
-    Arity,
-    Equation,
-    IndexedOpDecl,
-    IndexedSignature,
-    NAT,
-    OpDecl,
-    OpSym,
-    Signature,
-    SystemOfEquations,
-    fin,
-)
+from .sexpr import show_term
+from .terms import Arity, Equation, IndexedSignature, Signature, SystemOfEquations
 
 
 def _arity_json(a: Arity) -> Union[int, str]:
     return a.count if a.finite else "nat"
-
-
-def _arity_from(v) -> Arity:
-    if v == "nat":
-        return NAT
-    if isinstance(v, int):
-        return fin(v)
-    raise ParseError(f"bad arity {v!r}", 0, 0)
 
 
 def signature_to_obj(sig: Signature) -> dict:
@@ -49,20 +32,6 @@ def signature_to_obj(sig: Signature) -> dict:
     return {"ops": ops}
 
 
-def signature_from_obj(obj: dict) -> Signature:
-    decls = []
-    for row in obj["ops"]:
-        decls.append(
-            OpDecl(
-                OpSym.parse(row["name"]),
-                _arity_from(row["arity"]),
-                row.get("sort"),
-                tuple(row["childSorts"]) if "childSorts" in row else None,
-            )
-        )
-    return Signature(tuple(decls))
-
-
 def indexed_signature_to_obj(isig: IndexedSignature) -> dict:
     ops = []
     for d in isig.ops:
@@ -74,14 +43,6 @@ def indexed_signature_to_obj(isig: IndexedSignature) -> dict:
             }
         )
     return {"indices": list(isig.indices), "ops": ops}
-
-
-def indexed_signature_from_obj(obj: dict) -> IndexedSignature:
-    ops = []
-    for row in obj["ops"]:
-        arities = tuple((ix, _arity_from(a)) for ix, a in row["arities"].items())
-        ops.append(IndexedOpDecl(OpSym.parse(row["name"]), row["sort"], arities))
-    return IndexedSignature(tuple(obj["indices"]), tuple(ops))
 
 
 def _vars_json(eq: Equation):
@@ -105,27 +66,6 @@ def system_to_obj(sys: SystemOfEquations) -> dict:
             row["sort"] = e.sort
         eqs.append(row)
     return {"equations": eqs}
-
-
-def system_from_obj(obj: dict) -> SystemOfEquations:
-    eqs = []
-    for row in obj["equations"]:
-        vars = row["vars"]
-        if isinstance(vars, list):
-            vars = tuple(vars)
-        else:
-            vars = _arity_from(vars)
-        eqs.append(
-            Equation(
-                row["name"],
-                vars,
-                parse_term(row["lhs"]),
-                parse_term(row["rhs"]),
-                tuple(row["varSorts"]) if "varSorts" in row else None,
-                row.get("sort"),
-            )
-        )
-    return SystemOfEquations(tuple(eqs))
 
 
 def dumps(obj: dict) -> str:

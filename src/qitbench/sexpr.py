@@ -1,11 +1,9 @@
-"""S-expression surface syntax for terms, index maps, and size literals.
+"""S-expression surface syntax for terms.
 
     (var x)                    variable
     (op cons a (op nil))       operator node: name, parameter atoms, children
     (fun i <body>)             comprehension child of a countable operator
     (var (ix <expr>))          countable-family variable under a binder
-    (bij b (0 1) (1 0) default i)   index map with exception table
-    (sz join (sz zero) (sz zero))   size literal
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from .errors import ParseError
 from .terms import (
     Comp,
     IndexExpr,
-    IndexMap,
     IxApp,
     IxC,
     IxV,
@@ -210,37 +207,3 @@ def show_term(t: Term) -> str:
             parts = ["op", op.name, *op.params, f"(fun {ivar} {show_term(body)})"]
             return "(" + " ".join(parts) + ")"
     raise TypeError(f"not a term: {t!r}")
-
-
-def parse_index_map(text: str) -> IndexMap:
-    """(bij <name> (<src> <dst>)... [default <var>])"""
-    r = _Reader(text)
-    items, line, col = _form(r)
-    r.done()
-    if not items or not (isinstance(items[0], tuple) and items[0][0] == "bij"):
-        raise ParseError("expected (bij ...)", line, col)
-    if len(items) < 2 or not isinstance(items[1], tuple) or not isinstance(items[1][0], str):
-        raise ParseError("bij needs a name", line, col)
-    name = items[1][0]
-    table = []
-    k = 2
-    while k < len(items) and not (isinstance(items[k], tuple) and items[k][0] == "default"):
-        entry = items[k]
-        if isinstance(entry, tuple) and isinstance(entry[0], str):
-            raise ParseError("expected a (src dst) pair", entry[1], entry[2])
-        pair, pl, pc = entry
-        if len(pair) != 2 or not all(_is_numeral(p[0]) for p in pair):
-            raise ParseError("expected a (src dst) pair of naturals", pl, pc)
-        table.append((int(pair[0][0]), int(pair[1][0])))
-        k += 1
-    if k < len(items):
-        if k + 2 != len(items) or not isinstance(items[k + 1], tuple):
-            tok = items[k]
-            raise ParseError("default takes one variable", tok[1], tok[2])
-    return IndexMap(name, tuple(table))
-
-
-def show_index_map(m: IndexMap) -> str:
-    pairs = " ".join(f"({s} {d})" for s, d in m.table)
-    body = f"bij {m.name} {pairs}".rstrip()
-    return f"({body} default i)"

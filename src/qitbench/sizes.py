@@ -21,17 +21,17 @@ lt_bits[p].  The strict down-sets (below) and up-sets (above) are read
 off those bits, so loops over ordered pairs or chains walk only the
 pairs that exist.  The covering pairs (covered: the members strictly
 below j with no member strictly between) come from the same bits.  The
-memoized PlumpOrder decides the order on sizes outside the universe,
-such as the successor of a top member or an upper bound of a family.
+universe decides the order on its members only; the recursion above,
+memoized, is its reference (tests/oracles.py's PlumpOrder).
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import ArityMismatch, CycleDetected, InfinitaryArity, ParseError, QitError
+from .errors import ArityMismatch, InfinitaryArity, QitError
 from .terms import Signature, SystemOfEquations, TermTable, signature
 
 
@@ -50,35 +50,15 @@ class SizeSig:
     def minimal(cls) -> "SizeSig":
         return cls((("zero", 0), ("join", 2)))
 
-    def arity(self, name: str) -> int:
-        for n, a in self.ops:
-            if n == name:
-                return a
-        raise ArityMismatch(f"unknown size operator {name!r}")
-
-    @property
-    def nullary(self) -> str:
-        return next(n for n, a in self.ops if a == 0)
-
     @property
     def binary(self) -> str:
         return next(n for n, a in self.ops if a == 2)
-
-    def zero(self) -> "SizeVal":
-        return SizeVal(self.nullary, ())
 
     def join(self, i: "SizeVal", j: "SizeVal") -> "SizeVal":
         return SizeVal(self.binary, (i, j))
 
     def suc(self, i: "SizeVal") -> "SizeVal":
         return self.join(i, i)
-
-    def upper_bound(self, op: str, family: Sequence["SizeVal"]) -> "SizeVal":
-        """A size strictly above every member of the family: the node
-        whose children are exactly the family."""
-        if len(family) != self.arity(op):
-            raise ArityMismatch(f"{op} expects {self.arity(op)} children, got {len(family)}")
-        return SizeVal(op, tuple(family))
 
 
 class SizeVal:
@@ -112,62 +92,18 @@ def show_size(i: SizeVal) -> str:
     return f"(sz {i.op} " + " ".join(show_size(c) for c in i.children) + ")"
 
 
-def parse_size(text: str, sig: Optional[SizeSig] = None) -> SizeVal:
-    from .sexpr import _Reader, _form
-
-    r = _Reader(text)
-    item = _form(r)
-    r.done()
-
-    def build(it) -> SizeVal:
-        if isinstance(it, tuple) and isinstance(it[0], str):
-            raise ParseError(f"expected (sz ...), got atom {it[0]!r}", it[1], it[2])
-        items, line, col = it
-        if not items or not (isinstance(items[0], tuple) and items[0][0] == "sz"):
-            raise ParseError("expected (sz <op> <child>...)", line, col)
-        if len(items) < 2 or not isinstance(items[1][0], str):
-            raise ParseError("sz needs an operator name", line, col)
-        op = items[1][0]
-        children = tuple(build(c) for c in items[2:])
-        if sig is not None and sig.arity(op) != len(children):
-            raise ArityMismatch(f"size operator {op} expects {sig.arity(op)} children")
-        return SizeVal(op, children)
-
-    return build(item)
-
-
 def height(i: SizeVal) -> int:
     return 1 + max((height(c) for c in i.children), default=0)
-
-
-class PlumpOrder:
-    """Memoized decision procedures for the plump order."""
-
-    def __init__(self):
-        self._lt: dict[tuple[SizeVal, SizeVal], bool] = {}
-        self._le: dict[tuple[SizeVal, SizeVal], bool] = {}
-
-    def le(self, i: SizeVal, j: SizeVal) -> bool:
-        key = (i, j)
-        hit = self._le.get(key)
-        if hit is None:
-            hit = all(self.lt(c, j) for c in i.children)
-            self._le[key] = hit
-        return hit
-
-    def lt(self, i: SizeVal, j: SizeVal) -> bool:
-        key = (i, j)
-        hit = self._lt.get(key)
-        if hit is None:
-            hit = any(self.le(i, c) for c in j.children)
-            self._lt[key] = hit
-        return hit
 
 
 def size_signature_for(sig: Signature, sys: SystemOfEquations) -> SizeSig:
     """Nullary and binary structural operators, plus one operator per
     signature operator (arity of its child family) and one per equation
-    (arity of its variable family)."""
+    (arity of its variable family).
+
+    No command builds this signature yet (construct runs on
+    SizeSig.minimal): it is kept for ROADMAP item 9, whose per-arity
+    joins for countable operators start here."""
     ops: list[tuple[str, int]] = [("zero", 0), ("join", 2)]
     for d in sig.ops:
         if not d.arity.finite:
@@ -202,7 +138,6 @@ class SizeUniverse:
             raise ArityMismatch("height bound must be at least 1")
         self.sig = sig
         self.height = height_bound
-        self.order = PlumpOrder()
 
         if members is None:
             # a first listing hands out ids in listing order, children first
@@ -258,16 +193,6 @@ class SizeUniverse:
                 above[j].append(k)
         self.above: dict[SizeVal, tuple[SizeVal, ...]] = {m: tuple(ks) for m, ks in above.items()}
 
-    @classmethod
-    def chain(cls, sig: SizeSig, height_bound: int) -> "SizeUniverse":
-        """The linearly ordered sub-universe of iterated successors.
-        Unlike the full tree universe, every truncation of it is
-        directed below its single maximal member."""
-        steps = [sig.zero()]
-        while len(steps) < height_bound:
-            steps.append(sig.suc(steps[-1]))
-        return cls(sig, height_bound, members=steps)
-
     def __contains__(self, i: SizeVal) -> bool:
         return i in self._position
 
@@ -283,41 +208,19 @@ class SizeUniverse:
         return tuple(out)
 
     def lt(self, i: SizeVal, j: SizeVal) -> bool:
+        """i < j, for members i and j."""
         p, q = self._position.get(i), self._position.get(j)
         if p is None or q is None:
-            return self.order.lt(i, j)
+            outside = show_size(i if p is None else j)
+            raise QitError(f"{outside} is not a member of the height-{self.height} universe")
         return self._lt_bits[q] >> p & 1 == 1
 
     def le(self, i: SizeVal, j: SizeVal) -> bool:
+        """i <= j, for members i and j.  The order's other half: nothing
+        in the package asks it, and tests/test_sizes.py checks the
+        plump laws and lt against it."""
         p, q = self._position.get(i), self._position.get(j)
         if p is None or q is None:
-            return self.order.le(i, j)
+            outside = show_size(i if p is None else j)
+            raise QitError(f"{outside} is not a member of the height-{self.height} universe")
         return not self._masks[p] & ~self._lt_bits[q]
-
-
-def wf_rec(
-    u: SizeUniverse,
-    step: Callable[[SizeVal, Mapping[SizeVal, object]], object],
-    schedule: Optional[Sequence[SizeVal]] = None,
-) -> dict[SizeVal, object]:
-    """Well-founded recursion over the universe: step receives a member
-    and the finished values of everything strictly below it.  The result
-    is schedule-independent; a cycle in the order would surface as
-    CycleDetected."""
-    values: dict[SizeVal, object] = {}
-    in_progress: set[SizeVal] = set()
-
-    def visit(i: SizeVal):
-        if i in values:
-            return values[i]
-        if i in in_progress:
-            raise CycleDetected(show_size(i))
-        in_progress.add(i)
-        partial = {j: visit(j) for j in u.below[i]}
-        values[i] = step(i, partial)
-        in_progress.discard(i)
-        return values[i]
-
-    for i in schedule if schedule is not None else u.members:
-        visit(i)
-    return values

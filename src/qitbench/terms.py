@@ -179,7 +179,11 @@ IndexExpr = Union[IxV, IxC, IxApp]
 @dataclass(frozen=True)
 class IndexMap:
     """A declared total map on naturals: finite exception table, identity
-    (or a declared variable shift) beyond it."""
+    (or a declared variable shift) beyond it.  Elaboration names the maps
+    an equation ranges over; apply, eval_ix and instantiate_comp, which
+    read a comprehension's children, are kept for ROADMAP item 9, which
+    runs countable operators, and algebras._special already calls them
+    on a comprehension side."""
 
     name: str
     table: tuple[tuple[int, int], ...] = ()
@@ -277,21 +281,20 @@ def mk_node(sig: Signature, op: Union[OpSym, str], children) -> Node:
 def instantiate_comp(comp: Comp, k: int, maps: Mapping[str, IndexMap] | None = None) -> Term:
     """The k-th child of a comprehension: index variables under the binder
     evaluate to decimal variable names."""
-    maps = maps or {}
+    return _instantiate(comp.body, {comp.ivar: k}, maps or {})
 
-    def go(t: Term, env: Mapping[str, int]) -> Term:
-        match t:
-            case Var(_):
-                return t
-            case IxVar(expr):
-                return Var(str(eval_ix(expr, env, maps)))
-            case Node(op, Tab(entries)):
-                return Node(op, Tab(tuple(go(c, env) for c in entries)))
-            case Node(op, Comp(ivar, body)):
-                return Node(op, Comp(ivar, t))  # pragma: no cover - nested tabulation unused
-        raise TypeError(f"not a term: {t!r}")
 
-    return go(comp.body, {comp.ivar: k})
+def _instantiate(t: Term, env: Mapping[str, int], maps: Mapping[str, IndexMap]) -> Term:
+    match t:
+        case Var(_):
+            return t
+        case IxVar(expr):
+            return Var(str(eval_ix(expr, env, maps)))
+        case Node(op, Tab(entries)):
+            return Node(op, Tab(tuple(_instantiate(c, env, maps) for c in entries)))
+        case Node(op, Comp(ivar, body)):
+            return Node(op, Comp(ivar, t))  # pragma: no cover - nested tabulation unused
+    raise TypeError(f"not a term: {t!r}")
 
 
 class Side(NamedTuple):
@@ -351,40 +354,6 @@ def _compile(t: Term, slot: dict, nvars: int, steps: list) -> int:
     else:
         steps.append((None, (), t))
     return nvars + len(steps) - 1
-
-
-DEFAULT_SAMPLE_POINTS = tuple(range(9))
-
-
-def terms_equal(
-    a: Term,
-    b: Term,
-    maps: Mapping[str, IndexMap] | None = None,
-    points: Sequence[int] = DEFAULT_SAMPLE_POINTS,
-) -> bool:
-    """Structural equality; comprehensions compare by instantiation at the
-    sample points, which also absorbs index variable renaming."""
-    if type(a) is not type(b):
-        return False
-    match a, b:
-        case (Var(x), Var(y)):
-            return x == y
-        case (IxVar(e1), IxVar(e2)):
-            return e1 == e2
-        case (Node(op1, ch1), Node(op2, ch2)):
-            if op1 != op2:
-                return False
-            if isinstance(ch1, Tab) and isinstance(ch2, Tab):
-                return len(ch1.entries) == len(ch2.entries) and all(
-                    terms_equal(x, y, maps, points) for x, y in zip(ch1.entries, ch2.entries)
-                )
-            if isinstance(ch1, Comp) and isinstance(ch2, Comp):
-                return all(
-                    terms_equal(instantiate_comp(ch1, k, maps), instantiate_comp(ch2, k, maps), maps, points)
-                    for k in points
-                )
-            return False
-    return False
 
 
 class TermTable:
@@ -510,6 +479,10 @@ def enumerate_terms(
     exactly d-1, in lexicographic order.  vars may carry target indices
     (mapping name -> sort) for indexed signatures; var_depths assigns leaf
     weights other than 1.
+
+    No command calls it: quotient.py keeps it bound for the span that
+    perfbench/tracing.py wraps by name, and the tests read the term order
+    through it.
     """
     rows = vars.items() if isinstance(vars, Mapping) else [(v, None) for v in vars]
     weight = (var_depths or {}).get
@@ -663,24 +636,6 @@ def validate_system(sig: Signature, sys: SystemOfEquations) -> None:
                 loose = seen.difference(names)
                 if loose:
                     raise UnboundVariable(f"equation {eq.name}: undeclared variables {sorted(loose)}")
-
-
-def free_algebra_signature(
-    sig: Signature, sys: SystemOfEquations, gens: Sequence[str]
-) -> tuple[Signature, SystemOfEquations]:
-    """Adjoin one nullary operator per generator, prepended in given order.
-
-    Operator and equation shapes are otherwise unchanged: former variables
-    stay variables and existing nodes keep their symbols.
-    """
-    gen_ops = [OpSym(g) for g in gens]
-    if len(set(gen_ops)) != len(gen_ops):
-        raise NameClash("duplicate generator")
-    for g in gen_ops:
-        if sig.has_op(g):
-            raise NameClash(f"generator {g.show()!r} clashes with an operator")
-    decls = tuple(OpDecl(g, fin(0)) for g in gen_ops) + sig.ops
-    return Signature(decls), SystemOfEquations(sys.equations)
 
 
 # --- indexed signatures ---

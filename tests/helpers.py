@@ -1,4 +1,6 @@
-"""Hand-built signatures and systems shared by the tests.
+"""Hand-built signatures, systems, algebras and size universes shared
+by the tests, and the readers of a universe and a quotient that only
+the tests need.
 
 Built directly from the data constructors so the core tests do not
 depend on the schema front end.
@@ -7,11 +9,15 @@ depend on the schema front end.
 from __future__ import annotations
 
 import itertools
+from typing import Callable, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from qitbench.algebras import Algebra
-from qitbench.sizes import SizeSig, SizeUniverse
+from qitbench.algebras import Algebra, Value
+from qitbench.errors import ArityMismatch, QitError
+from qitbench.quotient import CongruenceQuotient, TermUniverse
+from qitbench.sexpr import show_term
+from qitbench.sizes import SizeSig, SizeUniverse, SizeVal
 from qitbench.terms import (
     Equation,
     IndexedOpDecl,
@@ -21,10 +27,92 @@ from qitbench.terms import (
     Signature,
     SystemOfEquations,
     Tab,
+    Term,
     Var,
     fin,
     signature,
 )
+
+
+# --- builders ---
+
+
+def tabulate(sig: Signature, carrier: Sequence[Value], fn: Callable[[OpSym, tuple], Value]) -> Algebra:
+    """The algebra with fn tabulated over the carrier for every finitary
+    operator."""
+    carrier = tuple(carrier)
+    tables = {}
+    for decl in sig.ops:
+        if not decl.arity.finite:
+            continue
+        pools = [carrier] * decl.arity.count
+        tables[decl.op] = {args: fn(decl.op, args) for args in itertools.product(*pools)}
+    return Algebra(sig, carrier, tables, {})
+
+
+def term_algebra(sig: Signature) -> Algebra:
+    """The open-ended algebra of terms: every node is itself."""
+    return Algebra(sig, None, {}, {}, lambda op, args: Node(op, Tab(args)))
+
+
+def size_zero(sig: SizeSig) -> SizeVal:
+    """The size of sig's first nullary operator."""
+    return SizeVal(next(n for n, a in sig.ops if a == 0))
+
+
+def size_arity(sig: SizeSig, name: str) -> int:
+    for n, a in sig.ops:
+        if n == name:
+            return a
+    raise ArityMismatch(f"unknown size operator {name!r}")
+
+
+def upper_bound(sig: SizeSig, op: str, family: Sequence[SizeVal]) -> SizeVal:
+    """A size strictly above every member of the family: the node whose
+    children are exactly the family."""
+    if len(family) != size_arity(sig, op):
+        raise ArityMismatch(f"{op} expects {size_arity(sig, op)} children, got {len(family)}")
+    return SizeVal(op, tuple(family))
+
+
+def chain(sig: SizeSig, height_bound: int) -> SizeUniverse:
+    """The linearly ordered sub-universe of iterated successors.  Unlike
+    the full tree universe, every truncation of it is directed below its
+    single maximal member."""
+    steps = [size_zero(sig)]
+    while len(steps) < height_bound:
+        steps.append(sig.suc(steps[-1]))
+    return SizeUniverse(sig, height_bound, members=steps)
+
+
+# --- readers of a universe and a quotient ---
+
+
+def position(u: TermUniverse, t: Term) -> Optional[int]:
+    """The position of t in the universe's listing; None if it lacks t."""
+    n = u.id_of(t)
+    return None if n is None else u.ids.index(n)
+
+
+def class_terms(q: CongruenceQuotient) -> tuple[tuple[Term, ...], ...]:
+    """Each class's Terms, in the order of its ids."""
+    terms = q.universe.table.terms
+    return tuple(tuple(map(terms.__getitem__, members)) for members in q.classes)
+
+
+def class_of(q: CongruenceQuotient, t: Term) -> int:
+    n = q.universe.id_of(t)
+    if n is None:
+        raise QitError(f"term outside the universe: {show_term(t)}")
+    return q.class_at[n]
+
+
+def sort_of_class(q: CongruenceQuotient, cls: int) -> Optional[str]:
+    u = q.universe
+    return u.sig.ops[u.table.nodes[q.classes[cls][0]][0]].sort
+
+
+# --- declarations ---
 
 
 def bag_sig(atoms=("a", "b")) -> Signature:
@@ -50,7 +138,7 @@ def length_algebra(sig: Signature, cap: int = 3) -> Algebra:
             return 0
         return min(args[0] + 1, cap)
 
-    return Algebra.from_fn(sig, tuple(range(cap + 1)), fn)
+    return tabulate(sig, tuple(range(cap + 1)), fn)
 
 
 def first_label_algebra(sig: Signature, atoms=("a", "b")) -> Algebra:
@@ -61,7 +149,7 @@ def first_label_algebra(sig: Signature, atoms=("a", "b")) -> Algebra:
             return "*"
         return op.params[0]
 
-    return Algebra.from_fn(sig, atoms + ("*",), fn)
+    return tabulate(sig, atoms + ("*",), fn)
 
 
 def commvec_indexed(atoms=("a", "b"), prefix: int = 2) -> IndexedSignature:
@@ -139,7 +227,7 @@ def mutual_le_universe() -> SizeUniverse:
     suc(one) are <= each other, so <= is not antisymmetric on it: both
     cover one and both are covered by the sizes above them."""
     sig = SizeSig.minimal()
-    zero = sig.zero()
+    zero = size_zero(sig)
     one = sig.suc(zero)
     mid, two = sig.join(zero, one), sig.suc(one)
     members = [zero, one, mid, two, sig.join(mid, two), sig.join(zero, two), sig.suc(mid)]

@@ -4,7 +4,10 @@ These deliberately avoid the library's own machinery: partitions are
 computed by naive inference to a fixpoint, canonical forms by direct
 structural reads, and counts by the arithmetic recurrence.  term_key is
 the reference for the term order, which the library's enumeration
-(TermTable) produces without computing it.
+(TermTable) produces without computing it.  The recursive plump order
+(the reference for SizeUniverse's bitsets), well-founded recursion,
+structural term equality, the readers of serialize's JSON forms and
+derivation replay are second implementations kept here as references.
 """
 
 from __future__ import annotations
@@ -23,19 +26,29 @@ from qitbench.errors import (
     UnboundVariable,
 )
 from qitbench.quotient import congruence_roots
-from qitbench.sexpr import show_term
-from qitbench.sizes import SizeVal
+from qitbench.schema import Accept, DeclReport, Derivation, QitDecl, check_decl
+from qitbench.sexpr import parse_term, show_term
+from qitbench.sizes import SizeVal, show_size
 from qitbench.terms import (
+    NAT,
+    Arity,
     Comp,
+    Equation,
+    IndexedOpDecl,
+    IndexedSignature,
+    IndexMap,
     InstanceShape,
     IxVar,
     Node,
+    OpDecl,
+    OpSym,
     Signature,
     SystemOfEquations,
     Tab,
     Term,
     TermTable,
     Var,
+    fin,
     instantiate_comp,
 )
 
@@ -743,3 +756,210 @@ def naive_qwelim(q: NaiveQuotient, motive, steps):
         if got != want:
             failures.append((t, got, want))
     return tuple(values), tuple(failures), instances, envs
+
+
+# --- second implementations kept as references ---
+
+
+class PlumpOrder:
+    """Memoized decision procedures for the plump order, by the mutual
+    structural recursion on trees; the reference for SizeUniverse's
+    bitsets, and the order on sizes outside a universe."""
+
+    def __init__(self):
+        self._lt: dict[tuple[SizeVal, SizeVal], bool] = {}
+        self._le: dict[tuple[SizeVal, SizeVal], bool] = {}
+
+    def le(self, i: SizeVal, j: SizeVal) -> bool:
+        key = (i, j)
+        hit = self._le.get(key)
+        if hit is None:
+            hit = all(self.lt(c, j) for c in i.children)
+            self._le[key] = hit
+        return hit
+
+    def lt(self, i: SizeVal, j: SizeVal) -> bool:
+        key = (i, j)
+        hit = self._lt.get(key)
+        if hit is None:
+            hit = any(self.le(i, c) for c in j.children)
+            self._lt[key] = hit
+        return hit
+
+
+class CycleDetected(QitError):
+    pass
+
+
+def wf_rec(
+    u,
+    step: Callable[[SizeVal, Mapping[SizeVal, object]], object],
+    schedule: Optional[Sequence[SizeVal]] = None,
+) -> dict[SizeVal, object]:
+    """Well-founded recursion over the universe: step receives a member
+    and the finished values of everything strictly below it.  The result
+    is schedule-independent; a cycle in the order would surface as
+    CycleDetected."""
+    values: dict[SizeVal, object] = {}
+    in_progress: set[SizeVal] = set()
+
+    def visit(i: SizeVal):
+        if i in values:
+            return values[i]
+        if i in in_progress:
+            raise CycleDetected(show_size(i))
+        in_progress.add(i)
+        partial = {j: visit(j) for j in u.below[i]}
+        values[i] = step(i, partial)
+        in_progress.discard(i)
+        return values[i]
+
+    for i in schedule if schedule is not None else u.members:
+        visit(i)
+    return values
+
+
+DEFAULT_SAMPLE_POINTS = tuple(range(9))
+
+
+def terms_equal(
+    a: Term,
+    b: Term,
+    maps: Mapping[str, IndexMap] | None = None,
+    points: Sequence[int] = DEFAULT_SAMPLE_POINTS,
+) -> bool:
+    """Structural equality; comprehensions compare by instantiation at the
+    sample points, which also absorbs index variable renaming."""
+    if type(a) is not type(b):
+        return False
+    match a, b:
+        case (Var(x), Var(y)):
+            return x == y
+        case (IxVar(e1), IxVar(e2)):
+            return e1 == e2
+        case (Node(op1, ch1), Node(op2, ch2)):
+            if op1 != op2:
+                return False
+            if isinstance(ch1, Tab) and isinstance(ch2, Tab):
+                return len(ch1.entries) == len(ch2.entries) and all(
+                    terms_equal(x, y, maps, points) for x, y in zip(ch1.entries, ch2.entries)
+                )
+            if isinstance(ch1, Comp) and isinstance(ch2, Comp):
+                return all(
+                    terms_equal(instantiate_comp(ch1, k, maps), instantiate_comp(ch2, k, maps), maps, points)
+                    for k in points
+                )
+            return False
+    return False
+
+
+# --- readers of serialize's JSON forms ---
+
+
+def _arity_from(v) -> Arity:
+    if v == "nat":
+        return NAT
+    if isinstance(v, int):
+        return fin(v)
+    raise ParseError(f"bad arity {v!r}", 0, 0)
+
+
+def signature_from_obj(obj: dict) -> Signature:
+    decls = []
+    for row in obj["ops"]:
+        decls.append(
+            OpDecl(
+                OpSym.parse(row["name"]),
+                _arity_from(row["arity"]),
+                row.get("sort"),
+                tuple(row["childSorts"]) if "childSorts" in row else None,
+            )
+        )
+    return Signature(tuple(decls))
+
+
+def indexed_signature_from_obj(obj: dict) -> IndexedSignature:
+    ops = []
+    for row in obj["ops"]:
+        arities = tuple((ix, _arity_from(a)) for ix, a in row["arities"].items())
+        ops.append(IndexedOpDecl(OpSym.parse(row["name"]), row["sort"], arities))
+    return IndexedSignature(tuple(obj["indices"]), tuple(ops))
+
+
+def system_from_obj(obj: dict) -> SystemOfEquations:
+    eqs = []
+    for row in obj["equations"]:
+        vars = row["vars"]
+        if isinstance(vars, list):
+            vars = tuple(vars)
+        else:
+            vars = _arity_from(vars)
+        eqs.append(
+            Equation(
+                row["name"],
+                vars,
+                parse_term(row["lhs"]),
+                parse_term(row["rhs"]),
+                tuple(row["varSorts"]) if "varSorts" in row else None,
+                row.get("sort"),
+            )
+        )
+    return SystemOfEquations(tuple(eqs))
+
+
+# --- derivation replay against the rule grammar ---
+
+_STR = "S"
+_ELT = "E"
+_EQN = "Q"
+
+_RULE_CLASS = {
+    "ConstantParameter": _STR,
+    "InductiveArgument": _STR,
+    "StrictlyPositiveFunction": _STR,
+    "StrictlyPositiveProduct": _STR,
+    "Target": _ELT,
+    "ElArgument": _ELT,
+    "ElCon": _ELT,
+    "EqTarget": _EQN,
+    "EqArg": _EQN,
+    "EqCon": _EQN,
+}
+
+_PREMISE_SHAPE = {
+    "ConstantParameter": (),
+    "InductiveArgument": (),
+    "StrictlyPositiveFunction": (_STR,),
+    "StrictlyPositiveProduct": (_STR, _STR),
+    "Target": (),
+    "ElArgument": (_STR, _ELT),
+    "ElCon": (_ELT,),
+    "EqTarget": (),
+    "EqArg": (_STR, _EQN),
+    "EqCon": (_EQN,),
+}
+
+
+def _validate_tree(d: Derivation) -> None:
+    if d.rule not in _RULE_CLASS:
+        raise QitError(f"unknown rule {d.rule}")
+    shape = _PREMISE_SHAPE[d.rule]
+    if len(d.premises) != len(shape):
+        raise QitError(f"{d.rule} expects {len(shape)} premises, found {len(d.premises)}")
+    for want, p in zip(shape, d.premises):
+        if _RULE_CLASS[p.rule] != want:
+            raise QitError(f"{d.rule} premise {p.rule} is in the wrong rule family")
+        _validate_tree(p)
+
+
+def replay(decl: QitDecl, report: DeclReport) -> bool:
+    """Re-run the checker and confirm the recorded derivations survive.
+
+    Every recorded Accept must be a well-formed tree under the rule
+    grammar (malformed trees raise), and re-checking the declaration
+    must reproduce the report exactly.
+    """
+    for _, j in report.element + report.equality:
+        if isinstance(j, Accept):
+            _validate_tree(j.derivation)
+    return check_decl(decl) == report

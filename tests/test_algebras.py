@@ -8,9 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import bag_sig, bag_system, equations, first_label_algebra, length_algebra, term_over
+from helpers import (
+    bag_sig,
+    bag_system,
+    equations,
+    first_label_algebra,
+    length_algebra,
+    term_algebra,
+    term_over,
+)
 from oracles import naive_satisfies
-from qitbench.algebras import Algebra, SatReport, satisfies, term_algebra
+from qitbench.algebras import Algebra, SatReport, satisfies
 from qitbench.errors import InfeasibleExhaustive, PartialAlgebra, QitError, UnboundVariable
 from qitbench.sexpr import parse_term
 from qitbench.terms import (

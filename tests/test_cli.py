@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import os
@@ -13,10 +14,10 @@ import pytest
 
 import qitbench.schema.examples
 from helpers import bag_sig, bag_system
-from qitbench import algebras, cli, construction, quotient
+from oracles import signature_from_obj, system_from_obj
+from qitbench import algebras, cli, quotient
 from qitbench.cli import main
 from qitbench.schema import elaborate, parse_decl
-from qitbench.serialize import signature_from_obj, system_from_obj
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -104,6 +105,29 @@ def test_identifiers_keep_unicode_digits(tmp_path, capsys):
     assert "ElCon  mk : (tag² : X) -> (n٣ : X) -> Q" in out
 
 
+FLIP = """qit Flip (a : {l, r}) where
+  stop : Flip
+  put : a -> Flip -> Flip
+  e : put l stop = put r stop
+"""
+
+
+def test_check_reads_finite_set_values_and_erased_pairs(tmp_path, capsys):
+    """l and r name values of the finite set a; a pair whose second
+    component ignores its Q-typed binder is checked with the binder
+    erased to the unit type."""
+    flip = tmp_path / "flip.qit"
+    flip.write_text(FLIP, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(flip))
+    assert (code, err) == (0, "")
+    assert "EqTarget  (put l stop) = (put r stop)" in out
+    pair = tmp_path / "pair.qit"
+    pair.write_text("qit T (X : Set) where\n  base : T\n  mk : ((t : T) * X) -> T\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(pair))
+    assert (code, err) == (0, "")
+    assert "StrictlyPositiveProduct  (t : Q) * X" in out
+
+
 # --- eq ---
 
 
@@ -158,6 +182,18 @@ def test_eq_bare_indexed_operator_names_its_indexed_forms(capsys):
     assert out.strip() == "EQUAL"
 
 
+def test_eq_over_finite_set_values(tmp_path, capsys):
+    flip = tmp_path / "flip.qit"
+    flip.write_text(FLIP, encoding="utf-8")
+    got = run(capsys, "eq", str(flip), "(op put l (op stop))", "(op put r (op stop))")
+    assert got == (0, "EQUAL\n", "")
+
+
+def test_eq_index_variable_is_outside_the_universe(capsys):
+    got = run(capsys, "eq", BAG, "(var (ix 0))", "(op nil)", "--X", "a,b")
+    assert got == (1, "UNKNOWN\n", "")
+
+
 # --- elaborate / enum ---
 
 
@@ -181,6 +217,12 @@ def test_enum_lists_the_depth_bounded_universe(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 7
     assert lines[0] == "(op nil)"
+
+
+def test_elaborate_names_the_rule_a_declaration_breaks(capsys):
+    code, out, err = run(capsys, "elaborate", str(FIXTURES / "qleft.qit"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: T.bad violates StrictlyPositiveFunction: ")
 
 
 # --- fold / elim ---
@@ -294,6 +336,17 @@ def test_elim_steps_file_matches_builtin(capsys):
     assert filed == builtin
 
 
+def test_elim_reports_incoherent_steps(tmp_path, capsys):
+    """Steps that keep the head label disagree on swap a b."""
+    steps = [{"op": "nil", "tags": [], "value": "e"}]
+    steps += [{"op": f"cons {x}", "tags": [t], "value": x} for x in "ab" for t in "eab"]
+    path = tmp_path / "head.json"
+    path.write_text(json.dumps({"motive": {"default": ["e", "a", "b"]}, "steps": steps}),
+                    encoding="utf-8")
+    got = run(capsys, "elim", BAG, "--X", "a,b", "--steps", str(path))
+    assert got == (1, "", "error: steps disagree on swap a b: 'a' vs 'b'\n")
+
+
 # --- construct ---
 
 
@@ -310,6 +363,18 @@ def test_construct_structured_export_is_stable(capsys):
     _, second, _ = run(capsys, "construct", BAG, "--X", "a,b", "--format", "structured")
     assert first == second
     assert first.startswith("depth 3 height 3")
+
+
+@pytest.mark.parametrize("height, why", [
+    (1, "6 congruence classes have no colimit counterpart; raise the height"),
+    (2, "two colimit classes flatten into one congruence class; raise the height"),
+])
+def test_construct_too_low_for_the_oracle(height, why, capsys):
+    code, out, err = run(capsys, "construct", BAG, "--X", "a,b", "--size-height", str(height),
+                         "--compare-oracle")
+    assert code == 1
+    assert out.endswith(f"colimit: {7 if height == 2 else 0} classes\n")
+    assert err == f"error: {why}\n"
 
 
 # --- examples ---
@@ -420,7 +485,7 @@ def test_fold_checks_satisfaction_once(algebra, code, monkeypatch, capsys):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (cli, quotient, construction):
+    for module in (cli, quotient):
         monkeypatch.setattr(module, "satisfies", counted)
     got = run(capsys, "fold", BAG, "--X", "a,b", "--algebra", str(FIXTURES / algebra))
     assert (got[0], len(calls)) == (code, 1)
@@ -430,6 +495,9 @@ def test_fold_checks_satisfaction_once(algebra, code, monkeypatch, capsys):
 @pytest.mark.parametrize("name, code", [
     ("bag", 0), ("bagprime", 1), ("commvec", 0), ("commtree", 0),
     ("inftree", 0), ("qleft", 1), ("qparam", 1), ("qsigma", 1),
+    # endpoint types that differ only syntactically: V (suc 0) against
+    # V 1 is convertible, against V 2 it is not
+    ("vsuc", 0), ("vsucbad", 1),
 ])
 def test_check_matches_golden(name, code, fmt, capsys):
     golden = f"check_{name}.txt" if fmt == "text" else f"check_{name}_structured.json"
@@ -673,3 +741,31 @@ def test_reused_parser_answers_as_a_fresh_one(fresh_parser, capsys):
     assert "invalid choice: 'nosuch' (choose from 'bag', 'commvec'" in first[2][2]
     cli._parser.cache_clear()
     assert [outcome(capsys, *argv) for argv in commands] == first
+
+
+# --- reference cycles ---
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", BAG],
+    ["elaborate", BAG, "--X", "a,b"],
+    ["enum", BAG, "--X", "a,b"],
+    ["eq", BAG, "(op cons a (op cons b (op nil)))", "(op cons b (op cons a (op nil)))", "--X", "a,b"],
+    ["fold", BAG, "--X", "a,b", "--algebra", str(FIXTURES / "bag_length.json")],
+    ["elim", BAG, "--X", "a,b", "--steps", str(FIXTURES / "bag_parity_steps.json")],
+    ["construct", BAG, "--X", "a,b", "--compare-oracle"],
+    ["examples", "bag"],
+], ids=lambda argv: argv[0])
+def test_commands_leave_nothing_for_the_cyclic_collector(argv, capsys):
+    """A recursive closure is a reference cycle, which every run would
+    leave to the cyclic collector; so are mutually recursive closures."""
+    run(capsys, *argv)  # first-use caches
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(list(argv))
+        found = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert (code, found) == (0, 0)

@@ -11,7 +11,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qitbench import construction, quotient
-from qitbench.algebras import Algebra
 from qitbench.cli import main
 from qitbench.construction import (
     build_fixed_point,
@@ -44,17 +43,22 @@ from qitbench.terms import (
     signature,
 )
 
+import theorems
 from helpers import (
     ab_sig,
     ab_system,
     bag_sig,
     bag_system,
+    chain,
+    class_of,
     commvec_indexed,
     commvec_system,
     equations,
     first_label_algebra,
     length_algebra,
     mutual_le_universe,
+    size_zero,
+    tabulate,
 )
 from oracles import bag_multiset, naive_diamond
 
@@ -70,12 +74,12 @@ def bag_fixture(depth=3, height=3, atoms=("a", "b")):
 
 def test_leaf_stage_is_empty():
     _, _, u, appx = bag_fixture()
-    assert len(appx.stage_at(u.sig.zero())) == 0
+    assert len(appx.stage_at(size_zero(u.sig))) == 0
 
 
 def test_one_atom_diamond_has_two_classes_at_depth_two():
     sig, sys, u, appx = bag_fixture(depth=2, atoms=("a",))
-    one = u.sig.suc(u.sig.zero())
+    one = u.sig.suc(size_zero(u.sig))
     flats = [show_term(c.flat) for c in appx.stage_at(one).classes]
     assert flats == ["(op nil)", "(op cons a (op nil))"]
 
@@ -113,16 +117,16 @@ def test_one_atom_export_golden():
 def test_stage_sharing_by_down_segment():
     # the three height-3 members have the same strict down-segment
     _, _, u, appx = bag_fixture()
-    sids = {appx.stage_of[m] for m in u.members if m not in (u.sig.zero(), u.sig.suc(u.sig.zero()))}
+    sids = {appx.stage_of[m] for m in u.members if m not in (size_zero(u.sig), u.sig.suc(size_zero(u.sig)))}
     assert len(sids) == 1
     assert len(appx.stages) == 3
 
 
 def test_diamond_rebuilds_the_successor_stage():
     _, _, u, appx = bag_fixture()
-    s0 = appx.stage_at(u.sig.zero())
+    s0 = appx.stage_at(size_zero(u.sig))
     again = diamond(appx.build, [s0], set(), sid=99)
-    want = appx.stage_at(u.sig.suc(u.sig.zero()))
+    want = appx.stage_at(u.sig.suc(size_zero(u.sig)))
     assert [c.flat for c in again.classes] == [c.flat for c in want.classes]
 
 
@@ -164,7 +168,7 @@ def test_oracle_comparison_reads_ids_through_the_oracle_table(monkeypatch):
     cmp = compare_with_oracle(qw, q)
     assert (len(cmp.class_pairs), cmp.intro_checked) == (len(plain.class_pairs), plain.intro_checked) == (5, 6)
     for cid, oid in cmp.class_pairs:
-        assert q.class_of(qw.class_flat(cid)) == oid
+        assert class_of(q, qw.class_flat(cid)) == oid
 
 
 def test_height_two_does_not_stabilize():
@@ -177,7 +181,7 @@ def test_height_two_does_not_stabilize():
 
 def test_chain_universe_reaches_the_same_colimit():
     sig, sys = bag_sig(), bag_system()
-    appx = build_fixed_point(sig, sys, SizeUniverse.chain(MIN, 3), 3)
+    appx = build_fixed_point(sig, sys, chain(MIN, 3), 3)
     q = close_congruence(build_universe(sig, sys, 3))
     assert len(compare_with_oracle(qw_from_colimit(appx), q).class_pairs) == 6
 
@@ -241,7 +245,7 @@ def test_intro_overflows_past_the_depth_bound():
 
 def test_intro_overflows_past_the_universe_height():
     sig, sys = bag_sig(), bag_system()
-    appx = build_fixed_point(sig, sys, SizeUniverse.chain(MIN, 2), 3)
+    appx = build_fixed_point(sig, sys, chain(MIN, 2), 3)
     qw = qw_from_colimit(appx)
     nil = qw.qwintro("nil", [])
     with pytest.raises(StageOverflow):
@@ -250,7 +254,7 @@ def test_intro_overflows_past_the_universe_height():
 
 def test_qwequate_instances_land_together():
     _, _, _, appx = bag_fixture()
-    rep = qw_from_colimit(appx).check_qwequate()
+    rep = theorems.check_qwequate(qw_from_colimit(appx))
     assert rep.checked == 4
     assert rep.depth_skipped == 24
     assert rep.intro_checked == 4
@@ -259,14 +263,14 @@ def test_qwequate_instances_land_together():
 
 def test_intro_stability_across_stages():
     _, _, _, appx = bag_fixture()
-    rep = qw_from_colimit(appx).check_intro_stability()
+    rep = theorems.check_intro_stability(qw_from_colimit(appx))
     assert (rep.confirmed, rep.skipped, rep.failed) == (7, 31, 0)
 
 
 def test_intro_stability_at_height_four():
     sig, sys = bag_sig(), bag_system()
     appx = build_fixed_point(sig, sys, SizeUniverse(MIN, 4), 3)
-    rep = qw_from_colimit(appx).check_intro_stability()
+    rep = theorems.check_intro_stability(qw_from_colimit(appx))
     assert rep.failed == 0
     assert rep.confirmed > 0
 
@@ -274,7 +278,7 @@ def test_intro_stability_at_height_four():
 def test_qwrec_folds_lengths():
     sig, sys, _, appx = bag_fixture()
     qw = qw_from_colimit(appx)
-    rec = qw.qwrec(length_algebra(sig))
+    rec = theorems.qwrec(qw, length_algebra(sig))
     lengths = {show_term(qw.class_flat(cid)): v for cid, v in rec.by_class.items()}
     assert lengths == {
         "(op nil)": 0,
@@ -288,10 +292,13 @@ def test_qwrec_folds_lengths():
 
 
 def test_qwrec_agrees_with_the_oracle_fold():
+    """The fold the fold command runs (quotient.qwrec), checked against
+    the recursor on the colimit (theorems.qwrec) through the class
+    bijection compare_with_oracle certifies."""
     sig, sys, _, appx = bag_fixture()
     alg = length_algebra(sig)
     qw = qw_from_colimit(appx)
-    rec = qw.qwrec(alg)
+    rec = theorems.qwrec(qw, alg)
     q = close_congruence(build_universe(sig, sys, 3))
     oracle = qwrec(q, alg)
     assert oracle.hom_ok
@@ -303,21 +310,21 @@ def test_qwrec_refuses_non_satisfying_algebras():
     sig, _, _, appx = bag_fixture()
     qw = qw_from_colimit(appx)
     with pytest.raises(NotSatisfying):
-        qw.qwrec(first_label_algebra(sig))
+        theorems.qwrec(qw, first_label_algebra(sig))
 
 
 def test_uniqueness_accepts_the_recursor_and_rejects_perturbations():
     sig, _, _, appx = bag_fixture()
     alg = length_algebra(sig)
     qw = qw_from_colimit(appx)
-    rec = qw.qwrec(alg)
-    assert qw.check_uniqueness(alg, rec.by_class).ok
+    rec = theorems.qwrec(qw, alg)
+    assert theorems.check_uniqueness(qw, alg, rec.by_class).ok
     rng = random.Random("uniq")
     for _ in range(20):
         bad = dict(rec.by_class)
         cid = rng.randrange(len(qw))
         bad[cid] = (bad[cid] + 1 + rng.randrange(3)) % 4
-        assert not qw.check_uniqueness(alg, bad).ok
+        assert not theorems.check_uniqueness(qw, alg, bad).ok
 
 
 def test_diagram_from_stages_has_a_valid_cocone():
@@ -325,7 +332,7 @@ def test_diagram_from_stages_has_a_valid_cocone():
     qw = qw_from_colimit(appx)
     qw.colimit.check_cocone()
     # injections agree with the stage maps
-    one = u.sig.suc(u.sig.zero())
+    one = u.sig.suc(size_zero(u.sig))
     for j in u.members:
         if not u.lt(one, j):
             continue
@@ -371,7 +378,7 @@ def assert_stages_match_naive(appx) -> int:
 UNIVERSES = (
     lambda height: SizeUniverse(MIN, height),
     lambda height: mutual_le_universe(),
-    lambda height: SizeUniverse.chain(MIN, 5),
+    lambda height: chain(MIN, 5),
 )
 
 
@@ -534,11 +541,11 @@ def test_fixed_diag_catches_a_moved_local_id():
 def test_restriction_catches_a_term_missing_from_the_shared_view():
     # a class claiming a deeper flattening drops terms from its view
     _, _, u, appx = bag_fixture()
-    sid = appx.stage_of[u.sig.suc(u.sig.zero())]
+    sid = appx.stage_of[u.sig.suc(size_zero(u.sig))]
     stage = appx.stages[sid]
     deeper = tuple(dataclasses.replace(c, fd=c.fd + 1) if c.fd < 3 else c for c in stage.classes)
     bad = dataclasses.replace(stage, classes=deeper)
-    assert len(bad.view.terms) < len(stage.view.terms)
+    assert len(bad.view.table.terms) < len(stage.view.table.terms)
     appx.stages = appx.stages[:sid] + (bad,) + appx.stages[sid + 1 :]
     with pytest.raises(QitError, match="restriction mismatch .*: views differ"):
         appx.check_restriction()
@@ -548,7 +555,7 @@ def test_a_view_term_outside_the_closed_table_names_its_stage():
     # a class claiming a shallower flattening lets the view hold a term
     # whose flattening is deeper than the bound
     _, _, u, appx = bag_fixture()
-    sid = appx.stage_of[u.sig.suc(u.sig.zero())]
+    sid = appx.stage_of[u.sig.suc(size_zero(u.sig))]
     stage = appx.stages[sid]
     last = stage.classes[-1]
     shallower = stage.classes[:-1] + (dataclasses.replace(last, fd=last.fd - 1),)
@@ -582,7 +589,7 @@ def test_each_slice_stage_is_enumerated_once(monkeypatch):
 
 
 def leaf_count_algebra(sig):
-    return Algebra.from_fn(
+    return tabulate(
         sig, tuple(range(5)), lambda op, args: 1 if op.name == "leaf" else min(sum(args), 4)
     )
 
@@ -605,9 +612,9 @@ def test_interface_never_reads_class_of_pair(monkeypatch, capsys, path, carrier,
     decl = parse_decl((FIXTURES / path).read_text())
     sig, sys = elaborate(decl, {"X": tuple(carrier.split(","))})
     qw = qw_from_colimit(build_fixed_point(sig, sys, SizeUniverse(MIN, height), depth))
-    assert qw.check_qwequate().checked > 0
-    assert qw.check_intro_stability().ok
+    assert theorems.check_qwequate(qw).checked > 0
+    assert theorems.check_intro_stability(qw).ok
     alg = algebra(sig)
-    rec = qw.qwrec(alg)
+    rec = theorems.qwrec(qw, alg)
     assert rec.coherence_checked > 0
-    assert qw.check_uniqueness(alg, rec.by_class).ok
+    assert theorems.check_uniqueness(qw, alg, rec.by_class).ok

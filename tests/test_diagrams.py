@@ -1,4 +1,5 @@
-"""Diagram colimits and the power-diagram comparison check."""
+"""Diagram colimits and the power-diagram comparison check
+(tests/theorems.py)."""
 
 from __future__ import annotations
 
@@ -6,20 +7,14 @@ import itertools
 
 import pytest
 
-from qitbench.diagrams import (
-    Colimit,
-    Diagram,
-    check_power_cocontinuity,
-    colim,
-    constant_diagram,
-    growing_chain,
-    power_diagram,
-)
+from qitbench.diagrams import Colimit, Diagram, colim
 from qitbench.errors import FunctorialityViolation, QitError
-from qitbench.sizes import PlumpOrder, SizeSig, SizeUniverse, height
+from qitbench.sizes import SizeSig, SizeUniverse, height
 
-from helpers import mutual_le_universe
-from oracles import naive_components
+from helpers import chain as chain_universe
+from helpers import mutual_le_universe, size_zero
+from oracles import PlumpOrder, naive_components
+from theorems import check_power_cocontinuity, constant_diagram, growing_chain, power_diagram
 
 MIN = SizeSig.minimal()
 
@@ -29,7 +24,7 @@ def universe():
 
 
 def chain():
-    return SizeUniverse.chain(MIN, 3)
+    return chain_universe(MIN, 3)
 
 
 def test_chain_universe_is_linear():
@@ -42,7 +37,7 @@ def test_chain_universe_is_linear():
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: SizeUniverse(MIN, 4), lambda: SizeUniverse.chain(MIN, 5), mutual_le_universe],
+    [lambda: SizeUniverse(MIN, 4), lambda: chain_universe(MIN, 5), mutual_le_universe],
     ids=["tree-h4", "chain-h5", "mutual-le"],
 )
 def test_bitset_order_agrees_with_plump_order(build):
@@ -58,7 +53,7 @@ def test_bitset_order_agrees_with_plump_order(build):
 
 def test_check_walks_chains_up_to_the_top_height():
     u = SizeUniverse(MIN, 4)
-    one = MIN.suc(MIN.zero())
+    one = MIN.suc(size_zero(MIN))
     top = MIN.suc(MIN.suc(one))
     assert height(top) == 4
     # everything strictly between one and top has height 3

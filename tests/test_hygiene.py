@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
 no module has an assert statement, every file a module reads or writes
 as text names its encoding, and every module-level function and class
-is used somewhere in src/qitbench, unless listed with the ROADMAP item
-that decides it.
+is used somewhere in src/qitbench, unless listed with the reason it is
+kept.
 
 No linter ships with the project, so this parses src/qitbench with ast.
 __future__ imports and the package __init__ modules, whose imports are
@@ -122,31 +122,14 @@ def unused_definitions(sources: dict[str, str]) -> list[str]:
     )
 
 
-# Used only by tests today.  ROADMAP item 5 decides each: a product path
-# (say construct --certify) or a move to tests/oracles.py.
+# Kept in src/ although nothing there uses them, each with the reason.
+# Code only the tests need lives in tests/ (theorems.py, oracles.py,
+# helpers.py).
 NOT_YET_USED = {
-    # the paper's theorem checks
-    "diagrams.check_power_cocontinuity": "item 5",
-    "diagrams.constant_diagram": "item 5",
-    "diagrams.growing_chain": "item 5",
-    # second implementations kept as references
-    "quotient.qwuniq_check": "item 5",
-    "sizes.wf_rec": "item 5",
-    "terms.terms_equal": "item 5",
-    # surface features that no command reads
-    "algebras.term_algebra": "item 5",
-    "quotient.dump_quotient": "item 5",
-    "schema.checker.check_strictly_positive": "item 5",
-    "schema.checker.replay": "item 5",
-    "schema.eliminator.derive_eliminator": "item 5",
-    "serialize.indexed_signature_from_obj": "item 5",
-    "serialize.signature_from_obj": "item 5",
-    "serialize.system_from_obj": "item 5",
-    "sexpr.parse_index_map": "item 5",
-    "sexpr.show_index_map": "item 5",
-    "sizes.parse_size": "item 5",
-    "sizes.size_signature_for": "items 5 and 9",
-    "terms.free_algebra_signature": "item 5",
+    "schema.eliminator.derive_eliminator":
+        "printing the eliminator needs an output flag, a feature of its own",
+    "sizes.size_signature_for":
+        "ROADMAP item 9 puts the per-arity joins of countable operators here",
 }
 
 

@@ -13,11 +13,16 @@ from helpers import (
     ab_system,
     bag_sig,
     bag_system,
+    class_of,
+    class_terms,
     commvec_indexed,
     commvec_system,
     equations,
     first_label_algebra,
     length_algebra,
+    position,
+    sort_of_class,
+    tabulate,
 )
 from oracles import (
     bag_multiset,
@@ -28,6 +33,7 @@ from oracles import (
     naive_qwrec,
     term_key,
 )
+from theorems import qwuniq_check
 from qitbench.algebras import Algebra
 from qitbench.errors import CoherenceFailure, NotSatisfying, QitError
 from qitbench.quotient import (
@@ -36,10 +42,8 @@ from qitbench.quotient import (
     close_congruence,
     congruence_roots,
     decide_eq,
-    dump_quotient,
     qwelim,
     qwrec,
-    qwuniq_check,
 )
 from qitbench.sexpr import parse_term, show_term
 from qitbench.terms import Equation, Node, OpSym, SystemOfEquations, Tab, TermTable, Var, signature
@@ -84,7 +88,7 @@ def test_instance_outside_the_universe_raises(monkeypatch):
 def test_bag_quotient_matches_multiset_oracle():
     q = bag_quotient()
     assert len(q) == 6
-    for members in q.members:
+    for members in class_terms(q):
         readings = {bag_multiset(t) for t in members}
         assert len(readings) == 1
     assert len({bag_multiset(c) for c in q.canon}) == 6
@@ -104,7 +108,7 @@ def test_partition_equals_naive_oracle():
         q = close_congruence(u)
         oracle = naive_congruence(list(u.terms), [(p.lhs, p.rhs) for p in u.instance_pairs])
         got = sorted(
-            sorted(u.position(t) for t in members) for members in q.members
+            sorted(position(u, t) for t in members) for members in class_terms(q)
         )
         assert got == sorted(sorted(cls) for cls in oracle)
 
@@ -115,7 +119,7 @@ def test_generated_partitions_equal_naive_oracle(case, bound):
     u = build_universe(sig, SystemOfEquations((eq,)), bound)
     q = close_congruence(u)
     oracle = naive_congruence(list(u.terms), [(p.lhs, p.rhs) for p in u.instance_pairs])
-    got = sorted(sorted(u.position(t) for t in members) for members in q.members)
+    got = sorted(sorted(position(u, t) for t in members) for members in class_terms(q))
     assert got == sorted(sorted(cls) for cls in oracle)
 
 
@@ -200,18 +204,18 @@ def test_congruence_roots_equal_naive_oracle(graph):
 
 def test_canonical_representatives_are_least_and_stable():
     q = bag_quotient()
-    for canon, members in zip(q.canon, q.members):
+    for canon, members in zip(q.canon, class_terms(q)):
         assert canon in members
         best = min(members, key=lambda t: term_key(SIG, t))
         assert canon == best
-        assert q.canon[q.class_of(canon)] == canon
+        assert q.canon[class_of(q, canon)] == canon
 
 
 def assert_ranked_by_term_key(q):
     """Members ascend in the reference term order, and so do the classes'
     least members."""
     sig = q.universe.sig
-    for members in q.members:
+    for members in class_terms(q):
         keys = [term_key(sig, t) for t in members]
         assert all(a < b for a, b in zip(keys, keys[1:]))
     keys = [term_key(sig, c) for c in q.canon]
@@ -268,7 +272,7 @@ def test_commvec_per_index_classes():
     q = close_congruence(build_universe(flat, commvec_system(), 3))
     per_index = {s: 0 for s in flat.sorts}
     for cls in range(len(q)):
-        per_index[q.sort_of_class(cls)] += 1
+        per_index[sort_of_class(q, cls)] += 1
     assert per_index == {"0": 1, "1": 2, "2": 3}
 
 
@@ -339,14 +343,6 @@ def test_qwuniq_accepts_the_fold_and_rejects_perturbations():
         assert (not report.is_hom) or report.first_discrepancy is not None
 
 
-def test_dump_format():
-    q = bag_quotient()
-    lines = dump_quotient(q).splitlines()
-    assert lines[0] == "canon (op nil) | members 1"
-    assert "canon (op cons a (op cons b (op nil))) | members 2" in lines
-    assert len(lines) == 6
-
-
 # --- the id-based oracle against the tree reference in tests/oracles.py ---
 
 
@@ -391,11 +387,11 @@ def assert_matches_tree_oracle(sig, sys, bound, alg, motive_steps):
     assert u.skipped == nu.skipped
     assert len(u.instances) == len(nu.instance_pairs)
     assert [tuple(p) for p in u.instance_pairs] == nu.instance_pairs
-    assert [u.position(t) for t in nu.terms] == list(range(len(nu.terms)))
+    assert [position(u, t) for t in nu.terms] == list(range(len(nu.terms)))
     q, nq = close_congruence(u), naive_close_congruence(nu)
-    assert q.members == nq.members
+    assert class_terms(q) == nq.members
     assert q.canon == nq.canon
-    assert [q.class_of(t) for t in nu.terms] == [nq.class_of(t) for t in nu.terms]
+    assert [class_of(q, t) for t in nu.terms] == [nq.class_of(t) for t in nu.terms]
 
     def fold():
         rec = qwrec(q, alg)
@@ -432,7 +428,7 @@ def test_generated_oracle_matches_tree_reference(data, case, bound):
 
 
 def capped_length_algebra(sig, cap):
-    return Algebra.from_fn(sig, range(cap + 1), lambda op, args: 0 if not args else min(args[0] + 1, cap))
+    return tabulate(sig, range(cap + 1), lambda op, args: 0 if not args else min(args[0] + 1, cap))
 
 
 AB_SIG, AB_SYS = ab_sig(), ab_system()
@@ -464,7 +460,7 @@ def test_elimination_reads_child_classes_in_order():
     x = Var("x")
     unit = Equation("unit", ("x",), Node(OpSym("p"), Tab((x, Node(OpSym("a"), Tab(()))))), x)
     sys = SystemOfEquations((unit,))
-    alg = Algebra.from_fn(sig, (0, 1), lambda op, args: args[0] if args else int(op.name == "b"))
+    alg = tabulate(sig, (0, 1), lambda op, args: args[0] if args else int(op.name == "b"))
     q = assert_matches_tree_oracle(sig, sys, 2, alg, class_steps)
     motive, steps = class_steps(naive_close_congruence(naive_build_universe(sig, sys, 2)))
     assert qwelim(q, EliminatorInput(motive, steps)).comp_ok

@@ -1,18 +1,17 @@
-"""JSON round trips and byte stability."""
+"""JSON round trips (through the readers in tests/oracles.py) and byte
+stability."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
 from helpers import bag_sig, bag_system, commvec_indexed, commvec_system
+from oracles import indexed_signature_from_obj, signature_from_obj, system_from_obj
 from qitbench.serialize import (
     dumps,
-    indexed_signature_from_obj,
     indexed_signature_to_obj,
     loads,
-    signature_from_obj,
     signature_to_obj,
-    system_from_obj,
     system_to_obj,
 )
 

@@ -6,8 +6,8 @@ import pytest
 
 from helpers import bag_sig
 from qitbench.errors import ArityMismatch, ParseError, UnknownOp
-from qitbench.sexpr import parse_index_map, parse_term, show_index_map, show_term
-from qitbench.terms import IndexMap, IxApp, IxC, IxV, IxVar, Node, OpSym, Var
+from qitbench.sexpr import parse_term, show_term
+from qitbench.terms import IxApp, IxC, IxV, IxVar, Node, OpSym, Var
 
 SIG = bag_sig()
 
@@ -59,25 +59,6 @@ def test_parse_checks_signature():
     # without a signature the shape is accepted
     t = parse_term("(op cons a)")
     assert t == Node(OpSym("cons", ("a",)), t.children)
-
-
-def test_index_map_surface():
-    text = "(bij b (0 1) (1 0) default i)"
-    m = parse_index_map(text)
-    assert m == IndexMap("b", ((0, 1), (1, 0)))
-    assert show_index_map(m) == text
-    assert parse_index_map("(bij id default i)").table == ()
-    with pytest.raises(ParseError):
-        parse_index_map("(bij b (0 1 2) default i)")
-    with pytest.raises(ParseError):
-        parse_index_map("(op nil)")
-
-
-@pytest.mark.parametrize("entry", ["(1 ²)", "(٣ 1)", "((0) 1)"])
-def test_index_map_pairs_are_ascii_naturals(entry):
-    with pytest.raises(ParseError) as e:
-        parse_index_map(f"(bij m {entry} default i)")
-    assert (str(e.value), e.value.col) == ("1:8: expected a (src dst) pair of naturals", 8)
 
 
 def test_only_ascii_digits_make_an_index_constant():

@@ -1,4 +1,5 @@
-"""Plump order laws, size universes, and well-founded recursion."""
+"""Plump order laws, size universes, and well-founded recursion (the
+reference in tests/oracles.py)."""
 
 from __future__ import annotations
 
@@ -10,43 +11,34 @@ from types import SimpleNamespace
 import pytest
 
 from qitbench.construction import build_fixed_point
-from qitbench.errors import ArityMismatch, CycleDetected, InfinitaryArity, ParseError, QitError
-from qitbench.sizes import (
-    PlumpOrder,
-    SizeSig,
-    SizeUniverse,
-    SizeVal,
-    height,
-    parse_size,
-    show_size,
-    size_signature_for,
-    wf_rec,
-)
+from qitbench.errors import ArityMismatch, InfinitaryArity, QitError
+from qitbench.sizes import SizeSig, SizeUniverse, SizeVal, height, show_size, size_signature_for
 from qitbench.terms import NAT, Arity, signature
 
-from helpers import bag_sig, bag_system, commvec_indexed, commvec_system, mutual_le_universe
-from oracles import naive_size_members, size_height
+from helpers import (
+    bag_sig,
+    bag_system,
+    chain,
+    commvec_indexed,
+    commvec_system,
+    mutual_le_universe,
+    size_arity,
+    size_zero,
+    upper_bound,
+)
+from oracles import CycleDetected, PlumpOrder, naive_size_members, size_height, wf_rec
 
 MIN = SizeSig.minimal()
-ZERO = MIN.zero()
+ZERO = size_zero(MIN)
 ONE = MIN.suc(ZERO)
 
 
 def test_size_literal_round_trip():
+    """The literal show_size prints, and the one tree behind it."""
     i = MIN.join(ZERO, ONE)
+    assert SizeVal("join", (SizeVal("zero"), SizeVal("join", (ZERO, ZERO)))) is i
     text = show_size(i)
     assert text == "(sz join (sz zero) (sz join (sz zero) (sz zero)))"
-    assert parse_size(text) is i
-    assert parse_size(text, MIN) is i
-
-
-def test_parse_size_rejects_bad_forms():
-    with pytest.raises(ParseError):
-        parse_size("(zero)")
-    with pytest.raises(ParseError):
-        parse_size("zero")
-    with pytest.raises(ArityMismatch):
-        parse_size("(sz join (sz zero))", MIN)
 
 
 def test_height_frozen_values():
@@ -130,7 +122,7 @@ def brute_covered(u):
 
 UNIVERSES = {
     **{f"h{h}": (lambda h=h: SizeUniverse(MIN, h)) for h in range(1, 6)},
-    "chain": lambda: SizeUniverse.chain(MIN, 5),
+    "chain": lambda: chain(MIN, 5),
     "members": mutual_le_universe,
 }
 
@@ -144,15 +136,18 @@ def test_covered_is_the_transitive_reduction_of_below(name):
 @pytest.mark.parametrize("bound", [3, 4])
 def test_plump_laws_exhaustive(bound):
     u = SizeUniverse(MIN, bound)
+    # successors and joins of the top members lie outside the universe,
+    # so the reference decides those pairs
+    order = PlumpOrder()
     ms = u.members
     for i in ms:
         assert u.le(i, i)
-        assert u.lt(i, MIN.suc(i))
+        assert order.lt(i, MIN.suc(i))
         for c in i.children:
             assert u.lt(c, i)
     for i, j in itertools.product(ms, repeat=2):
         ub = MIN.join(i, j)
-        assert u.lt(i, ub) and u.lt(j, ub)
+        assert order.lt(i, ub) and order.lt(j, ub)
         if u.lt(i, j):
             assert u.le(i, j)
     for i, j, k in itertools.product(ms, repeat=3):
@@ -162,6 +157,16 @@ def test_plump_laws_exhaustive(bound):
             assert u.lt(i, k)
         if u.lt(i, j) and u.le(j, k):
             assert u.lt(i, k)
+
+
+def test_the_universe_decides_only_its_members():
+    u = SizeUniverse(MIN, 2)
+    outside = MIN.suc(ONE)
+    for i, j in ((ZERO, outside), (outside, ZERO), (outside, outside)):
+        with pytest.raises(QitError, match=re.escape(f"{show_size(outside)} is not a member")):
+            u.lt(i, j)
+        with pytest.raises(QitError, match=re.escape(f"{show_size(outside)} is not a member")):
+            u.le(i, j)
 
 
 def test_rank_surrogate_forbids_cycles():
@@ -184,13 +189,13 @@ def test_order_is_not_antisymmetric():
 def test_upper_bound_dominates_family():
     sig = SizeSig((("zero", 0), ("join", 2), ("fam", 3)))
     family = [ZERO, ONE, SizeVal("zero")]
-    ub = sig.upper_bound("fam", family)
+    ub = upper_bound(sig, "fam", family)
     assert ub == SizeVal("fam", tuple(family))
     order = PlumpOrder()
     for m in family:
         assert order.lt(m, ub)
     with pytest.raises(ArityMismatch):
-        sig.upper_bound("fam", [ZERO])
+        upper_bound(sig, "fam", [ZERO])
 
 
 def test_size_sig_validation():
@@ -201,7 +206,7 @@ def test_size_sig_validation():
     with pytest.raises(ArityMismatch):
         SizeSig((("zero", 0), ("zero", 0), ("join", 2)))
     with pytest.raises(ArityMismatch):
-        MIN.arity("missing")
+        size_arity(MIN, "missing")
 
 
 def test_size_signature_for_bag():
@@ -233,8 +238,8 @@ def test_size_signature_for_indexed():
     assert names[:2] == ["zero", "join"]
     assert "op_cons_a_@2" in names
     assert "eq_swap_a_b_@2" in names
-    assert sig.arity("op_cons_a_@2") == 1
-    assert sig.arity("eq_swap_a_b_@2") == 1
+    assert size_arity(sig, "op_cons_a_@2") == 1
+    assert size_arity(sig, "eq_swap_a_b_@2") == 1
 
 
 def test_size_signature_for_rejects_countable_arity():
@@ -268,8 +273,8 @@ def test_wf_rec_cycle_detection():
 
 def test_arity_helper():
     assert Arity(2).finite and not NAT.finite
-    assert MIN.arity("join") == 2
-    assert MIN.zero() is SizeVal("zero")
+    assert size_arity(MIN, "join") == 2
+    assert size_zero(MIN) is SizeVal("zero")
     assert MIN.suc(ZERO) is SizeVal("join", (ZERO, ZERO))
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import bag_sig, bag_system, equations, length_algebra
+from helpers import bag_sig, bag_system, equations, length_algebra, term_algebra
 from oracles import (
     ProductTermTable,
     bind,
@@ -17,13 +17,12 @@ from oracles import (
     naive_enumerate_terms,
     substitute,
     term_key,
+    terms_equal,
     weighted_depth,
 )
-from qitbench.algebras import term_algebra
 from qitbench.errors import (
     ArityMismatch,
     InfinitaryArity,
-    NameClash,
     UnboundVariable,
     UnknownOp,
 )
@@ -46,10 +45,8 @@ from qitbench.terms import (
     compile_side,
     enumerate_terms,
     eval_ix,
-    free_algebra_signature,
     mk_node,
     signature,
-    terms_equal,
     validate_system,
 )
 
@@ -149,17 +146,6 @@ def test_substitute_and_free_vars():
     with pytest.raises(UnboundVariable):
         substitute(t, {})
     assert substitute(t, {}, partial=True) == t
-
-
-def test_free_algebra_signature_prepends_generators():
-    ext, ext_sys = free_algebra_signature(SIG, SYS, ["u", "v"])
-    assert [d.op.show() for d in ext.ops] == ["u", "v", "nil", "cons a", "cons b"]
-    assert all(d.arity.count == 0 for d in ext.ops[:2])
-    assert ext_sys.equations == SYS.equations
-    with pytest.raises(NameClash):
-        free_algebra_signature(SIG, SYS, ["nil"])
-    with pytest.raises(NameClash):
-        free_algebra_signature(SIG, SYS, ["u", "u"])
 
 
 def test_index_maps_and_comprehension_equality():
