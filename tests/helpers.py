@@ -34,7 +34,7 @@ from qitbench.terms import (
 )
 
 
-# --- builders ---
+# --- algebras and size universes ---
 
 
 def tabulate(sig: Signature, carrier: Sequence[Value], fn: Callable[[OpSym, tuple], Value]) -> Algebra:
