@@ -25,7 +25,6 @@ import argparse
 import ast
 import contextlib
 import io
-import random
 import sys
 from pathlib import Path
 
