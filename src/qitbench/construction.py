@@ -21,12 +21,13 @@ in the term order (see build_fixed_point; its reference is in
 tests/oracles.py).  A stage read as a slice is read through its slice
 view (SliceView), built once: a TermTable over its class tokens, whose
 ids are the local ids, with the equation instances and, per local id,
-the closed id of its flattening.  diamond lays the views side by side
-at integer offsets, and the closure reads each view's node table in
-place at its offset; classes rank by closed id, a stage stores the
-class of each local id per slice, and the interface reads only those
-arrays.  The collapse clauses of a slice into a higher stage are read
-off the higher stage's class array for that slice and its tokens.
+the closed id of its flattening.  diamond closes each stage on the closed
+table alone: every pair lies in the class of its flattening in the
+least member's class-less slice, whose view is the closed table (see
+diamond).  Classes rank by closed id, a stage stores the class of each
+local id per slice, and the interface reads only those arrays.  The
+collapse clauses of a slice into a higher stage are read off the higher
+stage's class array for that slice.
 Trees are read off the closed table to print, to export and to hold
 each class's flat; the (slice, term) mapping class_of_pair is kept for
 perfbench/tracing.py and the tests.
@@ -44,8 +45,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from itertools import chain
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .diagrams import Diagram, colim
 from .errors import ArityMismatch, InfinitaryArity, NotStabilized, QitError, StageOverflow
@@ -111,6 +112,7 @@ class Stage:
     slice_views: Mapping[int, SliceView] = field(repr=False)
     slice_classes: Mapping[int, tuple[int, ...]] = field(repr=False)
     build: _Build = field(repr=False, compare=False)
+    _collapse: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -118,6 +120,26 @@ class Stage:
     @cached_property
     def view(self) -> SliceView:
         return _slice_view(self)
+
+    @cached_property
+    def flat_instances(self) -> frozenset[tuple[int, int]]:
+        """The closed id pairs the view's equation instances flatten to."""
+        flats = self.view.flats
+        return frozenset(
+            (flats[lhs], flats[rhs]) for pairs, _ in self.view.instances for lhs, rhs in pairs
+        )
+
+    def collapse(self, low: int) -> frozenset[tuple[int, int]]:
+        """The collapse clauses of slice low into this stage, read through
+        the flats: (low's flat of a local id, flat_id of this stage's class
+        of it), each once and none joining an id to itself.  Built once
+        per slice and kept."""
+        pairs = self._collapse.get(low)
+        if pairs is None:
+            flat_of = [cls.flat_id for cls in self.classes]
+            both = zip(self.slice_views[low].flats, map(flat_of.__getitem__, self.slice_classes[low]))
+            pairs = self._collapse[low] = frozenset(p for p in both if p[0] != p[1])
+        return pairs
 
     @cached_property
     def class_of_pair(self) -> Mapping[tuple[int, Term], int]:
@@ -174,8 +196,14 @@ def _slice_view(st: Stage) -> SliceView:
 
 
 def diamond(build: _Build, slices: Sequence[Stage], fire: set[tuple[int, int]], sid: int) -> Stage:
-    """One quotient stage over the given slice stages.  fire lists the
-    (lower, higher) slice pairs whose collapse clauses are emitted.
+    """One quotient stage over the given slice stages: the least
+    congruence on the pairs (s, n) of a slice s and a local id n of its
+    view (every node keyed, nullary ones included) that contains each
+    slice's equation instances and, for each (low, high) in fire, the
+    collapse clauses (low, n) ~ (high, token of high's class of (low,
+    n)).  Instances are drawn per slice under the budget rule of
+    InstanceShape.envs, a token weighing its class's fd (_slice_view);
+    overflowing instances are never built.
 
     Both callers fire only the covering pairs: (k, j) with j below the
     member this stage summarizes and k in covered[j].  The partition is
@@ -192,84 +220,60 @@ def diamond(build: _Build, slices: Sequence[Stage], fire: set[tuple[int, int]], 
     <=> same down-segment, which is the memo key.  The slices must come
     from build.
 
-    No node-wise ("lifted") collapse clause is emitted either: (k, n) ~
-    (j, op(d_kj k1 ... d_kj km)) for a node n = op(k1 ... km) of slice k.
-    Every node is keyed in the closure, nullary ones included, so op()
-    is one class across slices.  Each (k, ki) meets (j, d_kj ki), so by
-    congruence (k, n) meets the lift, provided the lift lies in j's
-    view.  It does: a class's fd is the depth of its least closed
-    flattening, so it is at most the weighted depth of each of its
-    members, and the lift weighs at most what n weighs, which fits the
-    bound.  So the pool, its flats, the partition and every class rank
-    are those the lifted clauses give.
-
-    Equation instances are drawn per slice under the budget rule of
-    InstanceShape.envs, a token weighing its class's fd: an instance is
-    made exactly when both sides fit the bound with variables at depth 1
-    and every variable v, at deepest position p_v (root = 1), gets a
-    class with fd <= build.depth + 1 - p_v.  Overflowing instances are
-    never built.  The stage is the least congruence on the pool that
-    contains these clauses (congruence_roots).
-
-    The pool is the slices' views laid end to end, slice s from offset
-    base[s], so a pair (s, t) is the id base[s] + t's local id.  The
-    closure reads each view's node table in place, as the block
-    (base[s], view.table.nodes) whose child ids are local to the view;
-    no node is copied to pool ids.  The collapse clauses of a fire pair
-    (low, high) pair each of low's local ids with high's token of its
-    class, read off high.slice_classes[low] and offset by the two bases.
-    Each pool id carries the closed id of its flattening
-    (SliceView.flats), and closed ids run in the term order, so a class
-    ranks by its least closed id, then its first pool id; its flat, sort
-    and fd are read off the closed table at that id."""
+    The stage is computed on build.closed.  Unless slices is empty, one
+    of them must be class-less, or this raises: call it z.  Its view is
+    the closed table and its flats are the identity; in both callers it
+    is the least member's stage, a slice of every stage with classes.
+    Let C be the least congruence on the closed ids that contains each
+    slice's instances read through its flats and, per fire pair (low,
+    high) and local id n of low, (low's flat of n, flat_id of high's
+    class of (low, n)).  The stage relates two pairs exactly when C
+    relates their flats (call that Q):
+    - Q holds the stage: it is a congruence, as a node flattens to the
+      closed node over its children's flats, and every clause flattens
+      to a seed of C, a token to its class's flat_id.  So, child by
+      child, do the lifted clauses (k, n) ~ (j, op(d_kj k1 ... d_kj km))
+      that tests/oracles.py's naive_diamond also emits.
+    - The stage holds Q: by induction on n, (s, n) lies in the class of
+      (z, s's flat of n).  A token of class c meets (z, flat_id of c),
+      which lies in c in stage s, by the collapse clause from z that
+      the covering pairs imply; a node meets its flattening, which lies
+      in z's view (_slice_view raises otherwise), as its children do.
+      Read on z, the stage is a congruence holding every seed of C, so
+      it holds C.
+    So each slice reads its classes, through its flats, off one
+    congruence_roots call over closed.nodes.  Each closed id is a pair
+    of z, so the classes in first-id order rank by least closed id, with
+    no ties; flat, sort and fd are read off the closed table there.  A
+    stage keeps its collapse pairs per lower slice (collapse), since a
+    literal stage is the upper slice of many literal diamonds."""
     closed = build.closed
-    ordered = sorted(slices, key=lambda s: s.sid)
-    by_sid = {st.sid: st for st in ordered}
-    base: dict[int, int] = {}
-    pool_flats: list[int] = []
-    for st in ordered:
-        base[st.sid] = len(pool_flats)
-        pool_flats.extend(st.view.flats)
-
-    # equation instances within one slice, as one list
-    seeds: list[Iterable[tuple[int, int]]] = [[
-        (b + lhs, b + rhs)
-        for st in ordered
-        for b in (base[st.sid],)
-        for pairs, _ in st.view.instances
-        for lhs, rhs in pairs
-    ]]
-    # each local id of low meets high's token of its class, offset
-    # without a Python call; left lazy, as zip reuses its pair once the
-    # closure has unpacked it, where a list would build one per pool id
-    for low, high in sorted(fire):
-        up = by_sid[high]
-        tokens = map(up.view.tokens.__getitem__, up.slice_classes[low])
-        seeds.append(zip(map(base[high].__add__, tokens), count(base[low])))
-
-    blocks = [(base[st.sid], st.view.table.nodes) for st in ordered]
-    groups = root_groups(congruence_roots(len(pool_flats), blocks, chain.from_iterable(seeds)))
-    ranked = sorted(
-        ((min(map(pool_flats.__getitem__, members)), members) for members in groups),
-        key=lambda row: (row[0], row[1][0]),
-    )
-
+    by_sid = {st.sid: st for st in sorted(slices, key=lambda s: s.sid)}
     classes = []
-    class_of = [0] * len(pool_flats)
-    terms, ops = closed.terms, build.sig.ops
-    for cid, (flat, members) in enumerate(ranked):
-        sort = ops[closed.nodes[flat][0]].sort
-        classes.append(StageClass(terms[flat], sort, closed.depths[flat], flat))
-        for n in members:
-            class_of[n] = cid
+    class_of: list[int] = []
+    if by_sid:
+        if all(st.classes for st in by_sid.values()):
+            raise QitError(f"stage {sid} has no class-less slice to close on")
+        seeds = [st.flat_instances for st in by_sid.values()]
+        # the closure's result does not depend on the order of its seeds
+        seeds.extend(by_sid[high].collapse(low) for low, high in fire)
+        groups = root_groups(congruence_roots(closed.nodes, chain.from_iterable(seeds)))
+        class_of = [0] * len(closed.nodes)
+        terms, depths, nodes, ops = closed.terms, closed.depths, closed.nodes, build.sig.ops
+        for cid, members in enumerate(groups):
+            flat = members[0]
+            classes.append(StageClass(terms[flat], ops[nodes[flat][0]].sort, depths[flat], flat))
+            for n in members:
+                class_of[n] = cid
 
     return Stage(
         sid=sid,
         slices=tuple(by_sid),
         classes=tuple(classes),
         slice_views={s: st.view for s, st in by_sid.items()},
+        # a tuple built from a list is sized exactly, one built from map is not
         slice_classes={
-            s: tuple(class_of[base[s] : base[s] + len(st.view.flats)]) for s, st in by_sid.items()
+            s: tuple([class_of[n] for n in st.view.flats]) for s, st in by_sid.items()
         },
         build=build,
     )

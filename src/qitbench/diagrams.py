@@ -78,7 +78,7 @@ class Colimit:
         )
         self.classes: tuple[tuple[tuple[SizeVal, Hashable], ...], ...] = tuple(
             tuple(nodes[n] for n in grp)
-            for grp in root_groups(congruence_roots(len(nodes), (), glued))
+            for grp in root_groups(congruence_roots(range(len(nodes)), glued))
         )
         self._class_of: dict[tuple[SizeVal, Hashable], int] = {}
         for cid, grp in enumerate(self.classes):

@@ -9,13 +9,13 @@ its reference is in tests/oracles.py), as the construction's closed
 table does.  The quotient is the least congruence containing those
 instances.  congruence_roots computes it by union-find with upward
 congruence propagation, keying each node once and re-keying it only
-when a child's class is merged.  It reads node tables in place, each
-laid at an id offset as a block, and is the one closure in the package:
-close_congruence (the universe's node table, one block at 0), each
-construction stage (construction.diamond, one block per slice view) and
-the colimit's gluing (diagrams.Colimit, no blocks) all call it.  Folds
-(qwrec) and eliminations (qwelim) run over the ids, one step per id,
-with their side conditions checked exhaustively over the universe.
+when a child's class is merged.  It reads one node table in place and
+is the one closure in the package: close_congruence (the universe's
+table), each construction stage (construction.diamond, the build's
+closed table) and the colimit's gluing (diagrams.Colimit, a table of
+leaves) all call it.  Folds (qwrec) and eliminations (qwelim) run over
+the ids, one step per id, with their side conditions checked
+exhaustively over the universe.
 Terms are built from the ids only to print them and for readers that
 ask for them (TermUniverse.terms and instance_pairs,
 CongruenceQuotient.canon).
@@ -196,36 +196,32 @@ class CongruenceQuotient:
 
 
 def congruence_roots(
-    n: int,
-    blocks: Iterable[tuple[int, Sequence[Union[int, tuple[object, Sequence[int]]]]]],
+    nodes: Sequence[Union[int, tuple[object, Sequence[int]]]],
     seeds: Iterable[tuple[int, int]],
 ) -> list[int]:
-    """The least congruence on ids 0..n-1 containing the seed pairs, as
-    each id's root.  A block (base, nodes) lays a node table at an
-    offset, read in place: nodes[k] is the node of id base + k, either
-    an int (a leaf) or (op, kids), nullary nodes included, each child c
-    in kids standing for id base + c.  The blocks must not overlap; an
-    id no block covers is a leaf.  Two non-leaf ids whose ops agree and
-    whose children are pairwise related are related, so two nullary
-    nodes of one op always are.  Roots are representatives, not a
-    canonical order.
+    """The least congruence on the ids 0..len(nodes)-1 containing the
+    seed pairs, as each id's root.  The node table is read in place:
+    nodes[n] is the node of id n, either an int (a leaf) or (op, kids),
+    nullary nodes included, kids being ids.  Two non-leaf ids whose ops
+    agree and whose children are pairwise related are related, so two
+    nullary nodes of one op always are.  Roots are representatives, not
+    a canonical order.
 
     A worklist closure in the style of Downey-Sethi-Tarjan that keys
-    each node once, in one pass over the blocks in order and each block
-    in id order, and re-keys a node only when a union changes a child's
-    root.  The seeds are joined first, before any node is keyed.  When
-    the pass keys a node it adds the node to parents[r] for the current
-    root r of each child, and looks its key (op, child roots) up in a
-    signature table.  parents is a list indexed by root, each entry a
-    list of nodes; a node with two children in one class is listed there
-    twice.  Two keys that meet join their nodes' classes; a union goes
-    by class size and moves the absorbed root's parent list onto the
-    kept root's, queueing each node in it for a re-key.  The queue is
-    drained before the pass moves on; a node is re-keyed from its last
-    key, whose roots lie in its children's classes.  A node listed or
-    queued twice is re-keyed twice; the second re-key reads the same
-    roots, meets its own or an already joined entry, and changes
-    nothing.
+    each node once, in one pass over the ids in order, and re-keys a
+    node only when a union changes a child's root.  The seeds are
+    joined first, before any node is keyed.  When the pass keys a node
+    it adds the node to parents[r] for the current root r of each child,
+    and looks its key (op, child roots) up in a signature table.
+    parents is a list indexed by root, each entry a list of nodes; a
+    node with two children in one class is listed there twice.  Two keys
+    that meet join their nodes' classes; a union goes by class size and
+    moves the absorbed root's parent list onto the kept root's, queueing
+    each node in it for a re-key.  The queue is drained before the pass
+    moves on; a node is re-keyed from its last key, whose roots lie in
+    its children's classes.  A node listed or queued twice is re-keyed
+    twice; the second re-key reads the same roots, meets its own or an
+    already joined entry, and changes nothing.
 
     Why the result is the least congruence:
     - every union is justified: two seeds, or two nodes of one op whose
@@ -241,6 +237,7 @@ def congruence_roots(
       them; so the result is a congruence.
     Finds are inlined with path halving, so the loops over seeds and
     children make no Python call per item."""
+    n = len(nodes)
     parent = list(range(n))
     size = [1] * n
     for a, b in seeds:
@@ -261,64 +258,62 @@ def congruence_roots(
     sigtab: dict[tuple, int] = {}
     pending: list[int] = []
 
-    for base, nodes in blocks:
-        for pos, node in enumerate(nodes, base):
-            if node.__class__ is int:
-                continue
-            op, kids = node
-            key = [op]
-            for c in kids:
-                c += base
+    for pos, node in enumerate(nodes):
+        if node.__class__ is int:
+            continue
+        op, kids = node
+        key = [op]
+        for c in kids:
+            while parent[c] != c:
+                parent[c] = c = parent[parent[c]]
+            key.append(c)
+            ps = parents[c]
+            if ps is None:
+                parents[c] = [pos]
+            else:
+                ps.append(pos)
+        # look the key up, then re-key queued nodes until none is left
+        x = pos
+        while True:
+            key = tuple(key)
+            a = sigtab.setdefault(key, x)
+            if a == x:
+                keys[x] = key
+            else:
+                # a's last key is this one: share it
+                keys[x] = keys[a]
+                b = x
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a != b:
+                    if size[a] < size[b]:
+                        a, b = b, a
+                    parent[b] = a
+                    size[a] += size[b]
+                    # b is a root no more, so parents[b] is never read again
+                    gone = parents[b]
+                    if gone is not None:
+                        pending.extend(gone)
+                        kept = parents[a]
+                        if kept is None:
+                            parents[a] = gone
+                        elif len(kept) < len(gone):
+                            gone += kept
+                            parents[a] = gone
+                        else:
+                            kept += gone
+            if not pending:
+                break
+            x = pending.pop()
+            # the roots of x's last key lie in its children's classes
+            key = [*keys[x]]
+            for i in range(1, len(key)):
+                c = key[i]
                 while parent[c] != c:
                     parent[c] = c = parent[parent[c]]
-                key.append(c)
-                ps = parents[c]
-                if ps is None:
-                    parents[c] = [pos]
-                else:
-                    ps.append(pos)
-            # look the key up, then re-key queued nodes until none is left
-            x = pos
-            while True:
-                key = tuple(key)
-                a = sigtab.setdefault(key, x)
-                if a == x:
-                    keys[x] = key
-                else:
-                    # a's last key is this one: share it
-                    keys[x] = keys[a]
-                    b = x
-                    while parent[a] != a:
-                        parent[a] = a = parent[parent[a]]
-                    while parent[b] != b:
-                        parent[b] = b = parent[parent[b]]
-                    if a != b:
-                        if size[a] < size[b]:
-                            a, b = b, a
-                        parent[b] = a
-                        size[a] += size[b]
-                        # b is a root no more, so parents[b] is never read again
-                        gone = parents[b]
-                        if gone is not None:
-                            pending.extend(gone)
-                            kept = parents[a]
-                            if kept is None:
-                                parents[a] = gone
-                            elif len(kept) < len(gone):
-                                gone += kept
-                                parents[a] = gone
-                            else:
-                                kept += gone
-                if not pending:
-                    break
-                x = pending.pop()
-                # the roots of x's last key lie in its children's classes
-                key = [*keys[x]]
-                for i in range(1, len(key)):
-                    c = key[i]
-                    while parent[c] != c:
-                        parent[c] = c = parent[parent[c]]
-                    key[i] = c
+                key[i] = c
 
     for x in range(n):
         r = parent[x]
@@ -344,12 +339,11 @@ def root_groups(roots: Sequence[int]) -> list[list[int]]:
 
 def close_congruence(universe: TermUniverse) -> CongruenceQuotient:
     """The least congruence on the universe containing its equation
-    instances.  The universe's node table is read in place as one block;
-    every node is keyed, nullary ones included, by the rule the
-    construction's stages use."""
-    nodes = universe.table.nodes
+    instances.  The universe's node table is read in place; every node
+    is keyed, nullary ones included, by the rule the construction's
+    stages use."""
     seeds = ((lhs, rhs) for _, _, lhs, rhs in universe.instances)
-    return CongruenceQuotient(universe, congruence_roots(len(nodes), [(0, nodes)], seeds))
+    return CongruenceQuotient(universe, congruence_roots(universe.table.nodes, seeds))
 
 
 def decide_eq(q: CongruenceQuotient, a: Term, b: Term) -> str:

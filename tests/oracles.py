@@ -544,7 +544,7 @@ def naive_diamond(
         else n
         for n, (s, t) in enumerate(pool)
     ]
-    roots = congruence_roots(len(pool), [(0, nodes)], seeds())
+    roots = congruence_roots(nodes, seeds())
 
     flat_env = {
         _token(st.sid, c): cls.flat for st in slices for c, cls in enumerate(st.classes)
@@ -662,7 +662,7 @@ def naive_close_congruence(u: NaiveUniverse) -> NaiveQuotient:
     pos = u.index.__getitem__
     nodes = [(t.op, tuple(pos(c) for c in t.children.entries)) for t in u.terms]
     seeds = ((pos(lhs), pos(rhs)) for _, _, lhs, rhs in u.instance_pairs)
-    roots = congruence_roots(len(nodes), [(0, nodes)], seeds)
+    roots = congruence_roots(nodes, seeds)
     groups: dict[int, list[int]] = {}
     for p, root in enumerate(roots):
         groups.setdefault(root, []).append(p)

@@ -365,12 +365,17 @@ def assert_stages_match_naive(appx) -> int:
         done.add(sid)
         fire = {(appx.stage_of[k], appx.stage_of[j]) for j in u.below[i] for k in u.below[j]}
         stage = appx.stages[sid]
-        slices = [appx.stages[s] for s in stage.slices]
-        naive = naive_diamond(appx.sig, appx.sys, appx.depth, slices, fire, sid)
-        assert stage.slices == naive.slices
-        assert stage_rows(stage) == [tuple(c) for c in naive.classes]
-        assert dict(stage.class_of_pair) == naive.class_of_pair
+        assert_stage_matches_naive(appx, stage, [appx.stages[s] for s in stage.slices], fire)
     return len(done)
+
+
+def assert_stage_matches_naive(appx, stage, slices, fire) -> None:
+    """naive_diamond over the same slices and fire set gives stage's
+    classes and class_of_pair."""
+    naive = naive_diamond(appx.sig, appx.sys, appx.depth, slices, fire, stage.sid)
+    assert stage.slices == naive.slices
+    assert stage_rows(stage) == [tuple(c) for c in naive.classes]
+    assert dict(stage.class_of_pair) == naive.class_of_pair
 
 
 # the generated universe, and two explicit ones: in the first <= is not
@@ -382,12 +387,22 @@ UNIVERSES = (
 )
 
 
-def test_bag_stages_equal_naive_diamond():
+def bag_builds():
     sig, sys = bag_sig(("a", "b")), bag_system(("a", "b"))
     for universe in UNIVERSES:
         for depth in (2, 3):
-            appx = build_fixed_point(sig, sys, universe(4), depth)
-            assert assert_stages_match_naive(appx) == len(appx.stages)
+            yield build_fixed_point(sig, sys, universe(4), depth)
+
+
+def commtree_ab_build():
+    decl = parse_decl((FIXTURES / "commtree.qit").read_text())
+    sig, sys = elaborate(decl, {"X": ("a", "b")})
+    return build_fixed_point(sig, sys, SizeUniverse(MIN, 3), 3)
+
+
+def test_bag_stages_equal_naive_diamond():
+    for appx in bag_builds():
+        assert assert_stages_match_naive(appx) == len(appx.stages)
 
 
 def test_commvec_stages_equal_naive_diamond():
@@ -398,9 +413,7 @@ def test_commvec_stages_equal_naive_diamond():
 
 
 def test_commtree_stages_equal_naive_diamond():
-    decl = parse_decl((FIXTURES / "commtree.qit").read_text())
-    sig, sys = elaborate(decl, {"X": ("a", "b")})
-    appx = build_fixed_point(sig, sys, SizeUniverse(MIN, 3), 3)
+    appx = commtree_ab_build()
     assert assert_stages_match_naive(appx) == len(appx.stages)
 
 
@@ -445,6 +458,94 @@ def test_generated_stages_equal_naive_diamond(case, height, depth):
     sig, eq = case
     appx = build_fixed_point(sig, SystemOfEquations((eq,)), SizeUniverse(MIN, height), depth)
     assert_stages_match_naive(appx)
+
+
+def literal_stages(appx) -> list[tuple]:
+    """Every member's literal stage, rebuilt as check_restriction builds
+    it: one slice per smaller member, the covering pairs below the
+    member fired.  Each comes with its slices and its fire set."""
+    u = appx.universe
+    literal, out = {}, []
+    for i in u.members:
+        pos = u.position(i)
+        slices = [literal[u.position(j)] for j in u.below[i]]
+        fire = {(u.position(k), u.position(j)) for j in u.below[i] for k in u.covered[j]}
+        literal[pos] = diamond(appx.build, slices, fire, pos)
+        out.append((literal[pos], slices, fire))
+    return out
+
+
+def assert_literal_stages_match_naive(appx) -> int:
+    """Rebuild every member's literal stage and demand naive_diamond's
+    classes and class_of_pair over the same slices and fire set.
+    Returns the stage count."""
+    rebuilt = literal_stages(appx)
+    for stage, slices, fire in rebuilt:
+        assert_stage_matches_naive(appx, stage, slices, fire)
+    return len(rebuilt)
+
+
+def assert_pullback(stage) -> None:
+    """Each pair's class is the class, in the class-less slice, of the
+    pair's flattening: read off the stored arrays, not the closure."""
+    if not stage.slices:
+        return
+    zero = next(s for s in stage.slices if not stage.slice_views[s].tokens)
+    assert stage.slice_views[zero].flats == tuple(range(len(stage.build.closed.nodes)))
+    at_zero = stage.slice_classes[zero]
+    for s in stage.slices:
+        flats = stage.slice_views[s].flats
+        assert stage.slice_classes[s] == tuple(map(at_zero.__getitem__, flats))
+
+
+def assert_pullback_everywhere(appx) -> int:
+    """assert_pullback on every shared and every literal stage; returns
+    how many stages it read."""
+    stages = list(appx.stages) + [stage for stage, _, _ in literal_stages(appx)]
+    for stage in stages:
+        assert_pullback(stage)
+    return len(stages)
+
+
+def test_bag_literal_stages_equal_naive_diamond():
+    for appx in bag_builds():
+        assert assert_literal_stages_match_naive(appx) == len(appx.universe.members)
+
+
+def test_commtree_literal_stages_equal_naive_diamond():
+    appx = commtree_ab_build()
+    assert assert_literal_stages_match_naive(appx) == len(appx.universe.members)
+
+
+@given(equations(), st.sampled_from(HEIGHT_DEPTHS))
+def test_generated_literal_stages_equal_naive_diamond(case, height_depth):
+    sig, eq = case
+    height, depth = height_depth
+    appx = build_fixed_point(sig, SystemOfEquations((eq,)), SizeUniverse(MIN, height), depth)
+    assert assert_literal_stages_match_naive(appx) == len(appx.universe.members)
+
+
+def test_bag_and_commtree_stages_are_pullbacks_of_the_class_less_slice():
+    for appx in (*bag_builds(), commtree_ab_build()):
+        assert assert_pullback_everywhere(appx) == len(appx.stages) + len(appx.universe.members)
+
+
+@given(equations(), st.sampled_from(HEIGHT_DEPTHS))
+def test_generated_stages_are_pullbacks_of_the_class_less_slice(case, height_depth):
+    sig, eq = case
+    height, depth = height_depth
+    appx = build_fixed_point(sig, SystemOfEquations((eq,)), SizeUniverse(MIN, height), depth)
+    assert assert_pullback_everywhere(appx) == len(appx.stages) + len(appx.universe.members)
+
+
+def test_a_diamond_without_a_class_less_slice_names_its_stage():
+    # closing on the closed table needs the class-less slice; without it
+    # the partition would be the closed table's, not the slices'
+    _, _, u, appx = bag_fixture()
+    one = appx.stage_at(u.sig.suc(size_zero(u.sig)))
+    assert len(one) > 0
+    with pytest.raises(QitError, match="stage 99 has no class-less slice"):
+        diamond(appx.build, [one], set(), sid=99)
 
 
 # --- collapse clauses along covering pairs give the full-fire stages ---
