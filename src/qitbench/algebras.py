@@ -2,8 +2,8 @@
 
 Carrier values are ordinary hashable Python data: strings (atoms), ints
 (naturals), tuples, and terms.  An algebra interprets finitary operators
-through tables or a fallback function and countable operators through
-named rules that receive the child family as a callable.
+through tables and countable operators through named rules that receive
+the child family as a callable.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class Algebra:
     carrier: Optional[tuple[Value, ...]] = None
     tables: Mapping[OpSym, Mapping[tuple, Value]] = field(default_factory=dict)
     rules: Mapping[OpSym, Callable[[Callable[[int], Value]], Value]] = field(default_factory=dict)
-    fn: Optional[Callable[[OpSym, tuple], Value]] = None
 
     @cached_property
     def _tabulated(self) -> dict[OpSym, Mapping[tuple, Value]]:
@@ -47,8 +46,8 @@ class Algebra:
 
     def table_for(self, op: OpSym) -> Optional[Mapping[tuple, Value]]:
         """The table interp applies to op: its entry in tables when op is
-        a declared finitary operator, None when interp turns to fn or a
-        rule, or rejects op."""
+        a declared finitary operator, None when interp turns to a rule or
+        rejects op."""
         return self._tabulated.get(op)
 
     def interp(self, op: OpSym, args) -> Value:
@@ -60,8 +59,6 @@ class Algebra:
             except KeyError:
                 raise PartialAlgebra(f"{op.show()} has no table entry for {args!r}")
         if self.sig.decl(op).arity.finite:
-            if self.fn is not None:
-                return self.fn(op, tuple(args))
             raise PartialAlgebra(f"no interpretation for {op.show()}")
         rule = self.rules.get(op)
         if rule is None:

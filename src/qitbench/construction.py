@@ -9,11 +9,10 @@ implies node-wise collapse (see diamond).  Collapse clauses are emitted
 only along covering pairs k < j (SizeUniverse.covered, nothing strictly
 between): those of any other k < j follow through a chain of covering
 pairs, so the stage is the same (see diamond).  Members with identical
-strict down-segments provably share a stage, so the build walks the
-members once, below-first, and makes one stage per distinct
-down-segment; the restriction check recomputes the literal per-member
-reading independently and compares it through one label array per
-member.
+strict down-segments provably share a stage, so the build makes one
+stage per distinct down-segment (SizeUniverse.segments), below-first;
+the restriction check recomputes the literal per-member reading
+independently and compares it through one label array per member.
 
 Terms are integer ids from enumeration to colimit.  Each build holds
 one closed TermTable: every closed term within the depth bound, its ids
@@ -32,8 +31,11 @@ Trees are read off the closed table to print, to export and to hold
 each class's flat; the (slice, term) mapping class_of_pair is kept for
 perfbench/tracing.py and the tests.
 
-The colimit of the stages carries the constructor map (children pushed
-to a common stage, wrapped in a node, read off at the successor stage).
+The stage diagram (to_diagram) labels each member by its stage: one
+transition map per stage and slice, which diagrams.Colimit checks and
+glues per stage transition, not per member pair.  Its colimit carries
+the constructor map (children pushed to a common stage, wrapped in a
+node, read off at the successor stage).
 compare_with_oracle certifies the whole construction against the
 congruence-closure quotient on the shared depth-d fragment.  The
 paper's other checks on the colimit (equations, recursion, uniqueness,
@@ -391,33 +393,32 @@ class Approximation:
         return checked
 
     def to_diagram(self) -> Diagram:
-        """The stage diagram.  A transition depends only on the two
-        members' stages, so member pairs over one stage pair share a map."""
+        """The stage diagram, labelled by stage.  A transition depends
+        only on the two members' stages, so there is one map per distinct
+        stage pair, read off one member pair: per down-segment, the first
+        member of each stage in it and the first member above it."""
         u = self.universe
-        family = {i: tuple(range(len(self.stage_at(i)))) for i in u.members}
-        by_stages: dict[tuple[int, int], dict[int, int]] = {}
+        family = {sid: tuple(range(len(st))) for sid, st in enumerate(self.stages)}
         maps = {}
-        for i in u.members:
-            for j in u.above[i]:
-                key = (self.stage_of[i], self.stage_of[j])
-                step = by_stages.get(key)
-                if step is None:
-                    step = by_stages[key] = {c: self.delta(i, j, c) for c in family[i]}
-                maps[(i, j)] = step
-        return Diagram(u, family, maps)
+        for below, tops in u.segments.items():
+            j = tops[0]
+            firsts = {}
+            for i in below:
+                firsts.setdefault(self.stage_of[i], i)
+            for si, i in firsts.items():
+                maps[(si, self.stage_of[j])] = {c: self.delta(i, j, c) for c in family[si]}
+        return Diagram(u, self.stage_of, family, maps)
 
     def dump(self) -> str:
-        return (
-            "\n".join(
-                f"stage {show_size(i)}: {len(self.stage_at(i))}" for i in self.universe.members
-            )
-            + "\n"
+        return "".join(
+            f"stage {shown}: {len(self.stage_at(i))}\n"
+            for i, shown in zip(self.universe.members, self.universe.shown())
         )
 
     def export(self) -> str:
         lines = [f"depth {self.depth} height {self.universe.height}"]
-        for i in self.universe.members:
-            lines.append(f"member {show_size(i)} -> stage {self.stage_of[i]}")
+        for i, shown in zip(self.universe.members, self.universe.shown()):
+            lines.append(f"member {shown} -> stage {self.stage_of[i]}")
         for st in self.stages:
             slices = " ".join(str(s) for s in st.slices)
             lines.append(f"stage {st.sid}: slices ({slices}) classes {len(st)}")
@@ -446,7 +447,7 @@ def build_fixed_point(
     sig: Signature, sys: SystemOfEquations, u: SizeUniverse, depth_bound: int
 ) -> Approximation:
     """The stages of every member of u, certified: one stage per distinct
-    strict down-segment, built in one below-first pass over the members.
+    strict down-segment, built in one below-first pass over the segments.
     The build's closed table gets its first listing with want None, so
     its ids are handed out by depth, then by operator position, then
     children lexicographically by id: by induction on depth, the term
@@ -459,18 +460,14 @@ def build_fixed_point(
     build.closed.upto(depth_bound)
     stages: list[Stage] = []
     stage_of: dict[SizeVal, int] = {}
-    by_segment: dict[tuple[SizeVal, ...], int] = {}
-    # members come below-first, so every member below i already has its stage
-    for i in u.members:
-        below = u.below[i]
-        sid = by_segment.get(below)
-        if sid is None:
-            slice_sids = sorted({stage_of[j] for j in below})
-            # k < j < i puts k below i; covering pairs suffice (see diamond)
-            fire = {(stage_of[k], stage_of[j]) for j in below for k in u.covered[j]}
-            sid = by_segment[below] = len(stages)
-            stages.append(diamond(build, [stages[s] for s in slice_sids], fire, sid=sid))
-        stage_of[i] = sid
+    # segments come in the order of their first member, below-first, so
+    # every member below a segment's members already has its stage
+    for sid, (below, tops) in enumerate(u.segments.items()):
+        slice_sids = sorted({stage_of[j] for j in below})
+        # k < j < i puts k below i; covering pairs suffice (see diamond)
+        fire = {(stage_of[k], stage_of[j]) for j in below for k in u.covered[j]}
+        stages.append(diamond(build, [stages[s] for s in slice_sids], fire, sid=sid))
+        stage_of.update(dict.fromkeys(tops, sid))
     appx = Approximation(
         sig=sig,
         sys=sys,

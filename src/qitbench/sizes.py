@@ -20,9 +20,12 @@ the <=-sets of p's children, and q <= p iff q's child mask lies inside
 lt_bits[p].  The strict down-sets (below) and up-sets (above) are read
 off those bits, so loops over ordered pairs or chains walk only the
 pairs that exist.  The covering pairs (covered: the members strictly
-below j with no member strictly between) come from the same bits.  The
-universe decides the order on its members only; the recursion above,
-memoized, is its reference (tests/oracles.py's PlumpOrder).
+below j with no member strictly between) come from the same bits, and
+so do the distinct down-segments with the members whose down-segment
+each is (segments), which let a loop over member pairs run once per
+segment instead.  The universe decides the order on its members only;
+the recursion above, memoized, is its reference (tests/oracles.py's
+PlumpOrder).
 """
 
 from __future__ import annotations
@@ -86,14 +89,30 @@ class SizeVal:
         return show_size(self)
 
 
-def show_size(i: SizeVal) -> str:
-    if not i.children:
-        return f"(sz {i.op})"
-    return f"(sz {i.op} " + " ".join(show_size(c) for c in i.children) + ")"
+# Both recursions below take an optional memo, known, in which each size
+# they reach is recorded: a loop over many sizes that share subtrees,
+# passing one memo, visits each shared subtree once.
 
 
-def height(i: SizeVal) -> int:
-    return 1 + max((height(c) for c in i.children), default=0)
+def show_size(i: SizeVal, known: Optional[dict[SizeVal, str]] = None) -> str:
+    text = None if known is None else known.get(i)
+    if text is None:
+        if not i.children:
+            text = f"(sz {i.op})"
+        else:
+            text = f"(sz {i.op} " + " ".join(show_size(c, known) for c in i.children) + ")"
+        if known is not None:
+            known[i] = text
+    return text
+
+
+def height(i: SizeVal, known: Optional[dict[SizeVal, int]] = None) -> int:
+    h = None if known is None else known.get(i)
+    if h is None:
+        h = 1 + max((height(c, known) for c in i.children), default=0)
+        if known is not None:
+            known[i] = h
+    return h
 
 
 def size_signature_for(sig: Signature, sys: SystemOfEquations) -> SizeSig:
@@ -147,7 +166,10 @@ class SizeUniverse:
             for op, kids in table.nodes:
                 members.append(SizeVal(sig.ops[op][0], tuple(members[k] for k in kids)))
         # below-first: whatever lies below a member has a smaller height
-        self.members: tuple[SizeVal, ...] = tuple(sorted(members, key=height))
+        heights: dict[SizeVal, int] = {}
+        self.members: tuple[SizeVal, ...] = tuple(
+            sorted(members, key=lambda m: height(m, heights))
+        )
         self._position = {m: p for p, m in enumerate(self.members)}
 
         # bit q of _masks[p] / _lt_bits[p]: members[q] is a child of / < members[p]
@@ -178,20 +200,35 @@ class SizeUniverse:
             covered_bits.append(strict & ~between)
             children_of[mask] = children_of.get(mask, 0) | 1 << p
 
+        # each distinct down-set -> the members whose down-set it is
+        tops: dict[int, int] = {}
+        for p, bits in enumerate(self._lt_bits):
+            tops[bits] = tops.get(bits, 0) | 1 << p
+        # k is above j iff j lies in k's down-set
+        above_bits = [0] * len(self.members)
+        for bits, ks in tops.items():
+            for j in self._positions_at(bits):
+                above_bits[j] |= ks
         # members with equal bits share one tuple: the 677 members of height
         # <= 5 have only 5 distinct down-sets and 5 distinct covering sets
-        segments = {bits: self._members_at(bits) for bits in {*self._lt_bits, *covered_bits}}
+        shared = {
+            bits: tuple(map(self.members.__getitem__, self._positions_at(bits)))
+            for bits in {*self._lt_bits, *covered_bits, *above_bits, *tops.values()}
+        }
         self.below: dict[SizeVal, tuple[SizeVal, ...]] = {
-            m: segments[self._lt_bits[p]] for p, m in enumerate(self.members)
+            m: shared[self._lt_bits[p]] for p, m in enumerate(self.members)
         }
         self.covered: dict[SizeVal, tuple[SizeVal, ...]] = {
-            m: segments[covered_bits[p]] for p, m in enumerate(self.members)
+            m: shared[covered_bits[p]] for p, m in enumerate(self.members)
         }
-        above: dict[SizeVal, list[SizeVal]] = {m: [] for m in self.members}
-        for k, lower in self.below.items():
-            for j in lower:
-                above[j].append(k)
-        self.above: dict[SizeVal, tuple[SizeVal, ...]] = {m: tuple(ks) for m, ks in above.items()}
+        self.above: dict[SizeVal, tuple[SizeVal, ...]] = {
+            m: shared[above_bits[p]] for p, m in enumerate(self.members)
+        }
+        # each distinct down-segment -> the members whose down-segment it
+        # is, both in member order
+        self.segments: dict[tuple[SizeVal, ...], tuple[SizeVal, ...]] = {
+            shared[bits]: shared[ks] for bits, ks in tops.items()
+        }
 
     def __contains__(self, i: SizeVal) -> bool:
         return i in self._position
@@ -199,13 +236,20 @@ class SizeUniverse:
     def position(self, i: SizeVal) -> int:
         return self._position[i]
 
-    def _members_at(self, bits: int) -> tuple[SizeVal, ...]:
+    def shown(self) -> list[str]:
+        """show_size of each member, in member order, printing each shared
+        subtree once."""
+        known: dict[SizeVal, str] = {}
+        return [show_size(m, known) for m in self.members]
+
+    @staticmethod
+    def _positions_at(bits: int) -> list[int]:
         out = []
         while bits:
             low = bits & -bits
-            out.append(self.members[low.bit_length() - 1])
+            out.append(low.bit_length() - 1)
             bits ^= low
-        return tuple(out)
+        return out
 
     def lt(self, i: SizeVal, j: SizeVal) -> bool:
         """i < j, for members i and j."""

@@ -50,9 +50,17 @@ def tabulate(sig: Signature, carrier: Sequence[Value], fn: Callable[[OpSym, tupl
     return Algebra(sig, carrier, tables, {})
 
 
+class TermAlgebra(Algebra):
+    """The open-ended algebra of terms: every finitary node is itself."""
+
+    def interp(self, op: OpSym, args) -> Value:
+        if self.sig.decl(op).arity.finite:
+            return Node(op, Tab(tuple(args)))
+        return super().interp(op, args)
+
+
 def term_algebra(sig: Signature) -> Algebra:
-    """The open-ended algebra of terms: every node is itself."""
-    return Algebra(sig, None, {}, {}, lambda op, args: Node(op, Tab(args)))
+    return TermAlgebra(sig)
 
 
 def size_zero(sig: SizeSig) -> SizeVal:

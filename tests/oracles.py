@@ -450,6 +450,40 @@ def naive_components(nodes: list, pairs: list[tuple]) -> list[set[int]]:
     return components
 
 
+def naive_diagram_fault(d) -> Optional[str]:
+    """The fault Diagram.check reports first, or None: every member pair
+    and then every member triple walked in member order, then up-set
+    order, each reading its maps through the members' labels."""
+    u, label, family = d.universe, d.label, d.family
+    for i in u.members:
+        if i not in label or label[i] not in family:
+            return f"no carrier at {show_size(i)}"
+
+    def step(i, j):
+        return d.maps.get((label[i], label[j]))
+
+    for i in u.members:
+        for j in u.above[i]:
+            s = step(i, j)
+            if s is None:
+                return f"no map {show_size(i)} -> {show_size(j)}"
+            for x in family[label[i]]:
+                if x not in s:
+                    return f"map {show_size(i)} -> {show_size(j)} undefined at {x!r}"
+                if s[x] not in family[label[j]]:
+                    return f"map {show_size(i)} -> {show_size(j)} escapes the carrier at {x!r}"
+    for i in u.members:
+        for j in u.above[i]:
+            for k in u.above[j]:
+                lo, mid, hi = step(i, j), step(j, k), step(i, k)
+                if hi is None:
+                    return f"no map {show_size(i)} -> {show_size(k)}"
+                for x in family[label[i]]:
+                    if mid[lo[x]] != hi[x]:
+                        return f"composition mismatch at {x!r} through {show_size(j)}"
+    return None
+
+
 # --- the stage diamond over term trees, as it was before slice views ---
 
 

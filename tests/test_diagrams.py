@@ -4,19 +4,56 @@
 from __future__ import annotations
 
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
+from qitbench.construction import build_fixed_point
 from qitbench.diagrams import Colimit, Diagram, colim
 from qitbench.errors import FunctorialityViolation, QitError
-from qitbench.sizes import SizeSig, SizeUniverse, height
+from qitbench.schema import elaborate, parse_decl
+from qitbench.sizes import SizeSig, SizeUniverse, height, show_size
 
+from helpers import bag_sig, bag_system
 from helpers import chain as chain_universe
 from helpers import mutual_le_universe, size_zero
-from oracles import PlumpOrder, naive_components
+from oracles import PlumpOrder, naive_components, naive_diagram_fault
 from theorems import check_power_cocontinuity, constant_diagram, growing_chain, power_diagram
 
 MIN = SizeSig.minimal()
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+
+def per_member(u):
+    """The identity label: a diagram given per member."""
+    return {i: i for i in u.members}
+
+
+def member_edges(d):
+    """Every (member, element) node, member by member, and the edge of
+    each member pair i < j at each element of i's carrier."""
+    u, label = d.universe, d.label
+    nodes = [(i, x) for i in u.members for x in d.family[label[i]]]
+    edges = [
+        ((i, x), (j, d.maps[(label[i], label[j])][x]))
+        for i in u.members
+        for j in u.above[i]
+        for x in d.family[label[i]]
+    ]
+    return nodes, edges
+
+
+def assert_classes_match_components(d, c):
+    """The colimit's classes are the components of the gluing graph over
+    every member pair, in the order of their first node."""
+    nodes, edges = member_edges(d)
+    index = {node: n for n, node in enumerate(nodes)}
+    mine = [[index[node] for node in grp] for grp in c.classes]
+    assert mine == [sorted(comp) for comp in naive_components(nodes, edges)]
+    for cid, grp in enumerate(c.classes):
+        for i, x in grp:
+            assert c.inject(i, x) == cid
 
 
 def universe():
@@ -64,7 +101,7 @@ def test_check_walks_chains_up_to_the_top_height():
     corrupted = dict(d.maps)
     corrupted[(one, top)] = {0: 1, 1: 0}
     with pytest.raises(FunctorialityViolation, match="composition mismatch"):
-        Diagram(u, d.family, corrupted).check()
+        Diagram(u, d.label, d.family, corrupted).check()
 
 
 def test_constant_diagram_colimit():
@@ -85,25 +122,16 @@ def test_growing_chain_matches_component_oracle():
     c = colim(d)
     assert len(c) == 3
 
-    nodes = [(i, x) for i in u.members for x in d.family[i]]
-    pairs = [
-        ((i, x), (j, step[x]))
-        for (i, j), step in d.maps.items()
-        for x in d.family[i]
-    ]
-    oracle = naive_components(nodes, pairs)
-    index = {node: n for n, node in enumerate(nodes)}
-    mine = [{index[node] for node in grp} for grp in c.classes]
-    assert sorted(map(sorted, mine)) == sorted(map(sorted, oracle))
+    assert_classes_match_components(d, c)
 
 
 def test_empty_diagram():
     u = universe()
-    d = Diagram(u, {i: () for i in u.members}, {})
-    with pytest.raises(FunctorialityViolation):
+    d = Diagram(u, per_member(u), {i: () for i in u.members}, {})
+    with pytest.raises(FunctorialityViolation, match="no map"):
         d.check()
     maps = {(i, j): {} for i in u.members for j in u.members if u.lt(i, j)}
-    c = colim(Diagram(u, {i: () for i in u.members}, maps))
+    c = colim(Diagram(u, per_member(u), {i: () for i in u.members}, maps))
     assert len(c) == 0
 
 
@@ -114,23 +142,31 @@ def test_functoriality_violations():
 
     missing = dict(d.maps)
     del missing[(zero, one)]
-    with pytest.raises(FunctorialityViolation):
-        Diagram(u, d.family, missing).check()
+    with pytest.raises(FunctorialityViolation, match="no map"):
+        Diagram(u, d.label, d.family, missing).check()
 
     escaping = dict(d.maps)
     escaping[(zero, one)] = {0: 7, 1: 1}
-    with pytest.raises(FunctorialityViolation):
-        Diagram(u, d.family, escaping).check()
+    with pytest.raises(FunctorialityViolation, match="escapes the carrier at 0"):
+        Diagram(u, d.label, d.family, escaping).check()
+
+    undefined = dict(d.maps)
+    undefined[(zero, one)] = {0: 0}
+    with pytest.raises(FunctorialityViolation, match="undefined at 1"):
+        Diagram(u, d.label, d.family, undefined).check()
 
     top = u.members[-1]
     twisted = dict(d.maps)
     twisted[(zero, top)] = {0: 1, 1: 0}
-    with pytest.raises(FunctorialityViolation):
-        Diagram(u, d.family, twisted).check()
+    with pytest.raises(FunctorialityViolation, match="composition mismatch"):
+        Diagram(u, d.label, d.family, twisted).check()
 
     nocarrier = {i: (0, 1) for i in u.members[1:]}
-    with pytest.raises(FunctorialityViolation):
-        Diagram(u, nocarrier, d.maps).check()
+    with pytest.raises(FunctorialityViolation, match="no carrier"):
+        Diagram(u, d.label, nocarrier, d.maps).check()
+    unlabelled = {i: i for i in u.members[1:]}
+    with pytest.raises(FunctorialityViolation, match="no carrier"):
+        Diagram(u, unlabelled, d.family, d.maps).check()
 
 
 def test_inject_rejects_unknown_node():
@@ -188,7 +224,7 @@ def test_power_cocontinuity_detects_failure():
     for n, i in enumerate(tops):
         family[i] = (f"e{n}",)
     maps = {(i, j): {} for i in u.members for j in u.members if u.lt(i, j)}
-    d = Diagram(u, family, maps)
+    d = Diagram(u, per_member(u), family, maps)
     assert len(colim(d)) == len(tops)
 
     one = check_power_cocontinuity(d, ("p",))
@@ -214,3 +250,135 @@ def test_growing_chain_heights():
     d = growing_chain(u)
     for i in u.members:
         assert len(d.family[i]) == height(i)
+
+
+def by_height(u, carrier, maps=None):
+    """Label each member by its height: members of one height share a
+    carrier, and identity maps between heights unless given."""
+    heights = sorted({height(i) for i in u.members})
+    if maps is None:
+        maps = {(a, b): {x: x for x in carrier} for a in heights for b in heights if a < b}
+    return Diagram(u, {i: height(i) for i in u.members}, {h: tuple(carrier) for h in heights}, maps)
+
+
+def test_height_labelled_diagram_rejects_one_bad_transition():
+    u = SizeUniverse(MIN, 4)
+    good = by_height(u, (0, 1))
+    good.check()
+    assert len(colim(good)) == 2
+    # the labels are far from injective: 26 members, 4 heights
+    assert len(u.members) == 26 and len(good.maps) == 6
+    twisted = dict(good.maps)
+    twisted[(1, 3)] = {0: 1, 1: 0}
+    bad = Diagram(u, good.label, good.family, twisted)
+    with pytest.raises(FunctorialityViolation, match="composition mismatch") as info:
+        bad.check()
+    assert str(info.value) == naive_diagram_fault(bad)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_labelled_check_reports_the_first_member_fault(seed):
+    """Corrupt one or two label transitions of a labelled diagram; the
+    check fails exactly when some member pair or triple does, naming the
+    first in member order."""
+    rng = random.Random(seed)
+    u = SizeUniverse(MIN, rng.choice([3, 4]))
+    if rng.random() < 0.5:
+        good = by_height(u, (0, 1, 2))
+    else:
+        # the construction's labelling: one label per down-segment
+        segment = {k: n for n, tops in enumerate(u.segments.values()) for k in tops}
+        labels = sorted(set(segment.values()))
+        maps = {
+            (segment[i], segment[j]): {x: x for x in (0, 1, 2)}
+            for i in u.members
+            for j in u.above[i]
+        }
+        good = Diagram(u, segment, {n: (0, 1, 2) for n in labels}, maps)
+    maps = dict(good.maps)
+    for key in rng.sample(sorted(maps), min(len(maps), rng.choice([0, 1, 2]))):
+        kind = rng.choice(["drop", "partial", "escape", "permute", "permute"])
+        if kind == "drop":
+            del maps[key]
+        elif kind == "partial":
+            maps[key] = {0: 0, 1: 1}
+        elif kind == "escape":
+            maps[key] = {0: 0, 1: 1, 2: 9}
+        else:
+            maps[key] = dict(zip((0, 1, 2), rng.sample((0, 1, 2), 3)))
+    d = Diagram(u, good.label, good.family, maps)
+    want = naive_diagram_fault(d)
+    if want is None:
+        d.check()
+    else:
+        with pytest.raises(FunctorialityViolation) as info:
+            d.check()
+        assert str(info.value) == want
+
+
+@pytest.mark.parametrize("bound", [3, 4])
+def test_height_labelled_colimit_matches_member_pair_components(bound):
+    """Carrier range(h) at height h and inclusions: the element h - 1 is
+    new at height h, so members of one height lying in one down-segment
+    meet only through a member above them."""
+    u = SizeUniverse(MIN, bound)
+    heights = sorted({height(i) for i in u.members})
+    maps = {(a, b): {x: x for x in range(a)} for a in heights for b in heights if a < b}
+    family = {h: tuple(range(h)) for h in heights}
+    d = Diagram(u, {i: height(i) for i in u.members}, family, maps)
+    c = colim(d)
+    assert_classes_match_components(d, c)
+    c.check_cocone()
+
+
+def bag_diagram(height_bound):
+    u = SizeUniverse(MIN, height_bound)
+    return build_fixed_point(bag_sig(), bag_system(), u, 2).to_diagram()
+
+
+def commtree_abc_diagram():
+    decl = parse_decl((FIXTURES / "commtree.qit").read_text(encoding="utf-8"))
+    sig, sys = elaborate(decl, {"X": ("a", "b", "c")})
+    return build_fixed_point(sig, sys, SizeUniverse(MIN, 3), 3).to_diagram()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: bag_diagram(3), lambda: bag_diagram(4), lambda: bag_diagram(5), commtree_abc_diagram],
+    ids=["bag-d2-h3", "bag-d2-h4", "bag-d2-h5", "commtree-abc-d3-h3"],
+)
+def test_stage_diagram_colimit_matches_member_pair_components(build):
+    d = build()
+    # one map per distinct stage transition
+    u = d.universe
+    assert len(d.maps) == len({(d.label[i], d.label[j]) for i in u.members for j in u.above[i]})
+    assert naive_diagram_fault(d) is None
+    c = colim(d)
+    assert_classes_match_components(d, c)
+    c.check_cocone()
+
+
+def test_check_cocone_catches_a_corrupted_class_row():
+    d = bag_diagram(4)
+    c = colim(d)
+    u, label = d.universe, d.label
+    # the first member with a non-empty carrier and a member above it
+    i = next(m for m in u.members if d.family[label[m]] and u.above[m])
+    x = d.family[label[i]][0]
+    n = c._base[i]
+    c._class_of[n] = (c._class_of[n] + 1) % len(c)
+    # the first member pair at which the corrupted classes disagree
+    nodes, edges = member_edges(d)
+    first = next(a for a, b in edges if c.inject(*a) != c.inject(*b))
+    with pytest.raises(QitError, match="cocone broken") as info:
+        c.check_cocone()
+    assert str(info.value) == f"cocone broken at ({show_size(first[0])}, {first[1]!r})"
+
+
+def test_power_diagram_keeps_the_stage_labels():
+    d = bag_diagram(4)
+    p = power_diagram(d, ("l", "r"))
+    assert p.label is d.label and p.maps.keys() == d.maps.keys()
+    report = check_power_cocontinuity(d, ("p",))
+    assert report.ok
+    assert report.power_classes == report.product_size == len(colim(d))

@@ -133,6 +133,23 @@ def test_covered_is_the_transitive_reduction_of_below(name):
     assert u.covered == brute_covered(u)
 
 
+@pytest.mark.parametrize("name", list(UNIVERSES))
+def test_segments_group_members_by_down_segment(name):
+    u = UNIVERSES[name]()
+    want: dict = {}
+    for k in u.members:
+        want.setdefault(u.below[k], []).append(k)
+    assert list(u.segments.items()) == [(seg, tuple(ks)) for seg, ks in want.items()]
+    for k in u.members:
+        assert u.above[k] == tuple(j for j in u.members if k in u.below[j])
+
+
+@pytest.mark.parametrize("name", list(UNIVERSES))
+def test_shown_prints_every_member_as_show_size_does(name):
+    u = UNIVERSES[name]()
+    assert u.shown() == [show_size(i) for i in u.members]
+
+
 @pytest.mark.parametrize("bound", [3, 4])
 def test_plump_laws_exhaustive(bound):
     u = SizeUniverse(MIN, bound)

@@ -276,17 +276,18 @@ def qwuniq_check(q: CongruenceQuotient, alg: Algebra, h: Union[Mapping[int, Valu
 
 def power_diagram(diagram: Diagram, points: Sequence[Hashable]) -> Diagram:
     """The pointwise diagram of functions from a fixed finite set,
-    with functions represented as tuples over the point order."""
+    with functions represented as tuples over the point order, under
+    the same labels."""
     pts = tuple(points)
     family = {
-        i: tuple(itertools.product(carrier, repeat=len(pts)))
-        for i, carrier in diagram.family.items()
+        a: tuple(itertools.product(carrier, repeat=len(pts)))
+        for a, carrier in diagram.family.items()
     }
     maps = {
         pair: {f: tuple(step[v] for v in f) for f in family[pair[0]]}
         for pair, step in diagram.maps.items()
     }
-    return Diagram(diagram.universe, family, maps)
+    return Diagram(diagram.universe, diagram.label, family, maps)
 
 
 @dataclass(frozen=True)
@@ -307,7 +308,11 @@ def check_power_cocontinuity(diagram: Diagram, points: Sequence[Hashable]) -> Co
     Stage-level witness searches are reported alongside; pairs with no
     common upper bound in the universe are counted as skipped."""
     pts = tuple(points)
-    u = diagram.universe
+    u, label = diagram.universe, diagram.label
+
+    def step(i: SizeVal, k: SizeVal) -> Mapping[Hashable, Hashable]:
+        return diagram.maps[(label[i], label[k])]
+
     base = colim(diagram)
     power = colim(power_diagram(diagram, pts))
 
@@ -330,8 +335,7 @@ def check_power_cocontinuity(diagram: Diagram, points: Sequence[Hashable]) -> Co
                 skipped += 1
                 continue
             pushed = any(
-                tuple(diagram.maps[(i, k)][v] for v in f)
-                == tuple(diagram.maps[(j, k)][v] for v in g)
+                tuple(step(i, k)[v] for v in f) == tuple(step(j, k)[v] for v in g)
                 for k in uppers
             )
             if pushed:
@@ -352,21 +356,15 @@ def check_power_cocontinuity(diagram: Diagram, points: Sequence[Hashable]) -> Co
 
 
 def constant_diagram(u: SizeUniverse, carrier: Sequence[Hashable]) -> Diagram:
+    """One carrier and identity maps, labelled per member."""
     elems = tuple(carrier)
-    family = {i: elems for i in u.members}
-    maps = {
-        (i, j): {x: x for x in elems}
-        for i in u.members
-        for j in u.above[i]
-    }
-    return Diagram(u, family, maps)
+    maps = {(i, j): {x: x for x in elems} for i in u.members for j in u.above[i]}
+    return Diagram(u, {i: i for i in u.members}, {i: elems for i in u.members}, maps)
 
 
 def growing_chain(u: SizeUniverse) -> Diagram:
+    """Carrier range(height) at each member and inclusions, labelled per
+    member."""
     family = {i: tuple(range(height(i))) for i in u.members}
-    maps = {
-        (i, j): {x: x for x in family[i]}
-        for i in u.members
-        for j in u.above[i]
-    }
-    return Diagram(u, family, maps)
+    maps = {(i, j): {x: x for x in family[i]} for i in u.members for j in u.above[i]}
+    return Diagram(u, {i: i for i in u.members}, family, maps)
