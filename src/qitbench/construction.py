@@ -5,14 +5,14 @@ Every universe member i gets a stage: equivalence classes of pairs
 j's stage, closed under two clause families (equation instances, and
 collapse of a class to its name one stage up) and congruence through
 term structure, which keys every node, nullary ones included, and so
-implies node-wise collapse (see diamond).  Collapse clauses are emitted
-only along covering pairs k < j (SizeUniverse.covered, nothing strictly
-between): those of any other k < j follow through a chain of covering
-pairs, so the stage is the same (see diamond).  Members with identical
-strict down-segments provably share a stage, so the build makes one
-stage per distinct down-segment (SizeUniverse.segments), below-first;
-the restriction check recomputes the literal per-member reading
-independently and compares it through one label array per member.
+implies node-wise collapse (see diamond).  No collapse clause is a
+seed: each lies in the congruence the slices' equation instances
+already generate, as the slices are closed downward (see diamond).
+Members with identical strict down-segments provably share a stage, so
+the build makes one stage per distinct down-segment
+(SizeUniverse.segments, one per height), below-first; the restriction
+check recomputes the literal per-member reading independently and
+compares it through one label array per member.
 
 Terms are integer ids from enumeration to colimit.  Each build holds
 one closed TermTable: every closed term within the depth bound, its ids
@@ -24,9 +24,7 @@ the closed id of its flattening.  diamond closes each stage on the closed
 table alone: every pair lies in the class of its flattening in the
 least member's class-less slice, whose view is the closed table (see
 diamond).  Classes rank by closed id, a stage stores the class of each
-local id per slice, and the interface reads only those arrays.  The
-collapse clauses of a slice into a higher stage are read off the higher
-stage's class array for that slice.
+local id per slice, and the interface reads only those arrays.
 Trees are read off the closed table to print, to export and to hold
 each class's flat; the (slice, term) mapping class_of_pair is kept for
 perfbench/tracing.py and the tests.
@@ -47,7 +45,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .diagrams import Diagram, colim
@@ -114,7 +112,6 @@ class Stage:
     slice_views: Mapping[int, SliceView] = field(repr=False)
     slice_classes: Mapping[int, tuple[int, ...]] = field(repr=False)
     build: _Build = field(repr=False, compare=False)
-    _collapse: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -130,18 +127,6 @@ class Stage:
         return frozenset(
             (flats[lhs], flats[rhs]) for pairs, _ in self.view.instances for lhs, rhs in pairs
         )
-
-    def collapse(self, low: int) -> frozenset[tuple[int, int]]:
-        """The collapse clauses of slice low into this stage, read through
-        the flats: (low's flat of a local id, flat_id of this stage's class
-        of it), each once and none joining an id to itself.  Built once
-        per slice and kept."""
-        pairs = self._collapse.get(low)
-        if pairs is None:
-            flat_of = [cls.flat_id for cls in self.classes]
-            both = zip(self.slice_views[low].flats, map(flat_of.__getitem__, self.slice_classes[low]))
-            pairs = self._collapse[low] = frozenset(p for p in both if p[0] != p[1])
-        return pairs
 
     @cached_property
     def class_of_pair(self) -> Mapping[tuple[int, Term], int]:
@@ -197,58 +182,49 @@ def _slice_view(st: Stage) -> SliceView:
     return SliceView(table, tokens, tuple(instances), tuple(flats))
 
 
-def diamond(build: _Build, slices: Sequence[Stage], fire: set[tuple[int, int]], sid: int) -> Stage:
+def diamond(build: _Build, slices: Sequence[Stage], sid: int) -> Stage:
     """One quotient stage over the given slice stages: the least
     congruence on the pairs (s, n) of a slice s and a local id n of its
     view (every node keyed, nullary ones included) that contains each
-    slice's equation instances and, for each (low, high) in fire, the
-    collapse clauses (low, n) ~ (high, token of high's class of (low,
-    n)).  Instances are drawn per slice under the budget rule of
+    slice's equation instances and, for each slice low of a slice high,
+    the collapse clauses (low, n) ~ (high, token of high's class of
+    (low, n)).  Instances are drawn per slice under the budget rule of
     InstanceShape.envs, a token weighing its class's fd (_slice_view);
-    overflowing instances are never built.
-
-    Both callers fire only the covering pairs: (k, j) with j below the
-    member this stage summarizes and k in covered[j].  The partition is
-    still the one the full set of strictly ordered pairs gives.  Write
-    d_kj t for the token of stage j's class of (k, t).  Take k < j with
-    a member strictly between, and such an l with k covered by l.  The
-    clause (k, t) ~ (l, d_kl t) is emitted.  By induction on the number
-    of members strictly between, (l, d_kl t) ~ (j, d_lj d_kl t) is
-    implied.  Stage j fires (k, l) itself, so (k, t) and (l, d_kl t)
-    share a class there and d_lj d_kl t = d_kj t: the clause
-    (k, t) ~ (j, d_kj t) is already implied.  So the least congruence
-    does not change.  For shared stages a slice stands for every member
-    with its down-segment; the argument carries over because same stage
-    <=> same down-segment, which is the memo key.  The slices must come
-    from build.
+    overflowing instances are never built.  The slices must come from
+    build, each built by diamond, and be closed downward: every slice of
+    a slice is one of them.  Both callers pass every stage below the
+    member this stage summarizes, so the collapse clauses are those of
+    every strictly ordered pair of members below it.
 
     The stage is computed on build.closed.  Unless slices is empty, one
     of them must be class-less, or this raises: call it z.  Its view is
     the closed table and its flats are the identity; in both callers it
     is the least member's stage, a slice of every stage with classes.
     Let C be the least congruence on the closed ids that contains each
-    slice's instances read through its flats and, per fire pair (low,
-    high) and local id n of low, (low's flat of n, flat_id of high's
-    class of (low, n)).  The stage relates two pairs exactly when C
-    relates their flats (call that Q):
+    slice's instances read through its flats.  The stage relates two
+    pairs exactly when C relates their flats (call that Q):
+    - C holds every collapse clause read through the flats, (low's flat
+      of n, flat_id of high's class of (low, n)).  Both ids lie in one
+      class of high, which diamond computed as a class of the least
+      congruence C_high holding high's slices' flat instances.  Those
+      slices are slices here, so C_high lies in C.  This is why no
+      collapse clause is a seed.
     - Q holds the stage: it is a congruence, as a node flattens to the
       closed node over its children's flats, and every clause flattens
-      to a seed of C, a token to its class's flat_id.  So, child by
+      to a pair of C, a token to its class's flat_id.  So, child by
       child, do the lifted clauses (k, n) ~ (j, op(d_kj k1 ... d_kj km))
-      that tests/oracles.py's naive_diamond also emits.
+      that tests/oracles.py's naive_diamond also emits, d_kj t being
+      the token of stage j's class of (k, t).
     - The stage holds Q: by induction on n, (s, n) lies in the class of
       (z, s's flat of n).  A token of class c meets (z, flat_id of c),
-      which lies in c in stage s, by the collapse clause from z that
-      the covering pairs imply; a node meets its flattening, which lies
-      in z's view (_slice_view raises otherwise), as its children do.
-      Read on z, the stage is a congruence holding every seed of C, so
-      it holds C.
+      which lies in c in stage s, by the collapse clause from z into s;
+      a node meets its flattening, which lies in z's view (_slice_view
+      raises otherwise), as its children do.  Read on z, the stage is a
+      congruence holding every seed of C, so it holds C.
     So each slice reads its classes, through its flats, off one
     congruence_roots call over closed.nodes.  Each closed id is a pair
     of z, so the classes in first-id order rank by least closed id, with
-    no ties; flat, sort and fd are read off the closed table there.  A
-    stage keeps its collapse pairs per lower slice (collapse), since a
-    literal stage is the upper slice of many literal diamonds."""
+    no ties; flat, sort and fd are read off the closed table there."""
     closed = build.closed
     by_sid = {st.sid: st for st in sorted(slices, key=lambda s: s.sid)}
     classes = []
@@ -256,10 +232,8 @@ def diamond(build: _Build, slices: Sequence[Stage], fire: set[tuple[int, int]], 
     if by_sid:
         if all(st.classes for st in by_sid.values()):
             raise QitError(f"stage {sid} has no class-less slice to close on")
-        seeds = [st.flat_instances for st in by_sid.values()]
-        # the closure's result does not depend on the order of its seeds
-        seeds.extend(by_sid[high].collapse(low) for low, high in fire)
-        groups = root_groups(congruence_roots(closed.nodes, chain.from_iterable(seeds)))
+        seeds = chain.from_iterable(st.flat_instances for st in by_sid.values())
+        groups = root_groups(congruence_roots(closed.nodes, seeds))
         class_of = [0] * len(closed.nodes)
         terms, depths, nodes, ops = closed.terms, closed.depths, closed.nodes, build.sig.ops
         for cid, members in enumerate(groups):
@@ -303,15 +277,12 @@ class Approximation:
 
     def stage_pairs(self) -> Iterator[tuple[SizeVal, SizeVal]]:
         """The first member pair i < j, in member order then up-set
-        order, for each distinct pair of their stages."""
-        u = self.universe
-        seen: set[tuple[int, int]] = set()
-        for i in u.members:
-            for j in u.above[i]:
-                key = (self.stage_of[i], self.stage_of[j])
-                if key not in seen:
-                    seen.add(key)
-                    yield i, j
+        order, for each distinct pair of their stages.  A stage is a
+        segment, and a segment a height, so every member of a later
+        segment lies above the first member of an earlier one: these
+        are the pairs of first members of two segments, in segment
+        order."""
+        return combinations([tops[0] for tops in self.universe.segments.values()], 2)
 
     def check_fixed_diag(self) -> int:
         """Reading a pair off at a higher stage agrees with pushing its
@@ -337,9 +308,7 @@ class Approximation:
         """Recompute every member's stage from the literal per-member sum
         (one slice per smaller member, no sharing) and demand the same
         partition.  This is the uniqueness of the shared fixed point.
-        Every member gets its literal diamond; like the shared stages,
-        each fires the covering pairs below the member only (see diamond
-        for why that leaves the partition as the full fire set makes it).
+        Every member gets its literal diamond.
 
         A literal slice's local ids are translated once into its shared
         stage's view, renaming its tokens through the class bijection
@@ -355,17 +324,11 @@ class Approximation:
         bij: dict[int, list[int]] = {}
         into: dict[int, list[int]] = {}
         checked = 0
-        # by member position: the shared stage, and the covering pairs below
-        # a member that has a member above it
+        # the shared stage, by member position
         stage_of = [self.stage_of[m] for m in u.members]
-        covering = {
-            u.position(j): [u.position(k) for k in u.covered[j]] for j in u.members if u.above[j]
-        }
         for pos, i in enumerate(u.members):
             below = [u.position(j) for j in u.below[i]]
-            # k < j < i puts k below i; covering pairs suffice (see diamond)
-            fire = {(k, j) for j in below for k in covering[j]}
-            lit = diamond(self.build, [literal[j] for j in below], fire, sid=pos)
+            lit = diamond(self.build, [literal[j] for j in below], sid=pos)
             literal[pos] = lit
             shared = self.stages[stage_of[pos]]
             if shared.slices != tuple(sorted({stage_of[pj] for pj in below})):
@@ -464,9 +427,7 @@ def build_fixed_point(
     # every member below a segment's members already has its stage
     for sid, (below, tops) in enumerate(u.segments.items()):
         slice_sids = sorted({stage_of[j] for j in below})
-        # k < j < i puts k below i; covering pairs suffice (see diamond)
-        fire = {(stage_of[k], stage_of[j]) for j in below for k in u.covered[j]}
-        stages.append(diamond(build, [stages[s] for s in slice_sids], fire, sid=sid))
+        stages.append(diamond(build, [stages[s] for s in slice_sids], sid=sid))
         stage_of.update(dict.fromkeys(tops, sid))
     appx = Approximation(
         sig=sig,

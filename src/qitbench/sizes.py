@@ -6,32 +6,33 @@ one binary operator).  The order is the mutual structural recursion
     le(node(a, cs), j)  iff  every c in cs has lt(c, j)
     lt(i, node(a, cs))  iff  some c in cs has le(i, c)
 
-which is transitive, has joins as strict upper bounds, and admits
-height as a ranking function; totality is deliberately not assumed.
+On finite trees it is the height preorder: x < y iff ht x < ht y, and
+x <= y iff ht x <= ht y.  By induction on ht x + ht y, x <= y iff every
+child c of x has ht c < ht y, iff ht x - 1 < ht y; and x < y iff some
+child d of y has ht x <= ht d, iff ht x <= ht y - 1.  So the order is
+transitive and total, has joins as strict upper bounds, and is not
+antisymmetric: trees of one height are <= each other.  Countable joins
+(ROADMAP item 9) have no finite height, and this argument does not
+cover them.
 
 Sizes are hash-consed, so equal trees are one object and a size hashes
 and compares by identity.  A SizeUniverse generates its members as the
 first listing of a TermTable over the size signature, the enumeration
 the term universes use, so they come by height, then operator, then
 children.  It lists them below-first (stably sorted by height) and
-decides the order on them with bitsets: member positions are bits of
-Python ints.  In one pass over the members, lt_bits[p] is the OR of
-the <=-sets of p's children, and q <= p iff q's child mask lies inside
-lt_bits[p].  The strict down-sets (below) and up-sets (above) are read
-off those bits, so loops over ordered pairs or chains walk only the
-pairs that exist.  The covering pairs (covered: the members strictly
-below j with no member strictly between) come from the same bits, and
-so do the distinct down-segments with the members whose down-segment
-each is (segments), which let a loop over member pairs run once per
-segment instead.  The universe decides the order on its members only;
-the recursion above, memoized, is its reference (tests/oracles.py's
-PlumpOrder).
+decides the order on them by height, so every member's strict
+down-set (below) is the members of lower heights, a prefix of the
+member order, its up-set (above) the suffix of higher heights, and
+there is one distinct down-segment per height (segments).  The
+universe decides the order on its members only; the recursion above,
+memoized, is its reference (tests/oracles.py's PlumpOrder).
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional, Sequence
 
 from .errors import ArityMismatch, InfinitaryArity, QitError
@@ -137,20 +138,12 @@ def size_signature_for(sig: Signature, sys: SystemOfEquations) -> SizeSig:
 
 
 class SizeUniverse:
-    """All sizes of height <= h over a signature, with the order as
-    bitsets and the strict down- and up-sets precomputed.  Members must
-    include their children and be listed once; they are kept in height
-    order, stable, so everything below a member comes before it.  q <= p
-    iff every child of q is < p, so le reads child masks against lt_bits,
-    and <=-sets are built only for members that are someone's child.
-    Immutable once built.
-
-    covered[j] is the transitive reduction of below[j]: the k < j with no
-    member strictly between k and j.  It is read off j's children.  Every
-    child c of j lies below j, and every l < j has l <= c for some child
-    c; since k < l <= c gives k < c, the k with a member strictly between
-    them and j are exactly those below some child.  So covered[j] is
-    lt_bits[j] without the lt_bits of j's children."""
+    """All sizes of height <= h over a signature, ranked by height, with
+    the strict down- and up-sets precomputed.  Members must include
+    their children and be listed once; they are kept in height order,
+    stable, so everything below a member comes before it.  Members of
+    one height share their below, above and segments tuples.  Immutable
+    once built."""
 
     def __init__(self, sig: SizeSig, height_bound: int, members: Optional[Sequence[SizeVal]] = None):
         if height_bound < 1:
@@ -166,69 +159,30 @@ class SizeUniverse:
             for op, kids in table.nodes:
                 members.append(SizeVal(sig.ops[op][0], tuple(members[k] for k in kids)))
         # below-first: whatever lies below a member has a smaller height
-        heights: dict[SizeVal, int] = {}
+        self._heights: dict[SizeVal, int] = {}
         self.members: tuple[SizeVal, ...] = tuple(
-            sorted(members, key=lambda m: height(m, heights))
+            sorted(members, key=lambda m: height(m, self._heights))
         )
         self._position = {m: p for p, m in enumerate(self.members)}
-
-        # bit q of _masks[p] / _lt_bits[p]: members[q] is a child of / < members[p]
-        self._masks: list[int] = []
-        self._lt_bits: list[int] = []
-        covered_bits: list[int] = []
-        children_of: dict[int, int] = {}  # child mask -> members with those children
-        le_bits: dict[int, int] = {}  # child q -> members <= members[q]
         for p, m in enumerate(self.members):
             if self._position[m] != p:
                 raise QitError(f"{show_size(m)} is listed twice as a universe member")
-            mask = strict = between = 0
             for c in m.children:
-                q = self._position.get(c)
-                if q is None:
+                if c not in self._position:
                     raise QitError(f"child {show_size(c)} of {show_size(m)} is not a universe member")
-                if q not in le_bits:
-                    # a member <= c is no higher than c, so it is listed before m
-                    le_bits[q] = 0
-                    for kids, qs in children_of.items():
-                        if not kids & ~self._lt_bits[q]:
-                            le_bits[q] |= qs
-                mask |= 1 << q
-                strict |= le_bits[q]
-                between |= self._lt_bits[q]
-            self._masks.append(mask)
-            self._lt_bits.append(strict)
-            covered_bits.append(strict & ~between)
-            children_of[mask] = children_of.get(mask, 0) | 1 << p
 
-        # each distinct down-set -> the members whose down-set it is
-        tops: dict[int, int] = {}
-        for p, bits in enumerate(self._lt_bits):
-            tops[bits] = tops.get(bits, 0) | 1 << p
-        # k is above j iff j lies in k's down-set
-        above_bits = [0] * len(self.members)
-        for bits, ks in tops.items():
-            for j in self._positions_at(bits):
-                above_bits[j] |= ks
-        # members with equal bits share one tuple: the 677 members of height
-        # <= 5 have only 5 distinct down-sets and 5 distinct covering sets
-        shared = {
-            bits: tuple(map(self.members.__getitem__, self._positions_at(bits)))
-            for bits in {*self._lt_bits, *covered_bits, *above_bits, *tops.values()}
-        }
-        self.below: dict[SizeVal, tuple[SizeVal, ...]] = {
-            m: shared[self._lt_bits[p]] for p, m in enumerate(self.members)
-        }
-        self.covered: dict[SizeVal, tuple[SizeVal, ...]] = {
-            m: shared[covered_bits[p]] for p, m in enumerate(self.members)
-        }
-        self.above: dict[SizeVal, tuple[SizeVal, ...]] = {
-            m: shared[above_bits[p]] for p, m in enumerate(self.members)
-        }
+        self.below: dict[SizeVal, tuple[SizeVal, ...]] = {}
+        self.above: dict[SizeVal, tuple[SizeVal, ...]] = {}
         # each distinct down-segment -> the members whose down-segment it
-        # is, both in member order
-        self.segments: dict[tuple[SizeVal, ...], tuple[SizeVal, ...]] = {
-            shared[bits]: shared[ks] for bits, ks in tops.items()
-        }
+        # is, both in member order: one entry per height
+        self.segments: dict[tuple[SizeVal, ...], tuple[SizeVal, ...]] = {}
+        end = 0
+        for _, level in groupby(self.members, self._heights.__getitem__):
+            level = tuple(level)
+            below, end = self.members[:end], end + len(level)
+            self.segments[below] = level
+            self.below.update(dict.fromkeys(level, below))
+            self.above.update(dict.fromkeys(level, self.members[end:]))
 
     def __contains__(self, i: SizeVal) -> bool:
         return i in self._position
@@ -242,29 +196,21 @@ class SizeUniverse:
         known: dict[SizeVal, str] = {}
         return [show_size(m, known) for m in self.members]
 
-    @staticmethod
-    def _positions_at(bits: int) -> list[int]:
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
+    def _ranks(self, i: SizeVal, j: SizeVal) -> tuple[int, int]:
+        hi, hj = self._heights.get(i), self._heights.get(j)
+        if hi is None or hj is None:
+            outside = show_size(i if hi is None else j)
+            raise QitError(f"{outside} is not a member of the height-{self.height} universe")
+        return hi, hj
 
     def lt(self, i: SizeVal, j: SizeVal) -> bool:
         """i < j, for members i and j."""
-        p, q = self._position.get(i), self._position.get(j)
-        if p is None or q is None:
-            outside = show_size(i if p is None else j)
-            raise QitError(f"{outside} is not a member of the height-{self.height} universe")
-        return self._lt_bits[q] >> p & 1 == 1
+        hi, hj = self._ranks(i, j)
+        return hi < hj
 
     def le(self, i: SizeVal, j: SizeVal) -> bool:
         """i <= j, for members i and j.  The order's other half: nothing
         in the package asks it, and tests/test_sizes.py checks the
         plump laws and lt against it."""
-        p, q = self._position.get(i), self._position.get(j)
-        if p is None or q is None:
-            outside = show_size(i if p is None else j)
-            raise QitError(f"{outside} is not a member of the height-{self.height} universe")
-        return not self._masks[p] & ~self._lt_bits[q]
+        hi, hj = self._ranks(i, j)
+        return hi <= hj

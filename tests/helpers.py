@@ -233,7 +233,8 @@ def equations(draw):
 def mutual_le_universe() -> SizeUniverse:
     """An explicit height-4 universe in which join(zero, one) and
     suc(one) are <= each other, so <= is not antisymmetric on it: both
-    cover one and both are covered by the sizes above them."""
+    have height 3, with one the only member of height 2 and the sizes
+    above them of height 4."""
     sig = SizeSig.minimal()
     zero = size_zero(sig)
     one = sig.suc(zero)

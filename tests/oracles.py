@@ -5,7 +5,7 @@ computed by naive inference to a fixpoint, canonical forms by direct
 structural reads, and counts by the arithmetic recurrence.  term_key is
 the reference for the term order, which the library's enumeration
 (TermTable) produces without computing it.  The recursive plump order
-(the reference for SizeUniverse's bitsets), well-founded recursion,
+(the reference for SizeUniverse's height ranks), well-founded recursion,
 structural term equality, the readers of serialize's JSON forms and
 derivation replay are second implementations kept here as references.
 """
@@ -798,7 +798,7 @@ def naive_qwelim(q: NaiveQuotient, motive, steps):
 class PlumpOrder:
     """Memoized decision procedures for the plump order, by the mutual
     structural recursion on trees; the reference for SizeUniverse's
-    bitsets, and the order on sizes outside a universe."""
+    height ranks, and the order on sizes outside a universe."""
 
     def __init__(self):
         self._lt: dict[tuple[SizeVal, SizeVal], bool] = {}

@@ -125,7 +125,7 @@ def test_stage_sharing_by_down_segment():
 def test_diamond_rebuilds_the_successor_stage():
     _, _, u, appx = bag_fixture()
     s0 = appx.stage_at(size_zero(u.sig))
-    again = diamond(appx.build, [s0], set(), sid=99)
+    again = diamond(appx.build, [s0], sid=99)
     want = appx.stage_at(u.sig.suc(size_zero(u.sig)))
     assert [c.flat for c in again.classes] == [c.flat for c in want.classes]
 
@@ -462,15 +462,16 @@ def test_generated_stages_equal_naive_diamond(case, height, depth):
 
 def literal_stages(appx) -> list[tuple]:
     """Every member's literal stage, rebuilt as check_restriction builds
-    it: one slice per smaller member, the covering pairs below the
-    member fired.  Each comes with its slices and its fire set."""
+    it: one slice per smaller member, no collapse seeds.  Each comes
+    with its slices and the full strict fire set naive_diamond is to
+    emit collapse clauses along."""
     u = appx.universe
     literal, out = {}, []
     for i in u.members:
         pos = u.position(i)
         slices = [literal[u.position(j)] for j in u.below[i]]
-        fire = {(u.position(k), u.position(j)) for j in u.below[i] for k in u.covered[j]}
-        literal[pos] = diamond(appx.build, slices, fire, pos)
+        fire = {(u.position(k), u.position(j)) for j in u.below[i] for k in u.below[j]}
+        literal[pos] = diamond(appx.build, slices, pos)
         out.append((literal[pos], slices, fire))
     return out
 
@@ -545,55 +546,7 @@ def test_a_diamond_without_a_class_less_slice_names_its_stage():
     one = appx.stage_at(u.sig.suc(size_zero(u.sig)))
     assert len(one) > 0
     with pytest.raises(QitError, match="stage 99 has no class-less slice"):
-        diamond(appx.build, [one], set(), sid=99)
-
-
-# --- collapse clauses along covering pairs give the full-fire stages ---
-
-
-def assert_covering_fire_suffices(appx) -> int:
-    """Rebuild every shared stage and every member's literal stage twice
-    over the same slices, once with the full strict fire set and once
-    with the covering pairs only, and demand the same classes and
-    slice_classes.  Returns the number of stages rebuilt."""
-    u = appx.universe
-
-    def both(slices, slice_of, i, sid):
-        full = {(slice_of(k), slice_of(j)) for j in u.below[i] for k in u.below[j]}
-        covering = {(slice_of(k), slice_of(j)) for j in u.below[i] for k in u.covered[j]}
-        a, b = (
-            diamond(appx.build, slices, fire, sid)
-            for fire in (full, covering)
-        )
-        assert a.classes == b.classes
-        assert a.slice_classes == b.slice_classes
-        return b
-
-    shared: set[int] = set()
-    literal = {}
-    for i in u.members:
-        sid = appx.stage_of[i]
-        if sid not in shared:
-            shared.add(sid)
-            slices = [appx.stages[s] for s in appx.stages[sid].slices]
-            both(slices, appx.stage_of.__getitem__, i, sid)
-        pos = u.position(i)
-        literal[pos] = both([literal[u.position(j)] for j in u.below[i]], u.position, i, pos)
-    return len(shared) + len(literal)
-
-
-# below height 4 every fire set is the same under both rules
-@given(equations(), st.sampled_from(HEIGHT_DEPTHS))
-def test_covering_fire_equals_full_fire_on_generated_stages(case, height_depth):
-    sig, eq = case
-    height, depth = height_depth
-    appx = build_fixed_point(sig, SystemOfEquations((eq,)), SizeUniverse(MIN, height), depth)
-    assert assert_covering_fire_suffices(appx) >= len(appx.stages)
-
-
-def test_covering_fire_equals_full_fire_on_bag_h4():
-    _, _, u, appx = bag_fixture(depth=3, height=4)
-    assert assert_covering_fire_suffices(appx) == len(appx.stages) + len(u.members)
+        diamond(appx.build, [one], sid=99)
 
 
 # --- the restriction certificate stays live; slice views are shared ---

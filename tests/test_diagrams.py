@@ -72,12 +72,22 @@ def test_chain_universe_is_linear():
         assert u.below[i] == u.members[:n]
 
 
+# size operators of arities 0 to 3
+MIXED = SizeSig((("zero", 0), ("unit", 0), ("suc", 1), ("join", 2), ("three", 3)))
+
+
 @pytest.mark.parametrize(
     "build",
-    [lambda: SizeUniverse(MIN, 4), lambda: chain_universe(MIN, 5), mutual_le_universe],
-    ids=["tree-h4", "chain-h5", "mutual-le"],
+    [
+        *[lambda h=h: SizeUniverse(MIN, h) for h in range(1, 5)],
+        lambda: chain_universe(MIN, 5),
+        mutual_le_universe,
+        *[lambda h=h: SizeUniverse(MIXED, h) for h in (1, 2)],
+    ],
+    ids=[*[f"tree-h{h}" for h in range(1, 5)], "chain-h5", "mutual-le", "mixed-h1", "mixed-h2"],
 )
 def test_bitset_order_agrees_with_plump_order(build):
+    # the universe ranks by height; the recursion is the reference
     u = build()
     order = PlumpOrder()
     for i, j in itertools.product(u.members, repeat=2):
@@ -86,6 +96,19 @@ def test_bitset_order_agrees_with_plump_order(build):
     for i in u.members:
         assert u.below[i] == tuple(j for j in u.members if order.lt(j, i))
         assert u.above[i] == tuple(k for k in u.members if order.lt(i, k))
+
+
+def test_height_order_agrees_with_plump_order_on_drawn_pairs_at_height_3():
+    u = SizeUniverse(MIXED, 3)
+    order = PlumpOrder()
+    rng = random.Random(3)
+    top = [m for m in u.members if height(m) == 3]
+    # pairs across the universe, and pairs within the top height
+    for pool in (u.members, top):
+        for _ in range(5000):
+            i, j = rng.choice(pool), rng.choice(pool)
+            assert u.lt(i, j) == order.lt(i, j)
+            assert u.le(i, j) == order.le(i, j)
 
 
 def test_check_walks_chains_up_to_the_top_height():
