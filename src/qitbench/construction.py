@@ -4,30 +4,24 @@ Every universe member i gets a stage: equivalence classes of pairs
 (j, t) with j a strictly smaller member and t a depth-bounded term over
 j's stage, closed under two clause families (equation instances, and
 collapse of a class to its name one stage up) and congruence through
-term structure, which keys every node, nullary ones included, and so
-implies node-wise collapse (see diamond).  No collapse clause is a
-seed: each lies in the congruence the slices' equation instances
-already generate, as the slices are closed downward (see diamond).
-Members with identical strict down-segments provably share a stage, so
-the build makes one stage per distinct down-segment
-(SizeUniverse.segments, one per height), below-first; the restriction
-check recomputes the literal per-member reading independently and
-compares it through one label array per member.
+term structure (see diamond, which also shows that no collapse clause
+needs to be a seed).  Members with identical strict down-segments
+provably share a stage, so the build makes one stage per distinct
+down-segment (SizeUniverse.segments, one per height), below-first; the
+restriction check recomputes every member's stage literally and
+compares its partition with the shared one.
 
 Terms are integer ids from enumeration to colimit.  Each build holds
 one closed TermTable: every closed term within the depth bound, its ids
-in the term order (see build_fixed_point; its reference is in
-tests/oracles.py).  A stage read as a slice is read through its slice
-view (SliceView), built once: a TermTable over its class tokens, whose
-ids are the local ids, with the equation instances and, per local id,
-the closed id of its flattening.  diamond closes each stage on the closed
-table alone: every pair lies in the class of its flattening in the
-least member's class-less slice, whose view is the closed table (see
-diamond).  Classes rank by closed id, a stage stores the class of each
-local id per slice, and the interface reads only those arrays.
-Trees are read off the closed table to print, to export and to hold
-each class's flat; the (slice, term) mapping class_of_pair is kept for
-perfbench/tracing.py and the tests.
+in the term order (see build_fixed_point).  A stage read as a slice is
+read through its slice view (SliceView), built once: a TermTable over
+its class tokens, with the equation instances and the flat (closed id)
+of each local id.  A stage is one congruence on the closed table (see
+diamond), stored as the class of each closed id; a slice's classes are
+read off it through the slice's flats.  Trees are read off the closed
+table to print, to export and to hold each class's flat; the (slice,
+term) mapping class_of_pair is kept for perfbench/tracing.py and the
+tests.
 
 The stage diagram (to_diagram) labels each member by its stage: one
 transition map per stage and slice, which diagrams.Colimit checks and
@@ -108,13 +102,20 @@ class Stage:
     sid: int
     slices: tuple[int, ...]
     classes: tuple[StageClass, ...]
-    # slice -> that slice's view, and the class of each of its local ids
+    # slice -> that slice's view
     slice_views: Mapping[int, SliceView] = field(repr=False)
-    slice_classes: Mapping[int, tuple[int, ...]] = field(repr=False)
+    # closed id -> its class; empty for the class-less stage
+    class_at: tuple[int, ...] = field(repr=False)
     build: _Build = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.classes)
+
+    @cached_property
+    def slice_classes(self) -> Mapping[int, tuple[int, ...]]:
+        """slice -> the class of each local id of its view, its flat's."""
+        get = self.class_at.__getitem__
+        return {s: tuple(map(get, v.flats)) for s, v in self.slice_views.items()}
 
     @cached_property
     def view(self) -> SliceView:
@@ -132,8 +133,8 @@ class Stage:
     def class_of_pair(self) -> Mapping[tuple[int, Term], int]:
         """Kept for perfbench/tracing.py, which counts a traced build's
         stage pairs with it, and for the tests that compare a stage with
-        tests/oracles.py's naive_diamond; the package reads
-        slice_classes."""
+        tests/oracles.py's naive_diamond; the package reads class_at
+        and slice_classes."""
         return {
             (s, t): c
             for s in self.slices
@@ -221,36 +222,34 @@ def diamond(build: _Build, slices: Sequence[Stage], sid: int) -> Stage:
       a node meets its flattening, which lies in z's view (_slice_view
       raises otherwise), as its children do.  Read on z, the stage is a
       congruence holding every seed of C, so it holds C.
-    So each slice reads its classes, through its flats, off one
-    congruence_roots call over closed.nodes.  Each closed id is a pair
-    of z, so the classes in first-id order rank by least closed id, with
-    no ties; flat, sort and fd are read off the closed table there."""
+    So the stage is one congruence_roots call over closed.nodes, stored
+    as the class of each closed id (class_at), and each slice reads its
+    classes off that array through its flats (Stage.slice_classes).
+    Each closed id is a pair of z, so the classes in first-id order rank
+    by least closed id, with no ties; flat, sort and fd are read off the
+    closed table there.  The slices must come in sid order."""
     closed = build.closed
-    by_sid = {st.sid: st for st in sorted(slices, key=lambda s: s.sid)}
     classes = []
-    class_of: list[int] = []
-    if by_sid:
-        if all(st.classes for st in by_sid.values()):
+    class_at: list[int] = []
+    if slices:
+        if all(st.classes for st in slices):
             raise QitError(f"stage {sid} has no class-less slice to close on")
-        seeds = chain.from_iterable(st.flat_instances for st in by_sid.values())
+        seeds = chain.from_iterable(st.flat_instances for st in slices)
         groups = root_groups(congruence_roots(closed.nodes, seeds))
-        class_of = [0] * len(closed.nodes)
+        class_at = [0] * len(closed.nodes)
         terms, depths, nodes, ops = closed.terms, closed.depths, closed.nodes, build.sig.ops
         for cid, members in enumerate(groups):
             flat = members[0]
             classes.append(StageClass(terms[flat], ops[nodes[flat][0]].sort, depths[flat], flat))
             for n in members:
-                class_of[n] = cid
+                class_at[n] = cid
 
     return Stage(
         sid=sid,
-        slices=tuple(by_sid),
+        slices=tuple(st.sid for st in slices),
         classes=tuple(classes),
-        slice_views={s: st.view for s, st in by_sid.items()},
-        # a tuple built from a list is sized exactly, one built from map is not
-        slice_classes={
-            s: tuple([class_of[n] for n in st.view.flats]) for s, st in by_sid.items()
-        },
+        slice_views={st.sid: st.view for st in slices},
+        class_at=tuple(class_at),
         build=build,
     )
 
@@ -307,51 +306,67 @@ class Approximation:
     def check_restriction(self) -> int:
         """Recompute every member's stage from the literal per-member sum
         (one slice per smaller member, no sharing) and demand the same
-        partition.  This is the uniqueness of the shared fixed point.
-        Every member gets its literal diamond.
+        partition: the uniqueness of the shared fixed point.  Every
+        member gets its literal diamond.
 
-        A literal slice's local ids are translated once into its shared
-        stage's view, renaming its tokens through the class bijection
-        found when that slice itself was checked; the translation must
-        hold no -1 and cover the shared view, and the shared stage's
-        slices must be the literal slices' stages.  Each member's label
-        array maps literal class -> shared class through the translated
-        ids: the labels must be well defined and the map a bijection.
-        Together these make each literal class, translated, exactly one
-        shared class."""
+        Each literal slice's view is translated once into its shared
+        stage's view, renaming tokens through the class bijection found
+        when that slice was checked.  The translation t must hold no -1,
+        cover the shared view and keep flats: the shared flat of t[n] is
+        the literal flat of n.  The shared stage's slices must be the
+        literal slices' stages.  Each member's label maps literal class
+        -> shared class through the pairs (lit.class_at[f],
+        shared.class_at[f]) over the closed ids f; it must be well
+        defined and a bijection.
+
+        The per-slice walk (tests/oracles.py's naive_check_restriction)
+        pairs lit's class of (pj, n) with shared's class of (sj, t[n]),
+        for each literal slice pj, its shared stage sj and local id n:
+        that is (lit.class_at[f], shared.class_at[f']), f the literal
+        flat of n and f' the shared flat of t[n], and f' = f by the
+        flats check.  The least member's literal stage z is class-less,
+        a slice of every member with slices, and its flats are the
+        identity, so z alone gives every pair of the zip.  So each
+        member gets the walk's label, and this rejects all the walk
+        rejects.  below is a member-order prefix, and a literal stage is
+        kept only while some member lies above it."""
         u = self.universe
-        literal: dict[int, Stage] = {}
-        bij: dict[int, list[int]] = {}
-        into: dict[int, list[int]] = {}
+        literal: list[Stage] = []
+        bij: list[list[int]] = []
+        # literal slices translated so far: a prefix of the members
+        translated = 0
         checked = 0
         # the shared stage, by member position
         stage_of = [self.stage_of[m] for m in u.members]
         for pos, i in enumerate(u.members):
-            below = [u.position(j) for j in u.below[i]]
-            lit = diamond(self.build, [literal[j] for j in below], sid=pos)
-            literal[pos] = lit
+            below = len(u.below[i])
+            lit = diamond(self.build, literal[:below], sid=pos)
             shared = self.stages[stage_of[pos]]
-            if shared.slices != tuple(sorted({stage_of[pj] for pj in below})):
+            if shared.slices != tuple(sorted(set(stage_of[:below]))):
                 raise QitError(f"restriction mismatch at {show_size(i)}: slices differ")
-            # (literal class, shared class) of every translated local id
-            pairs: set[tuple[int, int]] = set()
-            for pj in below:
-                sj = stage_of[pj]
-                if pj not in into:
-                    view = self.stages[sj].view
-                    into[pj] = _translate(literal[pj].view, view, bij[pj])
-                    if -1 in into[pj] or len(set(into[pj])) != len(view.flats):
-                        raise QitError(f"restriction mismatch at {show_size(i)}: views differ")
-                shared_of = shared.slice_classes[sj]
-                pairs.update(zip(lit.slice_classes[pj], map(shared_of.__getitem__, into[pj])))
+            for pj in range(translated, below):
+                src, dst = literal[pj].view, self.stages[stage_of[pj]].view
+                into = _translate(src, dst, bij[pj])
+                if (
+                    -1 in into
+                    or len(set(into)) != len(dst.flats)
+                    or tuple(map(dst.flats.__getitem__, into)) != src.flats
+                ):
+                    raise QitError(f"restriction mismatch at {show_size(i)}: views differ")
+            translated = below
             label = [-1] * len(lit)
-            for c, n in pairs:
+            for c, n in set(zip(lit.class_at, shared.class_at)):
                 if label[c] != -1:
                     raise QitError(f"restriction mismatch at {show_size(i)}: partitions differ")
                 label[c] = n
             if sorted(label) != list(range(len(shared))):
                 raise QitError(f"restriction mismatch at {show_size(i)}: classes differ")
-            bij[pos] = label
+            if u.above[i]:
+                literal.append(lit)
+                bij.append(label)
+            # free a top-height literal stage before the next diamond:
+            # no later member reads it
+            del lit
             checked += len(shared.classes)
         return checked
 

@@ -69,7 +69,24 @@ def system_to_obj(sys: SystemOfEquations) -> dict:
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """obj as json.dumps(obj, indent=2) writes it, then a newline.  json
+    indents through closures that call one another, a reference cycle on
+    every call; _emit is module-level and hands json.dumps keys and scalars."""
+    return _emit(obj, "\n") + "\n"
+
+
+def _emit(obj, newline: str) -> str:
+    """obj's JSON, newline breaking a line at obj's indent.  Keys are strings."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items, ends = [json.dumps(k) + ": " + _emit(v, inner) for k, v in obj.items()], "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, ends = [_emit(v, inner) for v in obj], "[]"
+    else:
+        return json.dumps(obj)
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
 
 
 def loads(text: str) -> dict:

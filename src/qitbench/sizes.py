@@ -187,9 +187,6 @@ class SizeUniverse:
     def __contains__(self, i: SizeVal) -> bool:
         return i in self._position
 
-    def position(self, i: SizeVal) -> int:
-        return self._position[i]
-
     def shown(self) -> list[str]:
         """show_size of each member, in member order, printing each shared
         subtree once."""

@@ -6,8 +6,9 @@ structural reads, and counts by the arithmetic recurrence.  term_key is
 the reference for the term order, which the library's enumeration
 (TermTable) produces without computing it.  The recursive plump order
 (the reference for SizeUniverse's height ranks), well-founded recursion,
-structural term equality, the readers of serialize's JSON forms and
-derivation replay are second implementations kept here as references.
+structural term equality, the readers of serialize's JSON forms,
+derivation replay and the per-slice restriction walk are second
+implementations kept here as references.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from qitbench.algebras import Algebra, SatReport, Value, satisfies
+from qitbench.construction import _translate, diamond
 from qitbench.errors import (
     CoherenceFailure,
     InfeasibleExhaustive,
@@ -616,6 +618,51 @@ def naive_diamond(
         class_of_pair=class_of_pair,
     )
 
+
+
+# --- the restriction certificate as a per-slice pair walk ---
+
+
+def naive_check_restriction(appx) -> int:
+    """Approximation.check_restriction as it was before stages kept one
+    class array: per member and per literal slice, pair each local id's
+    literal class with the shared class of its translation, both read
+    off the per-slice arrays (Stage.slice_classes).  Same literal
+    diamonds, same translations, same messages; no flats check."""
+    u = appx.universe
+    literal: dict[int, object] = {}
+    bij: dict[int, list[int]] = {}
+    into: dict[int, list[int]] = {}
+    checked = 0
+    stage_of = [appx.stage_of[m] for m in u.members]
+    position = {m: p for p, m in enumerate(u.members)}
+    for pos, i in enumerate(u.members):
+        below = [position[j] for j in u.below[i]]
+        lit = diamond(appx.build, [literal[j] for j in below], sid=pos)
+        literal[pos] = lit
+        shared = appx.stages[stage_of[pos]]
+        if shared.slices != tuple(sorted({stage_of[pj] for pj in below})):
+            raise QitError(f"restriction mismatch at {show_size(i)}: slices differ")
+        pairs: set[tuple[int, int]] = set()
+        for pj in below:
+            sj = stage_of[pj]
+            if pj not in into:
+                view = appx.stages[sj].view
+                into[pj] = _translate(literal[pj].view, view, bij[pj])
+                if -1 in into[pj] or len(set(into[pj])) != len(view.flats):
+                    raise QitError(f"restriction mismatch at {show_size(i)}: views differ")
+            shared_of = shared.slice_classes[sj]
+            pairs.update(zip(lit.slice_classes[pj], map(shared_of.__getitem__, into[pj])))
+        label = [-1] * len(lit)
+        for c, n in pairs:
+            if label[c] != -1:
+                raise QitError(f"restriction mismatch at {show_size(i)}: partitions differ")
+            label[c] = n
+        if sorted(label) != list(range(len(shared))):
+            raise QitError(f"restriction mismatch at {show_size(i)}: classes differ")
+        bij[pos] = label
+        checked += len(shared.classes)
+    return checked
 
 
 # --- the oracle over term trees, as it was before it ran on TermTable ids ---

@@ -755,10 +755,21 @@ def test_reused_parser_answers_as_a_fresh_one(fresh_parser, capsys):
     ["elim", BAG, "--X", "a,b", "--steps", str(FIXTURES / "bag_parity_steps.json")],
     ["construct", BAG, "--X", "a,b", "--compare-oracle"],
     ["examples", "bag"],
+    *(pytest.param([*argv, "--format", "structured"], id=f"{argv[0]}-structured") for argv in [
+        ["check", BAG],
+        ["elaborate", BAG, "--X", "a,b"],
+        ["enum", BAG, "--X", "a,b"],
+        ["eq", BAG, "(op cons a (op nil))", "(op cons a (op nil))", "--X", "a,b"],
+        ["fold", BAG, "--X", "a,b", "--algebra", str(FIXTURES / "bag_length.json")],
+        ["elim", BAG, "--X", "a,b", "--steps", str(FIXTURES / "bag_parity_steps.json")],
+        ["examples", "bag"],
+    ]),
+    pytest.param(["examples", "--format", "structured"], id="examples-list-structured"),
 ], ids=lambda argv: argv[0])
 def test_commands_leave_nothing_for_the_cyclic_collector(argv, capsys):
     """A recursive closure is a reference cycle, which every run would
-    leave to the cyclic collector; so are mutually recursive closures."""
+    leave to the cyclic collector; so are mutually recursive closures,
+    like those json's indenting encoder builds."""
     run(capsys, *argv)  # first-use caches
     gc.collect()
     gc.disable()

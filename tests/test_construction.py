@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import weakref
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from qitbench import construction, quotient
 from qitbench.cli import main
 from qitbench.construction import (
+    Approximation,
     build_fixed_point,
     compare_with_oracle,
     diamond,
@@ -28,7 +31,7 @@ from qitbench.errors import (
 from qitbench.quotient import build_universe, close_congruence, qwrec
 from qitbench.schema import elaborate, parse_decl
 from qitbench.sexpr import show_term
-from qitbench.sizes import SizeSig, SizeUniverse
+from qitbench.sizes import SizeSig, SizeUniverse, show_size
 from qitbench.terms import (
     NAT,
     Equation,
@@ -60,7 +63,7 @@ from helpers import (
     size_zero,
     tabulate,
 )
-from oracles import bag_multiset, naive_diamond
+from oracles import bag_multiset, naive_check_restriction, naive_diamond
 
 MIN = SizeSig.minimal()
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -466,11 +469,12 @@ def literal_stages(appx) -> list[tuple]:
     with its slices and the full strict fire set naive_diamond is to
     emit collapse clauses along."""
     u = appx.universe
+    position = u.members.index
     literal, out = {}, []
     for i in u.members:
-        pos = u.position(i)
-        slices = [literal[u.position(j)] for j in u.below[i]]
-        fire = {(u.position(k), u.position(j)) for j in u.below[i] for k in u.below[j]}
+        pos = position(i)
+        slices = [literal[position(j)] for j in u.below[i]]
+        fire = {(position(k), position(j)) for j in u.below[i] for k in u.below[j]}
         literal[pos] = diamond(appx.build, slices, pos)
         out.append((literal[pos], slices, fire))
     return out
@@ -552,15 +556,33 @@ def test_a_diamond_without_a_class_less_slice_names_its_stage():
 # --- the restriction certificate stays live; slice views are shared ---
 
 
+def replace_stage(appx, sid, **changes):
+    """Put a copy of stage sid with the given fields changed in its place."""
+    bad = dataclasses.replace(appx.stages[sid], **changes)
+    appx.stages = appx.stages[:sid] + (bad,) + appx.stages[sid + 1 :]
+    return bad
+
+
+def shared_id(class_at) -> int:
+    """The first closed id whose class has another member."""
+    seen = set()
+    for n, c in enumerate(class_at):
+        if c in seen:
+            return n
+        seen.add(c)
+    raise AssertionError("every class is a singleton")
+
+
 def test_restriction_catches_a_moved_local_id():
+    # moving an id out of a class with another member splits that class:
+    # one literal class meets two shared ones
     _, _, u, appx = bag_fixture()
     sid = max(appx.stage_of.values())
     stage = appx.stages[sid]
-    s = stage.slices[-1]
-    moved = list(stage.slice_classes[s])
-    moved[0] = (moved[0] + 1) % len(stage.classes)
-    bad = dataclasses.replace(stage, slice_classes={**stage.slice_classes, s: tuple(moved)})
-    appx.stages = appx.stages[:sid] + (bad,) + appx.stages[sid + 1 :]
+    moved = list(stage.class_at)
+    n = shared_id(moved)
+    moved[n] = (moved[n] + 1) % len(stage.classes)
+    replace_stage(appx, sid, class_at=tuple(moved))
     with pytest.raises(QitError, match="restriction mismatch .*: partitions differ"):
         appx.check_restriction()
 
@@ -572,24 +594,143 @@ def test_restriction_catches_two_shared_classes_merged():
     sid = max(appx.stage_of.values())
     stage = appx.stages[sid]
     assert len(stage.classes) > 1
-    merged = {s: tuple(0 if c == 1 else c for c in cs) for s, cs in stage.slice_classes.items()}
-    bad = dataclasses.replace(stage, slice_classes=merged)
-    appx.stages = appx.stages[:sid] + (bad,) + appx.stages[sid + 1 :]
+    replace_stage(appx, sid, class_at=tuple(0 if c == 1 else c for c in stage.class_at))
     with pytest.raises(QitError, match="restriction mismatch .*: classes differ"):
         appx.check_restriction()
 
 
 def test_fixed_diag_catches_a_moved_local_id():
-    _, _, _, appx = bag_fixture()
+    # the moved id's class one stage down has a second member, which
+    # still reads the old class: on bag h3 stage 1 is discrete, so a
+    # single-id move in stage 2 would be another valid diagram
+    _, _, _, appx = bag_fixture(height=4)
     sid = max(appx.stage_of.values())
     stage = appx.stages[sid]
-    s = stage.slices[0]
-    moved = list(stage.slice_classes[s])
-    moved[0] = (moved[0] + 1) % len(stage.classes)
-    bad = dataclasses.replace(stage, slice_classes={**stage.slice_classes, s: tuple(moved)})
-    appx.stages = appx.stages[:sid] + (bad,) + appx.stages[sid + 1 :]
+    moved = list(stage.class_at)
+    n = shared_id(appx.stages[sid - 1].class_at)
+    moved[n] = (moved[n] + 1) % len(stage.classes)
+    replace_stage(appx, sid, class_at=tuple(moved))
     with pytest.raises(QitError, match="stage diagram broken"):
         appx.check_fixed_diag()
+
+
+def test_restriction_catches_a_flat_that_is_not_least_in_its_class():
+    # a class of a slice stage claims a non-least member of the same depth
+    # as its flat: the view's table is unchanged, so the translation still
+    # covers it, and every pair of classes is unchanged too, so only the
+    # flats check sees it; the per-slice walk does not
+    _, _, u, appx = bag_fixture(height=4)
+    sid = max(appx.stage_of.values()) - 1
+    stage = appx.stages[sid]
+    closed = appx.build.closed
+    groups = {}
+    for n, c in enumerate(stage.class_at):
+        groups.setdefault(c, []).append(n)
+    c, other = next(
+        (c, n)
+        for c, members in groups.items()
+        for n in members[1:]
+        if closed.depths[n] == closed.depths[members[0]]
+    )
+    cls = dataclasses.replace(stage.classes[c], flat=closed.terms[other], flat_id=other)
+    bad = replace_stage(appx, sid, classes=stage.classes[:c] + (cls,) + stage.classes[c + 1 :])
+    assert bad.view.table.terms == stage.view.table.terms
+    assert bad.view.flats != stage.view.flats
+    assert naive_check_restriction(appx) > 0
+    with pytest.raises(QitError, match="restriction mismatch .*: views differ"):
+        appx.check_restriction()
+
+
+def test_restriction_drops_top_height_literal_stages(monkeypatch):
+    # no member lies above a top-height member, so no later literal
+    # diamond reads its literal stage as a slice
+    _, _, u, appx = bag_fixture(depth=2, height=4)
+    top = {pos for pos, i in enumerate(u.members) if not u.above[i]}
+    assert len(top) > 1
+    made = []
+    build = construction.diamond
+
+    def watched(*args, **kwargs):
+        alive = [ref() for ref in made]
+        assert not [st.sid for st in alive if st is not None and st.sid in top]
+        del alive
+        stage = build(*args, **kwargs)
+        made.append(weakref.ref(stage))
+        return stage
+
+    monkeypatch.setattr(construction, "diamond", watched)
+    appx.check_restriction()
+    assert len(made) == len(u.members)
+    assert all(ref() is None for ref in made)
+
+
+def restriction_outcome(check, appx):
+    """What a restriction check returns, or the message it raises."""
+    try:
+        return check(appx)
+    except QitError as err:
+        return str(err)
+
+
+def test_restriction_agrees_with_the_per_slice_walk():
+    builds = [bag_fixture(depth=2, height=h)[3] for h in (3, 4, 5)]
+    builds.append(bag_fixture(depth=3, height=4)[3])
+    decl = parse_decl((FIXTURES / "commtree.qit").read_text())
+    sig, sys = elaborate(decl, {"X": ("a", "b", "c")})
+    builds.append(build_fixed_point(sig, sys, SizeUniverse(MIN, 3), 3))
+    for appx in builds:
+        assert appx.check_restriction() == naive_check_restriction(appx) > 0
+
+
+@given(equations(), st.sampled_from(HEIGHT_DEPTHS))
+def test_generated_restriction_agrees_with_the_per_slice_walk(case, height_depth):
+    sig, eq = case
+    height, depth = height_depth
+    appx = build_fixed_point(sig, SystemOfEquations((eq,)), SizeUniverse(MIN, height), depth)
+    expected = restriction_outcome(naive_check_restriction, appx)
+    assert restriction_outcome(Approximation.check_restriction, appx) == expected
+
+
+def assert_same_rejection(appx) -> str:
+    """Both checks reject at the same member with the same message, save
+    one case: the walk's "partitions differ" may be the flats check's
+    "views differ", when a class array relabelled as a whole passed its
+    own members and so put a wrong class bijection under a translation.
+    Returns the package's outcome."""
+    got = restriction_outcome(Approximation.check_restriction, appx)
+    expected = restriction_outcome(naive_check_restriction, appx)
+    if got != expected:
+        assert got == expected.replace(": partitions differ", ": views differ")
+    return got
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_restriction_agrees_with_the_per_slice_walk_on_corrupted_classes(seed):
+    rng = random.Random(seed)
+    appx = bag_fixture(height=rng.choice((3, 4)))[3]
+    sid = rng.randrange(1, len(appx.stages))
+    stage = appx.stages[sid]
+    corrupted = list(stage.class_at)
+    for _ in range(rng.randint(1, 3)):
+        corrupted[rng.randrange(len(corrupted))] = rng.randrange(len(stage.classes))
+    replace_stage(appx, sid, class_at=tuple(corrupted))
+    assert_same_rejection(appx)
+
+
+def test_a_relabelled_slice_stage_fails_its_flats_one_height_up():
+    # swapping the labels of two classes of stage 1 with one sort and one
+    # flat depth keeps its partition, so its own members pass, and keeps
+    # every translation whole; the members above read each swapped
+    # class's token at the other's flat
+    _, _, u, appx = bag_fixture(height=4)
+    stage = appx.stages[1]
+    kinds = [(cls.sort, cls.fd) for cls in stage.classes]
+    c, d = next((c, d) for c, d in combinations(range(len(kinds)), 2) if kinds[c] == kinds[d])
+    swap = {c: d, d: c}
+    replace_stage(appx, 1, class_at=tuple(swap.get(c, c) for c in stage.class_at))
+    got = assert_same_rejection(appx)
+    member = show_size(next(i for i in u.members if appx.stage_of[i] == 2))
+    assert got == f"restriction mismatch at {member}: views differ"
 
 
 def test_restriction_catches_a_term_missing_from_the_shared_view():
@@ -598,9 +739,8 @@ def test_restriction_catches_a_term_missing_from_the_shared_view():
     sid = appx.stage_of[u.sig.suc(size_zero(u.sig))]
     stage = appx.stages[sid]
     deeper = tuple(dataclasses.replace(c, fd=c.fd + 1) if c.fd < 3 else c for c in stage.classes)
-    bad = dataclasses.replace(stage, classes=deeper)
+    bad = replace_stage(appx, sid, classes=deeper)
     assert len(bad.view.table.terms) < len(stage.view.table.terms)
-    appx.stages = appx.stages[:sid] + (bad,) + appx.stages[sid + 1 :]
     with pytest.raises(QitError, match="restriction mismatch .*: views differ"):
         appx.check_restriction()
 
@@ -613,8 +753,7 @@ def test_a_view_term_outside_the_closed_table_names_its_stage():
     stage = appx.stages[sid]
     last = stage.classes[-1]
     shallower = stage.classes[:-1] + (dataclasses.replace(last, fd=last.fd - 1),)
-    bad = dataclasses.replace(stage, classes=shallower)
-    appx.stages = appx.stages[:sid] + (bad,) + appx.stages[sid + 1 :]
+    replace_stage(appx, sid, classes=shallower)
     with pytest.raises(QitError, match=f"stage {sid} views .*, whose flattening is deeper than 3"):
         appx.check_restriction()
 
@@ -632,7 +771,7 @@ def test_each_slice_stage_is_enumerated_once(monkeypatch):
     u = SizeUniverse(MIN, 4)
     appx = build_fixed_point(sig, sys, u, 3)
     shared = {s for stage in appx.stages for s in stage.slices}
-    literal = {u.position(j) for i in u.members for j in u.below[i]}
+    literal = {u.members.index(j) for i in u.members for j in u.below[i]}
     # one leafless table per build: the closed table the classes rank by
     closed = [args for args in calls if len(args) == 1]
     assert len(closed) == 1

@@ -58,7 +58,7 @@ def test_universe_members_height3():
         "(sz join (sz join (sz zero) (sz zero)) (sz join (sz zero) (sz zero)))",
     ]
     assert all(height(m) <= 3 for m in u.members)
-    assert u.position(ONE) == 1
+    assert u.members.index(ONE) == 1
 
 
 def test_universe_height4_count():
