@@ -11,17 +11,19 @@ down-segment (SizeUniverse.segments, one per height), below-first; the
 restriction check recomputes every member's stage literally and
 compares its partition with the shared one.
 
-Terms are integer ids from enumeration to colimit.  Each build holds
-one closed TermTable: every closed term within the depth bound, its ids
-in the term order (see build_fixed_point).  A stage read as a slice is
-read through its slice view (SliceView), built once: a TermTable over
-its class tokens, with the equation instances and the flat (closed id)
-of each local id.  A stage is one congruence on the closed table (see
-diamond), stored as the class of each closed id; a slice's classes are
-read off it through the slice's flats.  Trees are read off the closed
-table to print, to export and to hold each class's flat; the (slice,
-term) mapping class_of_pair is kept for perfbench/tracing.py and the
-tests.
+Terms are integer ids from enumeration to colimit, in one id space.
+Each build holds one closed TermTable: every closed term within the
+depth bound, its ids in the term order (see build_fixed_point).  A
+class is its flat_id, the least closed id in it.  A pair (j, t) is read
+at its flattening, the closed id of t with each class token read as its
+class's flat_id: a token weighs its class's fd, the depth of its flat,
+so t's weighted depth is its flattening's depth, and every pair lies in
+the closed table.  A stage is one congruence on the closed table (see
+diamond), stored as the class of each closed id, and a pair's class is
+its flattening's; no stage keeps a table of its own.  Trees are read
+off the closed table to print, to export and to hold each class's flat;
+the (slice, term) mapping class_of_pair is kept for perfbench/tracing.py
+and the tests.
 
 The stage diagram (to_diagram) labels each member by its stage: one
 transition map per stage and slice, which diagrams.Colimit checks and
@@ -36,10 +38,10 @@ intro stability) are in tests/theorems.py.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
+from math import prod
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .diagrams import Diagram, colim
@@ -66,8 +68,8 @@ class StageClass:
     flat_id: int = field(repr=False)
 
 
-# The two records below are NamedTuples: a class of either kind is built
-# on every import, and a NamedTuple builds about ten times faster.
+# A NamedTuple, not a frozen dataclass: the class is built on every
+# import, and a NamedTuple builds about ten times faster.
 
 
 class _Build(NamedTuple):
@@ -81,29 +83,12 @@ class _Build(NamedTuple):
     closed: TermTable
 
 
-class SliceView(NamedTuple):
-    """A stage read as a slice.  table holds the depth-bounded terms over
-    the stage's class tokens, leaf c being class c's token; a term's
-    local id is its table id, which is its position in the enumeration,
-    so a term's children always come before it."""
-
-    table: TermTable
-    # class -> local id of the class's token
-    tokens: tuple[int, ...]
-    # per equation, in the system's order: its instances within the
-    # bound as local id pairs, and how many overflow the bound
-    instances: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
-    # local id -> closed id of the term with every token flattened
-    flats: tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class Stage:
     sid: int
-    slices: tuple[int, ...]
+    # the slice stages, in sid order
+    slice_stages: tuple["Stage", ...] = field(repr=False, compare=False)
     classes: tuple[StageClass, ...]
-    # slice -> that slice's view
-    slice_views: Mapping[int, SliceView] = field(repr=False)
     # closed id -> its class; empty for the class-less stage
     class_at: tuple[int, ...] = field(repr=False)
     build: _Build = field(repr=False, compare=False)
@@ -111,123 +96,108 @@ class Stage:
     def __len__(self) -> int:
         return len(self.classes)
 
-    @cached_property
-    def slice_classes(self) -> Mapping[int, tuple[int, ...]]:
-        """slice -> the class of each local id of its view, its flat's."""
-        get = self.class_at.__getitem__
-        return {s: tuple(map(get, v.flats)) for s, v in self.slice_views.items()}
-
-    @cached_property
-    def view(self) -> SliceView:
-        return _slice_view(self)
+    @property
+    def slices(self) -> tuple[int, ...]:
+        return tuple(st.sid for st in self.slice_stages)
 
     @cached_property
     def flat_instances(self) -> frozenset[tuple[int, int]]:
-        """The closed id pairs the view's equation instances flatten to."""
-        flats = self.view.flats
-        return frozenset(
-            (flats[lhs], flats[rhs]) for pairs, _ in self.view.instances for lhs, rhs in pairs
-        )
+        """The stage's equation instances read on the closed table: each
+        variable at the flat_id of a class of its sort, the class tuples
+        drawn under the budget rule of InstanceShape.envs, a class
+        weighing its fd.  These are the instances over the class tokens,
+        flattened: a token weighs what its flat does."""
+        _, sys, bound, closed = self.build
+        classes = self.classes
+        pairs: set[tuple[int, int]] = set()
+        for shape in sys.instance_shapes:
+            pools = [[cls for cls in classes if want in (None, cls.sort)] for want in shape.sorts]
+            envs, _ = shape.envs(pools, lambda cls: cls.fd, bound)
+            left, right = shape.sides
+            read_left, read_right = closed.reader(left), closed.reader(right)
+            for combo in envs:
+                ids = [cls.flat_id for cls in combo]
+                lhs, rhs = read_left(ids)[left.out], read_right(ids)[right.out]
+                if lhs is None or rhs is None:
+                    raise QitError(f"an instance of {shape.eq.name} escaped the closed table")
+                pairs.add((lhs, rhs))
+        return frozenset(pairs)
 
     @cached_property
     def class_of_pair(self) -> Mapping[tuple[int, Term], int]:
-        """Kept for perfbench/tracing.py, which counts a traced build's
-        stage pairs with it, and for the tests that compare a stage with
-        tests/oracles.py's naive_diamond; the package reads class_at
-        and slice_classes."""
-        return {
-            (s, t): c
-            for s in self.slices
-            for t, c in zip(self.slice_views[s].table.terms, self.slice_classes[s])
-        }
-
-
-def _slice_view(st: Stage) -> SliceView:
-    """Enumerate the terms over st's class tokens once and index them."""
-    sig, sys, bound, closed = st.build
-    leaves = [(f"~{st.sid}.{c}", cls.sort, cls.fd) for c, cls in enumerate(st.classes)]
-    table = TermTable(sig, leaves)
-    table.upto(bound)
-    flats: list[int] = []
-    flat, lookup, classes = flats.__getitem__, closed.lookup, st.classes
-    try:
-        for node in table.nodes:
-            if node.__class__ is int:
-                flats.append(classes[node].flat_id)
-            else:
-                flats.append(lookup[(node[0], tuple(map(flat, node[1])))])
-    except KeyError:
-        term = show_term(table.terms[len(flats)])
-        raise QitError(
-            f"stage {st.sid} views {term}, whose flattening is deeper than {bound}"
-        ) from None
-    tokens = tuple(table.lookup[c] for c in range(len(st.classes)))
-    instances = []
-    for shape in sys.instance_shapes:
-        # the class tuples under the budget rule, a class weighing its fd
-        pools = [
-            [c for c, cls in enumerate(st.classes) if want in (None, cls.sort)]
-            for want in shape.sorts
-        ]
-        envs, overflow = shape.envs(pools, lambda c: st.classes[c].fd, bound)
-        left, right = shape.sides
-        read_left, read_right = table.reader(left), table.reader(right)
-        pairs = []
-        for combo in envs:
-            ids = [tokens[c] for c in combo]
-            lhs, rhs = read_left(ids)[left.out], read_right(ids)[right.out]
-            if lhs is None or rhs is None:
-                raise QitError(f"an instance of {shape.eq.name} escaped the slice view")
-            pairs.append((lhs, rhs))
-        instances.append((tuple(pairs), overflow))
-    return SliceView(table, tokens, tuple(instances), tuple(flats))
+        """(slice, term over its class tokens) -> the class of the term's
+        flattening, per slice in enumeration order.  Kept for
+        perfbench/tracing.py, which counts a traced build's stage pairs
+        with it, and for the tests that compare a stage with
+        tests/oracles.py's naive_diamond; the package never reads it.
+        The TermTable over each slice's class tokens built here is the
+        only token table in the package."""
+        sig, _, bound, closed = self.build
+        out: dict[tuple[int, Term], int] = {}
+        for low in self.slice_stages:
+            leaves = [(f"~{low.sid}.{c}", cls.sort, cls.fd) for c, cls in enumerate(low.classes)]
+            table = TermTable(sig, leaves)
+            table.upto(bound)
+            flats: list[int] = []
+            for node in table.nodes:
+                if node.__class__ is int:
+                    flats.append(low.classes[node].flat_id)
+                else:
+                    flats.append(closed.lookup[(node[0], tuple(map(flats.__getitem__, node[1])))])
+            pairs = [(low.sid, t) for t in table.terms]
+            out.update(zip(pairs, map(self.class_at.__getitem__, flats)))
+        return out
 
 
 def diamond(build: _Build, slices: Sequence[Stage], sid: int) -> Stage:
     """One quotient stage over the given slice stages: the least
-    congruence on the pairs (s, n) of a slice s and a local id n of its
-    view (every node keyed, nullary ones included) that contains each
-    slice's equation instances and, for each slice low of a slice high,
-    the collapse clauses (low, n) ~ (high, token of high's class of
-    (low, n)).  Instances are drawn per slice under the budget rule of
-    InstanceShape.envs, a token weighing its class's fd (_slice_view);
-    overflowing instances are never built.  The slices must come from
-    build, each built by diamond, and be closed downward: every slice of
-    a slice is one of them.  Both callers pass every stage below the
+    congruence on the pairs (s, t) of a slice s and a term t over s's
+    class tokens within the bound (a token weighing its class's fd;
+    every node keyed, nullary ones included) that contains each slice's
+    equation instances and, for each slice low of a slice high, the
+    collapse clauses (low, t) ~ (high, token of high's class of
+    (low, t)).  Instances are drawn per slice under the budget rule of
+    InstanceShape.envs (Stage.flat_instances); overflowing instances are
+    never built.  The slices must come from build, each built by
+    diamond, in sid order, and be closed downward: every slice of a
+    slice is one of them.  Both callers pass every stage below the
     member this stage summarizes, so the collapse clauses are those of
     every strictly ordered pair of members below it.
 
-    The stage is computed on build.closed.  Unless slices is empty, one
-    of them must be class-less, or this raises: call it z.  Its view is
-    the closed table and its flats are the identity; in both callers it
-    is the least member's stage, a slice of every stage with classes.
-    Let C be the least congruence on the closed ids that contains each
-    slice's instances read through its flats.  The stage relates two
-    pairs exactly when C relates their flats (call that Q):
-    - C holds every collapse clause read through the flats, (low's flat
-      of n, flat_id of high's class of (low, n)).  Both ids lie in one
-      class of high, which diamond computed as a class of the least
+    The stage is computed on build.closed, with no table per slice.  A
+    pair (s, t) flattens to a closed id: t with each token read as its
+    class's flat_id.  A class's fd is its flat's depth, so t's weighted
+    depth is its flattening's depth, and every pair flattens into the
+    closed table.  Unless slices is empty, one of them must be
+    class-less, or this raises: call it z.  Its terms are the closed
+    terms, each its own flattening; in both callers z is the least
+    member's stage, a slice of every stage with classes.  Let C be the
+    least congruence on the closed ids that contains each slice's
+    instances flattened.  The stage relates two pairs exactly when C
+    relates their flattenings (call that Q):
+    - C holds every collapse clause flattened, (low's flattening of t,
+      flat_id of high's class of (low, t)).  Both ids lie in one class
+      of high, which diamond computed as a class of the least
       congruence C_high holding high's slices' flat instances.  Those
       slices are slices here, so C_high lies in C.  This is why no
       collapse clause is a seed.
     - Q holds the stage: it is a congruence, as a node flattens to the
-      closed node over its children's flats, and every clause flattens
-      to a pair of C, a token to its class's flat_id.  So, child by
-      child, do the lifted clauses (k, n) ~ (j, op(d_kj k1 ... d_kj km))
-      that tests/oracles.py's naive_diamond also emits, d_kj t being
-      the token of stage j's class of (k, t).
-    - The stage holds Q: by induction on n, (s, n) lies in the class of
-      (z, s's flat of n).  A token of class c meets (z, flat_id of c),
+      closed node over its children's flattenings, and every clause
+      flattens to a pair of C, a token to its class's flat_id.  So,
+      child by child, do the lifted clauses (k, t) ~ (j, op(d_kj k1 ...
+      d_kj km)) that tests/oracles.py's naive_diamond also emits, d_kj t
+      being the token of stage j's class of (k, t).
+    - The stage holds Q: by induction on t, (s, t) lies in the class of
+      (z, t's flattening).  A token of class c meets (z, flat_id of c),
       which lies in c in stage s, by the collapse clause from z into s;
-      a node meets its flattening, which lies in z's view (_slice_view
-      raises otherwise), as its children do.  Read on z, the stage is a
-      congruence holding every seed of C, so it holds C.
+      a node meets its flattening, a term of z, as its children do.
+      Read on z, the stage is a congruence holding every seed of C, so
+      it holds C.
     So the stage is one congruence_roots call over closed.nodes, stored
-    as the class of each closed id (class_at), and each slice reads its
-    classes off that array through its flats (Stage.slice_classes).
-    Each closed id is a pair of z, so the classes in first-id order rank
-    by least closed id, with no ties; flat, sort and fd are read off the
-    closed table there.  The slices must come in sid order."""
+    as the class of each closed id (class_at); a pair's class is its
+    flattening's.  Each closed id is a pair of z, so the classes in
+    first-id order rank by least closed id, with no ties; flat, sort and
+    fd are read off the closed table there."""
     closed = build.closed
     classes = []
     class_at: list[int] = []
@@ -246,9 +216,8 @@ def diamond(build: _Build, slices: Sequence[Stage], sid: int) -> Stage:
 
     return Stage(
         sid=sid,
-        slices=tuple(st.sid for st in slices),
+        slice_stages=tuple(slices),
         classes=tuple(classes),
-        slice_views={st.sid: st.view for st in slices},
         class_at=tuple(class_at),
         build=build,
     )
@@ -268,11 +237,11 @@ class Approximation:
         return self.stages[self.stage_of[i]]
 
     def delta(self, i: SizeVal, j: SizeVal, cls: int) -> int:
-        """Push a class at member i one stage up to member j."""
+        """Push a class at member i one stage up to member j: j's class
+        of the class's flat."""
         if not self.universe.lt(i, j):
             raise QitError(f"{show_size(i)} is not strictly below {show_size(j)}")
-        si = self.stage_of[i]
-        return self.stage_at(j).slice_classes[si][self.stages[si].view.tokens[cls]]
+        return self.stage_at(j).class_at[self.stage_at(i).classes[cls].flat_id]
 
     def stage_pairs(self) -> Iterator[tuple[SizeVal, SizeVal]]:
         """The first member pair i < j, in member order then up-set
@@ -285,22 +254,25 @@ class Approximation:
 
     def check_fixed_diag(self) -> int:
         """Reading a pair off at a higher stage agrees with pushing its
-        class up, for every ordered member pair and every pair."""
+        class up, for every ordered member pair and every pair.  A pair's
+        class is its flattening's (see diamond), and the class-less slice
+        z of every stage with classes holds each closed id as a pair, so
+        checking the closed ids checks every pair, and the first failing
+        closed id is the first failing pair of z, the first slice.
+        Returns how many closed ids were checked."""
+        terms = self.build.closed.terms
         checked = 0
         for i, j in self.stage_pairs():
-            si = self.stage_of[i]
-            low, high = self.stages[si], self.stage_at(j)
-            # high's class of the token of each class of low
-            via = [high.slice_classes[si][n] for n in low.view.tokens]
-            for s in low.slices:
-                for n, (ci, direct) in enumerate(zip(low.slice_classes[s], high.slice_classes[s])):
-                    if direct != via[ci]:
-                        term = low.slice_views[s].table.terms[n]
-                        raise QitError(
-                            f"stage diagram broken at {show_term(term)} between "
-                            f"{show_size(i)} and {show_size(j)}"
-                        )
-                    checked += 1
+            low, high = self.stage_at(i), self.stage_at(j)
+            # high's class of the flat of each class of low
+            via = [high.class_at[cls.flat_id] for cls in low.classes]
+            for n, (ci, direct) in enumerate(zip(low.class_at, high.class_at)):
+                if direct != via[ci]:
+                    raise QitError(
+                        f"stage diagram broken at {show_term(terms[n])} between "
+                        f"{show_size(i)} and {show_size(j)}"
+                    )
+            checked += len(low.class_at)
         return checked
 
     def check_restriction(self) -> int:
@@ -309,32 +281,45 @@ class Approximation:
         partition: the uniqueness of the shared fixed point.  Every
         member gets its literal diamond.
 
-        Each literal slice's view is translated once into its shared
-        stage's view, renaming tokens through the class bijection found
-        when that slice was checked.  The translation t must hold no -1,
-        cover the shared view and keep flats: the shared flat of t[n] is
-        the literal flat of n.  The shared stage's slices must be the
-        literal slices' stages.  Each member's label maps literal class
-        -> shared class through the pairs (lit.class_at[f],
-        shared.class_at[f]) over the closed ids f; it must be well
-        defined and a bijection.
+        The shared stage's slices must be the literal slices' stages.
+        Each literal slice's class records must be its shared stage's
+        under the class bijection found when that slice was checked:
+        equal flat, sort, fd and flat_id ("views differ" otherwise).
+        Each member's label maps literal class -> shared class through
+        the pairs (lit.class_at[f], shared.class_at[f]) over the closed
+        ids f; it must be well defined and a bijection.
+
+        The records check decides the translation test of the terms
+        over the slice's class tokens within the bound (kept in
+        tests/oracles.py): that renaming each literal token through the
+        bijection maps these terms totally onto the shared stage's and
+        keeps every flattening.  If the
+        records agree, the renaming matches tokens of one sort and one
+        weight, so it maps the terms within the bound one to one onto
+        the shared ones, and each token keeps its flat_id, so every term
+        keeps its flattening.  Conversely a renamed token keeps its
+        flattening only if the two flat_ids agree, and on a stage
+        diamond built, flat, sort and fd are read off the closed table
+        at flat_id, so the records agree.  On any other stage the
+        records check is the stricter.
 
         The per-slice walk (tests/oracles.py's naive_check_restriction)
-        pairs lit's class of (pj, n) with shared's class of (sj, t[n]),
-        for each literal slice pj, its shared stage sj and local id n:
-        that is (lit.class_at[f], shared.class_at[f']), f the literal
-        flat of n and f' the shared flat of t[n], and f' = f by the
-        flats check.  The least member's literal stage z is class-less,
-        a slice of every member with slices, and its flats are the
-        identity, so z alone gives every pair of the zip.  So each
-        member gets the walk's label, and this rejects all the walk
-        rejects.  below is a member-order prefix, and a literal stage is
-        kept only while some member lies above it."""
+        pairs lit's class of (pj, t) with shared's class of (sj, t
+        renamed), for each literal slice pj, its shared stage sj and
+        term t over pj's tokens.  A pair's class is its
+        flattening's, and renaming keeps it, so that is
+        (lit.class_at[f], shared.class_at[f]), f the flattening of t.
+        The least member's literal stage z is class-less, a slice of
+        every member with slices, and holds every closed id as a term,
+        so z alone gives every pair of the zip.  So each member gets the
+        walk's label, and this rejects all the walk rejects.  below is a
+        member-order prefix, and a literal stage is kept only while some
+        member lies above it."""
         u = self.universe
         literal: list[Stage] = []
         bij: list[list[int]] = []
-        # literal slices translated so far: a prefix of the members
-        translated = 0
+        # literal slices whose records are checked: a prefix of the members
+        compared = 0
         checked = 0
         # the shared stage, by member position
         stage_of = [self.stage_of[m] for m in u.members]
@@ -344,16 +329,11 @@ class Approximation:
             shared = self.stages[stage_of[pos]]
             if shared.slices != tuple(sorted(set(stage_of[:below]))):
                 raise QitError(f"restriction mismatch at {show_size(i)}: slices differ")
-            for pj in range(translated, below):
-                src, dst = literal[pj].view, self.stages[stage_of[pj]].view
-                into = _translate(src, dst, bij[pj])
-                if (
-                    -1 in into
-                    or len(set(into)) != len(dst.flats)
-                    or tuple(map(dst.flats.__getitem__, into)) != src.flats
-                ):
+            for pj in range(compared, below):
+                records = self.stages[stage_of[pj]].classes
+                if tuple(map(records.__getitem__, bij[pj])) != literal[pj].classes:
                     raise QitError(f"restriction mismatch at {show_size(i)}: views differ")
-            translated = below
+            compared = below
             label = [-1] * len(lit)
             for c, n in set(zip(lit.class_at, shared.class_at)):
                 if label[c] != -1:
@@ -394,31 +374,30 @@ class Approximation:
         )
 
     def export(self) -> str:
+        """Members, stages and classes; a class's pairs are counted on
+        the closed table.  Per slice, mult[f] terms over its class tokens
+        flatten to closed id f: its class's token when f is a flat, and
+        one node per choice of a term for each child.  A term's weighted
+        depth is its flattening's depth, so each such term is within the
+        bound, and a pair's class is its flattening's."""
+        nodes = self.build.closed.nodes
         lines = [f"depth {self.depth} height {self.universe.height}"]
         for i, shown in zip(self.universe.members, self.universe.shown()):
             lines.append(f"member {shown} -> stage {self.stage_of[i]}")
         for st in self.stages:
             slices = " ".join(str(s) for s in st.slices)
             lines.append(f"stage {st.sid}: slices ({slices}) classes {len(st)}")
-            sizes = Counter(c for s in st.slices for c in st.slice_classes[s])
+            sizes = [0] * len(st)
+            for low in st.slice_stages:
+                flats = {cls.flat_id for cls in low.classes}
+                mult: list[int] = []
+                for f, (_, kids) in enumerate(nodes):
+                    mult.append((f in flats) + prod(map(mult.__getitem__, kids)))
+                for c, m in zip(st.class_at, mult):
+                    sizes[c] += m
             for c, cls in enumerate(st.classes):
                 lines.append(f"  class {c} {show_term(cls.flat)} | pairs {sizes[c]}")
         return "\n".join(lines) + "\n"
-
-
-def _translate(src: SliceView, dst: SliceView, rename: Sequence[int]) -> list[int]:
-    """The local id in dst of each term of src with its tokens renamed
-    through the class map rename; -1 for a term dst does not hold.
-    Children come before their parents, so one pass suffices."""
-    out = [-1] * len(src.flats)
-    for c, n in enumerate(src.tokens):
-        out[n] = dst.tokens[rename[c]]
-    get = dst.table.lookup.get
-    for n, node in enumerate(src.table.nodes):
-        if node.__class__ is not int:
-            op, kids = node
-            out[n] = get((op, tuple(map(out.__getitem__, kids))), -1)
-    return out
 
 
 def build_fixed_point(
@@ -510,12 +489,11 @@ class QwInterface:
                 raise StageOverflow(
                     f"no stage above {show_size(i)} in a height-{u.height} universe"
                 )
-            si = appx.stage_of[i]
-            view = appx.stages[si].view
-            n = view.table.lookup.get((opi, tuple(view.tokens[c] for c in pushed)))
+            classes = appx.stage_at(i).classes
+            n = appx.build.closed.lookup.get((opi, tuple(classes[c].flat_id for c in pushed)))
             if n is None:
                 raise StageOverflow(f"intro exceeds depth {appx.depth} at {show_size(i)}")
-            return self.inject(sup, appx.stage_at(sup).slice_classes[si][n])
+            return self.inject(sup, appx.stage_at(sup).class_at[n])
         raise StageOverflow("children have no common stage in the universe")
 
 

@@ -292,8 +292,11 @@ def _instantiate(t: Term, env: Mapping[str, int], maps: Mapping[str, IndexMap]) 
             return Var(str(eval_ix(expr, env, maps)))
         case Node(op, Tab(entries)):
             return Node(op, Tab(tuple(_instantiate(c, env, maps) for c in entries)))
-        case Node(op, Comp(ivar, body)):
-            return Node(op, Comp(ivar, t))  # pragma: no cover - nested tabulation unused
+        case Node(op, Comp()):
+            raise InfinitaryArity(
+                f"cannot instantiate the comprehension under {op.show()}: "
+                "nested comprehensions wait for ROADMAP item 9"
+            )
     raise TypeError(f"not a term: {t!r}")
 
 

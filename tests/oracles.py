@@ -7,8 +7,10 @@ the reference for the term order, which the library's enumeration
 (TermTable) produces without computing it.  The recursive plump order
 (the reference for SizeUniverse's height ranks), well-founded recursion,
 structural term equality, the readers of serialize's JSON forms,
-derivation replay and the per-slice restriction walk are second
-implementations kept here as references.
+derivation replay, the slice views (a stage's terms over its class
+tokens, which the package no longer builds) and the per-slice
+restriction walk over them are second implementations kept here as
+references.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from qitbench.algebras import Algebra, SatReport, Value, satisfies
-from qitbench.construction import _translate, diamond
+from qitbench.construction import diamond
 from qitbench.errors import (
     CoherenceFailure,
     InfeasibleExhaustive,
@@ -620,19 +622,100 @@ def naive_diamond(
 
 
 
+# --- slice views: a stage's terms over its class tokens, as a table ---
+
+
+class NaiveView(NamedTuple):
+    """A stage read as a slice, as the package kept it before every
+    stage was read off the closed table.  table holds the depth-bounded
+    terms over the stage's class tokens, leaf c being class c's token; a
+    term's local id is its table id, which is its position in the
+    enumeration, so a term's children always come before it."""
+
+    table: TermTable
+    # class -> local id of the class's token
+    tokens: tuple[int, ...]
+    # per equation, in the system's order: its instances within the
+    # bound as local id pairs, and how many overflow the bound
+    instances: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
+    # local id -> closed id of the term with every token flattened
+    flats: tuple[int, ...]
+
+
+def naive_view(st) -> NaiveView:
+    """Enumerate the terms over st's class tokens, a token weighing its
+    class's fd, and index them: each term's flattening, and each
+    equation's instances under InstanceShape.envs' budget rule."""
+    sig, sys, bound, closed = st.build
+    leaves = [(f"~{st.sid}.{c}", cls.sort, cls.fd) for c, cls in enumerate(st.classes)]
+    table = TermTable(sig, leaves)
+    table.upto(bound)
+    flats: list[int] = []
+    for node in table.nodes:
+        if isinstance(node, int):
+            flats.append(st.classes[node].flat_id)
+            continue
+        key = (node[0], tuple(flats[k] for k in node[1]))
+        if key not in closed.lookup:
+            term = show_term(table.terms[len(flats)])
+            raise QitError(f"stage {st.sid} views {term}, whose flattening is deeper than {bound}")
+        flats.append(closed.lookup[key])
+    tokens = tuple(table.lookup[c] for c in range(len(st.classes)))
+    instances = []
+    for shape in sys.instance_shapes:
+        pools = [
+            [c for c, cls in enumerate(st.classes) if want in (None, cls.sort)]
+            for want in shape.sorts
+        ]
+        envs, overflow = shape.envs(pools, lambda c: st.classes[c].fd, bound)
+        left, right = shape.sides
+        read_left, read_right = table.reader(left), table.reader(right)
+        pairs = []
+        for combo in envs:
+            ids = [tokens[c] for c in combo]
+            lhs, rhs = read_left(ids)[left.out], read_right(ids)[right.out]
+            if lhs is None or rhs is None:
+                raise QitError(f"an instance of {shape.eq.name} escaped the slice view")
+            pairs.append((lhs, rhs))
+        instances.append((tuple(pairs), overflow))
+    return NaiveView(table, tokens, tuple(instances), tuple(flats))
+
+
+def view_classes(stage, view: NaiveView) -> tuple[int, ...]:
+    """stage's class of each term of a slice's view: its flattening's."""
+    return tuple(stage.class_at[f] for f in view.flats)
+
+
+def naive_translate(src: NaiveView, dst: NaiveView, rename: Sequence[int]) -> list[int]:
+    """The local id in dst of each term of src with its tokens renamed
+    through the class map rename; -1 for a term dst does not hold.
+    Children come before their parents, so one pass suffices."""
+    out = [-1] * len(src.flats)
+    for c, n in enumerate(src.tokens):
+        out[n] = dst.tokens[rename[c]]
+    for n, node in enumerate(src.table.nodes):
+        if not isinstance(node, int):
+            op, kids = node
+            out[n] = dst.table.lookup.get((op, tuple(out[k] for k in kids)), -1)
+    return out
+
+
 # --- the restriction certificate as a per-slice pair walk ---
 
 
 def naive_check_restriction(appx) -> int:
     """Approximation.check_restriction as it was before stages kept one
-    class array: per member and per literal slice, pair each local id's
+    class array: per member and per literal slice, pair each term's
     literal class with the shared class of its translation, both read
-    off the per-slice arrays (Stage.slice_classes).  Same literal
-    diamonds, same translations, same messages; no flats check."""
+    through the slices' views.  Same literal diamonds, same messages;
+    the views check is the translation's (total and covering), with no
+    flats check."""
     u = appx.universe
     literal: dict[int, object] = {}
     bij: dict[int, list[int]] = {}
     into: dict[int, list[int]] = {}
+    lit_views: dict[int, NaiveView] = {}
+    shared_views = {sid: naive_view(st) for sid, st in enumerate(appx.stages)}
     checked = 0
     stage_of = [appx.stage_of[m] for m in u.members]
     position = {m: p for p, m in enumerate(u.members)}
@@ -647,12 +730,13 @@ def naive_check_restriction(appx) -> int:
         for pj in below:
             sj = stage_of[pj]
             if pj not in into:
-                view = appx.stages[sj].view
-                into[pj] = _translate(literal[pj].view, view, bij[pj])
+                view = shared_views[sj]
+                lit_views[pj] = naive_view(literal[pj])
+                into[pj] = naive_translate(lit_views[pj], view, bij[pj])
                 if -1 in into[pj] or len(set(into[pj])) != len(view.flats):
                     raise QitError(f"restriction mismatch at {show_size(i)}: views differ")
-            shared_of = shared.slice_classes[sj]
-            pairs.update(zip(lit.slice_classes[pj], map(shared_of.__getitem__, into[pj])))
+            shared_of = view_classes(shared, shared_views[sj])
+            pairs.update(zip(view_classes(lit, lit_views[pj]), map(shared_of.__getitem__, into[pj])))
         label = [-1] * len(lit)
         for c, n in pairs:
             if label[c] != -1:

@@ -6,6 +6,7 @@ import gc
 import importlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ GOLDEN = Path(__file__).parent / "golden" / "cli"
 BAG = str(FIXTURES / "bag.qit")
 BAGPRIME = str(FIXTURES / "bagprime.qit")
 COMMVEC = str(FIXTURES / "commvec.qit")
+COMMTREE = str(FIXTURES / "commtree.qit")
 INFTREE = str(FIXTURES / "inftree.qit")
 
 
@@ -468,6 +470,8 @@ VEC2 = ("--X", "a,b", "--prefix", "2")
     ("construct_bag_compare_oracle.txt", 0, ["construct", BAG, "--X", "a,b", "--compare-oracle"]),
     ("construct_commvec_prefix2_compare_oracle.txt", 0,
      ["construct", COMMVEC, *VEC2, "--compare-oracle"]),
+    ("construct_commtree_ab_d4_h3_compare_oracle.txt", 0,
+     ["construct", COMMTREE, "--X", "a,b", "-d", "4", "--size-height", "3", "--compare-oracle"]),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_oracle_output_matches_golden(golden, code, argv, capsys):
     got = run(capsys, *argv)
@@ -689,6 +693,26 @@ def test_closed_stdout_exits_without_traceback():
         os.close(w)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_commtree_abc_d4_construct_fits_in_one_gigabyte():
+    # every stage is read off the build's one closed table; a term table
+    # per stage ran out of memory here
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    cap = 1 << 30
+
+    def limit():
+        # runs in the child only, before it starts Python
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "qitbench.cli", "construct", COMMTREE, "--X", "a,b,c", "-d", "4",
+         "--compare-oracle"],
+        capture_output=True, text=True, env=env, timeout=300, preexec_fn=limit,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("oracle: bijection over 1179 classes (intro checked 21612)\n")
 
 
 # --- one parser per process ---

@@ -63,7 +63,7 @@ from helpers import (
     size_zero,
     tabulate,
 )
-from oracles import bag_multiset, naive_check_restriction, naive_diamond
+from oracles import bag_multiset, naive_check_restriction, naive_diamond, naive_view, substitute
 
 MIN = SizeSig.minimal()
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -355,11 +355,25 @@ def stage_rows(stage) -> list[tuple]:
     return [(c.flat, c.sort, c.fd, tuple(pairs[n])) for n, c in enumerate(stage.classes)]
 
 
+def export_pairs(appx) -> dict[int, list[int]]:
+    """Each stage's "| pairs N" counts, class by class, read off export."""
+    counts: dict[int, list[int]] = {}
+    for line in appx.export().splitlines():
+        if line.startswith("stage "):
+            sid = int(line.split()[1].rstrip(":"))
+            counts[sid] = []
+        elif line.startswith("  class "):
+            counts[sid].append(int(line.rsplit(" ", 1)[1]))
+    return counts
+
+
 def assert_stages_match_naive(appx) -> int:
     """Rebuild every shared stage with naive_diamond, over the same slice
     stages and the fire set of a member that realizes it, and demand the
-    same classes and the same class_of_pair.  Returns the stage count."""
+    same classes and the same class_of_pair, and export's pair count of
+    each class.  Returns the stage count."""
     u = appx.universe
+    exported = export_pairs(appx)
     done: set[int] = set()
     for i in u.members:
         sid = appx.stage_of[i]
@@ -368,17 +382,20 @@ def assert_stages_match_naive(appx) -> int:
         done.add(sid)
         fire = {(appx.stage_of[k], appx.stage_of[j]) for j in u.below[i] for k in u.below[j]}
         stage = appx.stages[sid]
-        assert_stage_matches_naive(appx, stage, [appx.stages[s] for s in stage.slices], fire)
+        naive = assert_stage_matches_naive(appx, stage, [appx.stages[s] for s in stage.slices], fire)
+        assert exported[sid] == [len(c.pairs) for c in naive.classes]
+    assert sorted(exported) == sorted(done)
     return len(done)
 
 
-def assert_stage_matches_naive(appx, stage, slices, fire) -> None:
+def assert_stage_matches_naive(appx, stage, slices, fire):
     """naive_diamond over the same slices and fire set gives stage's
-    classes and class_of_pair."""
+    classes and class_of_pair; returns the naive stage."""
     naive = naive_diamond(appx.sig, appx.sys, appx.depth, slices, fire, stage.sid)
     assert stage.slices == naive.slices
     assert stage_rows(stage) == [tuple(c) for c in naive.classes]
     assert dict(stage.class_of_pair) == naive.class_of_pair
+    return naive
 
 
 # the generated universe, and two explicit ones: in the first <= is not
@@ -491,16 +508,22 @@ def assert_literal_stages_match_naive(appx) -> int:
 
 
 def assert_pullback(stage) -> None:
-    """Each pair's class is the class, in the class-less slice, of the
-    pair's flattening: read off the stored arrays, not the closure."""
+    """Each pair's class (class_of_pair) is the class, in the class-less
+    slice, of the pair's flattening: the term with each token replaced
+    by its class's flat, found among the closed terms as a tree.  The
+    class-less slice's terms are the closed terms, in id order."""
     if not stage.slices:
         return
-    zero = next(s for s in stage.slices if not stage.slice_views[s].tokens)
-    assert stage.slice_views[zero].flats == tuple(range(len(stage.build.closed.nodes)))
-    at_zero = stage.slice_classes[zero]
-    for s in stage.slices:
-        flats = stage.slice_views[s].flats
-        assert stage.slice_classes[s] == tuple(map(at_zero.__getitem__, flats))
+    closed = stage.build.closed.terms
+    index = {t: n for n, t in enumerate(closed)}
+    zero = next(low.sid for low in stage.slice_stages if not low.classes)
+    flat = {
+        f"~{low.sid}.{c}": cls.flat for low in stage.slice_stages for c, cls in enumerate(low.classes)
+    }
+    pairs = stage.class_of_pair
+    assert [t for s, t in pairs if s == zero] == closed
+    for (s, t), c in pairs.items():
+        assert stage.class_at[index[substitute(t, flat)]] == c
 
 
 def assert_pullback_everywhere(appx) -> int:
@@ -553,7 +576,7 @@ def test_a_diamond_without_a_class_less_slice_names_its_stage():
         diamond(appx.build, [one], sid=99)
 
 
-# --- the restriction certificate stays live; slice views are shared ---
+# --- the restriction certificate stays live; stages keep no views ---
 
 
 def replace_stage(appx, sid, **changes):
@@ -618,7 +641,8 @@ def test_restriction_catches_a_flat_that_is_not_least_in_its_class():
     # a class of a slice stage claims a non-least member of the same depth
     # as its flat: the view's table is unchanged, so the translation still
     # covers it, and every pair of classes is unchanged too, so only the
-    # flats check sees it; the per-slice walk does not
+    # records check (the flats check of the translation) sees it; the
+    # per-slice walk does not
     _, _, u, appx = bag_fixture(height=4)
     sid = max(appx.stage_of.values()) - 1
     stage = appx.stages[sid]
@@ -634,8 +658,8 @@ def test_restriction_catches_a_flat_that_is_not_least_in_its_class():
     )
     cls = dataclasses.replace(stage.classes[c], flat=closed.terms[other], flat_id=other)
     bad = replace_stage(appx, sid, classes=stage.classes[:c] + (cls,) + stage.classes[c + 1 :])
-    assert bad.view.table.terms == stage.view.table.terms
-    assert bad.view.flats != stage.view.flats
+    assert naive_view(bad).table.terms == naive_view(stage).table.terms
+    assert naive_view(bad).flats != naive_view(stage).flats
     assert naive_check_restriction(appx) > 0
     with pytest.raises(QitError, match="restriction mismatch .*: views differ"):
         appx.check_restriction()
@@ -693,9 +717,9 @@ def test_generated_restriction_agrees_with_the_per_slice_walk(case, height_depth
 
 def assert_same_rejection(appx) -> str:
     """Both checks reject at the same member with the same message, save
-    one case: the walk's "partitions differ" may be the flats check's
+    one case: the walk's "partitions differ" may be the records check's
     "views differ", when a class array relabelled as a whole passed its
-    own members and so put a wrong class bijection under a translation.
+    own members and so put a wrong class bijection under a slice.
     Returns the package's outcome."""
     got = restriction_outcome(Approximation.check_restriction, appx)
     expected = restriction_outcome(naive_check_restriction, appx)
@@ -734,48 +758,56 @@ def test_a_relabelled_slice_stage_fails_its_flats_one_height_up():
 
 
 def test_restriction_catches_a_term_missing_from_the_shared_view():
-    # a class claiming a deeper flattening drops terms from its view
+    # a class claiming a deeper flattening drops terms from its view;
+    # its records are no longer the literal slice's
     _, _, u, appx = bag_fixture()
     sid = appx.stage_of[u.sig.suc(size_zero(u.sig))]
     stage = appx.stages[sid]
     deeper = tuple(dataclasses.replace(c, fd=c.fd + 1) if c.fd < 3 else c for c in stage.classes)
     bad = replace_stage(appx, sid, classes=deeper)
-    assert len(bad.view.table.terms) < len(stage.view.table.terms)
+    assert len(naive_view(bad).table.terms) < len(naive_view(stage).table.terms)
     with pytest.raises(QitError, match="restriction mismatch .*: views differ"):
         appx.check_restriction()
 
 
-def test_a_view_term_outside_the_closed_table_names_its_stage():
-    # a class claiming a shallower flattening lets the view hold a term
-    # whose flattening is deeper than the bound
+def test_restriction_catches_a_class_claiming_a_shallower_flat():
+    # a class claiming a shallower flattening would let its view hold a
+    # term whose flattening is deeper than the bound; its records are no
+    # longer the literal slice's
     _, _, u, appx = bag_fixture()
     sid = appx.stage_of[u.sig.suc(size_zero(u.sig))]
     stage = appx.stages[sid]
     last = stage.classes[-1]
     shallower = stage.classes[:-1] + (dataclasses.replace(last, fd=last.fd - 1),)
-    replace_stage(appx, sid, classes=shallower)
+    bad = replace_stage(appx, sid, classes=shallower)
     with pytest.raises(QitError, match=f"stage {sid} views .*, whose flattening is deeper than 3"):
+        naive_view(bad)
+    with pytest.raises(QitError, match="restriction mismatch .*: views differ"):
         appx.check_restriction()
 
 
-def test_each_slice_stage_is_enumerated_once(monkeypatch):
-    calls = []
-    table = construction.TermTable
+def test_a_plain_construct_builds_one_term_table(monkeypatch, capsys):
+    # with class_of_pair never read, the build's closed table is the only
+    # table: no stage, shared or literal, enumerates terms of its own
+    def refuse(self):
+        raise AssertionError("class_of_pair read inside the package")
+
+    made = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return table(*args, **kwargs)
+        made.append(args)
+        return TermTable(*args, **kwargs)
 
     monkeypatch.setattr(construction, "TermTable", counted)
-    sig, sys = bag_sig(), bag_system()
-    u = SizeUniverse(MIN, 4)
-    appx = build_fixed_point(sig, sys, u, 3)
-    shared = {s for stage in appx.stages for s in stage.slices}
-    literal = {u.members.index(j) for i in u.members for j in u.below[i]}
-    # one leafless table per build: the closed table the classes rank by
-    closed = [args for args in calls if len(args) == 1]
-    assert len(closed) == 1
-    assert 0 < len(calls) - len(closed) <= len(shared) + len(literal)
+    monkeypatch.setattr(construction.Stage, "class_of_pair", property(refuse))
+    for fmt in ("text", "structured"):
+        made.clear()
+        argv = ["construct", str(FIXTURES / "bag.qit"), "--X", "a,b", "-d", "3",
+                "--size-height", "4", "--format", fmt]
+        assert main(argv) == 0
+        assert "classes" in capsys.readouterr().out
+        # one leafless table: the closed table the classes rank by
+        assert [len(args) for args in made] == [1]
 
 
 # --- the interface reads id arrays, never (slice, term) pairs ---

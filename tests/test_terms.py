@@ -45,6 +45,7 @@ from qitbench.terms import (
     compile_side,
     enumerate_terms,
     eval_ix,
+    instantiate_comp,
     mk_node,
     signature,
     validate_system,
@@ -159,6 +160,16 @@ def test_index_maps_and_comprehension_equality():
     assert terms_equal(same1, same2)
     assert not terms_equal(same1, permuted, {"b": b})
     assert not terms_equal(same1, Var("x"))
+
+
+def test_instantiating_a_nested_comprehension_is_refused():
+    # the inner comprehension's body still reads the outer index; the
+    # reader used to wrap the whole node inside its own comprehension
+    inner = Node(OpSym("g"), Comp("j", IxVar(IxV("i"))))
+    with pytest.raises(InfinitaryArity, match="under g: nested comprehensions wait for ROADMAP item 9"):
+        instantiate_comp(Comp("i", inner), 3)
+    flat = Node(OpSym("g"), Tab((IxVar(IxV("i")),)))
+    assert instantiate_comp(Comp("i", flat), 3) == Node(OpSym("g"), Tab((Var("3"),)))
 
 
 def test_indexed_signature_flattening():

@@ -7,7 +7,9 @@ commutes with the colimit.  The product path certifies the colimit
 against the congruence quotient (construction.compare_with_oracle) on
 every construct --compare-oracle.  The checks here test each property
 on its own, as functions of a QwInterface, a CongruenceQuotient or a
-Diagram, and read only their public state.
+Diagram, and read only their public state.  They read a stage's terms
+over its class tokens through oracles.naive_view, since the package
+reads every stage off the closed table.
 
 qwrec is the recursor on the colimit (stage tables filled in sid order,
 slices first); quotient.qwrec, the fold the fold command runs, is
@@ -21,13 +23,15 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional, Sequence, Union
 
 from qitbench.algebras import Algebra, Value, satisfies
-from qitbench.construction import QwInterface, _translate
+from qitbench.construction import QwInterface
 from qitbench.diagrams import Diagram, colim
 from qitbench.errors import CoherenceFailure, NotSatisfying, PartialAlgebra, QitError, StageOverflow
 from qitbench.quotient import CongruenceQuotient, qwrec as quotient_qwrec
 from qitbench.sexpr import show_term
 from qitbench.sizes import SizeUniverse, SizeVal, height, show_size
 from qitbench.terms import Term
+
+from oracles import NaiveView, naive_translate, naive_view, view_classes
 
 # --- the colimit: equations, recursion, uniqueness, intro stability ---
 
@@ -70,14 +74,14 @@ class UniquenessReport:
         return self.is_hom and self.agrees
 
 
-def fold_at(qw: QwInterface, i: SizeVal, n: int) -> int:
-    """Fold the local id n of i's stage view through the constructor."""
-    appx = qw.appx
-    node = appx.stages[appx.stage_of[i]].view.table.nodes[n]
+def fold_at(qw: QwInterface, i: SizeVal, view: NaiveView, n: int) -> int:
+    """Fold the local id n of view, i's stage read as a slice, through
+    the constructor."""
+    node = view.table.nodes[n]
     if isinstance(node, int):
         return qw.inject(i, node)
     op, kids = node
-    return qw.qwintro(appx.sig.ops[op].op, [fold_at(qw, i, k) for k in kids])
+    return qw.qwintro(qw.appx.sig.ops[op].op, [fold_at(qw, i, view, k) for k in kids])
 
 
 def check_qwequate(qw: QwInterface) -> QwequateReport:
@@ -87,13 +91,13 @@ def check_qwequate(qw: QwInterface) -> QwequateReport:
     appx = qw.appx
     u = appx.universe
     checked = depth_skipped = intro_checked = intro_overflow = 0
+    views = [naive_view(st) for st in appx.stages]
     for i in u.members:
         sup = u.sig.suc(i)
         if sup not in u:
             continue
-        si = appx.stage_of[i]
-        view = appx.stages[si].view
-        high = appx.stage_at(sup).slice_classes[si]
+        view = views[appx.stage_of[i]]
+        high = view_classes(appx.stage_at(sup), view)
         for shape, (pairs, overflow) in zip(appx.sys.instance_shapes, view.instances):
             depth_skipped += overflow
             for lhs, rhs in pairs:
@@ -105,8 +109,8 @@ def check_qwequate(qw: QwInterface) -> QwequateReport:
                     )
                 checked += 1
                 try:
-                    vl = fold_at(qw, i, lhs)
-                    vr = fold_at(qw, i, rhs)
+                    vl = fold_at(qw, i, view, lhs)
+                    vr = fold_at(qw, i, view, rhs)
                 except StageOverflow:
                     intro_overflow += 1
                     continue
@@ -128,13 +132,14 @@ def qwrec(qw: QwInterface, alg: Algebra) -> ConstructionRec:
         raise NotSatisfying(f"algebra violates {report.witness_eq}", report)
 
     # each stage comes after its slices, so one pass in sid order
+    views = [naive_view(st) for st in appx.stages]
     tables: dict[int, dict[int, Value]] = {}
     for sid, st in enumerate(appx.stages):
         vals: dict[int, Value] = {}
         for s in st.slices:
             # each term of the slice once, its children before it
             got: list[Value] = []
-            for node, cls in zip(st.slice_views[s].table.nodes, st.slice_classes[s]):
+            for node, cls in zip(views[s].table.nodes, view_classes(st, views[s])):
                 if isinstance(node, int):
                     v = tables[s][node]
                 else:
@@ -176,11 +181,12 @@ def check_uniqueness(qw: QwInterface, alg: Algebra, h: Mapping[int, Value]) -> U
     failures: list[str] = []
     # the first member with each stage
     first = {appx.stage_of[m]: m for m in reversed(appx.universe.members)}
+    views = [naive_view(st) for st in appx.stages]
     for sid, st in enumerate(appx.stages):
         m = first[sid]
         for s in st.slices:
-            classes = st.slice_classes[s]
-            for n, node in enumerate(st.slice_views[s].table.nodes):
+            classes = view_classes(st, views[s])
+            for n, node in enumerate(views[s].table.nodes):
                 if isinstance(node, int):
                     continue
                 op, kids = node
@@ -215,22 +221,23 @@ def check_intro_stability(qw: QwInterface) -> StabilityReport:
     appx = qw.appx
     u = appx.universe
     confirmed = skipped = failed = 0
+    views = [naive_view(st) for st in appx.stages]
     for i, j in appx.stage_pairs():
         si, sj = appx.stage_of[i], appx.stage_of[j]
-        src = appx.stages[si].view
+        src, dst = views[si], views[sj]
         uppers = u.above[j]
         if not uppers:
             skipped += len(src.flats)
             continue
         rename = [appx.delta(i, j, c) for c in range(len(appx.stages[si].classes))]
-        tops = [appx.stage_at(k).slice_classes for k in uppers]
-        for n, mapped in enumerate(_translate(src, appx.stages[sj].view, rename)):
+        tops = [appx.stage_at(k).class_at for k in uppers]
+        for n, mapped in enumerate(naive_translate(src, dst, rename)):
             if mapped < 0:
                 raise QitError(
                     f"{show_term(src.table.terms[n])} pushed from {show_size(i)} to "
                     f"{show_size(j)} leaves the depth bound"
                 )
-            if any(top[sj][mapped] == top[si][n] for top in tops):
+            if any(top[dst.flats[mapped]] == top[src.flats[n]] for top in tops):
                 confirmed += 1
             else:
                 failed += 1
