@@ -9,11 +9,11 @@ the child family as a callable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import InfeasibleExhaustive, PartialAlgebra, UnboundVariable
+from .records import tagged
 from .terms import (
     Comp,
     IxVar,
@@ -31,14 +31,20 @@ from .terms import (
 Value = Union[str, int, tuple, Term]
 
 
-@dataclass(eq=False)
 class Algebra:
-    """carrier None means the term algebra style open-ended carrier."""
+    """carrier None means the term algebra style open-ended carrier.
+    tables and rules default to new empty dicts."""
 
-    sig: Signature
-    carrier: Optional[tuple[Value, ...]] = None
-    tables: Mapping[OpSym, Mapping[tuple, Value]] = field(default_factory=dict)
-    rules: Mapping[OpSym, Callable[[Callable[[int], Value]], Value]] = field(default_factory=dict)
+    def __init__(
+        self,
+        sig: Signature,
+        carrier: Optional[tuple[Value, ...]] = None,
+        tables: Optional[Mapping[OpSym, Mapping[tuple, Value]]] = None,
+        rules: Optional[Mapping[OpSym, Callable[[Callable[[int], Value]], Value]]] = None,
+    ):
+        self.sig, self.carrier = sig, carrier
+        self.tables = {} if tables is None else tables
+        self.rules = {} if rules is None else rules
 
     @cached_property
     def _tabulated(self) -> dict[OpSym, Mapping[tuple, Value]]:
@@ -116,8 +122,8 @@ def _special(alg: Algebra, t: Term, names: tuple[str, ...], values: list[Value])
     raise TypeError(f"not a term: {t!r}")
 
 
-@dataclass(frozen=True)
-class SatReport:
+@tagged
+class SatReport(NamedTuple):
     status: str  # SATISFIED | VIOLATED
     checked: int
     witness_eq: Optional[str] = None

@@ -5,7 +5,8 @@ examples.  SET parameters are instantiated per run with dynamic flags
 (``--X a,b``); declarations stay carrier-generic.  Exit status: 0 on
 accept/equal/success, 1 on reject/violation/mismatch, on an input file
 that cannot be read or decoded, or when the reader of stdout goes away,
-2 on usage errors.
+2 on usage errors, 3 when a command runs out of memory or of recursion
+depth (an input nested too deeply): the last resort, caught in main.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import serialize
@@ -33,6 +34,7 @@ from .quotient import (
     qwelim,
     qwrec,
 )
+from .records import tagged
 from .schema import (
     EXAMPLE_NAMES,
     Accept,
@@ -81,8 +83,8 @@ OPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@tagged
+class RunConfig(NamedTuple):
     """One parsed command line.  An option the command does not take is None."""
 
     command: str
@@ -91,7 +93,7 @@ class RunConfig:
     depth: Optional[int] = None
     size_height: Optional[int] = None
     prefix: Optional[int] = None
-    carriers: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    carriers: Mapping[str, tuple[str, ...]] = MappingProxyType({})
     lhs: Optional[str] = None
     rhs: Optional[str] = None
     algebra: Optional[Path] = None
@@ -572,6 +574,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except QitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(f"error: ran out of recursion depth ({limit} frames): the input nests too deeply",
+              file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: ran out of memory", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

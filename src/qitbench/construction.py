@@ -38,7 +38,6 @@ intro stability) are in tests/theorems.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
 from math import prod
@@ -47,6 +46,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 from .diagrams import Diagram, colim
 from .errors import ArityMismatch, InfinitaryArity, NotStabilized, QitError, StageOverflow
 from .quotient import CongruenceQuotient, congruence_roots, root_groups
+from .records import Record, tagged
 from .sexpr import show_term
 from .sizes import SizeUniverse, SizeVal, show_size
 from .terms import (
@@ -59,17 +59,13 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class StageClass:
+@tagged
+class StageClass(NamedTuple):
     flat: Term
     sort: Optional[str]
     fd: int
     # flat's id in the build's closed table, which the class ranks by
-    flat_id: int = field(repr=False)
-
-
-# A NamedTuple, not a frozen dataclass: the class is built on every
-# import, and a NamedTuple builds about ten times faster.
+    flat_id: int
 
 
 class _Build(NamedTuple):
@@ -83,15 +79,24 @@ class _Build(NamedTuple):
     closed: TermTable
 
 
-@dataclass(frozen=True)
-class Stage:
-    sid: int
-    # the slice stages, in sid order
-    slice_stages: tuple["Stage", ...] = field(repr=False, compare=False)
-    classes: tuple[StageClass, ...]
-    # closed id -> its class; empty for the class-less stage
-    class_at: tuple[int, ...] = field(repr=False)
-    build: _Build = field(repr=False, compare=False)
+class Stage(Record):
+    """One quotient stage (see diamond).  slice_stages are its slice
+    stages in sid order, and class_at gives the class of each closed id,
+    empty for the class-less stage; two stages compare by sid, classes
+    and class_at."""
+
+    _fields = ("sid", "classes", "class_at")
+
+    def __init__(
+        self,
+        sid: int,
+        slice_stages: tuple["Stage", ...],
+        classes: tuple[StageClass, ...],
+        class_at: tuple[int, ...],
+        build: _Build,
+    ):
+        self._set(sid=sid, slice_stages=slice_stages, classes=classes, class_at=class_at,
+                  build=build)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -223,15 +228,22 @@ def diamond(build: _Build, slices: Sequence[Stage], sid: int) -> Stage:
     )
 
 
-@dataclass
 class Approximation:
-    sig: Signature
-    sys: SystemOfEquations
-    universe: SizeUniverse
-    depth: int
-    stages: tuple[Stage, ...]
-    stage_of: Mapping[SizeVal, int]
-    build: _Build = field(repr=False)
+    """The stages of every member of universe: stage_of maps a member to
+    its stage's position in stages."""
+
+    def __init__(
+        self,
+        sig: Signature,
+        sys: SystemOfEquations,
+        universe: SizeUniverse,
+        depth: int,
+        stages: tuple[Stage, ...],
+        stage_of: Mapping[SizeVal, int],
+        build: _Build,
+    ):
+        self.sig, self.sys, self.universe, self.depth = sig, sys, universe, depth
+        self.stages, self.stage_of, self.build = stages, stage_of, build
 
     def stage_at(self, i: SizeVal) -> Stage:
         return self.stages[self.stage_of[i]]
@@ -501,8 +513,8 @@ def qw_from_colimit(appx: Approximation) -> QwInterface:
     return QwInterface(appx)
 
 
-@dataclass(frozen=True)
-class OracleComparison:
+@tagged
+class OracleComparison(NamedTuple):
     class_pairs: tuple[tuple[int, int], ...]
     per_sort: Mapping[Optional[str], int]
     intro_checked: int

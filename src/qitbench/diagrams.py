@@ -62,16 +62,16 @@ every such j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping, Optional
+from typing import Hashable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import FunctorialityViolation, QitError
 from .quotient import congruence_roots, root_groups
+from .records import tagged
 from .sizes import SizeUniverse, SizeVal, show_size
 
 
-@dataclass(frozen=True)
-class Diagram:
+@tagged
+class Diagram(NamedTuple):
     universe: SizeUniverse
     label: Mapping[SizeVal, Hashable]
     family: Mapping[Hashable, tuple]

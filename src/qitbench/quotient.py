@@ -24,12 +24,12 @@ CongruenceQuotient.canon).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebras import Algebra, Value, satisfies
 from .errors import CoherenceFailure, NotSatisfying, QitError
+from .records import Record, tagged
 from .sexpr import show_term
 from .terms import (
     InstanceShape,
@@ -56,8 +56,7 @@ class InstancePair(NamedTuple):
     rhs: Term
 
 
-@dataclass(frozen=True)
-class TermUniverse:
+class TermUniverse(Record):
     """The closed terms within a depth bound, as the ids of table, and
     the equation instances whose sides stay within it.
 
@@ -69,13 +68,20 @@ class TermUniverse:
     perfbench/tracing.py, which counts a traced universe's instances
     with it, and for the tests."""
 
-    sig: Signature
-    sys: SystemOfEquations
-    depth: int
-    table: TermTable = field(repr=False)
-    ids: tuple[int, ...] = field(repr=False)
-    instances: tuple[tuple[InstanceShape, tuple[int, ...], int, int], ...] = field(repr=False)
-    skipped: int = 0
+    _fields = ("sig", "sys", "depth", "table", "ids", "instances", "skipped")
+
+    def __init__(
+        self,
+        sig: Signature,
+        sys: SystemOfEquations,
+        depth: int,
+        table: TermTable,
+        ids: tuple[int, ...],
+        instances: tuple[tuple[InstanceShape, tuple[int, ...], int, int], ...],
+        skipped: int = 0,
+    ):
+        self._set(sig=sig, sys=sys, depth=depth, table=table, ids=ids, instances=instances,
+                  skipped=skipped)
 
     @cached_property
     def terms(self) -> tuple[Term, ...]:
@@ -353,8 +359,8 @@ def decide_eq(q: CongruenceQuotient, a: Term, b: Term) -> str:
     return "EQUAL" if ca == cb else "DISTINCT"
 
 
-@dataclass(frozen=True)
-class QwrecResult:
+@tagged
+class QwrecResult(NamedTuple):
     values: tuple[Value, ...]
     hom_ok: bool
     hom_failures: tuple[tuple[Term, Value, Value], ...]
@@ -398,8 +404,8 @@ def qwrec(q: CongruenceQuotient, alg: Algebra) -> QwrecResult:
     return QwrecResult(tuple(values), not failures, tuple(failures))
 
 
-@dataclass(frozen=True)
-class EliminatorInput:
+@tagged
+class EliminatorInput(NamedTuple):
     """motive: class id -> finite tuple of admissible tags.
     steps: (op, child class ids, child tags) -> tag."""
 
@@ -407,8 +413,8 @@ class EliminatorInput:
     steps: Callable[[OpSym, tuple[int, ...], tuple], Value]
 
 
-@dataclass(frozen=True)
-class QwelimResult:
+@tagged
+class QwelimResult(NamedTuple):
     values: tuple[Value, ...]
     comp_ok: bool
     comp_failures: tuple[tuple[Term, Value, Value], ...]

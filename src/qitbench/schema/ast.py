@@ -10,32 +10,32 @@ applications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from ..errors import NameClash
+from ..records import Record, tagged
 
 
 # --- parameters ---
 
 
-@dataclass(frozen=True)
-class SetParam:
+@tagged
+class SetParam(NamedTuple):
     """An abstract set; runs instantiate it with a finite carrier."""
 
 
-@dataclass(frozen=True)
-class FinParam:
+@tagged
+class FinParam(NamedTuple):
     values: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class NatParam:
+@tagged
+class NatParam(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class FamilyParam:
+@tagged
+class FamilyParam(NamedTuple):
     """Type-family data beyond the surface grammar (library entries only)."""
 
     desc: str
@@ -44,8 +44,8 @@ class FamilyParam:
 ParamKind = Union[SetParam, FinParam, NatParam, FamilyParam]
 
 
-@dataclass(frozen=True)
-class Param:
+@tagged
+class Param(NamedTuple):
     name: str
     kind: ParamKind
 
@@ -53,18 +53,18 @@ class Param:
 # --- terms appearing inside types ---
 
 
-@dataclass(frozen=True)
-class TVar:
+@tagged
+class TVar(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class TNum:
+@tagged
+class TNum(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class TApp:
+@tagged
+class TApp(NamedTuple):
     head: str
     args: tuple["TermAst", ...]
 
@@ -75,33 +75,33 @@ TermAst = Union[TVar, TNum, TApp]
 # --- constructor types ---
 
 
-@dataclass(frozen=True)
-class QRef:
+@tagged
+class QRef(NamedTuple):
     index: Optional[TermAst] = None
 
 
-@dataclass(frozen=True)
-class ConstT:
+@tagged
+class ConstT(NamedTuple):
     name: str
     args: tuple[TermAst, ...] = ()
 
 
-@dataclass(frozen=True)
-class Pi:
+@tagged
+class Pi(NamedTuple):
     binder: str
     domain: "TypeAst"
     codomain: "TypeAst"
 
 
-@dataclass(frozen=True)
-class Sigma:
+@tagged
+class Sigma(NamedTuple):
     binder: str
     left: "TypeAst"
     right: "TypeAst"
 
 
-@dataclass(frozen=True)
-class EqT:
+@tagged
+class EqT(NamedTuple):
     lhs: TermAst
     rhs: TermAst
 
@@ -109,28 +109,34 @@ class EqT:
 TypeAst = Union[QRef, ConstT, Pi, Sigma, EqT]
 
 
-@dataclass(frozen=True)
-class Ctor:
+@tagged
+class Ctor(NamedTuple):
     name: str
     type: TypeAst
     line: int = 0
     col: int = 0
 
 
-@dataclass(frozen=True)
-class QitDecl:
-    name: str
-    params: tuple[Param, ...]
-    element_ctors: tuple[Ctor, ...]
-    equality_ctors: tuple[Ctor, ...]
-    index_sort: Optional[str] = None  # "Nat" for indexed declarations
+class QitDecl(Record):
+    """index_sort is "Nat" for indexed declarations, None otherwise."""
 
-    def __post_init__(self):
-        if any(p.name == self.name for p in self.params):
-            raise NameClash(f"{self.name} shadows one of its own parameters")
-        names = [c.name for c in self.element_ctors + self.equality_ctors]
+    _fields = ("name", "params", "element_ctors", "equality_ctors", "index_sort")
+
+    def __init__(
+        self,
+        name: str,
+        params: tuple[Param, ...],
+        element_ctors: tuple[Ctor, ...],
+        equality_ctors: tuple[Ctor, ...],
+        index_sort: Optional[str] = None,
+    ):
+        if any(p.name == name for p in params):
+            raise NameClash(f"{name} shadows one of its own parameters")
+        names = [c.name for c in element_ctors + equality_ctors]
         if len(set(names)) != len(names):
-            raise NameClash(f"duplicate constructor name in {self.name}")
+            raise NameClash(f"duplicate constructor name in {name}")
+        self._set(name=name, params=params, element_ctors=element_ctors,
+                  equality_ctors=equality_ctors, index_sort=index_sort)
 
     def param(self, name: str) -> Optional[Param]:
         for p in self.params:

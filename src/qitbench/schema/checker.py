@@ -18,10 +18,10 @@ source position, and the offending subterm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from ..errors import NameClash
+from ..records import tagged
 from .ast import (
     ConstT,
     Ctor,
@@ -42,8 +42,8 @@ from .ast import (
 Env = Mapping[str, TypeAst]
 
 
-@dataclass(frozen=True)
-class Derivation:
+@tagged
+class Derivation(NamedTuple):
     """One rule application; ``displayed`` controls rule_sequence only.
 
     ``about`` is the type the rule judged, or the constructor for the
@@ -62,13 +62,13 @@ class Derivation:
         return show_type(self.about)
 
 
-@dataclass(frozen=True)
-class Accept:
+@tagged
+class Accept(NamedTuple):
     derivation: Derivation
 
 
-@dataclass(frozen=True)
-class Reject:
+@tagged
+class Reject(NamedTuple):
     rule: str
     position: tuple[int, int]
     message: str
@@ -397,8 +397,8 @@ def check_equality_ctor(ctor: Ctor, decl: QitDecl) -> Judgement:
     return Accept(Derivation("EqCon", ctor, (spine,)))
 
 
-@dataclass(frozen=True)
-class DeclReport:
+@tagged
+class DeclReport(NamedTuple):
     decl: QitDecl
     element: tuple[tuple[str, Judgement], ...]
     equality: tuple[tuple[str, Judgement], ...]

@@ -16,10 +16,10 @@ constructors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from ..errors import QitError, UnsupportedParameterType
+from ..records import tagged
 from ..terms import (
     NAT,
     Arity,
@@ -69,8 +69,8 @@ DEFAULT_BIJECTIONS = (IndexMap("id"), IndexMap("tr01", ((0, 1), (1, 0))))
 _NAT = ConstT("Nat")
 
 
-@dataclass(frozen=True)
-class _Arg:
+@tagged
+class _Arg(NamedTuple):
     binder: str
     dom: TypeAst
     kind: str  # const | index | q | natfam | map | erased
@@ -400,8 +400,8 @@ class _Translator:
 # --- symbolic tables ---
 
 
-@dataclass(frozen=True)
-class SymbolicQW:
+@tagged
+class SymbolicQW(NamedTuple):
     """One line per component of a signature and equation system."""
 
     name: str
@@ -411,8 +411,8 @@ class SymbolicQW:
         return "\n".join(self.lines) + "\n"
 
 
-@dataclass(frozen=True)
-class _SymIx:
+@tagged
+class _SymIx(NamedTuple):
     """Index value with a symbolic base: base None means a literal."""
 
     base: Optional[str]

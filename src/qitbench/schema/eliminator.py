@@ -11,9 +11,10 @@ arguments, f g h for countable families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import QitError
+from ..records import tagged
 from .ast import (
     EqT,
     QitDecl,
@@ -35,8 +36,8 @@ def _atom(s: str) -> str:
     return f"({s})" if " " in s and not (s.startswith("(") and s.endswith(")")) else s
 
 
-@dataclass(frozen=True)
-class EliminatorSignature:
+@tagged
+class EliminatorSignature(NamedTuple):
     name: str
     motive: str
     steps: tuple[tuple[str, str], ...]

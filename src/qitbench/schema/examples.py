@@ -8,9 +8,9 @@ tables only; `source` is None for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
+from ..records import tagged
 from .elaborate import SymbolicQW, symbolic_table
 from .parser import parse_decl
 
@@ -42,8 +42,8 @@ qit InfTree (X : Set) where
 """
 
 
-@dataclass(frozen=True)
-class ExampleEntry:
+@tagged
+class ExampleEntry(NamedTuple):
     name: str
     title: str
     source: Optional[str]

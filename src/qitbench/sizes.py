@@ -31,24 +31,24 @@ memoized, is its reference (tests/oracles.py's PlumpOrder).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Optional, Sequence
 
 from .errors import ArityMismatch, InfinitaryArity, QitError
+from .records import Record
 from .terms import Signature, SystemOfEquations, TermTable, signature
 
 
-@dataclass(frozen=True)
-class SizeSig:
-    ops: tuple[tuple[str, int], ...]
+class SizeSig(Record):
+    _fields = ("ops",)
 
-    def __post_init__(self):
-        names = [n for n, _ in self.ops]
+    def __init__(self, ops: tuple[tuple[str, int], ...]):
+        names = [n for n, _ in ops]
         if len(set(names)) != len(names):
             raise ArityMismatch("duplicate size operator")
-        if not any(a == 0 for _, a in self.ops) or not any(a == 2 for _, a in self.ops):
+        if not any(a == 0 for _, a in ops) or not any(a == 2 for _, a in ops):
             raise ArityMismatch("size signature needs a nullary and a binary operator")
+        self._set(ops=ops)
 
     @classmethod
     def minimal(cls) -> "SizeSig":

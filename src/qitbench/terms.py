@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -30,17 +29,18 @@ from .errors import (
     UnboundVariable,
     UnknownOp,
 )
+from .records import Record, tagged
 
 
-@dataclass(frozen=True)
-class Arity:
+class Arity(Record):
     """FIN(n) indexes children by 0..n-1; count None encodes NAT."""
 
-    count: Optional[int]
+    _fields = ("count",)
 
-    def __post_init__(self):
-        if self.count is not None and self.count < 0:
+    def __init__(self, count: Optional[int]):
+        if count is not None and count < 0:
             raise ValueError("negative arity")
+        self._set(count=count)
 
     @property
     def finite(self) -> bool:
@@ -57,9 +57,10 @@ def fin(n: int) -> Arity:
 NAT = Arity(None)
 
 
-@dataclass(frozen=True, order=True)
-class OpSym:
-    """Operator symbol: base name plus instantiation parameters."""
+@tagged
+class OpSym(NamedTuple):
+    """Operator symbol: base name plus instantiation parameters; symbols
+    order by name, then parameters."""
 
     name: str
     params: tuple[str, ...] = ()
@@ -79,29 +80,33 @@ def _op(op: Union[OpSym, str]) -> OpSym:
     return op if isinstance(op, OpSym) else OpSym.parse(op)
 
 
-@dataclass(frozen=True)
-class OpDecl:
-    op: OpSym
-    arity: Arity
-    # Target index and per-child indices for indexed runs; None otherwise.
-    sort: Optional[str] = None
-    child_sorts: Optional[tuple[str, ...]] = None
+class OpDecl(Record):
+    """An operator with its arity.  sort and child_sorts are the target
+    index and the per-child indices in indexed runs, None otherwise."""
 
-    def __post_init__(self):
-        if self.child_sorts is not None:
-            if not self.arity.finite or len(self.child_sorts) != self.arity.count:
-                raise ArityMismatch(f"child sorts of {self.op.show()} do not match arity")
+    _fields = ("op", "arity", "sort", "child_sorts")
+
+    def __init__(
+        self,
+        op: OpSym,
+        arity: Arity,
+        sort: Optional[str] = None,
+        child_sorts: Optional[tuple[str, ...]] = None,
+    ):
+        if child_sorts is not None:
+            if not arity.finite or len(child_sorts) != arity.count:
+                raise ArityMismatch(f"child sorts of {op.show()} do not match arity")
+        self._set(op=op, arity=arity, sort=sort, child_sorts=child_sorts)
 
 
-@dataclass(frozen=True)
-class Signature:
-    ops: tuple[OpDecl, ...]
+class Signature(Record):
+    _fields = ("ops",)
 
-    def __post_init__(self):
-        names = [d.op for d in self.ops]
+    def __init__(self, ops: tuple[OpDecl, ...]):
+        names = [d.op for d in ops]
         if len(set(names)) != len(names):
             raise NameClash("duplicate operator in signature")
-        object.__setattr__(self, "_decls", {d.op: (i, d) for i, d in enumerate(self.ops)})
+        self._set(ops=ops, _decls={d.op: (i, d) for i, d in enumerate(ops)})
 
     def _entry(self, op: Union[OpSym, str]) -> tuple[int, OpDecl]:
         """(position, declaration) of op.  A miss names the indexed forms
@@ -157,18 +162,18 @@ def signature(ops: Iterable[tuple]) -> Signature:
 # --- index expressions (used by comprehensions and indexed signatures) ---
 
 
-@dataclass(frozen=True)
-class IxV:
+@tagged
+class IxV(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class IxC:
+@tagged
+class IxC(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class IxApp:
+@tagged
+class IxApp(NamedTuple):
     fn: str
     arg: "IndexExpr"
 
@@ -176,8 +181,8 @@ class IxApp:
 IndexExpr = Union[IxV, IxC, IxApp]
 
 
-@dataclass(frozen=True)
-class IndexMap:
+@tagged
+class IndexMap(NamedTuple):
     """A declared total map on naturals: finite exception table, identity
     (or a declared variable shift) beyond it.  Elaboration names the maps
     an equation ranges over; apply, eval_ix and instantiate_comp, which
@@ -213,26 +218,26 @@ def eval_ix(expr: IndexExpr, env: Mapping[str, int], maps: Mapping[str, IndexMap
 # --- terms ---
 
 
-@dataclass(frozen=True)
-class Var:
+@tagged
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class IxVar:
+@tagged
+class IxVar(NamedTuple):
     """A variable of a countable family, named by an index expression.
     Only meaningful under an enclosing comprehension binder."""
 
     expr: IndexExpr
 
 
-@dataclass(frozen=True)
-class Tab:
+@tagged
+class Tab(NamedTuple):
     entries: tuple["Term", ...]
 
 
-@dataclass(frozen=True)
-class Comp:
+@tagged
+class Comp(NamedTuple):
     ivar: str
     body: "Term"
 
@@ -240,8 +245,8 @@ class Comp:
 ArityMap = Union[Tab, Comp]
 
 
-@dataclass(frozen=True)
-class Node:
+@tagged
+class Node(NamedTuple):
     op: OpSym
     children: ArityMap
 
@@ -498,8 +503,8 @@ def enumerate_terms(
 # --- equations ---
 
 
-@dataclass(frozen=True)
-class Equation:
+@tagged
+class Equation(NamedTuple):
     """lhs = rhs over a variable family.
 
     vars is a tuple of names (a finite named set) or an Arity: FIN(n)
@@ -530,17 +535,22 @@ class Equation:
         return self.var_sorts[names.index(var)]
 
 
-@dataclass(frozen=True)
-class InstanceShape:
+class InstanceShape(Record):
     """What an equation's instances ask of a depth bound.
 
     sides holds lhs and rhs compiled over names.
     """
 
-    eq: Equation
-    names: tuple[str, ...]
-    sorts: tuple[Optional[str], ...]
-    sides: tuple[Side, Side]
+    _fields = ("eq", "names", "sorts", "sides")
+
+    def __init__(
+        self,
+        eq: Equation,
+        names: tuple[str, ...],
+        sorts: tuple[Optional[str], ...],
+        sides: tuple[Side, Side],
+    ):
+        self._set(eq=eq, names=names, sorts=sorts, sides=sides)
 
     @cached_property
     def skeleton(self) -> int:
@@ -591,14 +601,14 @@ def instance_shape(eq: Equation) -> InstanceShape:
     return InstanceShape(eq, names, tuple(eq.sort_of(v) for v in names), sides)
 
 
-@dataclass(frozen=True)
-class SystemOfEquations:
-    equations: tuple[Equation, ...]
+class SystemOfEquations(Record):
+    _fields = ("equations",)
 
-    def __post_init__(self):
-        names = [e.name for e in self.equations]
+    def __init__(self, equations: tuple[Equation, ...]):
+        names = [e.name for e in equations]
         if len(set(names)) != len(names):
             raise NameClash("duplicate equation name")
+        self._set(equations=equations)
 
     @cached_property
     def instance_shapes(self) -> tuple[InstanceShape, ...]:
@@ -644,26 +654,25 @@ def validate_system(sig: Signature, sys: SystemOfEquations) -> None:
 # --- indexed signatures ---
 
 
-@dataclass(frozen=True)
-class IndexedOpDecl:
+@tagged
+class IndexedOpDecl(NamedTuple):
     op: OpSym
     sort: str
     # (index, arity) pairs; indices absent from the list contribute no children.
     arities: tuple[tuple[str, Arity], ...]
 
 
-@dataclass(frozen=True)
-class IndexedSignature:
-    indices: tuple[str, ...]
-    ops: tuple[IndexedOpDecl, ...]
+class IndexedSignature(Record):
+    _fields = ("indices", "ops")
 
-    def __post_init__(self):
-        for d in self.ops:
-            if d.sort not in self.indices:
+    def __init__(self, indices: tuple[str, ...], ops: tuple[IndexedOpDecl, ...]):
+        for d in ops:
+            if d.sort not in indices:
                 raise UnknownOp(f"{d.op.show()} targets undeclared index {d.sort}")
             for ix, _ in d.arities:
-                if ix not in self.indices:
+                if ix not in indices:
                     raise UnknownOp(f"{d.op.show()} takes children at undeclared index {ix}")
+        self._set(indices=indices, ops=ops)
 
     def flatten(self) -> Signature:
         """Child slots laid out in declared index order; requires all

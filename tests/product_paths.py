@@ -81,10 +81,19 @@ class Recorder:
             sys.settrace(None)
 
 
-def run_pytest(args: list[str]) -> None:
+def run_pytest(args: list[str], trace) -> None:
+    """pytest over args, with trace put back in place before each test and
+    after the run: an error inside a trace function unsets it, and the
+    deep-input tests of tests/test_cli.py run out of recursion depth."""
     import pytest
 
-    code = pytest.main(["-q", "-p", "no:cacheprovider", *args])
+    class Retrace:
+        @pytest.hookimpl(tryfirst=True)
+        def pytest_runtest_setup(self, item):
+            sys.settrace(trace)
+
+    code = pytest.main(["-q", "-p", "no:cacheprovider", *args], plugins=[Retrace()])
+    sys.settrace(trace)
     if code != 0:
         raise SystemExit(f"pytest {' '.join(args)} exited {code}")
 
@@ -132,11 +141,11 @@ def main(argv=None) -> int:
     defs = definitions()
     product = Recorder()
     with product.installed():
-        run_pytest([str(ROOT / "tests" / "test_cli.py")])
+        run_pytest([str(ROOT / "tests" / "test_cli.py")], product._trace)
         jobs = run_workloads(args.seed)
     tier1 = Recorder()
     with tier1.installed():
-        run_pytest([str(ROOT / "tests")])
+        run_pytest([str(ROOT / "tests")], tier1._trace)
 
     src_lines = sum(
         len(path.read_text(encoding="utf-8").splitlines()) for path in SRC.rglob("*.py")

@@ -695,6 +695,37 @@ def test_closed_stdout_exits_without_traceback():
     assert proc.stderr == b""
 
 
+def test_a_deeply_nested_term_exits_3(capsys):
+    # the term reader recurses once per level, and once more per child
+    term = "(op nil)"
+    for _ in range(600):
+        term = f"(op cons a {term})"
+    code, out, err = run(capsys, "eq", BAG, "--X", "a,b", term, "(op nil)")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ran out of recursion depth") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_a_deeply_nested_constructor_type_exits_3(tmp_path, capsys):
+    # the type parser recurses once per parenthesis
+    path = tmp_path / "deep.qit"
+    nested = "(" * 400 + "Bag" + ")" * 400
+    path.write_text(f"qit Bag (X : Set) where\n  nil : Bag\n  cons : X -> {nested} -> Bag\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ran out of recursion depth") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_running_out_of_memory_exits_3(monkeypatch, capsys):
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "enum", (exhausted, *cli.COMMANDS["enum"][1:]))
+    assert run(capsys, "enum", BAG, "--X", "a,b") == (3, "", "error: ran out of memory\n")
+
+
 def test_commtree_abc_d4_construct_fits_in_one_gigabyte():
     # every stage is read off the build's one closed table; a term table
     # per stage ran out of memory here

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import weakref
 from itertools import combinations
@@ -581,7 +580,10 @@ def test_a_diamond_without_a_class_less_slice_names_its_stage():
 
 def replace_stage(appx, sid, **changes):
     """Put a copy of stage sid with the given fields changed in its place."""
-    bad = dataclasses.replace(appx.stages[sid], **changes)
+    old = appx.stages[sid]
+    fields = dict(sid=old.sid, slice_stages=old.slice_stages, classes=old.classes,
+                  class_at=old.class_at, build=old.build)
+    bad = construction.Stage(**{**fields, **changes})
     appx.stages = appx.stages[:sid] + (bad,) + appx.stages[sid + 1 :]
     return bad
 
@@ -656,7 +658,7 @@ def test_restriction_catches_a_flat_that_is_not_least_in_its_class():
         for n in members[1:]
         if closed.depths[n] == closed.depths[members[0]]
     )
-    cls = dataclasses.replace(stage.classes[c], flat=closed.terms[other], flat_id=other)
+    cls = stage.classes[c]._replace(flat=closed.terms[other], flat_id=other)
     bad = replace_stage(appx, sid, classes=stage.classes[:c] + (cls,) + stage.classes[c + 1 :])
     assert naive_view(bad).table.terms == naive_view(stage).table.terms
     assert naive_view(bad).flats != naive_view(stage).flats
@@ -763,7 +765,7 @@ def test_restriction_catches_a_term_missing_from_the_shared_view():
     _, _, u, appx = bag_fixture()
     sid = appx.stage_of[u.sig.suc(size_zero(u.sig))]
     stage = appx.stages[sid]
-    deeper = tuple(dataclasses.replace(c, fd=c.fd + 1) if c.fd < 3 else c for c in stage.classes)
+    deeper = tuple(c._replace(fd=c.fd + 1) if c.fd < 3 else c for c in stage.classes)
     bad = replace_stage(appx, sid, classes=deeper)
     assert len(naive_view(bad).table.terms) < len(naive_view(stage).table.terms)
     with pytest.raises(QitError, match="restriction mismatch .*: views differ"):
@@ -778,7 +780,7 @@ def test_restriction_catches_a_class_claiming_a_shallower_flat():
     sid = appx.stage_of[u.sig.suc(size_zero(u.sig))]
     stage = appx.stages[sid]
     last = stage.classes[-1]
-    shallower = stage.classes[:-1] + (dataclasses.replace(last, fd=last.fd - 1),)
+    shallower = stage.classes[:-1] + (last._replace(fd=last.fd - 1),)
     bad = replace_stage(appx, sid, classes=shallower)
     with pytest.raises(QitError, match=f"stage {sid} views .*, whose flattening is deeper than 3"):
         naive_view(bad)

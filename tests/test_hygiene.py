@@ -1,20 +1,25 @@
 """Source hygiene: every name a module imports is used in that module,
 no module has an assert statement, every file a module reads or writes
-as text names its encoding, and every module-level function and class
-is used somewhere in src/qitbench, unless listed with the reason it is
-kept.
+as text names its encoding, every module-level function and class is
+used somewhere in src/qitbench, unless listed with the reason it is
+kept, and no module imports dataclasses.
 
 No linter ships with the project, so this parses src/qitbench with ast.
 __future__ imports and the package __init__ modules, whose imports are
 re-exports, are left out of the import check.  Invariants raise QitError
 subclasses: an assert vanishes under python -O and ends in a traceback.
 Without encoding=, text is read in the locale's encoding, so a file can
-decode on one machine and not on another.
+decode on one machine and not on another.  Records are built without
+code generation (see records.py), which every command's import pays
+for; importing qitbench.cli must not load dataclasses at all.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -147,3 +152,44 @@ def test_the_scan_sees_an_unused_definition():
         "b": "from a import C, f\n\n\ndef h():\n    return C\n",
     }
     assert unused_definitions(sources) == ["a.f", "a.g"]
+
+
+def dataclass_imports(source: str) -> list[int]:
+    """The lines that import the dataclasses module or a name from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_module_imports_dataclasses(path):
+    assert dataclass_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_sees_a_dataclasses_import():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "import dataclasses_json\n"
+        "from . import dataclasses_like\n"
+        "def f():\n"
+        "    import dataclasses as dc\n"
+    )
+    assert dataclass_imports(source) == [1, 2, 6]
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = "import sys, qitbench.cli; print(sorted(m for m in sys.modules if 'dataclass' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
