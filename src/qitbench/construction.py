@@ -39,9 +39,9 @@ intro stability) are in tests/theorems.py.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from math import prod
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .diagrams import Diagram, colim
 from .errors import ArityMismatch, InfinitaryArity, NotStabilized, QitError, StageOverflow
@@ -70,13 +70,15 @@ class StageClass(NamedTuple):
 
 class _Build(NamedTuple):
     """What the stages of one build share: the declaration, the depth
-    bound, and the closed table of every closed term within the bound,
-    whose ids run in the term order (see build_fixed_point)."""
+    bound, the closed table of every closed term within the bound,
+    whose ids run in the term order (see build_fixed_point), and the
+    class records read off it, one per flat (see diamond)."""
 
     sig: Signature
     sys: SystemOfEquations
     depth: int
     closed: TermTable
+    records: dict[int, StageClass]
 
 
 class Stage(Record):
@@ -101,7 +103,7 @@ class Stage(Record):
     def __len__(self) -> int:
         return len(self.classes)
 
-    @property
+    @cached_property
     def slices(self) -> tuple[int, ...]:
         return tuple(st.sid for st in self.slice_stages)
 
@@ -112,7 +114,7 @@ class Stage(Record):
         drawn under the budget rule of InstanceShape.envs, a class
         weighing its fd.  These are the instances over the class tokens,
         flattened: a token weighs what its flat does."""
-        _, sys, bound, closed = self.build
+        _, sys, bound, closed, _ = self.build
         classes = self.classes
         pairs: set[tuple[int, int]] = set()
         for shape in sys.instance_shapes:
@@ -137,7 +139,7 @@ class Stage(Record):
         tests/oracles.py's naive_diamond; the package never reads it.
         The TermTable over each slice's class tokens built here is the
         only token table in the package."""
-        sig, _, bound, closed = self.build
+        sig, _, bound, closed, _ = self.build
         out: dict[tuple[int, Term], int] = {}
         for low in self.slice_stages:
             leaves = [(f"~{low.sid}.{c}", cls.sort, cls.fd) for c, cls in enumerate(low.classes)]
@@ -154,7 +156,7 @@ class Stage(Record):
         return out
 
 
-def diamond(build: _Build, slices: Sequence[Stage], sid: int) -> Stage:
+def diamond(build: _Build, slices: tuple[Stage, ...], seeds: Iterable[tuple], sid: int) -> Stage:
     """One quotient stage over the given slice stages: the least
     congruence on the pairs (s, t) of a slice s and a term t over s's
     class tokens within the bound (a token weighing its class's fd;
@@ -163,9 +165,11 @@ def diamond(build: _Build, slices: Sequence[Stage], sid: int) -> Stage:
     collapse clauses (low, t) ~ (high, token of high's class of
     (low, t)).  Instances are drawn per slice under the budget rule of
     InstanceShape.envs (Stage.flat_instances); overflowing instances are
-    never built.  The slices must come from build, each built by
-    diamond, in sid order, and be closed downward: every slice of a
-    slice is one of them.  Both callers pass every stage below the
+    never built.  seeds must be those instances: the union of the
+    slices' flat_instances, which both callers grow with their slices,
+    reading each slice's once.  The slices must come from build, each
+    built by diamond, in sid order, and be closed downward: every slice
+    of a slice is one of them.  Both callers pass every stage below the
     member this stage summarizes, so the collapse clauses are those of
     every strictly ordered pair of members below it.
 
@@ -173,13 +177,13 @@ def diamond(build: _Build, slices: Sequence[Stage], sid: int) -> Stage:
     pair (s, t) flattens to a closed id: t with each token read as its
     class's flat_id.  A class's fd is its flat's depth, so t's weighted
     depth is its flattening's depth, and every pair flattens into the
-    closed table.  Unless slices is empty, one of them must be
+    closed table.  Unless slices is empty, the first of them must be
     class-less, or this raises: call it z.  Its terms are the closed
     terms, each its own flattening; in both callers z is the least
     member's stage, a slice of every stage with classes.  Let C be the
     least congruence on the closed ids that contains each slice's
-    instances flattened.  The stage relates two pairs exactly when C
-    relates their flattenings (call that Q):
+    instances flattened, the seeds.  The stage relates two pairs
+    exactly when C relates their flattenings (call that Q):
     - C holds every collapse clause flattened, (low's flattening of t,
       flat_id of high's class of (low, t)).  Both ids lie in one class
       of high, which diamond computed as a class of the least
@@ -202,26 +206,29 @@ def diamond(build: _Build, slices: Sequence[Stage], sid: int) -> Stage:
     as the class of each closed id (class_at); a pair's class is its
     flattening's.  Each closed id is a pair of z, so the classes in
     first-id order rank by least closed id, with no ties; flat, sort and
-    fd are read off the closed table there."""
+    fd are read off the closed table there, so a class's record depends
+    on its flat_id alone and the build keeps one per flat_id."""
     closed = build.closed
     classes = []
     class_at: list[int] = []
     if slices:
-        if all(st.classes for st in slices):
+        if slices[0].classes:
             raise QitError(f"stage {sid} has no class-less slice to close on")
-        seeds = chain.from_iterable(st.flat_instances for st in slices)
         groups = root_groups(congruence_roots(closed.nodes, seeds))
         class_at = [0] * len(closed.nodes)
-        terms, depths, nodes, ops = closed.terms, closed.depths, closed.nodes, build.sig.ops
+        records = build.records
         for cid, members in enumerate(groups):
             flat = members[0]
-            classes.append(StageClass(terms[flat], ops[nodes[flat][0]].sort, depths[flat], flat))
+            if flat not in records:
+                sort = build.sig.ops[closed.nodes[flat][0]].sort
+                records[flat] = StageClass(closed.terms[flat], sort, closed.depths[flat], flat)
+            classes.append(records[flat])
             for n in members:
                 class_at[n] = cid
 
     return Stage(
         sid=sid,
-        slice_stages=tuple(slices),
+        slice_stages=slices,
         classes=tuple(classes),
         class_at=tuple(class_at),
         build=build,
@@ -324,12 +331,40 @@ class Approximation:
         The least member's literal stage z is class-less, a slice of
         every member with slices, and holds every closed id as a term,
         so z alone gives every pair of the zip.  So each member gets the
-        walk's label, and this rejects all the walk rejects.  below is a
-        member-order prefix, and a literal stage is kept only while some
-        member lies above it."""
+        walk's label, and this rejects all the walk rejects.
+
+        below is a member-order prefix, one per height, so the literal
+        slice tuple, the union of its stages' flat_instances (diamond's
+        seeds) and the shared slice sids it must match are built once
+        per height, each literal stage's instances read once, when it
+        joins; this is linear in members where one chain per member was
+        quadratic.  Sharing these inputs is not memoising literal stages
+        by down-segment: every member still closes its own congruence
+        over them and gets its own label checks, and the least
+        congruence holding a set of seeds does not depend on their order
+        or repeats, so each literal stage is what one chain per member
+        gave.  A literal stage is kept only while some member lies above
+        it.
+
+        The union must take in each height's literal stages as that
+        height joins below: without the newest height's, a stage of the
+        next height misses its instances, and the per-slice walk tells.
+        But a union that stops growing after height 2 gives the same
+        stages, so no output and no comparison of stages tells the two
+        apart.  A literal stage S at height 3 or more has every height-2
+        literal stage H among its slices, so S's seeds hold H's and S's
+        congruence holds H's: each class of S is a union of classes of
+        H, and its flat, the least id in it, is the flat of one of them,
+        with the same sort and fd.  The budget rule of InstanceShape.envs
+        filters each variable's pool by weight, so the instances over
+        S's classes are among those over H's: S's flat_instances already
+        lie in the union."""
         u = self.universe
         literal: list[Stage] = []
         bij: list[list[int]] = []
+        # the literal slices below the current height, the union of their
+        # flat_instances, and the shared slice sids they must match
+        slices, seeds, want = (), set(), ()
         # literal slices whose records are checked: a prefix of the members
         compared = 0
         checked = 0
@@ -337,9 +372,12 @@ class Approximation:
         stage_of = [self.stage_of[m] for m in u.members]
         for pos, i in enumerate(u.members):
             below = len(u.below[i])
-            lit = diamond(self.build, literal[:below], sid=pos)
+            if below != len(slices):
+                seeds.update(*(st.flat_instances for st in literal[len(slices) : below]))
+                slices, want = tuple(literal[:below]), tuple(sorted(set(stage_of[:below])))
+            lit = diamond(self.build, slices, seeds, sid=pos)
             shared = self.stages[stage_of[pos]]
-            if shared.slices != tuple(sorted(set(stage_of[:below]))):
+            if shared.slices != want:
                 raise QitError(f"restriction mismatch at {show_size(i)}: slices differ")
             for pj in range(compared, below):
                 records = self.stages[stage_of[pj]].classes
@@ -425,15 +463,17 @@ def build_fixed_point(
     for decl in sig.ops:
         if not decl.arity.finite:
             raise InfinitaryArity(f"cannot materialize stages under {decl.op.show()}")
-    build = _Build(sig, sys, depth_bound, TermTable(sig))
+    build = _Build(sig, sys, depth_bound, TermTable(sig), {})
     build.closed.upto(depth_bound)
     stages: list[Stage] = []
     stage_of: dict[SizeVal, int] = {}
-    # segments come in the order of their first member, below-first, so
-    # every member below a segment's members already has its stage
-    for sid, (below, tops) in enumerate(u.segments.items()):
-        slice_sids = sorted({stage_of[j] for j in below})
-        stages.append(diamond(build, [stages[s] for s in slice_sids], sid=sid))
+    # segments come one per height, below-first, so a segment's slices are
+    # every stage built so far (check_restriction checks them); seeds is
+    # the union of their flat_instances
+    seeds: set[tuple[int, int]] = set()
+    for sid, tops in enumerate(u.segments.values()):
+        seeds.update(stages[-1].flat_instances if stages else ())
+        stages.append(diamond(build, tuple(stages), seeds, sid=sid))
         stage_of.update(dict.fromkeys(tops, sid))
     appx = Approximation(
         sig=sig,

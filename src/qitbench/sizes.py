@@ -86,6 +86,9 @@ class SizeVal:
     def __setattr__(self, *_):
         raise AttributeError("SizeVal is immutable")
 
+    def __delattr__(self, _):
+        raise AttributeError("SizeVal is immutable")
+
     def __repr__(self):
         return show_size(self)
 

@@ -646,7 +646,7 @@ def naive_view(st) -> NaiveView:
     """Enumerate the terms over st's class tokens, a token weighing its
     class's fd, and index them: each term's flattening, and each
     equation's instances under InstanceShape.envs' budget rule."""
-    sig, sys, bound, closed = st.build
+    sig, sys, bound, closed, _ = st.build
     leaves = [(f"~{st.sid}.{c}", cls.sort, cls.fd) for c, cls in enumerate(st.classes)]
     table = TermTable(sig, leaves)
     table.upto(bound)
@@ -703,6 +703,15 @@ def naive_translate(src: NaiveView, dst: NaiveView, rename: Sequence[int]) -> li
 # --- the restriction certificate as a per-slice pair walk ---
 
 
+def chained_diamond(build, slices, sid: int):
+    """construction.diamond over slices, its seeds chained afresh from
+    every slice's flat_instances: the reference for the instance unions
+    its callers grow once per new slice."""
+    slices = tuple(slices)
+    seeds = itertools.chain.from_iterable(st.flat_instances for st in slices)
+    return diamond(build, slices, seeds, sid)
+
+
 def naive_check_restriction(appx) -> int:
     """Approximation.check_restriction as it was before stages kept one
     class array: per member and per literal slice, pair each term's
@@ -721,7 +730,7 @@ def naive_check_restriction(appx) -> int:
     position = {m: p for p, m in enumerate(u.members)}
     for pos, i in enumerate(u.members):
         below = [position[j] for j in u.below[i]]
-        lit = diamond(appx.build, [literal[j] for j in below], sid=pos)
+        lit = chained_diamond(appx.build, [literal[j] for j in below], sid=pos)
         literal[pos] = lit
         shared = appx.stages[stage_of[pos]]
         if shared.slices != tuple(sorted({stage_of[pj] for pj in below})):

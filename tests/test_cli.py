@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import importlib
 import json
 import os
@@ -476,6 +477,18 @@ VEC2 = ("--X", "a,b", "--prefix", "2")
 def test_oracle_output_matches_golden(golden, code, argv, capsys):
     got = run(capsys, *argv)
     assert got == (code, (GOLDEN / golden).read_text(encoding="utf-8"), "")
+
+
+def test_bag_h5_construct_matches_its_pinned_digest(capsys):
+    # one stage line per size member, 677 of them: the golden holds the
+    # stdout's SHA-256 and byte count, not its 135,653 bytes
+    got = run(capsys, "construct", BAG, "--X", "a,b", "-d", "2", "--size-height", "5",
+              "--compare-oracle")
+    assert got[0::2] == (0, "")
+    out = got[1].encode("utf-8")
+    assert out.endswith(b"colimit: 3 classes\noracle: bijection over 3 classes (intro checked 3)\n")
+    digest, size = (GOLDEN / "construct_bag_ab_d2_h5_compare_oracle.sha256").read_text().split()
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, int(size))
 
 
 @pytest.mark.parametrize("algebra, code", [("bag_length.json", 0), ("bag_head.json", 1)])

@@ -62,7 +62,14 @@ from helpers import (
     size_zero,
     tabulate,
 )
-from oracles import bag_multiset, naive_check_restriction, naive_diamond, naive_view, substitute
+from oracles import (
+    bag_multiset,
+    chained_diamond,
+    naive_check_restriction,
+    naive_diamond,
+    naive_view,
+    substitute,
+)
 
 MIN = SizeSig.minimal()
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -127,7 +134,7 @@ def test_stage_sharing_by_down_segment():
 def test_diamond_rebuilds_the_successor_stage():
     _, _, u, appx = bag_fixture()
     s0 = appx.stage_at(size_zero(u.sig))
-    again = diamond(appx.build, [s0], sid=99)
+    again = diamond(appx.build, (s0,), s0.flat_instances, sid=99)
     want = appx.stage_at(u.sig.suc(size_zero(u.sig)))
     assert [c.flat for c in again.classes] == [c.flat for c in want.classes]
 
@@ -491,7 +498,7 @@ def literal_stages(appx) -> list[tuple]:
         pos = position(i)
         slices = [literal[position(j)] for j in u.below[i]]
         fire = {(position(k), position(j)) for j in u.below[i] for k in u.below[j]}
-        literal[pos] = diamond(appx.build, slices, pos)
+        literal[pos] = chained_diamond(appx.build, slices, pos)
         out.append((literal[pos], slices, fire))
     return out
 
@@ -572,7 +579,7 @@ def test_a_diamond_without_a_class_less_slice_names_its_stage():
     one = appx.stage_at(u.sig.suc(size_zero(u.sig)))
     assert len(one) > 0
     with pytest.raises(QitError, match="stage 99 has no class-less slice"):
-        diamond(appx.build, [one], sid=99)
+        diamond(appx.build, (one,), one.flat_instances, sid=99)
 
 
 # --- the restriction certificate stays live; stages keep no views ---
@@ -688,6 +695,42 @@ def test_restriction_drops_top_height_literal_stages(monkeypatch):
     appx.check_restriction()
     assert len(made) == len(u.members)
     assert all(ref() is None for ref in made)
+
+
+def test_restriction_is_linear_in_members(monkeypatch):
+    # bag {a,b} d2 h5: 677 members in heights of 1, 1, 3, 21 and 651.
+    # Every member gets its own literal diamond, each height's members
+    # share one slice tuple, and each literal stage's instances are read
+    # once, when its height joins the slices; top-height ones never are
+    calls = []
+    build = construction.diamond
+
+    def watched(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(construction, "diamond", watched)
+    _, _, u, appx = bag_fixture(depth=2, height=5)
+    assert len(calls) == len(appx.stages) + len(u.members) == 682
+    expected = naive_check_restriction(appx)
+    calls.clear()
+    reads = []
+    instances = construction.Stage.flat_instances.func
+
+    def counted(stage):
+        reads.append(stage.sid)
+        return instances(stage)
+
+    monkeypatch.setattr(construction.Stage, "flat_instances", property(counted))
+    assert appx.check_restriction() == expected
+    assert len(calls) == len(u.members) == 677
+    for tops in u.segments.values():
+        first = u.members.index(tops[0])
+        shared = calls[first]
+        assert all(calls[pos] is shared for pos in range(first, first + len(tops)))
+        assert [st.sid for st in shared] == list(range(first))
+    below_top = [pos for pos, i in enumerate(u.members) if u.above[i]]
+    assert sorted(reads) == below_top and len(below_top) == 26
 
 
 def restriction_outcome(check, appx):
