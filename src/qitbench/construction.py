@@ -25,11 +25,12 @@ off the closed table to print, to export and to hold each class's flat;
 the (slice, term) mapping class_of_pair is kept for perfbench/tracing.py
 and the tests.
 
-The stage diagram (to_diagram) labels each member by its stage: one
-transition map per stage and slice, which diagrams.Colimit checks and
-glues per stage transition, not per member pair.  Its colimit carries
-the constructor map (children pushed to a common stage, wrapped in a
-node, read off at the successor stage).
+The stage diagram (to_diagram) labels each member by its stage, a
+height: diagrams.Colimit checks it per stage transition and glues one
+node per stage class, a node's member standing for its stage.  The
+colimit carries the constructor map (children pushed to a common stage,
+wrapped in a node, read off at the successor stage), tried at the first
+member of each stage.
 compare_with_oracle certifies the whole construction against the
 congruence-closure quotient on the shared depth-d fragment.  The
 paper's other checks on the colimit (equations, recursion, uniqueness,
@@ -43,7 +44,7 @@ from itertools import combinations
 from math import prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .diagrams import Diagram, colim
+from .diagrams import Colimit, Diagram
 from .errors import ArityMismatch, InfinitaryArity, NotStabilized, QitError, StageOverflow
 from .quotient import CongruenceQuotient, congruence_roots, root_groups
 from .records import Record, tagged
@@ -403,19 +404,13 @@ class Approximation:
     def to_diagram(self) -> Diagram:
         """The stage diagram, labelled by stage.  A transition depends
         only on the two members' stages, so there is one map per distinct
-        stage pair, read off one member pair: per down-segment, the first
-        member of each stage in it and the first member above it."""
-        u = self.universe
+        stage pair, read off its stage_pairs member pair."""
         family = {sid: tuple(range(len(st))) for sid, st in enumerate(self.stages)}
-        maps = {}
-        for below, tops in u.segments.items():
-            j = tops[0]
-            firsts = {}
-            for i in below:
-                firsts.setdefault(self.stage_of[i], i)
-            for si, i in firsts.items():
-                maps[(si, self.stage_of[j])] = {c: self.delta(i, j, c) for c in family[si]}
-        return Diagram(u, self.stage_of, family, maps)
+        maps = {
+            (self.stage_of[i], self.stage_of[j]): {c: self.delta(i, j, c) for c in family[self.stage_of[i]]}
+            for i, j in self.stage_pairs()
+        }
+        return Diagram(self.universe, self.stage_of, family, maps)
 
     def dump(self) -> str:
         return "".join(
@@ -495,7 +490,7 @@ class QwInterface:
     def __init__(self, appx: Approximation):
         self.appx = appx
         self.diagram = appx.to_diagram()
-        self.colimit = colim(self.diagram)
+        self.colimit = Colimit(self.diagram)
         self.colimit.check_cocone()
 
     def __len__(self) -> int:
@@ -510,25 +505,22 @@ class QwInterface:
         return min(classes, key=lambda cls: cls.flat_id).flat
 
     def _push(self, i: SizeVal, cid: int) -> Optional[int]:
+        """i's class in colimit class cid, or None, off its first node: a
+        stage's nodes share one member, so a later node at or below i puts
+        the first there too."""
         appx = self.appx
-        for m, c in self.colimit.classes[cid]:
-            if m == i:
-                return c
-            if appx.universe.lt(m, i):
-                return appx.delta(m, i, c)
-        return None
+        m, c = self.colimit.classes[cid][0]
+        if m == i:
+            return c
+        return appx.delta(m, i, c) if appx.universe.lt(m, i) else None
 
     def qwintro(self, op: Union[OpSym, str], children: Sequence[int]) -> int:
         appx = self.appx
         u = appx.universe
-        for i in u.members:
-            pushed = []
-            for cid in children:
-                c = self._push(i, cid)
-                if c is None:
-                    break
-                pushed.append(c)
-            if len(pushed) != len(children):
+        # a stage's members push alike, and its colimit nodes sit at its first
+        for i in (tops[0] for tops in u.segments.values()):
+            pushed = [self._push(i, cid) for cid in children]
+            if None in pushed:
                 continue
             opi = appx.sig.op_index(op)
             decl = appx.sig.ops[opi]

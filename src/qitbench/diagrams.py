@@ -7,9 +7,8 @@ family sends a label to its carrier, and maps sends a label pair (a, b)
 to the transition from any member labelled a to any strictly larger
 member labelled b.  The construction labels a member by its stage, so
 a diagram there has one map per distinct stage transition; a diagram
-given per member labels each member by itself.  The colimit glues
-carriers along transitions.  The check that finite powers commute with
-the colimit is in tests/theorems.py.
+given per member labels each member by itself.  The check that finite
+powers commute with the colimit is in tests/theorems.py.
 
 Diagram.check walks label pairs and triples, not member pairs and
 triples.  A member pair i < j is sound when maps[(label i, label j)]
@@ -31,38 +30,46 @@ a triple, i < k by transitivity, so its third map is a checked pair's.
 The error names the first failing member pair or triple in member
 order (then up-set order), found by a walk that runs only on failure.
 
-The colimit's nodes are (member, element), member by member, each
-member's carrier in family order; node (i, x) has id base[i] plus x's
-position in its carrier.  The gluing is the least equivalence with
-(i, x) ~ (j, maps[(label i, label j)][x]) for every i < j.  It is
-generated by fewer seeds, per distinct down-segment S: with r_a the
-first member of S labelled a,
-- (r_a, x) ~ (j, maps[(a, label j)][x]) for each j whose down-segment
-  is S and each label a in S;
-- (i, x) ~ (r_a, x) for each other i in S labelled a.
-Each seed holds in the full gluing: the first is a transition, and for
-the second, both (i, x) and (r_a, x) are glued to (j, F x) for any j
-whose down-segment is S (some is, by the definition of segments), with
-F = maps[(a, label j)] for both since they share label a.  Conversely,
-a transition (i, x) ~ (j, F x) has i in S = below[j]; the seeds join
-(i, x) to (r_a, x) (nothing when i is r_a) and (r_a, x) to (j, F x).
-So both seed sets generate one equivalence; neither argument uses
-functoriality.  The classes come from one congruence_roots call over a
-table of leaves, in the order of their first node, nodes ascending.
+The colimit glues the nodes (i, x), x in member i's carrier: it is the
+least equivalence with (i, x) ~ (j, maps[(label i, label j)][x]) for
+every i < j.  Colimit glues label groups instead.  Let H be the top
+height; the order is the height preorder (sizes.py), so every member
+below H lies below every top member, and a top member below nothing.
+A label group is a label on one level, below H or at H, with a node
+per element of its carrier; the seeds are (a, x) ~ (c, maps[(a, c)][x])
+for each group a below H and c at H, and a top node no seed names is
+unreached.  A member node (i, x) lies in its group node (label i, x)'s
+class, or alone if that is unreached:
+- members i, i' below H labelled a glue (i, x) and (i', x), both being
+  glued to (t, maps[(a, label t)][x]) for any top member t;
+- for i < j below H labelled a and b, and t at H labelled c,
+  maps[(b, c)] after maps[(a, b)] is maps[(a, c)] (Diagram.check
+  certified i < j < t), so seeds glue (i, x) and (j, maps[(a, b)][x])
+  to (t, maps[(a, c)][x]);
+- a transition into a top member is a seed read on members, and none
+  leaves one, so an unreached node is glued to nothing.
+So the seeds read on members are transitions and generate them all.
+The classes come from one congruence_roots call over the group nodes,
+numbered by first member node (members in member order, carriers in
+family order) as a member-by-member gluing numbers them: groups below
+H come first, each at the first member of its label, so a class is
+numbered by its first group node; then each unreached element gets a
+class per top member labelled so, in member order.  classes holds each
+class's group nodes at their groups' first members, or its one
+unreached node.
 
-check_cocone still decides every member pair.  Per member, its class
-row is the classes of its nodes; per member j and label a below it,
-the expected row is the classes of (j, maps[(a, label j)][x]) over
-family[a].  The cocone holds at i < j iff i's row is j's expected row
-for label i.  Per down-segment S, the rows of S's members labelled a
-are collected into a set, which must be exactly {expected row} for
-every j whose down-segment is S; so every i in S is compared with
-every such j.
+check_cocone still decides every member pair i < j: each (i, x) must
+share a class with (j, maps[(label i, label j)][x]).  i lies below H,
+and those images at a top j are reached, so the test reads classes
+through label groups and depends only on label i and j's group.  Per
+down-segment S, with T the members whose down-segment S is (one
+level), it runs once per label of S and label of T: every member pair
+has i in S = below[j] and j in T.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, Mapping, NamedTuple, Optional
+from typing import Hashable, Mapping, NamedTuple, Optional
 
 from .errors import FunctorialityViolation, QitError
 from .quotient import congruence_roots, root_groups
@@ -157,89 +164,80 @@ class Diagram(NamedTuple):
 
 
 class Colimit:
-    """Classes of (member, element) nodes glued along every transition
-    (see the module docstring for the seeds)."""
+    """Classes of (member, element) nodes glued along every transition,
+    computed on label groups (see the module docstring)."""
 
     def __init__(self, diagram: Diagram):
         diagram.check()
         self.diagram = diagram
-        u, label, family = diagram.universe, diagram.label, diagram.family
-        nodes: list[tuple[SizeVal, Hashable]] = []
-        self._base: dict[SizeVal, int] = {}
-        for i in u.members:
-            self._base[i] = len(nodes)
-            nodes.extend([(i, x) for x in family[label[i]]])
+        u, label, family, maps = diagram.universe, diagram.label, diagram.family, diagram.maps
         self._where = {a: {x: n for n, x in enumerate(xs)} for a, xs in family.items()}
-        self._targets: dict[tuple[Hashable, Hashable], list[int]] = {}
-        groups = root_groups(congruence_roots(range(len(nodes)), self._seeds()))
-        self.classes: tuple[tuple[tuple[SizeVal, Hashable], ...], ...] = tuple(
-            tuple(map(nodes.__getitem__, grp)) for grp in groups
-        )
-        self._class_of = [0] * len(nodes)
-        for cid, grp in enumerate(groups):
-            for n in grp:
-                self._class_of[n] = cid
-
-    def _target(self, a: Hashable, b: Hashable) -> list[int]:
-        """Per element of family[a], the position in family[b] of its
-        image under maps[(a, b)]."""
-        got = self._targets.get((a, b))
-        if got is None:
-            d = self.diagram
-            step, where = d.maps[(a, b)], self._where[b]
-            got = self._targets[(a, b)] = [where[step[x]] for x in d.family[a]]
-        return got
-
-    def _seeds(self) -> Iterator[tuple[int, int]]:
-        d, base = self.diagram, self._base
-        u, label, family = d.universe, d.label, d.family
-        for below, tops in u.segments.items():
-            # label -> base of the first member of the segment labelled so
-            first: dict[Hashable, int] = {}
-            for i in below:
-                at = base[i]
-                r = first.setdefault(label[i], at)
-                if r != at:
-                    n = len(family[label[i]])
-                    yield from zip(range(at, at + n), range(r, r + n))
-            for j in tops:
-                b, at = label[j], base[j]
-                for a, r in first.items():
-                    for n, t in enumerate(self._target(a, b), r):
-                        yield n, at + t
+        *_, (low, top) = u.segments.items()
+        # each label group, keyed (at H?, label), -> its first member
+        firsts: dict[tuple[bool, Hashable], SizeVal] = {}
+        for at_top, members in ((False, low), (True, top)):
+            for i in members:
+                firsts.setdefault((at_top, label[i]), i)
+        nodes: list[tuple[SizeVal, Hashable]] = []
+        self._start: dict[tuple[bool, Hashable], int] = {}  # each label group's first node id
+        for group, i in firsts.items():
+            self._start[group] = len(nodes)
+            nodes.extend([(i, x) for x in family[group[1]]])
+        below = self._start[(True, label[top[0]])]
+        seeds = [
+            (self._start[(False, a)] + n, self._start[(True, c)] + self._where[c][maps[(a, c)][x]])
+            for a_top, a in firsts if not a_top
+            for c_top, c in firsts if c_top
+            for n, x in enumerate(family[a])
+        ]
+        classes: list[tuple[tuple[SizeVal, Hashable], ...]] = []
+        self._class_of = [-1] * len(nodes)
+        for grp in root_groups(congruence_roots(range(len(nodes)), seeds)):
+            if grp[0] < below:  # otherwise one unreached top node
+                for n in grp:
+                    self._class_of[n] = len(classes)
+                classes.append(tuple(map(nodes.__getitem__, grp)))
+        self._alone: dict[tuple[SizeVal, Hashable], int] = {}
+        if -1 in self._class_of:
+            for t in top:
+                for n, y in enumerate(family[label[t]], self._start[(True, label[t])]):
+                    if self._class_of[n] < 0:
+                        self._alone[(t, y)] = len(classes)
+                        classes.append(((t, y),))
+        self.classes: tuple[tuple[tuple[SizeVal, Hashable], ...], ...] = tuple(classes)
 
     def __len__(self) -> int:
         return len(self.classes)
 
     def inject(self, i: SizeVal, x: Hashable) -> int:
+        d = self.diagram
         try:
-            return self._class_of[self._base[i] + self._where[self.diagram.label[i]][x]]
+            a = d.label[i]
+            cid = self._class_of[self._start[(not d.universe.above[i], a)] + self._where[a][x]]
+            return cid if cid >= 0 else self._alone[(i, x)]
         except KeyError:
             raise QitError(f"({show_size(i)}, {x!r}) is not a diagram node") from None
 
     def check_cocone(self) -> None:
-        d, cls, base = self.diagram, self._class_of, self._base
-        u, label, family = d.universe, d.label, d.family
-        row = {i: tuple(cls[base[i]:base[i] + len(family[label[i]])]) for i in u.members}
+        d, cls, start = self.diagram, self._class_of, self._start
+        u, label, family, maps = d.universe, d.label, d.family, d.maps
         whole = True
         for below, tops in u.segments.items():
-            rows: dict[Hashable, set[tuple[int, ...]]] = {}
-            for i in below:
-                rows.setdefault(label[i], set()).add(row[i])
-            whole = whole and all(
-                seen == {tuple([cls[base[j] + t] for t in self._target(a, label[j])])}
-                for j in tops
-                for a, seen in rows.items()
-            )
+            top = not u.above[tops[0]]
+            lows = dict.fromkeys(map(label.__getitem__, below))
+            for b in dict.fromkeys(map(label.__getitem__, tops)):
+                at, where = start[(top, b)], self._where[b]
+                whole = whole and all(
+                    cls[start[(False, a)] + n] == cls[at + where[maps[(a, b)][x]]]
+                    for a in lows
+                    for n, x in enumerate(family[a])
+                )
         if whole:
             return
         # name the first broken node, member pairs in member then up-set order
         for i in u.members:
             for j in u.above[i]:
-                for n, (x, t) in enumerate(zip(family[label[i]], self._target(label[i], label[j]))):
-                    if cls[base[i] + n] != cls[base[j] + t]:
+                step = maps[(label[i], label[j])]
+                for x in family[label[i]]:
+                    if self.inject(i, x) != self.inject(j, step[x]):
                         raise QitError(f"cocone broken at ({show_size(i)}, {x!r})")
-
-
-def colim(diagram: Diagram) -> Colimit:
-    return Colimit(diagram)

@@ -16,13 +16,16 @@ def tagged(cls: type) -> type:
     """cls, a NamedTuple, equal and hashed as a record of its class.  A
     tuple ignores its class: Pi(b, A, B) would equal Sigma(b, A, B),
     Var("x") would equal TVar("x"), and SetParam() would equal () and be
-    falsy.  Records of one class compare as their field tuples, records
-    of two classes are unequal and hash apart, and every record is
-    truthy."""
+    falsy.  Records of one class compare and order as their field
+    tuples, records of two classes are unequal, hash apart and do not
+    order, no record adds or multiplies, and every record is truthy."""
     cls.__eq__ = _eq
     cls.__ne__ = _ne
     cls.__hash__ = _hash
     cls.__bool__ = _truthy
+    for name, compare in _ORDERS.items():
+        setattr(cls, name, compare)
+    cls.__add__ = cls.__mul__ = cls.__rmul__ = _refused
     return cls
 
 
@@ -40,6 +43,17 @@ def _hash(self) -> int:
 
 def _truthy(self) -> bool:
     return True
+
+
+def _within_class(order):
+    return lambda self, other: order(self, other) if self.__class__ is other.__class__ else NotImplemented
+
+
+_ORDERS = {name: _within_class(getattr(tuple, name)) for name in ("__lt__", "__le__", "__gt__", "__ge__")}
+
+
+def _refused(self, other):
+    return NotImplemented
 
 
 class Record:

@@ -116,8 +116,8 @@ def derive_eliminator(decl: QitDecl) -> EliminatorSignature:
                 pieces.append(f"({a.binder} : Nat)")
             else:
                 pieces.append(f"({a.binder} : {show_type(a.dom)})")
-        lhs = _hat(target.lhs, args, decl)
-        rhs = _hat(target.rhs, args, decl)
+        kinds = {a.binder: a.kind for a in args}
+        lhs, rhs = _hat(target.lhs, kinds, decl), _hat(target.rhs, kinds, decl)
         ty = " -> ".join(pieces + [f"{lhs} == {rhs}"])
         coherences.append((f"{ctor.name}'", ty))
 
@@ -151,61 +151,56 @@ def derive_eliminator(decl: QitDecl) -> EliminatorSignature:
     return EliminatorSignature(elim, motive, tuple(steps), tuple(coherences), conclusion, tuple(computation))
 
 
-def _hat(t: TermAst, args, decl: QitDecl) -> str:
+def _hat(u: TermAst, kinds: dict[str, str], decl: QitDecl) -> str:
     """Endpoint with constructors replaced by their induction hypotheses;
-    recursive subterms become (value, folded value) pairs."""
-    qnames = {a.binder for a in args if a.kind == "q"}
-    famnames = {a.binder for a in args if a.kind == "natfam"}
-    mapnames = {a.binder for a in args if a.kind == "map"}
+    recursive subterms become (value, folded value) pairs.  kinds maps
+    each binder of the equality constructor to its argument's kind."""
+    match u:
+        case TVar(n) if kinds.get(n) == "q" or decl.element(n) is not None:
+            return f"{n}'"
+        case TApp(head, sub) if decl.element(head) is not None:
+            ctor_args, _ = _named_args(decl.element(head), decl)
+            parts = [f"{head}'"]
+            for a, g in zip(ctor_args, sub):
+                if a.kind == "q":
+                    parts.append(_pairarg(g, kinds, decl))
+                elif a.kind == "natfam":
+                    parts.append(_hatfam(g, kinds))
+                else:
+                    parts.append(_atom(show_term_ast(g)))
+            return " ".join(parts)
+    raise QitError(f"cannot fold endpoint {u!r}")
 
-    def strip(u: TermAst) -> str:
-        match u:
-            case TVar(n) if n in qnames:
-                return f"fst {n}'"
-            case TVar(n) if n in famnames:
-                return f"fst . {n}'"
-            case TVar(n):
-                return n
-            case TApp("comp", (f, TVar(m))) if m in mapnames:
-                return f"{strip(f)} . {m}"
-            case TApp(head, sub) if decl.element(head) is not None:
-                ctor_args, _ = _named_args(decl.element(head), decl)
-                parts = [head]
-                for a, g in zip(ctor_args, sub):
-                    parts.append(_atom(strip(g)) if a.kind in ("q", "natfam") else _atom(show_term_ast(g)))
-                return " ".join(parts)
-        raise QitError(f"cannot fold endpoint {u!r}")
 
-    def hat(u: TermAst) -> str:
-        match u:
-            case TVar(n) if n in qnames:
-                return f"{n}'"
-            case TVar(n) if decl.element(n) is not None:
-                return f"{n}'"
-            case TApp(head, sub) if decl.element(head) is not None:
-                ctor_args, _ = _named_args(decl.element(head), decl)
-                parts = [f"{head}'"]
-                for a, g in zip(ctor_args, sub):
-                    if a.kind == "q":
-                        parts.append(pairarg(g))
-                    elif a.kind == "natfam":
-                        parts.append(hatfam(g))
-                    else:
-                        parts.append(_atom(show_term_ast(g)))
-                return " ".join(parts)
-        raise QitError(f"cannot fold endpoint {u!r}")
+def _strip(u: TermAst, kinds: dict[str, str], decl: QitDecl) -> str:
+    match u:
+        case TVar(n) if kinds.get(n) == "q":
+            return f"fst {n}'"
+        case TVar(n) if kinds.get(n) == "natfam":
+            return f"fst . {n}'"
+        case TVar(n):
+            return n
+        case TApp("comp", (f, TVar(m))) if kinds.get(m) == "map":
+            return f"{_strip(f, kinds, decl)} . {m}"
+        case TApp(head, sub) if decl.element(head) is not None:
+            ctor_args, _ = _named_args(decl.element(head), decl)
+            parts = [head]
+            for a, g in zip(ctor_args, sub):
+                parts.append(_atom(_strip(g, kinds, decl) if a.kind in ("q", "natfam") else show_term_ast(g)))
+            return " ".join(parts)
+    raise QitError(f"cannot fold endpoint {u!r}")
 
-    def pairarg(u: TermAst) -> str:
-        if isinstance(u, TVar) and u.name in qnames:
-            return f"{u.name}'"
-        return f"({strip(u)}, {hat(u)})"
 
-    def hatfam(u: TermAst) -> str:
-        match u:
-            case TVar(n) if n in famnames:
-                return f"{n}'"
-            case TApp("comp", (f, TVar(m))) if m in mapnames:
-                return f"({hatfam(f)} . {m})"
-        raise QitError(f"cannot fold child family {u!r}")
+def _pairarg(u: TermAst, kinds: dict[str, str], decl: QitDecl) -> str:
+    if isinstance(u, TVar) and kinds.get(u.name) == "q":
+        return f"{u.name}'"
+    return f"({_strip(u, kinds, decl)}, {_hat(u, kinds, decl)})"
 
-    return hat(t)
+
+def _hatfam(u: TermAst, kinds: dict[str, str]) -> str:
+    match u:
+        case TVar(n) if kinds.get(n) == "natfam":
+            return f"{n}'"
+        case TApp("comp", (f, TVar(m))) if kinds.get(m) == "map":
+            return f"({_hatfam(f, kinds)} . {m})"
+    raise QitError(f"cannot fold child family {u!r}")

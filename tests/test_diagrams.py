@@ -8,9 +8,11 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qitbench.construction import build_fixed_point
-from qitbench.diagrams import Colimit, Diagram, colim
+from qitbench.diagrams import Colimit, Diagram
 from qitbench.errors import FunctorialityViolation, QitError
 from qitbench.schema import elaborate, parse_decl
 from qitbench.sizes import SizeSig, SizeUniverse, height, show_size
@@ -19,7 +21,13 @@ from helpers import bag_sig, bag_system
 from helpers import chain as chain_universe
 from helpers import mutual_le_universe, size_zero
 from oracles import PlumpOrder, naive_components, naive_diagram_fault
-from theorems import check_power_cocontinuity, constant_diagram, growing_chain, power_diagram
+from theorems import (
+    check_power_cocontinuity,
+    constant_diagram,
+    growing_chain,
+    member_classes,
+    power_diagram,
+)
 
 MIN = SizeSig.minimal()
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -45,12 +53,14 @@ def member_edges(d):
 
 
 def assert_classes_match_components(d, c):
-    """The colimit's classes are the components of the gluing graph over
-    every member pair, in the order of their first node."""
+    """The partition (i, x) -> inject(i, x) over every member node is
+    the components of the gluing graph over every member pair, its
+    classes numbered in the order of their first node."""
     nodes, edges = member_edges(d)
     index = {node: n for n, node in enumerate(nodes)}
-    mine = [[index[node] for node in grp] for grp in c.classes]
+    mine = [[index[node] for node in grp] for grp in member_classes(c)]
     assert mine == [sorted(comp) for comp in naive_components(nodes, edges)]
+    # each class's nodes at the first member of its label group lie in it
     for cid, grp in enumerate(c.classes):
         for i, x in grp:
             assert c.inject(i, x) == cid
@@ -130,7 +140,7 @@ def test_check_walks_chains_up_to_the_top_height():
 def test_constant_diagram_colimit():
     u = universe()
     d = constant_diagram(u, (0, 1))
-    c = colim(d)
+    c = Colimit(d)
     assert len(c) == 2
     c.check_cocone()
     zero = u.members[0]
@@ -142,7 +152,7 @@ def test_constant_diagram_colimit():
 def test_growing_chain_matches_component_oracle():
     u = chain()
     d = growing_chain(u)
-    c = colim(d)
+    c = Colimit(d)
     assert len(c) == 3
 
     assert_classes_match_components(d, c)
@@ -154,7 +164,7 @@ def test_empty_diagram():
     with pytest.raises(FunctorialityViolation, match="no map"):
         d.check()
     maps = {(i, j): {} for i in u.members for j in u.members if u.lt(i, j)}
-    c = colim(Diagram(u, per_member(u), {i: () for i in u.members}, maps))
+    c = Colimit(Diagram(u, per_member(u), {i: () for i in u.members}, maps))
     assert len(c) == 0
 
 
@@ -194,7 +204,7 @@ def test_functoriality_violations():
 
 def test_inject_rejects_unknown_node():
     u = universe()
-    c = colim(constant_diagram(u, ("x",)))
+    c = Colimit(constant_diagram(u, ("x",)))
     with pytest.raises(QitError):
         c.inject(u.members[0], "y")
 
@@ -233,7 +243,7 @@ def test_growing_chain_over_tree_universe_is_not_directed():
     # its top elements and the power comparison loses surjectivity.
     u = universe()
     d = growing_chain(u)
-    assert len(colim(d)) == 5
+    assert len(Colimit(d)) == 5
     assert not check_power_cocontinuity(d, ("p", "q")).ok
 
 
@@ -248,7 +258,7 @@ def test_power_cocontinuity_detects_failure():
         family[i] = (f"e{n}",)
     maps = {(i, j): {} for i in u.members for j in u.members if u.lt(i, j)}
     d = Diagram(u, per_member(u), family, maps)
-    assert len(colim(d)) == len(tops)
+    assert len(Colimit(d)) == len(tops)
 
     one = check_power_cocontinuity(d, ("p",))
     assert one.ok
@@ -288,7 +298,7 @@ def test_height_labelled_diagram_rejects_one_bad_transition():
     u = SizeUniverse(MIN, 4)
     good = by_height(u, (0, 1))
     good.check()
-    assert len(colim(good)) == 2
+    assert len(Colimit(good)) == 2
     # the labels are far from injective: 26 members, 4 heights
     assert len(u.members) == 26 and len(good.maps) == 6
     twisted = dict(good.maps)
@@ -349,7 +359,7 @@ def test_height_labelled_colimit_matches_member_pair_components(bound):
     maps = {(a, b): {x: x for x in range(a)} for a in heights for b in heights if a < b}
     family = {h: tuple(range(h)) for h in heights}
     d = Diagram(u, {i: height(i) for i in u.members}, family, maps)
-    c = colim(d)
+    c = Colimit(d)
     assert_classes_match_components(d, c)
     c.check_cocone()
 
@@ -376,19 +386,110 @@ def test_stage_diagram_colimit_matches_member_pair_components(build):
     u = d.universe
     assert len(d.maps) == len({(d.label[i], d.label[j]) for i in u.members for j in u.above[i]})
     assert naive_diagram_fault(d) is None
-    c = colim(d)
+    c = Colimit(d)
+    assert_classes_match_components(d, c)
+    c.check_cocone()
+
+
+def test_stage_diagram_colimit_holds_one_node_per_stage_class():
+    # a member-by-member gluing held 2,028 nodes here
+    d = bag_diagram(5)
+    c = Colimit(d)
+    assert len(c) == 3
+    assert sum(map(len, c.classes)) == sum(map(len, d.family.values())) == 12
+
+
+GENERATED_UNIVERSES = {
+    **{f"tree-h{h}": (lambda h=h: SizeUniverse(MIN, h)) for h in range(1, 5)},
+    **{f"chain-h{h}": (lambda h=h: chain_universe(MIN, h)) for h in range(1, 5)},
+    "mutual-le": mutual_le_universe,
+}
+
+
+@st.composite
+def functorial_diagrams(draw):
+    """A functorial diagram on a drawn universe.  Height h carries Y_h =
+    range(n_h), with a drawn map step_h from Y_h to Y_{h+1}, and an
+    element (h, y) is carried to height k by the steps between.  The
+    labelling is drawn:
+    - per member: i carries (height i, y) for y in Y_{height i} and a
+      few extras of its own; an extra below the top height is carried as
+      a drawn element of Y_{height i}, and one at the top height is
+      reached by no map;
+    - by intervals of heights, one label each (per height when every
+      interval is one height): a label carries (h, y) for each height h
+      in its interval, and every map carries an element to the top of
+      its target's interval, so a label may span both levels.
+    A step that is not onto leaves top elements that no map reaches."""
+    u = draw(st.sampled_from(sorted(GENERATED_UNIVERSES)).map(lambda name: GENERATED_UNIVERSES[name]()))
+    hs = {i: height(i) for i in u.members}
+    top = max(hs.values())
+    sizes = [0]
+    for _ in range(top):
+        # a non-empty carrier needs a non-empty carrier above it
+        sizes.append(draw(st.integers(1 if sizes[-1] else 0, 3)))
+    steps = [[draw(st.integers(0, sizes[h + 1] - 1)) for _ in range(sizes[h])] for h in range(top)]
+
+    def carry(h, y, k):
+        for g in range(h, k):
+            y = steps[g][y]
+        return y
+
+    kind = draw(st.sampled_from(["member", "height", "coarse"]))
+    if kind == "member":
+        extras = {}
+        for i in u.members:
+            if hs[i] == top or sizes[hs[i]]:
+                count = draw(st.integers(0, 2))
+                extras[i] = [draw(st.integers(0, max(sizes[hs[i]] - 1, 0))) for _ in range(count)]
+        family = {
+            i: tuple((hs[i], y) for y in range(sizes[hs[i]]))
+            + tuple(("extra", n) for n in range(len(extras.get(i, ()))))
+            for i in u.members
+        }
+
+        def start(i, x):
+            return x if x[0] != "extra" else (hs[i], extras[i][x[1]])
+
+        maps = {
+            (i, j): {x: (hs[j], carry(*start(i, x), hs[j])) for x in family[i]}
+            for i in u.members
+            for j in u.above[i]
+        }
+        return Diagram(u, {i: i for i in u.members}, family, maps)
+    # interval n of heights ends at ends[n]
+    cuts = [kind == "height" or draw(st.booleans()) for _ in range(1, top)]
+    ends = [h for h, cut in zip(range(1, top), cuts) if cut] + [top]
+    interval = {h: next(n for n, end in enumerate(ends) if h <= end) for h in range(1, top + 1)}
+    family = {
+        n: tuple((h, y) for h in range(1, end + 1) if interval[h] == n for y in range(sizes[h]))
+        for n, end in enumerate(ends)
+    }
+    maps = {
+        (a, b): {(h, y): (ends[b], carry(h, y, ends[b])) for h, y in family[a]}
+        for a in family
+        for b in family
+        if a <= b
+    }
+    return Diagram(u, {i: interval[hs[i]] for i in u.members}, family, maps)
+
+
+@given(functorial_diagrams())
+def test_generated_diagram_colimit_matches_member_pair_components(d):
+    assert naive_diagram_fault(d) is None
+    c = Colimit(d)
     assert_classes_match_components(d, c)
     c.check_cocone()
 
 
 def test_check_cocone_catches_a_corrupted_class_row():
     d = bag_diagram(4)
-    c = colim(d)
+    c = Colimit(d)
     u, label = d.universe, d.label
     # the first member with a non-empty carrier and a member above it
     i = next(m for m in u.members if d.family[label[m]] and u.above[m])
-    x = d.family[label[i]][0]
-    n = c._base[i]
+    # the first node of i's label group, which every member with i's label reads
+    n = c._start[(False, label[i])]
     c._class_of[n] = (c._class_of[n] + 1) % len(c)
     # the first member pair at which the corrupted classes disagree
     nodes, edges = member_edges(d)
@@ -404,4 +505,4 @@ def test_power_diagram_keeps_the_stage_labels():
     assert p.label is d.label and p.maps.keys() == d.maps.keys()
     report = check_power_cocontinuity(d, ("p",))
     assert report.ok
-    assert report.power_classes == report.product_size == len(colim(d))
+    assert report.power_classes == report.product_size == len(Colimit(d))

@@ -2,7 +2,8 @@
 no module has an assert statement, every file a module reads or writes
 as text names its encoding, every module-level function and class is
 used somewhere in src/qitbench, unless listed with the reason it is
-kept, and no module imports dataclasses.
+kept, no nested function calls itself, and no module imports
+dataclasses.
 
 No linter ships with the project, so this parses src/qitbench with ast.
 __future__ imports and the package __init__ modules, whose imports are
@@ -152,6 +153,50 @@ def test_the_scan_sees_an_unused_definition():
         "b": "from a import C, f\n\n\ndef h():\n    return C\n",
     }
     assert unused_definitions(sources) == ["a.f", "a.g"]
+
+
+def recursive_closures(source: str) -> list[str]:
+    """The nested functions that read their own name.  Such a closure
+    holds a cell that holds the closure: a reference cycle, which every
+    call that builds it leaves to the cyclic collector."""
+    found: dict[int, str] = {}
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(outer):
+            if node is outer or not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(
+                isinstance(n, ast.Name) and n.id == node.name and isinstance(n.ctx, ast.Load)
+                for n in ast.walk(node)
+            ):
+                found[node.lineno] = node.name
+    return [f"line {line}: {name}" for line, name in sorted(found.items())]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_recursive_closures(path):
+    assert recursive_closures(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_sees_a_recursive_closure():
+    source = (
+        "def f(n):\n"
+        "    def down(k):\n"
+        "        return 0 if k == 0 else down(k - 1)\n"
+        "    def once(k):\n"
+        "        return f(k)\n"
+        "    class C:\n"
+        "        def m(self):\n"
+        "            def again():\n"
+        "                return again\n"
+        "            return self.m\n"
+        "    return down(n) + once(n)\n"
+        "\n"
+        "def g(k):\n"
+        "    return g(k - 1)\n"
+    )
+    assert recursive_closures(source) == ["line 2: down", "line 8: again"]
 
 
 def dataclass_imports(source: str) -> list[int]:

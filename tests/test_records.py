@@ -4,7 +4,9 @@ Two records of different classes are unequal even when their fields
 are: checker._type_eq must not take a pair type for a function type,
 nor a type-level variable for a term variable.  Records are truthy,
 the records that were built immutable refuse assignment, and a record
-shows as Name(field=value), which error messages embed.  Each test
+shows as Name(field=value), which error messages embed.  A record is
+not a tuple to order against another class's, to concatenate or to
+repeat: those raise TypeError.  Each test
 reads records through their constructors and fields only, so it holds
 for any way of building them.  Two such records are checked to be kept
 apart as keys, not to hash apart: records built as field tuples hashed
@@ -14,6 +16,7 @@ as those tuples, so their hashes collided.
 from __future__ import annotations
 
 import functools
+import operator
 
 import pytest
 
@@ -101,6 +104,34 @@ def test_records_of_two_classes_are_unequal_and_keyed_apart(a, b):
     assert not (a == b or b == a)
     assert len({a, b}) == 2
     assert {a: 1}.get(b) is None
+
+
+@pytest.mark.parametrize("a, b", SAME_FIELDS, ids=lambda r: type(r).__name__)
+def test_records_of_two_classes_do_not_order(a, b):
+    for lhs, rhs in ((a, b), (b, a)):
+        for order in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                order(lhs, rhs)
+
+
+def test_records_of_one_class_order_as_their_fields():
+    assert OpSym("a", ("x",)) < OpSym("b") and OpSym("b") >= OpSym("a", ("x",))
+    assert Var("x") <= Var("x") and not Var("x") < Var("x")
+    ops = [OpSym("b"), OpSym("a", ("y",)), OpSym("a", ("x",))]
+    assert sorted(ops) == [OpSym("a", ("x",)), OpSym("a", ("y",)), OpSym("b")]
+
+
+@pytest.mark.parametrize("record", [Var("x"), Tab(()), OpSym("c"), Pi("b", Q, NAT_T), SetParam()],
+                         ids=lambda r: type(r).__name__)
+def test_records_refuse_concatenation_and_repetition(record):
+    for other in (Var("y"), Tab(()), record, ("x",)):
+        with pytest.raises(TypeError):
+            record + other
+    for count in (0, 2):
+        with pytest.raises(TypeError):
+            record * count
+        with pytest.raises(TypeError):
+            count * record
 
 
 def test_a_record_equals_its_copy_only():

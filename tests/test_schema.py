@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -420,6 +421,21 @@ def test_library_covers_expected_names():
 
 def test_bag_eliminator_matches_golden():
     assert derive_eliminator(BAG).render() == load("tables/bagelim.txt")
+
+
+@pytest.mark.parametrize("decl", [BAG, COMMVEC], ids=["bag", "commvec"])
+def test_derive_eliminator_leaves_nothing_for_the_cyclic_collector(decl):
+    """A recursive closure, or two that call each other, is a reference
+    cycle that every derivation would leave to the cyclic collector."""
+    derive_eliminator(decl)  # first-use caches
+    gc.collect()
+    gc.disable()
+    try:
+        elim = derive_eliminator(decl)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert elim.coherences and found == 0
 
 
 def test_eliminator_without_equations_has_no_coherences():
