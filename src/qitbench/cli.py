@@ -496,9 +496,9 @@ def _cmd_construct(cfg: RunConfig) -> int:
     appx = build_fixed_point(flat, sys_, u, cfg.depth)
     qw = None
     if cfg.fmt == "structured":
-        print(appx.export(), end="")
+        sys.stdout.writelines(appx.export())
     else:
-        print(appx.dump(), end="")
+        sys.stdout.writelines(appx.dump())
         qw = qw_from_colimit(appx)
         print(f"colimit: {len(qw)} classes")
     if cfg.compare_oracle:

@@ -49,7 +49,7 @@ from .errors import ArityMismatch, InfinitaryArity, NotStabilized, QitError, Sta
 from .quotient import CongruenceQuotient, congruence_roots, root_groups
 from .records import Record, tagged
 from .sexpr import show_term
-from .sizes import SizeUniverse, SizeVal, show_size
+from .sizes import SizeUniverse
 from .terms import (
     OpSym,
     Signature,
@@ -247,23 +247,23 @@ class Approximation:
         universe: SizeUniverse,
         depth: int,
         stages: tuple[Stage, ...],
-        stage_of: Mapping[SizeVal, int],
+        stage_of: Mapping[int, int],
         build: _Build,
     ):
         self.sig, self.sys, self.universe, self.depth = sig, sys, universe, depth
         self.stages, self.stage_of, self.build = stages, stage_of, build
 
-    def stage_at(self, i: SizeVal) -> Stage:
+    def stage_at(self, i: int) -> Stage:
         return self.stages[self.stage_of[i]]
 
-    def delta(self, i: SizeVal, j: SizeVal, cls: int) -> int:
+    def delta(self, i: int, j: int, cls: int) -> int:
         """Push a class at member i one stage up to member j: j's class
         of the class's flat."""
         if not self.universe.lt(i, j):
-            raise QitError(f"{show_size(i)} is not strictly below {show_size(j)}")
+            raise QitError(f"{self.universe.show(i)} is not strictly below {self.universe.show(j)}")
         return self.stage_at(j).class_at[self.stage_at(i).classes[cls].flat_id]
 
-    def stage_pairs(self) -> Iterator[tuple[SizeVal, SizeVal]]:
+    def stage_pairs(self) -> Iterator[tuple[int, int]]:
         """The first member pair i < j, in member order then up-set
         order, for each distinct pair of their stages.  A stage is a
         segment, and a segment a height, so every member of a later
@@ -290,7 +290,7 @@ class Approximation:
                 if direct != via[ci]:
                     raise QitError(
                         f"stage diagram broken at {show_term(terms[n])} between "
-                        f"{show_size(i)} and {show_size(j)}"
+                        f"{self.universe.show(i)} and {self.universe.show(j)}"
                     )
             checked += len(low.class_at)
         return checked
@@ -379,19 +379,19 @@ class Approximation:
             lit = diamond(self.build, slices, seeds, sid=pos)
             shared = self.stages[stage_of[pos]]
             if shared.slices != want:
-                raise QitError(f"restriction mismatch at {show_size(i)}: slices differ")
+                raise QitError(f"restriction mismatch at {u.show(i)}: slices differ")
             for pj in range(compared, below):
                 records = self.stages[stage_of[pj]].classes
                 if tuple(map(records.__getitem__, bij[pj])) != literal[pj].classes:
-                    raise QitError(f"restriction mismatch at {show_size(i)}: views differ")
+                    raise QitError(f"restriction mismatch at {u.show(i)}: views differ")
             compared = below
             label = [-1] * len(lit)
             for c, n in set(zip(lit.class_at, shared.class_at)):
                 if label[c] != -1:
-                    raise QitError(f"restriction mismatch at {show_size(i)}: partitions differ")
+                    raise QitError(f"restriction mismatch at {u.show(i)}: partitions differ")
                 label[c] = n
             if sorted(label) != list(range(len(shared))):
-                raise QitError(f"restriction mismatch at {show_size(i)}: classes differ")
+                raise QitError(f"restriction mismatch at {u.show(i)}: classes differ")
             if u.above[i]:
                 literal.append(lit)
                 bij.append(label)
@@ -412,26 +412,26 @@ class Approximation:
         }
         return Diagram(self.universe, self.stage_of, family, maps)
 
-    def dump(self) -> str:
-        return "".join(
-            f"stage {shown}: {len(self.stage_at(i))}\n"
-            for i, shown in zip(self.universe.members, self.universe.shown())
-        )
-
-    def export(self) -> str:
-        """Members, stages and classes; a class's pairs are counted on
-        the closed table.  Per slice, mult[f] terms over its class tokens
-        flatten to closed id f: its class's token when f is a flat, and
-        one node per choice of a term for each child.  A term's weighted
-        depth is its flattening's depth, so each such term is within the
-        bound, and a pair's class is its flattening's."""
-        nodes = self.build.closed.nodes
-        lines = [f"depth {self.depth} height {self.universe.height}"]
+    def dump(self) -> Iterator[str]:
+        """Each member's stage size, one line at a time."""
         for i, shown in zip(self.universe.members, self.universe.shown()):
-            lines.append(f"member {shown} -> stage {self.stage_of[i]}")
+            yield f"stage {shown}: {len(self.stage_at(i))}\n"
+
+    def export(self) -> Iterator[str]:
+        """Members, stages and classes, one line at a time; a class's
+        pairs are counted on the closed table.  Per slice, mult[f] terms
+        over its class tokens flatten to closed id f: its class's token
+        when f is a flat, and one node per choice of a term for each
+        child.  A term's weighted depth is its flattening's depth, so each
+        such term is within the bound, and a pair's class is its
+        flattening's."""
+        nodes = self.build.closed.nodes
+        yield f"depth {self.depth} height {self.universe.height}\n"
+        for i, shown in zip(self.universe.members, self.universe.shown()):
+            yield f"member {shown} -> stage {self.stage_of[i]}\n"
         for st in self.stages:
             slices = " ".join(str(s) for s in st.slices)
-            lines.append(f"stage {st.sid}: slices ({slices}) classes {len(st)}")
+            yield f"stage {st.sid}: slices ({slices}) classes {len(st)}\n"
             sizes = [0] * len(st)
             for low in st.slice_stages:
                 flats = {cls.flat_id for cls in low.classes}
@@ -441,8 +441,7 @@ class Approximation:
                 for c, m in zip(st.class_at, mult):
                     sizes[c] += m
             for c, cls in enumerate(st.classes):
-                lines.append(f"  class {c} {show_term(cls.flat)} | pairs {sizes[c]}")
-        return "\n".join(lines) + "\n"
+                yield f"  class {c} {show_term(cls.flat)} | pairs {sizes[c]}\n"
 
 
 def build_fixed_point(
@@ -461,7 +460,7 @@ def build_fixed_point(
     build = _Build(sig, sys, depth_bound, TermTable(sig), {})
     build.closed.upto(depth_bound)
     stages: list[Stage] = []
-    stage_of: dict[SizeVal, int] = {}
+    stage_of: dict[int, int] = {}
     # segments come one per height, below-first, so a segment's slices are
     # every stage built so far (check_restriction checks them); seeds is
     # the union of their flat_instances
@@ -496,7 +495,7 @@ class QwInterface:
     def __len__(self) -> int:
         return len(self.colimit)
 
-    def inject(self, i: SizeVal, cls: int) -> int:
+    def inject(self, i: int, cls: int) -> int:
         return self.colimit.inject(i, cls)
 
     def class_flat(self, cid: int) -> Term:
@@ -504,7 +503,7 @@ class QwInterface:
         classes = [appx.stage_at(m).classes[c] for m, c in self.colimit.classes[cid]]
         return min(classes, key=lambda cls: cls.flat_id).flat
 
-    def _push(self, i: SizeVal, cid: int) -> Optional[int]:
+    def _push(self, i: int, cid: int) -> Optional[int]:
         """i's class in colimit class cid, or None, off its first node: a
         stage's nodes share one member, so a later node at or below i puts
         the first there too."""
@@ -528,15 +527,13 @@ class QwInterface:
                 raise ArityMismatch(
                     f"{decl.op.show()} takes {decl.arity.count} children, got {len(pushed)}"
                 )
-            sup = u.sig.suc(i)
-            if sup not in u:
-                raise StageOverflow(
-                    f"no stage above {show_size(i)} in a height-{u.height} universe"
-                )
+            sup = u.suc(i)
+            if sup is None:
+                raise StageOverflow(f"no stage above {u.show(i)} in a height-{u.height} universe")
             classes = appx.stage_at(i).classes
             n = appx.build.closed.lookup.get((opi, tuple(classes[c].flat_id for c in pushed)))
             if n is None:
-                raise StageOverflow(f"intro exceeds depth {appx.depth} at {show_size(i)}")
+                raise StageOverflow(f"intro exceeds depth {appx.depth} at {u.show(i)}")
             return self.inject(sup, appx.stage_at(sup).class_at[n])
         raise StageOverflow("children have no common stage in the universe")
 

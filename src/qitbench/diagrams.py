@@ -74,13 +74,13 @@ from typing import Hashable, Mapping, NamedTuple, Optional
 from .errors import FunctorialityViolation, QitError
 from .quotient import congruence_roots, root_groups
 from .records import tagged
-from .sizes import SizeUniverse, SizeVal, show_size
+from .sizes import SizeUniverse
 
 
 @tagged
 class Diagram(NamedTuple):
     universe: SizeUniverse
-    label: Mapping[SizeVal, Hashable]
+    label: Mapping[int, Hashable]
     family: Mapping[Hashable, tuple]
     maps: Mapping[tuple[Hashable, Hashable], Mapping[Hashable, Hashable]]
 
@@ -88,7 +88,7 @@ class Diagram(NamedTuple):
         u, label, family = self.universe, self.label, self.family
         for i in u.members:
             if i not in label or label[i] not in family:
-                raise FunctorialityViolation(f"no carrier at {show_size(i)}")
+                raise FunctorialityViolation(f"no carrier at {u.show(i)}")
         pairs, triples = self._transitions()
         member_pairs = ((i, j) for i in u.members for j in u.above[i])
         member_triples = (
@@ -114,13 +114,13 @@ class Diagram(NamedTuple):
         triples: dict[tuple, tuple] = {}
         # member -> number of its down-segment; per segment number, its
         # labels with the first member of the segment labelled so
-        seg_of: dict[SizeVal, int] = {}
-        firsts: list[dict[Hashable, SizeVal]] = []
+        seg_of: dict[int, int] = {}
+        firsts: list[dict[Hashable, int]] = []
         for below, tops in u.segments.items():
-            low: dict[Hashable, SizeVal] = {}
+            low: dict[Hashable, int] = {}
             for i in below:
                 low.setdefault(label[i], i)
-            high: dict[Hashable, SizeVal] = {}
+            high: dict[Hashable, int] = {}
             for k in tops:
                 high.setdefault(label[k], k)
                 seg_of[k] = len(firsts)
@@ -130,7 +130,7 @@ class Diagram(NamedTuple):
                     pairs.setdefault((a, c), (i, k))
             # a member of the segment below another is listed before the
             # members above it, so its own segment is numbered already
-            mids: dict[tuple[int, Hashable], SizeVal] = {}
+            mids: dict[tuple[int, Hashable], int] = {}
             for j in below:
                 mids.setdefault((seg_of[j], label[j]), j)
             for (s, b), j in mids.items():
@@ -139,27 +139,28 @@ class Diagram(NamedTuple):
                         triples.setdefault((a, b, c), (i, j, k))
         return pairs, triples
 
-    def _step_fault(self, i: SizeVal, j: SizeVal) -> Optional[str]:
+    def _step_fault(self, i: int, j: int) -> Optional[str]:
         """What is wrong with the transition i -> j, if anything."""
         a, b = self.label[i], self.label[j]
         step = self.maps.get((a, b))
+        show = self.universe.show
         if step is None:
-            return f"no map {show_size(i)} -> {show_size(j)}"
+            return f"no map {show(i)} -> {show(j)}"
         into = set(self.family[b])
         for x in self.family[a]:
             if x not in step:
-                return f"map {show_size(i)} -> {show_size(j)} undefined at {x!r}"
+                return f"map {show(i)} -> {show(j)} undefined at {x!r}"
             if step[x] not in into:
-                return f"map {show_size(i)} -> {show_size(j)} escapes the carrier at {x!r}"
+                return f"map {show(i)} -> {show(j)} escapes the carrier at {x!r}"
         return None
 
-    def _chain_fault(self, i: SizeVal, j: SizeVal, k: SizeVal) -> Optional[str]:
+    def _chain_fault(self, i: int, j: int, k: int) -> Optional[str]:
         """Where i -> j -> k differs from i -> k, if anywhere."""
         a, b, c = self.label[i], self.label[j], self.label[k]
         lo, mid, hi = self.maps[(a, b)], self.maps[(b, c)], self.maps[(a, c)]
         for x in self.family[a]:
             if mid[lo[x]] != hi[x]:
-                return f"composition mismatch at {x!r} through {show_size(j)}"
+                return f"composition mismatch at {x!r} through {self.universe.show(j)}"
         return None
 
 
@@ -174,11 +175,11 @@ class Colimit:
         self._where = {a: {x: n for n, x in enumerate(xs)} for a, xs in family.items()}
         *_, (low, top) = u.segments.items()
         # each label group, keyed (at H?, label), -> its first member
-        firsts: dict[tuple[bool, Hashable], SizeVal] = {}
+        firsts: dict[tuple[bool, Hashable], int] = {}
         for at_top, members in ((False, low), (True, top)):
             for i in members:
                 firsts.setdefault((at_top, label[i]), i)
-        nodes: list[tuple[SizeVal, Hashable]] = []
+        nodes: list[tuple[int, Hashable]] = []
         self._start: dict[tuple[bool, Hashable], int] = {}  # each label group's first node id
         for group, i in firsts.items():
             self._start[group] = len(nodes)
@@ -190,33 +191,33 @@ class Colimit:
             for c_top, c in firsts if c_top
             for n, x in enumerate(family[a])
         ]
-        classes: list[tuple[tuple[SizeVal, Hashable], ...]] = []
+        classes: list[tuple[tuple[int, Hashable], ...]] = []
         self._class_of = [-1] * len(nodes)
         for grp in root_groups(congruence_roots(range(len(nodes)), seeds)):
             if grp[0] < below:  # otherwise one unreached top node
                 for n in grp:
                     self._class_of[n] = len(classes)
                 classes.append(tuple(map(nodes.__getitem__, grp)))
-        self._alone: dict[tuple[SizeVal, Hashable], int] = {}
+        self._alone: dict[tuple[int, Hashable], int] = {}
         if -1 in self._class_of:
             for t in top:
                 for n, y in enumerate(family[label[t]], self._start[(True, label[t])]):
                     if self._class_of[n] < 0:
                         self._alone[(t, y)] = len(classes)
                         classes.append(((t, y),))
-        self.classes: tuple[tuple[tuple[SizeVal, Hashable], ...], ...] = tuple(classes)
+        self.classes: tuple[tuple[tuple[int, Hashable], ...], ...] = tuple(classes)
 
     def __len__(self) -> int:
         return len(self.classes)
 
-    def inject(self, i: SizeVal, x: Hashable) -> int:
+    def inject(self, i: int, x: Hashable) -> int:
         d = self.diagram
         try:
             a = d.label[i]
             cid = self._class_of[self._start[(not d.universe.above[i], a)] + self._where[a][x]]
             return cid if cid >= 0 else self._alone[(i, x)]
         except KeyError:
-            raise QitError(f"({show_size(i)}, {x!r}) is not a diagram node") from None
+            raise QitError(f"({d.universe.show(i)}, {x!r}) is not a diagram node") from None
 
     def check_cocone(self) -> None:
         d, cls, start = self.diagram, self._class_of, self._start
@@ -240,4 +241,4 @@ class Colimit:
                 step = maps[(label[i], label[j])]
                 for x in family[label[i]]:
                     if self.inject(i, x) != self.inject(j, step[x]):
-                        raise QitError(f"cocone broken at ({show_size(i)}, {x!r})")
+                        raise QitError(f"cocone broken at ({u.show(i)}, {x!r})")

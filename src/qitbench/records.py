@@ -3,8 +3,8 @@
 An immutable record is a typing.NamedTuple passed through tagged.  A
 record that checks its fields, caches a property, has a length or is
 changed after it is built is a plain class with a written __init__;
-Record is the base of those that refuse assignment, as sizes.SizeVal
-does.  README's module map says why records are built so.
+Record is the base of those that refuse assignment, such as
+sizes.SizeSig.  README's module map says why records are built so.
 """
 
 from __future__ import annotations

@@ -15,24 +15,24 @@ antisymmetric: trees of one height are <= each other.  Countable joins
 (ROADMAP item 9) have no finite height, and this argument does not
 cover them.
 
-Sizes are hash-consed, so equal trees are one object and a size hashes
-and compares by identity.  A SizeUniverse generates its members as the
-first listing of a TermTable over the size signature, the enumeration
-the term universes use, so they come by height, then operator, then
-children.  It lists them below-first (stably sorted by height) and
-decides the order on them by height, so every member's strict
-down-set (below) is the members of lower heights, a prefix of the
-member order, its up-set (above) the suffix of higher heights, and
-there is one distinct down-segment per height (segments).  The
-universe decides the order on its members only; the recursion above,
-memoized, is its reference (tests/oracles.py's PlumpOrder).
+A size is its id in its universe's size table, as a class is its
+flat_id.  A SizeUniverse generates its members as the first listing of
+a TermTable over the size signature, the enumeration the term universes
+use: ids come children first, by depth, which is height, then
+operator, then children, so each member is one node (operator
+position, child ids) and one depth.  The universe decides the order on
+them by depth, so every member's strict down-set (below) is the members
+of lower heights, a prefix of the ids, its up-set (above) the suffix of
+higher heights, and there is one distinct down-segment per height
+(segments).  The universe decides the order on its members only; the
+recursion above, on trees, is its reference (tests/oracles.py's
+PlumpOrder).
 """
 
 from __future__ import annotations
 
-import weakref
 from itertools import groupby
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import ArityMismatch, InfinitaryArity, QitError
 from .records import Record
@@ -58,66 +58,6 @@ class SizeSig(Record):
     def binary(self) -> str:
         return next(n for n, a in self.ops if a == 2)
 
-    def join(self, i: "SizeVal", j: "SizeVal") -> "SizeVal":
-        return SizeVal(self.binary, (i, j))
-
-    def suc(self, i: "SizeVal") -> "SizeVal":
-        return self.join(i, i)
-
-
-class SizeVal:
-    """Immutable size tree, hash-consed through a weak intern table:
-    equal trees are one object, so the order procedures and the diagrams,
-    which key on sizes, hash and compare them by identity."""
-
-    __slots__ = ("op", "children", "__weakref__")
-    _interned: "weakref.WeakValueDictionary[tuple, SizeVal]" = weakref.WeakValueDictionary()
-
-    def __new__(cls, op: str, children: tuple["SizeVal", ...] = ()):
-        key = (op, children)
-        node = cls._interned.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            object.__setattr__(node, "op", op)
-            object.__setattr__(node, "children", children)
-            cls._interned[key] = node
-        return node
-
-    def __setattr__(self, *_):
-        raise AttributeError("SizeVal is immutable")
-
-    def __delattr__(self, _):
-        raise AttributeError("SizeVal is immutable")
-
-    def __repr__(self):
-        return show_size(self)
-
-
-# Both recursions below take an optional memo, known, in which each size
-# they reach is recorded: a loop over many sizes that share subtrees,
-# passing one memo, visits each shared subtree once.
-
-
-def show_size(i: SizeVal, known: Optional[dict[SizeVal, str]] = None) -> str:
-    text = None if known is None else known.get(i)
-    if text is None:
-        if not i.children:
-            text = f"(sz {i.op})"
-        else:
-            text = f"(sz {i.op} " + " ".join(show_size(c, known) for c in i.children) + ")"
-        if known is not None:
-            known[i] = text
-    return text
-
-
-def height(i: SizeVal, known: Optional[dict[SizeVal, int]] = None) -> int:
-    h = None if known is None else known.get(i)
-    if h is None:
-        h = 1 + max((height(c, known) for c in i.children), default=0)
-        if known is not None:
-            known[i] = h
-    return h
-
 
 def size_signature_for(sig: Signature, sys: SystemOfEquations) -> SizeSig:
     """Nullary and binary structural operators, plus one operator per
@@ -141,76 +81,114 @@ def size_signature_for(sig: Signature, sys: SystemOfEquations) -> SizeSig:
 
 
 class SizeUniverse:
-    """All sizes of height <= h over a signature, ranked by height, with
-    the strict down- and up-sets precomputed.  Members must include
-    their children and be listed once; they are kept in height order,
-    stable, so everything below a member comes before it.  Members of
-    one height share their below, above and segments tuples.  Immutable
-    once built."""
+    """All sizes of height <= h over a signature, as ids into nodes (the
+    operator position and child ids of each member) with their depths,
+    and the strict down- and up-sets as ranges of ids.  Members may be
+    given as (operator name, child ids), children first and by height;
+    otherwise they are the size table's first listing.  Members of one
+    height share their below, above and segments ranges.  Immutable once
+    built."""
 
-    def __init__(self, sig: SizeSig, height_bound: int, members: Optional[Sequence[SizeVal]] = None):
+    def __init__(
+        self,
+        sig: SizeSig,
+        height_bound: int,
+        members: Optional[Sequence[tuple[str, Sequence[int]]]] = None,
+    ):
         if height_bound < 1:
             raise ArityMismatch("height bound must be at least 1")
         self.sig = sig
         self.height = height_bound
-
         if members is None:
-            # a first listing hands out ids in listing order, children first
+            # a first listing hands out ids by depth, children first
             table = TermTable(signature(sig.ops))
             table.upto(height_bound)
-            members = []
-            for op, kids in table.nodes:
-                members.append(SizeVal(sig.ops[op][0], tuple(members[k] for k in kids)))
-        # below-first: whatever lies below a member has a smaller height
-        self._heights: dict[SizeVal, int] = {}
-        self.members: tuple[SizeVal, ...] = tuple(
-            sorted(members, key=lambda m: height(m, self._heights))
-        )
-        self._position = {m: p for p, m in enumerate(self.members)}
-        for p, m in enumerate(self.members):
-            if self._position[m] != p:
-                raise QitError(f"{show_size(m)} is listed twice as a universe member")
-            for c in m.children:
-                if c not in self._position:
-                    raise QitError(f"child {show_size(c)} of {show_size(m)} is not a universe member")
+            self.nodes, self.lookup, self.depths = table.nodes, table.lookup, table.depths
+        else:
+            self._listed(members)
+        self._binary = [n for n, _ in sig.ops].index(sig.binary)
 
-        self.below: dict[SizeVal, tuple[SizeVal, ...]] = {}
-        self.above: dict[SizeVal, tuple[SizeVal, ...]] = {}
+        n = len(self.nodes)
+        self.members = range(n)
+        self.below: dict[int, range] = {}
+        self.above: dict[int, range] = {}
         # each distinct down-segment -> the members whose down-segment it
-        # is, both in member order: one entry per height
-        self.segments: dict[tuple[SizeVal, ...], tuple[SizeVal, ...]] = {}
+        # is: one entry per height
+        self.segments: dict[range, range] = {}
         end = 0
-        for _, level in groupby(self.members, self._heights.__getitem__):
-            level = tuple(level)
-            below, end = self.members[:end], end + len(level)
-            self.segments[below] = level
-            self.below.update(dict.fromkeys(level, below))
-            self.above.update(dict.fromkeys(level, self.members[end:]))
+        for _, level in groupby(self.depths):
+            start, end = end, end + sum(1 for _ in level)
+            below, tops = range(start), range(start, end)
+            self.segments[below] = tops
+            self.below.update(dict.fromkeys(tops, below))
+            self.above.update(dict.fromkeys(tops, range(end, n)))
 
-    def __contains__(self, i: SizeVal) -> bool:
-        return i in self._position
+    def _listed(self, members: Sequence[tuple[str, Sequence[int]]]) -> None:
+        """Read given members into nodes, lookup and depths, refusing
+        what the size table would not list."""
+        ops = {name: (pos, arity) for pos, (name, arity) in enumerate(self.sig.ops)}
+        self.nodes: list[tuple[int, tuple[int, ...]]] = []
+        self.lookup: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.depths: list[int] = []
+        for name, kids in members:
+            p, kids = len(self.nodes), tuple(kids)
+            if name not in ops:
+                raise QitError(f"member {p} has operator {name!r}, which the size signature lacks")
+            op, arity = ops[name]
+            if len(kids) != arity:
+                raise ArityMismatch(
+                    f"member {p}: size operator {name} takes {arity} children, got {len(kids)}"
+                )
+            for k in kids:
+                if not 0 <= k < p:
+                    raise QitError(f"child {k} of member {p} is not a universe member listed before it")
+            node = (op, kids)
+            if node in self.lookup:
+                raise QitError(f"{self.show(self.lookup[node])} is listed twice as a universe member")
+            depth = 1 + max(map(self.depths.__getitem__, kids), default=0)
+            self.nodes.append(node)
+            if depth > self.height:
+                raise QitError(f"{self.show(p)} has height {depth}, above the bound {self.height}")
+            if p and depth < self.depths[-1]:
+                raise QitError(f"{self.show(p)} of height {depth} is listed after a higher member")
+            self.lookup[node] = p
+            self.depths.append(depth)
 
-    def shown(self) -> list[str]:
-        """show_size of each member, in member order, printing each shared
-        subtree once."""
-        known: dict[SizeVal, str] = {}
-        return [show_size(m, known) for m in self.members]
+    def _member(self, i: int) -> int:
+        if not isinstance(i, int) or not 0 <= i < len(self.nodes):
+            raise QitError(f"size {i!r} is not a member of the height-{self.height} universe")
+        return i
 
-    def _ranks(self, i: SizeVal, j: SizeVal) -> tuple[int, int]:
-        hi, hj = self._heights.get(i), self._heights.get(j)
-        if hi is None or hj is None:
-            outside = show_size(i if hi is None else j)
-            raise QitError(f"{outside} is not a member of the height-{self.height} universe")
-        return hi, hj
+    def show(self, i: int) -> str:
+        """The literal of member i, (sz op child ...)."""
+        op, kids = self.nodes[self._member(i)]
+        return f"(sz {self.sig.ops[op][0]}" + "".join(" " + self.show(k) for k in kids) + ")"
 
-    def lt(self, i: SizeVal, j: SizeVal) -> bool:
+    def shown(self) -> Iterator[str]:
+        """show of each member, in member order, in one pass: children
+        come first, so each text is built from its children's.  Only the
+        texts of members below the top height are kept, since no member
+        has a top one as its child."""
+        names = [name for name, _ in self.sig.ops]
+        # the top height's down-segment, the members below it
+        keep = next(reversed(self.segments), range(0)).stop
+        texts: list[str] = []
+        for i, (op, kids) in enumerate(self.nodes):
+            text = f"(sz {names[op]}" + "".join([" " + texts[k] for k in kids]) + ")"
+            if i < keep:
+                texts.append(text)
+            yield text
+
+    def suc(self, i: int) -> Optional[int]:
+        """The member join(i, i), or None if the universe lacks it."""
+        return self.lookup.get((self._binary, (i, i)))
+
+    def lt(self, i: int, j: int) -> bool:
         """i < j, for members i and j."""
-        hi, hj = self._ranks(i, j)
-        return hi < hj
+        return self.depths[self._member(i)] < self.depths[self._member(j)]
 
-    def le(self, i: SizeVal, j: SizeVal) -> bool:
+    def le(self, i: int, j: int) -> bool:
         """i <= j, for members i and j.  The order's other half: nothing
         in the package asks it, and tests/test_sizes.py checks the
         plump laws and lt against it."""
-        hi, hj = self._ranks(i, j)
-        return hi <= hj
+        return self.depths[self._member(i)] <= self.depths[self._member(j)]

@@ -17,7 +17,7 @@ from qitbench.algebras import Algebra, Value
 from qitbench.errors import ArityMismatch, QitError
 from qitbench.quotient import CongruenceQuotient, TermUniverse
 from qitbench.sexpr import show_term
-from qitbench.sizes import SizeSig, SizeUniverse, SizeVal
+from qitbench.sizes import SizeSig, SizeUniverse
 from qitbench.terms import (
     Equation,
     IndexedOpDecl,
@@ -63,9 +63,22 @@ def term_algebra(sig: Signature) -> Algebra:
     return TermAlgebra(sig)
 
 
-def size_zero(sig: SizeSig) -> SizeVal:
-    """The size of sig's first nullary operator."""
-    return SizeVal(next(n for n, a in sig.ops if a == 0))
+# A size tree is (operator name, child trees): nested tuples, equal and
+# hashed by value.  A universe's members are ids; tree_of and id_of read
+# between the two.
+
+
+def size_zero(sig: SizeSig) -> tuple:
+    """The size tree of sig's first nullary operator."""
+    return (next(n for n, a in sig.ops if a == 0), ())
+
+
+def size_join(sig: SizeSig, i: tuple, j: tuple) -> tuple:
+    return (sig.binary, (i, j))
+
+
+def size_suc(sig: SizeSig, i: tuple) -> tuple:
+    return size_join(sig, i, i)
 
 
 def size_arity(sig: SizeSig, name: str) -> int:
@@ -75,21 +88,34 @@ def size_arity(sig: SizeSig, name: str) -> int:
     raise ArityMismatch(f"unknown size operator {name!r}")
 
 
-def upper_bound(sig: SizeSig, op: str, family: Sequence[SizeVal]) -> SizeVal:
+def upper_bound(sig: SizeSig, op: str, family: Sequence[tuple]) -> tuple:
     """A size strictly above every member of the family: the node whose
     children are exactly the family."""
     if len(family) != size_arity(sig, op):
         raise ArityMismatch(f"{op} expects {size_arity(sig, op)} children, got {len(family)}")
-    return SizeVal(op, tuple(family))
+    return (op, tuple(family))
+
+
+def tree_of(u: SizeUniverse, i: int) -> tuple:
+    """Member i of u as a size tree."""
+    op, kids = u.nodes[i]
+    return (u.sig.ops[op][0], tuple(tree_of(u, k) for k in kids))
+
+
+def id_of(u: SizeUniverse, tree: tuple) -> Optional[int]:
+    """The member of u that is the tree; None if u lacks it."""
+    name, kids = tree
+    ids = tuple(id_of(u, k) for k in kids)
+    op = next(n for n, (m, _) in enumerate(u.sig.ops) if m == name)
+    return None if None in ids else u.lookup.get((op, ids))
 
 
 def chain(sig: SizeSig, height_bound: int) -> SizeUniverse:
     """The linearly ordered sub-universe of iterated successors.  Unlike
     the full tree universe, every truncation of it is directed below its
     single maximal member."""
-    steps = [size_zero(sig)]
-    while len(steps) < height_bound:
-        steps.append(sig.suc(steps[-1]))
+    steps = [(size_zero(sig)[0], ())]
+    steps += [(sig.binary, (k, k)) for k in range(height_bound - 1)]
     return SizeUniverse(sig, height_bound, members=steps)
 
 
@@ -235,9 +261,8 @@ def mutual_le_universe() -> SizeUniverse:
     suc(one) are <= each other, so <= is not antisymmetric on it: both
     have height 3, with one the only member of height 2 and the sizes
     above them of height 4."""
-    sig = SizeSig.minimal()
-    zero = size_zero(sig)
-    one = sig.suc(zero)
-    mid, two = sig.join(zero, one), sig.suc(one)
-    members = [zero, one, mid, two, sig.join(mid, two), sig.join(zero, two), sig.suc(mid)]
-    return SizeUniverse(sig, 4, members=members)
+    # zero, one, mid = join(zero, one), two = suc(one), then join(mid,
+    # two), join(zero, two) and suc(mid)
+    members = [("zero", ()), ("join", (0, 0)), ("join", (0, 1)), ("join", (1, 1)),
+               ("join", (2, 3)), ("join", (0, 3)), ("join", (2, 2))]
+    return SizeUniverse(SizeSig.minimal(), 4, members=members)

@@ -32,7 +32,6 @@ from qitbench.errors import (
 from qitbench.quotient import congruence_roots
 from qitbench.schema import Accept, DeclReport, Derivation, QitDecl, check_decl
 from qitbench.sexpr import parse_term, show_term
-from qitbench.sizes import SizeVal, show_size
 from qitbench.terms import (
     NAT,
     Arity,
@@ -402,9 +401,20 @@ def naive_congruence(terms: list[Term], pairs: list[tuple[Term, Term]]) -> list[
     return classes
 
 
+# A size tree is (operator name, child trees), as in tests/helpers.py.
+
+
+def show_size(t) -> str:
+    """The literal of a size tree, (sz op child ...)."""
+    name, kids = t
+    if not kids:
+        return f"(sz {name})"
+    return f"(sz {name} " + " ".join(show_size(c) for c in kids) + ")"
+
+
 def size_height(t) -> int:
     """Height of a size tree; leaf height 0."""
-    return 1 + max((size_height(c) for c in t.children), default=-1)
+    return 1 + max((size_height(c) for c in t[1]), default=-1)
 
 
 def naive_size_members(sig, bound: int) -> list:
@@ -419,13 +429,13 @@ def naive_size_members(sig, bound: int) -> list:
         for name, arity in sig.ops:
             if arity == 0:
                 if h == 1:
-                    level.append(SizeVal(name))
+                    level.append((name, ()))
                 continue
             if h == 1:
                 continue
             for combo in itertools.product(pool, repeat=arity):
                 if max(size_height(c) for c in combo) == h - 2:
-                    level.append(SizeVal(name, combo))
+                    level.append((name, combo))
         exact.append(level)
     return [m for lvl in exact for m in lvl]
 
@@ -459,9 +469,10 @@ def naive_diagram_fault(d) -> Optional[str]:
     and then every member triple walked in member order, then up-set
     order, each reading its maps through the members' labels."""
     u, label, family = d.universe, d.label, d.family
+    show = u.show
     for i in u.members:
         if i not in label or label[i] not in family:
-            return f"no carrier at {show_size(i)}"
+            return f"no carrier at {show(i)}"
 
     def step(i, j):
         return d.maps.get((label[i], label[j]))
@@ -470,21 +481,21 @@ def naive_diagram_fault(d) -> Optional[str]:
         for j in u.above[i]:
             s = step(i, j)
             if s is None:
-                return f"no map {show_size(i)} -> {show_size(j)}"
+                return f"no map {show(i)} -> {show(j)}"
             for x in family[label[i]]:
                 if x not in s:
-                    return f"map {show_size(i)} -> {show_size(j)} undefined at {x!r}"
+                    return f"map {show(i)} -> {show(j)} undefined at {x!r}"
                 if s[x] not in family[label[j]]:
-                    return f"map {show_size(i)} -> {show_size(j)} escapes the carrier at {x!r}"
+                    return f"map {show(i)} -> {show(j)} escapes the carrier at {x!r}"
     for i in u.members:
         for j in u.above[i]:
             for k in u.above[j]:
                 lo, mid, hi = step(i, j), step(j, k), step(i, k)
                 if hi is None:
-                    return f"no map {show_size(i)} -> {show_size(k)}"
+                    return f"no map {show(i)} -> {show(k)}"
                 for x in family[label[i]]:
                     if mid[lo[x]] != hi[x]:
-                        return f"composition mismatch at {x!r} through {show_size(j)}"
+                        return f"composition mismatch at {x!r} through {show(j)}"
     return None
 
 
@@ -734,7 +745,7 @@ def naive_check_restriction(appx) -> int:
         literal[pos] = lit
         shared = appx.stages[stage_of[pos]]
         if shared.slices != tuple(sorted({stage_of[pj] for pj in below})):
-            raise QitError(f"restriction mismatch at {show_size(i)}: slices differ")
+            raise QitError(f"restriction mismatch at {u.show(i)}: slices differ")
         pairs: set[tuple[int, int]] = set()
         for pj in below:
             sj = stage_of[pj]
@@ -743,16 +754,16 @@ def naive_check_restriction(appx) -> int:
                 lit_views[pj] = naive_view(literal[pj])
                 into[pj] = naive_translate(lit_views[pj], view, bij[pj])
                 if -1 in into[pj] or len(set(into[pj])) != len(view.flats):
-                    raise QitError(f"restriction mismatch at {show_size(i)}: views differ")
+                    raise QitError(f"restriction mismatch at {u.show(i)}: views differ")
             shared_of = view_classes(shared, shared_views[sj])
             pairs.update(zip(view_classes(lit, lit_views[pj]), map(shared_of.__getitem__, into[pj])))
         label = [-1] * len(lit)
         for c, n in pairs:
             if label[c] != -1:
-                raise QitError(f"restriction mismatch at {show_size(i)}: partitions differ")
+                raise QitError(f"restriction mismatch at {u.show(i)}: partitions differ")
             label[c] = n
         if sorted(label) != list(range(len(shared))):
-            raise QitError(f"restriction mismatch at {show_size(i)}: classes differ")
+            raise QitError(f"restriction mismatch at {u.show(i)}: classes differ")
         bij[pos] = label
         checked += len(shared.classes)
     return checked
@@ -941,22 +952,22 @@ class PlumpOrder:
     height ranks, and the order on sizes outside a universe."""
 
     def __init__(self):
-        self._lt: dict[tuple[SizeVal, SizeVal], bool] = {}
-        self._le: dict[tuple[SizeVal, SizeVal], bool] = {}
+        self._lt: dict[tuple[tuple, tuple], bool] = {}
+        self._le: dict[tuple[tuple, tuple], bool] = {}
 
-    def le(self, i: SizeVal, j: SizeVal) -> bool:
+    def le(self, i: tuple, j: tuple) -> bool:
         key = (i, j)
         hit = self._le.get(key)
         if hit is None:
-            hit = all(self.lt(c, j) for c in i.children)
+            hit = all(self.lt(c, j) for c in i[1])
             self._le[key] = hit
         return hit
 
-    def lt(self, i: SizeVal, j: SizeVal) -> bool:
+    def lt(self, i: tuple, j: tuple) -> bool:
         key = (i, j)
         hit = self._lt.get(key)
         if hit is None:
-            hit = any(self.le(i, c) for c in j.children)
+            hit = any(self.le(i, c) for c in j[1])
             self._lt[key] = hit
         return hit
 
@@ -967,21 +978,21 @@ class CycleDetected(QitError):
 
 def wf_rec(
     u,
-    step: Callable[[SizeVal, Mapping[SizeVal, object]], object],
-    schedule: Optional[Sequence[SizeVal]] = None,
-) -> dict[SizeVal, object]:
+    step: Callable[[int, Mapping[int, object]], object],
+    schedule: Optional[Sequence[int]] = None,
+) -> dict[int, object]:
     """Well-founded recursion over the universe: step receives a member
     and the finished values of everything strictly below it.  The result
     is schedule-independent; a cycle in the order would surface as
     CycleDetected."""
-    values: dict[SizeVal, object] = {}
-    in_progress: set[SizeVal] = set()
+    values: dict[int, object] = {}
+    in_progress: set[int] = set()
 
-    def visit(i: SizeVal):
+    def visit(i: int):
         if i in values:
             return values[i]
         if i in in_progress:
-            raise CycleDetected(show_size(i))
+            raise CycleDetected(f"member {i}")
         in_progress.add(i)
         partial = {j: visit(j) for j in u.below[i]}
         values[i] = step(i, partial)

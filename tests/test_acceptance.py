@@ -22,6 +22,9 @@ from helpers import (
     commvec_indexed,
     commvec_system,
     length_algebra,
+    size_join,
+    size_suc,
+    tree_of,
 )
 from oracles import PlumpOrder, bag_multiset, replay, size_height, wf_rec
 from qitbench.construction import build_fixed_point, compare_with_oracle, qw_from_colimit
@@ -125,17 +128,18 @@ def test_criterion_06_plump_order_suite():
     # so the reference decides those pairs
     order = PlumpOrder()
     ms = u.members
+    trees = [tree_of(u, i) for i in ms]
     for i in ms:
         assert u.le(i, i)
-        assert order.lt(i, MIN.suc(i))
-        for c in i.children:
+        assert order.lt(trees[i], size_suc(MIN, trees[i]))
+        for c in u.nodes[i][1]:
             assert u.lt(c, i)
     for i, j in itertools.product(ms, repeat=2):
-        ub = MIN.join(i, j)
-        assert order.lt(i, ub) and order.lt(j, ub)
+        ub = size_join(MIN, trees[i], trees[j])
+        assert order.lt(trees[i], ub) and order.lt(trees[j], ub)
         if u.lt(i, j):
             assert u.le(i, j)
-            assert size_height(i) < size_height(j)
+            assert size_height(trees[i]) < size_height(trees[j])
     for i, j, k in itertools.product(ms, repeat=3):
         if u.lt(i, j) and u.lt(j, k):
             assert u.lt(i, k)

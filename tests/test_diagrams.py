@@ -15,11 +15,11 @@ from qitbench.construction import build_fixed_point
 from qitbench.diagrams import Colimit, Diagram
 from qitbench.errors import FunctorialityViolation, QitError
 from qitbench.schema import elaborate, parse_decl
-from qitbench.sizes import SizeSig, SizeUniverse, height, show_size
+from qitbench.sizes import SizeSig, SizeUniverse
 
 from helpers import bag_sig, bag_system
 from helpers import chain as chain_universe
-from helpers import mutual_le_universe, size_zero
+from helpers import mutual_le_universe, tree_of
 from oracles import PlumpOrder, naive_components, naive_diagram_fault
 from theorems import (
     check_power_cocontinuity,
@@ -78,7 +78,7 @@ def test_chain_universe_is_linear():
     u = chain()
     assert len(u.members) == 3
     for n, i in enumerate(u.members):
-        assert height(i) == n + 1
+        assert u.depths[i] == n + 1
         assert u.below[i] == u.members[:n]
 
 
@@ -100,35 +100,36 @@ def test_bitset_order_agrees_with_plump_order(build):
     # the universe ranks by height; the recursion is the reference
     u = build()
     order = PlumpOrder()
+    trees = [tree_of(u, i) for i in u.members]
     for i, j in itertools.product(u.members, repeat=2):
-        assert u.lt(i, j) == order.lt(i, j)
-        assert u.le(i, j) == order.le(i, j)
+        assert u.lt(i, j) == order.lt(trees[i], trees[j])
+        assert u.le(i, j) == order.le(trees[i], trees[j])
     for i in u.members:
-        assert u.below[i] == tuple(j for j in u.members if order.lt(j, i))
-        assert u.above[i] == tuple(k for k in u.members if order.lt(i, k))
+        assert tuple(u.below[i]) == tuple(j for j in u.members if order.lt(trees[j], trees[i]))
+        assert tuple(u.above[i]) == tuple(k for k in u.members if order.lt(trees[i], trees[k]))
 
 
 def test_height_order_agrees_with_plump_order_on_drawn_pairs_at_height_3():
     u = SizeUniverse(MIXED, 3)
     order = PlumpOrder()
     rng = random.Random(3)
-    top = [m for m in u.members if height(m) == 3]
+    top = [m for m in u.members if u.depths[m] == 3]
     # pairs across the universe, and pairs within the top height
     for pool in (u.members, top):
         for _ in range(5000):
             i, j = rng.choice(pool), rng.choice(pool)
-            assert u.lt(i, j) == order.lt(i, j)
-            assert u.le(i, j) == order.le(i, j)
+            assert u.lt(i, j) == order.lt(tree_of(u, i), tree_of(u, j))
+            assert u.le(i, j) == order.le(tree_of(u, i), tree_of(u, j))
 
 
 def test_check_walks_chains_up_to_the_top_height():
     u = SizeUniverse(MIN, 4)
-    one = MIN.suc(size_zero(MIN))
-    top = MIN.suc(MIN.suc(one))
-    assert height(top) == 4
+    one = u.suc(0)
+    top = u.suc(u.suc(one))
+    assert u.depths[top] == 4
     # everything strictly between one and top has height 3
     middles = [j for j in u.above[one] if u.lt(j, top)]
-    assert middles and all(height(j) == 3 for j in middles)
+    assert middles and all(u.depths[j] == 3 for j in middles)
     d = constant_diagram(u, (0, 1))
     d.check()
     corrupted = dict(d.maps)
@@ -282,16 +283,16 @@ def test_growing_chain_heights():
     u = universe()
     d = growing_chain(u)
     for i in u.members:
-        assert len(d.family[i]) == height(i)
+        assert len(d.family[i]) == u.depths[i]
 
 
 def by_height(u, carrier, maps=None):
     """Label each member by its height: members of one height share a
     carrier, and identity maps between heights unless given."""
-    heights = sorted({height(i) for i in u.members})
+    heights = sorted({u.depths[i] for i in u.members})
     if maps is None:
         maps = {(a, b): {x: x for x in carrier} for a in heights for b in heights if a < b}
-    return Diagram(u, {i: height(i) for i in u.members}, {h: tuple(carrier) for h in heights}, maps)
+    return Diagram(u, {i: u.depths[i] for i in u.members}, {h: tuple(carrier) for h in heights}, maps)
 
 
 def test_height_labelled_diagram_rejects_one_bad_transition():
@@ -355,10 +356,10 @@ def test_height_labelled_colimit_matches_member_pair_components(bound):
     new at height h, so members of one height lying in one down-segment
     meet only through a member above them."""
     u = SizeUniverse(MIN, bound)
-    heights = sorted({height(i) for i in u.members})
+    heights = sorted({u.depths[i] for i in u.members})
     maps = {(a, b): {x: x for x in range(a)} for a in heights for b in heights if a < b}
     family = {h: tuple(range(h)) for h in heights}
-    d = Diagram(u, {i: height(i) for i in u.members}, family, maps)
+    d = Diagram(u, {i: u.depths[i] for i in u.members}, family, maps)
     c = Colimit(d)
     assert_classes_match_components(d, c)
     c.check_cocone()
@@ -422,7 +423,7 @@ def functorial_diagrams(draw):
       its target's interval, so a label may span both levels.
     A step that is not onto leaves top elements that no map reaches."""
     u = draw(st.sampled_from(sorted(GENERATED_UNIVERSES)).map(lambda name: GENERATED_UNIVERSES[name]()))
-    hs = {i: height(i) for i in u.members}
+    hs = {i: u.depths[i] for i in u.members}
     top = max(hs.values())
     sizes = [0]
     for _ in range(top):
@@ -496,7 +497,7 @@ def test_check_cocone_catches_a_corrupted_class_row():
     first = next(a for a, b in edges if c.inject(*a) != c.inject(*b))
     with pytest.raises(QitError, match="cocone broken") as info:
         c.check_cocone()
-    assert str(info.value) == f"cocone broken at ({show_size(first[0])}, {first[1]!r})"
+    assert str(info.value) == f"cocone broken at ({u.show(first[0])}, {first[1]!r})"
 
 
 def test_power_diagram_keeps_the_stage_labels():

@@ -3,7 +3,7 @@ no module has an assert statement, every file a module reads or writes
 as text names its encoding, every module-level function and class is
 used somewhere in src/qitbench, unless listed with the reason it is
 kept, no nested function calls itself, and no module imports
-dataclasses.
+dataclasses or weakref.
 
 No linter ships with the project, so this parses src/qitbench with ast.
 __future__ imports and the package __init__ modules, whose imports are
@@ -12,7 +12,9 @@ subclasses: an assert vanishes under python -O and ends in a traceback.
 Without encoding=, text is read in the locale's encoding, so a file can
 decode on one machine and not on another.  Records are built without
 code generation (see records.py), which every command's import pays
-for; importing qitbench.cli must not load dataclasses at all.
+for; importing qitbench.cli must not load dataclasses at all.  A size
+is its id in its universe's table, so no module keeps a process-wide
+weak intern table.
 """
 
 from __future__ import annotations
@@ -199,8 +201,8 @@ def test_the_scan_sees_a_recursive_closure():
     assert recursive_closures(source) == ["line 2: down", "line 8: again"]
 
 
-def dataclass_imports(source: str) -> list[int]:
-    """The lines that import the dataclasses module or a name from it."""
+def module_imports(source: str, module: str) -> list[int]:
+    """The lines that import the module or a name from it."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -209,14 +211,14 @@ def dataclass_imports(source: str) -> list[int]:
             names = [node.module or ""]
         else:
             continue
-        if any(name.split(".")[0] == "dataclasses" for name in names):
+        if any(name.split(".")[0] == module for name in names):
             lines.append(node.lineno)
     return sorted(lines)
 
 
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_module_imports_dataclasses(path):
-    assert dataclass_imports(path.read_text(encoding="utf-8")) == []
+    assert module_imports(path.read_text(encoding="utf-8"), "dataclasses") == []
 
 
 def test_the_scan_sees_a_dataclasses_import():
@@ -228,7 +230,24 @@ def test_the_scan_sees_a_dataclasses_import():
         "def f():\n"
         "    import dataclasses as dc\n"
     )
-    assert dataclass_imports(source) == [1, 2, 6]
+    assert module_imports(source, "dataclasses") == [1, 2, 6]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_module_imports_weakref(path):
+    assert module_imports(path.read_text(encoding="utf-8"), "weakref") == []
+
+
+def test_the_scan_sees_a_weakref_import():
+    source = (
+        "import weakref\n"
+        "from weakref import WeakValueDictionary\n"
+        "import weakrefs\n"
+        "from . import weakref_like\n"
+        "class C:\n"
+        "    import weakref as wr\n"
+    )
+    assert module_imports(source, "weakref") == [1, 2, 6]
 
 
 def test_importing_the_cli_leaves_dataclasses_unloaded():

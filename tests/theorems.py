@@ -28,7 +28,7 @@ from qitbench.diagrams import Colimit, Diagram
 from qitbench.errors import CoherenceFailure, NotSatisfying, PartialAlgebra, QitError, StageOverflow
 from qitbench.quotient import CongruenceQuotient, qwrec as quotient_qwrec
 from qitbench.sexpr import show_term
-from qitbench.sizes import SizeUniverse, SizeVal, height, show_size
+from qitbench.sizes import SizeUniverse
 from qitbench.terms import Term
 
 from oracles import NaiveView, naive_translate, naive_view, view_classes
@@ -74,7 +74,7 @@ class UniquenessReport:
         return self.is_hom and self.agrees
 
 
-def fold_at(qw: QwInterface, i: SizeVal, view: NaiveView, n: int) -> int:
+def fold_at(qw: QwInterface, i: int, view: NaiveView, n: int) -> int:
     """Fold the local id n of view, i's stage read as a slice, through
     the constructor."""
     node = view.table.nodes[n]
@@ -93,8 +93,8 @@ def check_qwequate(qw: QwInterface) -> QwequateReport:
     checked = depth_skipped = intro_checked = intro_overflow = 0
     views = [naive_view(st) for st in appx.stages]
     for i in u.members:
-        sup = u.sig.suc(i)
-        if sup not in u:
+        sup = u.suc(i)
+        if sup is None:
             continue
         view = views[appx.stage_of[i]]
         high = view_classes(appx.stage_at(sup), view)
@@ -104,7 +104,7 @@ def check_qwequate(qw: QwInterface) -> QwequateReport:
                 cl = high[lhs]
                 if cl != high[rhs]:
                     raise CoherenceFailure(
-                        f"instance of {shape.eq.name} splits at stage above {show_size(i)}",
+                        f"instance of {shape.eq.name} splits at stage above {u.show(i)}",
                         witness=(show_term(view.table.terms[lhs]), show_term(view.table.terms[rhs])),
                     )
                 checked += 1
@@ -160,7 +160,7 @@ def qwrec(qw: QwInterface, alg: Algebra) -> ConstructionRec:
         for c in range(len(appx.stages[sj].classes)):
             if tables[sj][c] != tables[si][appx.delta(j, i, c)]:
                 raise CoherenceFailure(
-                    f"recursion not constant along {show_size(j)} -> {show_size(i)}",
+                    f"recursion not constant along {appx.universe.show(j)} -> {appx.universe.show(i)}",
                     witness=show_term(appx.stages[sj].classes[c].flat),
                 )
             coherence += 1
@@ -234,8 +234,8 @@ def check_intro_stability(qw: QwInterface) -> StabilityReport:
         for n, mapped in enumerate(naive_translate(src, dst, rename)):
             if mapped < 0:
                 raise QitError(
-                    f"{show_term(src.table.terms[n])} pushed from {show_size(i)} to "
-                    f"{show_size(j)} leaves the depth bound"
+                    f"{show_term(src.table.terms[n])} pushed from {u.show(i)} to "
+                    f"{u.show(j)} leaves the depth bound"
                 )
             if any(top[dst.flats[mapped]] == top[src.flats[n]] for top in tops):
                 confirmed += 1
@@ -317,7 +317,7 @@ def check_power_cocontinuity(diagram: Diagram, points: Sequence[Hashable]) -> Co
     pts = tuple(points)
     u, label = diagram.universe, diagram.label
 
-    def step(i: SizeVal, k: SizeVal) -> Mapping[Hashable, Hashable]:
+    def step(i: int, k: int) -> Mapping[Hashable, Hashable]:
         return diagram.maps[(label[i], label[k])]
 
     base = Colimit(diagram)
@@ -363,12 +363,12 @@ def check_power_cocontinuity(diagram: Diagram, points: Sequence[Hashable]) -> Co
     )
 
 
-def member_classes(c: Colimit) -> list[list[tuple[SizeVal, Hashable]]]:
+def member_classes(c: Colimit) -> list[list[tuple[int, Hashable]]]:
     """The colimit's classes over every (member, element) node, members
     in member order, each carrier in family order: node (i, x) lies in
     class inject(i, x)."""
     d = c.diagram
-    classes: list[list[tuple[SizeVal, Hashable]]] = [[] for _ in range(len(c))]
+    classes: list[list[tuple[int, Hashable]]] = [[] for _ in range(len(c))]
     for i in d.universe.members:
         for x in d.family[d.label[i]]:
             classes[c.inject(i, x)].append((i, x))
@@ -385,6 +385,6 @@ def constant_diagram(u: SizeUniverse, carrier: Sequence[Hashable]) -> Diagram:
 def growing_chain(u: SizeUniverse) -> Diagram:
     """Carrier range(height) at each member and inclusions, labelled per
     member."""
-    family = {i: tuple(range(height(i))) for i in u.members}
+    family = {i: tuple(range(u.depths[i])) for i in u.members}
     maps = {(i, j): {x: x for x in family[i]} for i in u.members for j in u.above[i]}
     return Diagram(u, {i: i for i in u.members}, family, maps)
