@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, 
 
 from .diagrams import Colimit, Diagram
 from .errors import ArityMismatch, InfinitaryArity, NotStabilized, QitError, StageOverflow
-from .quotient import CongruenceQuotient, congruence_roots, root_groups
+from .quotient import CongruenceQuotient, congruence_classes
 from .records import Record, tagged
 from .sexpr import show_term
 from .sizes import SizeUniverse
@@ -98,8 +98,9 @@ class Stage(Record):
         class_at: tuple[int, ...],
         build: _Build,
     ):
-        self._set(sid=sid, slice_stages=slice_stages, classes=classes, class_at=class_at,
-                  build=build)
+        # a direct write: _set's keyword call measurably slows a diamond
+        self.__dict__.update(sid=sid, slice_stages=slice_stages, classes=classes,
+                             class_at=class_at, build=build)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -203,37 +204,25 @@ def diamond(build: _Build, slices: tuple[Stage, ...], seeds: Iterable[tuple], si
       a node meets its flattening, a term of z, as its children do.
       Read on z, the stage is a congruence holding every seed of C, so
       it holds C.
-    So the stage is one congruence_roots call over closed.nodes, stored
-    as the class of each closed id (class_at); a pair's class is its
-    flattening's.  Each closed id is a pair of z, so the classes in
-    first-id order rank by least closed id, with no ties; flat, sort and
-    fd are read off the closed table there, so a class's record depends
-    on its flat_id alone and the build keeps one per flat_id."""
-    closed = build.closed
-    classes = []
+    So the stage is one congruence_classes call over closed.nodes, its
+    class_at the class of each closed id; a pair's class is its
+    flattening's.  Each closed id is a pair of z, so the classes, by
+    first closed id, rank by least closed id, and a class's flat_id is
+    its flat in the call's flats; flat, sort and fd are read off the
+    closed table there, so the build keeps one record per flat_id."""
+    classes: tuple[StageClass, ...] = ()
     class_at: list[int] = []
     if slices:
         if slices[0].classes:
             raise QitError(f"stage {sid} has no class-less slice to close on")
-        groups = root_groups(congruence_roots(closed.nodes, seeds))
-        class_at = [0] * len(closed.nodes)
-        records = build.records
-        for cid, members in enumerate(groups):
-            flat = members[0]
+        closed, records = build.closed, build.records
+        class_at, flats = congruence_classes(closed.nodes, seeds)
+        for flat in flats:
             if flat not in records:
                 sort = build.sig.ops[closed.nodes[flat][0]].sort
                 records[flat] = StageClass(closed.terms[flat], sort, closed.depths[flat], flat)
-            classes.append(records[flat])
-            for n in members:
-                class_at[n] = cid
-
-    return Stage(
-        sid=sid,
-        slice_stages=slices,
-        classes=tuple(classes),
-        class_at=tuple(class_at),
-        build=build,
-    )
+        classes = tuple(map(records.__getitem__, flats))
+    return Stage(sid, slices, classes, tuple(class_at), build)
 
 
 class Approximation:
@@ -309,6 +298,18 @@ class Approximation:
         the pairs (lit.class_at[f], shared.class_at[f]) over the closed
         ids f; it must be well defined and a bijection.
 
+        Two tiers find the label.  With equal class arrays and class
+        counts it is the identity; otherwise the pairs are walked, and
+        each rejection keeps its message.  They agree: diamond numbers
+        lit's classes by least closed id, each holding its flat, so each
+        number below len(lit) occurs in lit.class_at, and with equal
+        arrays the walk meets exactly the pairs (c, c).  It accepts with
+        the identity when the counts agree, and says "classes differ"
+        when shared has an extra class record no closed id reaches.
+        Conversely, a bijective label makes the partitions equal, and a
+        stage diamond built is numbered by least closed id too, so the
+        walk runs only on a shared stage diamond did not build.
+
         The records check decides the translation test of the terms
         over the slice's class tokens within the bound (kept in
         tests/oracles.py): that renaming each literal token through the
@@ -362,7 +363,7 @@ class Approximation:
         lie in the union."""
         u = self.universe
         literal: list[Stage] = []
-        bij: list[list[int]] = []
+        bij: list[Sequence[int]] = []
         # the literal slices below the current height, the union of their
         # flat_instances, and the shared slice sids they must match
         slices, seeds, want = (), set(), ()
@@ -385,13 +386,16 @@ class Approximation:
                 if tuple(map(records.__getitem__, bij[pj])) != literal[pj].classes:
                     raise QitError(f"restriction mismatch at {u.show(i)}: views differ")
             compared = below
-            label = [-1] * len(lit)
-            for c, n in set(zip(lit.class_at, shared.class_at)):
-                if label[c] != -1:
-                    raise QitError(f"restriction mismatch at {u.show(i)}: partitions differ")
-                label[c] = n
-            if sorted(label) != list(range(len(shared))):
-                raise QitError(f"restriction mismatch at {u.show(i)}: classes differ")
+            if lit.class_at == shared.class_at and len(lit) == len(shared):
+                label = range(len(lit))
+            else:
+                label = [-1] * len(lit)
+                for c, n in set(zip(lit.class_at, shared.class_at)):
+                    if label[c] != -1:
+                        raise QitError(f"restriction mismatch at {u.show(i)}: partitions differ")
+                    label[c] = n
+                if sorted(label) != list(range(len(shared))):
+                    raise QitError(f"restriction mismatch at {u.show(i)}: classes differ")
             if u.above[i]:
                 literal.append(lit)
                 bij.append(label)
@@ -413,9 +417,13 @@ class Approximation:
         return Diagram(self.universe, self.stage_of, family, maps)
 
     def dump(self) -> Iterator[str]:
-        """Each member's stage size, one line at a time."""
-        for i, shown in zip(self.universe.members, self.universe.shown()):
-            yield f"stage {shown}: {len(self.stage_at(i))}\n"
+        """Each member's stage size, one line at a time, read once per
+        height: a height's members share a stage."""
+        texts = self.universe.shown()
+        for tops in self.universe.segments.values():
+            size = f": {len(self.stage_at(tops[0]))}\n"
+            for _, text in zip(tops, texts):
+                yield f"stage {text}{size}"
 
     def export(self) -> Iterator[str]:
         """Members, stages and classes, one line at a time; a class's

@@ -49,12 +49,13 @@ class, or alone if that is unreached:
 - a transition into a top member is a seed read on members, and none
   leaves one, so an unreached node is glued to nothing.
 So the seeds read on members are transitions and generate them all.
-The classes come from one congruence_roots call over the group nodes,
-numbered by first member node (members in member order, carriers in
-family order) as a member-by-member gluing numbers them: groups below
-H come first, each at the first member of its label, so a class is
-numbered by its first group node; then each unreached element gets a
-class per top member labelled so, in member order.  classes holds each
+The classes come from one congruence_classes call over the group
+nodes, numbered by first member node (members in member order, carriers
+in family order) as a member-by-member gluing numbers them: groups
+below H come first, each at the first member of its label, so a class
+is numbered by its first group node, as the call numbers it, and those
+first met below H come first; then each unreached element gets a class
+per top member labelled so, in member order.  classes holds each
 class's group nodes at their groups' first members, or its one
 unreached node.
 
@@ -69,10 +70,11 @@ has i in S = below[j] and j in T.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Hashable, Mapping, NamedTuple, Optional
 
 from .errors import FunctorialityViolation, QitError
-from .quotient import congruence_roots, root_groups
+from .quotient import congruence_classes, root_groups
 from .records import tagged
 from .sizes import SizeUniverse
 
@@ -191,13 +193,12 @@ class Colimit:
             for c_top, c in firsts if c_top
             for n, x in enumerate(family[a])
         ]
-        classes: list[tuple[tuple[int, Hashable], ...]] = []
-        self._class_of = [-1] * len(nodes)
-        for grp in root_groups(congruence_roots(range(len(nodes)), seeds)):
-            if grp[0] < below:  # otherwise one unreached top node
-                for n in grp:
-                    self._class_of[n] = len(classes)
-                classes.append(tuple(map(nodes.__getitem__, grp)))
+        class_at, flats = congruence_classes(range(len(nodes)), seeds)
+        # classes first met below H come first; the rest are one unreached
+        # top node each
+        reached = bisect_left(flats, below)
+        self._class_of = [c if c < reached else -1 for c in class_at]
+        classes = [tuple(map(nodes.__getitem__, grp)) for grp in root_groups(class_at)[:reached]]
         self._alone: dict[tuple[int, Hashable], int] = {}
         if -1 in self._class_of:
             for t in top:

@@ -7,15 +7,15 @@ want None, so its ids run in the term order (depth, then the root
 operator's declaration position, then the children lexicographically;
 its reference is in tests/oracles.py), as the construction's closed
 table does.  The quotient is the least congruence containing those
-instances.  congruence_roots computes it by union-find with upward
+instances.  congruence_classes computes it by union-find with upward
 congruence propagation, keying each node once and re-keying it only
-when a child's class is merged.  It reads one node table in place and
-is the one closure in the package: close_congruence (the universe's
-table), each construction stage (construction.diamond, the build's
-closed table) and the colimit's gluing (diagrams.Colimit, a table of
-leaves) all call it.  Folds (qwrec) and eliminations (qwelim) run over
-the ids, one step per id, with their side conditions checked
-exhaustively over the universe.
+when a child's class is merged, and numbers the classes by first id.
+It reads one node table in place and is the one closure in the
+package: close_congruence (the universe's table), each construction
+stage (construction.diamond, the build's closed table) and the
+colimit's gluing (diagrams.Colimit, a table of leaves) all call it.
+Folds (qwrec) and eliminations (qwelim) run over the ids, one step per
+id, with their side conditions checked exhaustively over the universe.
 Terms are built from the ids only to print them and for readers that
 ask for them (TermUniverse.terms and instance_pairs,
 CongruenceQuotient.canon).
@@ -180,13 +180,10 @@ class CongruenceQuotient:
     class_id reads a Term's id off the universe's table.
     """
 
-    def __init__(self, universe: TermUniverse, roots: Sequence[int]):
+    def __init__(self, universe: TermUniverse, class_at: list[int]):
         self.universe = universe
-        self.classes: list[list[int]] = root_groups(roots)
-        self.class_at = [0] * len(roots)
-        for cls, members in enumerate(self.classes):
-            for n in members:
-                self.class_at[n] = cls
+        self.class_at = class_at
+        self.classes: list[list[int]] = root_groups(class_at)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -201,17 +198,18 @@ class CongruenceQuotient:
         return None if n is None else self.class_at[n]
 
 
-def congruence_roots(
+def congruence_classes(
     nodes: Sequence[Union[int, tuple[object, Sequence[int]]]],
     seeds: Iterable[tuple[int, int]],
-) -> list[int]:
+) -> tuple[list[int], list[int]]:
     """The least congruence on the ids 0..len(nodes)-1 containing the
-    seed pairs, as each id's root.  The node table is read in place:
-    nodes[n] is the node of id n, either an int (a leaf) or (op, kids),
-    nullary nodes included, kids being ids.  Two non-leaf ids whose ops
-    agree and whose children are pairwise related are related, so two
-    nullary nodes of one op always are.  Roots are representatives, not
-    a canonical order.
+    seed pairs, as (class_at, flats): class_at[n] is the class of id n,
+    numbered in the order of first ids, and flats[c] is class c's first
+    id.  The node table is read in place: nodes[n] is the node of id n,
+    either an int (a leaf) or (op, kids), nullary nodes included, kids
+    being ids.  Two non-leaf ids whose ops agree and whose children are
+    pairwise related are related, so two nullary nodes of one op always
+    are.
 
     A worklist closure in the style of Downey-Sethi-Tarjan that keys
     each node once, in one pass over the ids in order, and re-keys a
@@ -242,7 +240,10 @@ def congruence_roots(
       entry holds a non-root, so no current key meets it), which joined
       them; so the result is a congruence.
     Finds are inlined with path halving, so the loops over seeds and
-    children make no Python call per item."""
+    children make no Python call per item.  The last pass walks the ids
+    in order: the first to reach a root numbers its class, and every id
+    takes its root's number.  Only an id of a root's class writes the
+    root's entry, so class_at is the root -> class table too."""
     n = len(nodes)
     parent = list(range(n))
     size = [1] * n
@@ -321,17 +322,23 @@ def congruence_roots(
                     parent[c] = c = parent[parent[c]]
                 key[i] = c
 
+    class_at = [-1] * n
+    flats: list[int] = []
     for x in range(n):
-        r = parent[x]
+        r = x
         while parent[r] != r:
             parent[r] = r = parent[parent[r]]
-        parent[x] = r
-    return parent
+        c = class_at[r]
+        if c < 0:
+            c = class_at[r] = len(flats)
+            flats.append(x)
+        class_at[x] = c
+    return class_at, flats
 
 
 def root_groups(roots: Sequence[int]) -> list[list[int]]:
     """The ids grouped by root, each group ascending, the groups in the
-    order of their first id."""
+    order of their first id: on a class_at, class by class."""
     by_root: list[Optional[list[int]]] = [None] * len(roots)
     groups = []
     for n, root in enumerate(roots):
@@ -349,7 +356,8 @@ def close_congruence(universe: TermUniverse) -> CongruenceQuotient:
     is keyed, nullary ones included, by the rule the construction's
     stages use."""
     seeds = ((lhs, rhs) for _, _, lhs, rhs in universe.instances)
-    return CongruenceQuotient(universe, congruence_roots(universe.table.nodes, seeds))
+    class_at, _ = congruence_classes(universe.table.nodes, seeds)
+    return CongruenceQuotient(universe, class_at)
 
 
 def decide_eq(q: CongruenceQuotient, a: Term, b: Term) -> str:

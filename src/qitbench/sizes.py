@@ -155,7 +155,8 @@ class SizeUniverse:
             self.depths.append(depth)
 
     def _member(self, i: int) -> int:
-        if not isinstance(i, int) or not 0 <= i < len(self.nodes):
+        # exactly int: isinstance passes a bool; 1.0 hashes like 1
+        if i.__class__ is not int or not 0 <= i < len(self.nodes):
             raise QitError(f"size {i!r} is not a member of the height-{self.height} universe")
         return i
 
@@ -181,6 +182,7 @@ class SizeUniverse:
 
     def suc(self, i: int) -> Optional[int]:
         """The member join(i, i), or None if the universe lacks it."""
+        i = self._member(i)
         return self.lookup.get((self._binary, (i, i)))
 
     def lt(self, i: int, j: int) -> bool:

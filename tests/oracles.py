@@ -29,7 +29,7 @@ from qitbench.errors import (
     QitError,
     UnboundVariable,
 )
-from qitbench.quotient import congruence_roots
+from qitbench.quotient import congruence_classes
 from qitbench.schema import Accept, DeclReport, Derivation, QitDecl, check_decl
 from qitbench.sexpr import parse_term, show_term
 from qitbench.terms import (
@@ -548,7 +548,7 @@ def naive_diamond(
     and every variable v, at deepest position p_v (root = 1), gets a
     class with fd <= depth_bound + 1 - p_v.  Overflowing instances are
     never built.  The stage is the least congruence on the pool that
-    contains these clauses (congruence_roots)."""
+    contains these clauses (congruence_classes)."""
     for decl in sig.ops:
         if not decl.arity.finite:
             raise InfinitaryArity(f"cannot materialize stages under {decl.op.show()}")
@@ -593,14 +593,14 @@ def naive_diamond(
         else n
         for n, (s, t) in enumerate(pool)
     ]
-    roots = congruence_roots(nodes, seeds())
+    class_at, _ = congruence_classes(nodes, seeds())
 
     flat_env = {
         _token(st.sid, c): cls.flat for st in slices for c, cls in enumerate(st.classes)
     }
     groups: dict[int, list[int]] = {}
-    for n, root in enumerate(roots):
-        groups.setdefault(root, []).append(n)
+    for n, c in enumerate(class_at):
+        groups.setdefault(c, []).append(n)
 
     ranked = []
     for members in groups.values():
@@ -847,10 +847,10 @@ def naive_close_congruence(u: NaiveUniverse) -> NaiveQuotient:
     pos = u.index.__getitem__
     nodes = [(t.op, tuple(pos(c) for c in t.children.entries)) for t in u.terms]
     seeds = ((pos(lhs), pos(rhs)) for _, _, lhs, rhs in u.instance_pairs)
-    roots = congruence_roots(nodes, seeds)
+    class_at, _ = congruence_classes(nodes, seeds)
     groups: dict[int, list[int]] = {}
-    for p, root in enumerate(roots):
-        groups.setdefault(root, []).append(p)
+    for p, c in enumerate(class_at):
+        groups.setdefault(c, []).append(p)
     terms, op_index = u.terms, u.sig.op_index
     ranked = sorted(
         groups.values(), key=lambda g: (depth(terms[g[0]]), op_index(terms[g[0]].op), g[0])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import weakref
 from itertools import combinations
 from pathlib import Path
@@ -631,6 +632,21 @@ def test_restriction_catches_two_shared_classes_merged():
         appx.check_restriction()
 
 
+def test_restriction_catches_an_extra_class_that_no_id_reaches():
+    # the shared stage keeps its class array, which equals the literal
+    # stage's, but holds one more class record: the identity label is
+    # no bijection onto its classes
+    _, _, u, appx = bag_fixture()
+    sid = max(appx.stage_of.values())
+    stage = appx.stages[sid]
+    replace_stage(appx, sid, classes=stage.classes + (stage.classes[-1],))
+    member = u.show(next(i for i in u.members if appx.stage_of[i] == sid))
+    expected = f"restriction mismatch at {member}: classes differ"
+    assert restriction_outcome(naive_check_restriction, appx) == expected
+    with pytest.raises(QitError, match=re.escape(expected)):
+        appx.check_restriction()
+
+
 def test_fixed_diag_catches_a_moved_local_id():
     # the moved id's class one stage down has a second member, which
     # still reads the old class: on bag h3 stage 1 is discrete, so a
@@ -699,21 +715,31 @@ def test_restriction_drops_top_height_literal_stages(monkeypatch):
 
 def test_restriction_is_linear_in_members(monkeypatch):
     # bag {a,b} d2 h5: 677 members in heights of 1, 1, 3, 21 and 651.
-    # Every member gets its own literal diamond, each height's members
-    # share one slice tuple, and each literal stage's instances are read
-    # once, when its height joins the slices; top-height ones never are
+    # Every member gets its own literal diamond, and each one with slices
+    # (all but the least member's, which is class-less) its own closure;
+    # each height's members share one slice tuple, and each literal
+    # stage's instances are read once, when its height joins the slices;
+    # top-height ones never are
     calls = []
-    build = construction.diamond
+    closures = []
+    build, close = construction.diamond, construction.congruence_classes
 
     def watched(*args, **kwargs):
         calls.append(args[1])
         return build(*args, **kwargs)
 
+    def closed(*args):
+        closures.append(args[1])
+        return close(*args)
+
     monkeypatch.setattr(construction, "diamond", watched)
+    monkeypatch.setattr(construction, "congruence_classes", closed)
     _, _, u, appx = bag_fixture(depth=2, height=5)
     assert len(calls) == len(appx.stages) + len(u.members) == 682
+    assert len(closures) == len(appx.stages) - 1 + len(u.members) - 1 == 680
     expected = naive_check_restriction(appx)
     calls.clear()
+    closures.clear()
     reads = []
     instances = construction.Stage.flat_instances.func
 
@@ -724,6 +750,7 @@ def test_restriction_is_linear_in_members(monkeypatch):
     monkeypatch.setattr(construction.Stage, "flat_instances", property(counted))
     assert appx.check_restriction() == expected
     assert len(calls) == len(u.members) == 677
+    assert len(closures) == len(u.members) - 1 == 676
     for tops in u.segments.values():
         first = u.members.index(tops[0])
         shared = calls[first]

@@ -40,7 +40,7 @@ from qitbench.quotient import (
     EliminatorInput,
     build_universe,
     close_congruence,
-    congruence_roots,
+    congruence_classes,
     decide_eq,
     qwelim,
     qwrec,
@@ -125,7 +125,7 @@ def test_generated_partitions_equal_naive_oracle(case, bound):
 
 @st.composite
 def id_graphs(draw):
-    """A congruence_roots node table over ids 0..n-1, and seed pairs.
+    """A congruence_classes node table over ids 0..n-1, and seed pairs.
     The ids are made in a drawn order, leaves first, then unary f and
     binary g nodes over ids made earlier (an id that would repeat a node
     stays a leaf), so a parent may have a lower id than its children.
@@ -163,7 +163,9 @@ def id_graphs(draw):
 @example(([0, ("f", (0,)), ("g", (1, 1)), ("g", (2, 1)), ("f", (3,)), 5],
           [(0, 5), (4, 2), (3, 0)]))
 @given(id_graphs())
-def test_congruence_roots_equal_naive_oracle(graph):
+def test_congruence_classes_equal_naive_oracle(graph):
+    # the partition is the naive one, its classes numbered in the order of
+    # their first id, and flats[c] is the least id of class c
     table, seeds = graph
     terms = {}
 
@@ -176,10 +178,12 @@ def test_congruence_roots_equal_naive_oracle(graph):
 
     n = len(table)
     universe = [term(i) for i in range(n)]
-    roots = congruence_roots(table, seeds)
-    got = sorted(sorted(i for i in range(n) if roots[i] == r) for r in set(roots))
+    class_at, flats = congruence_classes(table, seeds)
+    got = sorted(sorted(i for i in range(n) if class_at[i] == c) for c in set(class_at))
     oracle = naive_congruence(universe, [(universe[a], universe[b]) for a, b in seeds])
     assert got == sorted(sorted(cls) for cls in oracle)
+    assert list(dict.fromkeys(class_at)) == list(range(len(flats)))
+    assert flats == [min(i for i in range(n) if class_at[i] == c) for c in range(len(flats))]
 
 
 def test_canonical_representatives_are_least_and_stable():

@@ -253,6 +253,21 @@ def test_the_universe_decides_only_its_members():
                 u.le(i, j)
         with pytest.raises(QitError, match=re.escape(f"size {outside!r} is not a member")):
             u.show(outside)
+        with pytest.raises(QitError, match=re.escape(f"size {outside!r} is not a member")):
+            u.suc(outside)
+
+
+@pytest.mark.parametrize("outside", [True, False, 1.0, 0.0])
+def test_the_universe_refuses_a_size_whose_class_is_not_int(outside):
+    # isinstance lets a bool pass as an int, and (1.0, 1.0) hashes like
+    # (1, 1): at h3, show(True) printed member 1, lt(False, True) held,
+    # and suc(True) and suc(1.0) both returned member 4
+    u = SizeUniverse(MIN, 3)
+    refused = re.escape(f"size {outside!r} is not a member of the height-3 universe")
+    for ask in (u.show, u.suc, lambda i: u.lt(0, i), lambda i: u.lt(i, 0),
+                lambda i: u.le(0, i), lambda i: u.le(i, 0)):
+        with pytest.raises(QitError, match=refused):
+            ask(outside)
 
 
 def test_rank_surrogate_forbids_cycles():
