@@ -20,10 +20,11 @@ class's flat_id: a token weighs its class's fd, the depth of its flat,
 so t's weighted depth is its flattening's depth, and every pair lies in
 the closed table.  A stage is one congruence on the closed table (see
 diamond), stored as the class of each closed id, and a pair's class is
-its flattening's; no stage keeps a table of its own.  Trees are read
-off the closed table to print, to export and to hold each class's flat;
-the (slice, term) mapping class_of_pair is kept for perfbench/tracing.py
-and the tests.
+its flattening's; no stage keeps a table of its own.  A stage's classes
+are their flat_ids, and a class's sort and fd are read off the closed
+table there.  Trees are read off it only to export and for error
+messages; the (slice, term) mapping class_of_pair is kept for
+perfbench/tracing.py and the tests.
 
 The stage diagram (to_diagram) labels each member by its stage, a
 height: diagrams.Colimit checks it per stage transition and glues one
@@ -46,7 +47,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, 
 
 from .diagrams import Colimit, Diagram
 from .errors import ArityMismatch, InfinitaryArity, NotStabilized, QitError, StageOverflow
-from .quotient import CongruenceQuotient, congruence_classes
+from .quotient import CongruenceQuotient, congruence_classes, draw_instances
 from .records import Record, tagged
 from .sexpr import show_term
 from .sizes import SizeUniverse
@@ -60,33 +61,23 @@ from .terms import (
 )
 
 
-@tagged
-class StageClass(NamedTuple):
-    flat: Term
-    sort: Optional[str]
-    fd: int
-    # flat's id in the build's closed table, which the class ranks by
-    flat_id: int
-
-
 class _Build(NamedTuple):
     """What the stages of one build share: the declaration, the depth
-    bound, the closed table of every closed term within the bound,
-    whose ids run in the term order (see build_fixed_point), and the
-    class records read off it, one per flat (see diamond)."""
+    bound, and the closed table of every closed term within the bound,
+    whose ids run in the term order (see build_fixed_point).  A class's
+    flat, sort and fd are read off it at the class's flat_id."""
 
     sig: Signature
     sys: SystemOfEquations
     depth: int
     closed: TermTable
-    records: dict[int, StageClass]
 
 
 class Stage(Record):
     """One quotient stage (see diamond).  slice_stages are its slice
-    stages in sid order, and class_at gives the class of each closed id,
-    empty for the class-less stage; two stages compare by sid, classes
-    and class_at."""
+    stages in sid order, classes holds each class's flat_id, and class_at
+    gives the class of each closed id, empty for the class-less stage;
+    two stages compare by sid, classes and class_at."""
 
     _fields = ("sid", "classes", "class_at")
 
@@ -94,7 +85,7 @@ class Stage(Record):
         self,
         sid: int,
         slice_stages: tuple["Stage", ...],
-        classes: tuple[StageClass, ...],
+        classes: tuple[int, ...],
         class_at: tuple[int, ...],
         build: _Build,
     ):
@@ -112,25 +103,16 @@ class Stage(Record):
     @cached_property
     def flat_instances(self) -> frozenset[tuple[int, int]]:
         """The stage's equation instances read on the closed table: each
-        variable at the flat_id of a class of its sort, the class tuples
-        drawn under the budget rule of InstanceShape.envs, a class
-        weighing its fd.  These are the instances over the class tokens,
-        flattened: a token weighs what its flat does."""
-        _, sys, bound, closed, _ = self.build
-        classes = self.classes
-        pairs: set[tuple[int, int]] = set()
-        for shape in sys.instance_shapes:
-            pools = [[cls for cls in classes if want in (None, cls.sort)] for want in shape.sorts]
-            envs, _ = shape.envs(pools, lambda cls: cls.fd, bound)
-            left, right = shape.sides
-            read_left, read_right = closed.reader(left), closed.reader(right)
-            for combo in envs:
-                ids = [cls.flat_id for cls in combo]
-                lhs, rhs = read_left(ids)[left.out], read_right(ids)[right.out]
-                if lhs is None or rhs is None:
-                    raise QitError(f"an instance of {shape.eq.name} escaped the closed table")
-                pairs.add((lhs, rhs))
-        return frozenset(pairs)
+        variable at the flat_id of a class of its sort, drawn by
+        quotient.draw_instances, a class weighing its fd.  These are the
+        instances over the class tokens, flattened: a token weighs what
+        its flat does."""
+        sig, sys, bound, closed = self.build
+        by_sort: dict[Optional[str], list[int]] = {}
+        for f in self.classes:
+            by_sort.setdefault(sig.ops[closed.nodes[f][0]].sort, []).append(f)
+        instances, _ = draw_instances(sys, closed, {**by_sort, None: self.classes}, bound)
+        return frozenset((lhs, rhs) for _, _, lhs, rhs in instances)
 
     @cached_property
     def class_of_pair(self) -> Mapping[tuple[int, Term], int]:
@@ -141,16 +123,17 @@ class Stage(Record):
         tests/oracles.py's naive_diamond; the package never reads it.
         The TermTable over each slice's class tokens built here is the
         only token table in the package."""
-        sig, _, bound, closed, _ = self.build
+        sig, _, bound, closed = self.build
         out: dict[tuple[int, Term], int] = {}
         for low in self.slice_stages:
-            leaves = [(f"~{low.sid}.{c}", cls.sort, cls.fd) for c, cls in enumerate(low.classes)]
+            leaves = [(f"~{low.sid}.{c}", sig.ops[closed.nodes[f][0]].sort, closed.depths[f])
+                      for c, f in enumerate(low.classes)]
             table = TermTable(sig, leaves)
             table.upto(bound)
             flats: list[int] = []
             for node in table.nodes:
                 if node.__class__ is int:
-                    flats.append(low.classes[node].flat_id)
+                    flats.append(low.classes[node])
                 else:
                     flats.append(closed.lookup[(node[0], tuple(map(flats.__getitem__, node[1])))])
             pairs = [(low.sid, t) for t in table.terms]
@@ -208,21 +191,15 @@ def diamond(build: _Build, slices: tuple[Stage, ...], seeds: Iterable[tuple], si
     class_at the class of each closed id; a pair's class is its
     flattening's.  Each closed id is a pair of z, so the classes, by
     first closed id, rank by least closed id, and a class's flat_id is
-    its flat in the call's flats; flat, sort and fd are read off the
-    closed table there, so the build keeps one record per flat_id."""
-    classes: tuple[StageClass, ...] = ()
+    its flat in the call's flats, which the stage keeps as its classes;
+    a class's flat, sort and fd are read off the closed table at it."""
+    flats: list[int] = []
     class_at: list[int] = []
     if slices:
         if slices[0].classes:
             raise QitError(f"stage {sid} has no class-less slice to close on")
-        closed, records = build.closed, build.records
-        class_at, flats = congruence_classes(closed.nodes, seeds)
-        for flat in flats:
-            if flat not in records:
-                sort = build.sig.ops[closed.nodes[flat][0]].sort
-                records[flat] = StageClass(closed.terms[flat], sort, closed.depths[flat], flat)
-        classes = tuple(map(records.__getitem__, flats))
-    return Stage(sid, slices, classes, tuple(class_at), build)
+        class_at, flats = congruence_classes(build.closed.nodes, seeds)
+    return Stage(sid, slices, tuple(flats), tuple(class_at), build)
 
 
 class Approximation:
@@ -250,7 +227,7 @@ class Approximation:
         of the class's flat."""
         if not self.universe.lt(i, j):
             raise QitError(f"{self.universe.show(i)} is not strictly below {self.universe.show(j)}")
-        return self.stage_at(j).class_at[self.stage_at(i).classes[cls].flat_id]
+        return self.stage_at(j).class_at[self.stage_at(i).classes[cls]]
 
     def stage_pairs(self) -> Iterator[tuple[int, int]]:
         """The first member pair i < j, in member order then up-set
@@ -269,16 +246,15 @@ class Approximation:
         checking the closed ids checks every pair, and the first failing
         closed id is the first failing pair of z, the first slice.
         Returns how many closed ids were checked."""
-        terms = self.build.closed.terms
         checked = 0
         for i, j in self.stage_pairs():
             low, high = self.stage_at(i), self.stage_at(j)
             # high's class of the flat of each class of low
-            via = [high.class_at[cls.flat_id] for cls in low.classes]
+            via = [high.class_at[f] for f in low.classes]
             for n, (ci, direct) in enumerate(zip(low.class_at, high.class_at)):
                 if direct != via[ci]:
                     raise QitError(
-                        f"stage diagram broken at {show_term(terms[n])} between "
+                        f"stage diagram broken at {show_term(self.build.closed.terms[n])} between "
                         f"{self.universe.show(i)} and {self.universe.show(j)}"
                     )
             checked += len(low.class_at)
@@ -291,9 +267,9 @@ class Approximation:
         member gets its literal diamond.
 
         The shared stage's slices must be the literal slices' stages.
-        Each literal slice's class records must be its shared stage's
-        under the class bijection found when that slice was checked:
-        equal flat, sort, fd and flat_id ("views differ" otherwise).
+        Each literal slice's flat_ids must be its shared stage's under
+        the class bijection found when that slice was checked ("views
+        differ" otherwise).
         Each member's label maps literal class -> shared class through
         the pairs (lit.class_at[f], shared.class_at[f]) over the closed
         ids f; it must be well defined and a bijection.
@@ -305,24 +281,22 @@ class Approximation:
         number below len(lit) occurs in lit.class_at, and with equal
         arrays the walk meets exactly the pairs (c, c).  It accepts with
         the identity when the counts agree, and says "classes differ"
-        when shared has an extra class record no closed id reaches.
+        when shared has an extra class no closed id reaches.
         Conversely, a bijective label makes the partitions equal, and a
         stage diamond built is numbered by least closed id too, so the
         walk runs only on a shared stage diamond did not build.
 
-        The records check decides the translation test of the terms
+        The flat-id check decides the translation test of the terms
         over the slice's class tokens within the bound (kept in
         tests/oracles.py): that renaming each literal token through the
         bijection maps these terms totally onto the shared stage's and
-        keeps every flattening.  If the
-        records agree, the renaming matches tokens of one sort and one
-        weight, so it maps the terms within the bound one to one onto
-        the shared ones, and each token keeps its flat_id, so every term
-        keeps its flattening.  Conversely a renamed token keeps its
-        flattening only if the two flat_ids agree, and on a stage
-        diamond built, flat, sort and fd are read off the closed table
-        at flat_id, so the records agree.  On any other stage the
-        records check is the stricter.
+        keeps every flattening.  A class's flat, sort and fd are
+        functions of its flat_id, read off the closed table there.  So
+        if the flat_ids agree, the renaming matches tokens of one sort
+        and one weight, so it maps the terms within the bound one to one
+        onto the shared ones, and each token keeps its flat_id, so every
+        term keeps its flattening.  Conversely a renamed token keeps its
+        flattening only if the two flat_ids agree.
 
         The per-slice walk (tests/oracles.py's naive_check_restriction)
         pairs lit's class of (pj, t) with shared's class of (sj, t
@@ -367,7 +341,7 @@ class Approximation:
         # the literal slices below the current height, the union of their
         # flat_instances, and the shared slice sids they must match
         slices, seeds, want = (), set(), ()
-        # literal slices whose records are checked: a prefix of the members
+        # literal slices whose flat_ids are checked: a prefix of the members
         compared = 0
         checked = 0
         # the shared stage, by member position
@@ -382,8 +356,8 @@ class Approximation:
             if shared.slices != want:
                 raise QitError(f"restriction mismatch at {u.show(i)}: slices differ")
             for pj in range(compared, below):
-                records = self.stages[stage_of[pj]].classes
-                if tuple(map(records.__getitem__, bij[pj])) != literal[pj].classes:
+                flats = self.stages[stage_of[pj]].classes
+                if tuple(map(flats.__getitem__, bij[pj])) != literal[pj].classes:
                     raise QitError(f"restriction mismatch at {u.show(i)}: views differ")
             compared = below
             if lit.class_at == shared.class_at and len(lit) == len(shared):
@@ -433,7 +407,7 @@ class Approximation:
         child.  A term's weighted depth is its flattening's depth, so each
         such term is within the bound, and a pair's class is its
         flattening's."""
-        nodes = self.build.closed.nodes
+        nodes, terms = self.build.closed.nodes, self.build.closed.terms
         yield f"depth {self.depth} height {self.universe.height}\n"
         for i, shown in zip(self.universe.members, self.universe.shown()):
             yield f"member {shown} -> stage {self.stage_of[i]}\n"
@@ -442,14 +416,14 @@ class Approximation:
             yield f"stage {st.sid}: slices ({slices}) classes {len(st)}\n"
             sizes = [0] * len(st)
             for low in st.slice_stages:
-                flats = {cls.flat_id for cls in low.classes}
+                flats = set(low.classes)
                 mult: list[int] = []
                 for f, (_, kids) in enumerate(nodes):
                     mult.append((f in flats) + prod(map(mult.__getitem__, kids)))
                 for c, m in zip(st.class_at, mult):
                     sizes[c] += m
-            for c, cls in enumerate(st.classes):
-                yield f"  class {c} {show_term(cls.flat)} | pairs {sizes[c]}\n"
+            for c, f in enumerate(st.classes):
+                yield f"  class {c} {show_term(terms[f])} | pairs {sizes[c]}\n"
 
 
 def build_fixed_point(
@@ -465,7 +439,7 @@ def build_fixed_point(
     for decl in sig.ops:
         if not decl.arity.finite:
             raise InfinitaryArity(f"cannot materialize stages under {decl.op.show()}")
-    build = _Build(sig, sys, depth_bound, TermTable(sig), {})
+    build = _Build(sig, sys, depth_bound, TermTable(sig))
     build.closed.upto(depth_bound)
     stages: list[Stage] = []
     stage_of: dict[int, int] = {}
@@ -506,10 +480,17 @@ class QwInterface:
     def inject(self, i: int, cls: int) -> int:
         return self.colimit.inject(i, cls)
 
+    def _class(self, cid: int) -> int:
+        # exactly int: isinstance passes a bool, and a negative id would
+        # index from the end
+        if cid.__class__ is not int or not 0 <= cid < len(self):
+            raise QitError(f"{cid!r} is not one of the {len(self)} colimit classes")
+        return cid
+
     def class_flat(self, cid: int) -> Term:
         appx = self.appx
-        classes = [appx.stage_at(m).classes[c] for m, c in self.colimit.classes[cid]]
-        return min(classes, key=lambda cls: cls.flat_id).flat
+        flat = min(appx.stage_at(m).classes[c] for m, c in self.colimit.classes[self._class(cid)])
+        return appx.build.closed.terms[flat]
 
     def _push(self, i: int, cid: int) -> Optional[int]:
         """i's class in colimit class cid, or None, off its first node: a
@@ -522,6 +503,7 @@ class QwInterface:
         return appx.delta(m, i, c) if appx.universe.lt(m, i) else None
 
     def qwintro(self, op: Union[OpSym, str], children: Sequence[int]) -> int:
+        children = list(map(self._class, children))
         appx = self.appx
         u = appx.universe
         # a stage's members push alike, and its colimit nodes sit at its first
@@ -538,8 +520,8 @@ class QwInterface:
             sup = u.suc(i)
             if sup is None:
                 raise StageOverflow(f"no stage above {u.show(i)} in a height-{u.height} universe")
-            classes = appx.stage_at(i).classes
-            n = appx.build.closed.lookup.get((opi, tuple(classes[c].flat_id for c in pushed)))
+            flats = appx.stage_at(i).classes
+            n = appx.build.closed.lookup.get((opi, tuple(map(flats.__getitem__, pushed))))
             if n is None:
                 raise StageOverflow(f"intro exceeds depth {appx.depth} at {u.show(i)}")
             return self.inject(sup, appx.stage_at(sup).class_at[n])
@@ -553,7 +535,6 @@ def qw_from_colimit(appx: Approximation) -> QwInterface:
 @tagged
 class OracleComparison(NamedTuple):
     class_pairs: tuple[tuple[int, int], ...]
-    per_sort: Mapping[Optional[str], int]
     intro_checked: int
 
 
@@ -578,10 +559,11 @@ def compare_with_oracle(qw: QwInterface, q: CongruenceQuotient) -> OracleCompari
     for cid, grp in enumerate(qw.colimit.classes):
         oids = set()
         for m, c in grp:
-            cls = appx.stage_at(m).classes[c]
-            n = oracle_id[cls.flat_id]
+            f = appx.stage_at(m).classes[c]
+            n = oracle_id[f]
             if n < 0:
-                raise QitError(f"flattening {show_term(cls.flat)} escaped the oracle universe")
+                flat = show_term(appx.build.closed.terms[f])
+                raise QitError(f"flattening {flat} escaped the oracle universe")
             oids.add(class_at[n])
         if len(oids) != 1:
             raise QitError("a colimit class straddles congruence classes")
@@ -612,13 +594,7 @@ def compare_with_oracle(qw: QwInterface, q: CongruenceQuotient) -> OracleCompari
             raise QitError(f"constructor mismatch at {show_term(u.table.terms[n])}")
         intro_checked += 1
 
-    per_sort: dict[Optional[str], int] = {}
-    for cid in mapping:
-        sort = appx.sig.decl(qw.class_flat(cid).op).sort
-        per_sort[sort] = per_sort.get(sort, 0) + 1
-
     return OracleComparison(
         class_pairs=tuple(sorted(mapping.items())),
-        per_sort=per_sort,
         intro_checked=intro_checked,
     )

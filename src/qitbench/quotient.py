@@ -6,10 +6,13 @@ inside the bound, as id pairs.  The table gets its first listing with
 want None, so its ids run in the term order (depth, then the root
 operator's declaration position, then the children lexicographically;
 its reference is in tests/oracles.py), as the construction's closed
-table does.  The quotient is the least congruence containing those
-instances.  congruence_classes computes it by union-find with upward
-congruence propagation, keying each node once and re-keying it only
-when a child's class is merged, and numbers the classes by first id.
+table does.  draw_instances draws the instances from pools of ids by
+sort, each id weighing its depth; each construction stage draws its
+own with it, over the build's closed table from the stage's flats.
+The quotient is the least congruence containing those instances.
+congruence_classes computes it by union-find with upward congruence
+propagation, keying each node once and re-keying it only when a
+child's class is merged, and numbers the classes by first id.
 It reads one node table in place and is the one closure in the
 package: close_congruence (the universe's table), each construction
 stage (construction.diamond, the build's closed table) and the
@@ -105,12 +108,10 @@ class TermUniverse(Record):
 
 def build_universe(sig: Signature, sys: SystemOfEquations, depth_bound: int) -> TermUniverse:
     """Closed terms to the bound, plus every equation instance whose
-    substituted sides stay within it.  Environments draw from the
-    universe itself (respecting variable indices) in listing order;
-    instances that would overflow the bound are counted as skipped.
-    Each side is read off the table by its compiled form
-    (InstanceShape.sides), the variables' registers holding the ids; a
-    side the table lacks raises.
+    substituted sides stay within it (draw_instances).  Environments
+    draw from the universe itself (respecting variable indices) in
+    listing order; instances that would overflow the bound are counted
+    as skipped.
 
     The budget rule of InstanceShape.envs decides which instances fit
     without building the others: with p_v the deepest position of v in
@@ -142,11 +143,29 @@ def build_universe(sig: Signature, sys: SystemOfEquations, depth_bound: int) -> 
         ids = [n for s in sorts for n in by_sort[s]]
     by_sort[None] = ids
 
+    instances, skipped = draw_instances(sys, table, by_sort, depth_bound)
+    return TermUniverse(sig, sys, depth_bound, table, tuple(ids), tuple(instances), skipped)
+
+
+def draw_instances(
+    sys: SystemOfEquations,
+    table: TermTable,
+    pools: Mapping[Optional[str], Sequence[int]],
+    bound: int,
+) -> tuple[list[tuple[InstanceShape, tuple[int, ...], int, int]], int]:
+    """The equation instances over table's ids within bound, as (shape,
+    the id of each variable, lhs id, rhs id), and how many overflow it.
+    Each variable draws from the pool of its sort, none for a sort pools
+    lacks, each id weighing its depth, under the budget rule of
+    InstanceShape.envs; each equation's instances come in the product's
+    order.  Each side is read off the table by its compiled form
+    (InstanceShape.sides), the variables' registers holding the ids; a
+    side the table lacks raises."""
     instances = []
     skipped = 0
     for shape in sys.instance_shapes:
-        pools = [by_sort.get(s, ()) for s in shape.sorts]
-        envs, overflow = shape.envs(pools, table.depths.__getitem__, depth_bound)
+        envs, overflow = shape.envs([pools.get(s, ()) for s in shape.sorts],
+                                    table.depths.__getitem__, bound)
         skipped += overflow
         left, right = shape.sides
         read_left, read_right = table.reader(left), table.reader(right)
@@ -155,7 +174,7 @@ def build_universe(sig: Signature, sys: SystemOfEquations, depth_bound: int) -> 
             if lhs is None or rhs is None:
                 raise QitError(f"an instance of {shape.eq.name} escaped the universe")
             instances.append((shape, combo, lhs, rhs))
-    return TermUniverse(sig, sys, depth_bound, table, tuple(ids), tuple(instances), skipped)
+    return instances, skipped
 
 
 class CongruenceQuotient:

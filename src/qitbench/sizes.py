@@ -153,6 +153,8 @@ class SizeUniverse:
                 raise QitError(f"{self.show(p)} of height {depth} is listed after a higher member")
             self.lookup[node] = p
             self.depths.append(depth)
+        if not self.nodes:
+            raise QitError("a listed universe must have at least one member")
 
     def _member(self, i: int) -> int:
         # exactly int: isinstance passes a bool; 1.0 hashes like 1

@@ -146,6 +146,16 @@ def sort_of_class(q: CongruenceQuotient, cls: int) -> Optional[str]:
     return u.sig.ops[u.table.nodes[q.classes[cls][0]][0]].sort
 
 
+def colimit_sorts(qw) -> dict[Optional[str], int]:
+    """How many colimit classes have each sort, read off each class's
+    flat."""
+    sorts: dict[Optional[str], int] = {}
+    for cid in range(len(qw)):
+        sort = qw.appx.sig.decl(qw.class_flat(cid).op).sort
+        sorts[sort] = sorts.get(sort, 0) + 1
+    return sorts
+
+
 # --- declarations ---
 
 

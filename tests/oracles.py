@@ -520,14 +520,31 @@ class NaiveStage(NamedTuple):
     class_of_pair: Mapping[tuple[int, Term], int]
 
 
-def _stage_envs(shape: InstanceShape, st, bound: int) -> tuple[Iterable[tuple], int]:
-    """The class tuples of st that instantiate shape's equation within
-    bound, a class weighing its flattened depth fd; and the overflow."""
+class StageRecord(NamedTuple):
+    flat: Term
+    sort: Optional[str]
+    fd: int
+
+
+def stage_records(st) -> tuple[StageRecord, ...]:
+    """Each class of a construction stage as (flat, sort, fd), read off
+    its build's closed table at the class's flat_id."""
+    sig, closed = st.build.sig, st.build.closed
+    return tuple(
+        StageRecord(closed.terms[f], sig.ops[closed.nodes[f][0]].sort, closed.depths[f])
+        for f in st.classes
+    )
+
+
+def _stage_envs(shape: InstanceShape, records, bound: int) -> tuple[Iterable[tuple], int]:
+    """The class tuples of a stage, given its records, that instantiate
+    shape's equation within bound, a class weighing its flattened depth
+    fd; and the overflow."""
     pools = [
-        [c for c, cls in enumerate(st.classes) if want is None or cls.sort == want]
+        [c for c, cls in enumerate(records) if want is None or cls.sort == want]
         for want in shape.sorts
     ]
-    return shape.envs(pools, lambda c: st.classes[c].fd, bound)
+    return shape.envs(pools, lambda c: records[c].fd, bound)
 
 
 def naive_diamond(
@@ -555,11 +572,12 @@ def naive_diamond(
 
     by_sid = {st.sid: st for st in slices}
     ordered = sorted(slices, key=lambda s: s.sid)
+    records = {st.sid: stage_records(st) for st in slices}
     pool: list[tuple[int, Term]] = []
     by_slice: dict[int, list[Term]] = {}
     for st in ordered:
-        vars_map = {_token(st.sid, c): cls.sort for c, cls in enumerate(st.classes)}
-        local = {_token(st.sid, c): cls.fd for c, cls in enumerate(st.classes)}
+        vars_map = {_token(st.sid, c): cls.sort for c, cls in enumerate(records[st.sid])}
+        local = {_token(st.sid, c): cls.fd for c, cls in enumerate(records[st.sid])}
         terms = naive_enumerate_terms(sig, vars_map, depth_bound, var_depths=local)
         by_slice[st.sid] = terms
         pool.extend((st.sid, t) for t in terms)
@@ -569,7 +587,7 @@ def naive_diamond(
         # equation instances within one slice
         for st in ordered:
             for shape in sys.instance_shapes:
-                for combo in _stage_envs(shape, st, depth_bound)[0]:
+                for combo in _stage_envs(shape, records[st.sid], depth_bound)[0]:
                     env = {v: Var(_token(st.sid, c)) for v, c in zip(shape.names, combo)}
                     lhs = substitute(shape.eq.lhs, env)
                     rhs = substitute(shape.eq.rhs, env)
@@ -596,7 +614,7 @@ def naive_diamond(
     class_at, _ = congruence_classes(nodes, seeds())
 
     flat_env = {
-        _token(st.sid, c): cls.flat for st in slices for c, cls in enumerate(st.classes)
+        _token(sid, c): cls.flat for sid, rows in records.items() for c, cls in enumerate(rows)
     }
     groups: dict[int, list[int]] = {}
     for n, c in enumerate(class_at):
@@ -657,14 +675,15 @@ def naive_view(st) -> NaiveView:
     """Enumerate the terms over st's class tokens, a token weighing its
     class's fd, and index them: each term's flattening, and each
     equation's instances under InstanceShape.envs' budget rule."""
-    sig, sys, bound, closed, _ = st.build
-    leaves = [(f"~{st.sid}.{c}", cls.sort, cls.fd) for c, cls in enumerate(st.classes)]
+    sig, sys, bound, closed = st.build
+    records = stage_records(st)
+    leaves = [(f"~{st.sid}.{c}", cls.sort, cls.fd) for c, cls in enumerate(records)]
     table = TermTable(sig, leaves)
     table.upto(bound)
     flats: list[int] = []
     for node in table.nodes:
         if isinstance(node, int):
-            flats.append(st.classes[node].flat_id)
+            flats.append(st.classes[node])
             continue
         key = (node[0], tuple(flats[k] for k in node[1]))
         if key not in closed.lookup:
@@ -674,11 +693,7 @@ def naive_view(st) -> NaiveView:
     tokens = tuple(table.lookup[c] for c in range(len(st.classes)))
     instances = []
     for shape in sys.instance_shapes:
-        pools = [
-            [c for c, cls in enumerate(st.classes) if want in (None, cls.sort)]
-            for want in shape.sorts
-        ]
-        envs, overflow = shape.envs(pools, lambda c: st.classes[c].fd, bound)
+        envs, overflow = _stage_envs(shape, records, bound)
         left, right = shape.sides
         read_left, read_right = table.reader(left), table.reader(right)
         pairs = []

@@ -54,6 +54,7 @@ from helpers import (
     bag_system,
     chain,
     class_of,
+    colimit_sorts,
     commvec_indexed,
     commvec_system,
     equations,
@@ -68,6 +69,7 @@ from oracles import (
     naive_check_restriction,
     naive_diamond,
     naive_view,
+    stage_records,
     substitute,
 )
 
@@ -89,7 +91,7 @@ def test_leaf_stage_is_empty():
 def test_one_atom_diamond_has_two_classes_at_depth_two():
     sig, sys, u, appx = bag_fixture(depth=2, atoms=("a",))
     one = u.suc(0)
-    flats = [show_term(c.flat) for c in appx.stage_at(one).classes]
+    flats = [show_term(appx.build.closed.terms[f]) for f in appx.stage_at(one).classes]
     assert flats == ["(op nil)", "(op cons a (op nil))"]
 
 
@@ -136,7 +138,7 @@ def test_diamond_rebuilds_the_successor_stage():
     s0 = appx.stage_at(0)
     again = diamond(appx.build, (s0,), s0.flat_instances, sid=99)
     want = appx.stage_at(u.suc(0))
-    assert [c.flat for c in again.classes] == [c.flat for c in want.classes]
+    assert again.classes == want.classes
 
 
 def test_fixed_diag_and_restriction_counts():
@@ -152,7 +154,7 @@ def test_colimit_matches_oracle_bijectively():
     cmp = compare_with_oracle(qw, q)
     assert len(cmp.class_pairs) == len(q) == 6
     assert cmp.intro_checked == 7
-    assert cmp.per_sort == {None: 6}
+    assert colimit_sorts(qw) == {None: 6}
     # classes are exactly the sorted letter multisets
     seen = {bag_multiset(qw.class_flat(cid)) for cid, _ in cmp.class_pairs}
     assert seen == {(), ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "b")}
@@ -200,8 +202,9 @@ def test_commvec_classes_per_index():
     sys = commvec_system()
     appx = build_fixed_point(sig, sys, SizeUniverse(MIN, 3), 3)
     q = close_congruence(build_universe(sig, sys, 3))
-    cmp = compare_with_oracle(qw_from_colimit(appx), q)
-    assert cmp.per_sort == {"0": 1, "1": 2, "2": 3}
+    qw = qw_from_colimit(appx)
+    assert len(compare_with_oracle(qw, q).class_pairs) == len(q) == 6
+    assert colimit_sorts(qw) == {"0": 1, "1": 2, "2": 3}
 
 
 def test_commtree_colimit_matches_oracle_bijectively():
@@ -242,6 +245,20 @@ def test_intro_builds_canonical_classes():
     ab = qw.qwintro("cons b", [a])
     ba = qw.qwintro("cons a", [qw.qwintro("cons b", [nil])])
     assert ab == ba
+
+
+@pytest.mark.parametrize("child", [-6, 6, -1, 0.0, True, None])
+def test_intro_and_class_flat_refuse_an_id_that_is_not_a_colimit_class(child):
+    # bag {a,b} d3 h4 has 6 classes; -6 would read class 0 from the end
+    qw = qw_from_colimit(bag_fixture(height=4)[3])
+    assert len(qw) == 6
+    assert qw.qwintro("cons a", [0]) == 1
+    with pytest.raises(QitError) as info:
+        qw.qwintro("cons a", [child])
+    assert str(info.value) == f"{child!r} is not one of the 6 colimit classes"
+    with pytest.raises(QitError) as info:
+        qw.class_flat(child)
+    assert str(info.value) == f"{child!r} is not one of the 6 colimit classes"
 
 
 def test_intro_overflows_past_the_depth_bound():
@@ -359,7 +376,7 @@ def stage_rows(stage) -> list[tuple]:
     pairs: dict[int, list] = {c: [] for c in range(len(stage.classes))}
     for pair, c in stage.class_of_pair.items():
         pairs[c].append(pair)
-    return [(c.flat, c.sort, c.fd, tuple(pairs[n])) for n, c in enumerate(stage.classes)]
+    return [(*c, tuple(pairs[n])) for n, c in enumerate(stage_records(stage))]
 
 
 def export_pairs(appx) -> dict[int, list[int]]:
@@ -525,7 +542,7 @@ def assert_pullback(stage) -> None:
     index = {t: n for n, t in enumerate(closed)}
     zero = next(low.sid for low in stage.slice_stages if not low.classes)
     flat = {
-        f"~{low.sid}.{c}": cls.flat for low in stage.slice_stages for c, cls in enumerate(low.classes)
+        f"~{low.sid}.{c}": closed[f] for low in stage.slice_stages for c, f in enumerate(low.classes)
     }
     pairs = stage.class_of_pair
     assert [t for s, t in pairs if s == zero] == closed
@@ -664,9 +681,9 @@ def test_fixed_diag_catches_a_moved_local_id():
 
 def test_restriction_catches_a_flat_that_is_not_least_in_its_class():
     # a class of a slice stage claims a non-least member of the same depth
-    # as its flat: the view's table is unchanged, so the translation still
-    # covers it, and every pair of classes is unchanged too, so only the
-    # records check (the flats check of the translation) sees it; the
+    # as its flat_id: the view's table is unchanged, so the translation
+    # still covers it, and every pair of classes is unchanged too, so only
+    # the flat-id check (the flats check of the translation) sees it; the
     # per-slice walk does not
     _, _, u, appx = bag_fixture(height=4)
     sid = max(appx.stage_of.values()) - 1
@@ -681,8 +698,7 @@ def test_restriction_catches_a_flat_that_is_not_least_in_its_class():
         for n in members[1:]
         if closed.depths[n] == closed.depths[members[0]]
     )
-    cls = stage.classes[c]._replace(flat=closed.terms[other], flat_id=other)
-    bad = replace_stage(appx, sid, classes=stage.classes[:c] + (cls,) + stage.classes[c + 1 :])
+    bad = replace_stage(appx, sid, classes=stage.classes[:c] + (other,) + stage.classes[c + 1 :])
     assert naive_view(bad).table.terms == naive_view(stage).table.terms
     assert naive_view(bad).flats != naive_view(stage).flats
     assert naive_check_restriction(appx) > 0
@@ -820,42 +836,13 @@ def test_a_relabelled_slice_stage_fails_its_flats_one_height_up():
     # class's token at the other's flat
     _, _, u, appx = bag_fixture(height=4)
     stage = appx.stages[1]
-    kinds = [(cls.sort, cls.fd) for cls in stage.classes]
+    kinds = [(cls.sort, cls.fd) for cls in stage_records(stage)]
     c, d = next((c, d) for c, d in combinations(range(len(kinds)), 2) if kinds[c] == kinds[d])
     swap = {c: d, d: c}
     replace_stage(appx, 1, class_at=tuple(swap.get(c, c) for c in stage.class_at))
     got = assert_same_rejection(appx)
     member = u.show(next(i for i in u.members if appx.stage_of[i] == 2))
     assert got == f"restriction mismatch at {member}: views differ"
-
-
-def test_restriction_catches_a_term_missing_from_the_shared_view():
-    # a class claiming a deeper flattening drops terms from its view;
-    # its records are no longer the literal slice's
-    _, _, u, appx = bag_fixture()
-    sid = appx.stage_of[u.suc(0)]
-    stage = appx.stages[sid]
-    deeper = tuple(c._replace(fd=c.fd + 1) if c.fd < 3 else c for c in stage.classes)
-    bad = replace_stage(appx, sid, classes=deeper)
-    assert len(naive_view(bad).table.terms) < len(naive_view(stage).table.terms)
-    with pytest.raises(QitError, match="restriction mismatch .*: views differ"):
-        appx.check_restriction()
-
-
-def test_restriction_catches_a_class_claiming_a_shallower_flat():
-    # a class claiming a shallower flattening would let its view hold a
-    # term whose flattening is deeper than the bound; its records are no
-    # longer the literal slice's
-    _, _, u, appx = bag_fixture()
-    sid = appx.stage_of[u.suc(0)]
-    stage = appx.stages[sid]
-    last = stage.classes[-1]
-    shallower = stage.classes[:-1] + (last._replace(fd=last.fd - 1),)
-    bad = replace_stage(appx, sid, classes=shallower)
-    with pytest.raises(QitError, match=f"stage {sid} views .*, whose flattening is deeper than 3"):
-        naive_view(bad)
-    with pytest.raises(QitError, match="restriction mismatch .*: views differ"):
-        appx.check_restriction()
 
 
 def test_a_plain_construct_builds_one_term_table(monkeypatch, capsys):
@@ -880,6 +867,28 @@ def test_a_plain_construct_builds_one_term_table(monkeypatch, capsys):
         assert "classes" in capsys.readouterr().out
         # one leafless table: the closed table the classes rank by
         assert [len(args) for args in made] == [1]
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["plain", "compare-oracle"])
+@pytest.mark.parametrize("path, carrier, depth, height", [
+    ("bag.qit", "a,b", 3, 4),
+    ("commtree.qit", "a,b", 3, 3),
+], ids=["bag", "commtree"])
+def test_a_text_construct_materializes_no_term(monkeypatch, capsys, path, carrier, depth, height,
+                                               oracle):
+    # a class is its flat_id: the stages, their checks, the colimit and
+    # the oracle comparison read ids, and only export and error messages
+    # build a Term of a table
+    def refuse(self):
+        raise AssertionError("a TermTable materialized its Terms")
+
+    monkeypatch.setattr(TermTable, "terms", property(refuse))
+    argv = ["construct", str(FIXTURES / path), "--X", carrier, "-d", str(depth),
+            "--size-height", str(height)] + ["--compare-oracle"] * oracle
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "colimit: " in out
+    assert ("oracle: bijection over" in out) == oracle
 
 
 # --- the interface reads id arrays, never (slice, term) pairs ---

@@ -1,9 +1,9 @@
 """Source hygiene: every name a module imports is used in that module,
 no module has an assert statement, every file a module reads or writes
 as text names its encoding, every module-level function and class is
-used somewhere in src/qitbench, unless listed with the reason it is
-kept, no nested function calls itself, and no module imports
-dataclasses or weakref.
+used somewhere in src/qitbench, and every record field is read there,
+unless listed with the reason it is kept, no nested function calls
+itself, and no module imports dataclasses or weakref.
 
 No linter ships with the project, so this parses src/qitbench with ast.
 __future__ imports and the package __init__ modules, whose imports are
@@ -25,6 +25,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -155,6 +156,105 @@ def test_the_scan_sees_an_unused_definition():
         "b": "from a import C, f\n\n\ndef h():\n    return C\n",
     }
     assert unused_definitions(sources) == ["a.f", "a.g"]
+
+
+def record_fields(tree: ast.Module) -> dict[str, tuple[str, ...]]:
+    """The fields of each module-level NamedTuple (its annotated names)
+    and records.Record class (its _fields), by class name."""
+    out = {}
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+        if "NamedTuple" in bases:
+            out[node.name] = tuple(
+                s.target.id for s in node.body
+                if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+            )
+        elif "Record" in bases:
+            for s in node.body:
+                targets = [t.id for t in getattr(s, "targets", ()) if isinstance(t, ast.Name)]
+                if targets == ["_fields"]:
+                    out[node.name] = tuple(ast.literal_eval(s.value))
+    return out
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """module.Class.field of each record field that nothing in the
+    sources reads: not as an attribute of any object, since the scan
+    knows no types, nor in a class pattern, case Cls(a, b) reading
+    Cls's first two fields and case Cls(name=x) the field name.  A
+    field set only by the record's constructor is dead weight that
+    every build of the record pays for."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    fields = {
+        (module, cls): names
+        for module, tree in trees.items()
+        for cls, names in record_fields(tree).items()
+    }
+    by_class: dict[str, tuple[str, ...]] = {cls: names for (_, cls), names in fields.items()}
+    read: set[tuple[Optional[str], str]] = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add((None, n.attr))
+            elif isinstance(n, ast.MatchClass):
+                cls = n.cls.id if isinstance(n.cls, ast.Name) else n.cls.attr
+                read.update((cls, f) for f in by_class.get(cls, ())[: len(n.patterns)])
+                read.update((cls, f) for f in n.kwd_attrs)
+    return sorted(
+        f"{module}.{cls}.{f}"
+        for (module, cls), names in fields.items()
+        for f in names
+        if (None, f) not in read and (cls, f) not in read
+    )
+
+
+# Record fields that nothing in src/ reads, each with the reason it is
+# kept.
+UNREAD_FIELDS = {
+    "algebras.SatReport.checked":
+        "how many environments satisfies tried, a count tests/test_algebras.py asserts",
+    "quotient.InstancePair.eq_name":
+        "TermUniverse.instance_pairs is read by perfbench/tracing.py and the tests, which"
+        " pick instances by equation",
+}
+
+
+def test_every_record_field_is_read_in_src():
+    sources = {
+        ".".join(p.relative_to(SRC).with_suffix("").parts): p.read_text(encoding="utf-8")
+        for p in ALL_MODULES
+    }
+    assert unread_fields(sources) == sorted(UNREAD_FIELDS)
+
+
+def test_the_scan_sees_an_unread_field():
+    sources = {
+        "a": (
+            "from typing import NamedTuple\n"
+            "from .records import Record, tagged\n"
+            "@tagged\n"
+            "class P(NamedTuple):\n"
+            "    x: int\n"
+            "    y: int\n"
+            "    z: int = 0\n"
+            "class R(Record):\n"
+            "    _fields = ('u', 'v')\n"
+            "class Plain:\n"
+            "    w: int\n"
+        ),
+        "b": (
+            "def f(p, r):\n"
+            "    r.v = p.z\n"
+            "    match p:\n"
+            "        case P(a):\n"
+            "            return a\n"
+            "        case R(u=b):\n"
+            "            return b\n"
+        ),
+    }
+    assert unread_fields(sources) == ["a.P.y", "a.R.v"]
 
 
 def recursive_closures(source: str) -> list[str]:

@@ -106,7 +106,9 @@ def test_universe_members_must_be_listed_once(members, twice):
      "(sz join (sz zero) (sz zero)) has height 2, above the bound 1"),
     ([("zero", ()), ("join", (0, 0)), ("join", (1, 1)), ("join", (0, 0))], 3,
      "(sz join (sz zero) (sz zero)) is listed twice as a universe member"),
-], ids=["unknown-operator", "ternary-join", "unary-join", "above-the-bound", "duplicate"])
+    # a universe without members has no stage for the colimit to glue on
+    ([], 2, "a listed universe must have at least one member"),
+], ids=["unknown-operator", "ternary-join", "unary-join", "above-the-bound", "duplicate", "empty"])
 def test_universe_refuses_nodes_the_size_table_would_not_list(members, height_bound, message):
     with pytest.raises(QitError) as info:
         SizeUniverse(MIN, height_bound, members=members)

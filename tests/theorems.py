@@ -149,7 +149,7 @@ def qwrec(qw: QwInterface, alg: Algebra) -> ConstructionRec:
                 if cls in vals and vals[cls] != v:
                     raise CoherenceFailure(
                         f"recursion incompatible at stage {sid}",
-                        witness=show_term(st.classes[cls].flat),
+                        witness=show_term(appx.build.closed.terms[st.classes[cls]]),
                     )
                 vals[cls] = v
         tables[sid] = vals
@@ -161,7 +161,7 @@ def qwrec(qw: QwInterface, alg: Algebra) -> ConstructionRec:
             if tables[sj][c] != tables[si][appx.delta(j, i, c)]:
                 raise CoherenceFailure(
                     f"recursion not constant along {appx.universe.show(j)} -> {appx.universe.show(i)}",
-                    witness=show_term(appx.stages[sj].classes[c].flat),
+                    witness=show_term(appx.build.closed.terms[appx.stages[sj].classes[c]]),
                 )
             coherence += 1
 
@@ -196,10 +196,10 @@ def check_uniqueness(qw: QwInterface, alg: Algebra, h: Mapping[int, Value]) -> U
                 try:
                     expected = alg.interp(appx.sig.ops[op].op, [h[c] for c in child_cids])
                 except PartialAlgebra:
-                    failures.append(show_term(st.classes[cls].flat))
+                    failures.append(show_term(appx.build.closed.terms[st.classes[cls]]))
                     continue
                 if expected != h[node_cid]:
-                    failures.append(show_term(st.classes[cls].flat))
+                    failures.append(show_term(appx.build.closed.terms[st.classes[cls]]))
     rec = qwrec(qw, alg)
     discrepancy = None
     for cid, v in rec.by_class.items():
