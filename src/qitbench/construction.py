@@ -222,12 +222,21 @@ class Approximation:
     def stage_at(self, i: int) -> Stage:
         return self.stages[self.stage_of[i]]
 
+    def stage_class(self, i: int, cls: int) -> int:
+        """cls, if it is a class of member i's stage."""
+        n = len(self.stage_at(self.universe._member(i)))
+        # exactly int: isinstance passes a bool, and a negative id would
+        # index from the end
+        if cls.__class__ is not int or not 0 <= cls < n:
+            raise QitError(f"{cls!r} is not one of the {n} classes of the stage at {self.universe.show(i)}")
+        return cls
+
     def delta(self, i: int, j: int, cls: int) -> int:
         """Push a class at member i one stage up to member j: j's class
         of the class's flat."""
         if not self.universe.lt(i, j):
             raise QitError(f"{self.universe.show(i)} is not strictly below {self.universe.show(j)}")
-        return self.stage_at(j).class_at[self.stage_at(i).classes[cls]]
+        return self.stage_at(j).class_at[self.stage_at(i).classes[self.stage_class(i, cls)]]
 
     def stage_pairs(self) -> Iterator[tuple[int, int]]:
         """The first member pair i < j, in member order then up-set
@@ -478,7 +487,7 @@ class QwInterface:
         return len(self.colimit)
 
     def inject(self, i: int, cls: int) -> int:
-        return self.colimit.inject(i, cls)
+        return self.colimit.inject(i, self.appx.stage_class(i, cls))
 
     def _class(self, cid: int) -> int:
         # exactly int: isinstance passes a bool, and a negative id would

@@ -18,17 +18,17 @@ label j)] is maps[(label i, label k)] on family[label i].  Both read
 the members only through their labels, so each label pair and each
 label triple that some member pair or triple has is checked once, and
 every member pair and triple is decided by its own labels' check.  The
-walk finds exactly those labels, per distinct down-segment S of the
-universe (SizeUniverse.segments) and the members T whose down-segment
-S is.  Every member pair i < j has i in S = below[j] and j in T, and
-every i in S and j in T form a pair: the label pairs are the union of
-labels(S) x labels(T).  Every member triple i < j < k has j in S =
-below[k], k in T and i in below[j], and every such choice is a triple:
-the label triples are the union of labels(below[j]) x {label j} x
-labels(T) over j in S.  None is skipped and none is spurious.  Within
-a triple, i < k by transitivity, so its third map is a checked pair's.
-The error names the first failing member pair or triple in member
-order (then up-set order), found by a walk that runs only on failure.
+order is the height preorder (sizes.py), so with L_h the labels of the
+members of height h, the member pairs i < j are exactly the pairs of
+members of heights h < h', and their label pairs the union of L_h x
+L_h' over h < h'; likewise the label triples are the union of L_h x
+L_h' x L_h'' over h < h' < h''.  None is skipped and none is spurious.
+Within a triple, i < k by transitivity, so its third map is a checked
+pair's.  check finds each L_h in one pass over the heights, in
+first-seen order with the first member labelled so, tests each
+member's carrier on the way, and returns them for Colimit.  The error
+names the first failing member pair or triple in member order (then
+up-set order), found by a walk that runs only on failure.
 
 The colimit glues the nodes (i, x), x in member i's carrier: it is the
 least equivalence with (i, x) ~ (j, maps[(label i, label j)][x]) for
@@ -63,20 +63,24 @@ check_cocone still decides every member pair i < j: each (i, x) must
 share a class with (j, maps[(label i, label j)][x]).  i lies below H,
 and those images at a top j are reached, so the test reads classes
 through label groups and depends only on label i and j's group.  Per
-down-segment S, with T the members whose down-segment S is (one
-level), it runs once per label of S and label of T: every member pair
-has i in S = below[j] and j in T.
+height h', it runs once per label in the union of L_h over h < h' and
+label in L_h', read off check's levels: every member pair i < j has its
+labels there for h' = ht j.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import combinations, product
 from typing import Hashable, Mapping, NamedTuple, Optional
 
 from .errors import FunctorialityViolation, QitError
 from .quotient import congruence_classes, root_groups
 from .records import tagged
 from .sizes import SizeUniverse
+
+# the label of a member the labelling lacks, which no family holds
+_UNLABELLED = object()
 
 
 @tagged
@@ -86,12 +90,29 @@ class Diagram(NamedTuple):
     family: Mapping[Hashable, tuple]
     maps: Mapping[tuple[Hashable, Hashable], Mapping[Hashable, Hashable]]
 
-    def check(self) -> None:
+    def check(self) -> list[dict[Hashable, int]]:
+        """Check the diagram (see the module docstring); return each
+        height's labels in first-seen order, each with the first member
+        labelled so, lowest height first."""
         u, label, family = self.universe, self.label, self.family
-        for i in u.members:
-            if i not in label or label[i] not in family:
-                raise FunctorialityViolation(f"no carrier at {u.show(i)}")
-        pairs, triples = self._transitions()
+        levels: list[dict[Hashable, int]] = []
+        for tops in u.segments.values():
+            level: dict[Hashable, int] = {}
+            for k in tops:
+                a = label.get(k, _UNLABELLED)
+                if a not in level:
+                    if a not in family:
+                        raise FunctorialityViolation(f"no carrier at {u.show(k)}")
+                    level[a] = k
+            levels.append(level)
+        # each label pair, then triple, -> a member pair or triple that has
+        # it, one (label, first member) per height: zip reads ((a, i),
+        # (c, k)) as ((a, c), (i, k))
+        pairs, triples = (
+            dict(zip(*chosen) for heights in combinations(levels, r)
+                 for chosen in product(*(level.items() for level in heights)))
+            for r in (2, 3)
+        )
         member_pairs = ((i, j) for i in u.members for j in u.above[i])
         member_triples = (
             (i, j, k) for i in u.members for j in u.above[i] for k in u.above[j]
@@ -106,40 +127,7 @@ class Diagram(NamedTuple):
                 for members in walk:
                     if tuple(map(label.__getitem__, members)) in bad:
                         raise FunctorialityViolation(fault(*members))
-
-    def _transitions(self) -> tuple[dict[tuple, tuple], dict[tuple, tuple]]:
-        """Each label pair of a member pair and each label triple of a
-        member triple, with one member pair or triple that has it (see
-        the module docstring)."""
-        u, label = self.universe, self.label
-        pairs: dict[tuple, tuple] = {}
-        triples: dict[tuple, tuple] = {}
-        # member -> number of its down-segment; per segment number, its
-        # labels with the first member of the segment labelled so
-        seg_of: dict[int, int] = {}
-        firsts: list[dict[Hashable, int]] = []
-        for below, tops in u.segments.items():
-            low: dict[Hashable, int] = {}
-            for i in below:
-                low.setdefault(label[i], i)
-            high: dict[Hashable, int] = {}
-            for k in tops:
-                high.setdefault(label[k], k)
-                seg_of[k] = len(firsts)
-            firsts.append(low)
-            for a, i in low.items():
-                for c, k in high.items():
-                    pairs.setdefault((a, c), (i, k))
-            # a member of the segment below another is listed before the
-            # members above it, so its own segment is numbered already
-            mids: dict[tuple[int, Hashable], int] = {}
-            for j in below:
-                mids.setdefault((seg_of[j], label[j]), j)
-            for (s, b), j in mids.items():
-                for a, i in firsts[s].items():
-                    for c, k in high.items():
-                        triples.setdefault((a, b, c), (i, j, k))
-        return pairs, triples
+        return levels
 
     def _step_fault(self, i: int, j: int) -> Optional[str]:
         """What is wrong with the transition i -> j, if anything."""
@@ -171,26 +159,27 @@ class Colimit:
     computed on label groups (see the module docstring)."""
 
     def __init__(self, diagram: Diagram):
-        diagram.check()
+        self._levels = diagram.check()
         self.diagram = diagram
         u, label, family, maps = diagram.universe, diagram.label, diagram.family, diagram.maps
         self._where = {a: {x: n for n, x in enumerate(xs)} for a, xs in family.items()}
-        *_, (low, top) = u.segments.items()
+        *lows, top = self._levels
         # each label group, keyed (at H?, label), -> its first member
         firsts: dict[tuple[bool, Hashable], int] = {}
-        for at_top, members in ((False, low), (True, top)):
-            for i in members:
-                firsts.setdefault((at_top, label[i]), i)
+        for level in lows:
+            for a, i in level.items():
+                firsts.setdefault((False, a), i)
+        firsts.update(((True, c), k) for c, k in top.items())
         nodes: list[tuple[int, Hashable]] = []
         self._start: dict[tuple[bool, Hashable], int] = {}  # each label group's first node id
         for group, i in firsts.items():
             self._start[group] = len(nodes)
             nodes.extend([(i, x) for x in family[group[1]]])
-        below = self._start[(True, label[top[0]])]
+        below = self._start[(True, next(iter(top)))]
         seeds = [
             (self._start[(False, a)] + n, self._start[(True, c)] + self._where[c][maps[(a, c)][x]])
             for a_top, a in firsts if not a_top
-            for c_top, c in firsts if c_top
+            for c in top
             for n, x in enumerate(family[a])
         ]
         class_at, flats = congruence_classes(range(len(nodes)), seeds)
@@ -201,8 +190,9 @@ class Colimit:
         classes = [tuple(map(nodes.__getitem__, grp)) for grp in root_groups(class_at)[:reached]]
         self._alone: dict[tuple[int, Hashable], int] = {}
         if -1 in self._class_of:
-            for t in top:
-                for n, y in enumerate(family[label[t]], self._start[(True, label[t])]):
+            for t in next(reversed(u.segments.values())):
+                c = label[t]
+                for n, y in enumerate(family[c], self._start[(True, c)]):
                     if self._class_of[n] < 0:
                         self._alone[(t, y)] = len(classes)
                         classes.append(((t, y),))
@@ -213,6 +203,7 @@ class Colimit:
 
     def inject(self, i: int, x: Hashable) -> int:
         d = self.diagram
+        i = d.universe._member(i)
         try:
             a = d.label[i]
             cid = self._class_of[self._start[(not d.universe.above[i], a)] + self._where[a][x]]
@@ -224,16 +215,17 @@ class Colimit:
         d, cls, start = self.diagram, self._class_of, self._start
         u, label, family, maps = d.universe, d.label, d.family, d.maps
         whole = True
-        for below, tops in u.segments.items():
-            top = not u.above[tops[0]]
-            lows = dict.fromkeys(map(label.__getitem__, below))
-            for b in dict.fromkeys(map(label.__getitem__, tops)):
-                at, where = start[(top, b)], self._where[b]
+        top = len(self._levels) - 1
+        under: dict[Hashable, int] = {}  # the labels below height h
+        for h, level in enumerate(self._levels):
+            for b in level:
+                at, where = start[(h == top, b)], self._where[b]
                 whole = whole and all(
                     cls[start[(False, a)] + n] == cls[at + where[maps[(a, b)][x]]]
-                    for a in lows
+                    for a in under
                     for n, x in enumerate(family[a])
                 )
+            under.update(level)
         if whole:
             return
         # name the first broken node, member pairs in member then up-set order

@@ -499,6 +499,17 @@ def naive_diagram_fault(d) -> Optional[str]:
     return None
 
 
+def naive_levels(d) -> list[list[tuple]]:
+    """Diagram.check's return, as (label, first member) lists: per
+    height, lowest first, the labels of its members in member order,
+    each with the first member labelled so."""
+    u = d.universe
+    levels: dict[int, dict] = {}
+    for i in u.members:
+        levels.setdefault(u.depths[i], {}).setdefault(d.label[i], i)
+    return [list(levels[h].items()) for h in sorted(levels)]
+
+
 # --- the stage diamond over term trees, as it was before slice views ---
 
 

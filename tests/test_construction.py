@@ -261,6 +261,31 @@ def test_intro_and_class_flat_refuse_an_id_that_is_not_a_colimit_class(child):
     assert str(info.value) == f"{child!r} is not one of the 6 colimit classes"
 
 
+@pytest.mark.parametrize("cls", [-1, 7, 1.0, True, None])
+def test_delta_and_inject_refuse_an_id_that_is_not_a_stage_class(cls):
+    # member 1's stage on bag {a,b} d3 h4 has 7 classes: delta(1, 5, -1)
+    # read class 6 from the end, and inject(1, True) read class 1
+    appx = bag_fixture(height=4)[3]
+    qw = qw_from_colimit(appx)
+    assert len(appx.stage_at(1)) == 7
+    assert appx.delta(1, 5, 0) == 0 and qw.inject(1, 1) == 1
+    for ask in (lambda: appx.delta(1, 5, cls), lambda: qw.inject(1, cls)):
+        with pytest.raises(QitError) as info:
+            ask()
+        assert str(info.value) == f"{cls!r} is not one of the 7 classes of the stage at {appx.universe.show(1)}"
+
+
+@pytest.mark.parametrize("member", [True, False, 1.0, -1, 26])
+def test_inject_refuses_a_size_that_is_not_a_member(member):
+    # inject(True, 0) read member 1's label and returned 0
+    qw = qw_from_colimit(bag_fixture(height=4)[3])
+    assert len(qw.appx.universe.members) == 26
+    for inject in (qw.inject, qw.colimit.inject):
+        with pytest.raises(QitError) as info:
+            inject(member, 0)
+        assert str(info.value) == f"size {member!r} is not a member of the height-4 universe"
+
+
 def test_intro_overflows_past_the_depth_bound():
     _, _, _, appx = bag_fixture()
     qw = qw_from_colimit(appx)

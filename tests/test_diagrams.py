@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from qitbench.sizes import SizeSig, SizeUniverse
 from helpers import bag_sig, bag_system
 from helpers import chain as chain_universe
 from helpers import mutual_le_universe, tree_of
-from oracles import PlumpOrder, naive_components, naive_diagram_fault
+from oracles import PlumpOrder, naive_components, naive_diagram_fault, naive_levels
 from theorems import (
     check_power_cocontinuity,
     constant_diagram,
@@ -392,10 +393,33 @@ def test_stage_diagram_colimit_matches_member_pair_components(build):
     c.check_cocone()
 
 
+class CountedReads(Mapping):
+    """A mapping that counts the reads of its values: in, get and []
+    all read through __getitem__."""
+
+    def __init__(self, inner):
+        self.inner, self.reads = inner, 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.inner[key]
+
+    def __iter__(self):
+        return iter(self.inner)
+
+    def __len__(self):
+        return len(self.inner)
+
+
 def test_stage_diagram_colimit_holds_one_node_per_stage_class():
     # a member-by-member gluing held 2,028 nodes here
     d = bag_diagram(5)
+    label = CountedReads(d.label)
+    d = Diagram(d.universe, label, d.family, d.maps)
     c = Colimit(d)
+    c.check_cocone()
+    # the label groups come from check's one walk over the members
+    assert len(d.universe.members) == 677 and label.reads <= 4 * 677
     assert len(c) == 3
     assert sum(map(len, c.classes)) == sum(map(len, d.family.values())) == 12
 
@@ -478,6 +502,7 @@ def functorial_diagrams(draw):
 @given(functorial_diagrams())
 def test_generated_diagram_colimit_matches_member_pair_components(d):
     assert naive_diagram_fault(d) is None
+    assert [list(level.items()) for level in d.check()] == naive_levels(d)
     c = Colimit(d)
     assert_classes_match_components(d, c)
     c.check_cocone()
