@@ -391,12 +391,13 @@ class Approximation:
     def to_diagram(self) -> Diagram:
         """The stage diagram, labelled by stage.  A transition depends
         only on the two members' stages, so there is one map per distinct
-        stage pair, read off its stage_pairs member pair."""
+        stage pair, read off its stage_pairs member pair: the higher
+        stage's class of each lower class's flat, as delta pushes it."""
         family = {sid: tuple(range(len(st))) for sid, st in enumerate(self.stages)}
-        maps = {
-            (self.stage_of[i], self.stage_of[j]): {c: self.delta(i, j, c) for c in family[self.stage_of[i]]}
-            for i, j in self.stage_pairs()
-        }
+        maps = {}
+        for i, j in self.stage_pairs():
+            low, high = self.stage_at(i), self.stage_at(j)
+            maps[self.stage_of[i], self.stage_of[j]] = dict(enumerate([high.class_at[f] for f in low.classes]))
         return Diagram(self.universe, self.stage_of, family, maps)
 
     def dump(self) -> Iterator[str]:

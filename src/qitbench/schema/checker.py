@@ -14,6 +14,18 @@ whose two endpoints must be well-typed terms of Q at the same index.
 Each acceptance carries a Derivation tree (tests/oracles.py replays it
 against the rule grammar); each rejection names the violated rule, the
 source position, and the offending subterm.
+
+Outside the rules, three walks answer every question about the terms
+inside a type: ``_type_terms`` yields each term with the binder names
+in scope at it (the Q-mention, variable-use and scope checks read it),
+``_term_names`` yields a term's names, marking application heads, and
+``_map_terms`` rebuilds a type with a function applied to its terms,
+leaving alone the codomain of a binder with a given name
+(normalisation and substitution).  ``erase_q`` alone rewrites Q itself.
+The walks dispatch with ``isinstance``: a class pattern costs several
+times as much per node, and they run on every argument type checked.
+The walks are module functions, not closures: a recursive closure is a
+reference cycle, left to the cyclic collector on every check.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from .ast import (
     ConstT,
     Ctor,
     EqT,
+    FinParam,
     Pi,
     QRef,
     QitDecl,
@@ -84,101 +97,82 @@ class _Fail(Exception):
         self.message = message
 
 
-# --- syntactic helpers ---
+# --- the type walks ---
 
 
-def _term_mentions(t: TermAst, name: str) -> bool:
-    match t:
-        case TVar(n):
-            return n == name
-        case TNum(_):
-            return False
-        case TApp(head, args):
-            return head == name or any(_term_mentions(a, name) for a in args)
-    return False
+def _type_terms(t: TypeAst, bound: frozenset[str] = frozenset()):
+    """Each term inside t, left to right, with the binder names in scope at it."""
+    if isinstance(t, ConstT):
+        for a in t.args:
+            yield a, bound
+    elif isinstance(t, QRef):
+        if t.index is not None:
+            yield t.index, bound
+    elif isinstance(t, (Pi, Sigma)):
+        b, dom, cod = t
+        yield from _type_terms(dom, bound)
+        yield from _type_terms(cod, bound if b == "_" else bound | {b})
+    elif isinstance(t, EqT):
+        yield t.lhs, bound
+        yield t.rhs, bound
 
 
-def _mentions_q(t: TypeAst, qname: str) -> bool:
-    match t:
-        case QRef(_):
-            return True
-        case ConstT(_, args):
-            return any(_term_mentions(a, qname) for a in args)
-        case Pi(_, dom, cod):
-            return _mentions_q(dom, qname) or _mentions_q(cod, qname)
-        case Sigma(_, left, right):
-            return _mentions_q(left, qname) or _mentions_q(right, qname)
-        case EqT(lhs, rhs):
-            return _term_mentions(lhs, qname) or _term_mentions(rhs, qname)
-    return False
+def _term_names(t: TermAst):
+    """Each name in t, left to right, with whether it heads an application."""
+    if isinstance(t, TVar):
+        yield t.name, False
+    elif isinstance(t, TApp):
+        yield t.head, True
+        for a in t.args:
+            yield from _term_names(a)
+
+
+def _map_terms(t: TypeAst, f, shadow: Optional[str] = None) -> TypeAst:
+    """t with f applied to each term inside it, except in the codomain of
+    a binder named shadow."""
+    if isinstance(t, ConstT):
+        return ConstT(t.name, tuple(map(f, t.args)))
+    if isinstance(t, QRef):
+        return t if t.index is None else QRef(f(t.index))
+    if isinstance(t, (Pi, Sigma)):
+        b, dom, cod = t
+        return t.__class__(b, _map_terms(dom, f, shadow), cod if b == shadow else _map_terms(cod, f, shadow))
+    if isinstance(t, EqT):
+        return EqT(f(t.lhs), f(t.rhs))
+    return t
 
 
 def erase_q(t: TypeAst) -> TypeAst:
     """Unit erasure: replace every occurrence of Q by the unit type."""
-    match t:
-        case QRef(_):
-            return ConstT("Unit")
-        case Pi(b, dom, cod):
-            return Pi(b, erase_q(dom), erase_q(cod))
-        case Sigma(b, left, right):
-            return Sigma(b, erase_q(left), erase_q(right))
+    if isinstance(t, QRef):
+        return ConstT("Unit")
+    if isinstance(t, (Pi, Sigma)):
+        b, dom, cod = t
+        return t.__class__(b, erase_q(dom), erase_q(cod))
     return t
 
 
+def _mentions_q(t: TypeAst, qname: str) -> bool:
+    """Whether Q occurs in t as a type (erasure changes t) or as a name
+    in one of its terms, under any binder."""
+    return erase_q(t) != t or any(n == qname for u, _ in _type_terms(t) for n, _ in _term_names(u))
+
+
 def _uses_var(t: TypeAst, name: str) -> bool:
-    match t:
-        case QRef(None):
-            return False
-        case QRef(ix):
-            return _term_mentions(ix, name)
-        case ConstT(_, args):
-            return any(_term_mentions(a, name) for a in args)
-        case Pi(b, dom, cod):
-            return _uses_var(dom, name) or (b != name and _uses_var(cod, name))
-        case Sigma(b, left, right):
-            return _uses_var(left, name) or (b != name and _uses_var(right, name))
-        case EqT(lhs, rhs):
-            return _term_mentions(lhs, name) or _term_mentions(rhs, name)
-    return False
+    """Whether name occurs in t outside the codomain of a binder named
+    name; ``_`` binds nothing."""
+    return any(name not in bound and any(n == name for n, _ in _term_names(u)) for u, bound in _type_terms(t))
 
 
 def _scope_check(t: TypeAst, env: Env, decl: QitDecl, rule: str) -> None:
-    """Every term variable inside t must be bound by an earlier argument.
-    The walks are module functions, not closures: a recursive closure is
-    a reference cycle, left to the cyclic collector on every check."""
-    _scope_type(t, frozenset(env), t, decl, rule)
-
-
-def _scope_term(u: TermAst, bound: frozenset[str], t: TypeAst, decl: QitDecl, rule: str) -> None:
-    match u:
-        case TVar(n):
-            if n not in bound and decl.element(n) is None and _fin_owner(decl, n) is None:
+    """Every term variable inside t must be bound by an earlier argument."""
+    for u, bound in _type_terms(t, frozenset(env)):
+        for n, head in _term_names(u):
+            if not head and n not in bound and decl.element(n) is None and _fin_owner(decl, n) is None:
                 raise _Fail(rule, f"unknown name {n} in {show_type(t)}")
-        case TApp(_, args):
-            for a in args:
-                _scope_term(a, bound, t, decl, rule)
-
-
-def _scope_type(u: TypeAst, bound: frozenset[str], t: TypeAst, decl: QitDecl, rule: str) -> None:
-    match u:
-        case QRef(None):
-            pass
-        case QRef(ix):
-            _scope_term(ix, bound, t, decl, rule)
-        case ConstT(_, args):
-            for a in args:
-                _scope_term(a, bound, t, decl, rule)
-        case Pi(b, dom, cod) | Sigma(b, dom, cod):
-            _scope_type(dom, bound, t, decl, rule)
-            _scope_type(cod, bound if b == "_" else bound | {b}, t, decl, rule)
-        case EqT(lhs, rhs):
-            _scope_term(lhs, bound, t, decl, rule)
-            _scope_term(rhs, bound, t, decl, rule)
 
 
 def _fin_owner(decl: QitDecl, name: str):
-    from .ast import FinParam
-
     for p in decl.params:
         if isinstance(p.kind, FinParam) and name in p.kind.values:
             return p
@@ -189,32 +183,16 @@ def _fin_owner(decl: QitDecl, name: str):
 
 
 def _norm_term(t: TermAst) -> TermAst:
-    match t:
-        case TApp("suc", (arg,)):
-            inner = _norm_term(arg)
-            if isinstance(inner, TNum):
-                return TNum(inner.value + 1)
-            return TApp("suc", (inner,))
-        case TApp(head, args):
-            return TApp(head, tuple(_norm_term(a) for a in args))
+    if isinstance(t, TApp):
+        args = tuple(map(_norm_term, t.args))
+        if t.head == "suc" and len(args) == 1 and isinstance(args[0], TNum):
+            return TNum(args[0].value + 1)
+        return TApp(t.head, args)
     return t
 
 
 def _norm_type(t: TypeAst) -> TypeAst:
-    match t:
-        case QRef(None):
-            return t
-        case QRef(ix):
-            return QRef(_norm_term(ix))
-        case ConstT(name, args):
-            return ConstT(name, tuple(_norm_term(a) for a in args))
-        case Pi(b, dom, cod):
-            return Pi(b, _norm_type(dom), _norm_type(cod))
-        case Sigma(b, left, right):
-            return Sigma(b, _norm_type(left), _norm_type(right))
-        case EqT(lhs, rhs):
-            return EqT(_norm_term(lhs), _norm_term(rhs))
-    return t
+    return _map_terms(t, _norm_term)
 
 
 def _type_eq(a: TypeAst, b: TypeAst) -> bool:
@@ -222,29 +200,15 @@ def _type_eq(a: TypeAst, b: TypeAst) -> bool:
 
 
 def _subst_term(t: TermAst, name: str, value: TermAst) -> TermAst:
-    match t:
-        case TVar(n):
-            return value if n == name else t
-        case TApp(head, args):
-            return TApp(head, tuple(_subst_term(a, name, value) for a in args))
+    if isinstance(t, TVar):
+        return value if t.name == name else t
+    if isinstance(t, TApp):
+        return TApp(t.head, tuple(_subst_term(a, name, value) for a in t.args))
     return t
 
 
 def _subst_type(t: TypeAst, name: str, value: TermAst) -> TypeAst:
-    match t:
-        case QRef(None):
-            return t
-        case QRef(ix):
-            return QRef(_subst_term(ix, name, value))
-        case ConstT(cname, args):
-            return ConstT(cname, tuple(_subst_term(a, name, value) for a in args))
-        case Pi(b, dom, cod):
-            return Pi(b, _subst_type(dom, name, value), cod if b == name else _subst_type(cod, name, value))
-        case Sigma(b, left, right):
-            return Sigma(b, _subst_type(left, name, value), right if b == name else _subst_type(right, name, value))
-        case EqT(lhs, rhs):
-            return EqT(_subst_term(lhs, name, value), _subst_term(rhs, name, value))
-    return t
+    return _map_terms(t, lambda u: _subst_term(u, name, value), name)
 
 
 def _infer(t: TermAst, env: Env, decl: QitDecl) -> TypeAst:

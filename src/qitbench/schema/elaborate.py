@@ -62,7 +62,7 @@ from .ast import (
     show_term_ast,
     show_type,
 )
-from .checker import _fin_owner, _subst_term, _term_mentions, _uses_var, check_decl
+from .checker import _fin_owner, _subst_term, _uses_var, check_decl
 
 DEFAULT_BIJECTIONS = (IndexMap("id"), IndexMap("tr01", ((0, 1), (1, 0))))
 
@@ -73,7 +73,7 @@ _NAT = ConstT("Nat")
 class _Arg(NamedTuple):
     binder: str
     dom: TypeAst
-    kind: str  # const | index | q | natfam | map | erased
+    kind: str  # const | index | q | natfam | map
 
 
 class _SkipInstance(Exception):
@@ -275,7 +275,7 @@ def _materialize_eqs(ctor, spines, decl, carriers, pfx):
             values = _carrier_values(a.dom, decl, carriers)
             if values is not None:
                 named.append((a, values))
-            elif _term_mentions(target.lhs, a.binder) or _term_mentions(target.rhs, a.binder):
+            elif _uses_var(target, a.binder):
                 raise UnsupportedParameterType(
                     f"{ctor.name}.{a.binder} : {show_type(a.dom)} cannot be enumerated"
                 )
@@ -458,7 +458,6 @@ _BINDER_POOLS = {
     "q": ("xs", "ys", "zs", "us", "vs"),
     "natfam": ("f", "g", "h"),
     "index": ("i", "j", "k"),
-    "erased": ("p", "q", "r"),
 }
 
 

@@ -108,10 +108,10 @@ class _TypeParser:
             names, dom = self._parse_binder_group()
             if self._at_binder_group():
                 tail = self.parse_type()
-                return self._fold_binders(names, dom, tail, arrow=True)
+                return self._fold_binders(names, dom, tail)
             sep = self._next()
             if sep.kind == "->":
-                return self._fold_binders(names, dom, self.parse_type(), arrow=True)
+                return self._fold_binders(names, dom, self.parse_type())
             if sep.kind == "*":
                 if len(names) != 1:
                     raise ParseError("a pair type binds one name", sep.line, sep.col)
@@ -123,7 +123,7 @@ class _TypeParser:
         return left
 
     @staticmethod
-    def _fold_binders(names: list[str], dom: TypeAst, tail: TypeAst, arrow: bool) -> TypeAst:
+    def _fold_binders(names: list[str], dom: TypeAst, tail: TypeAst) -> TypeAst:
         out = tail
         for n in reversed(names):
             out = Pi(n, dom, out)
@@ -200,39 +200,21 @@ class _TypeParser:
     # --- terms ---
 
     def parse_term(self) -> TermAst:
-        t = self._peek()
-        if t.kind == "(":
-            self._next()
-            inner = self.parse_term()
-            self._expect(")")
-            # parenthesized terms are atoms; application binds at the head
-            return inner
-        if t.kind == "num":
-            self._next()
-            return TNum(int(t.text))
-        head = self._expect("ident").text
+        # parenthesized terms and numerals are atoms; application binds
+        # at the head
+        if self._peek().kind != "ident":
+            return self._parse_term_atom()
+        head = self._next().text
         args: list[TermAst] = []
         while self._at_term_atom():
             args.append(self._parse_term_atom())
         return TApp(head, tuple(args)) if args else TVar(head)
 
     def _at_term_atom(self) -> bool:
-        t = self._peek()
-        if t.kind in ("num",):
-            return True
-        if t.kind == "ident":
-            return True
-        if t.kind == "(":
-            # a parenthesized term argument, as in `cons x (cons y zs)`;
-            # binder groups are not term atoms
-            return not (self._peek(1).kind == "ident" and self._first_colon_before_close())
-        return False
-
-    def _first_colon_before_close(self) -> bool:
-        k = 1
-        while self._peek(k).kind == "ident":
-            k += 1
-        return self._peek(k).kind == ":"
+        # a parenthesized term argument, as in `cons x (cons y zs)`, is an
+        # atom; a binder group is not
+        kind = self._peek().kind
+        return kind in ("num", "ident") or (kind == "(" and not self._at_binder_group())
 
     def _parse_term_atom(self) -> TermAst:
         t = self._peek()

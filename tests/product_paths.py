@@ -15,8 +15,10 @@ entered during two runs:
 It then lists the functions (every def, methods and nested functions
 included) that only tier 1 enters, and those that neither enters, each
 with its source lines.  The line totals count each source line once, so
-a nested function adds nothing to its test-only parent.  pytest does not
-collect this file: its name does not start with test_.
+a nested function adds nothing to its test-only parent.  Beside the
+src/qitbench line total it prints the code-line total, which leaves out
+blank, comment-only and docstring lines.  pytest does not collect this
+file: its name does not start with test_.
 """
 
 from __future__ import annotations
@@ -56,6 +58,18 @@ def definitions() -> dict[tuple[str, int], tuple[str, int]]:
 
         visit(ast.parse(path.read_text(encoding="utf-8")), "")
     return found
+
+
+def code_lines(text: str) -> int:
+    """Lines of text that are not blank, comment-only or part of a
+    module, class or function docstring."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docs: set[int] = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, owners) and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(1 for n, line in enumerate(text.splitlines(), 1)
+               if line.strip() and not line.lstrip().startswith("#") and n not in docs)
 
 
 class Recorder:
@@ -147,13 +161,13 @@ def main(argv=None) -> int:
     with tier1.installed():
         run_pytest([str(ROOT / "tests")], tier1._trace)
 
-    src_lines = sum(
-        len(path.read_text(encoding="utf-8").splitlines()) for path in SRC.rglob("*.py")
-    )
+    texts = [path.read_text(encoding="utf-8") for path in SRC.rglob("*.py")]
+    src_lines = sum(len(text.splitlines()) for text in texts)
+    src_code = sum(map(code_lines, texts))
     known = set(defs)
     only_tests = (tier1.entered & known) - product.entered
     never = known - tier1.entered - product.entered
-    print(f"src/qitbench: {len(defs)} functions, {src_lines} lines; "
+    print(f"src/qitbench: {len(defs)} functions, {src_lines} lines, {src_code} code lines; "
           f"product paths ran tests/test_cli.py and {jobs} workload jobs at seed {args.seed}")
     print("\n".join(report("entered only by tier 1", only_tests, defs)))
     print("\n".join(report("entered by nothing", never, defs)))

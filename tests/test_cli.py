@@ -515,6 +515,9 @@ def test_fold_checks_satisfaction_once(algebra, code, monkeypatch, capsys):
     # endpoint types that differ only syntactically: V (suc 0) against
     # V 1 is convertible, against V 2 it is not
     ("vsuc", 0), ("vsucbad", 1),
+    # term names no earlier argument binds, in a parameter type and in a
+    # function domain; the equation after k cannot apply it to a Q
+    ("unboundparam", 1), ("unboundfun", 1),
 ])
 def test_check_matches_golden(name, code, fmt, capsys):
     golden = f"check_{name}.txt" if fmt == "text" else f"check_{name}_structured.json"

@@ -39,6 +39,8 @@ from qitbench.schema import (
     rule_sequence,
     symbolic_table,
 )
+from qitbench.schema.ast import EqT, Sigma, TApp, TVar
+from qitbench.schema.checker import _norm_type, _subst_type, _uses_var
 from qitbench.schema.parser import _tokenize
 from qitbench.sexpr import show_term
 from qitbench.terms import NAT, Comp, Node, fin
@@ -103,6 +105,13 @@ def test_parse_rejects_unterminated_binder():
         parse_decl("qit Foo (X : Set where\n  mk : Foo\n")
     assert e.value.line == 1
     assert e.value.col > 1
+
+
+def test_binder_group_is_not_a_term_argument():
+    # the application Vec 0 ends before the group, which then trails
+    with pytest.raises(ParseError) as e:
+        parse_decl("qit T (X : Set) where\n  mk : Vec 0 (x : X) -> T\n")
+    assert (str(e.value), e.value.col) == ("2:14: trailing '(' in constructor mk", 14)
 
 
 def test_parse_error_formats_position():
@@ -280,6 +289,13 @@ def test_unbound_variable_in_type_rejected():
     assert "y" in rej.message
 
 
+def test_application_head_is_not_a_variable():
+    # the scope check reads the arguments of an application, not its head
+    assert check_decl(parse_decl("qit T where\n  mk : (i : Nat) -> Fin (suc i) -> T\n")).ok
+    rej = first_reject("qit T where\n  mk : (i : Nat) -> Fin (suc j) -> T\n")
+    assert (rej.rule, rej.message) == ("ConstantParameter", "unknown name j in (Fin (suc j))")
+
+
 def test_unit_erased_product_accepted():
     # the pair's second component ignores the Q-mentioning binder
     src = "qit T (X : Set) where\n  mk : ((t : T) * X) -> T\n"
@@ -306,6 +322,41 @@ def test_strictly_positive_entry_point():
 def test_index_arity_must_match_declaration():
     rej = first_reject("qit V (X : Set) : Nat -> Set where\n  mk : V\n")
     assert not isinstance(rej, Accept)
+
+
+# --- checking: the type walks on generated types ---
+
+# the variables tested; binders may shadow them, and application heads
+# come from other names, so only a variable occurrence can change under
+# substitution
+_WALK_VARS = ("x", "y")
+_WALK_TERMS = st.recursive(
+    st.builds(TVar, st.sampled_from(_WALK_VARS + ("n",))) | st.builds(TNum, st.integers(0, 3)),
+    lambda sub: st.builds(TApp, st.sampled_from(("suc", "h", "cons")),
+                          st.lists(sub, min_size=1, max_size=3).map(tuple)),
+    max_leaves=6,
+)
+_WALK_TYPES = st.recursive(
+    st.builds(QRef, st.none() | _WALK_TERMS)
+    | st.builds(ConstT, st.sampled_from(("Nat", "Vec", "X")), st.lists(_WALK_TERMS, max_size=2).map(tuple))
+    | st.builds(EqT, _WALK_TERMS, _WALK_TERMS),
+    lambda sub: st.builds(Pi, st.sampled_from(("_",) + _WALK_VARS), sub, sub)
+    | st.builds(Sigma, st.sampled_from(("_",) + _WALK_VARS), sub, sub),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300)
+@given(_WALK_TYPES, st.sampled_from(_WALK_VARS))
+def test_uses_var_exactly_when_substitution_changes_the_type(t, x):
+    assert _uses_var(t, x) == (_subst_type(t, x, TVar("fresh")) != t)
+
+
+@settings(max_examples=300)
+@given(_WALK_TYPES)
+def test_norm_type_is_idempotent(t):
+    once = _norm_type(t)
+    assert _norm_type(once) == once
 
 
 # --- elaboration ---
