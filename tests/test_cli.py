@@ -430,6 +430,11 @@ BAG_SWAPPED = ("(op cons a (op cons b (op nil)))", "(op cons b (op cons a (op ni
 @pytest.mark.parametrize("golden, argv", [
     ("elaborate_bag.txt", ["elaborate", BAG, "--X", "a,b"]),
     ("elaborate_commvec_prefix2.txt", ["elaborate", COMMVEC, "--X", "a,b", "--prefix", "2"]),
+    # the countable-family path and a recursive-variable path, whole
+    ("elaborate_inftree_ab.txt", ["elaborate", INFTREE, "--X", "a,b"]),
+    ("elaborate_inftree_ab_structured.json", ["elaborate", INFTREE, "--X", "a,b", "--format", "structured"]),
+    ("elaborate_commtree_ab.txt", ["elaborate", COMMTREE, "--X", "a,b"]),
+    ("elaborate_commtree_ab_structured.json", ["elaborate", COMMTREE, "--X", "a,b", "--format", "structured"]),
     ("enum_bag_structured.json", ["enum", BAG, "--X", "a,b", "--format", "structured"]),
     ("eq_bag_structured.json", ["eq", BAG, *BAG_SWAPPED, "--X", "a,b", "--format", "structured"]),
     ("fold_bag_length_structured.json",
@@ -477,6 +482,20 @@ VEC2 = ("--X", "a,b", "--prefix", "2")
 def test_oracle_output_matches_golden(golden, code, argv, capsys):
     got = run(capsys, *argv)
     assert got == (code, (GOLDEN / golden).read_text(encoding="utf-8"), "")
+
+
+@pytest.mark.parametrize("name", [
+    # a map argument in an element constructor
+    "mapctor",
+    # a child family composed with a composite map, comp f (comp b c)
+    "nestedcomp",
+    # an endpoint that applies a child family, f 0
+    "famapp",
+])
+def test_elaborate_refusal_matches_golden(name, capsys):
+    """check accepts these declarations; elaborate refuses each on stderr."""
+    got = run(capsys, "elaborate", str(FIXTURES / f"{name}.qit"), "--X", "a")
+    assert got == (1, "", (GOLDEN / f"elaborate_{name}_a.err").read_text(encoding="utf-8"))
 
 
 def test_bag_h5_construct_matches_its_pinned_digest(capsys):

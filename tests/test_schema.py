@@ -46,10 +46,17 @@ from qitbench.sexpr import show_term
 from qitbench.terms import NAT, Comp, Node, fin
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+PERF_INPUTS = Path(__file__).parent.parent / "perfbench" / "inputs"
 
 
 def load(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def source(name: str) -> str:
+    """a declaration under fixtures/, or else under perfbench/inputs/"""
+    path = FIXTURES / f"{name}.qit"
+    return (path if path.exists() else PERF_INPUTS / f"{name}.qit").read_text()
 
 
 BAG = parse_decl(load("bag.qit"))
@@ -449,6 +456,11 @@ def test_tables_match_frozen_renders(name):
     assert entry.table.render() == load(f"tables/{name}.txt")
 
 
+@pytest.mark.parametrize("name", ["commtree", "cmon", "vsuc"])
+def test_symbolic_table_matches_golden(name):
+    assert symbolic_table(parse_decl(source(name))).render() == load(f"tables/{name}.txt")
+
+
 def test_computed_tables_come_from_sources():
     for entry in builtin_examples():
         if entry.source is not None:
@@ -472,6 +484,11 @@ def test_library_covers_expected_names():
 
 def test_bag_eliminator_matches_golden():
     assert derive_eliminator(BAG).render() == load("tables/bagelim.txt")
+
+
+@pytest.mark.parametrize("name", ["commvec", "inftree", "commtree", "cmon"])
+def test_eliminator_matches_golden(name):
+    assert derive_eliminator(parse_decl(source(name))).render() == load(f"tables/{name}elim.txt")
 
 
 @pytest.mark.parametrize("decl", [BAG, COMMVEC], ids=["bag", "commvec"])
