@@ -165,10 +165,14 @@ def _uses_var(t: TypeAst, name: str) -> bool:
 
 
 def _scope_check(t: TypeAst, env: Env, decl: QitDecl, rule: str) -> None:
-    """Every term variable inside t must be bound by an earlier argument."""
+    """Every name inside t must be bound by an earlier argument or be an
+    element constructor; an application head may also be suc or comp,
+    and any other name a value of a finite parameter."""
     for u, bound in _type_terms(t, frozenset(env)):
         for n, head in _term_names(u):
-            if not head and n not in bound and decl.element(n) is None and _fin_owner(decl, n) is None:
+            if n in bound or decl.element(n) is not None:
+                continue
+            if not (n in ("suc", "comp") if head else _fin_owner(decl, n) is not None):
                 raise _Fail(rule, f"unknown name {n} in {show_type(t)}")
 
 

@@ -11,6 +11,24 @@ symbolic_table renders the signature and equation data of a checked
 declaration without materializing anything, as one line per component:
 A and B from the element constructors, E, V, l, r from the equality
 constructors.
+
+elaborate, symbolic_table and eliminator.derive_eliminator read the
+constructors through four readers, so each question about them has one
+answer:
+
+* ``_read_checked``, the checked reader, runs check_decl once and
+  refuses a rejected declaration; it classifies every constructor's
+  arguments once and refuses a map argument in an element constructor.
+  All three products start from its reading, so they refuse alike.
+* ``_application`` reads a bare constructor name or an application as
+  the constructor's spine and the given arguments.
+* ``_endpoint_ix`` reads the index of an endpoint: a recursive
+  variable's declared index, or the constructor's target index under
+  the application's index arguments.  It evaluates with ``_ixval``,
+  which returns ints and runs on every elaboration, or with
+  ``_sym_ixval``, which returns symbolic indices for the tables.
+* ``_family_chain`` reads ``comp (... (comp f b1) ...) bk`` as
+  ``(f, (b1, ..., bk))``.
 """
 
 from __future__ import annotations
@@ -45,7 +63,6 @@ from ..terms import (
 )
 from .ast import (
     ConstT,
-    Ctor,
     EqT,
     FamilyParam,
     FinParam,
@@ -62,7 +79,7 @@ from .ast import (
     show_term_ast,
     show_type,
 )
-from .checker import _fin_owner, _subst_term, _uses_var, check_decl
+from .checker import _fin_owner, _uses_var, check_decl
 
 DEFAULT_BIJECTIONS = (IndexMap("id"), IndexMap("tr01", ((0, 1), (1, 0))))
 
@@ -76,16 +93,95 @@ class _Arg(NamedTuple):
     kind: str  # const | index | q | natfam | map
 
 
+# a constructor's classified arguments and its target
+_Spine = tuple[tuple[_Arg, ...], TypeAst]
+
+
 class _SkipInstance(Exception):
     """Index assignment falls outside the materialized prefix."""
 
 
-def _spine(t: TypeAst) -> tuple[tuple[tuple[str, TypeAst], ...], TypeAst]:
-    args: list[tuple[str, TypeAst]] = []
-    while isinstance(t, Pi):
-        args.append((t.binder, t.domain))
-        t = t.codomain
-    return tuple(args), t
+# --- the readers ---
+
+
+def _read_checked(decl: QitDecl) -> tuple[dict[str, _Spine], dict[str, _Spine]]:
+    """The spines of the element and of the equality constructors, by
+    name in declaration order."""
+    report = check_decl(decl)
+    if not report.ok:
+        name, reject = report.first_reject()
+        raise QitError(f"{decl.name}.{name} violates {reject.rule}: {reject.message}")
+    indexed = decl.index_sort is not None
+    elements: dict[str, _Spine] = {}
+    equalities: dict[str, _Spine] = {}
+    for ctors, spines in ((decl.element_ctors, elements), (decl.equality_ctors, equalities)):
+        for ctor in ctors:
+            args, t = [], ctor.type
+            while isinstance(t, Pi):
+                binder, dom, t = t
+                if isinstance(dom, QRef):
+                    kind = "q"
+                elif isinstance(dom, Pi) and dom.domain == _NAT and isinstance(dom.codomain, QRef):
+                    kind = "natfam"
+                elif isinstance(dom, Pi) and dom.domain == _NAT and dom.codomain == _NAT:
+                    if spines is elements:
+                        raise UnsupportedParameterType(f"{ctor.name}.{binder}: map arguments only occur in equations")
+                    kind = "map"
+                elif dom == _NAT and indexed:
+                    kind = "index"
+                else:
+                    kind = "const"
+                args.append(_Arg(binder, dom, kind))
+            spines[ctor.name] = (tuple(args), t)
+    return elements, equalities
+
+
+def _application(t: TermAst, elements: Mapping[str, _Spine]):
+    """(name, arguments, target, given arguments) of the element
+    constructor t applies, bare or to arguments; None if it applies none."""
+    if isinstance(t, TVar):
+        name, given = t.name, ()
+    elif isinstance(t, TApp):
+        name, given = t.head, t.args
+    else:
+        return None
+    spine = elements.get(name)
+    return None if spine is None else (name, spine[0], spine[1], given)
+
+
+def _endpoint_ix(t: TermAst, app, qargs: Mapping[str, _Arg], ixval, ienv):
+    """The index of endpoint t under ienv: the declared index of a
+    recursive variable in qargs, or else the target index of the
+    constructor t applies, under its index arguments; app is t's
+    application as _application reads it."""
+    a = qargs.get(t.name) if isinstance(t, TVar) else None
+    if a is not None:
+        return ixval(a.dom.index, ienv)
+    if app is None:
+        raise QitError(f"cannot determine the index of endpoint {t!r}")
+    _, args, target, given = app
+    local = {}
+    for a, g in zip(args, given):
+        if a.kind == "index":
+            local[a.binder] = ixval(g, ienv)
+    return ixval(target.index, local)
+
+
+def _family_chain(g: TermAst, kinds: Mapping[str, str]) -> Optional[tuple[str, tuple[str, ...]]]:
+    """comp (... (comp f b1) ...) bk as (f, (b1, ..., bk)), where kinds
+    makes f a countable family and each bi a map; None for any other g."""
+    maps: list[str] = []
+    while isinstance(g, TApp) and g.head == "comp" and len(g.args) == 2:
+        g, m = g.args
+        if not (isinstance(m, TVar) and kinds.get(m.name) == "map"):
+            return None
+        maps.append(m.name)
+    if isinstance(g, TVar) and kinds.get(g.name) == "natfam":
+        return g.name, tuple(reversed(maps))
+    return None
+
+
+# --- elaboration ---
 
 
 def _carrier_values(dom: TypeAst, decl: QitDecl, carriers: Mapping[str, tuple[str, ...]]):
@@ -99,19 +195,6 @@ def _carrier_values(dom: TypeAst, decl: QitDecl, carriers: Mapping[str, tuple[st
     if isinstance(p.kind, SetParam):
         return carriers.get(p.name)
     return None
-
-
-def _classify(binder: str, dom: TypeAst, decl: QitDecl) -> _Arg:
-    indexed = decl.index_sort is not None
-    if isinstance(dom, QRef):
-        return _Arg(binder, dom, "q")
-    if isinstance(dom, Pi) and dom.domain == _NAT and isinstance(dom.codomain, QRef):
-        return _Arg(binder, dom, "natfam")
-    if isinstance(dom, Pi) and dom.domain == _NAT and dom.codomain == _NAT:
-        return _Arg(binder, dom, "map")
-    if dom == _NAT and indexed:
-        return _Arg(binder, dom, "index")
-    return _Arg(binder, dom, "const")
 
 
 def _ixval(t: TermAst, ienv: Mapping[str, int]) -> int:
@@ -146,10 +229,7 @@ def elaborate(
     *,
     prefix: Optional[int] = None,
 ) -> tuple[Union[Signature, IndexedSignature], SystemOfEquations]:
-    report = check_decl(decl)
-    if not report.ok:
-        name, reject = report.first_reject()
-        raise QitError(f"{decl.name}.{name} violates {reject.rule}: {reject.message}")
+    elements, equalities = _read_checked(decl)
     carrier_map = {k: tuple(v) for k, v in (carriers or {}).items()}
     _check_params(decl, carrier_map)
 
@@ -158,13 +238,9 @@ def elaborate(
     if indexed and pfx < 0:
         raise QitError("index prefix must be at least 0")
 
-    # each element constructor's classified spine, read by the ops and
-    # by every constructor application in an equation endpoint
-    spines: dict[str, tuple[tuple[_Arg, ...], QRef]] = {}
     ops: list = []
-    for ctor in decl.element_ctors:
-        spines[ctor.name] = _element_args(ctor, decl)
-        ops.extend(_materialize_ops(ctor, spines[ctor.name], decl, carrier_map, pfx))
+    for name, spine in elements.items():
+        ops.extend(_materialize_ops(name, spine, decl, carrier_map, pfx))
     sig: Union[Signature, IndexedSignature]
     if indexed:
         sig = IndexedSignature(tuple(str(i) for i in range(pfx + 1)), tuple(ops))
@@ -172,8 +248,8 @@ def elaborate(
         sig = Signature(tuple(ops))
 
     eqs: list[Equation] = []
-    for ctor in decl.equality_ctors:
-        eqs.extend(_materialize_eqs(ctor, spines, decl, carrier_map, pfx))
+    for name, spine in equalities.items():
+        eqs.extend(_materialize_eqs(name, spine, elements, decl, carrier_map, pfx))
     sys = SystemOfEquations(tuple(eqs))
 
     flat = sig.flatten() if isinstance(sig, IndexedSignature) else sig
@@ -181,16 +257,7 @@ def elaborate(
     return sig, sys
 
 
-def _element_args(ctor: Ctor, decl: QitDecl) -> tuple[tuple[_Arg, ...], QRef]:
-    raw, target = _spine(ctor.type)
-    args = tuple(_classify(b, d, decl) for b, d in raw)
-    for a in args:
-        if a.kind == "map":
-            raise UnsupportedParameterType(f"{ctor.name}.{a.binder}: map arguments only occur in equations")
-    return args, target
-
-
-def _materialize_ops(ctor, spine, decl, carriers, pfx):
+def _materialize_ops(name, spine, decl, carriers, pfx):
     args, target = spine
     indexed = decl.index_sort is not None
 
@@ -200,60 +267,44 @@ def _materialize_ops(ctor, spine, decl, carriers, pfx):
         values = _carrier_values(a.dom, decl, carriers)
         if values is None:
             raise UnsupportedParameterType(
-                f"{ctor.name}.{a.binder} : {show_type(a.dom)} cannot be enumerated"
+                f"{name}.{a.binder} : {show_type(a.dom)} cannot be enumerated"
             )
         pools.append(values)
     children = [a for a in args if a.kind in ("q", "natfam")]
+    # the target's index, then each child's, read off Q's index in its type
+    indices = [target.index] + [(c.dom if c.kind == "q" else c.dom.codomain).index for c in children]
     ivars = [a.binder for a in args if a.kind == "index"]
 
     out = []
     for ivals in itertools.product(range(pfx + 1), repeat=len(ivars)):
         ienv = dict(zip(ivars, ivals))
-        try:
-            tix = _ixval(target.index, ienv) if indexed else None
-            if indexed and not 0 <= tix <= pfx:
-                raise _SkipInstance
-            arities = []
-            for c in children:
-                if c.kind == "q":
-                    cix = _ixval(c.dom.index, ienv) if indexed else None
-                    if indexed and not 0 <= cix <= pfx:
-                        raise _SkipInstance
-                    arities.append((cix, fin(1)))
-                else:
-                    fam_ix = c.dom.codomain.index
-                    cix = _ixval(fam_ix, ienv) if indexed else None
-                    if indexed and not 0 <= cix <= pfx:
-                        raise _SkipInstance
-                    arities.append((cix, NAT))
-        except _SkipInstance:
+        tix, *cixs = [_ixval(ix, ienv) for ix in indices] if indexed else [None] * len(indices)
+        if indexed and not all(0 <= ix <= pfx for ix in (tix, *cixs)):
             continue
+        arities = [(cix, fin(1) if c.kind == "q" else NAT) for c, cix in zip(children, cixs)]
         for combo in itertools.product(*pools):
             params = tuple(combo)
             if indexed:
-                op = OpSym(ctor.name, params + (f"@{tix}",))
+                op = OpSym(name, params + (f"@{tix}",))
                 out.append(IndexedOpDecl(op, str(tix), tuple((str(i), a) for i, a in arities)))
             else:
-                op = OpSym(ctor.name, params)
-                out.append(OpDecl(op, _flat_arity(ctor, arities)))
+                op = OpSym(name, params)
+                out.append(OpDecl(op, _flat_arity(name, arities)))
     return out
 
 
-def _flat_arity(ctor, arities) -> Arity:
+def _flat_arity(name, arities) -> Arity:
     if any(a is NAT for _, a in arities):
         if len(arities) != 1:
             raise UnsupportedParameterType(
-                f"{ctor.name}: a countable child family cannot mix with other recursive arguments"
+                f"{name}: a countable child family cannot mix with other recursive arguments"
             )
         return NAT
     return fin(len(arities))
 
 
-def _materialize_eqs(ctor, spines, decl, carriers, pfx):
-    raw, target = _spine(ctor.type)
-    if not isinstance(target, EqT):
-        raise QitError(f"{ctor.name} is not an equality constructor")
-    args = [_classify(b, d, decl) for b, d in raw]
+def _materialize_eqs(name, spine, elements, decl, carriers, pfx):
+    args, target = spine
     indexed = decl.index_sort is not None
 
     # arguments that cannot be enumerated are dropped when the endpoints
@@ -277,97 +328,91 @@ def _materialize_eqs(ctor, spines, decl, carriers, pfx):
                 named.append((a, values))
             elif _uses_var(target, a.binder):
                 raise UnsupportedParameterType(
-                    f"{ctor.name}.{a.binder} : {show_type(a.dom)} cannot be enumerated"
+                    f"{name}.{a.binder} : {show_type(a.dom)} cannot be enumerated"
                 )
-            # else: erased
 
     if natfams and (qvars or len(natfams) > 1):
         raise UnsupportedParameterType(
-            f"{ctor.name}: a countable variable family cannot mix with other variables"
+            f"{name}: a countable variable family cannot mix with other variables"
         )
     eq_vars: Union[tuple[str, ...], Arity]
     eq_vars = NAT if natfams else tuple(a.binder for a in qvars)
 
+    # each assignment of the enumerated arguments, as the translator's
+    # env and the equation's name; the same at every index assignment
+    binders = [a.binder for a, _ in named]
+    assignments = []
+    for combo in itertools.product(*(pool for _, pool in named)):
+        env = dict(zip(binders, combo))
+        parts = [name]
+        for v in combo:
+            parts.append(v.name if isinstance(v, IndexMap) else str(v))
+        assignments.append((env, " ".join(parts)))
+    qargs = {a.binder: a for a in qvars}
+    tr = _Translator(decl, elements, {a.binder: a.kind for a in args}, qargs, pfx)
     out = []
     for ivals in itertools.product(range(pfx + 1), repeat=len(ivars)):
-        ienv = dict(zip(ivars, ivals))
-        for combo in itertools.product(*(pool for _, pool in named)):
-            env: dict[str, object] = dict(ienv)
-            parts = [ctor.name]
-            for (a, _), v in zip(named, combo):
-                env[a.binder] = v
-                parts.append(v.name if isinstance(v, IndexMap) else str(v))
-            for a in qvars:
-                env[a.binder] = Var(a.binder)
-            for a in natfams:
-                env[a.binder] = a
-            tr = _Translator(decl, spines, env, ienv, pfx, natfams[0].binder if natfams else None)
+        tr.ienv = ienv = dict(zip(ivars, ivals))
+        for env, label in assignments:
+            tr.env = env
             try:
                 lhs = tr.term(target.lhs)
                 rhs = tr.term(target.rhs)
             except _SkipInstance:
                 continue
             if indexed:
-                sort = tr.sort_of(lhs, qvars, ienv)
-                parts.append(f"@{sort}")
+                # a node carries the index _endpoint_ix gave it as its last parameter
+                if isinstance(lhs, Node):
+                    sort = lhs.op.params[-1][1:]
+                else:
+                    sort = str(_endpoint_ix(target.lhs, None, qargs, _ixval, ienv))
                 var_sorts = tuple(str(_ixval(a.dom.index, ienv)) for a in qvars)
-                out.append(Equation(" ".join(parts), eq_vars, lhs, rhs, var_sorts=var_sorts, sort=sort))
+                out.append(Equation(f"{label} @{sort}", eq_vars, lhs, rhs, var_sorts=var_sorts, sort=sort))
             else:
-                out.append(Equation(" ".join(parts), eq_vars, lhs, rhs))
+                out.append(Equation(label, eq_vars, lhs, rhs))
     return out
 
 
 class _Translator:
-    """Endpoint terms to free-monad terms under one assignment."""
+    """An equality constructor's endpoint terms to free-monad terms under
+    one assignment: env maps its enumerated arguments to their values,
+    ienv its index arguments."""
 
-    def __init__(self, decl, spines, env, ienv, pfx, fam_binder):
-        self.decl = decl
-        self.spines = spines
-        self.env = env
-        self.ienv = ienv
-        self.pfx = pfx
-        self.fam_binder = fam_binder
+    def __init__(self, decl, elements, kinds, qargs, pfx):
+        self.decl, self.elements, self.kinds, self.qargs, self.pfx = decl, elements, kinds, qargs, pfx
+        self.qvars = {b: Var(b) for b in qargs}
         self.indexed = decl.index_sort is not None
+        self.env: dict[str, object] = {}
+        self.ienv: dict[str, int] = {}
 
     def term(self, t: TermAst) -> Term:
-        if isinstance(t, TVar):
-            v = self.env.get(t.name)
-            if isinstance(v, Var):
-                return v
-            if t.name in self.spines:
-                return self.apply(t.name, ())
-            raise QitError(f"cannot translate endpoint variable {t.name}")
-        if isinstance(t, TApp):
-            if t.head in self.spines:
-                return self.apply(t.head, t.args)
-            raise QitError(f"cannot translate application of {t.head}")
-        raise QitError(f"cannot translate endpoint {t!r}")
-
-    def apply(self, cname: str, given: tuple[TermAst, ...]) -> Node:
-        cargs, ctarget = self.spines[cname]
-        if len(given) != len(cargs):
-            raise QitError(f"{cname} expects {len(cargs)} arguments, got {len(given)}")
+        v = self.qvars.get(t.name) if isinstance(t, TVar) else None
+        if v is not None:
+            return v
+        app = _application(t, self.elements)
+        if app is None:
+            if isinstance(t, TVar):
+                raise QitError(f"cannot translate endpoint variable {t.name}")
+            if isinstance(t, TApp):
+                raise QitError(f"cannot translate application of {t.head}")
+            raise QitError(f"cannot translate endpoint {t!r}")
+        name, cargs, _, given = app
         params: list[str] = []
         children: list[Term] = []
         fam: Optional[Comp] = None
-        local_ix: dict[str, int] = {}
         for a, g in zip(cargs, given):
             if a.kind == "const":
                 params.append(self.const_value(g))
-            elif a.kind == "index":
-                local_ix[a.binder] = _ixval(g, self.ienv)
             elif a.kind == "q":
                 children.append(self.term(g))
-            else:
-                fam = Comp("n", IxVar(self.fam_expr(g, IxV("n"))))
+            elif a.kind == "natfam":
+                fam = self.family(g)
         if self.indexed:
-            tix = _ixval(ctarget.index, local_ix)
+            tix = _endpoint_ix(t, app, self.qargs, _ixval, self.ienv)
             if not 0 <= tix <= self.pfx:
                 raise _SkipInstance
-            op = OpSym(cname, tuple(params) + (f"@{tix}",))
-        else:
-            op = OpSym(cname, tuple(params))
-        return Node(op, fam if fam is not None else Tab(tuple(children)))
+            params.append(f"@{tix}")
+        return Node(OpSym(name, tuple(params)), fam if fam is not None else Tab(tuple(children)))
 
     def const_value(self, g: TermAst) -> str:
         if isinstance(g, TVar):
@@ -378,23 +423,14 @@ class _Translator:
                 return g.name
         raise QitError(f"cannot resolve constant argument {g!r}")
 
-    def fam_expr(self, g: TermAst, inner: IndexExpr) -> IndexExpr:
-        match g:
-            case TVar(name) if name == self.fam_binder:
-                return inner
-            case TApp("comp", (f, m)):
-                if isinstance(m, TVar) and isinstance(self.env.get(m.name), IndexMap):
-                    return self.fam_expr(f, IxApp(self.env[m.name].name, inner))
-        raise QitError(f"cannot translate child family {g!r}")
-
-    def sort_of(self, lhs: Term, qvars, ienv) -> str:
-        if isinstance(lhs, Node):
-            return lhs.op.params[-1].lstrip("@")
-        if isinstance(lhs, Var):
-            for a in qvars:
-                if a.binder == lhs.name:
-                    return str(_ixval(a.dom.index, ienv))
-        raise QitError("cannot determine the index of an equation endpoint")
+    def family(self, g: TermAst) -> Comp:
+        chain = _family_chain(g, self.kinds)
+        if chain is None:
+            raise QitError(f"cannot translate child family {g!r}")
+        ix: IndexExpr = IxV("n")
+        for m in reversed(chain[1]):
+            ix = IxApp(self.env[m].name, ix)
+        return Comp("n", IxVar(ix))
 
 
 # --- symbolic tables ---
@@ -439,16 +475,11 @@ def _sym_ixval(t: TermAst, ienv: Mapping[str, _SymIx]) -> _SymIx:
 
 
 def symbolic_table(decl: QitDecl) -> SymbolicQW:
-    report = check_decl(decl)
-    if not report.ok:
-        name, reject = report.first_reject()
-        raise QitError(f"{decl.name}.{name} violates {reject.rule}: {reject.message}")
+    elements, equalities = _read_checked(decl)
     indexed = decl.index_sort is not None
-    lines: list[str] = []
-    if indexed:
-        lines.append("I = Nat")
-    lines.extend(_a_b_lines(decl, indexed))
-    lines.extend(_e_v_lines(decl, indexed))
+    lines = ["I = Nat"] if indexed else []
+    lines.extend(_a_b_lines(elements, indexed))
+    lines.extend(_e_v_lines(elements, equalities, indexed))
     return SymbolicQW(decl.name, tuple(lines))
 
 
@@ -463,43 +494,34 @@ _BINDER_POOLS = {
 
 def _resolve_binders(args) -> tuple[_Arg, ...]:
     """Give anonymous binders deterministic display names."""
-    args = tuple(args)
-    used = {a.binder for a in args if a.binder != "_"}
+    used = {a.binder for a in args}
     out = []
     for a in args:
-        if a.binder != "_":
-            out.append(a)
-            continue
-        pool = _BINDER_POOLS[a.kind]
-        name = next((n for n in pool if n not in used), None)
-        if name is None:
-            i = 1
-            while f"{pool[0]}{i}" in used:
-                i += 1
-            name = f"{pool[0]}{i}"
-        used.add(name)
-        out.append(_Arg(name, a.dom, a.kind))
+        if a.binder == "_":
+            pool = _BINDER_POOLS[a.kind]
+            fresh = itertools.chain(pool, (f"{pool[0]}{i}" for i in itertools.count(1)))
+            a = _Arg(next(n for n in fresh if n not in used), a.dom, a.kind)
+            used.add(a.binder)
+        out.append(a)
     return tuple(out)
 
 
-def _ctor_sym(ctor: Ctor, decl: QitDecl):
-    raw, target = _spine(ctor.type)
-    args = _resolve_binders(_classify(b, d, decl) for b, d in raw)
-    ienv = {a.binder: _SymIx(a.binder, 0) for a in args if a.kind == "index"}
-    return args, target, ienv
+def _sym_ienv(args) -> dict[str, _SymIx]:
+    return {a.binder: _SymIx(a.binder, 0) for a in args if a.kind == "index"}
 
 
 def _const_product(parts: list[str]) -> str:
     return " * ".join(parts) if parts else "1"
 
 
-def _a_b_lines(decl: QitDecl, indexed: bool) -> list[str]:
+def _a_b_lines(elements: Mapping[str, _Spine], indexed: bool) -> list[str]:
     a_lines: list[str] = []
     b_lines: list[str] = []
     summands: list[str] = []
-    many = len(decl.element_ctors) > 1
-    for pos, ctor in enumerate(decl.element_ctors, start=1):
-        args, target, ienv = _ctor_sym(ctor, decl)
+    many = len(elements) > 1
+    for pos, (args, target) in enumerate(elements.values(), start=1):
+        args = _resolve_binders(args)
+        ienv = _sym_ienv(args)
         consts = [a for a in args if a.kind == "const"]
         children = [a for a in args if a.kind in ("q", "natfam")]
         summand = _const_product([show_type(a.dom) for a in consts])
@@ -534,12 +556,12 @@ def _child_set(children, ienv, *, guard: bool) -> str:
     return " + ".join(parts)
 
 
-def _e_v_lines(decl: QitDecl, indexed: bool) -> list[str]:
+def _e_v_lines(elements: Mapping[str, _Spine], equalities: Mapping[str, _Spine], indexed: bool) -> list[str]:
     e_lines: list[str] = []
     v_lines: list[str] = []
     lr_lines: list[str] = []
-    for ctor in decl.equality_ctors:
-        args, target, ienv = _ctor_sym(ctor, decl)
+    for args, target in equalities.values():
+        args = _resolve_binders(args)
         data = [a for a in args if a.kind not in ("q", "natfam", "index")]
         qvars = [a for a in args if a.kind == "q"]
         natfams = [a for a in args if a.kind == "natfam"]
@@ -549,20 +571,17 @@ def _e_v_lines(decl: QitDecl, indexed: bool) -> list[str]:
             referenced = any(_uses_var(b.dom, a.binder) for b in args[pos + 1 :])
             parts.append(f"({a.binder} : {show_type(a.dom)})" if referenced else _e_atom(a.dom))
         label = ",".join(a.binder for a in data)
+        sym = _SymEndpoint(elements, args, indexed)
         if indexed:
-            tpat = _sym_ixval(_endpoint_index(target, decl, args), ienv).show()
+            tpat = sym.index(target.lhs, _application(target.lhs, elements))
             e_lines.extend(_zero_lines("E", tpat))
-            e_lines.append(f"E[{tpat}] = {_const_product(parts)}")
-            guards = [f"({_sym_ixval(a.dom.index, ienv).show()} = j)" for a in qvars]
-            v_lines.append(f"V[{tpat}]({label})(j) = {' + '.join(guards)}")
-            lr_lines.append(f"l[{tpat}]({label}) = {_sym_endpoint(target.lhs, decl, args, ienv, indexed)}")
-            lr_lines.append(f"r[{tpat}]({label}) = {_sym_endpoint(target.rhs, decl, args, ienv, indexed)}")
+            at, vars_ = f"[{tpat}]", f"(j) = {_child_set(qvars, sym.ienv, guard=True)}"
         else:
-            e_lines.append(f"E = {_const_product(parts)}")
-            value = "Nat" if natfams else str(len(qvars))
-            v_lines.append(f"V({label}) = {value}")
-            lr_lines.append(f"l({label}) = {_sym_endpoint(target.lhs, decl, args, ienv, indexed)}")
-            lr_lines.append(f"r({label}) = {_sym_endpoint(target.rhs, decl, args, ienv, indexed)}")
+            at, vars_ = "", f" = {'Nat' if natfams else len(qvars)}"
+        e_lines.append(f"E{at} = {_const_product(parts)}")
+        v_lines.append(f"V{at}({label}){vars_}")
+        lr_lines.append(f"l{at}({label}) = {sym.go(target.lhs)}")
+        lr_lines.append(f"r{at}({label}) = {sym.go(target.rhs)}")
     return e_lines + v_lines + lr_lines
 
 
@@ -578,89 +597,48 @@ def _zero_lines(head: str, tpat: str) -> list[str]:
     return [f"{head}[{k}] = 0" for k in range(offset)]
 
 
-def _endpoint_index(target: EqT, decl: QitDecl, args) -> TermAst:
-    # the common index of both endpoints: read it off the left endpoint
-    t = target.lhs
-    while isinstance(t, TApp):
-        ctor = decl.element(t.head)
-        if ctor is None:
-            raise QitError(f"cannot determine the endpoint index of {t!r}")
-        cargs, ctarget = _element_args(ctor, decl)
-        sub = {}
-        for a, g in zip(cargs, t.args):
-            if a.kind == "index":
-                sub[a.binder] = g
-        out = ctarget.index
-        for name, g in sub.items():
-            out = _subst_term(out, name, g)
-        return out
-    raise QitError("cannot determine the endpoint index")
-
-
-def _sym_endpoint(t: TermAst, decl: QitDecl, args, ienv, indexed: bool) -> str:
-    return _SymEndpoint(decl, args, ienv, indexed).go(t)
-
-
 class _SymEndpoint:
-    """Renders an endpoint as a sigma/eta term.  Methods, not nested
-    functions: recursive closures are reference cycles, which every
-    examples command would leave to the cyclic collector."""
+    """Renders an equality constructor's endpoints as sigma/eta terms.
+    Methods, not nested functions: recursive closures are reference
+    cycles, which every examples command would leave to the cyclic
+    collector."""
 
-    def __init__(self, decl: QitDecl, args, ienv, indexed: bool):
-        self.decl, self.args, self.ienv, self.indexed = decl, args, ienv, indexed
+    def __init__(self, elements: Mapping[str, _Spine], args, indexed: bool):
+        self.elements, self.indexed = elements, indexed
+        self.ienv = _sym_ienv(args)
+        self.kinds = {a.binder: a.kind for a in args}
+        self.qargs = {a.binder: a for a in args if a.kind == "q"}
         self.qpos = {a.binder: k for k, a in enumerate(a for a in args if a.kind == "q")}
-        self.fams = {a.binder for a in args if a.kind == "natfam"}
-        self.mapargs = {a.binder for a in args if a.kind == "map"}
+        many = len(elements) > 1
+        self.labels = {name: f"i{k} " if many else "" for k, name in enumerate(elements, start=1)}
 
-    def fam_chain(self, u: TermAst) -> str:
-        match u:
-            case TVar(name) if name in self.fams:
-                return "eta"
-            case TApp("comp", (f, TVar(m))) if m in self.mapargs:
-                return f"{self.fam_chain(f)} . {m}"
-        raise QitError(f"cannot render child family {u!r}")
+    def index(self, u: TermAst, app) -> str:
+        return _endpoint_ix(u, app, self.qargs, _sym_ixval, self.ienv).show()
 
     def go(self, u: TermAst) -> str:
-        decl = self.decl
-        match u:
-            case TVar(name) if name in self.qpos:
-                if self.indexed:
-                    ix = next(a for a in self.args if a.binder == name)
-                    return f"eta[{_sym_ixval(ix.dom.index, self.ienv).show()}] refl"
-                return f"eta {self.qpos[name]}"
-            case TVar(name) if decl.element(name) is not None:
-                return self.apply(name, ())
-            case TApp(head, sub) if decl.element(head) is not None:
-                return self.apply(head, sub)
-        raise QitError(f"cannot render endpoint {u!r}")
-
-    def apply(self, cname: str, given: tuple[TermAst, ...]) -> str:
-        decl, indexed = self.decl, self.indexed
-        ctor = decl.element(cname)
-        cargs, ctarget = _element_args(ctor, decl)
-        many = len(decl.element_ctors) > 1
-        pos = next(k for k, c in enumerate(decl.element_ctors, start=1) if c.name == cname)
+        if isinstance(u, TVar) and u.name in self.qargs:
+            return f"eta[{self.index(u, None)}] refl" if self.indexed else f"eta {self.qpos[u.name]}"
+        app = _application(u, self.elements)
+        if app is None:
+            raise QitError(f"cannot render endpoint {u!r}")
+        name, cargs, _, given = app
         consts: list[str] = []
         children: list[str] = []
-        local: dict[str, TermAst] = {}
         for a, g in zip(cargs, given):
             if a.kind == "const":
                 consts.append(show_term_ast(g))
-            elif a.kind == "index":
-                local[a.binder] = g
             elif a.kind == "q":
                 child = self.go(g)
-                children.append(f"\\_. \\refl. {child}" if indexed else f"\\_. {child}")
-            else:
-                children.append(self.fam_chain(g))
-        if indexed:
-            tix = ctarget.index
-            for name, g in local.items():
-                tix = _subst_term(tix, name, g)
-            head = f"sigma[{_sym_ixval(tix, self.ienv).show()}]"
-            avals = " ".join(consts) or "0"
+                children.append(f"\\_. \\refl. {child}" if self.indexed else f"\\_. {child}")
+            elif a.kind == "natfam":
+                chain = _family_chain(g, self.kinds)
+                if chain is None:
+                    raise QitError(f"cannot render child family {g!r}")
+                children.append(" . ".join(["eta", *chain[1]]))
+        avals = " ".join(consts) or "0"
+        if self.indexed:
+            head = f"sigma[{self.index(u, app)}]"
         else:
-            head = "sigma"
-            avals = (f"i{pos} " if many else "") + (" ".join(consts) or "0")
+            head, avals = "sigma", self.labels[name] + avals
         table = children[0] if len(children) == 1 else "!" if not children else "[" + ", ".join(children) + "]"
         return f"{head}({avals}, {table})"

@@ -7,29 +7,26 @@ hypothesis equating the two ways of folding its endpoints.  Hypothesis
 names are the constructor names primed.  Anonymous binders are given
 deterministic names: x y z u v for parameters, xs ys zs for recursive
 arguments, f g h for countable families.
+
+The constructors are read by elaborate's checked reader, so a
+declaration that check rejects, or whose element constructor takes a
+map argument, is refused with elaborate's message.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from ..errors import QitError
 from ..records import tagged
 from .ast import (
-    EqT,
     QitDecl,
-    TApp,
     TVar,
     TermAst,
     show_term_ast,
     show_type,
 )
-from .elaborate import _classify, _resolve_binders, _spine
-
-
-def _named_args(ctor, decl):
-    raw, target = _spine(ctor.type)
-    return _resolve_binders(_classify(b, d, decl) for b, d in raw), target
+from .elaborate import _Spine, _application, _family_chain, _read_checked, _resolve_binders
 
 
 def _atom(s: str) -> str:
@@ -60,6 +57,8 @@ def derive_eliminator(decl: QitDecl) -> EliminatorSignature:
     # flag (say elaborate --eliminator, with fixtures/tables/bagelim.txt
     # as its golden), which is a feature of its own.  Until then
     # tests/test_schema.py is its reader.
+    elements, equalities = _read_checked(decl)
+    elements = {name: (_resolve_binders(args), target) for name, (args, target) in elements.items()}
     indexed = decl.index_sort is not None
     q = decl.name
     motive = f"P : (i : Nat) -> {q} i -> Set" if indexed else f"P : {q} -> Set"
@@ -73,9 +72,16 @@ def derive_eliminator(decl: QitDecl) -> EliminatorSignature:
             return f"P {_atom(show_term_ast(ix))} {_atom(value)}"
         return f"P {_atom(value)}"
 
+    def hypothesis(a) -> str:
+        """A recursive argument or family paired with its motive."""
+        if a.kind == "q":
+            inner = a.dom.index if indexed else None
+            return f"({a.binder}' : ({a.binder} : {qty(inner)}) * {motive_app(inner, a.binder)})"
+        inner = a.dom.codomain.index if indexed else None
+        return f"({a.binder}' : Nat -> ({a.binder} : {qty(inner)}) * {motive_app(inner, a.binder)})"
+
     steps = []
-    for ctor in decl.element_ctors:
-        args, target = _named_args(ctor, decl)
+    for name, (args, target) in elements.items():
         pieces = []
         applied = []  # arguments of the target's constructor application
         for a in args:
@@ -85,48 +91,34 @@ def derive_eliminator(decl: QitDecl) -> EliminatorSignature:
             elif a.kind == "index":
                 pieces.append(f"({a.binder} : Nat)")
                 applied.append(a.binder)
-            elif a.kind == "q":
-                inner = a.dom.index if indexed else None
-                pieces.append(f"({a.binder}' : ({a.binder} : {qty(inner)}) * {motive_app(inner, a.binder)})")
-                applied.append(f"(fst {a.binder}')")
-            elif a.kind == "natfam":
-                inner = a.dom.codomain.index if indexed else None
-                pieces.append(f"({a.binder}' : Nat -> ({a.binder} : {qty(inner)}) * {motive_app(inner, a.binder)})")
-                applied.append(f"(fst . {a.binder}')")
             else:
-                raise QitError(f"{ctor.name}.{a.binder}: unsupported argument in an eliminator")
-        call = " ".join([ctor.name] + applied) if applied else ctor.name
+                pieces.append(hypothesis(a))
+                applied.append(f"(fst {a.binder}')" if a.kind == "q" else f"(fst . {a.binder}')")
+        call = " ".join([name] + applied) if applied else name
         ty = " -> ".join(pieces + [motive_app(target.index if indexed else None, call)])
-        steps.append((f"{ctor.name}'", ty))
+        steps.append((f"{name}'", ty))
 
     coherences = []
-    for ctor in decl.equality_ctors:
-        args, target = _named_args(ctor, decl)
-        if not isinstance(target, EqT):
-            raise QitError(f"{ctor.name} does not end in an equation")
+    for name, (args, target) in equalities.items():
+        args = _resolve_binders(args)
         pieces = []
         for a in args:
-            if a.kind == "q":
-                inner = a.dom.index if indexed else None
-                pieces.append(f"({a.binder}' : ({a.binder} : {qty(inner)}) * {motive_app(inner, a.binder)})")
-            elif a.kind == "natfam":
-                inner = a.dom.codomain.index if indexed else None
-                pieces.append(f"({a.binder}' : Nat -> ({a.binder} : {qty(inner)}) * {motive_app(inner, a.binder)})")
+            if a.kind in ("q", "natfam"):
+                pieces.append(hypothesis(a))
             elif a.kind == "index":
                 pieces.append(f"({a.binder} : Nat)")
             else:
                 pieces.append(f"({a.binder} : {show_type(a.dom)})")
         kinds = {a.binder: a.kind for a in args}
-        lhs, rhs = _hat(target.lhs, kinds, decl), _hat(target.rhs, kinds, decl)
+        lhs, rhs = _hat(target.lhs, kinds, elements), _hat(target.rhs, kinds, elements)
         ty = " -> ".join(pieces + [f"{lhs} == {rhs}"])
-        coherences.append((f"{ctor.name}'", ty))
+        coherences.append((f"{name}'", ty))
 
     hyps = " ".join(h for h, _ in steps + coherences)
     elim = f"{q}elim"
     computation = []
-    for ctor in decl.element_ctors:
-        args, target = _named_args(ctor, decl)
-        pattern = " ".join([ctor.name] + [a.binder for a in args])
+    for name, (args, target) in elements.items():
+        pattern = " ".join([name] + [a.binder for a in args])
         pattern = f"({pattern})" if args else pattern
         lhs_parts = [elim, hyps]
         if indexed:
@@ -145,62 +137,57 @@ def derive_eliminator(decl: QitDecl) -> EliminatorSignature:
             else:
                 rec = " ".join([elim, hyps])
                 rhs_args.append(f"(\\n. ({a.binder} n, {rec} ({a.binder} n)))")
-        rhs = " ".join([f"{ctor.name}'"] + rhs_args) if rhs_args else f"{ctor.name}'"
+        rhs = " ".join([f"{name}'"] + rhs_args) if rhs_args else f"{name}'"
         computation.append(f"{' '.join(lhs_parts)} = {rhs}")
 
     return EliminatorSignature(elim, motive, tuple(steps), tuple(coherences), conclusion, tuple(computation))
 
 
-def _hat(u: TermAst, kinds: dict[str, str], decl: QitDecl) -> str:
+def _hat(u: TermAst, kinds: dict[str, str], elements: Mapping[str, _Spine]) -> str:
     """Endpoint with constructors replaced by their induction hypotheses;
     recursive subterms become (value, folded value) pairs.  kinds maps
     each binder of the equality constructor to its argument's kind."""
-    match u:
-        case TVar(n) if kinds.get(n) == "q" or decl.element(n) is not None:
-            return f"{n}'"
-        case TApp(head, sub) if decl.element(head) is not None:
-            ctor_args, _ = _named_args(decl.element(head), decl)
-            parts = [f"{head}'"]
-            for a, g in zip(ctor_args, sub):
-                if a.kind == "q":
-                    parts.append(_pairarg(g, kinds, decl))
-                elif a.kind == "natfam":
-                    parts.append(_hatfam(g, kinds))
-                else:
-                    parts.append(_atom(show_term_ast(g)))
-            return " ".join(parts)
-    raise QitError(f"cannot fold endpoint {u!r}")
-
-
-def _strip(u: TermAst, kinds: dict[str, str], decl: QitDecl) -> str:
-    match u:
-        case TVar(n) if kinds.get(n) == "q":
-            return f"fst {n}'"
-        case TVar(n) if kinds.get(n) == "natfam":
-            return f"fst . {n}'"
-        case TVar(n):
-            return n
-        case TApp("comp", (f, TVar(m))) if kinds.get(m) == "map":
-            return f"{_strip(f, kinds, decl)} . {m}"
-        case TApp(head, sub) if decl.element(head) is not None:
-            ctor_args, _ = _named_args(decl.element(head), decl)
-            parts = [head]
-            for a, g in zip(ctor_args, sub):
-                parts.append(_atom(_strip(g, kinds, decl) if a.kind in ("q", "natfam") else show_term_ast(g)))
-            return " ".join(parts)
-    raise QitError(f"cannot fold endpoint {u!r}")
-
-
-def _pairarg(u: TermAst, kinds: dict[str, str], decl: QitDecl) -> str:
     if isinstance(u, TVar) and kinds.get(u.name) == "q":
         return f"{u.name}'"
-    return f"({_strip(u, kinds, decl)}, {_hat(u, kinds, decl)})"
+    app = _application(u, elements)
+    if app is None:
+        raise QitError(f"cannot fold endpoint {u!r}")
+    name, args, _, given = app
+    parts = [f"{name}'"]
+    for a, g in zip(args, given):
+        if a.kind == "q":
+            parts.append(_pairarg(g, kinds, elements))
+        elif a.kind == "natfam":
+            chain = _family_chain(g, kinds)
+            if chain is None:
+                raise QitError(f"cannot fold child family {g!r}")
+            fam = f"{chain[0]}'"
+            for m in chain[1]:
+                fam = f"({fam} . {m})"
+            parts.append(fam)
+        else:
+            parts.append(_atom(show_term_ast(g)))
+    return " ".join(parts)
 
 
-def _hatfam(u: TermAst, kinds: dict[str, str]) -> str:
-    match u:
-        case TVar(n) if kinds.get(n) == "natfam":
-            return f"{n}'"
-        case TApp("comp", (f, TVar(m))) if kinds.get(m) == "map":
-            return f"({_hatfam(f, kinds)} . {m})"
-    raise QitError(f"cannot fold child family {u!r}")
+def _strip(u: TermAst, kinds: dict[str, str], elements: Mapping[str, _Spine]) -> str:
+    """Endpoint with each recursive variable or family read off its pair."""
+    if isinstance(u, TVar) and kinds.get(u.name) == "q":
+        return f"fst {u.name}'"
+    chain = _family_chain(u, kinds)
+    if chain is not None:
+        return " . ".join([f"fst . {chain[0]}'", *chain[1]])
+    app = _application(u, elements)
+    if app is None:
+        raise QitError(f"cannot fold endpoint {u!r}")
+    name, args, _, given = app
+    parts = [name]
+    for a, g in zip(args, given):
+        parts.append(_atom(_strip(g, kinds, elements) if a.kind in ("q", "natfam") else show_term_ast(g)))
+    return " ".join(parts)
+
+
+def _pairarg(u: TermAst, kinds: dict[str, str], elements: Mapping[str, _Spine]) -> str:
+    if isinstance(u, TVar) and kinds.get(u.name) == "q":
+        return f"{u.name}'"
+    return f"({_strip(u, kinds, elements)}, {_hat(u, kinds, elements)})"

@@ -297,10 +297,25 @@ def test_unbound_variable_in_type_rejected():
 
 
 def test_application_head_is_not_a_variable():
-    # the scope check reads the arguments of an application, not its head
+    # suc heads an application without being bound; its argument must be
     assert check_decl(parse_decl("qit T where\n  mk : (i : Nat) -> Fin (suc i) -> T\n")).ok
     rej = first_reject("qit T where\n  mk : (i : Nat) -> Fin (suc j) -> T\n")
     assert (rej.rule, rej.message) == ("ConstantParameter", "unknown name j in (Fin (suc j))")
+
+
+@pytest.mark.parametrize("ty, ok", [
+    ("(i : Nat) -> (g : Nat -> Nat) -> Fin (g i) -> T", True),
+    ("(i : Nat) -> (g : Nat -> Nat) -> (h : Nat -> Nat) -> Fin (comp g h) -> T", True),
+    ("(i : Nat) -> Fin (suc i) -> T", True),
+    ("(i : Nat) -> Fin (foo i) -> T", False),
+    ("(i : Nat) -> (g : Nat -> Nat) -> Fin (comp foo g) -> T", False),
+])
+def test_application_head_must_be_bound_or_known(ty, ok):
+    # a head is an earlier binder, suc, comp or an element constructor
+    report = check_decl(parse_decl(f"qit T where\n  mk : {ty}\n"))
+    assert report.ok == ok
+    if not ok:
+        assert first_reject(f"qit T where\n  mk : {ty}\n").message.startswith("unknown name foo in ")
 
 
 def test_unit_erased_product_accepted():
@@ -484,6 +499,76 @@ def test_library_covers_expected_names():
 
 def test_bag_eliminator_matches_golden():
     assert derive_eliminator(BAG).render() == load("tables/bagelim.txt")
+
+
+def _refused(path: Path) -> bool:
+    """check rejects the declaration, or an element constructor takes a map"""
+    decl = parse_decl(path.read_text())
+    if not check_decl(decl).ok:
+        return True
+    for ctor in decl.element_ctors:
+        t = ctor.type
+        while isinstance(t, Pi):
+            if t.domain == Pi("_", ConstT("Nat"), ConstT("Nat")):
+                return True
+            t = t.codomain
+    return False
+
+
+REFUSED = [p for p in sorted(FIXTURES.glob("*.qit")) + sorted(PERF_INPUTS.glob("*.qit")) if _refused(p)]
+
+
+def test_the_refused_sources_are_the_rejected_fixtures_and_mapctor():
+    assert [p.stem for p in REFUSED] == [
+        "bagprime", "mapctor", "qleft", "qparam", "qsigma",
+        "unboundfun", "unboundhead", "unboundparam", "vsucbad",
+    ]
+
+
+@pytest.mark.parametrize("path", REFUSED, ids=lambda p: p.stem)
+def test_the_three_products_refuse_alike(path):
+    """elaborate, symbolic_table and derive_eliminator refuse a refused
+    declaration with one message."""
+    decl = parse_decl(path.read_text())
+    carriers = {p.name: ("a",) for p in decl.params if isinstance(p.kind, SetParam)}
+    messages = []
+    for product in (lambda: elaborate(decl, carriers), lambda: symbolic_table(decl),
+                    lambda: derive_eliminator(decl)):
+        with pytest.raises(QitError) as e:
+            product()
+        messages.append(str(e.value))
+    assert messages[0] and messages == [messages[0]] * 3
+
+
+def test_a_variable_endpoint_renders_at_its_declared_index():
+    src = (
+        "qit V (X : Set) : Nat -> Set where\n"
+        "  nil : V 0\n"
+        "  cons : X -> (i : Nat) -> V i -> V (suc i)\n"
+        "  back : (x : X) -> (i : Nat) -> (xs : V i) -> xs = xs\n"
+    )
+    assert symbolic_table(parse_decl(src)).lines[-4:] == (
+        "E[i] = X",
+        "V[i](x)(j) = (i = j)",
+        "l[i](x) = eta[i] refl",
+        "r[i](x) = eta[i] refl",
+    )
+
+
+def test_a_constant_endpoint_renders_at_its_target_index():
+    src = (
+        "qit V (X : Set) : Nat -> Set where\n"
+        "  nil : V 0\n"
+        "  cons : X -> (i : Nat) -> V i -> V (suc i)\n"
+        "  one : V 1\n"
+        "  e : (x : X) -> one = cons x 0 nil\n"
+    )
+    assert symbolic_table(parse_decl(src)).lines[-4:] == (
+        "E[1] = X",
+        "V[1](x)(j) = 0",
+        "l[1](x) = sigma[1](0, !)",
+        "r[1](x) = sigma[1](x, \\_. \\refl. sigma[0](0, !))",
+    )
 
 
 @pytest.mark.parametrize("name", ["commvec", "inftree", "commtree", "cmon"])
