@@ -106,7 +106,8 @@ class _SkipInstance(Exception):
 
 def _read_checked(decl: QitDecl) -> tuple[dict[str, _Spine], dict[str, _Spine]]:
     """The spines of the element and of the equality constructors, by
-    name in declaration order."""
+    name in declaration order; refuses what check_decl rejects and a map
+    argument in an element constructor."""
     report = check_decl(decl)
     if not report.ok:
         name, reject = report.first_reject()
@@ -271,17 +272,19 @@ def _materialize_ops(name, spine, decl, carriers, pfx):
             )
         pools.append(values)
     children = [a for a in args if a.kind in ("q", "natfam")]
-    # the target's index, then each child's, read off Q's index in its type
-    indices = [target.index] + [(c.dom if c.kind == "q" else c.dom.codomain).index for c in children]
     ivars = [a.binder for a in args if a.kind == "index"]
 
     out = []
     for ivals in itertools.product(range(pfx + 1), repeat=len(ivars)):
         ienv = dict(zip(ivars, ivals))
-        tix, *cixs = [_ixval(ix, ienv) for ix in indices] if indexed else [None] * len(indices)
-        if indexed and not all(0 <= ix <= pfx for ix in (tix, *cixs)):
+        tix = _ixval(target.index, ienv) if indexed else None
+        arities = []
+        for c in children:
+            q = c.kind == "q"
+            cix = _ixval((c.dom if q else c.dom.codomain).index, ienv) if indexed else None
+            arities.append((cix, fin(1) if q else NAT))
+        if indexed and not (0 <= tix <= pfx and all(0 <= cix <= pfx for cix, _ in arities)):
             continue
-        arities = [(cix, fin(1) if c.kind == "q" else NAT) for c, cix in zip(children, cixs)]
         for combo in itertools.product(*pools):
             params = tuple(combo)
             if indexed:
@@ -348,8 +351,7 @@ def _materialize_eqs(name, spine, elements, decl, carriers, pfx):
         for v in combo:
             parts.append(v.name if isinstance(v, IndexMap) else str(v))
         assignments.append((env, " ".join(parts)))
-    qargs = {a.binder: a for a in qvars}
-    tr = _Translator(decl, elements, {a.binder: a.kind for a in args}, qargs, pfx)
+    tr = _Translator(decl, elements, args, pfx)
     out = []
     for ivals in itertools.product(range(pfx + 1), repeat=len(ivars)):
         tr.ienv = ienv = dict(zip(ivars, ivals))
@@ -365,7 +367,7 @@ def _materialize_eqs(name, spine, elements, decl, carriers, pfx):
                 if isinstance(lhs, Node):
                     sort = lhs.op.params[-1][1:]
                 else:
-                    sort = str(_endpoint_ix(target.lhs, None, qargs, _ixval, ienv))
+                    sort = str(_endpoint_ix(target.lhs, None, tr.qargs, _ixval, ienv))
                 var_sorts = tuple(str(_ixval(a.dom.index, ienv)) for a in qvars)
                 out.append(Equation(f"{label} @{sort}", eq_vars, lhs, rhs, var_sorts=var_sorts, sort=sort))
             else:
@@ -378,15 +380,22 @@ class _Translator:
     one assignment: env maps its enumerated arguments to their values,
     ienv its index arguments."""
 
-    def __init__(self, decl, elements, kinds, qargs, pfx):
-        self.decl, self.elements, self.kinds, self.qargs, self.pfx = decl, elements, kinds, qargs, pfx
-        self.qvars = {b: Var(b) for b in qargs}
+    def __init__(self, decl, elements, args, pfx):
+        self.decl, self.elements, self.pfx = decl, elements, pfx
         self.indexed = decl.index_sort is not None
+        # each argument's kind; each recursive variable's argument and Var
+        self.kinds: dict[str, str] = {}
+        self.qargs: dict[str, _Arg] = {}
+        self.vars: dict[str, Var] = {}
+        for a in args:
+            self.kinds[a.binder] = a.kind
+            if a.kind == "q":
+                self.qargs[a.binder], self.vars[a.binder] = a, Var(a.binder)
         self.env: dict[str, object] = {}
         self.ienv: dict[str, int] = {}
 
     def term(self, t: TermAst) -> Term:
-        v = self.qvars.get(t.name) if isinstance(t, TVar) else None
+        v = self.vars.get(t.name) if isinstance(t, TVar) else None
         if v is not None:
             return v
         app = _application(t, self.elements)
