@@ -430,11 +430,6 @@ BAG_SWAPPED = ("(op cons a (op cons b (op nil)))", "(op cons b (op cons a (op ni
 @pytest.mark.parametrize("golden, argv", [
     ("elaborate_bag.txt", ["elaborate", BAG, "--X", "a,b"]),
     ("elaborate_commvec_prefix2.txt", ["elaborate", COMMVEC, "--X", "a,b", "--prefix", "2"]),
-    # the countable-family path and a recursive-variable path, whole
-    ("elaborate_inftree_ab.txt", ["elaborate", INFTREE, "--X", "a,b"]),
-    ("elaborate_inftree_ab_structured.json", ["elaborate", INFTREE, "--X", "a,b", "--format", "structured"]),
-    ("elaborate_commtree_ab.txt", ["elaborate", COMMTREE, "--X", "a,b"]),
-    ("elaborate_commtree_ab_structured.json", ["elaborate", COMMTREE, "--X", "a,b", "--format", "structured"]),
     ("enum_bag_structured.json", ["enum", BAG, "--X", "a,b", "--format", "structured"]),
     ("eq_bag_structured.json", ["eq", BAG, *BAG_SWAPPED, "--X", "a,b", "--format", "structured"]),
     ("fold_bag_length_structured.json",
@@ -443,6 +438,11 @@ BAG_SWAPPED = ("(op cons a (op cons b (op nil)))", "(op cons b (op cons a (op ni
     ("elim_bag_parity_structured.json",
      ["elim", BAG, "--X", "a,b", "--steps", PARITY_STEPS, "--format", "structured"]),
     ("examples_bag_structured.json", ["examples", "bag", "--format", "structured"]),
+    # the countable-family path and a recursive-variable path, whole
+    ("elaborate_inftree_ab.txt", ["elaborate", INFTREE, "--X", "a,b"]),
+    ("elaborate_inftree_ab_structured.json", ["elaborate", INFTREE, "--X", "a,b", "--format", "structured"]),
+    ("elaborate_commtree_ab.txt", ["elaborate", COMMTREE, "--X", "a,b"]),
+    ("elaborate_commtree_ab_structured.json", ["elaborate", COMMTREE, "--X", "a,b", "--format", "structured"]),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_output_matches_golden(golden, argv, capsys):
     code, out, err = run(capsys, *argv)
