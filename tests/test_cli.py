@@ -443,6 +443,9 @@ BAG_SWAPPED = ("(op cons a (op cons b (op nil)))", "(op cons b (op cons a (op ni
     ("elaborate_inftree_ab_structured.json", ["elaborate", INFTREE, "--X", "a,b", "--format", "structured"]),
     ("elaborate_commtree_ab.txt", ["elaborate", COMMTREE, "--X", "a,b"]),
     ("elaborate_commtree_ab_structured.json", ["elaborate", COMMTREE, "--X", "a,b", "--format", "structured"]),
+    # the indexed signature's JSON: per index, the children taken there
+    ("elaborate_commvec_prefix2_structured.json",
+     ["elaborate", COMMVEC, "--X", "a,b", "--prefix", "2", "--format", "structured"]),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_output_matches_golden(golden, argv, capsys):
     code, out, err = run(capsys, *argv)
@@ -484,18 +487,22 @@ def test_oracle_output_matches_golden(golden, code, argv, capsys):
     assert got == (code, (GOLDEN / golden).read_text(encoding="utf-8"), "")
 
 
-@pytest.mark.parametrize("name", [
+@pytest.mark.parametrize("name, carriers", [
     # a map argument in an element constructor
-    "mapctor",
+    pytest.param("mapctor", "a", id="mapctor"),
     # a child family composed with a composite map, comp f (comp b c)
-    "nestedcomp",
+    pytest.param("nestedcomp", "a", id="nestedcomp"),
     # an endpoint that applies a child family, f 0
-    "famapp",
+    pytest.param("famapp", "a", id="famapp"),
+    # an indexed countable child family, Nat -> T i; T has no Set parameter
+    pytest.param("ixfam", None, id="ixfam"),
 ])
-def test_elaborate_refusal_matches_golden(name, capsys):
+def test_elaborate_refusal_matches_golden(name, carriers, capsys):
     """check accepts these declarations; elaborate refuses each on stderr."""
-    got = run(capsys, "elaborate", str(FIXTURES / f"{name}.qit"), "--X", "a")
-    assert got == (1, "", (GOLDEN / f"elaborate_{name}_a.err").read_text(encoding="utf-8"))
+    extra = ("--X", carriers) if carriers else ()
+    got = run(capsys, "elaborate", str(FIXTURES / f"{name}.qit"), *extra)
+    golden = f"elaborate_{name}_{carriers}.err" if carriers else f"elaborate_{name}.err"
+    assert got == (1, "", (GOLDEN / golden).read_text(encoding="utf-8"))
 
 
 def test_bag_h5_construct_matches_its_pinned_digest(capsys):
