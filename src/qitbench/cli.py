@@ -50,7 +50,7 @@ from .schema import (
 )
 from .sexpr import parse_term, show_term
 from .sizes import SizeSig, SizeUniverse
-from .terms import Arity, IndexedSignature, OpSym, Signature
+from .terms import Arity, OpSym, Signature
 
 
 # perfbench/tracing.py wraps cli.satisfies by name and
@@ -241,18 +241,13 @@ def _elaborated(cfg: RunConfig):
     return decl, sig, sys_
 
 
-def _flat(sig) -> Signature:
-    return sig.flatten() if isinstance(sig, IndexedSignature) else sig
-
-
 def _arity_str(a: Arity) -> str:
     return str(a.count) if a.finite else "countable"
 
 
 def _quotient(cfg: RunConfig):
     decl, sig, sys_ = _elaborated(cfg)
-    flat = _flat(sig)
-    return decl, flat, sys_, close_congruence(build_universe(flat, sys_, cfg.depth))
+    return decl, sig, sys_, close_congruence(build_universe(sig, sys_, cfg.depth))
 
 
 # --- commands ---
@@ -297,17 +292,13 @@ def _cmd_check(cfg: RunConfig) -> int:
 def _cmd_elaborate(cfg: RunConfig) -> int:
     decl, sig, sys_ = _elaborated(cfg)
     if cfg.fmt == "structured":
-        if isinstance(sig, IndexedSignature):
-            sig_obj = serialize.indexed_signature_to_obj(sig)
-        else:
-            sig_obj = serialize.signature_to_obj(sig)
-        print(serialize.dumps({"signature": sig_obj, "system": serialize.system_to_obj(sys_)}),
-              end="")
+        obj = {"signature": serialize.signature_to_obj(sig), "system": serialize.system_to_obj(sys_)}
+        print(serialize.dumps(obj), end="")
         return 0
-    if isinstance(sig, IndexedSignature):
+    if sig.indices is not None:
         print(f"indices: {' '.join(sig.indices)}")
         for d in sig.ops:
-            kids = " ".join(f"{s}*{_arity_str(a)}" for s, a in d.arities)
+            kids = " ".join(f"{s}*1" for s in d.child_sorts)
             print(f"op {d.op.show()} : {d.sort}" + (f" <- {kids}" if kids else ""))
     else:
         for d in sig.ops:
@@ -319,7 +310,7 @@ def _cmd_elaborate(cfg: RunConfig) -> int:
 
 def _cmd_enum(cfg: RunConfig) -> int:
     decl, sig, sys_ = _elaborated(cfg)
-    uni = build_universe(_flat(sig), sys_, cfg.depth)
+    uni = build_universe(sig, sys_, cfg.depth)
     if cfg.fmt == "structured":
         obj = {"decl": decl.name, "depth": cfg.depth,
                "terms": [show_term(t) for t in uni.terms],
@@ -491,9 +482,8 @@ def _cmd_elim(cfg: RunConfig) -> int:
 
 def _cmd_construct(cfg: RunConfig) -> int:
     decl, sig, sys_ = _elaborated(cfg)
-    flat = _flat(sig)
     u = SizeUniverse(SizeSig.minimal(), cfg.size_height)
-    appx = build_fixed_point(flat, sys_, u, cfg.depth)
+    appx = build_fixed_point(sig, sys_, u, cfg.depth)
     qw = None
     if cfg.fmt == "structured":
         sys.stdout.writelines(appx.export())
@@ -502,7 +492,7 @@ def _cmd_construct(cfg: RunConfig) -> int:
         qw = qw_from_colimit(appx)
         print(f"colimit: {len(qw)} classes")
     if cfg.compare_oracle:
-        q = close_congruence(build_universe(flat, sys_, cfg.depth))
+        q = close_congruence(build_universe(sig, sys_, cfg.depth))
         cmp = compare_with_oracle(qw if qw is not None else qw_from_colimit(appx), q)
         print(f"oracle: bijection over {len(cmp.class_pairs)} classes"
               f" (intro checked {cmp.intro_checked})")

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from ..errors import QitError, UnsupportedParameterType
+from ..errors import InfinitaryArity, QitError, UnsupportedParameterType
 from ..records import tagged
 from ..terms import (
     NAT,
@@ -45,8 +45,6 @@ from ..terms import (
     Equation,
     IndexExpr,
     IndexMap,
-    IndexedOpDecl,
-    IndexedSignature,
     IxApp,
     IxV,
     IxVar,
@@ -229,7 +227,7 @@ def elaborate(
     carriers: Optional[Mapping[str, Sequence[str]]] = None,
     *,
     prefix: Optional[int] = None,
-) -> tuple[Union[Signature, IndexedSignature], SystemOfEquations]:
+) -> tuple[Signature, SystemOfEquations]:
     elements, equalities = _read_checked(decl)
     carrier_map = {k: tuple(v) for k, v in (carriers or {}).items()}
     _check_params(decl, carrier_map)
@@ -242,19 +240,19 @@ def elaborate(
     ops: list = []
     for name, spine in elements.items():
         ops.extend(_materialize_ops(name, spine, decl, carrier_map, pfx))
-    sig: Union[Signature, IndexedSignature]
-    if indexed:
-        sig = IndexedSignature(tuple(str(i) for i in range(pfx + 1)), tuple(ops))
-    else:
-        sig = Signature(tuple(ops))
 
     eqs: list[Equation] = []
     for name, spine in equalities.items():
         eqs.extend(_materialize_eqs(name, spine, elements, decl, carrier_map, pfx))
     sys = SystemOfEquations(tuple(eqs))
 
-    flat = sig.flatten() if isinstance(sig, IndexedSignature) else sig
-    validate_system(flat, sys)
+    # an indexed countable child family is refused once the equations are
+    # built, so a refusal from an equality constructor comes first
+    for d in ops:
+        if isinstance(d, InfinitaryArity):
+            raise d
+    sig = Signature(tuple(ops), tuple(str(i) for i in range(pfx + 1)) if indexed else None)
+    validate_system(sig, sys)
     return sig, sys
 
 
@@ -274,36 +272,36 @@ def _materialize_ops(name, spine, decl, carriers, pfx):
     children = [a for a in args if a.kind in ("q", "natfam")]
     ivars = [a.binder for a in args if a.kind == "index"]
 
+    if not indexed:
+        return [OpDecl(OpSym(name, tuple(combo)), _flat_arity(name, children))
+                for combo in itertools.product(*pools)]
+    # an operator per in-prefix index assignment and constant assignment;
+    # a countable child family stands as the InfinitaryArity that refuses it
     out = []
     for ivals in itertools.product(range(pfx + 1), repeat=len(ivars)):
         ienv = dict(zip(ivars, ivals))
-        tix = _ixval(target.index, ienv) if indexed else None
-        arities = []
-        for c in children:
-            q = c.kind == "q"
-            cix = _ixval((c.dom if q else c.dom.codomain).index, ienv) if indexed else None
-            arities.append((cix, fin(1) if q else NAT))
-        if indexed and not (0 <= tix <= pfx and all(0 <= cix <= pfx for cix, _ in arities)):
+        tix = _ixval(target.index, ienv)
+        cixs = [_ixval((c.dom if c.kind == "q" else c.dom.codomain).index, ienv) for c in children]
+        if not (0 <= tix <= pfx and all(0 <= cix <= pfx for cix in cixs)):
             continue
+        countable = [cix for c, cix in zip(children, cixs) if c.kind == "natfam"]
         for combo in itertools.product(*pools):
-            params = tuple(combo)
-            if indexed:
-                op = OpSym(name, params + (f"@{tix}",))
-                out.append(IndexedOpDecl(op, str(tix), tuple((str(i), a) for i, a in arities)))
+            op = OpSym(name, tuple(combo) + (f"@{tix}",))
+            if countable:
+                out.append(InfinitaryArity(f"{op.show()} has countable arity at index {min(countable)}"))
             else:
-                op = OpSym(name, params)
-                out.append(OpDecl(op, _flat_arity(name, arities)))
+                out.append(OpDecl(op, fin(len(cixs)), str(tix), tuple(map(str, cixs))))
     return out
 
 
-def _flat_arity(name, arities) -> Arity:
-    if any(a is NAT for _, a in arities):
-        if len(arities) != 1:
+def _flat_arity(name, children) -> Arity:
+    if any(c.kind == "natfam" for c in children):
+        if len(children) != 1:
             raise UnsupportedParameterType(
                 f"{name}: a countable child family cannot mix with other recursive arguments"
             )
         return NAT
-    return fin(len(arities))
+    return fin(len(children))
 
 
 def _materialize_eqs(name, spine, elements, decl, carriers, pfx):

@@ -10,10 +10,11 @@ round trip is checked.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Union
 
 from .sexpr import show_term
-from .terms import Arity, Equation, IndexedSignature, Signature, SystemOfEquations
+from .terms import Arity, Equation, Signature, SystemOfEquations
 
 
 def _arity_json(a: Arity) -> Union[int, str]:
@@ -21,28 +22,13 @@ def _arity_json(a: Arity) -> Union[int, str]:
 
 
 def signature_to_obj(sig: Signature) -> dict:
-    ops = []
-    for d in sig.ops:
-        row: dict = {"name": d.op.show(), "arity": _arity_json(d.arity)}
-        if d.sort is not None:
-            row["sort"] = d.sort
-        if d.child_sorts is not None:
-            row["childSorts"] = list(d.child_sorts)
-        ops.append(row)
-    return {"ops": ops}
-
-
-def indexed_signature_to_obj(isig: IndexedSignature) -> dict:
-    ops = []
-    for d in isig.ops:
-        ops.append(
-            {
-                "name": d.op.show(),
-                "sort": d.sort,
-                "arities": {ix: _arity_json(a) for ix, a in d.arities},
-            }
-        )
-    return {"indices": list(isig.indices), "ops": ops}
+    """An indexed signature gives its indices and, per operator, the
+    number of children taken at each index, in first-appearance order."""
+    if sig.indices is not None:
+        ops = [{"name": d.op.show(), "sort": d.sort, "arities": dict(Counter(d.child_sorts))}
+               for d in sig.ops]
+        return {"indices": list(sig.indices), "ops": ops}
+    return {"ops": [{"name": d.op.show(), "arity": _arity_json(d.arity)} for d in sig.ops]}
 
 
 def _vars_json(eq: Equation):

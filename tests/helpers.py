@@ -20,9 +20,8 @@ from qitbench.sexpr import show_term
 from qitbench.sizes import SizeSig, SizeUniverse
 from qitbench.terms import (
     Equation,
-    IndexedOpDecl,
-    IndexedSignature,
     Node,
+    OpDecl,
     OpSym,
     Signature,
     SystemOfEquations,
@@ -196,13 +195,13 @@ def first_label_algebra(sig: Signature, atoms=("a", "b")) -> Algebra:
     return tabulate(sig, atoms + ("*",), fn)
 
 
-def commvec_indexed(atoms=("a", "b"), prefix: int = 2) -> IndexedSignature:
+def commvec_indexed(atoms=("a", "b"), prefix: int = 2) -> Signature:
     indices = tuple(str(i) for i in range(prefix + 1))
-    ops = [IndexedOpDecl(OpSym("nil", ("@0",)), "0", ())]
+    ops = [OpDecl(OpSym("nil", ("@0",)), fin(0), "0", ())]
     for i in range(1, prefix + 1):
         for x in atoms:
-            ops.append(IndexedOpDecl(OpSym("cons", (x, f"@{i}")), str(i), ((str(i - 1), fin(1)),)))
-    return IndexedSignature(indices, tuple(ops))
+            ops.append(OpDecl(OpSym("cons", (x, f"@{i}")), fin(1), str(i), (str(i - 1),)))
+    return Signature(tuple(ops), indices)
 
 
 def commvec_system(atoms=("a", "b"), prefix: int = 2) -> SystemOfEquations:

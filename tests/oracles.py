@@ -37,8 +37,6 @@ from qitbench.terms import (
     Arity,
     Comp,
     Equation,
-    IndexedOpDecl,
-    IndexedSignature,
     IndexMap,
     InstanceShape,
     IxVar,
@@ -1076,25 +1074,18 @@ def _arity_from(v) -> Arity:
 
 
 def signature_from_obj(obj: dict) -> Signature:
-    decls = []
-    for row in obj["ops"]:
-        decls.append(
-            OpDecl(
-                OpSym.parse(row["name"]),
-                _arity_from(row["arity"]),
-                row.get("sort"),
-                tuple(row["childSorts"]) if "childSorts" in row else None,
-            )
-        )
-    return Signature(tuple(decls))
+    return Signature(tuple(OpDecl(OpSym.parse(row["name"]), _arity_from(row["arity"])) for row in obj["ops"]))
 
 
-def indexed_signature_from_obj(obj: dict) -> IndexedSignature:
+def indexed_signature_from_obj(obj: dict) -> Signature:
+    """The signature an indexed JSON form describes.  The form counts
+    each operator's children per index, so they come back grouped by
+    index, in the order the form lists the indices."""
     ops = []
     for row in obj["ops"]:
-        arities = tuple((ix, _arity_from(a)) for ix, a in row["arities"].items())
-        ops.append(IndexedOpDecl(OpSym.parse(row["name"]), row["sort"], arities))
-    return IndexedSignature(tuple(obj["indices"]), tuple(ops))
+        child_sorts = tuple(ix for ix, n in row["arities"].items() for _ in range(n))
+        ops.append(OpDecl(OpSym.parse(row["name"]), fin(len(child_sorts)), row["sort"], child_sorts))
+    return Signature(tuple(ops), tuple(obj["indices"]))
 
 
 def system_from_obj(obj: dict) -> SystemOfEquations:

@@ -190,7 +190,7 @@ def test_criterion_09_construction_vs_oracle():
     assert len({o for _, o in cmp.class_pairs}) == 6
     assert cmp.intro_checked > 0
 
-    flat = commvec_indexed().flatten()
+    flat = commvec_indexed()
     vsys = commvec_system()
     vappx = build_fixed_point(flat, vsys, SizeUniverse(MIN, 3), 3)
     vq = close_congruence(build_universe(flat, vsys, 3))

@@ -30,6 +30,8 @@ BAGPRIME = str(FIXTURES / "bagprime.qit")
 COMMVEC = str(FIXTURES / "commvec.qit")
 COMMTREE = str(FIXTURES / "commtree.qit")
 INFTREE = str(FIXTURES / "inftree.qit")
+HTREE = str(FIXTURES / "htree.qit")
+MIXEQ = str(FIXTURES / "mixeq.qit")
 
 
 def run(capsys, *argv):
@@ -446,6 +448,10 @@ BAG_SWAPPED = ("(op cons a (op cons b (op nil)))", "(op cons b (op cons a (op ni
     # the indexed signature's JSON: per index, the children taken there
     ("elaborate_commvec_prefix2_structured.json",
      ["elaborate", COMMVEC, "--X", "a,b", "--prefix", "2", "--format", "structured"]),
+    # node takes two children at one index: both are kept
+    ("elaborate_htree_a_prefix2.txt", ["elaborate", HTREE, "--X", "a", "--prefix", "2"]),
+    ("elaborate_htree_a_prefix2_structured.json",
+     ["elaborate", HTREE, "--X", "a", "--prefix", "2", "--format", "structured"]),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_output_matches_golden(golden, argv, capsys):
     code, out, err = run(capsys, *argv)
@@ -481,6 +487,17 @@ VEC2 = ("--X", "a,b", "--prefix", "2")
      ["construct", COMMVEC, *VEC2, "--compare-oracle"]),
     ("construct_commtree_ab_d4_h3_compare_oracle.txt", 0,
      ["construct", COMMTREE, "--X", "a,b", "-d", "4", "--size-height", "3", "--compare-oracle"]),
+    # two children at one index
+    ("enum_htree_a_prefix2_d2.txt", 0, ["enum", HTREE, "--X", "a", "--prefix", "2", "-d", "2"]),
+    ("construct_htree_ab_prefix2_d2_h3_compare_oracle.txt", 0,
+     ["construct", HTREE, "--X", "a,b", "--prefix", "2", "-d", "2", "--size-height", "3",
+      "--compare-oracle"]),
+    # children out of index order, under an equation that builds them
+    ("enum_mixeq_prefix1_d2.txt", 0, ["enum", MIXEQ, "--prefix", "1", "-d", "2"]),
+    ("eq_mixeq_prefix1_d2_equal.txt", 0,
+     ["eq", MIXEQ, "--prefix", "1", "-d", "2", "(op p @1 (op o @1) (op z @0))", "(op o @1)"]),
+    ("construct_mixeq_prefix1_d2_compare_oracle.txt", 0,
+     ["construct", MIXEQ, "--prefix", "1", "-d", "2", "--compare-oracle"]),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_oracle_output_matches_golden(golden, code, argv, capsys):
     got = run(capsys, *argv)
@@ -653,7 +670,7 @@ def test_each_command_has_only_its_own_options():
 def commvec_tables(tmp_path_factory):
     """an algebra and a step table with one element for CommVec on --X a"""
     sig, _ = elaborate(parse_decl(Path(COMMVEC).read_text()), {"X": ("a",)})
-    ops = [(d.op.show(), d.arity.count) for d in sig.flatten().ops]
+    ops = [(d.op.show(), d.arity.count) for d in sig.ops]
     d = tmp_path_factory.mktemp("commvec")
     alg, steps = d / "one.json", d / "one_steps.json"
     alg.write_text(json.dumps({"carrier": ["*"], "ops": {n: [[["*"] * k, "*"]] for n, k in ops}}))

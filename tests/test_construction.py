@@ -198,7 +198,7 @@ def test_chain_universe_reaches_the_same_colimit():
 
 
 def test_commvec_classes_per_index():
-    sig = commvec_indexed().flatten()
+    sig = commvec_indexed()
     sys = commvec_system()
     appx = build_fixed_point(sig, sys, SizeUniverse(MIN, 3), 3)
     q = close_congruence(build_universe(sig, sys, 3))
@@ -475,7 +475,7 @@ def test_bag_stages_equal_naive_diamond():
 
 
 def test_commvec_stages_equal_naive_diamond():
-    sig = commvec_indexed().flatten()
+    sig = commvec_indexed()
     for universe in UNIVERSES:
         appx = build_fixed_point(sig, commvec_system(), universe(3), 3)
         assert assert_stages_match_naive(appx) == len(appx.stages)

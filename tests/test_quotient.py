@@ -235,7 +235,7 @@ def test_classes_rank_by_term_key_across_indices(sig, bound):
 @pytest.mark.parametrize("prefix", range(4))
 @pytest.mark.parametrize("bound", range(1, 5))
 def test_commvec_classes_rank_by_term_key(prefix, bound):
-    flat = commvec_indexed(prefix=prefix).flatten()
+    flat = commvec_indexed(prefix=prefix)
     q = close_congruence(build_universe(flat, commvec_system(prefix=prefix), bound))
     assert_ranked_by_term_key(q)
 
@@ -252,7 +252,7 @@ def test_decide_eq():
 
 
 def test_commvec_per_index_classes():
-    flat = commvec_indexed().flatten()
+    flat = commvec_indexed()
     q = close_congruence(build_universe(flat, commvec_system(), 3))
     per_index = {s: 0 for s in flat.sorts}
     for cls in range(len(q)):
@@ -421,8 +421,8 @@ AB_SIG, AB_SYS = ab_sig(), ab_system()
 # each with a length capped where it satisfies the equations
 @pytest.mark.parametrize("sig, sys, bound, cap", [
     (SIG, SYS, 2, 3), (SIG, SYS, 3, 3), (SIG, SYS, 4, 3),
-    (commvec_indexed().flatten(), commvec_system(), 3, 3),
-    (commvec_indexed().flatten(), commvec_system(), 4, 3),
+    (commvec_indexed(), commvec_system(), 3, 3),
+    (commvec_indexed(), commvec_system(), 4, 3),
     (AB_SIG, AB_SYS, 4, 1),
 ], ids=["bag-d2", "bag-d3", "bag-d4", "commvec-d3", "commvec-d4", "ab-d4"])
 @pytest.mark.parametrize("kind", ["class", "parity"])

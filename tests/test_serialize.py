@@ -13,7 +13,6 @@ from helpers import bag_sig, bag_system, commvec_indexed, commvec_system
 from oracles import indexed_signature_from_obj, signature_from_obj, system_from_obj
 from qitbench.serialize import (
     dumps,
-    indexed_signature_to_obj,
     loads,
     signature_to_obj,
     system_to_obj,
@@ -25,13 +24,11 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_signature_round_trip():
     sig = bag_sig()
     assert signature_from_obj(loads(dumps(signature_to_obj(sig)))) == sig
-    flat = commvec_indexed().flatten()
-    assert signature_from_obj(loads(dumps(signature_to_obj(flat)))) == flat
 
 
 def test_indexed_signature_round_trip():
     isig = commvec_indexed()
-    assert indexed_signature_from_obj(loads(dumps(indexed_signature_to_obj(isig)))) == isig
+    assert indexed_signature_from_obj(loads(dumps(signature_to_obj(isig)))) == isig
 
 
 def test_system_round_trip():

@@ -335,7 +335,7 @@ def test_size_signature_for_empty_system():
 
 
 def test_size_signature_for_indexed():
-    flat = commvec_indexed().flatten()
+    flat = commvec_indexed()
     sig = size_signature_for(flat, commvec_system())
     names = [n for n, _ in sig.ops]
     assert names[:2] == ["zero", "join"]

@@ -175,7 +175,7 @@ def test_instantiating_a_nested_comprehension_is_refused():
 def test_indexed_signature_flattening():
     from helpers import commvec_indexed
 
-    flat = commvec_indexed().flatten()
+    flat = commvec_indexed()
     assert flat.sorts == ("0", "1", "2")
     rows = [(d.op.show(), d.arity.count, d.sort, d.child_sorts) for d in flat.ops]
     assert rows == [
@@ -190,7 +190,7 @@ def test_indexed_signature_flattening():
 def test_sorted_enumeration_per_index():
     from helpers import commvec_indexed
 
-    flat = commvec_indexed().flatten()
+    flat = commvec_indexed()
     per_index = [len(enumerate_terms(flat, (), 3, sort=s)) for s in flat.sorts]
     assert per_index == [1, 2, 4]
 
