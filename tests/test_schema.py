@@ -43,7 +43,7 @@ from qitbench.schema.ast import EqT, Sigma, TApp, TVar
 from qitbench.schema.checker import _norm_type, _subst_type, _uses_var
 from qitbench.schema.parser import _tokenize
 from qitbench.sexpr import show_term
-from qitbench.terms import NAT, Comp, Node, fin
+from qitbench.terms import NAT, Comp, Node, Tab, Var, fin
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 PERF_INPUTS = Path(__file__).parent.parent / "perfbench" / "inputs"
@@ -407,6 +407,53 @@ def test_elaborated_bag_quotient_matches_multiset_oracle():
     images = [{bag_multiset(t) for t in cls} for cls in class_terms(part)]
     assert all(len(im) == 1 for im in images)
     assert len({next(iter(im)) for im in images}) == len(images)
+
+
+def _elaborated_sources() -> list:
+    """(stem, signature, system) of each declaration under fixtures/ and
+    perfbench/inputs/ that check accepts and elaborate, with every Set
+    parameter at carrier a, b, does not refuse."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.qit")) + sorted(PERF_INPUTS.glob("*.qit")):
+        decl = parse_decl(path.read_text())
+        if not check_decl(decl).ok:
+            continue
+        carriers = {p.name: ("a", "b") for p in decl.params if isinstance(p.kind, SetParam)}
+        try:
+            sig, sys = elaborate(decl, carriers)
+        except QitError:
+            continue
+        out.append((path.stem, sig, sys))
+    return out
+
+
+ELABORATED = _elaborated_sources()
+
+
+def test_the_elaborated_sources_are_the_accepted_fixtures():
+    assert [stem for stem, _, _ in ELABORATED] == [
+        "bag", "commtree", "commvec", "htree", "inftree", "mixeq", "vsuc", "cmon", "commtree",
+    ]
+
+
+@pytest.mark.parametrize("stem, sig, sys", ELABORATED, ids=[stem for stem, _, _ in ELABORATED])
+def test_elaborated_sides_stand_at_their_child_sorts(stem, sig, sys):
+    """Each node of an equation side stands where its parent takes it: at
+    the equation's sort, or at the parent operator's child sort; each
+    variable at its var_sorts entry.  Unindexed, every sort is None."""
+    for eq in sys.equations:
+        for side in (eq.lhs, eq.rhs):
+            todo = [(side, eq.sort)]
+            while todo:
+                t, at = todo.pop()
+                if isinstance(t, Var):
+                    assert (eq.var_sorts[eq.vars.index(t.name)] if eq.var_sorts else None) == at, eq.name
+                elif isinstance(t, Node):
+                    d = sig.decl(t.op)
+                    assert d.sort == at, eq.name
+                    if isinstance(t.children, Tab):
+                        kids = t.children.entries
+                        todo.extend(zip(kids, d.child_sorts or (None,) * len(kids)))
 
 
 def test_inftree_elaboration_is_countable():
