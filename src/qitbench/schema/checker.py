@@ -311,6 +311,16 @@ def _strpstv(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
             return Derivation("ConstantParameter", t)
 
 
+def _bind(env: Env, b: str, dom: TypeAst, rule: str) -> Env:
+    """env with the constructor's argument b : dom.  A named argument is
+    bound once per constructor; _ binds nothing and may repeat."""
+    if b == "_":
+        return env
+    if b in env:
+        raise _Fail(rule, f"argument name {b} is bound twice")
+    return {**env, b: dom}
+
+
 def _element_spine(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
     match t:
         case QRef(_):
@@ -318,7 +328,7 @@ def _element_spine(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
             return Derivation("Target", t)
         case Pi(b, dom, cod):
             arg = _strpstv(dom, decl, env)
-            rest = _element_spine(cod, decl, env if b == "_" else {**env, b: dom})
+            rest = _element_spine(cod, decl, _bind(env, b, dom, "ElArgument"))
             return Derivation("ElArgument", t, (arg, rest))
         case _:
             raise _Fail("Target", f"constructor must target {decl.name}, found {show_type(t)}")
@@ -351,7 +361,7 @@ def _equality_spine(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
             if isinstance(dom, EqT):
                 raise _Fail("ConditionalEquation", f"argument {show_type(dom)} makes the equation conditional")
             arg = _hide(_strpstv(dom, decl, env))
-            rest = _equality_spine(cod, decl, env if b == "_" else {**env, b: dom})
+            rest = _equality_spine(cod, decl, _bind(env, b, dom, "EqArg"))
             return Derivation("EqArg", t, (arg, rest))
         case _:
             raise _Fail("EqTarget", f"an equality constructor must end in an equation, found {show_type(t)}")

@@ -563,6 +563,8 @@ def test_fold_checks_satisfaction_once(algebra, code, monkeypatch, capsys):
     ("unboundparam", 1), ("unboundfun", 1),
     # an application head that nothing binds, foo in Fin (foo i)
     ("unboundhead", 1),
+    # an equality constructor that binds zs twice; cons repeats _
+    ("dupbinder", 1),
 ])
 def test_check_matches_golden(name, code, fmt, capsys):
     golden = f"check_{name}.txt" if fmt == "text" else f"check_{name}_structured.json"

@@ -317,6 +317,23 @@ def test_application_head_must_be_bound_or_known(ty, ok):
         assert first_reject(f"qit T where\n  mk : {ty}\n").message.startswith("unknown name foo in ")
 
 
+@pytest.mark.parametrize("ctor, rule", [
+    ("mk : (x : X) -> (x : X) -> T", "ElArgument"),
+    ("mk : (x : X) -> (t : T) -> (x : X) -> T", "ElArgument"),
+    ("mk : (_ : X) -> (_ : X) -> T", None),
+    # a binder inside an argument's type is not an argument of mk
+    ("mk : (x : X) -> (f : (x : Nat) -> T) -> T", None),
+    ("e : (t : T) -> (t : T) -> t = t", "EqArg"),
+])
+def test_a_constructor_binds_each_name_once(ctor, rule):
+    src = f"qit T (X : Set) where\n  {ctor}\n"
+    if rule is None:
+        assert check_decl(parse_decl(src)).ok
+    else:
+        rej = first_reject(src)
+        assert (rej.rule, rej.message) == (rule, f"argument name {ctor[ctor.index('(') + 1]} is bound twice")
+
+
 def test_unit_erased_product_accepted():
     # the pair's second component ignores the Q-mentioning binder
     src = "qit T (X : Set) where\n  mk : ((t : T) * X) -> T\n"
@@ -566,7 +583,7 @@ REFUSED = [p for p in sorted(FIXTURES.glob("*.qit")) + sorted(PERF_INPUTS.glob("
 
 def test_the_refused_sources_are_the_rejected_fixtures_and_mapctor():
     assert [p.stem for p in REFUSED] == [
-        "bagprime", "mapctor", "qleft", "qparam", "qsigma",
+        "bagprime", "dupbinder", "mapctor", "qleft", "qparam", "qsigma",
         "unboundfun", "unboundhead", "unboundparam", "vsucbad",
     ]
 
