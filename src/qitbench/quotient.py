@@ -436,7 +436,7 @@ class EliminatorInput(NamedTuple):
     """motive: class id -> finite tuple of admissible tags.
     steps: (op, child class ids, child tags) -> tag."""
 
-    motive: Union[Mapping[int, tuple], Callable[[int], tuple]]
+    motive: Callable[[int], tuple]
     steps: Callable[[OpSym, tuple[int, ...], tuple], Value]
 
 
@@ -460,8 +460,7 @@ def qwelim(q: CongruenceQuotient, inp: EliminatorInput) -> QwelimResult:
     computed values are verified at every class member and replayed as
     computation rules at every universe node.
     """
-    motive = inp.motive if callable(inp.motive) else (lambda cls: inp.motive[cls])
-    steps = inp.steps
+    motive, steps = inp.motive, inp.steps
     u = q.universe
     class_at, table = q.class_at, u.table
     readers: dict[str, tuple] = {}

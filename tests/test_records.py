@@ -203,7 +203,7 @@ def frozen_records():
         (builtin_example("bag"), "table"),
         (build_universe(sig, sys, 1), "depth"),
         (QwrecResult((), True, ()), "hom_ok"),
-        (EliminatorInput({}, len), "steps"),
+        (EliminatorInput(len, len), "steps"),
         (QwelimResult((), True, (), 0, 0), "comp_ok"),
         (appx.stages[0], "classes"),
         (OracleComparison((), 0), "intro_checked"),
