@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, 
 
 from .diagrams import Colimit, Diagram
 from .errors import ArityMismatch, InfinitaryArity, NotStabilized, QitError, StageOverflow
-from .quotient import CongruenceQuotient, congruence_classes, draw_instances
+from .quotient import CongruenceQuotient, CongruenceTable, draw_instances
 from .records import Record, tagged
 from .sexpr import show_term
 from .sizes import SizeUniverse
@@ -63,14 +63,17 @@ from .terms import (
 
 class _Build(NamedTuple):
     """What the stages of one build share: the declaration, the depth
-    bound, and the closed table of every closed term within the bound,
-    whose ids run in the term order (see build_fixed_point).  A class's
-    flat, sort and fd are read off it at the class's flat_id."""
+    bound, the closed table of every closed term within the bound,
+    whose ids run in the term order (see build_fixed_point), and that
+    table keyed once, with no seeds, for every stage to close from (see
+    diamond).  A class's flat, sort and fd are read off the closed table
+    at the class's flat_id."""
 
     sig: Signature
     sys: SystemOfEquations
     depth: int
     closed: TermTable
+    congruence: CongruenceTable
 
 
 class Stage(Record):
@@ -107,7 +110,7 @@ class Stage(Record):
         quotient.draw_instances, a class weighing its fd.  These are the
         instances over the class tokens, flattened: a token weighs what
         its flat does."""
-        sig, sys, bound, closed = self.build
+        sig, sys, bound, closed, _ = self.build
         by_sort: dict[Optional[str], list[int]] = {}
         for f in self.classes:
             by_sort.setdefault(sig.ops[closed.nodes[f][0]].sort, []).append(f)
@@ -123,7 +126,7 @@ class Stage(Record):
         tests/oracles.py's naive_diamond; the package never reads it.
         The TermTable over each slice's class tokens built here is the
         only token table in the package."""
-        sig, _, bound, closed = self.build
+        sig, _, bound, closed, _ = self.build
         out: dict[tuple[int, Term], int] = {}
         for low in self.slice_stages:
             leaves = [(f"~{low.sid}.{c}", sig.ops[closed.nodes[f][0]].sort, closed.depths[f])
@@ -187,19 +190,22 @@ def diamond(build: _Build, slices: tuple[Stage, ...], seeds: Iterable[tuple], si
       a node meets its flattening, a term of z, as its children do.
       Read on z, the stage is a congruence holding every seed of C, so
       it holds C.
-    So the stage is one congruence_classes call over closed.nodes, its
-    class_at the class of each closed id; a pair's class is its
-    flattening's.  Each closed id is a pair of z, so the classes, by
-    first closed id, rank by least closed id, and a class's flat_id is
-    its flat in the call's flats, which the stage keeps as its classes;
-    a class's flat, sort and fd are read off the closed table at it."""
-    flats: list[int] = []
-    class_at: list[int] = []
+    So the stage is C.  build.congruence is the closed table keyed once
+    with no seeds, so its close of the seeds is C (CongruenceTable.close
+    re-keys only what the seeds merge, and leaves the table as it was).
+    The stage keeps its class_at, the class of each closed id; a pair's
+    class is its flattening's.  Each closed id is a pair of z, so the
+    classes, by first closed id, rank by least closed id, and a class's
+    flat_id is its flat in the close's flats, which the stage keeps as
+    its classes; a class's flat, sort and fd are read off the closed
+    table at it."""
+    flats: tuple[int, ...] = ()
+    class_at: tuple[int, ...] = ()
     if slices:
         if slices[0].classes:
             raise QitError(f"stage {sid} has no class-less slice to close on")
-        class_at, flats = congruence_classes(build.closed.nodes, seeds)
-    return Stage(sid, slices, tuple(flats), tuple(class_at), build)
+        class_at, flats = build.congruence.close(seeds)
+    return Stage(sid, slices, flats, class_at, build)
 
 
 class Approximation:
@@ -325,11 +331,13 @@ class Approximation:
         joins; this is linear in members where one chain per member was
         quadratic.  Sharing these inputs is not memoising literal stages
         by down-segment: every member still closes its own congruence
-        over them and gets its own label checks, and the least
-        congruence holding a set of seeds does not depend on their order
-        or repeats, so each literal stage is what one chain per member
-        gave.  A literal stage is kept only while some member lies above
-        it.
+        over them, in its own close of build.congruence, and gets its own
+        label checks, and the least congruence holding a set of seeds
+        does not depend on their order or repeats, so each literal stage
+        is what one chain per member gave.  What the closes share is the
+        keying of the closed table with no seeds, which depends on
+        neither the member nor its down-segment.  A literal stage is
+        kept only while some member lies above it.
 
         The union must take in each height's literal stages as that
         height joins below: without the newest height's, a stage of the
@@ -444,13 +452,16 @@ def build_fixed_point(
     The build's closed table gets its first listing with want None, so
     its ids are handed out by depth, then by operator position, then
     children lexicographically by id: by induction on depth, the term
-    order, whose reference is in tests/oracles.py."""
+    order, whose reference is in tests/oracles.py.  It is keyed once,
+    into a CongruenceTable with no seeds, and every stage, shared or
+    literal, closes its own seeds from that table."""
     validate_system(sig, sys)
     for decl in sig.ops:
         if not decl.arity.finite:
             raise InfinitaryArity(f"cannot materialize stages under {decl.op.show()}")
-    build = _Build(sig, sys, depth_bound, TermTable(sig))
-    build.closed.upto(depth_bound)
+    closed = TermTable(sig)
+    closed.upto(depth_bound)
+    build = _Build(sig, sys, depth_bound, closed, CongruenceTable(closed.nodes, ()))
     stages: list[Stage] = []
     stage_of: dict[int, int] = {}
     # segments come one per height, below-first, so a segment's slices are

@@ -49,11 +49,11 @@ class, or alone if that is unreached:
 - a transition into a top member is a seed read on members, and none
   leaves one, so an unreached node is glued to nothing.
 So the seeds read on members are transitions and generate them all.
-The classes come from one congruence_classes call over the group
-nodes, numbered by first member node (members in member order, carriers
-in family order) as a member-by-member gluing numbers them: groups
-below H come first, each at the first member of its label, so a class
-is numbered by its first group node, as the call numbers it, and those
+The classes come from one CongruenceTable over the group nodes,
+numbered by first member node (members in member order, carriers in
+family order) as a member-by-member gluing numbers them: groups below
+H come first, each at the first member of its label, so a class is
+numbered by its first group node, as the table numbers it, and those
 first met below H come first; then each unreached element gets a class
 per top member labelled so, in member order.  classes holds each
 class's group nodes at their groups' first members, or its one
@@ -75,7 +75,7 @@ from itertools import combinations, product
 from typing import Hashable, Mapping, NamedTuple, Optional
 
 from .errors import FunctorialityViolation, QitError
-from .quotient import congruence_classes, root_groups
+from .quotient import CongruenceTable, root_groups
 from .records import tagged
 from .sizes import SizeUniverse
 
@@ -182,7 +182,8 @@ class Colimit:
             for c in top
             for n, x in enumerate(family[a])
         ]
-        class_at, flats = congruence_classes(range(len(nodes)), seeds)
+        glued = CongruenceTable(range(len(nodes)), seeds)
+        class_at, flats = glued.class_at, glued.flats
         # classes first met below H come first; the rest are one unreached
         # top node each
         reached = bisect_left(flats, below)

@@ -10,13 +10,15 @@ table does.  draw_instances draws the instances from pools of ids by
 sort, each id weighing its depth; each construction stage draws its
 own with it, over the build's closed table from the stage's flats.
 The quotient is the least congruence containing those instances.
-congruence_classes computes it by union-find with upward congruence
+CongruenceTable computes it by union-find with upward congruence
 propagation, keying each node once and re-keying it only when a
-child's class is merged, and numbers the classes by first id.
-It reads one node table in place and is the one closure in the
-package: close_congruence (the universe's table), each construction
-stage (construction.diamond, the build's closed table) and the
-colimit's gluing (diagrams.Colimit, a table of leaves) all call it.
+child's class is merged, and numbers the classes by first id.  It
+reads one node table in place and is the one closure in the package.
+close_congruence (the universe's table) and the colimit's gluing
+(diagrams.Colimit, a table of leaves) build one and read its classes.
+A construction build keys its closed table once, in a table with no
+seeds, and each stage (construction.diamond) closes its own seeds from
+it (CongruenceTable.close), re-keying only what those seeds merge.
 Folds (qwrec) and eliminations (qwelim) run over the ids, one step per
 id, with their side conditions checked exhaustively over the universe.
 Terms are built from the ids only to print them and for readers that
@@ -199,7 +201,7 @@ class CongruenceQuotient:
     class_id reads a Term's id off the universe's table.
     """
 
-    def __init__(self, universe: TermUniverse, class_at: list[int]):
+    def __init__(self, universe: TermUniverse, class_at: Sequence[int]):
         self.universe = universe
         self.class_at = class_at
         self.classes: list[list[int]] = root_groups(class_at)
@@ -217,34 +219,35 @@ class CongruenceQuotient:
         return None if n is None else self.class_at[n]
 
 
-def congruence_classes(
-    nodes: Sequence[Union[int, tuple[object, Sequence[int]]]],
-    seeds: Iterable[tuple[int, int]],
-) -> tuple[list[int], list[int]]:
+class CongruenceTable:
     """The least congruence on the ids 0..len(nodes)-1 containing the
-    seed pairs, as (class_at, flats): class_at[n] is the class of id n,
-    numbered in the order of first ids, and flats[c] is class c's first
-    id.  The node table is read in place: nodes[n] is the node of id n,
-    either an int (a leaf) or (op, kids), nullary nodes included, kids
-    being ids.  Two non-leaf ids whose ops agree and whose children are
+    seed pairs, kept keyed so that more seeds can be closed from it.
+    class_at[n] is the class of id n, numbered in the order of first
+    ids, and flats[c] is class c's first id, both tuples.  The node
+    table is read in place, once: nodes[n] is the node of id n, either
+    an int (a leaf) or (op, kids), nullary nodes included, kids being
+    ids.  Two non-leaf ids whose ops agree and whose children are
     pairwise related are related, so two nullary nodes of one op always
-    are.
+    are.  close(seeds) gives the least congruence containing the table's
+    seeds and seeds, numbered the same way, and leaves the table as it
+    was: a build prepares one table over its closed table, with no
+    seeds, and closes every stage from it.
 
-    A worklist closure in the style of Downey-Sethi-Tarjan that keys
-    each node once, in one pass over the ids in order, and re-keys a
-    node only when a union changes a child's root.  The seeds are
-    joined first, before any node is keyed.  When the pass keys a node
-    it adds the node to parents[r] for the current root r of each child,
-    and looks its key (op, child roots) up in a signature table.
-    parents is a list indexed by root, each entry a list of nodes; a
-    node with two children in one class is listed there twice.  Two keys
-    that meet join their nodes' classes; a union goes by class size and
-    moves the absorbed root's parent list onto the kept root's, queueing
-    each node in it for a re-key.  The queue is drained before the pass
-    moves on; a node is re-keyed from its last key, whose roots lie in
-    its children's classes.  A node listed or queued twice is re-keyed
-    twice; the second re-key reads the same roots, meets its own or an
-    already joined entry, and changes nothing.
+    A worklist closure in the style of Downey-Sethi-Tarjan (_close).
+    The constructor joins the seeds first, before any node is keyed,
+    then keys each node once, in one pass over the ids in order.  When
+    the pass keys a node it adds the node to parents[r] for the current
+    root r of each child, and looks its key (op, child roots) up in a
+    signature table.  parents is a list indexed by root, each entry a
+    list of nodes; a node with two children in one class is listed
+    there twice.  Two keys that meet join their nodes' classes.  A union
+    goes by class size, queues each node in the absorbed root's parent
+    list for a re-key and moves the list onto the kept root's.  Before
+    the pass moves on, the pending joins are made and then the queued
+    nodes re-keyed, each once, from its last key, whose roots lie in its
+    children's classes; keys that meet there are joined in turn, until
+    neither is left.  This is deferred rebuilding as in egg (Willsey et
+    al., POPL 2021): a node queued by several unions is re-keyed once.
 
     Why the result is the least congruence:
     - every union is justified: two seeds, or two nodes of one op whose
@@ -252,95 +255,174 @@ def congruence_classes(
       the least congruence;
     - a node not yet keyed reads current roots when it is keyed;
     - a keyed node stays in parents[find(c)] for each child c, since a
-      parent list moves with its root, so a union that changes its key
-      queues it for a re-key (a repeated entry only re-keys it again);
+      parent list moves with its root, and its key changes only when
+      the root of a child is absorbed, which queues it for a re-key;
     - so at the end every node's last key is current, and two nodes
       with one current key met the same signature table entry (a stale
       entry holds a non-root, so no current key meets it), which joined
       them; so the result is a congruence.
+
+    close continues the same loop from the constructor's end state, on
+    private copies of it: it joins the new seeds, re-keys the parents of
+    each absorbed root, and keys no node afresh, since every node is
+    keyed already.  That end state is what the last two steps above
+    ask of a state, with no join or re-key pending: every keyed node's
+    last key is current, the node is filed under each of its roots, and
+    the key's signature table entry is a node of its class.  So the
+    re-keys of close restore it after its unions, the argument above
+    runs unchanged, and the result is a congruence.  It holds the
+    table's seeds and the new ones, and every union, the table's own
+    included, is justified by them: so it is the least congruence
+    holding both.  A node whose children no union of close touched
+    keeps its key and is never re-keyed.  A seed whose ids share a
+    class of the table joins nothing, so close drops it first; with no
+    seed left, the least congruence is the table's own, and close
+    returns its numbering and copies nothing.
+
+    close leaves the table unchanged: it copies parent, size, parents,
+    keys and the signature table before it writes to them.  The
+    constructor stores each parent list as a tuple, which close never
+    extends: on its first write to one it builds a list of its own.
+    Keys, class_at and flats are tuples too.  So every close starts
+    from the same state, and closes in any order give what each gives
+    alone.
+
     Finds are inlined with path halving, so the loops over seeds and
-    children make no Python call per item.  The last pass walks the ids
-    in order: the first to reach a root numbers its class, and every id
-    takes its root's number.  Only an id of a root's class writes the
-    root's entry, so class_at is the root -> class table too."""
-    n = len(nodes)
-    parent = list(range(n))
-    size = [1] * n
-    for a, b in seeds:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
+    children make no Python call per item; _numbered numbers the
+    classes."""
+
+    def __init__(
+        self,
+        nodes: Sequence[Union[int, tuple[object, Sequence[int]]]],
+        seeds: Iterable[tuple[int, int]],
+    ):
+        n = len(nodes)
+        parent = list(range(n))
+        size = [1] * n
+        # root -> the keyed nodes with a child in its class, None for none
+        parents: list[Optional[list[int]]] = [None] * n
+        # keyed id -> its last key, (op, child roots)
+        keys: list[Optional[tuple]] = [None] * n
+        sigtab: dict[tuple, int] = {}
+        _close(nodes, seeds, parent, size, parents, keys, sigtab)
+        self.class_at, self.flats = _numbered(parent)
+        self._parent, self._size, self._keys, self._sigtab = parent, size, keys, sigtab
+        self._parents = [ps and tuple(ps) for ps in parents]
+
+    def close(self, seeds: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(class_at, flats) of the least congruence containing the
+        table's seeds and seeds; the table's own if every seed lies in
+        one of its classes."""
+        class_at = self.class_at
+        seeds = [(a, b) for a, b in seeds if class_at[a] != class_at[b]]
+        if not seeds:
+            return class_at, self.flats
+        parent = self._parent.copy()
+        _close((), seeds, parent, self._size.copy(), self._parents.copy(), self._keys.copy(),
+               self._sigtab.copy())
+        return _numbered(parent)
+
+
+def _close(
+    nodes: Sequence[Union[int, tuple[object, Sequence[int]]]],
+    seeds: Iterable[tuple[int, int]],
+    parent: list[int],
+    size: list[int],
+    parents: list,
+    keys: list[Optional[tuple]],
+    sigtab: dict[tuple, int],
+) -> None:
+    """Join the seeds, then key each node of nodes in id order (see
+    CongruenceTable).  joins holds the pairs to join: the seeds, then
+    each two nodes whose keys met.  pending holds the nodes to re-key:
+    those filed under a root that a union absorbed.  Both are emptied before the next node is keyed,
+    in rounds: every pending join, then every queued node, once however
+    often it was queued; its re-key may add joins for the next round."""
+    joins = [*seeds]
+    pending: list[int] = []
+    todo = enumerate(nodes)
+    while True:
+        for a, b in joins:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
+                continue
             if size[a] < size[b]:
                 a, b = b, a
             parent[b] = a
             size[a] += size[b]
-
-    # root -> the keyed nodes with a child in its class, None for none
-    parents: list[Optional[list[int]]] = [None] * n
-    # keyed id -> its last key, (op, child roots)
-    keys: list[Optional[tuple]] = [None] * n
-    sigtab: dict[tuple, int] = {}
-    pending: list[int] = []
-
-    for pos, node in enumerate(nodes):
-        if node.__class__ is int:
+            # b is a root no more, so parents[b] is never read again
+            gone = parents[b]
+            if gone is None:
+                continue
+            pending += gone
+            kept = parents[a]
+            if kept is None:
+                parents[a] = gone
+            else:
+                if len(kept) < len(gone):
+                    kept, gone = gone, kept
+                if kept.__class__ is tuple:
+                    # a prepared table's list: copy it on the first write
+                    kept = [*kept, *gone]
+                else:
+                    kept += gone
+                parents[a] = kept
+        joins.clear()
+        if pending:
+            for x in set(pending):
+                # the roots of x's last key lie in its children's classes
+                key = [*keys[x]]
+                for i in range(1, len(key)):
+                    c = key[i]
+                    while parent[c] != c:
+                        parent[c] = c = parent[parent[c]]
+                    key[i] = c
+                key = tuple(key)
+                y = sigtab.setdefault(key, x)
+                if y == x:
+                    keys[x] = key
+                else:
+                    # y's last key is this one: share it
+                    keys[x] = keys[y]
+                    joins.append((y, x))
+            pending.clear()
             continue
-        op, kids = node
-        key = [op]
-        for c in kids:
-            while parent[c] != c:
-                parent[c] = c = parent[parent[c]]
-            key.append(c)
-            ps = parents[c]
-            if ps is None:
-                parents[c] = [pos]
-            else:
-                ps.append(pos)
-        # look the key up, then re-key queued nodes until none is left
-        x = pos
-        while True:
-            key = tuple(key)
-            a = sigtab.setdefault(key, x)
-            if a == x:
-                keys[x] = key
-            else:
-                # a's last key is this one: share it
-                keys[x] = keys[a]
-                b = x
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                if a != b:
-                    if size[a] < size[b]:
-                        a, b = b, a
-                    parent[b] = a
-                    size[a] += size[b]
-                    # b is a root no more, so parents[b] is never read again
-                    gone = parents[b]
-                    if gone is not None:
-                        pending.extend(gone)
-                        kept = parents[a]
-                        if kept is None:
-                            parents[a] = gone
-                        elif len(kept) < len(gone):
-                            gone += kept
-                            parents[a] = gone
-                        else:
-                            kept += gone
-            if not pending:
-                break
-            x = pending.pop()
-            # the roots of x's last key lie in its children's classes
-            key = [*keys[x]]
-            for i in range(1, len(key)):
-                c = key[i]
+        for pos, node in todo:
+            if node.__class__ is int:
+                continue
+            op, kids = node
+            key = [op]
+            for c in kids:
                 while parent[c] != c:
                     parent[c] = c = parent[parent[c]]
-                key[i] = c
+                key.append(c)
+                ps = parents[c]
+                if ps is None:
+                    parents[c] = [pos]
+                else:
+                    ps.append(pos)
+            key = tuple(key)
+            a = sigtab.setdefault(key, pos)
+            if a == pos:
+                keys[pos] = key
+            else:
+                keys[pos] = keys[a]
+                joins.append((a, pos))
+                break
+        else:
+            return
 
+
+def _numbered(parent: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(class_at, flats) of the partition parent finds, its classes
+    numbered by first id.  The pass walks the ids in order: the first
+    to reach a root numbers its class, and every id takes its root's
+    number.  Only an id of a root's class writes the root's entry, so
+    class_at is the root -> class table too."""
+    n = len(parent)
     class_at = [-1] * n
     flats: list[int] = []
     for x in range(n):
@@ -352,7 +434,7 @@ def congruence_classes(
             c = class_at[r] = len(flats)
             flats.append(x)
         class_at[x] = c
-    return class_at, flats
+    return tuple(class_at), tuple(flats)
 
 
 def root_groups(roots: Sequence[int]) -> list[list[int]]:
@@ -375,8 +457,7 @@ def close_congruence(universe: TermUniverse) -> CongruenceQuotient:
     is keyed, nullary ones included, by the rule the construction's
     stages use."""
     seeds = ((lhs, rhs) for _, _, lhs, rhs in universe.instances)
-    class_at, _ = congruence_classes(universe.table.nodes, seeds)
-    return CongruenceQuotient(universe, class_at)
+    return CongruenceQuotient(universe, CongruenceTable(universe.table.nodes, seeds).class_at)
 
 
 def decide_eq(q: CongruenceQuotient, a: Term, b: Term) -> str:

@@ -22,8 +22,9 @@ in scope at it (the Q-mention, variable-use and scope checks read it),
 ``_map_terms`` rebuilds a type with a function applied to its terms,
 leaving alone the codomain of a binder with a given name
 (normalisation and substitution).  ``erase_q`` alone rewrites Q itself.
-The walks dispatch with ``isinstance``: a class pattern costs several
-times as much per node, and they run on every argument type checked.
+The walks and the rules dispatch with ``isinstance``: a class pattern
+costs several times as much per node, and they run on every argument
+type checked.
 The walks are module functions, not closures: a recursive closure is a
 reference cycle, left to the cyclic collector on every check.
 """
@@ -216,49 +217,50 @@ def _subst_type(t: TypeAst, name: str, value: TermAst) -> TypeAst:
 
 
 def _infer(t: TermAst, env: Env, decl: QitDecl) -> TypeAst:
-    match t:
-        case TNum(_):
-            return ConstT("Nat")
-        case TVar(name):
-            if name in env:
-                return env[name]
-            ctor = decl.element(name)
-            if ctor is not None:
-                return ctor.type
-            p = _fin_owner(decl, name)
-            if p is not None:
-                return ConstT(p.name)
-            raise _Fail("EqTarget", f"unknown name {name}")
-        case TApp("suc", args):
-            if len(args) != 1:
-                raise _Fail("EqTarget", "suc takes one argument")
-            if not _type_eq(_infer(args[0], env, decl), ConstT("Nat")):
-                raise _Fail("EqTarget", f"suc applied to non-Nat {show_term_ast(args[0])}")
-            return ConstT("Nat")
-        case TApp("comp", args):
-            if len(args) != 2:
-                raise _Fail("EqTarget", "comp takes two arguments")
-            fty = _infer(args[0], env, decl)
-            gty = _infer(args[1], env, decl)
-            if not (isinstance(fty, Pi) and isinstance(gty, Pi)):
-                raise _Fail("EqTarget", f"comp needs two functions in {show_term_ast(t)}")
-            if not _type_eq(fty.domain, gty.codomain):
-                raise _Fail("EqTarget", f"comp domains disagree in {show_term_ast(t)}")
-            return Pi("_", gty.domain, fty.codomain)
-        case TApp(head, args):
-            fty = _infer(TVar(head), env, decl)
-            for a in args:
-                if not isinstance(fty, Pi):
-                    raise _Fail("EqTarget", f"{head} is applied to too many arguments")
-                at = _infer(a, env, decl)
-                if not _type_eq(at, fty.domain):
-                    raise _Fail(
-                        "EqTarget",
-                        f"argument {show_term_ast(a)} has type {show_type(at)}, expected {show_type(fty.domain)}",
-                    )
-                fty = fty.codomain if fty.binder == "_" else _subst_type(fty.codomain, fty.binder, a)
-            return fty
-    raise _Fail("EqTarget", f"cannot type {t!r}")
+    if isinstance(t, TNum):
+        return ConstT("Nat")
+    if isinstance(t, TVar):
+        name = t.name
+        if name in env:
+            return env[name]
+        ctor = decl.element(name)
+        if ctor is not None:
+            return ctor.type
+        p = _fin_owner(decl, name)
+        if p is not None:
+            return ConstT(p.name)
+        raise _Fail("EqTarget", f"unknown name {name}")
+    if not isinstance(t, TApp):
+        raise _Fail("EqTarget", f"cannot type {t!r}")
+    head, args = t
+    if head == "suc":
+        if len(args) != 1:
+            raise _Fail("EqTarget", "suc takes one argument")
+        if not _type_eq(_infer(args[0], env, decl), ConstT("Nat")):
+            raise _Fail("EqTarget", f"suc applied to non-Nat {show_term_ast(args[0])}")
+        return ConstT("Nat")
+    if head == "comp":
+        if len(args) != 2:
+            raise _Fail("EqTarget", "comp takes two arguments")
+        fty = _infer(args[0], env, decl)
+        gty = _infer(args[1], env, decl)
+        if not (isinstance(fty, Pi) and isinstance(gty, Pi)):
+            raise _Fail("EqTarget", f"comp needs two functions in {show_term_ast(t)}")
+        if not _type_eq(fty.domain, gty.codomain):
+            raise _Fail("EqTarget", f"comp domains disagree in {show_term_ast(t)}")
+        return Pi("_", gty.domain, fty.codomain)
+    fty = _infer(TVar(head), env, decl)
+    for a in args:
+        if not isinstance(fty, Pi):
+            raise _Fail("EqTarget", f"{head} is applied to too many arguments")
+        at = _infer(a, env, decl)
+        if not _type_eq(at, fty.domain):
+            raise _Fail(
+                "EqTarget",
+                f"argument {show_term_ast(a)} has type {show_type(at)}, expected {show_type(fty.domain)}",
+            )
+        fty = fty.codomain if fty.binder == "_" else _subst_type(fty.codomain, fty.binder, a)
+    return fty
 
 
 def _check_qref(t: QRef, decl: QitDecl, env: Env, rule: str) -> None:
@@ -276,39 +278,39 @@ def _check_qref(t: QRef, decl: QitDecl, env: Env, rule: str) -> None:
 
 
 def _strpstv(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
-    match t:
-        case QRef(_):
-            _check_qref(t, decl, env, "InductiveArgument")
-            return Derivation("InductiveArgument", t)
-        case EqT(_, _):
-            raise _Fail("ConditionalEquation", f"equation type {show_type(t)} cannot be an argument")
-        case Pi(b, dom, cod):
-            if _mentions_q(dom, decl.name):
-                raise _Fail(
-                    "StrictlyPositiveFunction",
-                    f"{decl.name} occurs on the left of an arrow in {show_type(t)}",
-                )
-            _scope_check(dom, env, decl, "StrictlyPositiveFunction")
-            inner = _strpstv(cod, decl, env if b == "_" else {**env, b: dom})
-            return Derivation("StrictlyPositiveFunction", t, (inner,))
-        case Sigma(b, left, right):
-            first = _strpstv(left, decl, env)
-            if b != "_" and _mentions_q(left, decl.name) and _uses_var(right, b):
-                raise _Fail(
-                    "StrictlyPositiveProduct",
-                    f"{show_type(right)} depends on {b}, whose type mentions {decl.name}",
-                )
-            env2 = env if b == "_" else {**env, b: erase_q(left)}
-            second = _strpstv(right, decl, env2)
-            return Derivation("StrictlyPositiveProduct", t, (first, second))
-        case _:
-            if _mentions_q(t, decl.name):
-                raise _Fail(
-                    "ConstantParameter",
-                    f"{decl.name} occurs in the parameter type {show_type(t)}",
-                )
-            _scope_check(t, env, decl, "ConstantParameter")
-            return Derivation("ConstantParameter", t)
+    if isinstance(t, QRef):
+        _check_qref(t, decl, env, "InductiveArgument")
+        return Derivation("InductiveArgument", t)
+    if isinstance(t, EqT):
+        raise _Fail("ConditionalEquation", f"equation type {show_type(t)} cannot be an argument")
+    if isinstance(t, Pi):
+        b, dom, cod = t
+        if _mentions_q(dom, decl.name):
+            raise _Fail(
+                "StrictlyPositiveFunction",
+                f"{decl.name} occurs on the left of an arrow in {show_type(t)}",
+            )
+        _scope_check(dom, env, decl, "StrictlyPositiveFunction")
+        inner = _strpstv(cod, decl, env if b == "_" else {**env, b: dom})
+        return Derivation("StrictlyPositiveFunction", t, (inner,))
+    if isinstance(t, Sigma):
+        b, left, right = t
+        first = _strpstv(left, decl, env)
+        if b != "_" and _mentions_q(left, decl.name) and _uses_var(right, b):
+            raise _Fail(
+                "StrictlyPositiveProduct",
+                f"{show_type(right)} depends on {b}, whose type mentions {decl.name}",
+            )
+        env2 = env if b == "_" else {**env, b: erase_q(left)}
+        second = _strpstv(right, decl, env2)
+        return Derivation("StrictlyPositiveProduct", t, (first, second))
+    if _mentions_q(t, decl.name):
+        raise _Fail(
+            "ConstantParameter",
+            f"{decl.name} occurs in the parameter type {show_type(t)}",
+        )
+    _scope_check(t, env, decl, "ConstantParameter")
+    return Derivation("ConstantParameter", t)
 
 
 def _bind(env: Env, b: str, dom: TypeAst, rule: str) -> Env:
@@ -322,16 +324,15 @@ def _bind(env: Env, b: str, dom: TypeAst, rule: str) -> Env:
 
 
 def _element_spine(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
-    match t:
-        case QRef(_):
-            _check_qref(t, decl, env, "Target")
-            return Derivation("Target", t)
-        case Pi(b, dom, cod):
-            arg = _strpstv(dom, decl, env)
-            rest = _element_spine(cod, decl, _bind(env, b, dom, "ElArgument"))
-            return Derivation("ElArgument", t, (arg, rest))
-        case _:
-            raise _Fail("Target", f"constructor must target {decl.name}, found {show_type(t)}")
+    if isinstance(t, QRef):
+        _check_qref(t, decl, env, "Target")
+        return Derivation("Target", t)
+    if not isinstance(t, Pi):
+        raise _Fail("Target", f"constructor must target {decl.name}, found {show_type(t)}")
+    b, dom, cod = t
+    arg = _strpstv(dom, decl, env)
+    rest = _element_spine(cod, decl, _bind(env, b, dom, "ElArgument"))
+    return Derivation("ElArgument", t, (arg, rest))
 
 
 def check_element_ctor(ctor: Ctor, decl: QitDecl) -> Judgement:
@@ -347,24 +348,23 @@ def _hide(d: Derivation) -> Derivation:
 
 
 def _equality_spine(t: TypeAst, decl: QitDecl, env: Env) -> Derivation:
-    match t:
-        case EqT(lhs, rhs):
-            lt = _infer(lhs, env, decl)
-            rt = _infer(rhs, env, decl)
-            for side, ty in (("left", lt), ("right", rt)):
-                if not isinstance(ty, QRef):
-                    raise _Fail("EqTarget", f"the {side} endpoint has type {show_type(ty)}, not {decl.name}")
-            if not _type_eq(lt, rt):
-                raise _Fail("EqTarget", f"endpoint types disagree: {show_type(lt)} vs {show_type(rt)}")
-            return Derivation("EqTarget", t)
-        case Pi(b, dom, cod):
-            if isinstance(dom, EqT):
-                raise _Fail("ConditionalEquation", f"argument {show_type(dom)} makes the equation conditional")
-            arg = _hide(_strpstv(dom, decl, env))
-            rest = _equality_spine(cod, decl, _bind(env, b, dom, "EqArg"))
-            return Derivation("EqArg", t, (arg, rest))
-        case _:
-            raise _Fail("EqTarget", f"an equality constructor must end in an equation, found {show_type(t)}")
+    if isinstance(t, EqT):
+        lt = _infer(t.lhs, env, decl)
+        rt = _infer(t.rhs, env, decl)
+        for side, ty in (("left", lt), ("right", rt)):
+            if not isinstance(ty, QRef):
+                raise _Fail("EqTarget", f"the {side} endpoint has type {show_type(ty)}, not {decl.name}")
+        if not _type_eq(lt, rt):
+            raise _Fail("EqTarget", f"endpoint types disagree: {show_type(lt)} vs {show_type(rt)}")
+        return Derivation("EqTarget", t)
+    if not isinstance(t, Pi):
+        raise _Fail("EqTarget", f"an equality constructor must end in an equation, found {show_type(t)}")
+    b, dom, cod = t
+    if isinstance(dom, EqT):
+        raise _Fail("ConditionalEquation", f"argument {show_type(dom)} makes the equation conditional")
+    arg = _hide(_strpstv(dom, decl, env))
+    rest = _equality_spine(cod, decl, _bind(env, b, dom, "EqArg"))
+    return Derivation("EqArg", t, (arg, rest))
 
 
 def check_equality_ctor(ctor: Ctor, decl: QitDecl) -> Judgement:

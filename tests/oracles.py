@@ -29,7 +29,7 @@ from qitbench.errors import (
     QitError,
     UnboundVariable,
 )
-from qitbench.quotient import congruence_classes
+from qitbench.quotient import CongruenceTable
 from qitbench.schema import Accept, DeclReport, Derivation, QitDecl, check_decl
 from qitbench.sexpr import parse_term, show_term
 from qitbench.terms import (
@@ -574,7 +574,7 @@ def naive_diamond(
     and every variable v, at deepest position p_v (root = 1), gets a
     class with fd <= depth_bound + 1 - p_v.  Overflowing instances are
     never built.  The stage is the least congruence on the pool that
-    contains these clauses (congruence_classes)."""
+    contains these clauses (CongruenceTable)."""
     for decl in sig.ops:
         if not decl.arity.finite:
             raise InfinitaryArity(f"cannot materialize stages under {decl.op.show()}")
@@ -620,7 +620,7 @@ def naive_diamond(
         else n
         for n, (s, t) in enumerate(pool)
     ]
-    class_at, _ = congruence_classes(nodes, seeds())
+    class_at = CongruenceTable(nodes, seeds()).class_at
 
     flat_env = {
         _token(sid, c): cls.flat for sid, rows in records.items() for c, cls in enumerate(rows)
@@ -684,7 +684,7 @@ def naive_view(st) -> NaiveView:
     """Enumerate the terms over st's class tokens, a token weighing its
     class's fd, and index them: each term's flattening, and each
     equation's instances under InstanceShape.envs' budget rule."""
-    sig, sys, bound, closed = st.build
+    sig, sys, bound, closed, _ = st.build
     records = stage_records(st)
     leaves = [(f"~{st.sid}.{c}", cls.sort, cls.fd) for c, cls in enumerate(records)]
     table = TermTable(sig, leaves)
@@ -871,7 +871,7 @@ def naive_close_congruence(u: NaiveUniverse) -> NaiveQuotient:
     pos = u.index.__getitem__
     nodes = [(t.op, tuple(pos(c) for c in t.children.entries)) for t in u.terms]
     seeds = ((pos(lhs), pos(rhs)) for _, _, lhs, rhs in u.instance_pairs)
-    class_at, _ = congruence_classes(nodes, seeds)
+    class_at = CongruenceTable(nodes, seeds).class_at
     groups: dict[int, list[int]] = {}
     for p, c in enumerate(class_at):
         groups.setdefault(c, []).append(p)

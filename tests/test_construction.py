@@ -756,28 +756,38 @@ def test_restriction_drops_top_height_literal_stages(monkeypatch):
 
 def test_restriction_is_linear_in_members(monkeypatch):
     # bag {a,b} d2 h5: 677 members in heights of 1, 1, 3, 21 and 651.
-    # Every member gets its own literal diamond, and each one with slices
-    # (all but the least member's, which is class-less) its own closure;
+    # The build keys its closed table once; every member gets its own
+    # literal diamond, and each one with slices (all but the least
+    # member's, which is class-less) its own close from that table;
     # each height's members share one slice tuple, and each literal
     # stage's instances are read once, when its height joins the slices;
     # top-height ones never are
     calls = []
+    tables = []
     closures = []
-    build, close = construction.diamond, construction.congruence_classes
+    build, close = construction.diamond, quotient.CongruenceTable.close
 
     def watched(*args, **kwargs):
         calls.append(args[1])
         return build(*args, **kwargs)
 
-    def closed(*args):
-        closures.append(args[1])
-        return close(*args)
+    class Counted(quotient.CongruenceTable):
+        def __init__(self, *args):
+            tables.append(self)
+            super().__init__(*args)
+
+    def closed(table, seeds):
+        closures.append(table)
+        return close(table, seeds)
 
     monkeypatch.setattr(construction, "diamond", watched)
-    monkeypatch.setattr(construction, "congruence_classes", closed)
+    monkeypatch.setattr(construction, "CongruenceTable", Counted)
+    monkeypatch.setattr(quotient.CongruenceTable, "close", closed)
     _, _, u, appx = bag_fixture(depth=2, height=5)
     assert len(calls) == len(appx.stages) + len(u.members) == 682
+    assert tables == [appx.build.congruence]
     assert len(closures) == len(appx.stages) - 1 + len(u.members) - 1 == 680
+    assert all(table is appx.build.congruence for table in closures)
     expected = naive_check_restriction(appx)
     calls.clear()
     closures.clear()
@@ -792,6 +802,7 @@ def test_restriction_is_linear_in_members(monkeypatch):
     assert appx.check_restriction() == expected
     assert len(calls) == len(u.members) == 677
     assert len(closures) == len(u.members) - 1 == 676
+    assert tables == [appx.build.congruence]
     for tops in u.segments.values():
         first = u.members.index(tops[0])
         shared = calls[first]

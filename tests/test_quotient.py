@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import pytest
@@ -37,10 +38,10 @@ from theorems import qwuniq_check
 from qitbench.algebras import Algebra
 from qitbench.errors import CoherenceFailure, NotSatisfying, QitError
 from qitbench.quotient import (
+    CongruenceTable,
     EliminatorInput,
     build_universe,
     close_congruence,
-    congruence_classes,
     decide_eq,
     qwelim,
     qwrec,
@@ -125,7 +126,7 @@ def test_generated_partitions_equal_naive_oracle(case, bound):
 
 @st.composite
 def id_graphs(draw):
-    """A congruence_classes node table over ids 0..n-1, and seed pairs.
+    """A CongruenceTable node table over ids 0..n-1, and seed pairs.
     The ids are made in a drawn order, leaves first, then unary f and
     binary g nodes over ids made earlier (an id that would repeat a node
     stays a leaf), so a parent may have a lower id than its children.
@@ -167,6 +168,27 @@ def test_congruence_classes_equal_naive_oracle(graph):
     # the partition is the naive one, its classes numbered in the order of
     # their first id, and flats[c] is the least id of class c
     table, seeds = graph
+    n = len(table)
+    congruence = CongruenceTable(table, seeds)
+    class_at, flats = congruence.class_at, congruence.flats
+    assert partition(class_at) == naive_partition(table, seeds)
+    assert list(dict.fromkeys(class_at)) == list(range(len(flats)))
+    assert flats == tuple(min(i for i in range(n) if class_at[i] == c) for c in range(len(flats)))
+
+
+def partition(class_at):
+    """The ids grouped by class, sorted."""
+    groups = {}
+    for i, c in enumerate(class_at):
+        groups.setdefault(c, []).append(i)
+    return sorted(groups.values())
+
+
+def naive_partition(table, seeds):
+    """naive_congruence's partition of the ids of an id_graphs table
+    under seeds, sorted.  Each id reads as a term, a leaf as a constant
+    of its own; ids of two equal nodes read as one term, so they share
+    a class, as the least congruence on the ids relates them."""
     terms = {}
 
     def term(i):
@@ -176,14 +198,46 @@ def test_congruence_classes_equal_naive_oracle(graph):
             terms[i] = Node(OpSym(op), Tab(tuple(map(term, kids))))
         return terms[i]
 
+    universe = [term(i) for i in range(len(table))]
+    distinct = list(dict.fromkeys(universe))
+    oracle = naive_congruence(distinct, [(universe[a], universe[b]) for a, b in seeds])
+    class_of = {distinct[k]: c for c, members in enumerate(oracle) for k in members}
+    return partition([class_of[t] for t in universe])
+
+
+@st.composite
+def prepared_graphs(draw):
+    """An id_graphs table and seeds, with copies of some of its nodes
+    added at new ids, so that the table's own keying joins classes; and
+    three more seed lists to close it under."""
+    table, seeds = draw(id_graphs())
+    inner = [i for i, node in enumerate(table) if not isinstance(node, int)]
+    if inner:
+        table = table + [table[i] for i in draw(st.lists(st.sampled_from(inner), max_size=3))]
     n = len(table)
-    universe = [term(i) for i in range(n)]
-    class_at, flats = congruence_classes(table, seeds)
-    got = sorted(sorted(i for i in range(n) if class_at[i] == c) for c in set(class_at))
-    oracle = naive_congruence(universe, [(universe[a], universe[b]) for a, b in seeds])
-    assert got == sorted(sorted(cls) for cls in oracle)
-    assert list(dict.fromkeys(class_at)) == list(range(len(flats)))
-    assert flats == [min(i for i in range(n) if class_at[i] == c) for c in range(len(flats))]
+    pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)
+    return table, seeds, draw(st.lists(pairs, min_size=3, max_size=3))
+
+
+# Joining 0 and 1 re-keys their parents 2 = f(0) and 3 = f(1), whose
+# join re-keys 4 = g(2) and 5 = g(3); 6 and 7 copy 2, so the prepared
+# table already holds the class {2, 6, 7}.
+@example(([0, 1, ("f", (0,)), ("f", (1,)), ("g", (2,)), ("g", (3,)), ("f", (0,)), ("f", (0,))],
+          [], [[(0, 1)], [], [(4, 3), (1, 0)]]))
+@given(prepared_graphs())
+def test_closing_a_prepared_table_equals_a_fresh_one(graph):
+    # each close gives the naive partition of the table's seeds and its
+    # own, numbered as a fresh table over both numbers it, and leaves the
+    # prepared state as it was, so the next close starts from it too
+    table, seeds, more = graph
+    prepared = CongruenceTable(table, seeds)
+    before = copy.deepcopy(vars(prepared))
+    for extra in more:
+        fresh = CongruenceTable(table, seeds + extra)
+        class_at, flats = prepared.close(extra)
+        assert partition(class_at) == naive_partition(table, seeds + extra)
+        assert (class_at, flats) == (fresh.class_at, fresh.flats)
+        assert vars(prepared) == before
 
 
 def test_canonical_representatives_are_least_and_stable():
