@@ -13,18 +13,20 @@ compares its partition with the shared one.
 
 Terms are integer ids from enumeration to colimit, in one id space.
 Each build holds one closed TermTable: every closed term within the
-depth bound, its ids in the term order (see build_fixed_point).  A
-class is its flat_id, the least closed id in it.  A pair (j, t) is read
-at its flattening, the closed id of t with each class token read as its
-class's flat_id: a token weighs its class's fd, the depth of its flat,
-so t's weighted depth is its flattening's depth, and every pair lies in
-the closed table.  A stage is one congruence on the closed table (see
-diamond), stored as the class of each closed id, and a pair's class is
-its flattening's; no stage keeps a table of its own.  A stage's classes
-are their flat_ids, and a class's sort and fd are read off the closed
-table there.  Trees are read off it only to export and for error
-messages; the (slice, term) mapping class_of_pair is kept for
-perfbench/tracing.py and the tests.
+depth bound, its ids in the term order (see build_fixed_point), and one
+draw of the equation instances over it, from which each stage selects
+its own (Stage.flat_instances).  A class is its flat_id, the least
+closed id in it.  A pair (j, t) is read at its flattening, the closed
+id of t with each class token read as its class's flat_id: a token
+weighs its class's fd, the depth of its flat, so t's weighted depth is
+its flattening's depth, and every pair lies in the closed table.  A
+stage is one congruence on the closed table (see diamond), stored as
+the class of each closed id, and a pair's class is its flattening's; no
+stage keeps a table of its own.  A stage's classes are their flat_ids,
+and a class's sort and fd are read off the closed table there.  Trees
+are read off it only to export and for error messages; the (slice,
+term) mapping class_of_pair is kept for perfbench/tracing.py and the
+tests.
 
 The stage diagram (to_diagram) labels each member by its stage, a
 height: diagrams.Colimit checks it per stage transition and glues one
@@ -64,16 +66,20 @@ from .terms import (
 class _Build(NamedTuple):
     """What the stages of one build share: the declaration, the depth
     bound, the closed table of every closed term within the bound,
-    whose ids run in the term order (see build_fixed_point), and that
-    table keyed once, with no seeds, for every stage to close from (see
-    diamond).  A class's flat, sort and fd are read off the closed table
-    at the class's flat_id."""
+    whose ids run in the term order (see build_fixed_point), that table
+    keyed once, with no seeds, for every stage to close from (see
+    diamond), and the equation instances over it within the bound,
+    drawn once, as (the id of each variable, lhs id, rhs id), for every
+    stage to select its own from (Stage.flat_instances).  A class's
+    flat, sort and fd are read off the closed table at the class's
+    flat_id."""
 
     sig: Signature
     sys: SystemOfEquations
     depth: int
     closed: TermTable
     congruence: CongruenceTable
+    instances: tuple[tuple[tuple[int, ...], int, int], ...]
 
 
 class Stage(Record):
@@ -106,16 +112,25 @@ class Stage(Record):
     @cached_property
     def flat_instances(self) -> frozenset[tuple[int, int]]:
         """The stage's equation instances read on the closed table: each
-        variable at the flat_id of a class of its sort, drawn by
-        quotient.draw_instances, a class weighing its fd.  These are the
-        instances over the class tokens, flattened: a token weighs what
-        its flat does."""
-        sig, sys, bound, closed, _ = self.build
-        by_sort: dict[Optional[str], list[int]] = {}
-        for f in self.classes:
-            by_sort.setdefault(sig.ops[closed.nodes[f][0]].sort, []).append(f)
-        instances, _ = draw_instances(sys, closed, {**by_sort, None: self.classes}, bound)
-        return frozenset((lhs, rhs) for _, _, lhs, rhs in instances)
+        variable at the flat_id of a class of its sort, a class weighing
+        its fd, within the bound.  These are the instances over the
+        class tokens, flattened: a token weighs what its flat does.
+
+        They are selected from build.instances, the one draw over the
+        closed table: the (lhs, rhs) of each instance whose variables'
+        ids all lie among the stage's flats.  That is the draw of
+        quotient.draw_instances over the flats' pools, by sort, each
+        flat weighing its depth.  Both draws read the same table and
+        shapes, and a flat's sort and depth are its own as a closed id.
+        InstanceShape.envs keeps a candidate or not by its own weight,
+        per variable, and the full draw's pools hold every flat of each
+        sort, so the tuples it keeps with every id a flat are exactly
+        the ones the flats' draw keeps, and each reads the same sides.
+        The class-less stage selects just the instances with no
+        variable, the ground ones, as the empty pools' draw gives."""
+        flats = set(self.classes)
+        return frozenset((lhs, rhs) for combo, lhs, rhs in self.build.instances
+                         if flats.issuperset(combo))
 
     @cached_property
     def class_of_pair(self) -> Mapping[tuple[int, Term], int]:
@@ -126,7 +141,7 @@ class Stage(Record):
         tests/oracles.py's naive_diamond; the package never reads it.
         The TermTable over each slice's class tokens built here is the
         only token table in the package."""
-        sig, _, bound, closed, _ = self.build
+        sig, bound, closed = self.build.sig, self.build.depth, self.build.closed
         out: dict[tuple[int, Term], int] = {}
         for low in self.slice_stages:
             leaves = [(f"~{low.sid}.{c}", sig.ops[closed.nodes[f][0]].sort, closed.depths[f])
@@ -150,16 +165,18 @@ def diamond(build: _Build, slices: tuple[Stage, ...], seeds: Iterable[tuple], si
     class tokens within the bound (a token weighing its class's fd;
     every node keyed, nullary ones included) that contains each slice's
     equation instances and, for each slice low of a slice high, the
-    collapse clauses (low, t) ~ (high, token of high's class of
-    (low, t)).  Instances are drawn per slice under the budget rule of
-    InstanceShape.envs (Stage.flat_instances); overflowing instances are
-    never built.  seeds must be those instances: the union of the
-    slices' flat_instances, which both callers grow with their slices,
-    reading each slice's once.  The slices must come from build, each
-    built by diamond, in sid order, and be closed downward: every slice
-    of a slice is one of them.  Both callers pass every stage below the
-    member this stage summarizes, so the collapse clauses are those of
-    every strictly ordered pair of members below it.
+    collapse clauses (low, t) ~ (high, token of high's class of (low,
+    t)).  A slice's instances are those of the build's one draw
+    (build.instances, under the budget rule of InstanceShape.envs) whose
+    variables all lie among the slice's flats (Stage.flat_instances);
+    overflowing instances are never built.  seeds must be those
+    instances: the union of the slices' flat_instances, which both
+    callers grow with their slices, reading each slice's once.  The
+    slices must come from build, each built by diamond, in sid order,
+    and be closed downward: every slice of a slice is one of them.  Both
+    callers pass every stage below the member this stage summarizes, so
+    the collapse clauses are those of every strictly ordered pair of
+    members below it.
 
     The stage is computed on build.closed, with no table per slice.  A
     pair (s, t) flattens to a closed id: t with each token read as its
@@ -324,20 +341,30 @@ class Approximation:
         so z alone gives every pair of the zip.  So each member gets the
         walk's label, and this rejects all the walk rejects.
 
-        below is a member-order prefix, one per height, so the literal
+        The check walks u.segments height by height.  A height's members
+        share their down-segment, a member-order prefix, so the literal
         slice tuple, the union of its stages' flat_instances (diamond's
-        seeds) and the shared slice sids it must match are built once
-        per height, each literal stage's instances read once, when it
-        joins; this is linear in members where one chain per member was
-        quadratic.  Sharing these inputs is not memoising literal stages
-        by down-segment: every member still closes its own congruence
-        over them, in its own close of build.congruence, and gets its own
-        label checks, and the least congruence holding a set of seeds
-        does not depend on their order or repeats, so each literal stage
-        is what one chain per member gave.  What the closes share is the
-        keying of the closed table with no seeds, which depends on
-        neither the member nor its down-segment.  A literal stage is
-        kept only while some member lies above it.
+        seeds), the shared slice sids it must match and the flat-id
+        check of the slices that joined are per height, each literal
+        stage's instances read once, when it joins; this is linear in
+        members where one chain per member was quadratic.  The slices
+        check runs once per distinct shared stage met in the height: its
+        outcome is a function of that stage and the height, and each
+        member's shared stage is still read through its own stage_of
+        entry, so one member pointed elsewhere is still caught, at that
+        member.  Per member there remain its own literal diamond, its
+        label tiers and the keeping of its literal stage.  Sharing these
+        inputs is not memoising literal stages by down-segment: every
+        member still closes its own congruence over them, in its own
+        close of build.congruence, and gets its own label checks, and
+        the least congruence holding a set of seeds does not depend on
+        their order or repeats, so each literal stage is what one chain
+        per member gave.  What the closes share is the keying of the
+        closed table with no seeds, and what the selections of
+        flat_instances share is the one draw of the build's instances;
+        neither depends on the member or its down-segment.  A literal
+        stage is kept only while some member lies above it: a height's
+        are kept exactly when a height lies above it.
 
         The union must take in each height's literal stages as that
         height joins below: without the newest height's, a stage of the
@@ -352,48 +379,58 @@ class Approximation:
         filters each variable's pool by weight, so the instances over
         S's classes are among those over H's: S's flat_instances already
         lie in the union."""
-        u = self.universe
+        u, stages = self.universe, self.stages
         literal: list[Stage] = []
         bij: list[Sequence[int]] = []
-        # the literal slices below the current height, the union of their
-        # flat_instances, and the shared slice sids they must match
-        slices, seeds, want = (), set(), ()
-        # literal slices whose flat_ids are checked: a prefix of the members
-        compared = 0
+        # the literal slices below the current height and the union of
+        # their flat_instances
+        slices, seeds = (), set()
         checked = 0
         # the shared stage, by member position
         stage_of = [self.stage_of[m] for m in u.members]
-        for pos, i in enumerate(u.members):
-            below = len(u.below[i])
-            if below != len(slices):
-                seeds.update(*(st.flat_instances for st in literal[len(slices) : below]))
-                slices, want = tuple(literal[:below]), tuple(sorted(set(stage_of[:below])))
-            lit = diamond(self.build, slices, seeds, sid=pos)
-            shared = self.stages[stage_of[pos]]
-            if shared.slices != want:
-                raise QitError(f"restriction mismatch at {u.show(i)}: slices differ")
-            for pj in range(compared, below):
-                flats = self.stages[stage_of[pj]].classes
-                if tuple(map(flats.__getitem__, bij[pj])) != literal[pj].classes:
-                    raise QitError(f"restriction mismatch at {u.show(i)}: views differ")
-            compared = below
-            if lit.class_at == shared.class_at and len(lit) == len(shared):
-                label = range(len(lit))
-            else:
-                label = [-1] * len(lit)
-                for c, n in set(zip(lit.class_at, shared.class_at)):
-                    if label[c] != -1:
-                        raise QitError(f"restriction mismatch at {u.show(i)}: partitions differ")
-                    label[c] = n
-                if sorted(label) != list(range(len(shared))):
-                    raise QitError(f"restriction mismatch at {u.show(i)}: classes differ")
-            if u.above[i]:
-                literal.append(lit)
-                bij.append(label)
-            # free a top-height literal stage before the next diamond:
-            # no later member reads it
-            del lit
-            checked += len(shared.classes)
+        for below, tops in u.segments.items():
+            n = len(below)
+            joined = range(len(slices), n)
+            seeds.update(*(literal[pj].flat_instances for pj in joined))
+            slices, want = tuple(literal[:n]), tuple(sorted(set(stage_of[:n])))
+            keep = bool(u.above[tops[0]])
+            # the shared stages met in this height, their slices checked
+            met: set[int] = set()
+            for pos in tops:
+                lit = diamond(self.build, slices, seeds, sid=pos)
+                sid = stage_of[pos]
+                shared = stages[sid]
+                if sid not in met:
+                    if shared.slices != want:
+                        raise QitError(f"restriction mismatch at {u.show(pos)}: slices differ")
+                    met.add(sid)
+                    # at the height's first member: the flat_ids of the
+                    # literal slices that joined
+                    for pj in joined:
+                        flats = stages[stage_of[pj]].classes
+                        if tuple(map(flats.__getitem__, bij[pj])) != literal[pj].classes:
+                            raise QitError(f"restriction mismatch at {u.show(pos)}: views differ")
+                    joined = ()
+                classes = len(lit.classes)
+                if lit.class_at == shared.class_at and classes == len(shared.classes):
+                    label = range(classes)
+                else:
+                    label = [-1] * classes
+                    for c, m in set(zip(lit.class_at, shared.class_at)):
+                        if label[c] != -1:
+                            raise QitError(
+                                f"restriction mismatch at {u.show(pos)}: partitions differ"
+                            )
+                        label[c] = m
+                    if sorted(label) != list(range(len(shared.classes))):
+                        raise QitError(f"restriction mismatch at {u.show(pos)}: classes differ")
+                if keep:
+                    literal.append(lit)
+                    bij.append(label)
+                # free a top-height literal stage before the next diamond:
+                # no later member reads it
+                del lit
+                checked += len(shared.classes)
         return checked
 
     def to_diagram(self) -> Diagram:
@@ -409,17 +446,17 @@ class Approximation:
         return Diagram(self.universe, self.stage_of, family, maps)
 
     def dump(self) -> Iterator[str]:
-        """Each member's stage size, one line at a time, read once per
-        height: a height's members share a stage."""
-        texts = self.universe.shown()
-        for tops in self.universe.segments.values():
-            size = f": {len(self.stage_at(tops[0]))}\n"
-            for _, text in zip(tops, texts):
-                yield f"stage {text}{size}"
+        """Each member's stage size, one string per run of
+        SizeUniverse.shown: a run lies in one height, whose members share
+        a stage."""
+        for run, texts in self.universe.shown():
+            size = f": {len(self.stage_at(run[0]).classes)}\n"
+            yield "stage" + f"{size}stage".join(texts) + size
 
     def export(self) -> Iterator[str]:
-        """Members, stages and classes, one line at a time; a class's
-        pairs are counted on the closed table.  Per slice, mult[f] terms
+        """Members, one string per run of SizeUniverse.shown, then stages
+        and classes, one line at a time; a class's pairs are counted on
+        the closed table.  Per slice, mult[f] terms
         over its class tokens flatten to closed id f: its class's token
         when f is a flat, and one node per choice of a term for each
         child.  A term's weighted depth is its flattening's depth, so each
@@ -427,8 +464,9 @@ class Approximation:
         flattening's."""
         nodes, terms = self.build.closed.nodes, self.build.closed.terms
         yield f"depth {self.depth} height {self.universe.height}\n"
-        for i, shown in zip(self.universe.members, self.universe.shown()):
-            yield f"member {shown} -> stage {self.stage_of[i]}\n"
+        stage_of = self.stage_of
+        for run, texts in self.universe.shown():
+            yield "".join([f"member{text} -> stage {stage_of[i]}\n" for i, text in zip(run, texts)])
         for st in self.stages:
             slices = " ".join(str(s) for s in st.slices)
             yield f"stage {st.sid}: slices ({slices}) classes {len(st)}\n"
@@ -454,14 +492,24 @@ def build_fixed_point(
     children lexicographically by id: by induction on depth, the term
     order, whose reference is in tests/oracles.py.  It is keyed once,
     into a CongruenceTable with no seeds, and every stage, shared or
-    literal, closes its own seeds from that table."""
+    literal, closes its own seeds from that table.  The equation
+    instances are drawn once too, by quotient.draw_instances over the
+    closed ids by sort (None taking every id), each weighing its depth,
+    and every stage selects its own from them (Stage.flat_instances)."""
     validate_system(sig, sys)
     for decl in sig.ops:
         if not decl.arity.finite:
             raise InfinitaryArity(f"cannot materialize stages under {decl.op.show()}")
     closed = TermTable(sig)
     closed.upto(depth_bound)
-    build = _Build(sig, sys, depth_bound, closed, CongruenceTable(closed.nodes, ()))
+    ops = sig.ops
+    by_sort: dict[Optional[str], list[int]] = {}
+    for n, (op, _) in enumerate(closed.nodes):
+        by_sort.setdefault(ops[op].sort, []).append(n)
+    instances, _ = draw_instances(sys, closed, {**by_sort, None: range(len(closed.nodes))},
+                                  depth_bound)
+    build = _Build(sig, sys, depth_bound, closed, CongruenceTable(closed.nodes, ()),
+                   tuple((combo, lhs, rhs) for _, combo, lhs, rhs in instances))
     stages: list[Stage] = []
     stage_of: dict[int, int] = {}
     # segments come one per height, below-first, so a segment's slices are

@@ -7,8 +7,9 @@ want None, so its ids run in the term order (depth, then the root
 operator's declaration position, then the children lexicographically;
 its reference is in tests/oracles.py), as the construction's closed
 table does.  draw_instances draws the instances from pools of ids by
-sort, each id weighing its depth; each construction stage draws its
-own with it, over the build's closed table from the stage's flats.
+sort, each id weighing its depth; a construction build draws once with
+it, over its closed table, and each stage selects its own instances
+from that draw (construction.Stage.flat_instances).
 The quotient is the least congruence containing those instances.
 CongruenceTable computes it by union-find with upward congruence
 propagation, keying each node once and re-keying it only when a

@@ -80,6 +80,12 @@ def size_signature_for(sig: Signature, sys: SystemOfEquations) -> SizeSig:
     return SizeSig(tuple(ops))
 
 
+# the most members shown yields in one run: a run's texts and the line
+# they are joined into are held at once, and the top height has 651
+# members at height 5, 458,330 at height 6
+SHOWN_RUN = 64
+
+
 class SizeUniverse:
     """All sizes of height <= h over a signature, as ids into nodes (the
     operator position and child ids of each member) with their depths,
@@ -167,20 +173,29 @@ class SizeUniverse:
         op, kids = self.nodes[self._member(i)]
         return f"(sz {self.sig.ops[op][0]}" + "".join(" " + self.show(k) for k in kids) + ")"
 
-    def shown(self) -> Iterator[str]:
-        """show of each member, in member order, in one pass: children
-        come first, so each text is built from its children's.  Only the
-        texts of members below the top height are kept, since no member
-        has a top one as its child."""
-        names = [name for name, _ in self.sig.ops]
+    def shown(self) -> Iterator[tuple[range, list[str]]]:
+        """show of each member, in member order, in one pass, each text
+        with a leading space: runs of members of one height, each with
+        its members' texts, a height of more than SHOWN_RUN members
+        split into runs of SHOWN_RUN.  Children come first, so each text
+        is one f-string over its children's texts, kept with their
+        leading spaces.  Only the texts of members below the top height
+        are kept, since no member has a top one as its child."""
+        heads = [f" (sz {name}" for name, _ in self.sig.ops]
         # the top height's down-segment, the members below it
         keep = next(reversed(self.segments), range(0)).stop
-        texts: list[str] = []
-        for i, (op, kids) in enumerate(self.nodes):
-            text = f"(sz {names[op]}" + "".join([" " + texts[k] for k in kids]) + ")"
-            if i < keep:
-                texts.append(text)
-            yield text
+        nodes, texts = self.nodes, []
+        for tops in self.segments.values():
+            for start in range(tops.start, tops.stop, SHOWN_RUN):
+                run = range(start, min(start + SHOWN_RUN, tops.stop))
+                shown = [
+                    f"{heads[op]}{texts[kids[0]]}{texts[kids[1]]})" if len(kids) == 2
+                    else f"{heads[op]}{''.join([texts[k] for k in kids])})"
+                    for op, kids in nodes[run.start : run.stop]
+                ]
+                if run.stop <= keep:
+                    texts += shown
+                yield run, shown
 
     def suc(self, i: int) -> Optional[int]:
         """The member join(i, i), or None if the universe lacks it."""

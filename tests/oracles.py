@@ -29,7 +29,7 @@ from qitbench.errors import (
     QitError,
     UnboundVariable,
 )
-from qitbench.quotient import CongruenceTable
+from qitbench.quotient import CongruenceTable, draw_instances
 from qitbench.schema import Accept, DeclReport, Derivation, QitDecl, check_decl
 from qitbench.sexpr import parse_term, show_term
 from qitbench.terms import (
@@ -545,6 +545,20 @@ def stage_records(st) -> tuple[StageRecord, ...]:
     )
 
 
+def naive_flat_instances(st) -> frozenset[tuple[int, int]]:
+    """Stage.flat_instances as each stage drew its own before a build
+    drew its instances once: quotient.draw_instances over the stage's
+    flats, pooled by sort (None taking every flat), each weighing its
+    depth, with the (lhs, rhs) of each instance kept."""
+    build = st.build
+    sig, closed = build.sig, build.closed
+    by_sort: dict[Optional[str], list[int]] = {}
+    for f in st.classes:
+        by_sort.setdefault(sig.ops[closed.nodes[f][0]].sort, []).append(f)
+    instances, _ = draw_instances(build.sys, closed, {**by_sort, None: st.classes}, build.depth)
+    return frozenset((lhs, rhs) for _, _, lhs, rhs in instances)
+
+
 def _stage_envs(shape: InstanceShape, records, bound: int) -> tuple[Iterable[tuple], int]:
     """The class tuples of a stage, given its records, that instantiate
     shape's equation within bound, a class weighing its flattened depth
@@ -684,7 +698,8 @@ def naive_view(st) -> NaiveView:
     """Enumerate the terms over st's class tokens, a token weighing its
     class's fd, and index them: each term's flattening, and each
     equation's instances under InstanceShape.envs' budget rule."""
-    sig, sys, bound, closed, _ = st.build
+    build = st.build
+    sig, sys, bound, closed = build.sig, build.sys, build.depth, build.closed
     records = stage_records(st)
     leaves = [(f"~{st.sid}.{c}", cls.sort, cls.fd) for c, cls in enumerate(records)]
     table = TermTable(sig, leaves)

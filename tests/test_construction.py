@@ -68,6 +68,7 @@ from oracles import (
     chained_diamond,
     naive_check_restriction,
     naive_diamond,
+    naive_flat_instances,
     naive_view,
     stage_records,
     substitute,
@@ -615,6 +616,73 @@ def test_generated_stages_are_pullbacks_of_the_class_less_slice(case, height_dep
     assert assert_pullback_everywhere(appx) == len(appx.stages) + len(appx.universe.members)
 
 
+# --- each stage selects its instances from the build's one draw ---
+
+
+def assert_flat_instances_match_naive(appx) -> int:
+    """Every shared and every literal stage's flat_instances, selected
+    from the build's one draw, equal the draw over the stage's own
+    flats.  Returns how many stages it read."""
+    stages = list(appx.stages) + [stage for stage, _, _ in literal_stages(appx)]
+    for stage in stages:
+        assert stage.flat_instances == naive_flat_instances(stage)
+    return len(stages)
+
+
+def fixture_build(path, carriers, depth, height=3, prefix=None):
+    decl = parse_decl(path.read_text())
+    sig, sys = elaborate(decl, carriers, prefix=prefix)
+    return build_fixed_point(sig, sys, SizeUniverse(MIN, height), depth)
+
+
+PERF_INPUTS = Path(__file__).parent.parent / "perfbench" / "inputs"
+
+SELECTION_BUILDS = {
+    "bag-d3-h4": lambda: bag_fixture(depth=3, height=4)[3],
+    "commvec-prefix2": lambda: fixture_build(FIXTURES / "commvec.qit", {"X": ("a", "b")}, 3, prefix=2),
+    "commtree-abc-d3": lambda: fixture_build(FIXTURES / "commtree.qit", {"X": ("a", "b", "c")}, 3),
+    "cmon-d3": lambda: fixture_build(PERF_INPUTS / "cmon.qit", {"X": ("a",)}, 3),
+    "htree": lambda: fixture_build(FIXTURES / "htree.qit", {"X": ("a",)}, 3, prefix=2),
+    "mixeq": lambda: fixture_build(FIXTURES / "mixeq.qit", {}, 3, prefix=2),
+}
+
+
+@pytest.mark.parametrize("name", list(SELECTION_BUILDS))
+def test_flat_instances_equal_the_per_stage_draw(name):
+    appx = SELECTION_BUILDS[name]()
+    assert assert_flat_instances_match_naive(appx) == len(appx.stages) + len(appx.universe.members)
+
+
+def test_the_selection_draws_instances_on_the_fixtures():
+    # the comparison above is not vacuous: some stage of each fixture
+    # with variable instances within the bound selects some of them
+    for name in ("bag-d3-h4", "commvec-prefix2", "commtree-abc-d3", "cmon-d3"):
+        appx = SELECTION_BUILDS[name]()
+        assert appx.build.instances, name
+        assert any(st.flat_instances for st in appx.stages), name
+
+
+def test_the_class_less_stage_keeps_exactly_the_ground_instances():
+    sig = signature([("f0", 0), ("f1", 1)])
+    ground = Equation("g", (), f1(F0), F0)
+    varied = Equation("e", ("x",), f1(f1(Var("x"))), f1(Var("x")))
+    appx = build_fixed_point(sig, SystemOfEquations((ground, varied)), SizeUniverse(MIN, 3), 3)
+    zero, lookup = appx.stages[0], appx.build.closed.lookup
+    f0 = lookup[(0, ())]
+    assert not zero.classes
+    assert len(appx.build.instances) > 1
+    assert zero.flat_instances == {(lookup[(1, (f0,))], f0)} == naive_flat_instances(zero)
+
+
+@given(equations(), st.sampled_from(HEIGHT_DEPTHS))
+@example((signature([("f0", 0), ("f1", 1)]), Equation("e", (), f1(F0), F0)), (3, 2))
+def test_generated_flat_instances_equal_the_per_stage_draw(case, height_depth):
+    sig, eq = case
+    height, depth = height_depth
+    appx = build_fixed_point(sig, SystemOfEquations((eq,)), SizeUniverse(MIN, height), depth)
+    assert assert_flat_instances_match_naive(appx) == len(appx.stages) + len(appx.universe.members)
+
+
 def test_a_diamond_without_a_class_less_slice_names_its_stage():
     # closing on the closed table needs the class-less slice; without it
     # the partition would be the closed table's, not the slices'
@@ -752,6 +820,23 @@ def test_restriction_drops_top_height_literal_stages(monkeypatch):
     appx.check_restriction()
     assert len(made) == len(u.members)
     assert all(ref() is None for ref in made)
+
+
+@pytest.mark.parametrize("height", [3, 4])
+@pytest.mark.parametrize("at", [1, -1], ids=["second", "last"])
+def test_restriction_checks_the_slices_of_every_member_of_a_height(height, at):
+    # the slices check runs once per distinct shared stage of a height,
+    # read through each member's own stage_of entry: a top member other
+    # than the height's first, pointed at a lower height's stage, is
+    # rejected at that member
+    _, _, u, appx = bag_fixture(height=height)
+    tops = list(u.segments.values())[-1]
+    member = tops[at]
+    appx.stage_of[member] = appx.stage_of[tops[0]] - 1
+    expected = f"restriction mismatch at {u.show(member)}: slices differ"
+    assert restriction_outcome(naive_check_restriction, appx) == expected
+    with pytest.raises(QitError, match=re.escape(expected)):
+        appx.check_restriction()
 
 
 def test_restriction_is_linear_in_members(monkeypatch):

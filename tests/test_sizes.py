@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from qitbench import sizes
 from qitbench.construction import build_fixed_point
 from qitbench.errors import ArityMismatch, InfinitaryArity, QitError
 from qitbench.sizes import SizeSig, SizeUniverse, size_signature_for
@@ -34,6 +35,19 @@ from oracles import CycleDetected, PlumpOrder, naive_size_members, show_size, si
 MIN = SizeSig.minimal()
 ZERO = size_zero(MIN)
 ONE = size_suc(MIN, ZERO)
+
+
+def shown(u: SizeUniverse) -> list[str]:
+    """u.shown() read member by member, each text without its leading
+    space; its runs must cover the members in order, one height each."""
+    out: list[str] = []
+    for run, texts in u.shown():
+        assert run.start == len(out) and len(run) == len(texts) > 0
+        assert len({u.depths[i] for i in run}) == 1
+        assert all(text.startswith(" (sz ") for text in texts)
+        out += [text[1:] for text in texts]
+    assert len(out) == len(u.members)
+    return out
 
 
 def test_size_literal_round_trip():
@@ -68,7 +82,7 @@ def test_universe_members_height3():
         "(sz join (sz join (sz zero) (sz zero)) (sz join (sz zero) (sz zero)))",
     ]
     assert u.members == range(5)
-    assert [u.show(m) for m in u.members] == list(u.shown()) == want
+    assert [u.show(m) for m in u.members] == shown(u) == want
     assert u.depths == [1, 2, 3, 3, 3]
     assert id_of(u, ONE) == 1
 
@@ -76,7 +90,7 @@ def test_universe_members_height3():
 def test_universe_height4_count():
     u = SizeUniverse(MIN, 4)
     assert len(u.members) == 26
-    assert len(set(u.shown())) == 26
+    assert len(set(shown(u))) == 26
 
 
 def test_universe_members_must_include_their_children():
@@ -122,7 +136,7 @@ def test_universe_refuses_members_out_of_height_order():
         SizeUniverse(sig, 2, members=[("zero", ()), ("join", (0, 0)), ("nil", ())])
     assert str(info.value) == "(sz nil) of height 1 is listed after a higher member"
     u = SizeUniverse(sig, 2, members=[("zero", ()), ("nil", ()), ("join", (0, 1))])
-    assert list(u.shown()) == ["(sz zero)", "(sz nil)", "(sz join (sz zero) (sz nil))"]
+    assert shown(u) == ["(sz zero)", "(sz nil)", "(sz join (sz zero) (sz nil))"]
 
 
 @pytest.mark.parametrize("sig, bound", [
@@ -194,14 +208,41 @@ def test_stage_pairs_are_the_first_pairs_of_the_member_pair_walk(name):
 def test_shown_prints_every_member_as_show_size_does(name):
     u = UNIVERSES[name]()
     want = [show_size(tree_of(u, i)) for i in u.members]
-    assert list(u.shown()) == [u.show(i) for i in u.members] == want
+    assert shown(u) == [u.show(i) for i in u.members] == want
+
+
+@pytest.mark.parametrize("sig, bound", [
+    (size_signature_for(bag_sig(), bag_system()), 2),
+    (SizeSig((("zero", 0), ("suc", 1), ("join", 2), ("tri", 3))), 3),
+], ids=["bag-h2", "arities-0-to-3-h3"])
+def test_shown_prints_members_of_every_arity_as_show_does(sig, bound):
+    # a binary member's text is one f-string over its children's; the
+    # other arities join their children's texts
+    u = SizeUniverse(sig, bound)
+    assert {0, 2} < {len(kids) for _, kids in u.nodes}
+    assert shown(u) == [u.show(i) for i in u.members]
+
+
+def test_shown_splits_a_height_into_runs_and_the_lines_stay_the_same(monkeypatch):
+    # bag {a,b} d2 h4: heights of 1, 1, 3 and 21 members; runs of 2 split
+    # the last two heights, and dump and export print the same lines
+    appx = build_fixed_point(bag_sig(), bag_system(), SizeUniverse(MIN, 4), 2)
+    u = appx.universe
+    dump, export = "".join(appx.dump()), "".join(appx.export())
+    assert [len(run) for run, _ in u.shown()] == [1, 1, 3, 21]
+    monkeypatch.setattr(sizes, "SHOWN_RUN", 2)
+    assert [len(run) for run, _ in u.shown()] == [1, 1, 2, 1] + [2] * 10 + [1]
+    assert shown(u) == [u.show(i) for i in u.members]
+    assert "".join(appx.dump()) == dump
+    assert "".join(appx.export()) == export
+    assert dump.count("\n") == len(u.members)
 
 
 @pytest.mark.parametrize("bound, count", [(1, 1), (2, 2), (3, 5), (4, 26), (5, 677)])
 def test_shown_is_the_text_of_the_reference_members(bound, count):
     u = SizeUniverse(MIN, bound)
     want = [show_size(t) for t in naive_size_members(MIN, bound)]
-    assert list(u.shown()) == want
+    assert shown(u) == want
     assert len(u.members) == count
 
 
