@@ -561,40 +561,36 @@ class QwInterface:
         flat = min(appx.stage_at(m).classes[c] for m, c in self.colimit.classes[self._class(cid)])
         return appx.build.closed.terms[flat]
 
-    def _push(self, i: int, cid: int) -> Optional[int]:
-        """i's class in colimit class cid, or None, off its first node: a
-        stage's nodes share one member, so a later node at or below i puts
-        the first there too."""
-        appx = self.appx
-        m, c = self.colimit.classes[cid][0]
-        if m == i:
-            return c
-        return appx.delta(m, i, c) if appx.universe.lt(m, i) else None
-
     def qwintro(self, op: Union[OpSym, str], children: Sequence[int]) -> int:
+        """The class of op over the children's classes, built one stage
+        above the first member i of the highest height among the
+        children's first nodes.  A colimit class's first node sits at the
+        first member of its height, or alone at a top member, so every
+        child's first node lies at i or below it, and a child is pushed
+        up to i; a child alone at a later top member has no stage in
+        common with i."""
         children = list(map(self._class, children))
         appx = self.appx
         u = appx.universe
-        # a stage's members push alike, and its colimit nodes sit at its first
-        for i in (tops[0] for tops in u.segments.values()):
-            pushed = [self._push(i, cid) for cid in children]
-            if None in pushed:
-                continue
-            opi = appx.sig.op_index(op)
-            decl = appx.sig.ops[opi]
-            if len(pushed) != decl.arity.count:
-                raise ArityMismatch(
-                    f"{decl.op.show()} takes {decl.arity.count} children, got {len(pushed)}"
-                )
-            sup = u.suc(i)
-            if sup is None:
-                raise StageOverflow(f"no stage above {u.show(i)} in a height-{u.height} universe")
-            flats = appx.stage_at(i).classes
-            n = appx.build.closed.lookup.get((opi, tuple(map(flats.__getitem__, pushed))))
-            if n is None:
-                raise StageOverflow(f"intro exceeds depth {appx.depth} at {u.show(i)}")
-            return self.inject(sup, appx.stage_at(sup).class_at[n])
-        raise StageOverflow("children have no common stage in the universe")
+        firsts = [self.colimit.classes[cid][0] for cid in children]
+        i = max((u.below[m].stop for m, _ in firsts), default=0)
+        if any(m > i for m, _ in firsts):
+            raise StageOverflow("children have no common stage in the universe")
+        opi = appx.sig.op_index(op)
+        decl = appx.sig.ops[opi]
+        if len(firsts) != decl.arity.count:
+            raise ArityMismatch(
+                f"{decl.op.show()} takes {decl.arity.count} children, got {len(firsts)}"
+            )
+        sup = u.suc(i)
+        if sup is None:
+            raise StageOverflow(f"no stage above {u.show(i)} in a height-{u.height} universe")
+        flats = appx.stage_at(i).classes
+        pushed = [c if m == i else appx.delta(m, i, c) for m, c in firsts]
+        n = appx.build.closed.lookup.get((opi, tuple(map(flats.__getitem__, pushed))))
+        if n is None:
+            raise StageOverflow(f"intro exceeds depth {appx.depth} at {u.show(i)}")
+        return self.inject(sup, appx.stage_at(sup).class_at[n])
 
 
 def qw_from_colimit(appx: Approximation) -> QwInterface:

@@ -20,8 +20,13 @@ close_congruence (the universe's table) and the colimit's gluing
 A construction build keys its closed table once, in a table with no
 seeds, and each stage (construction.diamond) closes its own seeds from
 it (CongruenceTable.close), re-keying only what those seeds merge.
-Folds (qwrec) and eliminations (qwelim) run over the ids, one step per
-id, with their side conditions checked exhaustively over the universe.
+Folds (qwrec) and eliminations (qwelim) make one pass over the ids in
+order, one step per id, each over its children's class values
+(_by_class).  Ids run children first and classes are numbered by first
+id, so the first id of a class sets its value, and every later one must
+reach it: that one comparison is both well-definedness on the class
+and the homomorphism law (the computation rule) at the id's node.  An
+elimination also checks coherence over every equation instance first.
 Terms are built from the ids only to print them and for readers that
 ask for them (TermUniverse.terms and instance_pairs,
 CongruenceQuotient.canon).
@@ -183,37 +188,37 @@ def draw_instances(
 class CongruenceQuotient:
     """Partition of the universe's ids into congruence classes.
 
-    classes lists each class's ids, ascending, and the classes by their
-    least id; class_at gives the class of each id.  Both orders are the
-    term order, whose reference is in tests/oracles.py (depth, then the
-    root operator's declaration position, then the children
-    lexicographically): the universe's table got its first listing with
-    want None, so its ids were handed out by depth, then by operator
-    position, then children lexicographically by id, which by induction
-    on depth is the term order.  So a class's least id is its least
-    term, and ranking the classes by it ranks them by their least terms,
-    across sorts too.  In an indexed signature the members of a class
+    class_at gives the class of each id, the classes numbered by their
+    least id, and flats[c] is class c's least id.  Ids and classes both
+    run in the term order, whose reference is in tests/oracles.py
+    (depth, then the root operator's declaration position, then the
+    children lexicographically): the universe's table got its first
+    listing with want None, so its ids were handed out by depth, then
+    by operator position, then children lexicographically by id, which
+    by induction on depth is the term order.  So a class's least id is
+    its least term, and ranking the classes by it ranks them by their
+    least terms, across sorts too.  In an indexed signature the members of a class
     share one sort (an equation's two sides stand at its one index, and
     a congruence step relates two nodes of one operator), and a sort's
-    ids ascend in its listing order, so members also come in the
-    universe's listing order.
+    ids ascend in its listing order, so a class's ids in ascending
+    order also come in the universe's listing order.
 
     canon holds each class's least Term, built when first read;
     class_id reads a Term's id off the universe's table.
     """
 
-    def __init__(self, universe: TermUniverse, class_at: Sequence[int]):
+    def __init__(self, universe: TermUniverse, class_at: Sequence[int], flats: Sequence[int]):
         self.universe = universe
         self.class_at = class_at
-        self.classes: list[list[int]] = root_groups(class_at)
+        self.flats = flats
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.flats)
 
     @cached_property
     def canon(self) -> tuple[Term, ...]:
         terms = self.universe.table.terms
-        return tuple(terms[members[0]] for members in self.classes)
+        return tuple(map(terms.__getitem__, self.flats))
 
     def class_id(self, t: Term) -> Optional[int]:
         n = self.universe.id_of(t)
@@ -281,12 +286,13 @@ class CongruenceTable:
     returns its numbering and copies nothing.
 
     close leaves the table unchanged: it copies parent, size, parents,
-    keys and the signature table before it writes to them.  The
-    constructor stores each parent list as a tuple, which close never
-    extends: on its first write to one it builds a list of its own.
-    Keys, class_at and flats are tuples too.  So every close starts
-    from the same state, and closes in any order give what each gives
-    alone.
+    keys and the signature table before it writes to them.  The first
+    close with a seed left stores a copy of each parent list as a
+    tuple, which close never extends: on its first write to one it
+    builds a list of its own.  Keys, class_at and flats are tuples too.
+    So every close starts from the same state, and closes in any order
+    give what each gives alone.  A table that is never closed, as the
+    oracle's and the colimit's are not, copies no parent list.
 
     Finds are inlined with path halving, so the loops over seeds and
     children make no Python call per item; _numbered numbers the
@@ -308,7 +314,7 @@ class CongruenceTable:
         _close(nodes, seeds, parent, size, parents, keys, sigtab)
         self.class_at, self.flats = _numbered(parent)
         self._parent, self._size, self._keys, self._sigtab = parent, size, keys, sigtab
-        self._parents = [ps and tuple(ps) for ps in parents]
+        self._parents = parents
 
     def close(self, seeds: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(class_at, flats) of the least congruence containing the
@@ -319,9 +325,14 @@ class CongruenceTable:
         if not seeds:
             return class_at, self.flats
         parent = self._parent.copy()
-        _close((), seeds, parent, self._size.copy(), self._parents.copy(), self._keys.copy(),
+        _close((), seeds, parent, self._size.copy(), self._frozen_parents.copy(), self._keys.copy(),
                self._sigtab.copy())
         return _numbered(parent)
+
+    @cached_property
+    def _frozen_parents(self) -> list[Optional[tuple[int, ...]]]:
+        """Each parent list as a tuple, built on the first close."""
+        return [ps and tuple(ps) for ps in self._parents]
 
 
 def _close(
@@ -458,7 +469,8 @@ def close_congruence(universe: TermUniverse) -> CongruenceQuotient:
     is keyed, nullary ones included, by the rule the construction's
     stages use."""
     seeds = ((lhs, rhs) for _, _, lhs, rhs in universe.instances)
-    return CongruenceQuotient(universe, CongruenceTable(universe.table.nodes, seeds).class_at)
+    table = CongruenceTable(universe.table.nodes, seeds)
+    return CongruenceQuotient(universe, table.class_at, table.flats)
 
 
 def decide_eq(q: CongruenceQuotient, a: Term, b: Term) -> str:
@@ -471,46 +483,25 @@ def decide_eq(q: CongruenceQuotient, a: Term, b: Term) -> str:
 @tagged
 class QwrecResult(NamedTuple):
     values: tuple[Value, ...]
-    hom_ok: bool
-    hom_failures: tuple[tuple[Term, Value, Value], ...]
 
 
 def qwrec(q: CongruenceQuotient, alg: Algebra) -> QwrecResult:
     """Fold every class through a satisfying algebra.
 
     Requires an exhaustively satisfying algebra: otherwise NotSatisfying
-    carries the report.  The fold makes one interp per id, children
-    first, so it is evaluated at every class member (well-definedness:
-    the fold must be constant on each class), and the induced map is
-    checked to be a homomorphism at every universe node.
+    carries the report.  The fold makes one interp per id (_by_class):
+    each id's value is its operator's interp of its children's class
+    values, and must be its class's value.  That one check is both the
+    fold's well-definedness on the class and the homomorphism law at
+    the id's node.
     """
     report = satisfies(alg, q.universe.sys)
     if not report.ok:
         raise NotSatisfying(
             f"algebra violates {report.witness_eq} at {dict(report.witness_env or ())!r}", report
         )
-    u = q.universe
-    nodes, interp = u.table.nodes, alg.interp
-    ops = [d.op for d in u.sig.ops]
-    # ids run children first
-    folded: list[Value] = []
-    for op, kids in nodes:
-        folded.append(interp(ops[op], tuple(map(folded.__getitem__, kids))))
-    values: list[Value] = []
-    for cls, members in enumerate(q.classes):
-        value = folded[members[0]]
-        if any(folded[n] != value for n in members[1:]):
-            raise QitError(f"fold not constant on the class of {show_term(q.canon[cls])}")
-        values.append(value)
-    class_at = q.class_at
-    failures = []
-    for n in u.ids:
-        op, kids = nodes[n]
-        got = interp(ops[op], tuple(values[class_at[k]] for k in kids))
-        want = values[class_at[n]]
-        if got != want:
-            failures.append((u.table.terms[n], got, want))
-    return QwrecResult(tuple(values), not failures, tuple(failures))
+    interp = alg.interp
+    return QwrecResult(_by_class(q, lambda op, _, vals: interp(op, vals), "fold"))
 
 
 @tagged
@@ -525,8 +516,6 @@ class EliminatorInput(NamedTuple):
 @tagged
 class QwelimResult(NamedTuple):
     values: tuple[Value, ...]
-    comp_ok: bool
-    comp_failures: tuple[tuple[Term, Value, Value], ...]
     instances_checked: int
     envs_checked: int
 
@@ -538,9 +527,11 @@ def qwelim(q: CongruenceQuotient, inp: EliminatorInput) -> QwelimResult:
     assignment of admissible tags to its variables.  Each side runs as
     its compiled program (InstanceShape.sides): the instance's ids are
     read into its registers once, giving each step its children's
-    classes, and per assignment the steps run over the tags.  The
-    computed values are verified at every class member and replayed as
-    computation rules at every universe node.
+    classes, and per assignment the steps run over the tags.  Then the
+    steps run once per id (_by_class), over its children's classes and
+    class values: every id's value must be its class's value, which is
+    both the elimination's well-definedness and its computation rule at
+    the id's node, and every class's value must lie in its motive.
     """
     motive, steps = inp.motive, inp.steps
     u = q.universe
@@ -571,42 +562,34 @@ def qwelim(q: CongruenceQuotient, inp: EliminatorInput) -> QwelimResult:
                     f"steps disagree on {shape.eq.name}: {left!r} vs {right!r}", witness
                 )
 
-    nodes = u.table.nodes
-    ops = [d.op for d in u.sig.ops]
-    memo: dict[int, Value] = {}
+    values = _by_class(q, steps, "elimination")
+    for cls, value in enumerate(values):
+        if value not in motive(cls):
+            raise QitError(f"step value {value!r} outside the motive of class {cls}")
+    return QwelimResult(values, instances, envs)
+
+
+def _by_class(q: CongruenceQuotient, step: Callable[[OpSym, tuple[int, ...], tuple], Value],
+              what: str) -> tuple[Value, ...]:
+    """Each class's value, in one pass over the ids in order, one step
+    per id: an id's value is step(op, its children's classes, their
+    values).  Ids run children first, and classes are numbered by first
+    id, so every child's class has its value when its parent is reached,
+    and the first id of class c comes after the first ids of classes
+    0..c-1: it sets class c's value.  Every later id of the class must
+    reach the same value, or the error names its class."""
+    class_at = q.class_at
+    ops = [d.op for d in q.universe.sig.ops]
     values: list[Value] = []
-    for cls, members in enumerate(q.classes):
-        vals = [_eval_closed(n, nodes, ops, class_at, steps, memo) for n in members]
-        if any(v != vals[0] for v in vals[1:]):
-            raise QitError(f"elimination not constant on the class of {show_term(q.canon[cls])}")
-        if vals[0] not in motive(cls):
-            raise QitError(f"step value {vals[0]!r} outside the motive of class {cls}")
-        values.append(vals[0])
-
-    failures = []
-    for n in u.ids:
-        op, kids = nodes[n]
-        child_cls = tuple(class_at[k] for k in kids)
-        got = steps(ops[op], child_cls, tuple(values[c] for c in child_cls))
-        want = values[class_at[n]]
-        if got != want:
-            failures.append((u.table.terms[n], got, want))
-    return QwelimResult(tuple(values), not failures, tuple(failures), instances, envs)
-
-
-def _eval_closed(n: int, nodes: list, ops: list, class_at: list[int], steps: Callable,
-                 memo: dict[int, Value]) -> Value:
-    """The step value of id n, its children's first, each id's once.  A
-    module function, not a closure: a recursive closure is a reference
-    cycle, which would keep the steps and the memo alive until a
-    collection."""
-    if n in memo:
-        return memo[n]
-    op, kids = nodes[n]
-    val = steps(ops[op], tuple(class_at[k] for k in kids),
-                tuple(_eval_closed(k, nodes, ops, class_at, steps, memo) for k in kids))
-    memo[n] = val
-    return val
+    for n, (op, kids) in enumerate(q.universe.table.nodes):
+        child_cls = tuple([class_at[k] for k in kids])
+        value = step(ops[op], child_cls, tuple([values[c] for c in child_cls]))
+        c = class_at[n]
+        if c == len(values):
+            values.append(value)
+        elif value != values[c]:
+            raise QitError(f"{what} not constant on the class of {show_term(q.canon[c])}")
+    return tuple(values)
 
 
 def _lift(steps: Callable, side: Side, classes: list[int], tags: tuple) -> Value:

@@ -129,8 +129,10 @@ def position(u: TermUniverse, t: Term) -> Optional[int]:
 
 def class_terms(q: CongruenceQuotient) -> tuple[tuple[Term, ...], ...]:
     """Each class's Terms, in the order of its ids."""
-    terms = q.universe.table.terms
-    return tuple(tuple(map(terms.__getitem__, members)) for members in q.classes)
+    members: list[list[Term]] = [[] for _ in range(len(q))]
+    for t, c in zip(q.universe.table.terms, q.class_at):
+        members[c].append(t)
+    return tuple(map(tuple, members))
 
 
 def class_of(q: CongruenceQuotient, t: Term) -> int:
@@ -142,7 +144,7 @@ def class_of(q: CongruenceQuotient, t: Term) -> int:
 
 def sort_of_class(q: CongruenceQuotient, cls: int) -> Optional[str]:
     u = q.universe
-    return u.sig.ops[u.table.nodes[q.classes[cls][0]][0]].sort
+    return u.sig.ops[u.table.nodes[q.flats[cls]][0]].sort
 
 
 def colimit_sorts(qw) -> dict[Optional[str], int]:

@@ -20,6 +20,7 @@ from oracles import signature_from_obj, system_from_obj
 from qitbench import algebras, cli, quotient
 from qitbench.cli import main
 from qitbench.schema import elaborate, parse_decl
+from qitbench.sexpr import parse_term
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -339,6 +340,31 @@ def test_elim_steps_file_matches_builtin(capsys):
     )
     assert code == 0
     assert filed == builtin
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fold", "--algebra", str(FIXTURES / "bag_length.json")], "fold"),
+    (["elim"], "elimination"),
+    (["elim", "--steps", str(FIXTURES / "bag_parity_steps.json")], "elimination"),
+], ids=["fold", "elim", "elim-steps"])
+def test_a_class_the_steps_split_is_named(argv, message, monkeypatch, capsys):
+    """(op nil)'s class merged with (op cons a (op nil))'s, the classes
+    numbered by first id again: the step at the later id disagrees with
+    the class's value, and the error names the class."""
+    real = cli.close_congruence
+
+    def merged(universe):
+        q = real(universe)
+        nil, one = (q.class_id(parse_term(t, universe.sig))
+                    for t in ("(op nil)", "(op cons a (op nil))"))
+        number: dict[int, int] = {}
+        class_at = tuple(number.setdefault(nil if c == one else c, len(number)) for c in q.class_at)
+        flats = tuple(map(class_at.index, range(len(number))))
+        return quotient.CongruenceQuotient(universe, class_at, flats)
+
+    monkeypatch.setattr(cli, "close_congruence", merged)
+    got = run(capsys, argv[0], BAG, "--X", "a,b", *argv[1:])
+    assert got == (1, "", f"error: {message} not constant on the class of (op nil)\n")
 
 
 def test_elim_reports_incoherent_steps(tmp_path, capsys):

@@ -291,8 +291,9 @@ def test_intro_overflows_past_the_depth_bound():
     _, _, _, appx = bag_fixture()
     qw = qw_from_colimit(appx)
     top = qw.qwintro("cons a", [qw.qwintro("cons a", [qw.qwintro("nil", [])])])
-    with pytest.raises(StageOverflow):
+    with pytest.raises(StageOverflow) as info:
         qw.qwintro("cons a", [top])
+    assert str(info.value) == "intro exceeds depth 3 at (sz join (sz zero) (sz zero))"
 
 
 def test_intro_overflows_past_the_universe_height():
@@ -303,6 +304,23 @@ def test_intro_overflows_past_the_universe_height():
     with pytest.raises(StageOverflow) as info:
         qw.qwintro("cons a", [nil])
     assert str(info.value) == "no stage above (sz join (sz zero) (sz zero)) in a height-2 universe"
+
+
+def test_intro_from_a_class_alone_at_a_later_top_member_finds_no_common_stage():
+    # two leaves make four members of height 2, the top; the stages below
+    # have no classes, so each class is alone at one top member
+    u = SizeUniverse(SizeSig((("zero", 0), ("one", 0), ("join", 2))), 2)
+    qw = qw_from_colimit(build_fixed_point(bag_sig(), bag_system(), u, 2))
+    tops = next(reversed(u.segments.values()))
+    assert len(tops) == 4 and len(qw) == 4 * 3
+    for cid, grp in enumerate(qw.colimit.classes):
+        [(m, _)] = grp
+        with pytest.raises(StageOverflow) as info:
+            qw.qwintro("cons a", [cid])
+        if m == tops[0]:
+            assert str(info.value) == f"no stage above {u.show(m)} in a height-2 universe"
+        else:
+            assert str(info.value) == "children have no common stage in the universe"
 
 
 def test_qwequate_instances_land_together():
@@ -354,7 +372,6 @@ def test_qwrec_agrees_with_the_oracle_fold():
     rec = theorems.qwrec(qw, alg)
     q = close_congruence(build_universe(sig, sys, 3))
     oracle = qwrec(q, alg)
-    assert oracle.hom_ok
     for cid, oid in compare_with_oracle(qw, q).class_pairs:
         assert rec.by_class[cid] == oracle.values[oid]
 

@@ -228,16 +228,24 @@ def prepared_graphs(draw):
 def test_closing_a_prepared_table_equals_a_fresh_one(graph):
     # each close gives the naive partition of the table's seeds and its
     # own, numbered as a fresh table over both numbers it, and leaves the
-    # prepared state as it was, so the next close starts from it too
+    # prepared state as it was, so the next close starts from it too; the
+    # first close with a seed left adds only the tuple copy of the parent
+    # lists
     table, seeds, more = graph
     prepared = CongruenceTable(table, seeds)
-    before = copy.deepcopy(vars(prepared))
+
+    def state():
+        return {k: v for k, v in vars(prepared).items() if k != "_frozen_parents"}
+
+    before = copy.deepcopy(state())
     for extra in more:
         fresh = CongruenceTable(table, seeds + extra)
         class_at, flats = prepared.close(extra)
         assert partition(class_at) == naive_partition(table, seeds + extra)
         assert (class_at, flats) == (fresh.class_at, fresh.flats)
-        assert vars(prepared) == before
+        assert state() == before
+        frozen = vars(prepared).get("_frozen_parents")
+        assert frozen is None or frozen == [ps and tuple(ps) for ps in before["_parents"]]
 
 
 def test_canonical_representatives_are_least_and_stable():
@@ -319,7 +327,30 @@ def test_qwrec_length_fold():
     rec = qwrec(q, length_algebra(SIG))
     by_canon = {bag_multiset(c): v for c, v in zip(q.canon, rec.values)}
     assert by_canon == {(): 0, ("a",): 1, ("b",): 1, ("a", "a"): 2, ("a", "b"): 2, ("b", "b"): 2}
-    assert rec.hom_ok
+
+
+def test_fold_and_elimination_make_one_step_per_id():
+    # with no equations coherence makes no call, so every interp and
+    # every step comes from the one pass over the ids
+    q = close_congruence(build_universe(SIG, SystemOfEquations(()), 3))
+    calls = []
+
+    class Counted(Algebra):
+        def interp(self, op, args):
+            calls.append(op)
+            return super().interp(op, args)
+
+    length = length_algebra(SIG)
+    assert len(qwrec(q, Counted(SIG, length.carrier, length.tables)).values) == 7
+    assert len(calls) == len(q.universe.ids) == 7
+    calls.clear()
+
+    def steps(op, child_cls, child_tags):
+        calls.append(op)
+        return len(calls)
+
+    assert len(qwelim(q, EliminatorInput(lambda cls: range(8), steps)).values) == 7
+    assert len(calls) == 7
 
 
 def test_qwrec_requires_satisfaction():
@@ -348,7 +379,6 @@ def test_qwelim_parity():
         ("a", "b"): "even",
         ("b", "b"): "even",
     }
-    assert res.comp_ok
     assert res.instances_checked == 4
     # two admissible tags for the single variable of each instance
     assert res.envs_checked == 8
@@ -431,18 +461,24 @@ def assert_matches_tree_oracle(sig, sys, bound, alg, motive_steps):
     assert q.canon == nq.canon
     assert [class_of(q, t) for t in nu.terms] == [nq.class_of(t) for t in nu.terms]
 
-    def fold():
-        rec = qwrec(q, alg)
-        return rec.values, rec.hom_failures
+    def naive_fold():
+        values, failures = naive_qwrec(nq, alg)
+        assert failures == ()
+        return values
 
-    assert outcome(fold) == outcome(lambda: naive_qwrec(nq, alg))
+    assert outcome(lambda: qwrec(q, alg).values) == outcome(naive_fold)
     motive, steps = motive_steps(nq) if callable(motive_steps) else motive_steps
 
     def elim():
         res = qwelim(q, EliminatorInput(motive, steps))
-        return res.values, res.comp_failures, res.instances_checked, res.envs_checked
+        return res.values, res.instances_checked, res.envs_checked
 
-    assert outcome(elim) == outcome(lambda: naive_qwelim(nq, motive, steps))
+    def naive_elim():
+        values, failures, instances, envs = naive_qwelim(nq, motive, steps)
+        assert failures == ()
+        return values, instances, envs
+
+    assert outcome(elim) == outcome(naive_elim)
     return q
 
 
@@ -485,10 +521,10 @@ def test_fixture_oracles_match_tree_reference(sig, sys, bound, cap, kind):
     alg = capped_length_algebra(sig, cap)
     q = assert_matches_tree_oracle(sig, sys, bound, alg, motive_steps)
     if kind == "class":
-        # the success paths ran: a fold and an elimination with no failures
-        assert qwrec(q, alg).hom_ok
+        # the success paths ran: a fold and an elimination, each over every class
+        assert len(qwrec(q, alg).values) == len(q)
         motive, steps = class_steps(naive_close_congruence(naive_build_universe(sig, sys, bound)))
-        assert qwelim(q, EliminatorInput(motive, steps)).comp_ok
+        assert len(qwelim(q, EliminatorInput(motive, steps)).values) == len(q)
 
 
 def test_elimination_reads_child_classes_in_order():
@@ -501,7 +537,7 @@ def test_elimination_reads_child_classes_in_order():
     alg = tabulate(sig, (0, 1), lambda op, args: args[0] if args else int(op.name == "b"))
     q = assert_matches_tree_oracle(sig, sys, 2, alg, class_steps)
     motive, steps = class_steps(naive_close_congruence(naive_build_universe(sig, sys, 2)))
-    assert qwelim(q, EliminatorInput(motive, steps)).comp_ok
+    assert len(qwelim(q, EliminatorInput(motive, steps)).values) == len(q)
 
 
 def test_ab_listing_is_not_id_order():

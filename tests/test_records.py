@@ -202,9 +202,9 @@ def frozen_records():
         (derive_eliminator(decl), "motive"),
         (builtin_example("bag"), "table"),
         (build_universe(sig, sys, 1), "depth"),
-        (QwrecResult((), True, ()), "hom_ok"),
+        (QwrecResult(()), "values"),
         (EliminatorInput(len, len), "steps"),
-        (QwelimResult((), True, (), 0, 0), "comp_ok"),
+        (QwelimResult((), 0, 0), "envs_checked"),
         (appx.stages[0], "classes"),
         (OracleComparison((), 0), "intro_checked"),
         (appx.to_diagram(), "maps"),
