@@ -27,6 +27,7 @@ from .algebras import Algebra, satisfies
 from .construction import build_fixed_point, compare_with_oracle, qw_from_colimit
 from .errors import NotSatisfying, ParseError, QitError, UnknownOp
 from .quotient import (
+    CongruenceQuotient,
     EliminatorInput,
     build_universe,
     close_congruence,
@@ -245,6 +246,11 @@ def _arity_str(a: Arity) -> str:
     return str(a.count) if a.finite else "countable"
 
 
+def _canon_texts(q: CongruenceQuotient) -> list[str]:
+    """The printed least term of each class of q, read off its table."""
+    return list(map(q.universe.table.texts.__getitem__, q.flats))
+
+
 def _quotient(cfg: RunConfig):
     decl, sig, sys_ = _elaborated(cfg)
     return decl, sig, sys_, close_congruence(build_universe(sig, sys_, cfg.depth))
@@ -311,14 +317,13 @@ def _cmd_elaborate(cfg: RunConfig) -> int:
 def _cmd_enum(cfg: RunConfig) -> int:
     decl, sig, sys_ = _elaborated(cfg)
     uni = build_universe(sig, sys_, cfg.depth)
+    texts = list(map(uni.table.texts.__getitem__, uni.ids))
     if cfg.fmt == "structured":
-        obj = {"decl": decl.name, "depth": cfg.depth,
-               "terms": [show_term(t) for t in uni.terms],
-               "skipped": uni.skipped}
+        obj = {"decl": decl.name, "depth": cfg.depth, "terms": texts, "skipped": uni.skipped}
         print(serialize.dumps(obj), end="")
         return 0
-    for t in uni.terms:
-        print(show_term(t))
+    for text in texts:
+        print(text)
     return 0
 
 
@@ -405,14 +410,14 @@ def _cmd_fold(cfg: RunConfig) -> int:
     except NotSatisfying as e:
         print(f"VIOLATED {e.report.witness_eq} at {dict(e.report.witness_env or ())}")
         return 1
+    canon = _canon_texts(q)
     if cfg.fmt == "structured":
-        obj = {"values": [{"canon": show_term(c), "value": v}
-                          for c, v in zip(q.canon, res.values)],
+        obj = {"values": [{"canon": c, "value": v} for c, v in zip(canon, res.values)],
                "hom_ok": True}
         print(serialize.dumps(obj), end="")
         return 0
-    for c, v in zip(q.canon, res.values):
-        print(f"{show_term(c)} -> {v}")
+    for c, v in zip(canon, res.values):
+        print(f"{c} -> {v}")
     print("hom: ok")
     return 0
 
@@ -465,16 +470,16 @@ def _cmd_elim(cfg: RunConfig) -> int:
     decl, flat, sys_, q = _quotient(cfg)
     inp = _input_from_file(cfg.steps) if cfg.steps else _parity_input()
     res = qwelim(q, inp)
+    canon = _canon_texts(q)
     if cfg.fmt == "structured":
-        obj = {"values": [{"canon": show_term(c), "value": v}
-                          for c, v in zip(q.canon, res.values)],
+        obj = {"values": [{"canon": c, "value": v} for c, v in zip(canon, res.values)],
                "comp_ok": True,
                "instances_checked": res.instances_checked,
                "envs_checked": res.envs_checked}
         print(serialize.dumps(obj), end="")
         return 0
-    for c, v in zip(q.canon, res.values):
-        print(f"{show_term(c)} -> {v}")
+    for c, v in zip(canon, res.values):
+        print(f"{c} -> {v}")
     print(f"qwcomp: ok ({res.instances_checked} instances, {res.envs_checked} environments)")
     return 0
 

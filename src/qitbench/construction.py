@@ -24,9 +24,9 @@ stage is one congruence on the closed table (see diamond), stored as
 the class of each closed id, and a pair's class is its flattening's; no
 stage keeps a table of its own.  A stage's classes are their flat_ids,
 and a class's sort and fd are read off the closed table there.  Trees
-are read off it only to export and for error messages; the (slice,
-term) mapping class_of_pair is kept for perfbench/tracing.py and the
-tests.
+are read off it only for error messages and QwInterface.class_flat, and
+export prints a class from the table's texts; the (slice, term) mapping
+class_of_pair is kept for perfbench/tracing.py and the tests.
 
 The stage diagram (to_diagram) labels each member by its stage, a
 height: diagrams.Colimit checks it per stage transition and glues one
@@ -462,7 +462,7 @@ class Approximation:
         child.  A term's weighted depth is its flattening's depth, so each
         such term is within the bound, and a pair's class is its
         flattening's."""
-        nodes, terms = self.build.closed.nodes, self.build.closed.terms
+        nodes, printed = self.build.closed.nodes, self.build.closed.texts
         yield f"depth {self.depth} height {self.universe.height}\n"
         stage_of = self.stage_of
         for run, texts in self.universe.shown():
@@ -479,7 +479,7 @@ class Approximation:
                 for c, m in zip(st.class_at, mult):
                     sizes[c] += m
             for c, f in enumerate(st.classes):
-                yield f"  class {c} {show_term(terms[f])} | pairs {sizes[c]}\n"
+                yield f"  class {c} {printed[f]} | pairs {sizes[c]}\n"
 
 
 def build_fixed_point(
@@ -535,13 +535,63 @@ def build_fixed_point(
 
 
 class QwInterface:
-    """The constructor on the stage colimit."""
+    """The constructor on the stage colimit.
+
+    An intro builds its class one stage above the first member i of the
+    highest height among its children's first nodes.  A colimit class's
+    first node sits at the first member of its height, or alone at a top
+    member, so every child's first node lies at i or below it, and a
+    child is pushed up to i; a child alone at a later top member has no
+    stage in common with i.  Every intro reads tables built once, on the
+    first (_tables):
+    - per colimit class, its first node (m, c) and the first member of
+      m's height;
+    - per member i an intro can start from (the first member of each
+      height that holds a class's first node, and member 0, where a
+      nullary intro starts): i's stage's flats, and, unless suc(i) is
+      missing, the class_at of suc(i)'s stage with the colimit class of
+      each of its classes.
+    qwintro checks its arguments, then runs the shared step _intro over
+    the tables; compare_with_oracle runs _intro once per oracle id.
+
+    The push is delta's, and no approximation build_fixed_point makes
+    takes it.  There the height-1 stage has no class, and every stage
+    from height 2 up holds every closed id, its congruence holding the
+    height-2 stage's; so each class of a higher stage holds a closed id,
+    and is the image of that id's height-2 class.  So every colimit
+    class not alone at a top member has its first node at the first
+    member of height 2, every child of an intro that goes on to its
+    lookup sits at i itself, and delta is never called.  Stages that
+    each hold more ids than the stage below, as ROADMAP item 4 plans
+    them, take the push
+    (tests/test_construction.py::test_intro_pushes_a_child_up_from_a_lower_stage)."""
 
     def __init__(self, appx: Approximation):
         self.appx = appx
         self.diagram = appx.to_diagram()
         self.colimit = Colimit(self.diagram)
         self.colimit.check_cocone()
+
+    @cached_property
+    def _tables(self) -> tuple[dict, list[tuple[int, int]], list[int], dict[int, tuple]]:
+        """The closed table's lookup; per colimit class its first node
+        and the first member of that node's height; per member i an
+        intro can start from, i's stage's flats, and the class_at of the
+        stage above with each of its classes' colimit class (both None
+        if there is none)."""
+        appx, colimit = self.appx, self.colimit
+        u = appx.universe
+        firsts = [grp[0] for grp in colimit.classes]
+        lows = [u.below[m].stop for m, _ in firsts]
+        above: dict[int, tuple] = {}
+        for i in {0, *lows}:
+            sup = u.suc(i)
+            flats = appx.stage_at(i).classes
+            if sup is None:
+                above[i] = (flats, None, None)
+            else:
+                above[i] = (flats, appx.stage_at(sup).class_at, colimit.row(sup))
+        return appx.build.closed.lookup, firsts, lows, above
 
     def __len__(self) -> int:
         return len(self.colimit)
@@ -562,35 +612,40 @@ class QwInterface:
         return appx.build.closed.terms[flat]
 
     def qwintro(self, op: Union[OpSym, str], children: Sequence[int]) -> int:
-        """The class of op over the children's classes, built one stage
-        above the first member i of the highest height among the
-        children's first nodes.  A colimit class's first node sits at the
-        first member of its height, or alone at a top member, so every
-        child's first node lies at i or below it, and a child is pushed
-        up to i; a child alone at a later top member has no stage in
-        common with i."""
+        """The class of op over the children's classes (see the class
+        docstring): the children's ids and op's arity are checked first."""
         children = list(map(self._class, children))
-        appx = self.appx
-        u = appx.universe
-        firsts = [self.colimit.classes[cid][0] for cid in children]
-        i = max((u.below[m].stop for m, _ in firsts), default=0)
-        if any(m > i for m, _ in firsts):
-            raise StageOverflow("children have no common stage in the universe")
-        opi = appx.sig.op_index(op)
-        decl = appx.sig.ops[opi]
-        if len(firsts) != decl.arity.count:
+        sig = self.appx.sig
+        opi = sig.op_index(op)
+        decl = sig.ops[opi]
+        if len(children) != decl.arity.count:
             raise ArityMismatch(
-                f"{decl.op.show()} takes {decl.arity.count} children, got {len(firsts)}"
+                f"{decl.op.show()} takes {decl.arity.count} children, got {len(children)}"
             )
-        sup = u.suc(i)
-        if sup is None:
+        return self._intro(opi, children)
+
+    def _intro(self, opi: int, children: Sequence[int]) -> int:
+        """The class of the op at position opi over the children's
+        classes, which must be colimit classes, as many as its arity."""
+        appx = self.appx
+        lookup, firsts, lows, above = self._tables
+        i = max([lows[cid] for cid in children], default=0)
+        flats, class_at, to_colimit = above[i]
+        kids = []
+        for cid in children:
+            m, c = firsts[cid]
+            if m != i:
+                if m > i:
+                    raise StageOverflow("children have no common stage in the universe")
+                c = appx.delta(m, i, c)
+            kids.append(flats[c])
+        if class_at is None:
+            u = appx.universe
             raise StageOverflow(f"no stage above {u.show(i)} in a height-{u.height} universe")
-        flats = appx.stage_at(i).classes
-        pushed = [c if m == i else appx.delta(m, i, c) for m, c in firsts]
-        n = appx.build.closed.lookup.get((opi, tuple(map(flats.__getitem__, pushed))))
+        n = lookup.get((opi, tuple(kids)))
         if n is None:
-            raise StageOverflow(f"intro exceeds depth {appx.depth} at {u.show(i)}")
-        return self.inject(sup, appx.stage_at(sup).class_at[n])
+            raise StageOverflow(f"intro exceeds depth {appx.depth} at {appx.universe.show(i)}")
+        return to_colimit[class_at[n]]
 
 
 def qw_from_colimit(appx: Approximation) -> QwInterface:
@@ -608,7 +663,20 @@ def compare_with_oracle(qw: QwInterface, q: CongruenceQuotient) -> OracleCompari
     depth-bounded fragment: flattening is a bijection commuting with the
     constructor.  The oracle keeps its own table and ranking: each closed
     id is read into the oracle's table through its own lookup, operators
-    by symbol, so no two ids are assumed to coincide."""
+    by symbol, so no two ids are assumed to coincide.
+
+    The bijection comes first: every flattening of a colimit class's
+    nodes lies in the oracle universe ("escaped" otherwise), in one
+    congruence class ("straddles"), and the classes match one to one
+    (NotStabilized).  Then the constructor, in one pass over the
+    oracle's ids in id order, children first: each id's colimit class
+    (cid_of, the bijection's inverse read at its congruence class) must
+    be the intro of its operator over its children's.  Each id runs
+    qw's shared step (QwInterface._intro), whose checks stay per id: no
+    common stage, no stage above, depth overflow.  What qwintro checks
+    per call is checked here once, before the pass: the children are
+    colimit classes by construction, and each oracle operator is mapped
+    to the construction's and its arity compared."""
     appx = qw.appx
     u = q.universe
     oracle_op = [u.sig.op_index(d.op) if u.sig.has_op(d.op) else -1 for d in appx.sig.ops]
@@ -650,16 +718,21 @@ def compare_with_oracle(qw: QwInterface, q: CongruenceQuotient) -> OracleCompari
             witness=tuple(missing),
         )
 
-    intro_checked = 0
-    nodes, ops = u.table.nodes, u.sig.ops
-    for n in u.ids:
-        op, kids = nodes[n]
-        cid = qw.qwintro(ops[op].op, [reverse[class_at[k]] for k in kids])
-        if mapping[cid] != class_at[n]:
+    sig = appx.sig
+    intro_op = []
+    for d in u.sig.ops:
+        opi = sig.op_index(d.op)
+        want = sig.ops[opi].arity.count
+        if d.arity.count != want:
+            raise ArityMismatch(f"{d.op.show()} takes {want} children, got {d.arity.count}")
+        intro_op.append(opi)
+    cid_of = [reverse[c] for c in class_at]
+    intro, nodes = qw._intro, u.table.nodes
+    for n, (op, kids) in enumerate(nodes):
+        if intro(intro_op[op], [cid_of[k] for k in kids]) != cid_of[n]:
             raise QitError(f"constructor mismatch at {show_term(u.table.terms[n])}")
-        intro_checked += 1
 
     return OracleComparison(
         class_pairs=tuple(sorted(mapping.items())),
-        intro_checked=intro_checked,
+        intro_checked=len(nodes),
     )

@@ -212,6 +212,16 @@ class Colimit:
         except KeyError:
             raise QitError(f"({d.universe.show(i)}, {x!r}) is not a diagram node") from None
 
+    def row(self, i: int) -> list[int]:
+        """inject(i, x) for each x of member i's carrier, in family order."""
+        d = self.diagram
+        i = d.universe._member(i)
+        a = d.label[i]
+        start = self._start[(not d.universe.above[i], a)]
+        xs = d.family[a]
+        return [c if c >= 0 else self._alone[(i, x)]
+                for x, c in zip(xs, self._class_of[start : start + len(xs)])]
+
     def check_cocone(self) -> None:
         d, cls, start = self.diagram, self._class_of, self._start
         u, label, family, maps = d.universe, d.label, d.family, d.maps

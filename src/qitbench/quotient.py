@@ -27,8 +27,9 @@ id, so the first id of a class sets its value, and every later one must
 reach it: that one comparison is both well-definedness on the class
 and the homomorphism law (the computation rule) at the id's node.  An
 elimination also checks coherence over every equation instance first.
-Terms are built from the ids only to print them and for readers that
-ask for them (TermUniverse.terms and instance_pairs,
+The commands print ids from their table's texts (TermTable.texts).
+Terms are built from the ids only for error messages and for readers
+that ask for them (TermUniverse.terms and instance_pairs,
 CongruenceQuotient.canon).
 """
 
@@ -75,9 +76,9 @@ class TermUniverse(Record):
     signature (each sort in id order), which is not id order.  instances
     holds one (shape, the id of each variable, lhs id, rhs id) per
     instance, in the order they are drawn.  The Terms are built only
-    when terms or instance_pairs is read; instance_pairs is kept for
-    perfbench/tracing.py, which counts a traced universe's instances
-    with it, and for the tests."""
+    when terms or instance_pairs is read; both are kept for
+    perfbench/tracing.py, which counts a traced universe's terms and
+    instances with them, and for the tests."""
 
     _fields = ("sig", "sys", "depth", "table", "ids", "instances", "skipped")
 

@@ -378,7 +378,8 @@ class TermTable:
     its weighted depth; lookup maps every node back to its id.  Ids are
     handed out children first, as terms are reached, so a first
     upto(bound) with want None lists them in id order.  The Term of an
-    id is built only when terms is read."""
+    id is built only when terms is read, and its printed form only when
+    texts is."""
 
     def __init__(self, sig: Signature, leaves: Sequence[tuple[str, Optional[str], int]] = ()):
         for d in sig.ops:
@@ -391,6 +392,7 @@ class TermTable:
         self.depths: list[int] = []
         self._exact: dict[tuple[int, Optional[str]], list[int]] = {}
         self._terms: list[Term] = []
+        self._texts: list[str] = []
 
     def upto(self, bound: int, want: Optional[str] = None) -> list[int]:
         """The ids of the terms of weighted depth <= bound at target index
@@ -475,6 +477,20 @@ class TermTable:
             else:
                 terms.append(Node(ops[node[0]].op, Tab(tuple(terms[k] for k in node[1]))))
         return terms
+
+    @property
+    def texts(self) -> list[str]:
+        """sexpr.show_term of each id's Term, built on first read, children
+        first, each from its children's texts, with no Term built."""
+        texts = self._texts
+        if len(texts) < len(self.nodes):
+            heads = [" ".join(["(op", d.op.name, *d.op.params]) for d in self.sig.ops]
+            for node in self.nodes[len(texts) :]:
+                if isinstance(node, int):
+                    texts.append(f"(var {self.leaves[node][0]})")
+                else:
+                    texts.append(" ".join([heads[node[0]], *map(texts.__getitem__, node[1])]) + ")")
+        return texts
 
 
 def enumerate_terms(

@@ -21,6 +21,7 @@ from qitbench import algebras, cli, quotient
 from qitbench.cli import main
 from qitbench.schema import elaborate, parse_decl
 from qitbench.sexpr import parse_term
+from qitbench.terms import TermTable
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -558,6 +559,41 @@ def test_bag_h5_construct_matches_its_pinned_digest(capsys):
     assert out.endswith(b"colimit: 3 classes\noracle: bijection over 3 classes (intro checked 3)\n")
     digest, size = (GOLDEN / "construct_bag_ab_d2_h5_compare_oracle.sha256").read_text().split()
     assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, int(size))
+
+
+@pytest.mark.parametrize("argv", [
+    [*cmd, "--format", fmt]
+    for cmd in (["enum", BAG, "--X", "a,b"],
+                ["fold", BAG, "--X", "a,b", "--algebra", str(FIXTURES / "bag_length.json")],
+                ["elim", BAG, "--X", "a,b"])
+    for fmt in ("text", "structured")
+] + [["construct", BAG, "--X", "a,b", "--format", "structured"]],
+    ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_printing_a_table_id_builds_no_term(argv, monkeypatch, capsys):
+    # each printed term reads TermTable.texts; a text construct prints
+    # no term (test_a_text_construct_materializes_no_term)
+    def refuse(self):
+        raise AssertionError("a TermTable materialized its Terms")
+
+    monkeypatch.setattr(TermTable, "terms", property(refuse))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "(op cons b (op nil))" in out
+
+
+def test_commtree_abc_d4_matches_its_pinned_digests(capsys):
+    # where the intro check dominates a construct: 21,612 oracle ids, one
+    # intro each; the fold prints a canon line per class of the same
+    # quotient
+    ct = str(PERF_INPUTS / "commtree.qit")
+    code, out, err = run(capsys, "construct", ct, "--X", "a,b,c", "-d", "4", "--compare-oracle")
+    assert (code, err) == (0, "")
+    assert out.endswith("oracle: bijection over 1179 classes (intro checked 21612)\n")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest().startswith("3055f856e1bef7b0")
+    code, out, err = run(capsys, "fold", ct, "--X", "a,b,c", "-d", "4",
+                         "--algebra", str(PERF_INPUTS / "commtree_leaves.json"))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest().startswith("3c6345622286b266")
 
 
 @pytest.mark.parametrize("algebra, code", [("bag_length.json", 0), ("bag_head.json", 1)])

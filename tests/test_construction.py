@@ -16,6 +16,7 @@ from qitbench import construction, quotient
 from qitbench.cli import main
 from qitbench.construction import (
     Approximation,
+    Stage,
     build_fixed_point,
     compare_with_oracle,
     diamond,
@@ -28,7 +29,7 @@ from qitbench.errors import (
     QitError,
     StageOverflow,
 )
-from qitbench.quotient import build_universe, close_congruence, qwrec
+from qitbench.quotient import CongruenceTable, build_universe, close_congruence, qwrec
 from qitbench.schema import elaborate, parse_decl
 from qitbench.sexpr import show_term
 from qitbench.sizes import SizeSig, SizeUniverse
@@ -191,6 +192,47 @@ def test_height_two_does_not_stabilize():
         compare_with_oracle(qw_from_colimit(appx), q)
 
 
+def test_a_flattening_the_oracle_lacks_escapes_it():
+    # an oracle one depth shallower than the construction
+    sig, sys, _, appx = bag_fixture()
+    q = close_congruence(build_universe(sig, sys, 2))
+    with pytest.raises(QitError) as info:
+        compare_with_oracle(qw_from_colimit(appx), q)
+    assert str(info.value) == "flattening (op cons a (op cons a (op nil))) escaped the oracle universe"
+
+
+def test_a_colimit_class_that_straddles_oracle_classes_is_refused():
+    # (op cons b (op cons a (op nil))), id 5, split off into a class of its
+    # own: the height-2 stage holds it as a class, glued to id 4's
+    sig, sys, _, appx = bag_fixture()
+    q = close_congruence(build_universe(sig, sys, 3))
+    assert show_term(q.universe.table.terms[5]) == "(op cons b (op cons a (op nil)))"
+    assert q.class_at[4] == q.class_at[5] == 4 and len(q) == 6
+    split = quotient.CongruenceQuotient(q.universe, q.class_at[:5] + (6,) + q.class_at[6:],
+                                        q.flats + (5,))
+    with pytest.raises(QitError) as info:
+        compare_with_oracle(qw_from_colimit(appx), split)
+    assert str(info.value) == "a colimit class straddles congruence classes"
+
+
+def test_an_oracle_class_the_constructor_misses_is_refused():
+    # a ground equation c = d: d is a flat of no stage, so moving it into
+    # the class of (op s (op c)) keeps the class bijection, and the intro
+    # check alone sees that c and d no longer share a class
+    c, d = Node(OpSym("c"), Tab(())), Node(OpSym("d"), Tab(()))
+    sig = signature([("c", 0), ("d", 0), ("s", 1)])
+    sys = SystemOfEquations((Equation("cd", (), c, d),))
+    qw = qw_from_colimit(build_fixed_point(sig, sys, SizeUniverse(MIN, 3), 2))
+    q = close_congruence(build_universe(sig, sys, 2))
+    assert (q.class_at, q.flats) == ((0, 0, 1, 1), (0, 2))
+    cmp = compare_with_oracle(qw, q)
+    assert (cmp.class_pairs, cmp.intro_checked) == (((0, 0), (1, 1)), 4)
+    moved = quotient.CongruenceQuotient(q.universe, (0, 1, 1, 1), q.flats)
+    with pytest.raises(QitError) as info:
+        compare_with_oracle(qw, moved)
+    assert str(info.value) == "constructor mismatch at (op d)"
+
+
 def test_chain_universe_reaches_the_same_colimit():
     sig, sys = bag_sig(), bag_system()
     appx = build_fixed_point(sig, sys, chain(MIN, 3), 3)
@@ -321,6 +363,35 @@ def test_intro_from_a_class_alone_at_a_later_top_member_finds_no_common_stage():
             assert str(info.value) == f"no stage above {u.show(m)} in a height-2 universe"
         else:
             assert str(info.value) == "children have no common stage in the universe"
+
+
+def test_intro_pushes_a_child_up_from_a_lower_stage():
+    """Layered stages, as ROADMAP item 4 plans them: the stage at height
+    h holds the closed ids of depth below h, and a = b holds from height
+    3.  The class of (op c) first appears at height 2, as class 2, and
+    that of (op pair (op a) (op a)) at height 3, so an intro over both
+    pushes the first child up to height 3, where a and b share class 0
+    and (op c) is class 1.  No stage build_fixed_point makes takes this
+    push: every stage from height 2 up holds every closed id."""
+    a, b = Node(OpSym("a"), Tab(())), Node(OpSym("b"), Tab(()))
+    sig = signature([("a", 0), ("b", 0), ("c", 0), ("pair", 2)])
+    sys = SystemOfEquations((Equation("ab", (), a, b),))
+    u = SizeUniverse(MIN, 4)
+    full = build_fixed_point(sig, sys, u, 3)
+    build, depths = full.build, full.build.closed.depths
+    s0 = full.stages[0]
+    low = CongruenceTable(build.closed.nodes[: depths.index(2)], ())
+    s1 = Stage(1, (s0,), low.flats, low.class_at, build)
+    mid = CongruenceTable(build.closed.nodes[: depths.index(3)], [(0, 1)])
+    s2 = Stage(2, (s0, s1), mid.flats, mid.class_at, build)
+    assert (s1.classes, s2.classes) == ((0, 1, 2), (0, 2, 3, 5, 9, 11))
+    stage_of = {m: sid for sid, tops in enumerate(u.segments.values()) for m in tops}
+    layered = Approximation(sig, sys, u, 3, (s0, s1, s2, full.stages[3]), stage_of, build)
+    qw = qw_from_colimit(layered)
+    c, aa = qw.inject(1, 2), qw.inject(2, 2)
+    assert (qw.colimit.classes[c][0], qw.colimit.classes[aa][0]) == ((1, 2), (2, 2))
+    got = qw.qwintro("pair", [c, aa])
+    assert show_term(qw.class_flat(got)) == "(op pair (op c) (op pair (op a) (op a)))"
 
 
 def test_qwequate_instances_land_together():
@@ -1015,8 +1086,8 @@ def test_a_plain_construct_builds_one_term_table(monkeypatch, capsys):
 def test_a_text_construct_materializes_no_term(monkeypatch, capsys, path, carrier, depth, height,
                                                oracle):
     # a class is its flat_id: the stages, their checks, the colimit and
-    # the oracle comparison read ids, and only export and error messages
-    # build a Term of a table
+    # the oracle comparison read ids, and only error messages build a
+    # Term of a table
     def refuse(self):
         raise AssertionError("a TermTable materialized its Terms")
 

@@ -65,6 +65,9 @@ def assert_classes_match_components(d, c):
     for cid, grp in enumerate(c.classes):
         for i, x in grp:
             assert c.inject(i, x) == cid
+    # row reads a member's whole carrier as inject reads each node
+    for i in d.universe.members:
+        assert c.row(i) == [c.inject(i, x) for x in d.family[d.label[i]]]
 
 
 def universe():

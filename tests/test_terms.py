@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -26,6 +27,8 @@ from qitbench.errors import (
     UnboundVariable,
     UnknownOp,
 )
+from qitbench.quotient import build_universe
+from qitbench.schema import elaborate, parse_decl
 from qitbench.sexpr import parse_term, show_term
 from qitbench.terms import (
     Comp,
@@ -377,3 +380,38 @@ def test_validate_system_accepts_declared_variables_and_index_variables():
     validate_system(VSIG, _system(_node("pair", X, Node(OpSym("lim"), Comp("k", body))), X))
     # a countable family declares every name
     validate_system(VSIG, SystemOfEquations((Equation("e", NAT, _node("pair", Y, Z), Y),)))
+
+
+# --- the text table ---
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("path, carriers, prefix", [
+    ("fixtures/bag.qit", {"X": ("a", "b")}, None),
+    ("fixtures/commtree.qit", {"X": ("a", "b")}, None),
+    ("perfbench/inputs/commtree.qit", {"X": ("a", "b", "c")}, None),
+    ("perfbench/inputs/cmon.qit", {"X": ("a", "b")}, None),
+    ("fixtures/htree.qit", {"X": ("a", "b")}, 2),
+    ("fixtures/mixeq.qit", {}, 2),
+    # operator params: the element and the index, cons a @1
+    ("fixtures/commvec.qit", {"X": ("a", "b")}, 2),
+    ("fixtures/vsuc.qit", {"X": ("a", "b")}, 2),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_texts_print_each_declared_id_as_show_term(path, carriers, prefix):
+    sig, sys = elaborate(parse_decl((ROOT / path).read_text(encoding="utf-8")), carriers,
+                         prefix=prefix)
+    table = build_universe(sig, sys, 3).table
+    assert len(table.nodes) > 1
+    assert table.texts == [show_term(t) for t in table.terms]
+
+
+@given(equations())
+def test_texts_print_each_id_as_show_term(case):
+    """Over variable leaves too, and when the table grows after a read."""
+    sig, eq = case
+    table = TermTable(sig, [(v, None, 1) for v in eq.var_names()])
+    table.upto(2)
+    assert table.texts == [show_term(t) for t in table.terms]
+    table.upto(3)
+    assert table.texts == [show_term(t) for t in table.terms]
